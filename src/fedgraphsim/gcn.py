@@ -9,40 +9,51 @@ full-batch gradient step on the mean cross-entropy over the train mask.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .partition import ClientData
 
 LOG_CLAMP = 1e-12
-PARAM_FIELDS = ("w0", "b0", "w1", "b1")
+PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
 
 
-@dataclass(eq=False)
 class ModelParams:
-    w0: np.ndarray
-    b0: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
+    """A GCN's parameters as one contiguous float64 vector ``vec``.
 
-    @property
-    def feature_dim(self) -> int:
-        return self.w0.shape[0]
+    For ``dims`` = (feature, hidden, classes), ``vec`` holds w0 (feature x
+    hidden, row-major), b0 (hidden), w1 (hidden x classes, row-major) and b1
+    (classes) back to back, and the four fields are reshaped views into it:
+    writing to a field writes to ``vec``. The constructor copies its four
+    arrays into a fresh vector; ``from_vector`` wraps a vector as it is.
+    """
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w0.shape[1]
+    def __init__(self, w0, b0, w1, b1):
+        (f, h), c = np.shape(w0), np.shape(w1)[1]
+        vec = np.concatenate([np.ravel(a) for a in (w0, b0, w1, b1)], dtype=np.float64)
+        self._bind(vec, (f, h, c))
 
-    @property
-    def num_classes(self) -> int:
-        return self.w1.shape[1]
+    @classmethod
+    def from_vector(cls, vec: np.ndarray, dims: tuple) -> "ModelParams":
+        """Wrap a flat vector laid out for (feature, hidden, classes) dims."""
+        p = cls.__new__(cls)
+        p._bind(vec, dims)
+        return p
+
+    def _bind(self, vec: np.ndarray, dims: tuple) -> None:
+        f, h, c = dims
+        if vec.shape != (h * (f + 1 + c) + c,):
+            raise ValueError(f"a vector of shape {vec.shape} does not hold dims {dims}")
+        self.vec, self.dims = vec, (f, h, c)
+        o1 = f * h + h
+        o2 = o1 + h * c
+        self.w0 = vec[: f * h].reshape(f, h)
+        self.b0 = vec[f * h : o1]
+        self.w1 = vec[o1:o2].reshape(h, c)
+        self.b1 = vec[o2:]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(*(getattr(self, f).copy() for f in PARAM_FIELDS))
-
-    def shapes(self) -> tuple:
-        return tuple(getattr(self, f).shape for f in PARAM_FIELDS)
+        return ModelParams.from_vector(self.vec.copy(), self.dims)
 
 
 # Gradients share the parameter container (same shapes, entrywise layout).
@@ -77,7 +88,7 @@ def _check_shapes(p: ModelParams, cd: ClientData):
     g = cd.graph
     if p.w0.shape[0] != g.feature_dim or p.w1.shape[1] != g.num_classes:
         raise ValueError(
-            f"params for ({p.feature_dim}, {p.num_classes}) do not match data "
+            f"params for (feature, hidden, classes) {p.dims} do not match data "
             f"({g.feature_dim}, {g.num_classes})"
         )
 
@@ -127,9 +138,7 @@ def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
 def train_epoch(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:
     """One full-batch gradient step (= one local epoch = one trip's training)."""
     _, grads = loss_and_grads(p, cd)
-    return ModelParams(
-        *(getattr(p, f) - lr * getattr(grads, f) for f in PARAM_FIELDS)
-    )
+    return ModelParams.from_vector(p.vec - lr * grads.vec, p.dims)
 
 
 def evaluate(p: ModelParams, cd: ClientData, which_mask: str) -> float:
@@ -143,24 +152,14 @@ def evaluate(p: ModelParams, cd: ClientData, which_mask: str) -> float:
 
 
 def params_to_bytes(p: ModelParams) -> bytes:
-    """Little-endian blob: u32 (feature, hidden, classes) header then f64 arrays."""
-    header = struct.pack("<III", p.feature_dim, p.hidden_dim, p.num_classes)
-    body = b"".join(
-        np.ascontiguousarray(getattr(p, f), dtype="<f8").tobytes()
-        for f in PARAM_FIELDS
-    )
-    return header + body
+    """Little-endian blob: u32 (feature, hidden, classes) header then the
+    f64 vector (w0, b0, w1, b1 back to back, matrices row-major)."""
+    return struct.pack("<III", *p.dims) + p.vec.astype("<f8", copy=False).tobytes()
 
 
 def params_from_bytes(buf: bytes, offset: int = 0) -> tuple[ModelParams, int]:
     """Decode a params blob; returns (params, bytes consumed from offset)."""
     f, h, c = struct.unpack_from("<III", buf, offset)
-    sizes = (f * h, h, h * c, c)
-    shapes = ((f, h), (h,), (h, c), (c,))
-    pos = offset + 12
-    arrays = []
-    for size, shape in zip(sizes, shapes):
-        arr = np.frombuffer(buf, dtype="<f8", count=size, offset=pos)
-        arrays.append(arr.astype(np.float64).reshape(shape))
-        pos += size * 8
-    return ModelParams(*arrays), pos - offset
+    size = h * (f + 1 + c) + c
+    vec = np.frombuffer(buf, dtype="<f8", count=size, offset=offset + 12)
+    return ModelParams.from_vector(vec.astype(np.float64), (f, h, c)), 12 + size * 8

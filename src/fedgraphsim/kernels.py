@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gcn import PARAM_FIELDS, ModelParams
+from .gcn import ModelParams
 from .partition import ClientData
 
 LSC_EPSILON = 1e-6
@@ -60,7 +60,11 @@ class FglHyper:
 
 @dataclass(eq=False)
 class KnowledgeBaseEntry:
-    """Latest upload of one client as retained by the server."""
+    """Latest upload of one client as retained by the server.
+
+    The fedsa_gcl server also copies each upload into the row arrays of
+    ``protocol.KnowledgeBaseRows`` and aggregates from those.
+    """
 
     client_id: int
     params: ModelParams
@@ -88,15 +92,26 @@ def compute_sfm(soft: np.ndarray, cd: ClientData) -> np.ndarray:
     return one_way + one_way.T
 
 
+def cosine_block(
+    a: np.ndarray, b: np.ndarray, norms_a=None, norms_b=None
+) -> np.ndarray:
+    """Cosine of every row of a against every row of b, as an (a rows x b rows)
+    block; a pair involving a zero-norm row compares as 0.
+
+    Row norms (np.linalg.norm of each row) may be passed in when cached.
+    """
+    if norms_a is None:
+        norms_a = np.linalg.norm(a, axis=1)
+    if norms_b is None:
+        norms_b = np.linalg.norm(b, axis=1)
+    denom = np.outer(norms_a, norms_b)
+    dots = a @ b.T
+    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the flattened matrices; zero-norm inputs compare as 0."""
-    fa, fb = np.ravel(a), np.ravel(b)
-    if fa.size != fb.size:
-        raise ValueError("matrices must have the same number of entries")
-    na, nb = np.linalg.norm(fa), np.linalg.norm(fb)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(fa, fb) / (na * nb))
+    return float(cosine_block(np.ravel(a)[None, :], np.ravel(b)[None, :])[0, 0])
 
 
 def cluster_set(
@@ -109,12 +124,10 @@ def cluster_set(
     """
     if i not in kb:
         raise ValueError(f"client {i} not in the knowledge base")
-    own = kb[i].sfm
-    members = {i}
-    for j, entry in kb.items():
-        if j != i and cosine_similarity(own, entry.sfm) >= theta:
-            members.add(j)
-    return members
+    ids = list(kb)
+    rows = np.stack([np.ravel(kb[j].sfm) for j in ids])
+    sims = cosine_block(rows[[ids.index(i)]], rows)[0]
+    return {i, *(j for j, sim in zip(ids, sims) if sim >= theta)}
 
 
 def label_propagation(
@@ -159,22 +172,38 @@ def compute_lsc(propagated: np.ndarray, cd: ClientData) -> LscValue:
     return LscValue.from_raw(raw)
 
 
+def staleness_factors(
+    lsc_clamped: np.ndarray, taus: np.ndarray, t: int, alpha: float
+) -> np.ndarray:
+    """Unnormalized weights clamped_lsc_j * (t - tau_j)^(-alpha), entrywise.
+
+    A fresh entry (tau = t - 1) gets staleness factor 1.
+    """
+    if np.any(taus > t - 1):
+        raise ValueError("entry tau must be <= t - 1 at aggregation time")
+    return lsc_clamped * (t - taus) ** (-alpha)
+
+
 def staleness_weights(
     entries: list[KnowledgeBaseEntry], t: int, alpha: float
 ) -> np.ndarray:
-    """Normalized confidence-times-staleness weights over the given entries.
-
-    Unnormalized weight of entry j is clamped_lsc_j * (t - tau_j)^(-alpha);
-    a fresh entry (tau = t - 1) gets staleness factor 1.
-    """
+    """Normalized confidence-times-staleness weights over the given entries."""
     if not entries:
         raise ValueError("need at least one entry to weight")
     taus = np.array([e.tau for e in entries], dtype=np.float64)
-    if np.any(taus > t - 1):
-        raise ValueError("entry tau must be <= t - 1 at aggregation time")
-    lscs = np.array([e.lsc.clamped for e in entries])
-    u = lscs * (t - taus) ** (-alpha)
+    u = staleness_factors(np.array([e.lsc.clamped for e in entries]), taus, t, alpha)
     return u / u.sum()
+
+
+def weighted_row_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * rows[j]; scales ``rows`` in place, so pass a copy.
+
+    The axis-0 reduction adds the scaled rows one after another, exactly as
+    the loop ``acc = acc + w_j * row_j`` does; ``weights @ rows`` (BLAS) sums
+    in another order and rounds differently, so it must not replace this.
+    """
+    rows *= weights[:, None]
+    return rows.sum(axis=0)
 
 
 def aggregate_models(params_list: list[ModelParams], weights) -> ModelParams:
@@ -184,16 +213,11 @@ def aggregate_models(params_list: list[ModelParams], weights) -> ModelParams:
         raise ValueError("need one weight per parameter set")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
-    shapes = params_list[0].shapes()
-    if any(p.shapes() != shapes for p in params_list):
-        raise ValueError("parameter sets must share shapes")
-    fields = []
-    for name in PARAM_FIELDS:
-        acc = weights[0] * getattr(params_list[0], name)
-        for w, p in zip(weights[1:], params_list[1:]):
-            acc = acc + w * getattr(p, name)
-        fields.append(acc)
-    return ModelParams(*fields)
+    dims = params_list[0].dims
+    if any(p.dims != dims for p in params_list):
+        raise ValueError("parameter sets must share dims")
+    rows = np.array([p.vec for p in params_list])
+    return ModelParams.from_vector(weighted_row_sum(rows, weights), dims)
 
 
 def blend_local(
@@ -213,9 +237,5 @@ def blend_local(
     if total == 0:
         raise ValueError("confidences must not both be zero")
     a = cluster_lsc / total
-    fields = []
-    for name in PARAM_FIELDS:
-        loc = getattr(local_params, name)
-        srv = getattr(server_params, name)
-        fields.append(loc + a * (srv - loc))
-    return ModelParams(*fields)
+    loc = local_params.vec
+    return ModelParams.from_vector(loc + a * (server_params.vec - loc), local_params.dims)

@@ -32,12 +32,13 @@ from .kernels import (
     LscValue,
     aggregate_models,
     blend_local,
-    cluster_set,
     compute_lsc,
     compute_sfm,
-    cosine_similarity,
+    cosine_block,
+    cosine_similarity,  # noqa: F401  (perfbench/test_harness.py patches it here)
     label_propagation,
-    staleness_weights,
+    staleness_factors,
+    weighted_row_sum,
 )
 from .partition import ClientData
 
@@ -74,8 +75,54 @@ class DownloadMessage:
     cluster_lsc: float | None = None
 
 
+KB_INITIAL_ROWS = 16
+
+
+class KnowledgeBaseRows:
+    """The fedsa_gcl knowledge base as row arrays, one row per client id.
+
+    A client's row holds its latest upload: its flat parameter vector in
+    ``params``, its flattened fingerprint in ``sfm`` with the row norm cached
+    in ``sfm_norm``, and its ``tau`` and clamped confidence ``lsc``. Rows are
+    handed out in order of first upload, so ``row_of`` lists the client ids
+    in row order, and the arrays double in capacity when a new id finds them
+    full.
+    """
+
+    def __init__(self):
+        self.row_of: dict[int, int] = {}
+        self.sfm_norm = self.tau = self.lsc = np.zeros(0)
+
+    def put(self, msg: UploadMessage) -> None:
+        """Copy the upload into its client's row, adding a row for a new id."""
+        if not self.row_of:  # the first upload fixes the row widths
+            self.dims = msg.params.dims
+            self.params = np.zeros((0, msg.params.vec.size))
+            self.sfm = np.zeros((0, msg.sfm.size))
+        row = self.row_of.setdefault(msg.client_id, len(self.row_of))
+        if row == self.tau.size:
+            more = max(row, KB_INITIAL_ROWS)
+            for name in ("params", "sfm", "sfm_norm", "tau", "lsc"):
+                old = getattr(self, name)
+                new = np.zeros_like(old, shape=(more,) + old.shape[1:])
+                setattr(self, name, np.concatenate([old, new]))
+        sfm = np.ravel(msg.sfm)
+        self.params[row] = msg.params.vec
+        self.sfm[row] = sfm
+        self.sfm_norm[row] = np.linalg.norm(sfm)
+        self.tau[row] = msg.tau
+        self.lsc[row] = msg.lsc.clamped
+
+
 @dataclass(eq=False)
 class ServerState:
+    """Server state for every strategy.
+
+    ``knowledge_base`` keeps each client's latest upload as an entry; under
+    fedsa_gcl, ``kb_rows`` holds the same uploads as row arrays for the
+    batched aggregation round, and is None under the baselines.
+    """
+
     strategy: Strategy
     k_threshold: int
     hyper: FglHyper
@@ -93,10 +140,13 @@ class ServerState:
     # one (round, client_id, cluster member tuple, weight tuple) per
     # personalized aggregation, for traces and invariant checks
     aggregation_log: list = field(default_factory=list)
+    kb_rows: KnowledgeBaseRows | None = None
 
     def __post_init__(self):
         if self.k_threshold < 1:
             raise ValueError("buffer threshold K must be >= 1")
+        if self.strategy == Strategy.FEDSA_GCL:
+            self.kb_rows = KnowledgeBaseRows()
 
 
 @dataclass(eq=False)
@@ -110,10 +160,12 @@ class ClientState:
 
 
 def kb_update(state: ServerState, msg: UploadMessage) -> None:
-    """Replace the client's knowledge-base entry wholesale with the upload."""
+    """Replace the client's knowledge-base entry (and row) with the upload."""
     state.knowledge_base[msg.client_id] = KnowledgeBaseEntry(
         msg.client_id, msg.params, msg.sfm, msg.lsc, msg.tau
     )
+    if state.kb_rows is not None:
+        state.kb_rows.put(msg)
 
 
 def _deliver(state: ServerState, deliveries):
@@ -125,12 +177,15 @@ def _deliver(state: ServerState, deliveries):
 def server_step(state: ServerState) -> list[tuple[int, DownloadMessage]]:
     """One semi-async aggregation round; no-op below the buffer threshold.
 
-    Drains the whole queue into the uploaded set U, updates the knowledge
-    base, then per uploader i (ascending): personalized model over cluster
-    I_i with staleness weights, delivered without cluster confidence. Every
-    s in I_i \\ U is recorded for broadcast; each broadcast target receives
-    the cluster model of its most similar uploader (ties to the lower
-    uploader id) together with that cluster's summed clamped confidence.
+    Drains the whole queue into the uploaded set U and updates the knowledge
+    base. One |U| x N block of fingerprint cosines (uploaders against every
+    known client, ascending ids) then gives both the clusters and the
+    broadcast choice. Uploader i's cluster I_i is i plus every client with
+    similarity >= theta; its personalized model is the staleness-weighted
+    row sum over I_i's parameter rows, delivered without cluster confidence.
+    Every s in some I_i \\ U receives the cluster model of its most similar
+    uploader (ties to the lower uploader id) together with that cluster's
+    summed clamped confidence.
     """
     if state.strategy != Strategy.FEDSA_GCL:
         raise ValueError("server_step only drives the fedsa_gcl strategy")
@@ -143,34 +198,42 @@ def server_step(state: ServerState) -> list[tuple[int, DownloadMessage]]:
         msg = state.upload_queue.popleft()
         kb_update(state, msg)
         uploaded.add(msg.client_id)
-    kb = state.knowledge_base
+    kb = state.kb_rows
+    ids = np.fromiter(kb.row_of, dtype=np.int64, count=len(kb.row_of))
+    cols = np.argsort(ids)  # rows in ascending client id
+    col_ids = ids[cols]
+    u_ids = np.array(sorted(uploaded))
+    own = col_ids == u_ids[:, None]
+    member = own
+    if state.use_clustering:
+        u_rows = [kb.row_of[i] for i in u_ids.tolist()]
+        sims = cosine_block(
+            kb.sfm[u_rows], kb.sfm[cols], kb.sfm_norm[u_rows], kb.sfm_norm[cols]
+        )
+        member = own | (sims >= state.hyper.theta)
+    stale = staleness_factors(kb.lsc[cols], kb.tau[cols], t, state.hyper.alpha)
     deliveries = []
-    best: dict[int, tuple[float, int, ModelParams, float]] = {}
-    for i in sorted(uploaded):
-        if state.use_clustering:
-            members = sorted(cluster_set(i, kb, state.hyper.theta))
-        else:
-            members = [i]
-        entries = [kb[j] for j in members]
-        weights = staleness_weights(entries, t, state.hyper.alpha)
-        model_i = aggregate_models([e.params for e in entries], weights)
+    models, lsc_sums = [], []
+    for i, in_cluster in zip(u_ids.tolist(), member):
+        members = np.flatnonzero(in_cluster)
+        u = stale[members]
+        weights = u / u.sum()
+        rows = cols[members]
+        model_i = ModelParams.from_vector(
+            weighted_row_sum(kb.params[rows], weights), kb.dims
+        )
         state.aggregation_log.append(
-            (t, i, tuple(members), tuple(float(w) for w in weights))
+            (t, i, tuple(col_ids[members].tolist()), tuple(weights.tolist()))
         )
         deliveries.append((i, DownloadMessage(model_i, t, None)))
-        if not state.use_broadcast:
-            continue
-        lsc_sum = float(sum(e.lsc.clamped for e in entries))
-        for s in members:
-            if s in uploaded:
-                continue
-            sim = cosine_similarity(kb[s].sfm, kb[i].sfm)
-            held = best.get(s)
-            if held is None or sim > held[0] or (sim == held[0] and i < held[1]):
-                best[s] = (sim, i, model_i, lsc_sum)
-    for s in sorted(best):
-        _, _, model_s, lsc_s = best[s]
-        deliveries.append((s, DownloadMessage(model_s, t, lsc_s)))
+        models.append(model_i)
+        lsc_sums.append(sum(kb.lsc[rows].tolist()))
+    if state.use_broadcast and state.use_clustering:  # singletons reach no one
+        reach = member & ~own.any(axis=0)
+        targets = np.flatnonzero(reach.any(axis=0))
+        sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
+        for s, k in zip(col_ids[targets].tolist(), sources.tolist()):
+            deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k])))
     return _deliver(state, deliveries)
 
 

@@ -216,7 +216,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     cached = np.array(
         [evaluate(c.params, c.data, "test") for c in clients], dtype=np.float64
     )
-    initial_accs = tuple(float(a) for a in cached)
+    initial_accs = tuple(cached.tolist())
     initial_mean = float(cached.mean())
 
     log = MetricsLog(
@@ -249,7 +249,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         mean = float(cached.mean())
         log.records.append(
             TripRecord(
-                trips, now, cid, float(cached[cid]), mean, tuple(float(a) for a in cached)
+                trips, now, cid, float(cached[cid]), mean, tuple(cached.tolist())
             )
         )
         if sync and client.active:

@@ -1,0 +1,97 @@
+"""Golden digests of whole simulations: every strategy with both
+partitioners, plus the three fedsa_gcl ablations.
+
+Each case pins the SHA-256 of ``MetricsLog.to_csv_text()`` and of
+``repr(log.aggregation_log)``. A refactor or optimization must leave both
+unchanged; a change that provably alters float summation order may re-pin
+only after showing that the old and new accuracy curves agree to 1e-9.
+"""
+
+import hashlib
+
+import pytest
+
+from fedgraphsim.config import DatasetSpec, ExperimentConfig
+from fedgraphsim.graphs import SbmConfig
+from fedgraphsim.sim import run_simulation
+
+SEED = 5
+
+
+def golden_cfg(strategy, partitioner, ablation=None):
+    kw = {ablation: True} if ablation else {}
+    return ExperimentConfig(
+        dataset=DatasetSpec("sbm", sbm=SbmConfig((40, 40, 40), 0.15, 0.01, 6, 0.5, 3)),
+        n_clients=8,
+        partitioner=partitioner,
+        strategy=strategy,
+        k_buffer=3,
+        lr=0.3,
+        hidden_dim=8,
+        max_trips=120,
+        edge_fraction=0.25,
+        lag_range=(2, 3),
+        mask_ratios=(0.4, 0.2, 0.4),
+        **kw,
+    )
+
+
+def digests(strategy, partitioner, ablation=None):
+    log = run_simulation(golden_cfg(strategy, partitioner, ablation), SEED)
+    return (
+        hashlib.sha256(log.to_csv_text().encode()).hexdigest(),
+        hashlib.sha256(repr(log.aggregation_log).encode()).hexdigest(),
+    )
+
+
+GOLDEN = {
+    ("fedsa_gcl", "louvain", None): (
+        "9ae97e468aeb57c6e7727ab42697c61f1e9fd484a347e0ecff5dd0a17caa48ec",
+        "c15ea44da0a519565c08f58b089c36ce755f40169d4255319c086251ca728e75",
+    ),
+    ("fedsa_gcl", "balanced", None): (
+        "84c8f43ef5d7a9a95326112ca15a74db8ba3547adb82ca3db958b72abf414ab7",
+        "52dfde5b503fad0d1de2b5c9d958ac71693eabcd917d05b8158a01b688453a37",
+    ),
+    ("fedavg_sync", "louvain", None): (
+        "4c35ed1b9744465be17fcad5efc26d01564415ee1207c8e5ac10c38692ed7faa",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("fedavg_sync", "balanced", None): (
+        "ab6a486df251e2a514791cdb7bb145972ff444e4c179712f1b277cfb441b2113",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("fedbuff", "louvain", None): (
+        "c2f1b9eedb67e428751be2603cec827aec7aa3364ff37f710c92cdebe70d98e0",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("fedbuff", "balanced", None): (
+        "65dc5fe6c1b0c0775d8487f66967584af14fc3333e4e19540e49b7312b732ffa",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("fedasync", "louvain", None): (
+        "7b9c19753e9df0b2bfa74407ffcb240c16d9e0136686510e06da4a11cbad10e1",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("fedasync", "balanced", None): (
+        "e36b0c3e680edf9141b5e3f9de41313ad849a7cef9c70836049e1fb3d7283684",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("fedsa_gcl", "louvain", "disable_sfm_clustering"): (
+        "5ca04fffd7be2587426301547929d778a10f5e2eb08ab53975b6c776a9b744ca",
+        "d536eff1a60b77a1f1fa4b67d14d8449836b19b62898efe9393e8ef991e8e64a",
+    ),
+    ("fedsa_gcl", "louvain", "disable_clustercast"): (
+        "bd838864f8ab8aedecb255f4dd0bda004473ac18e9fc801a2825333ef5b1d9b6",
+        "c408ac27845ca50b6bb8bb5a49f8d947a8a18ba27c15f499c1d69c7c8e912e44",
+    ),
+    ("fedsa_gcl", "louvain", "disable_staleness"): (
+        "32b2c842eb8ec33ec268b7d3dae1636eb3b3418c860cc20e0ab17e4db3783bfc",
+        "3294ab9db97b01f571506fffc3d0b983932049d2dc4a05c96d8f000f48708079",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: "-".join(filter(None, c)))
+def test_golden_digests(case):
+    assert digests(*case) == GOLDEN[case]

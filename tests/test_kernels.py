@@ -18,7 +18,7 @@ from fedgraphsim.kernels import (
     label_propagation,
     staleness_weights,
 )
-from oracles import make_client_data, random_params, random_soft
+from oracles import cosine_ref, make_client_data, random_params, random_soft
 
 
 def kb_entry(cid, sfm, lsc=1.0, tau=0, params=None):
@@ -113,6 +113,23 @@ class TestClusterSet:
             assert cur <= prev
             assert 1 in cur
             prev = cur
+
+    def test_similarity_exactly_at_theta_is_member(self):
+        # dot 3, norms 1 and 5: the cosine 3/5 is the double nearest 0.6
+        v1 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        v2 = np.array([[3.0, 4.0], [0.0, 0.0]])
+        theta = cosine_ref(v1, v2)
+        assert theta == 0.6
+        kb = {1: kb_entry(1, v1), 2: kb_entry(2, v2)}
+        assert cluster_set(1, kb, theta) == {1, 2}
+        assert cluster_set(1, kb, np.nextafter(theta, 1.0)) == {1}
+
+    def test_zero_norm_fingerprint_joins_only_at_theta_zero(self):
+        kb = {1: kb_entry(1, np.eye(2)), 2: kb_entry(2, np.zeros((2, 2)))}
+        assert cluster_set(1, kb, 0.0) == {1, 2}
+        assert cluster_set(1, kb, 1e-12) == {1}
+        assert cluster_set(2, kb, 0.0) == {1, 2}
+        assert cluster_set(2, kb, 1e-12) == {2}
 
 
 class TestLabelPropagation:

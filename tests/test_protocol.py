@@ -8,12 +8,16 @@ from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, init_params, train_epoch
 from fedgraphsim.kernels import (
     FglHyper,
     LscValue,
+    aggregate_models,
     blend_local,
+    cluster_set,
     compute_lsc,
     label_propagation,
+    staleness_weights,
 )
 from fedgraphsim.gcn import forward
 from fedgraphsim.protocol import (
+    KB_INITIAL_ROWS,
     ClientState,
     DownloadMessage,
     ServerState,
@@ -28,7 +32,7 @@ from fedgraphsim.protocol import (
     kb_update,
     server_step,
 )
-from oracles import make_client_data
+from oracles import cosine_ref, make_client_data
 
 
 def const_params(v, f=2, h=3, c=2):
@@ -201,6 +205,85 @@ class TestServerStep:
         deliveries = server_step(s)
         assert {cid for cid, _ in deliveries} == {1, 2}
         assert all(m.cluster_lsc is None for _, m in deliveries)
+
+    def test_similarity_exactly_at_theta_joins_cluster(self):
+        v1 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        v3 = np.array([[3.0, 4.0], [0.0, 0.0]])
+        theta = cosine_ref(v1, v3)
+        assert theta == 0.6
+        s = fedsa_server(k=1, theta=theta)
+        kb_update(s, upload(3, sfm=v3))
+        s.upload_queue.append(upload(1, sfm=v1))
+        deliveries = dict(server_step(s))
+        assert s.aggregation_log[-1][2] == (1, 3)
+        assert set(deliveries) == {1, 3} and deliveries[3].cluster_lsc == 2.0
+
+    def test_zero_norm_fingerprint_joins_only_at_theta_zero(self):
+        for theta, cluster in ((0.0, (1, 2, 3)), (1e-12, (1,))):
+            s = fedsa_server(k=1, theta=theta)
+            kb_update(s, upload(2, sfm=np.eye(2)))
+            kb_update(s, upload(3, sfm=np.ones((2, 2))))
+            s.upload_queue.append(upload(1, sfm=np.zeros((2, 2))))
+            server_step(s)
+            assert s.aggregation_log[-1][2] == cluster
+
+    def test_broadcast_tie_goes_to_lower_uploader(self):
+        # sim(2,3) = sim(5,3) = 1/sqrt(2) >= theta > sim(2,5) = 1/2
+        s = fedsa_server(k=2, theta=0.6)
+        kb_update(s, upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]]))
+        s.upload_queue.append(upload(5, sfm=[[1.0, 0.0], [1.0, 0.0]], lsc=4.0))
+        s.upload_queue.append(upload(2, sfm=[[1.0, 1.0], [0.0, 0.0]], lsc=1.0))
+        deliveries = dict(server_step(s))
+        assert s.aggregation_log[-2][2] == (2, 3)
+        assert s.aggregation_log[-1][2] == (3, 5)
+        assert deliveries[3].params is deliveries[2].params
+        assert deliveries[3].cluster_lsc == 1.0 + 1.0
+
+    def test_matches_per_client_kernels_with_sparse_ids_and_growth(self):
+        # ids 7, 10, 13, ... arrive out of order, over two rounds that
+        # together grow the knowledge base past its first allocation
+        rng = np.random.default_rng(3)
+        ids = [7 + 3 * j for j in range(KB_INITIAL_ROWS + 5)]
+        rng.shuffle(ids)
+        first, second = ids[:6], ids[6:]
+        s = fedsa_server(k=len(first), theta=0.8, alpha=0.7)
+        for t, batch in enumerate((first, second)):
+            s.k_threshold = len(batch)
+            for cid in batch:
+                params = ModelParams(
+                    rng.normal(size=(2, 3)), rng.normal(size=3),
+                    rng.normal(size=(3, 2)), rng.normal(size=2),
+                )
+                sfm = rng.random((2, 2)) * rng.random((2, 2)).round()
+                s.upload_queue.append(
+                    upload(cid, params, tau=t, sfm=sfm, lsc=float(rng.normal()))
+                )
+            deliveries = dict(server_step(s))
+            kb = dict(s.knowledge_base)
+            logged = {entry[1]: entry for entry in s.aggregation_log[-len(batch):]}
+            for i in sorted(batch):
+                members = sorted(cluster_set(i, kb, 0.8))
+                entries = [kb[j] for j in members]
+                weights = staleness_weights(entries, t + 1, 0.7)
+                model = aggregate_models([e.params for e in entries], weights)
+                assert logged[i][2] == tuple(members)
+                assert logged[i][3] == tuple(weights.tolist())
+                npt.assert_array_equal(deliveries[i].params.vec, model.vec)
+        assert len(s.kb_rows.row_of) == len(ids) > KB_INITIAL_ROWS
+        for cid in first:
+            row = s.kb_rows.row_of[cid]
+            npt.assert_array_equal(s.kb_rows.params[row], kb[cid].params.vec)
+
+    def test_delivered_model_does_not_alias_knowledge_base(self):
+        s = fedsa_server(k=1, theta=0.0)
+        s.upload_queue.append(upload(1, params=const_params(1.0)))
+        (_, msg), = server_step(s)
+        before = msg.params.vec.copy()
+        kb_update(s, upload(1, params=const_params(9.0), tau=1))
+        s.upload_queue.append(upload(1, params=const_params(5.0), tau=1))
+        server_step(s)
+        npt.assert_array_equal(msg.params.vec, before)
+        assert not np.shares_memory(msg.params.vec, s.kb_rows.params)
 
 
 class TestClientTrip:
