@@ -141,14 +141,19 @@ def train_epoch(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:
     return ModelParams.from_vector(p.vec - lr * grads.vec, p.dims)
 
 
+def accuracy(probs: np.ndarray, cd: ClientData, mask: np.ndarray) -> float:
+    """Accuracy of soft labels over the mask's nodes; argmax ties resolve to
+    the lowest class."""
+    pred = np.argmax(probs[mask], axis=1)
+    return float(np.mean(pred == cd.graph.labels[mask]))
+
+
 def evaluate(p: ModelParams, cd: ClientData, which_mask: str) -> float:
-    """Accuracy over the chosen mask; argmax ties resolve to the lowest class."""
+    """Accuracy of p's soft labels over the chosen mask."""
     mask = cd.masks.get(which_mask)
     if mask.size == 0:
         raise ValueError(f"cannot evaluate on empty {which_mask} mask")
-    probs = forward(p, cd)
-    pred = np.argmax(probs[mask], axis=1)
-    return float(np.mean(pred == cd.graph.labels[mask]))
+    return accuracy(forward(p, cd), cd, mask)
 
 
 def params_to_bytes(p: ModelParams) -> bytes:

@@ -10,7 +10,7 @@ adjacency.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,6 +235,9 @@ class SbmConfig:
             raise ValueError("feature_noise must be nonnegative")
 
 
+SBM_PAIR_BLOCK = 1 << 20  # node pairs per generate_sbm draw block
+
+
 def generate_sbm(cfg: SbmConfig) -> Graph:
     """Seeded stochastic block model graph.
 
@@ -248,13 +251,26 @@ def generate_sbm(cfg: SbmConfig) -> Graph:
     n = sum(cfg.block_sizes)
     block_of = np.repeat(np.arange(len(cfg.block_sizes)), cfg.block_sizes)
     rng = np.random.default_rng(cfg.seed)
-    rows, cols = np.triu_indices(n, k=1)
-    draws = rng.random(rows.size)
-    probs = np.where(
-        block_of[rows] == block_of[cols], cfg.intra_prob, cfg.inter_prob
-    )
-    keep = draws < probs
-    edges = np.column_stack([rows[keep], cols[keep]])
+    # The pairs are drawn SBM_PAIR_BLOCK at a time, so memory stays O(n + m);
+    # chunked draws continue one generator stream, so they equal one big draw.
+    row_len = np.arange(n - 1, 0, -1, dtype=np.int64)  # pairs (i, j > i) of row i
+    row_start = np.concatenate([[0], np.cumsum(row_len)])
+    pairs = int(row_start[-1])
+    kept = []
+    for lo in range(0, pairs, SBM_PAIR_BLOCK):
+        hi = min(lo + SBM_PAIR_BLOCK, pairs)
+        first, last = np.searchsorted(row_start, [lo, hi - 1], side="right") - 1
+        span = np.arange(first, last + 1)
+        counts = np.minimum(row_start[span + 1], hi) - np.maximum(row_start[span], lo)
+        rows = np.repeat(span, counts)
+        cols = np.arange(lo, hi) - row_start[rows] + rows + 1
+        draws = rng.random(hi - lo)
+        probs = np.where(
+            block_of[rows] == block_of[cols], cfg.intra_prob, cfg.inter_prob
+        )
+        keep = draws < probs
+        kept.append(np.column_stack([rows[keep], cols[keep]]))
+    edges = np.concatenate(kept) if kept else np.zeros((0, 2), dtype=np.int64)
     features = np.zeros((n, cfg.feature_dim))
     features[np.arange(n), block_of % cfg.feature_dim] = 1.0
     features += rng.normal(0.0, cfg.feature_noise, size=(n, cfg.feature_dim))

@@ -8,7 +8,7 @@ contribute nothing to edge sums and degree-weighted sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np

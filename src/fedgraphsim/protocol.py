@@ -20,7 +20,6 @@ import numpy as np
 
 from .gcn import (
     ModelParams,
-    evaluate,
     forward,
     params_from_bytes,
     params_to_bytes,
@@ -151,12 +150,21 @@ class ServerState:
 
 @dataclass(eq=False)
 class ClientState:
+    """A client's local model and protocol state.
+
+    ``soft`` (the soft labels) and ``lsc`` (the confidence) describe the
+    current ``params``: the end of each trip sets them for the params it
+    uploads, and they are None before the first trip.
+    """
+
     client_id: int
     data: ClientData
     params: ModelParams
     mailbox: DownloadMessage | None = None
     tau: int = 0
     active: bool = True
+    soft: np.ndarray | None = None
+    lsc: LscValue | None = None
 
 
 def kb_update(state: ServerState, msg: UploadMessage) -> None:
@@ -318,9 +326,13 @@ def client_trip(
 
     The mailbox (at most the latest message) is consumed first: a direct
     delivery replaces the local params, a broadcast is blended in weighted
-    by cluster vs freshly computed local confidence; either updates tau to
-    the message round. Then one training epoch runs, and the fingerprint and
-    confidence of the post-training model are computed for the upload.
+    by cluster vs local confidence; either updates tau to the message round.
+    The local confidence is ``state.lsc``, the one uploaded with the current
+    params at the end of the last trip (only uploaders can be cluster
+    members, so only they receive broadcasts); a client that has not made a
+    trip yet computes it. Then one training epoch runs, and one forward pass
+    of the post-training model gives the soft labels, kept in ``state.soft``,
+    and from them the fingerprint and confidence for the upload.
     An empty train mask deactivates the client (returns None, no upload).
     """
     if state.data.masks.train.size == 0:
@@ -332,21 +344,24 @@ def client_trip(
         if msg.cluster_lsc is None:
             state.params = msg.params
         else:
-            soft = forward(state.params, state.data)
-            propagated = label_propagation(
-                soft, state.data, hyper.lam, hyper.k_steps
-            )
-            local_lsc = compute_lsc(propagated, state.data)
+            local_lsc = state.lsc
+            if local_lsc is None:
+                soft = forward(state.params, state.data)
+                local_lsc = _confidence(soft, state.data, hyper)
             state.params = blend_local(
                 msg.params, state.params, msg.cluster_lsc, local_lsc.clamped
             )
         state.tau = msg.round
     state.params = train_epoch(state.params, state.data, lr)
-    soft = forward(state.params, state.data)
-    sfm = compute_sfm(soft, state.data)
-    propagated = label_propagation(soft, state.data, hyper.lam, hyper.k_steps)
-    lsc = compute_lsc(propagated, state.data)
-    return UploadMessage(state.params, state.tau, sfm, lsc, state.client_id)
+    state.soft = forward(state.params, state.data)
+    sfm = compute_sfm(state.soft, state.data)
+    state.lsc = _confidence(state.soft, state.data, hyper)
+    return UploadMessage(state.params, state.tau, sfm, state.lsc, state.client_id)
+
+
+def _confidence(soft: np.ndarray, cd: ClientData, hyper: FglHyper) -> LscValue:
+    """The LSC of soft labels after hyper's label propagation."""
+    return compute_lsc(label_propagation(soft, cd, hyper.lam, hyper.k_steps), cd)
 
 
 def encode_upload(msg: UploadMessage) -> bytes:

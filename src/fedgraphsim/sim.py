@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ExperimentConfig
-from .gcn import evaluate, init_params
+from .config import ConfigError, ExperimentConfig
+from .gcn import accuracy, evaluate, init_params
 from .graphs import generate_sbm, load_graph
 from .partition import (
     balanced_partition,
@@ -148,7 +148,9 @@ def prepare_clients(cfg: ExperimentConfig, seed: int):
     else:
         graph = load_graph(cfg.dataset.path)
     if cfg.n_clients > graph.node_count:
-        raise ValueError("more clients than graph nodes")
+        raise ConfigError(
+            f"n_clients = {cfg.n_clients} is more than the graph's {graph.node_count} nodes"
+        )
     if cfg.partitioner == "louvain":
         assignment = louvain_partition(graph, cfg.n_clients, sub["partition"])
     else:
@@ -181,20 +183,25 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
     Event loop: pop the earliest (time, client_id, seq) event, move any
-    pending download into the client's mailbox, execute the trip, evaluate
-    that client's local test accuracy and snapshot the cached accuracy
-    vector, hand the upload to the server, and schedule the client's next
-    trip. Under fedavg_sync a client waits for the round broadcast before
-    its next trip is scheduled; all other strategies re-schedule immediately.
+    pending download into the client's mailbox, execute the trip, take that
+    client's local test accuracy from the trip's soft labels and snapshot
+    the cached accuracy vector, hand the upload to the server, and schedule
+    the client's next trip. Under fedavg_sync a client waits for the round
+    broadcast before its next trip is scheduled; all other strategies
+    re-schedule immediately. A config that yields no client with training
+    nodes, or a client without test nodes, raises ConfigError.
     """
     if seed is None:
         seed = cfg.seeds[0]
     clients_data, latency, initial = prepare_clients(cfg, seed)
     active = [cd.masks.train.size > 0 for cd in clients_data]
     if not any(active):
-        raise ValueError("no client has any training nodes")
+        raise ConfigError(
+            "no client has any training nodes (see mask_train, n_clients and "
+            "the label_sparsity rate)"
+        )
     if any(cd.masks.test.size == 0 for cd in clients_data):
-        raise ValueError("every client needs a nonempty test mask")
+        raise ConfigError("every client needs a nonempty test mask (see mask_test)")
 
     k_threshold = cfg.resolved_k()
     server = ServerState(
@@ -245,7 +252,8 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         client.mailbox = server.mailboxes.pop(cid, None)
         upload = client_trip(client, hyper, cfg.lr)
         trips += 1
-        cached[cid] = evaluate(client.params, client.data, "test")
+        if upload is not None:  # else the params and their accuracy are unchanged
+            cached[cid] = accuracy(client.soft, client.data, client.data.masks.test)
         mean = float(cached.mean())
         log.records.append(
             TripRecord(

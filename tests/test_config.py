@@ -150,3 +150,25 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    @pytest.mark.parametrize(
+        "run_lines, problem",
+        [
+            ("n_clients = 41", "more than the graph's 40 nodes"),
+            ("n_clients = 40", "no client has any training nodes"),
+            ("n_clients = 4\nmask_train = 0.0", "no client has any training nodes"),
+            ("n_clients = 4\nmask_test = 0.0", "nonempty test mask"),
+            (
+                "n_clients = 4\n[perturbation]\nkind = label_sparsity\nrate = 1.0",
+                "no client has any training nodes",
+            ),
+        ],
+    )
+    def test_unrunnable_config_exit_code(self, tmp_path, capsys, run_lines, problem):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            MINIMAL_INI.replace("n_clients = 4\n", "")
+            + f"max_trips = 5\noutput_dir = {tmp_path / 'out'}\n{run_lines}\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert problem in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fedgraphsim import graphs
 from fedgraphsim.graphs import (
     Graph,
     GraphFormatError,
@@ -111,6 +112,18 @@ class TestSbm:
                     expected.append((i, j))
         assert g.edge_count == len(expected)
         assert list(map(tuple, g.edges)) == expected
+
+    @pytest.mark.parametrize("block", [1, 97, 4949])
+    def test_chunked_draws_match_one_draw(self, monkeypatch, block):
+        # 100 nodes give 4,950 pairs and rows of up to 99 pairs, so every
+        # block size here splits some row between two draws
+        cfg = SbmConfig((50, 30, 20), 0.3, 0.02, 8, 0.25, 123)
+        assert graphs.SBM_PAIR_BLOCK >= 4950
+        whole = generate_sbm(cfg)
+        monkeypatch.setattr(graphs, "SBM_PAIR_BLOCK", block)
+        chunked = generate_sbm(cfg)
+        npt.assert_array_equal(chunked.edges, whole.edges)
+        npt.assert_array_equal(chunked.features, whole.features)
 
     def test_pure_function_of_config(self):
         cfg = SbmConfig((10, 15), 0.4, 0.05, 6, 0.5, 99)

@@ -16,6 +16,7 @@ from fedgraphsim.kernels import (
     staleness_weights,
 )
 from fedgraphsim.gcn import forward
+from fedgraphsim import protocol
 from fedgraphsim.protocol import (
     KB_INITIAL_ROWS,
     ClientState,
@@ -331,6 +332,36 @@ class TestClientTrip:
         assert msg.tau == 9
         for name in PARAM_FIELDS:
             npt.assert_array_equal(getattr(msg.params, name), getattr(expected, name))
+
+    def test_broadcast_after_a_trip_blends_with_the_uploaded_confidence(
+        self, monkeypatch
+    ):
+        state = self.setup_client()
+        hyper = FglHyper()
+        first = client_trip(state, hyper, 0.05)
+        uploaded = state.params
+        # the uploaded confidence is the one a fresh forward would give
+        soft = forward(uploaded, state.data)
+        assert first.lsc == compute_lsc(
+            label_propagation(soft, state.data, hyper.lam, hyper.k_steps), state.data
+        )
+        incoming = init_params(3, 4, 2, seed=123)
+        state.mailbox = DownloadMessage(incoming, round=4, cluster_lsc=3.0)
+        expected = train_epoch(
+            blend_local(incoming, uploaded, 3.0, first.lsc.clamped), state.data, 0.05
+        )
+        forwarded = []
+
+        def counting_forward(p, cd):
+            forwarded.append(p)
+            return forward(p, cd)
+
+        monkeypatch.setattr(protocol, "forward", counting_forward)
+        msg = client_trip(state, hyper, 0.05)
+        assert len(forwarded) == 1 and forwarded[0] is msg.params
+        npt.assert_array_equal(msg.params.vec, expected.vec)
+        npt.assert_array_equal(state.soft, forward(msg.params, state.data))
+        assert state.lsc is msg.lsc
 
     def test_blend_weights_formula(self):
         rng = np.random.default_rng(5)

@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fedgraphsim import gcn, protocol, sim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig
+from fedgraphsim.gcn import evaluate
 from fedgraphsim.graphs import SbmConfig
 from fedgraphsim.sim import (
     Event,
@@ -160,3 +162,31 @@ class TestRunSimulation:
         assert meta["trips"] == 5
         assert 0.0 <= meta["initial_mean_acc"] <= 1.0
         assert len(csv.read_text().splitlines()) == 6
+
+
+@pytest.mark.parametrize("strategy", ["fedsa_gcl", "fedavg_sync", "fedbuff", "fedasync"])
+def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
+    cfg = sbm_cfg(strategy=strategy, n_clients=4, k_buffer=2, max_trips=40)
+    trip, real_forward = sim.client_trip, gcn.forward
+    held, forwards = [], []
+
+    def recording_trip(state, hyper, lr):
+        upload = trip(state, hyper, lr)
+        held.append((state.data, state.params))
+        return upload
+
+    def counting_forward(p, cd):
+        forwards.append(p)
+        return real_forward(p, cd)
+
+    monkeypatch.setattr(sim, "client_trip", recording_trip)
+    monkeypatch.setattr(gcn, "forward", counting_forward)
+    monkeypatch.setattr(protocol, "forward", counting_forward)
+    log = run_simulation(cfg, seed=3)
+    assert len(forwards) == len(log.records) + cfg.n_clients
+    if strategy == "fedsa_gcl":  # the broadcast blend must not add a forward
+        assert any("kind=broadcast" in line for line in log.trace)
+    monkeypatch.undo()
+    assert len(held) == len(log.records) == cfg.max_trips
+    for r, (data, params) in zip(log.records, held):
+        assert r.client_acc == evaluate(params, data, "test")
