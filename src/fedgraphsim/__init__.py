@@ -8,7 +8,6 @@ from .graphs import (
     GraphFormatError,
     NodeMasks,
     SbmConfig,
-    SparseAdjacency,
     generate_sbm,
     load_graph,
     normalized_adjacency,
@@ -17,7 +16,6 @@ from .graphs import (
 )
 from .kernels import (
     FglHyper,
-    KnowledgeBaseEntry,
     LscValue,
     aggregate_models,
     blend_local,
@@ -40,13 +38,14 @@ from .partition import (
 from .protocol import (
     ClientState,
     DownloadMessage,
-    ServerState,
+    FedAsyncServer,
+    FedAvgSyncServer,
+    FedBuffServer,
+    FedSaGclServer,
     Strategy,
     UploadMessage,
-    baseline_step,
     client_trip,
-    kb_update,
-    server_step,
+    server_receive,
 )
 from .sim import Event, LatencyProfile, MetricsLog, assign_latencies, run_simulation
 

@@ -7,20 +7,16 @@ Set FEDGRAPHSIM_LOG=debug|info|warning|error to control verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .experiments import (
-    aggregate_seeds,
-    run_experiment,
-    write_summary,
-)
+from .experiments import run_experiment, summarize_logs, trips_to_target, write_summary
 from .graphs import GraphFormatError, SbmConfig, generate_sbm, load_graph, save_graph
 from .partition import balanced_partition, louvain_partition, save_assignment
+from .sim import MetricsLog
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,41 +37,28 @@ def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     logs = run_experiment(cfg)
     for lg in logs:
-        final = lg.records[-1].mean_acc if lg.records else lg.initial_mean_acc
+        final = lg.final_mean_acc
         print(f"seed {lg.seed}: {len(lg.records)} trips, final mean acc {final:.4f}")
     print(f"outputs in {cfg.output_dir}")
     return EXIT_OK
 
 
 def _cmd_summarize(args) -> int:
-    """Recompute trips-to-target over the stored per-seed metrics CSVs."""
+    """Trips-to-target over the stored per-seed runs (metrics CSV plus JSON
+    sidecar), by the rule of the summary that ``run`` writes, with the
+    longest stored run (the sidecars' ``trips``) as the trip budget."""
+    if not 0.0 < args.target <= 1.0:
+        raise ConfigError(f"--target {args.target} must lie in (0, 1]")
     outdir = Path(args.dir)
     csvs = sorted(outdir.glob("metrics_seed*.csv"))
     if not csvs:
         raise ConfigError(f"no metrics_seed*.csv files in {outdir}")
-    trips = []
-    finals = []
-    for csv_path in csvs:
-        sidecar = csv_path.with_suffix(".json")
-        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-        initial = meta.get("initial_mean_acc", 0.0)
-        reached = 0 if initial >= args.target else None
-        final = initial
-        with open(csv_path, "r", encoding="utf-8") as f:
-            next(f)
-            for line in f:
-                trip, _, _, _, mean = line.rstrip("\n").split(",")
-                final = float(mean)
-                if reached is None and final >= args.target:
-                    reached = int(trip)
-        trips.append(reached)
-        finals.append(final)
+    logs = [MetricsLog.read(path, path.with_suffix(".json")) for path in csvs]
+    for path, lg in zip(csvs, logs):
+        reached = trips_to_target(lg, args.target)
         shown = "NOT_REACHED" if reached is None else reached
-        print(f"{csv_path.name}: trips_to_target={shown} final={final:.4f}")
-    rows = [aggregate_seeds(finals, "final_mean_accuracy")]
-    known = [t for t in trips if t is not None]
-    if known:
-        rows.append(aggregate_seeds(known, "trips_to_target_reached_only"))
+        print(f"{path.name}: trips_to_target={shown} final={lg.final_mean_acc:.4f}")
+    rows = summarize_logs(logs, args.target, max(len(lg.records) for lg in logs))
     if args.out:
         write_summary(rows, args.out)
     for r in rows:

@@ -61,10 +61,7 @@ def summarize_logs(
     Runs that never reach the target contribute the trip budget (max_trips)
     to the trips-to-target mean; the reached count is reported alongside.
     """
-    finals = [
-        log.records[-1].mean_acc if log.records else log.initial_mean_acc
-        for log in logs
-    ]
+    finals = [log.final_mean_acc for log in logs]
     rows = [aggregate_seeds(finals, "final_mean_accuracy")]
     if target is not None:
         raw = [trips_to_target(log, target) for log in logs]

@@ -8,8 +8,6 @@ full-batch gradient step on the mean cross-entropy over the train mask.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .partition import ClientData
@@ -155,16 +153,3 @@ def evaluate(p: ModelParams, cd: ClientData, which_mask: str) -> float:
         raise ValueError(f"cannot evaluate on empty {which_mask} mask")
     return accuracy(forward(p, cd), cd, mask)
 
-
-def params_to_bytes(p: ModelParams) -> bytes:
-    """Little-endian blob: u32 (feature, hidden, classes) header then the
-    f64 vector (w0, b0, w1, b1 back to back, matrices row-major)."""
-    return struct.pack("<III", *p.dims) + p.vec.astype("<f8", copy=False).tobytes()
-
-
-def params_from_bytes(buf: bytes, offset: int = 0) -> tuple[ModelParams, int]:
-    """Decode a params blob; returns (params, bytes consumed from offset)."""
-    f, h, c = struct.unpack_from("<III", buf, offset)
-    size = h * (f + 1 + c) + c
-    vec = np.frombuffer(buf, dtype="<f8", count=size, offset=offset + 12)
-    return ModelParams.from_vector(vec.astype(np.float64), (f, h, c)), 12 + size * 8

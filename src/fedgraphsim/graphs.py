@@ -87,38 +87,7 @@ def degrees(g: Graph) -> np.ndarray:
     return np.bincount(g.edges.ravel(), minlength=g.node_count).astype(np.int64)
 
 
-class SparseAdjacency:
-    """Structurally symmetric sparse matrix in compressed-row form."""
-
-    def __init__(self, mat: sp.spmatrix):
-        mat = sp.csr_matrix(mat)
-        mat.sort_indices()
-        self._mat = mat
-
-    @property
-    def node_count(self) -> int:
-        return self._mat.shape[0]
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._mat.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._mat.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._mat.data
-
-    def dot(self, dense: np.ndarray) -> np.ndarray:
-        return self._mat @ dense
-
-    def to_dense(self) -> np.ndarray:
-        return self._mat.toarray()
-
-
-def normalized_adjacency(g: Graph) -> SparseAdjacency:
+def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     """GCN-normalized adjacency with self-loops.
 
     Entry (i, j) = 1/sqrt((d_i + 1)(d_j + 1)) for every edge and for every
@@ -127,31 +96,26 @@ def normalized_adjacency(g: Graph) -> SparseAdjacency:
     n = g.node_count
     inv = 1.0 / np.sqrt(degrees(g).astype(np.float64) + 1.0)
     diag = np.arange(n, dtype=np.int64)
-    if g.edge_count:
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        rows = np.concatenate([u, v, diag])
-        cols = np.concatenate([v, u, diag])
-    else:
-        rows = cols = diag
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    rows = np.concatenate([u, v, diag])
+    cols = np.concatenate([v, u, diag])
     vals = inv[rows] * inv[cols]
-    return SparseAdjacency(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def propagation_matrix(g: Graph) -> SparseAdjacency:
+def propagation_matrix(g: Graph) -> sp.csr_matrix:
     """Neighbor-averaging operator: entry (i, j) = 1/sqrt(d_i * d_j) per edge.
 
     No diagonal; rows of isolated nodes are empty. Both edge endpoints have
     degree >= 1, so every stored value is finite.
     """
     n = g.node_count
-    if g.edge_count == 0:
-        return SparseAdjacency(sp.csr_matrix((n, n)))
     d = degrees(g).astype(np.float64)
     u, v = g.edges[:, 0], g.edges[:, 1]
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
     vals = 1.0 / np.sqrt(d[rows] * d[cols])
-    return SparseAdjacency(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass

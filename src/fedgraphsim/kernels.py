@@ -58,21 +58,6 @@ class FglHyper:
             raise ValueError("alpha must be >= 0")
 
 
-@dataclass(eq=False)
-class KnowledgeBaseEntry:
-    """Latest upload of one client as retained by the server.
-
-    The fedsa_gcl server also copies each upload into the row arrays of
-    ``protocol.KnowledgeBaseRows`` and aggregates from those.
-    """
-
-    client_id: int
-    params: ModelParams
-    sfm: np.ndarray
-    lsc: LscValue
-    tau: int
-
-
 def compute_sfm(soft: np.ndarray, cd: ClientData) -> np.ndarray:
     """Degree-weighted sum of soft-label outer products over adjacent pairs.
 
@@ -114,18 +99,16 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(cosine_block(np.ravel(a)[None, :], np.ravel(b)[None, :])[0, 0])
 
 
-def cluster_set(
-    i: int, kb: Mapping[int, KnowledgeBaseEntry], theta: float
-) -> set[int]:
+def cluster_set(i: int, sfms: Mapping[int, np.ndarray], theta: float) -> set[int]:
     """Clients whose fingerprint similarity to i reaches theta, plus i itself.
 
-    Only clients present in the knowledge base (seen by the server) can be
-    members.
+    ``sfms`` maps each client the server has seen to its latest fingerprint;
+    only those clients can be members.
     """
-    if i not in kb:
+    if i not in sfms:
         raise ValueError(f"client {i} not in the knowledge base")
-    ids = list(kb)
-    rows = np.stack([np.ravel(kb[j].sfm) for j in ids])
+    ids = list(sfms)
+    rows = np.stack([np.ravel(sfms[j]) for j in ids])
     sims = cosine_block(rows[[ids.index(i)]], rows)[0]
     return {i, *(j for j, sim in zip(ids, sims) if sim >= theta)}
 
@@ -184,14 +167,13 @@ def staleness_factors(
     return lsc_clamped * (t - taus) ** (-alpha)
 
 
-def staleness_weights(
-    entries: list[KnowledgeBaseEntry], t: int, alpha: float
-) -> np.ndarray:
-    """Normalized confidence-times-staleness weights over the given entries."""
-    if not entries:
+def staleness_weights(lsc_clamped, taus, t: int, alpha: float) -> np.ndarray:
+    """Normalized confidence-times-staleness weights, one per entry of the
+    clamped confidences and taus."""
+    taus = np.asarray(taus, dtype=np.float64)
+    if taus.size == 0:
         raise ValueError("need at least one entry to weight")
-    taus = np.array([e.tau for e in entries], dtype=np.float64)
-    u = staleness_factors(np.array([e.lsc.clamped for e in entries]), taus, t, alpha)
+    u = staleness_factors(np.asarray(lsc_clamped, dtype=np.float64), taus, t, alpha)
     return u / u.sum()
 
 

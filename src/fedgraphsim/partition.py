@@ -7,11 +7,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import (
     Graph,
     NodeMasks,
-    SparseAdjacency,
     degrees,
     normalized_adjacency,
     propagation_matrix,
@@ -41,16 +41,16 @@ class ClientData:
     global_ids: np.ndarray
     masks: NodeMasks
     client_id: int
-    _adj: SparseAdjacency | None = field(default=None, repr=False)
-    _prop: SparseAdjacency | None = field(default=None, repr=False)
+    _adj: sp.csr_matrix | None = field(default=None, repr=False)
+    _prop: sp.csr_matrix | None = field(default=None, repr=False)
     _deg: np.ndarray | None = field(default=None, repr=False)
 
-    def adjacency(self) -> SparseAdjacency:
+    def adjacency(self) -> sp.csr_matrix:
         if self._adj is None:
             self._adj = normalized_adjacency(self.graph)
         return self._adj
 
-    def prop_matrix(self) -> SparseAdjacency:
+    def prop_matrix(self) -> sp.csr_matrix:
         if self._prop is None:
             self._prop = propagation_matrix(self.graph)
         return self._prop

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .gcn import accuracy, evaluate, init_params
+from .gcn import ModelParams, accuracy, evaluate, init_params
 from .graphs import generate_sbm, load_graph
 from .partition import (
     balanced_partition,
@@ -27,7 +27,11 @@ from .partition import (
 )
 from .protocol import (
     ClientState,
-    ServerState,
+    FedAsyncServer,
+    FedAvgSyncServer,
+    FedBuffServer,
+    FedSaGclServer,
+    Server,
     Strategy,
     client_trip,
     format_trace,
@@ -41,11 +45,6 @@ class Event(NamedTuple):
     completion_time: int
     client_id: int
     seq: int
-
-
-def next_event_order(events) -> list[Event]:
-    """Total order used by the scheduler."""
-    return sorted(events)
 
 
 @dataclass
@@ -88,7 +87,7 @@ class TripRecord:
     client_id: int
     client_acc: float
     mean_acc: float
-    all_accs: tuple
+    all_accs: np.ndarray | None  # every client's accuracy after this trip
 
 
 @dataclass
@@ -113,14 +112,17 @@ class MetricsLog:
             )
         return "\n".join(lines) + "\n"
 
+    @property
+    def final_mean_acc(self) -> float:
+        return self.records[-1].mean_acc if self.records else self.initial_mean_acc
+
     def sidecar(self) -> dict:
-        final_mean = self.records[-1].mean_acc if self.records else self.initial_mean_acc
         return {
             "seed": self.seed,
             "config_hash": self.config_hash,
             "strategy": self.strategy,
             "initial_mean_acc": self.initial_mean_acc,
-            "final_mean_acc": final_mean,
+            "final_mean_acc": self.final_mean_acc,
             "durations": list(int(d) for d in self.durations),
             "trips": len(self.records),
         }
@@ -132,6 +134,28 @@ class MetricsLog:
             with open(sidecar_path, "w", encoding="utf-8") as f:
                 json.dump(self.sidecar(), f, indent=2, sort_keys=True)
                 f.write("\n")
+
+    @classmethod
+    def read(cls, csv_path, sidecar_path) -> "MetricsLog":
+        """A log as ``write`` stored it; the accuracy snapshots and the
+        initial per-client accuracies are not stored and come back empty."""
+        with open(sidecar_path, "r", encoding="utf-8") as f:
+            meta = json.load(f)
+        with open(csv_path, "r", encoding="utf-8") as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        records = [
+            TripRecord(int(trip), int(time), int(cid), float(acc), float(mean), None)
+            for trip, time, cid, acc, mean in rows
+        ]
+        return cls(
+            records,
+            meta["seed"],
+            meta["config_hash"],
+            meta["strategy"],
+            (),
+            meta["initial_mean_acc"],
+            tuple(meta["durations"]),
+        )
 
 
 def _derived_seeds(seed: int) -> dict:
@@ -179,6 +203,32 @@ def prepare_clients(cfg: ExperimentConfig, seed: int):
     return clients, latency, initial
 
 
+def make_server(
+    cfg: ExperimentConfig, clients_data, active, initial: ModelParams
+) -> Server:
+    """The server for cfg.strategy, given only the settings it uses; active
+    flags the clients with training nodes, initial is the starting model."""
+    hyper = cfg.resolved_hyper()
+    if cfg.strategy == Strategy.FEDSA_GCL:
+        return FedSaGclServer(
+            cfg.resolved_k(),
+            hyper,
+            use_clustering=not cfg.disable_sfm_clustering,
+            use_broadcast=not cfg.disable_clustercast,
+        )
+    if cfg.strategy == Strategy.FEDAVG_SYNC:
+        return FedAvgSyncServer(
+            {
+                cd.client_id: int(cd.masks.train.size)
+                for cd, act in zip(clients_data, active)
+                if act
+            }
+        )
+    if cfg.strategy == Strategy.FEDBUFF:
+        return FedBuffServer(cfg.resolved_k())
+    return FedAsyncServer(initial, hyper.alpha)
+
+
 def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog:
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
@@ -186,10 +236,11 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     pending download into the client's mailbox, execute the trip, take that
     client's local test accuracy from the trip's soft labels and snapshot
     the cached accuracy vector, hand the upload to the server, and schedule
-    the client's next trip. Under fedavg_sync a client waits for the round
-    broadcast before its next trip is scheduled; all other strategies
-    re-schedule immediately. A config that yields no client with training
-    nodes, or a client without test nodes, raises ConfigError.
+    the client's next trip. When the server waits for its round
+    (fedavg_sync), a client's next trip is scheduled only once that round's
+    delivery reaches it; otherwise the client is re-scheduled at once. A
+    config that yields no client with training nodes, or a client without
+    test nodes, raises ConfigError.
     """
     if seed is None:
         seed = cfg.seeds[0]
@@ -203,19 +254,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     if any(cd.masks.test.size == 0 for cd in clients_data):
         raise ConfigError("every client needs a nonempty test mask (see mask_test)")
 
-    k_threshold = cfg.resolved_k()
-    server = ServerState(
-        strategy=cfg.strategy,
-        k_threshold=k_threshold,
-        hyper=cfg.resolved_hyper(),
-        expected_clients=tuple(
-            cd.client_id for cd, act in zip(clients_data, active) if act
-        ),
-        train_sizes={cd.client_id: int(cd.masks.train.size) for cd in clients_data},
-        global_params=initial,
-        use_clustering=not cfg.disable_sfm_clustering,
-        use_broadcast=not cfg.disable_clustercast,
-    )
+    server = make_server(cfg, clients_data, active, initial)
     clients = [
         ClientState(cd.client_id, cd, initial.copy(), tau=0, active=act)
         for cd, act in zip(clients_data, active)
@@ -244,7 +283,6 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     gated: set[int] = set()
     trips = 0
     hyper = cfg.resolved_hyper()
-    sync = cfg.strategy == Strategy.FEDAVG_SYNC
     while trips < cfg.max_trips and heap:
         ev = heapq.heappop(heap)
         now, cid = ev.completion_time, ev.client_id
@@ -256,11 +294,9 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
             cached[cid] = accuracy(client.soft, client.data, client.data.masks.test)
         mean = float(cached.mean())
         log.records.append(
-            TripRecord(
-                trips, now, cid, float(cached[cid]), mean, tuple(cached.tolist())
-            )
+            TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
         )
-        if sync and client.active:
+        if server.waits_for_round and client.active:
             gated.add(cid)
         if upload is not None:
             deliveries = server_receive(server, upload)
@@ -277,7 +313,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
                         Event(now + int(latency.durations[d_cid]), d_cid, seq),
                     )
                     seq += 1
-        if client.active and not sync:
+        if client.active and not server.waits_for_round:
             heapq.heappush(
                 heap, Event(now + int(latency.durations[cid]), cid, seq)
             )

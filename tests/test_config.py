@@ -143,6 +143,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "trips_to_target" in out
 
+    def test_summarize_matches_run_summary(self, tmp_path, capsys):
+        # at target 0.6, seed 1 starts above it, seed 0 reaches it and seed 2
+        # never does, so the budget rule decides the mean
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            MINIMAL_INI
+            + "max_trips = 12\nhidden_dim = 8\nlr = 0.05\nseeds = 0, 1, 2\n"
+            + f"target_accuracy = 0.6\noutput_dir = {outdir}\n"
+            + "mask_train = 0.5\nmask_val = 0.0\nmask_test = 0.5\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = tmp_path / "summary.csv"
+        argv = ["summarize", "--dir", str(outdir), "--target", "0.6", "--out", str(out)]
+        assert main(argv) == 0
+        assert "NOT_REACHED" in capsys.readouterr().out
+
+        def target_rows(path):
+            lines = path.read_text().splitlines()
+            return [line for line in lines if line.startswith("trips_to_target")]
+
+        assert target_rows(out) == target_rows(outdir / "summary.csv")
+        assert target_rows(out)[1] == "trips_to_target_reached,2.0,0.0,3"
+
+    @pytest.mark.parametrize("target", ["0", "-0.2", "1.5"])
+    def test_summarize_target_out_of_range_exit_code(self, tmp_path, capsys, target):
+        assert main(["summarize", "--dir", str(tmp_path), "--target", target]) == 2
+        assert "(0, 1]" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[dataset]\nkind = nowhere\n")

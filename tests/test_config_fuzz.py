@@ -1,0 +1,85 @@
+"""Property test: every small schema-valid config either runs to its trip
+budget or is refused with ConfigError (exit code 2 at the command line)."""
+
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedgraphsim.config import ConfigError, config_from_sections
+from fedgraphsim.sim import run_simulation
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def sections(draw):
+    blocks = draw(st.lists(st.integers(4, 16), min_size=1, max_size=3))
+    nodes = sum(blocks)
+    # a few clients, or one client per node, or one more client than nodes
+    n_clients = draw(st.sampled_from([1, 2, 3, 4, nodes, nodes + 1]))
+    # mask shares with sum <= 1; zero train and test shares come up too
+    train = draw(st.sampled_from([0.5, 0.7, 0.0]))
+    test = draw(st.sampled_from([0.2, 0.3, 0.0]))
+    val = draw(st.floats(0.0, max(0.0, 1.0 - train - test)))
+    lo = draw(st.integers(1, 3))
+    run = {
+        "n_clients": n_clients,
+        "partitioner": draw(st.sampled_from(["louvain", "balanced"])),
+        "strategy": draw(
+            st.sampled_from(["fedsa_gcl", "fedavg_sync", "fedbuff", "fedasync"])
+        ),
+        "k_buffer": draw(st.none() | st.integers(1, n_clients + 3)),
+        "lr": draw(st.floats(0.01, 1.0)),
+        "hidden_dim": draw(st.integers(1, 4)),
+        "max_trips": draw(st.integers(0, 12)),
+        "edge_fraction": draw(st.sampled_from([0.0, 1.0]) | unit),
+        "lag_lo": lo,
+        "lag_hi": draw(st.integers(lo, 3)),
+        "mask_train": train,
+        "mask_val": val,
+        "mask_test": test,
+        "seeds": [draw(st.integers(0, 2**16))],
+    }
+    drawn = {
+        "dataset": {
+            "kind": "sbm",
+            "blocks": blocks,
+            "intra_prob": draw(unit),
+            "inter_prob": draw(unit),
+            "feature_dim": draw(st.integers(1, 4)),
+            "feature_noise": draw(unit),
+            "seed": draw(st.integers(0, 2**16)),
+        },
+        "run": run,
+        "hyper": {
+            "theta": draw(unit),
+            "lambda": draw(unit),
+            "k_steps": draw(st.integers(0, 3)),
+            "alpha": draw(st.floats(0.0, 2.0)),
+        },
+        "ablation": {
+            name: draw(st.booleans())
+            for name in (
+                "disable_staleness",
+                "disable_clustercast",
+                "disable_sfm_clustering",
+            )
+        },
+    }
+    kind = draw(st.sampled_from(["none", "label_sparsity", "edge_sparsity"]))
+    drawn["perturbation"] = {"kind": kind, "rate": draw(unit)}
+    return drawn
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(sections())
+def test_valid_config_runs_or_raises_config_error(drawn):
+    try:
+        cfg = config_from_sections(drawn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # unstratified mask split
+            log = run_simulation(cfg)
+    except ConfigError:
+        return
+    assert len(log.records) == cfg.max_trips

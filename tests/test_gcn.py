@@ -11,8 +11,6 @@ from fedgraphsim.gcn import (
     forward,
     init_params,
     loss_and_grads,
-    params_from_bytes,
-    params_to_bytes,
     train_epoch,
 )
 from fedgraphsim.graphs import Graph, NodeMasks
@@ -218,15 +216,6 @@ class TestEvaluate:
         cd.masks.val = np.zeros(0, dtype=np.int64)
         with pytest.raises(ValueError):
             evaluate(init_params(3, 4, 2, seed=0), cd, "val")
-
-
-def test_serialization_round_trip():
-    p = init_params(6, 5, 4, seed=77)
-    blob = params_to_bytes(p)
-    q, used = params_from_bytes(blob)
-    assert used == len(blob)
-    for name in PARAM_FIELDS:
-        npt.assert_array_equal(getattr(p, name), getattr(q, name))
 
 
 def test_deterministic_forward_backward():

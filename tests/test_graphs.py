@@ -51,18 +51,18 @@ class TestGraphInvariants:
 class TestNormalizedAdjacency:
     def test_single_node(self):
         g = tiny_graph(1, [])
-        dense = normalized_adjacency(g).to_dense()
+        dense = normalized_adjacency(g).toarray()
         npt.assert_allclose(dense, [[1.0]])
 
     def test_two_nodes_one_edge(self):
         # every entry 1/sqrt(2*2) = 1/2
         g = tiny_graph(2, [(0, 1)])
-        dense = normalized_adjacency(g).to_dense()
+        dense = normalized_adjacency(g).toarray()
         npt.assert_allclose(dense, np.full((2, 2), 0.5))
 
     def test_triangle(self):
         g = tiny_graph(3, [(0, 1), (0, 2), (1, 2)])
-        dense = normalized_adjacency(g).to_dense()
+        dense = normalized_adjacency(g).toarray()
         npt.assert_allclose(dense, np.full((3, 3), 1.0 / 3.0))
 
     def test_symmetric_and_bounded_random(self):
@@ -76,7 +76,7 @@ class TestNormalizedAdjacency:
                 if rng.random() < 0.4
             ]
             g = tiny_graph(n, edges)
-            dense = normalized_adjacency(g).to_dense()
+            dense = normalized_adjacency(g).toarray()
             npt.assert_array_equal(dense, dense.T)
             vals = dense[dense > 0]
             assert np.all(vals <= 1.0)

@@ -4,10 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fedgraphsim.gcn import PARAM_FIELDS, init_params
+from fedgraphsim.gcn import PARAM_FIELDS
 from fedgraphsim.kernels import (
     FglHyper,
-    KnowledgeBaseEntry,
     LscValue,
     aggregate_models,
     blend_local,
@@ -19,13 +18,6 @@ from fedgraphsim.kernels import (
     staleness_weights,
 )
 from oracles import cosine_ref, make_client_data, random_params, random_soft
-
-
-def kb_entry(cid, sfm, lsc=1.0, tau=0, params=None):
-    return KnowledgeBaseEntry(
-        cid, params or init_params(2, 3, 2, seed=cid), np.asarray(sfm, float),
-        LscValue.from_raw(lsc), tau,
-    )
 
 
 class TestSfm:
@@ -91,7 +83,7 @@ class TestClusterSet:
         v1 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v2 = np.array([[0.9, math.sqrt(1 - 0.81)], [0.0, 0.0]])
         v3 = np.array([[0.3, math.sqrt(1 - 0.09)], [0.0, 0.0]])
-        return {1: kb_entry(1, v1), 2: kb_entry(2, v2), 3: kb_entry(3, v3)}
+        return {1: v1, 2: v2, 3: v3}
 
     def test_unreachable_threshold(self):
         kb = self.make_kb()
@@ -120,12 +112,12 @@ class TestClusterSet:
         v2 = np.array([[3.0, 4.0], [0.0, 0.0]])
         theta = cosine_ref(v1, v2)
         assert theta == 0.6
-        kb = {1: kb_entry(1, v1), 2: kb_entry(2, v2)}
+        kb = {1: v1, 2: v2}
         assert cluster_set(1, kb, theta) == {1, 2}
         assert cluster_set(1, kb, np.nextafter(theta, 1.0)) == {1}
 
     def test_zero_norm_fingerprint_joins_only_at_theta_zero(self):
-        kb = {1: kb_entry(1, np.eye(2)), 2: kb_entry(2, np.zeros((2, 2)))}
+        kb = {1: np.eye(2), 2: np.zeros((2, 2))}
         assert cluster_set(1, kb, 0.0) == {1, 2}
         assert cluster_set(1, kb, 1e-12) == {1}
         assert cluster_set(2, kb, 0.0) == {1, 2}
@@ -201,20 +193,15 @@ class TestLsc:
 
 class TestStalenessWeights:
     def test_alpha_zero_uniform(self):
-        entries = [kb_entry(i, np.eye(2), lsc=2.0, tau=t) for i, t in enumerate((0, 3, 5))]
-        w = staleness_weights(entries, t=6, alpha=0.0)
+        w = staleness_weights([2.0, 2.0, 2.0], [0, 3, 5], t=6, alpha=0.0)
         npt.assert_allclose(w, np.full(3, 1 / 3), rtol=1e-12)
 
     def test_hand_example(self):
-        entries = [
-            kb_entry(0, np.eye(2), lsc=1.0, tau=3),
-            kb_entry(1, np.eye(2), lsc=1.0, tau=1),
-        ]
-        w = staleness_weights(entries, t=4, alpha=0.5)
+        w = staleness_weights([1.0, 1.0], [3, 1], t=4, alpha=0.5)
         npt.assert_allclose(w, [0.63397, 0.36603], atol=1e-5)
 
     def test_single_entry(self):
-        w = staleness_weights([kb_entry(0, np.eye(2), tau=0)], t=1, alpha=0.7)
+        w = staleness_weights([1.0], [0], t=1, alpha=0.7)
         npt.assert_allclose(w, [1.0])
 
     def test_sum_and_monotonicity(self):
@@ -222,8 +209,7 @@ class TestStalenessWeights:
         for _ in range(10):
             t = int(rng.integers(4, 12))
             taus = sorted(rng.integers(0, t, size=4).tolist())
-            entries = [kb_entry(i, np.eye(2), lsc=3.0, tau=tau) for i, tau in enumerate(taus)]
-            w = staleness_weights(entries, t=t, alpha=0.8)
+            w = staleness_weights(np.full(4, 3.0), taus, t=t, alpha=0.8)
             assert abs(w.sum() - 1.0) <= 1e-12
             # equal confidence: fresher tau (larger) gets larger weight
             for a, b in zip(w, w[1:]):
@@ -231,11 +217,11 @@ class TestStalenessWeights:
 
     def test_rejects_future_tau(self):
         with pytest.raises(ValueError):
-            staleness_weights([kb_entry(0, np.eye(2), tau=5)], t=5, alpha=0.5)
+            staleness_weights([1.0], [5], t=5, alpha=0.5)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            staleness_weights([], t=3, alpha=0.5)
+            staleness_weights([], [], t=3, alpha=0.5)
 
 
 class TestAggregate:

@@ -21,17 +21,14 @@ from fedgraphsim.protocol import (
     KB_INITIAL_ROWS,
     ClientState,
     DownloadMessage,
-    ServerState,
-    Strategy,
+    FedAsyncServer,
+    FedAvgSyncServer,
+    FedBuffServer,
+    FedSaGclServer,
+    KnowledgeBaseRows,
     UploadMessage,
-    baseline_step,
     client_trip,
-    decode_download,
-    decode_upload,
-    encode_download,
-    encode_upload,
-    kb_update,
-    server_step,
+    server_receive,
 )
 from oracles import cosine_ref, make_client_data
 
@@ -54,48 +51,55 @@ def upload(cid, params=None, tau=0, sfm=None, lsc=1.0):
 
 
 def fedsa_server(k=2, theta=0.5, alpha=0.5, **kw):
-    return ServerState(
-        strategy=Strategy.FEDSA_GCL,
-        k_threshold=k,
-        hyper=FglHyper(theta=theta, alpha=alpha),
-        **kw,
-    )
+    return FedSaGclServer(k, FglHyper(theta=theta, alpha=alpha), **kw)
+
+
+def receive_all(server, uploads):
+    """Hand the uploads to the server in order; return the last deliveries."""
+    for msg in uploads:
+        deliveries = server_receive(server, msg)
+    return deliveries
 
 
 class TestKbUpdate:
+    """The fedsa_gcl knowledge base keeps one row per client, latest wins."""
+
     def test_first_upload_creates_entry(self):
-        s = fedsa_server()
-        kb_update(s, upload(7))
-        assert set(s.knowledge_base) == {7}
+        kb = KnowledgeBaseRows()
+        kb.put(upload(7))
+        assert kb.row_of == {7: 0}
+        npt.assert_array_equal(kb.params[0], const_params(7).vec)
 
     def test_latest_wins(self):
-        s = fedsa_server()
-        kb_update(s, upload(7, tau=0, lsc=1.0))
-        kb_update(s, upload(7, tau=4, lsc=9.0))
-        assert len(s.knowledge_base) == 1
-        entry = s.knowledge_base[7]
-        assert entry.tau == 4 and entry.lsc.raw == 9.0
+        kb = KnowledgeBaseRows()
+        kb.put(upload(7, tau=0, lsc=1.0))
+        kb.put(upload(7, params=const_params(2.0), tau=4, lsc=9.0))
+        assert len(kb.row_of) == 1
+        assert kb.tau[0] == 4 and kb.lsc[0] == 9.0
+        npt.assert_array_equal(kb.params[0], const_params(2.0).vec)
 
     def test_three_clients(self):
-        s = fedsa_server()
+        kb = KnowledgeBaseRows()
         for cid in (1, 5, 9):
-            kb_update(s, upload(cid))
-        assert len(s.knowledge_base) == 3
+            kb.put(upload(cid))
+        assert kb.row_of == {1: 0, 5: 1, 9: 2}
 
 
 class TestServerStep:
+    """One fedsa_gcl aggregation round, driven through server_receive."""
+
     def test_below_threshold_noop(self):
         s = fedsa_server(k=2)
-        s.upload_queue.append(upload(1))
-        assert server_step(s) == []
-        assert s.round == 0 and len(s.upload_queue) == 1
+        assert server_receive(s, upload(1)) == []
+        assert s.round == 0 and len(s.queue) == 1
+        assert not s.kb.row_of and not s.mailboxes
 
     def test_mutual_cluster_no_broadcast(self):
         s = fedsa_server(k=2, theta=0.5)
         sfm = np.array([[1.0, 0.0], [0.0, 1.0]])
-        s.upload_queue.append(upload(1, sfm=sfm, lsc=2.0))
-        s.upload_queue.append(upload(2, sfm=sfm, lsc=2.0))
-        deliveries = server_step(s)
+        deliveries = receive_all(
+            s, [upload(1, sfm=sfm, lsc=2.0), upload(2, sfm=sfm, lsc=2.0)]
+        )
         assert [cid for cid, _ in deliveries] == [1, 2]
         for cid, msg in deliveries:
             assert msg.cluster_lsc is None
@@ -110,10 +114,10 @@ class TestServerStep:
         v3 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v1 = np.array([[0.8, 0.6], [0.0, 0.0]])
         v2 = np.array([[0.2, 0.0], [math.sqrt(1 - 0.04), 0.0]])
-        kb_update(s, upload(3, sfm=v3, lsc=1.0))
-        s.upload_queue.append(upload(1, sfm=v1, lsc=2.0))
-        s.upload_queue.append(upload(2, sfm=v2, lsc=5.0))
-        deliveries = dict(server_step(s))
+        s.kb.put(upload(3, sfm=v3, lsc=1.0))
+        deliveries = dict(
+            receive_all(s, [upload(1, sfm=v1, lsc=2.0), upload(2, sfm=v2, lsc=5.0)])
+        )
         assert set(deliveries) == {1, 2, 3}
         assert deliveries[1].cluster_lsc is None
         assert deliveries[2].cluster_lsc is None
@@ -138,10 +142,10 @@ class TestServerStep:
         v3 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v1 = np.array([[0.8, 0.6], [0.0, 0.0]])  # sim(1,3)=0.8
         v2 = np.array([[0.3, math.sqrt(1 - 0.09)], [0.0, 0.0]])  # sim(2,3)=0.3
-        kb_update(s, upload(3, sfm=v3, lsc=1.0))
-        s.upload_queue.append(upload(2, sfm=v2, lsc=1.0))
-        s.upload_queue.append(upload(1, sfm=v1, lsc=1.0))
-        deliveries = dict(server_step(s))
+        s.kb.put(upload(3, sfm=v3, lsc=1.0))
+        deliveries = dict(
+            receive_all(s, [upload(2, sfm=v2, lsc=1.0), upload(1, sfm=v1, lsc=1.0)])
+        )
         bcast = deliveries[3]
         # both uploaders cluster with 3; source must be the more similar client 1
         npt.assert_allclose(
@@ -150,17 +154,14 @@ class TestServerStep:
 
     def test_round_increments_once_per_aggregation(self):
         s = fedsa_server(k=1)
-        s.upload_queue.append(upload(1))
-        server_step(s)
+        server_receive(s, upload(1))
         assert s.round == 1
-        s.upload_queue.append(upload(1, tau=1))
-        server_step(s)
+        server_receive(s, upload(1, tau=1))
         assert s.round == 2
 
     def test_unknown_clients_excluded_from_clusters(self):
         s = fedsa_server(k=1, theta=0.0)
-        s.upload_queue.append(upload(1))
-        deliveries = server_step(s)
+        deliveries = server_receive(s, upload(1))
         # nobody else in the knowledge base: cluster is {1} only
         assert [cid for cid, _ in deliveries] == [1]
         assert s.aggregation_log[-1][2] == (1,)
@@ -177,11 +178,15 @@ class TestServerStep:
             )
             for _ in range(n)
         ]
-        for cid in range(n):
-            s.upload_queue.append(
-                upload(cid, params=params[cid], sfm=np.eye(2) + 1.0, lsc=2.5)
+        deliveries = dict(
+            receive_all(
+                s,
+                [
+                    upload(cid, params=params[cid], sfm=np.eye(2) + 1.0, lsc=2.5)
+                    for cid in range(n)
+                ],
             )
-        deliveries = dict(server_step(s))
+        )
         for name in PARAM_FIELDS:
             mean = np.mean([getattr(p, name) for p in params], axis=0)
             for cid in range(n):
@@ -190,20 +195,15 @@ class TestServerStep:
                 )
 
     def test_clustering_disabled_forces_singletons(self):
-        s = fedsa_server(k=2, theta=0.0)
-        s.use_clustering = False
-        s.upload_queue.append(upload(1, sfm=np.eye(2)))
-        s.upload_queue.append(upload(2, sfm=np.eye(2)))
-        server_step(s)
+        s = fedsa_server(k=2, theta=0.0, use_clustering=False)
+        receive_all(s, [upload(1, sfm=np.eye(2)), upload(2, sfm=np.eye(2))])
+        assert len(s.aggregation_log) == 2
         assert all(entry[2] == (entry[1],) for entry in s.aggregation_log)
 
     def test_broadcast_disabled(self):
-        s = fedsa_server(k=2, theta=0.0)
-        s.use_broadcast = False
-        kb_update(s, upload(3))
-        s.upload_queue.append(upload(1))
-        s.upload_queue.append(upload(2))
-        deliveries = server_step(s)
+        s = fedsa_server(k=2, theta=0.0, use_broadcast=False)
+        s.kb.put(upload(3))
+        deliveries = receive_all(s, [upload(1), upload(2)])
         assert {cid for cid, _ in deliveries} == {1, 2}
         assert all(m.cluster_lsc is None for _, m in deliveries)
 
@@ -213,28 +213,32 @@ class TestServerStep:
         theta = cosine_ref(v1, v3)
         assert theta == 0.6
         s = fedsa_server(k=1, theta=theta)
-        kb_update(s, upload(3, sfm=v3))
-        s.upload_queue.append(upload(1, sfm=v1))
-        deliveries = dict(server_step(s))
+        s.kb.put(upload(3, sfm=v3))
+        deliveries = dict(server_receive(s, upload(1, sfm=v1)))
         assert s.aggregation_log[-1][2] == (1, 3)
         assert set(deliveries) == {1, 3} and deliveries[3].cluster_lsc == 2.0
 
     def test_zero_norm_fingerprint_joins_only_at_theta_zero(self):
         for theta, cluster in ((0.0, (1, 2, 3)), (1e-12, (1,))):
             s = fedsa_server(k=1, theta=theta)
-            kb_update(s, upload(2, sfm=np.eye(2)))
-            kb_update(s, upload(3, sfm=np.ones((2, 2))))
-            s.upload_queue.append(upload(1, sfm=np.zeros((2, 2))))
-            server_step(s)
+            s.kb.put(upload(2, sfm=np.eye(2)))
+            s.kb.put(upload(3, sfm=np.ones((2, 2))))
+            server_receive(s, upload(1, sfm=np.zeros((2, 2))))
             assert s.aggregation_log[-1][2] == cluster
 
     def test_broadcast_tie_goes_to_lower_uploader(self):
         # sim(2,3) = sim(5,3) = 1/sqrt(2) >= theta > sim(2,5) = 1/2
         s = fedsa_server(k=2, theta=0.6)
-        kb_update(s, upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]]))
-        s.upload_queue.append(upload(5, sfm=[[1.0, 0.0], [1.0, 0.0]], lsc=4.0))
-        s.upload_queue.append(upload(2, sfm=[[1.0, 1.0], [0.0, 0.0]], lsc=1.0))
-        deliveries = dict(server_step(s))
+        s.kb.put(upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]]))
+        deliveries = dict(
+            receive_all(
+                s,
+                [
+                    upload(5, sfm=[[1.0, 0.0], [1.0, 0.0]], lsc=4.0),
+                    upload(2, sfm=[[1.0, 1.0], [0.0, 0.0]], lsc=1.0),
+                ],
+            )
+        )
         assert s.aggregation_log[-2][2] == (2, 3)
         assert s.aggregation_log[-1][2] == (3, 5)
         assert deliveries[3].params is deliveries[2].params
@@ -248,43 +252,43 @@ class TestServerStep:
         rng.shuffle(ids)
         first, second = ids[:6], ids[6:]
         s = fedsa_server(k=len(first), theta=0.8, alpha=0.7)
+        latest = {}
         for t, batch in enumerate((first, second)):
-            s.k_threshold = len(batch)
+            s.k = len(batch)
             for cid in batch:
                 params = ModelParams(
                     rng.normal(size=(2, 3)), rng.normal(size=3),
                     rng.normal(size=(3, 2)), rng.normal(size=2),
                 )
                 sfm = rng.random((2, 2)) * rng.random((2, 2)).round()
-                s.upload_queue.append(
-                    upload(cid, params, tau=t, sfm=sfm, lsc=float(rng.normal()))
-                )
-            deliveries = dict(server_step(s))
-            kb = dict(s.knowledge_base)
+                lsc = float(rng.normal())
+                latest[cid] = upload(cid, params, tau=t, sfm=sfm, lsc=lsc)
+                deliveries = dict(server_receive(s, latest[cid]))
+            sfms = {cid: m.sfm for cid, m in latest.items()}
             logged = {entry[1]: entry for entry in s.aggregation_log[-len(batch):]}
             for i in sorted(batch):
-                members = sorted(cluster_set(i, kb, 0.8))
-                entries = [kb[j] for j in members]
-                weights = staleness_weights(entries, t + 1, 0.7)
-                model = aggregate_models([e.params for e in entries], weights)
+                members = sorted(cluster_set(i, sfms, 0.8))
+                ups = [latest[j] for j in members]
+                weights = staleness_weights(
+                    [m.lsc.clamped for m in ups], [m.tau for m in ups], t + 1, 0.7
+                )
+                model = aggregate_models([m.params for m in ups], weights)
                 assert logged[i][2] == tuple(members)
                 assert logged[i][3] == tuple(weights.tolist())
                 npt.assert_array_equal(deliveries[i].params.vec, model.vec)
-        assert len(s.kb_rows.row_of) == len(ids) > KB_INITIAL_ROWS
+        assert len(s.kb.row_of) == len(ids) > KB_INITIAL_ROWS
         for cid in first:
-            row = s.kb_rows.row_of[cid]
-            npt.assert_array_equal(s.kb_rows.params[row], kb[cid].params.vec)
+            row = s.kb.row_of[cid]
+            npt.assert_array_equal(s.kb.params[row], latest[cid].params.vec)
 
     def test_delivered_model_does_not_alias_knowledge_base(self):
         s = fedsa_server(k=1, theta=0.0)
-        s.upload_queue.append(upload(1, params=const_params(1.0)))
-        (_, msg), = server_step(s)
+        (_, msg), = server_receive(s, upload(1, params=const_params(1.0)))
         before = msg.params.vec.copy()
-        kb_update(s, upload(1, params=const_params(9.0), tau=1))
-        s.upload_queue.append(upload(1, params=const_params(5.0), tau=1))
-        server_step(s)
+        s.kb.put(upload(1, params=const_params(9.0), tau=1))
+        server_receive(s, upload(1, params=const_params(5.0), tau=1))
         npt.assert_array_equal(msg.params.vec, before)
-        assert not np.shares_memory(msg.params.vec, s.kb_rows.params)
+        assert not np.shares_memory(msg.params.vec, s.kb.params)
 
 
 class TestClientTrip:
@@ -392,91 +396,49 @@ class TestClientTrip:
 
 class TestBaselines:
     def test_fedavg_sync_waits_and_weights(self):
-        s = ServerState(
-            strategy=Strategy.FEDAVG_SYNC,
-            k_threshold=1,
-            hyper=FglHyper(),
-            expected_clients=(1, 2),
-            train_sizes={1: 1, 2: 3},
-        )
-        assert baseline_step(s, upload(1, params=const_params(0.0))) == []
-        deliveries = baseline_step(s, upload(2, params=const_params(4.0)))
+        s = FedAvgSyncServer({1: 1, 2: 3})
+        assert server_receive(s, upload(1, params=const_params(0.0))) == []
+        deliveries = server_receive(s, upload(2, params=const_params(4.0)))
         assert [cid for cid, _ in deliveries] == [1, 2]
         for _, msg in deliveries:
             assert msg.cluster_lsc is None
             for name in PARAM_FIELDS:
                 npt.assert_allclose(getattr(msg.params, name), 3.0)
-        assert s.round == 1 and not s.sync_buffer
+        assert s.round == 1 and not s.buffer
+        assert s.aggregation_log == []
 
     def test_fedbuff_buffer_and_recipients(self):
-        s = ServerState(
-            strategy=Strategy.FEDBUFF, k_threshold=2, hyper=FglHyper(),
-        )
-        assert baseline_step(s, upload(1, params=const_params(1.0))) == []
-        deliveries = baseline_step(s, upload(2, params=const_params(3.0)))
+        s = FedBuffServer(2)
+        assert server_receive(s, upload(1, params=const_params(1.0))) == []
+        deliveries = server_receive(s, upload(2, params=const_params(3.0)))
         assert [cid for cid, _ in deliveries] == [1, 2]
         for _, msg in deliveries:
             for name in PARAM_FIELDS:
                 npt.assert_allclose(getattr(msg.params, name), 2.0)
         # client 3 never uploaded and receives nothing
         assert 3 not in dict(deliveries)
+        assert set(s.mailboxes) == {1, 2} and s.aggregation_log == []
 
     def test_fedasync_fresh_upload_moves_halfway(self):
-        s = ServerState(
-            strategy=Strategy.FEDASYNC, k_threshold=1, hyper=FglHyper(alpha=0.5),
-            global_params=const_params(0.0),
-        )
-        deliveries = baseline_step(s, upload(4, params=const_params(4.0), tau=0))
+        s = FedAsyncServer(const_params(0.0), alpha=0.5)
+        deliveries = server_receive(s, upload(4, params=const_params(4.0), tau=0))
         assert [cid for cid, _ in deliveries] == [4]
         for name in PARAM_FIELDS:
             npt.assert_allclose(getattr(s.global_params, name), 2.0)
 
     def test_fedasync_stale_upload_attenuated(self):
-        s = ServerState(
-            strategy=Strategy.FEDASYNC, k_threshold=1, hyper=FglHyper(alpha=0.5),
-            global_params=const_params(0.0),
-        )
+        s = FedAsyncServer(const_params(0.0), alpha=0.5)
         s.round = 3  # upload trained from round 0: staleness 3
-        baseline_step(s, upload(4, params=const_params(4.0), tau=0))
+        server_receive(s, upload(4, params=const_params(4.0), tau=0))
         mix = 0.5 * (3 + 1) ** -0.5
         for name in PARAM_FIELDS:
             npt.assert_allclose(getattr(s.global_params, name), mix * 4.0)
-
-    def test_strategy_routing_guards(self):
-        s = fedsa_server()
-        with pytest.raises(ValueError):
-            baseline_step(s, upload(1))
-        b = ServerState(strategy=Strategy.FEDBUFF, k_threshold=1, hyper=FglHyper())
-        with pytest.raises(ValueError):
-            server_step(b)
 
 
 class TestMailboxes:
     def test_latest_wins(self):
         s = fedsa_server(k=1, theta=0.0)
         for tau, lsc in ((0, 1.0), (1, 2.0), (2, 3.0)):
-            s.upload_queue.append(upload(1, tau=tau, lsc=lsc))
-            server_step(s)
+            server_receive(s, upload(1, tau=tau, lsc=lsc))
         assert len(s.mailboxes) == 1
         assert s.mailboxes[1].round == 3
-
-
-class TestWire:
-    def test_upload_round_trip(self):
-        msg = upload(9, params=init_params(3, 4, 2, seed=1), tau=7,
-                     sfm=np.arange(4.0).reshape(2, 2), lsc=-0.5)
-        out = decode_upload(encode_upload(msg))
-        assert out.client_id == 9 and out.tau == 7
-        npt.assert_array_equal(out.sfm, msg.sfm)
-        assert out.lsc == LscValue.from_raw(-0.5)
-        for name in PARAM_FIELDS:
-            npt.assert_array_equal(getattr(out.params, name), getattr(msg.params, name))
-
-    def test_download_round_trip_with_and_without_lsc(self):
-        p = init_params(2, 3, 2, seed=5)
-        for lsc in (None, 4.25):
-            msg = DownloadMessage(p, round=11, cluster_lsc=lsc)
-            out = decode_download(encode_download(msg))
-            assert out.round == 11 and out.cluster_lsc == lsc
-            for name in PARAM_FIELDS:
-                npt.assert_array_equal(getattr(out.params, name), getattr(p, name))

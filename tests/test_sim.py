@@ -6,10 +6,12 @@ from fedgraphsim import gcn, protocol, sim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig
 from fedgraphsim.gcn import evaluate
 from fedgraphsim.graphs import SbmConfig
+from fedgraphsim.protocol import Strategy
 from fedgraphsim.sim import (
     Event,
     assign_latencies,
-    next_event_order,
+    make_server,
+    prepare_clients,
     run_simulation,
 )
 
@@ -61,16 +63,18 @@ class TestLatencies:
 
 
 class TestEventOrder:
+    """The scheduler's heap pops events in their natural tuple order."""
+
     def test_tie_breaks_by_client(self):
         evs = [Event(5, 3, 0), Event(5, 1, 1)]
-        assert [e.client_id for e in next_event_order(evs)] == [1, 3]
+        assert [e.client_id for e in sorted(evs)] == [1, 3]
 
     def test_empty(self):
-        assert next_event_order([]) == []
+        assert sorted([]) == []
 
     def test_full_ordering(self):
         evs = [Event(5, 0, 0), Event(2, 1, 1), Event(2, 0, 2)]
-        got = next_event_order(evs)
+        got = sorted(evs)
         assert got == [Event(2, 0, 2), Event(2, 1, 1), Event(5, 0, 0)]
 
 
@@ -144,6 +148,19 @@ class TestRunSimulation:
             assert r.mean_acc == pytest.approx(float(np.mean(r.all_accs)))
             assert r.all_accs[r.client_id] == r.client_acc
 
+    def test_accuracy_snapshots_do_not_alias(self):
+        log = run_simulation(sbm_cfg(max_trips=20, lr=0.5), seed=6)
+        snapshots = [r.all_accs for r in log.records]
+        # each trip changes only its own client's entry of the snapshot
+        for prev, r in zip(snapshots, log.records[1:]):
+            changed = np.flatnonzero(r.all_accs != prev)
+            assert set(changed.tolist()) <= {r.client_id}
+        assert any(
+            not np.array_equal(a, b) for a, b in zip(snapshots, snapshots[1:])
+        )
+        for a, b in zip(snapshots, snapshots[1:]):
+            assert not np.shares_memory(a, b)
+
     def test_trace_kinds(self):
         log = run_simulation(sbm_cfg(max_trips=30, n_clients=4, k_buffer=2), seed=7)
         kinds = {line.split()[1].split("=")[1] for line in log.trace}
@@ -190,3 +207,31 @@ def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
     assert len(held) == len(log.records) == cfg.max_trips
     for r, (data, params) in zip(log.records, held):
         assert r.client_acc == evaluate(params, data, "test")
+
+
+SERVER_TYPES = {
+    Strategy.FEDSA_GCL: protocol.FedSaGclServer,
+    Strategy.FEDAVG_SYNC: protocol.FedAvgSyncServer,
+    Strategy.FEDBUFF: protocol.FedBuffServer,
+    Strategy.FEDASYNC: protocol.FedAsyncServer,
+}
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_make_server_builds_the_strategy_server(strategy):
+    cfg = sbm_cfg(strategy=strategy, n_clients=4, k_buffer=3, disable_clustercast=True)
+    clients, _, initial = prepare_clients(cfg, 0)
+    server = make_server(cfg, clients, [True, False, True, True], initial)
+    assert type(server) is SERVER_TYPES[strategy]
+    assert server.waits_for_round == (strategy == Strategy.FEDAVG_SYNC)
+    assert server.round == 0 and server.aggregation_log == []
+    if strategy == Strategy.FEDAVG_SYNC:  # only the active clients are awaited
+        sizes = np.array([clients[c].masks.train.size for c in (0, 2, 3)])
+        assert server.expected == [0, 2, 3]
+        npt.assert_array_equal(server.weights, sizes / sizes.sum())
+    elif strategy == Strategy.FEDASYNC:
+        assert server.global_params is initial and server.alpha == cfg.hyper.alpha
+    else:
+        assert server.k == 3
+    if strategy == Strategy.FEDSA_GCL:
+        assert server.use_clustering and not server.use_broadcast
