@@ -12,6 +12,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, parse_config
 from .experiments import run_experiment, summarize_logs, trips_to_target, write_summary
 from .graphs import GraphFormatError, SbmConfig, generate_sbm, load_graph, save_graph
@@ -68,27 +70,40 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_partition(args) -> int:
     g = load_graph(args.input)
+    if args.clients > g.node_count:
+        raise ConfigError(f"--clients {args.clients} is more than the {g.node_count} nodes")
     if args.method == "louvain":
         assignment = louvain_partition(g, args.clients, args.seed)
     else:
         assignment = balanced_partition(g, args.clients, args.seed)
     save_assignment(assignment, args.out)
-    import numpy as np
-
     sizes = np.bincount(assignment.client_of, minlength=args.clients)
     print(f"wrote {args.out}; client sizes {sizes.tolist()}")
     return EXIT_OK
 
 
 def _cmd_gen_sbm(args) -> int:
-    blocks = tuple(int(b) for b in args.blocks.replace(",", " ").split())
-    cfg = SbmConfig(
-        blocks, args.intra, args.inter, args.feature_dim, args.noise, args.seed
+    g = generate_sbm(
+        SbmConfig(args.blocks, args.intra, args.inter, args.feature_dim, args.noise, args.seed)
     )
-    g = generate_sbm(cfg)
     save_graph(g, args.out)
     print(f"wrote {args.out}: {g.node_count} nodes, {g.edge_count} edges")
     return EXIT_OK
+
+
+def _arg(kind, rule: str, ok):
+    """argparse type: kind(text), refused with exit 2 unless ok(value)."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,21 +123,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--out", default=None)
     p_sum.set_defaults(func=_cmd_summarize)
 
+    count = _arg(int, "an integer >= 1", lambda v: v >= 1)
+    seed = _arg(int, "an integer >= 0", lambda v: v >= 0)
+    prob = _arg(float, "a probability in [0, 1]", lambda p: 0.0 <= p <= 1.0)
+
     p_part = sub.add_parser("partition", help="partition a graph file into clients")
     p_part.add_argument("--input", required=True)
     p_part.add_argument("--method", choices=("louvain", "balanced"), required=True)
-    p_part.add_argument("--clients", type=int, required=True)
-    p_part.add_argument("--seed", type=int, default=0)
+    p_part.add_argument("--clients", type=count, required=True)
+    p_part.add_argument("--seed", type=seed, default=0)
     p_part.add_argument("--out", default="assignment.txt")
     p_part.set_defaults(func=_cmd_partition)
 
     p_gen = sub.add_parser("gen-sbm", help="generate a synthetic block-model graph")
-    p_gen.add_argument("--blocks", required=True, help="comma-separated sizes")
-    p_gen.add_argument("--intra", type=float, default=0.2)
-    p_gen.add_argument("--inter", type=float, default=0.01)
-    p_gen.add_argument("--feature-dim", type=int, default=8)
-    p_gen.add_argument("--noise", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    sizes = _arg(lambda t: [int(b) for b in t.replace(",", " ").split()],
+                 "comma-separated sizes >= 1", lambda b: b and min(b) >= 1)
+    p_gen.add_argument("--blocks", type=sizes, required=True, help="comma-separated sizes")
+    p_gen.add_argument("--intra", type=prob, default=0.2)
+    p_gen.add_argument("--inter", type=prob, default=0.01)
+    p_gen.add_argument("--feature-dim", type=count, default=8)
+    noise = _arg(float, "a finite number >= 0", lambda x: 0.0 <= x < float("inf"))
+    p_gen.add_argument("--noise", type=noise, default=0.5)
+    p_gen.add_argument("--seed", type=seed, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen_sbm)
     return parser

@@ -353,8 +353,3 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file (sectioned key=value or JSON mirror)."""
     return config_from_sections(_load_sections(path))
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """JSON mirror text; parse_config on the result reproduces the config."""
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -211,28 +211,30 @@ def generate_sbm(cfg: SbmConfig) -> Graph:
     intra_prob (same block) or inter_prob (different blocks). Features are
     then drawn: one-hot block indicator at column (block mod feature_dim)
     plus Gaussian noise of the configured stddev. Labels are block ids.
+
+    The draws come SBM_PAIR_BLOCK pairs per ``rng.random`` call, which
+    continues one stream, so they equal one draw. Only candidates, pairs
+    drawn below max(intra_prob, inter_prob), are mapped to (i, j) and tested:
+    the rest are below neither probability. So the edges, and the stream the
+    features come from, are those of the per-pair procedure.
     """
     n = sum(cfg.block_sizes)
     block_of = np.repeat(np.arange(len(cfg.block_sizes)), cfg.block_sizes)
     rng = np.random.default_rng(cfg.seed)
-    # The pairs are drawn SBM_PAIR_BLOCK at a time, so memory stays O(n + m);
-    # chunked draws continue one generator stream, so they equal one big draw.
-    row_len = np.arange(n - 1, 0, -1, dtype=np.int64)  # pairs (i, j > i) of row i
-    row_start = np.concatenate([[0], np.cumsum(row_len)])
+    # The pairs are drawn SBM_PAIR_BLOCK at a time, so memory stays O(n + m).
+    # row i holds the pairs (i, j > i); row_start[i] is the index of its first
+    row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
     pairs = int(row_start[-1])
+    p_max = max(cfg.intra_prob, cfg.inter_prob)
     kept = []
     for lo in range(0, pairs, SBM_PAIR_BLOCK):
-        hi = min(lo + SBM_PAIR_BLOCK, pairs)
-        first, last = np.searchsorted(row_start, [lo, hi - 1], side="right") - 1
-        span = np.arange(first, last + 1)
-        counts = np.minimum(row_start[span + 1], hi) - np.maximum(row_start[span], lo)
-        rows = np.repeat(span, counts)
-        cols = np.arange(lo, hi) - row_start[rows] + rows + 1
-        draws = rng.random(hi - lo)
-        probs = np.where(
-            block_of[rows] == block_of[cols], cfg.intra_prob, cfg.inter_prob
-        )
-        keep = draws < probs
+        draws = rng.random(min(SBM_PAIR_BLOCK, pairs - lo))
+        cand = np.flatnonzero(draws < p_max)
+        pair = cand + lo
+        rows = np.searchsorted(row_start, pair, side="right") - 1
+        cols = pair - row_start[rows] + rows + 1
+        probs = np.where(block_of[rows] == block_of[cols], cfg.intra_prob, cfg.inter_prob)
+        keep = draws[cand] < probs
         kept.append(np.column_stack([rows[keep], cols[keep]]))
     edges = np.concatenate(kept) if kept else np.zeros((0, 2), dtype=np.int64)
     features = np.zeros((n, cfg.feature_dim))

@@ -73,93 +73,80 @@ def modularity(g: Graph, comm_of: np.ndarray) -> float:
     return intra / m - float(np.sum((deg_per_comm / (2.0 * m)) ** 2))
 
 
-def _local_move(adj, k, m2, comm, rng):
+def _local_move(nbrs, wts, k, m2, comm, rng):
     """One pass of greedy modularity moves over all nodes in shuffled order.
 
-    Returns True when at least one node moved. comm and the community degree
-    totals are updated in place; every accepted move strictly increases
-    modularity.
+    nbrs[v] and wts[v] list v's neighbours (self excluded) and edge weights;
+    k, comm and the community degree totals are plain lists, so the loop
+    indexes no numpy scalar. Returns True when at least one node moved. comm
+    is updated in place; every accepted move strictly increases modularity.
     """
-    n = len(adj)
-    comm_k = np.zeros(n)
-    np.add.at(comm_k, comm, k)
+    comm_k = np.bincount(comm, weights=k, minlength=len(k)).tolist()
     moved = False
-    for v in rng.permutation(n):
-        b = comm[v]
-        k_v = k[v]
+    for v in rng.permutation(len(k)).tolist():
+        b, k_v = comm[v], k[v]
         w_to: dict[int, float] = {}
-        for u, w in adj[v].items():
+        for u, w in zip(nbrs[v], wts[v]):
             c = comm[u]
             w_to[c] = w_to.get(c, 0.0) + w
         comm_k[b] -= k_v
-        stay_gain = w_to.get(b, 0.0) - k_v * comm_k[b] / m2
-        best_c, best_gain = b, stay_gain
+        best_c, best_gain = b, w_to.pop(b, 0.0) - k_v * comm_k[b] / m2
         for c in sorted(w_to):
-            if c == b:
-                continue
             gain = w_to[c] - k_v * comm_k[c] / m2
             if gain > best_gain:
                 best_c, best_gain = c, gain
         comm[v] = best_c
         comm_k[best_c] += k_v
-        if best_c != b:
-            moved = True
+        moved = moved or best_c != b
     return moved
 
 
-def _coarsen(adj, loops, comm):
-    """Aggregate communities into super-nodes; returns (adj, loops, mapping)."""
-    ids = sorted(set(comm.tolist()))
-    remap = {c: i for i, c in enumerate(ids)}
-    mapping = np.array([remap[c] for c in comm], dtype=np.int64)
-    n_new = len(ids)
-    new_adj = [dict() for _ in range(n_new)]
-    new_loops = np.zeros(n_new)
-    for v, nbrs in enumerate(adj):
-        cv = mapping[v]
-        new_loops[cv] += loops[v]
-        for u, w in nbrs.items():
-            if u < v:
-                continue
-            cu = mapping[u]
-            if cu == cv:
-                new_loops[cv] += w
-            else:
-                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-    return new_adj, new_loops, mapping
+def _adjacency(g: Graph) -> sp.csr_matrix:
+    """Symmetric CSR adjacency of g, weight 1 per edge, indices sorted per row."""
+    ends = np.concatenate([g.edges, g.edges[:, ::-1]]).T
+    return sp.csr_matrix((np.ones(ends.shape[1]), tuple(ends)), shape=(g.node_count,) * 2)
+
+
+def _neighbour_lists(a: sp.csr_matrix):
+    """Per-node neighbour and weight lists of a CSR level, its diagonal left out."""
+    a = a - sp.diags(a.diagonal(), format="csr")
+    ptr, idx, w = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    spans = list(zip(ptr, ptr[1:]))
+    return [idx[i:j] for i, j in spans], [w[i:j] for i, j in spans]
 
 
 def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
-    """Two-phase Louvain to convergence; returns community id per node."""
+    """Two-phase Louvain to convergence; returns community id per node.
+
+    Each level is one symmetric weighted CSR whose diagonal holds twice the
+    self-loop weight, so a node's degree k is its row sum; coarsening is
+    P.T @ A @ P with P the node -> community indicator.
+    """
     n = g.node_count
     membership = np.arange(n, dtype=np.int64)
     if g.edge_count == 0:
         return membership
     rng = np.random.default_rng(seed)
-    adj = [dict() for _ in range(n)]
-    for u, v in g.edges:
-        adj[u][v] = adj[u].get(v, 0.0) + 1.0
-        adj[v][u] = adj[v].get(u, 0.0) + 1.0
-    loops = np.zeros(n)
+    a = _adjacency(g)
     while True:
-        n_level = len(adj)
-        k = np.array([sum(d.values()) for d in adj]) + 2.0 * loops
-        m2 = float(k.sum())
-        comm = np.arange(n_level, dtype=np.int64)
+        n_level = a.shape[0]
+        k = np.asarray(a.sum(axis=1)).ravel().tolist()
+        m2 = float(sum(k))
+        nbrs, wts = _neighbour_lists(a)
+        comm = list(range(n_level))
         while True:
-            moved = _local_move(adj, k, m2, comm, rng)
+            moved = _local_move(nbrs, wts, k, m2, comm, rng)
             if modularity_trace is not None:
-                modularity_trace.append(modularity(g, comm[membership]))
+                modularity_trace.append(modularity(g, np.array(comm)[membership]))
             if not moved:
                 break
-        if len(set(comm.tolist())) == n_level:
+        if len(set(comm)) == n_level:
             break
-        adj, loops, mapping = _coarsen(adj, loops, comm)
+        mapping = np.unique(comm, return_inverse=True)[1]
+        p = sp.csr_matrix((np.ones(n_level), (np.arange(n_level), mapping)))
+        a = (p.T @ a @ p).tocsr()
         membership = mapping[membership]
-    # compact final ids
-    ids = {c: i for i, c in enumerate(sorted(set(membership.tolist())))}
-    return np.array([ids[c] for c in membership], dtype=np.int64)
+    return np.unique(membership, return_inverse=True)[1].astype(np.int64)
 
 
 def _coalesce(groups: list[list[int]], n_clients: int) -> list[list[int]]:
@@ -197,16 +184,20 @@ def louvain_partition(
 ) -> CommunityAssignment:
     """Louvain communities coalesced into exactly n_clients clients.
 
-    Node visit order within each local-moving pass is shuffled by the seed.
-    When modularity_trace is given, the partition's modularity on the
-    original graph is appended after every pass (monotone nondecreasing).
+    Node visit order within each local-moving pass is shuffled by the seed
+    (one rng.permutation per pass); a node scans its neighbour communities
+    in ascending id and moves only on a strictly larger gain, so it stays on
+    a tie. The result does not depend on summation order: every edge weight,
+    degree and 2m is an integer-valued float below 2**53, so each sum is
+    exact, and each gain is w - (k_v * tot_c) / 2m in float64. When
+    modularity_trace is given, the partition's modularity on the original
+    graph is appended after every pass (monotone nondecreasing).
     """
     if not 1 <= n_clients <= g.node_count:
         raise ValueError("n_clients must be in [1, node_count]")
     comm = _louvain_communities(g, seed, modularity_trace)
     groups = [np.flatnonzero(comm == c).tolist() for c in range(comm.max() + 1)]
-    groups = _coalesce([grp for grp in groups if grp], n_clients)
-    return _groups_to_assignment(groups, g.node_count, n_clients)
+    return _groups_to_assignment(_coalesce(groups, n_clients), g.node_count, n_clients)
 
 
 def _bfs_distances(adj_sorted, start, n) -> np.ndarray:
@@ -264,12 +255,7 @@ def balanced_partition(g: Graph, n_clients: int, seed: int) -> CommunityAssignme
     if not 1 <= n_clients <= g.node_count:
         raise ValueError("n_clients must be in [1, node_count]")
     n = g.node_count
-    adj_sorted: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj_sorted[u].append(int(v))
-        adj_sorted[v].append(int(u))
-    for nbrs in adj_sorted:
-        nbrs.sort()
+    adj_sorted = _neighbour_lists(_adjacency(g))[0]
     rng = np.random.default_rng(seed)
     seeds = _spread_seeds(adj_sorted, n, n_clients, rng)
     client_of = np.full(n, -1, dtype=np.int64)
@@ -318,18 +304,25 @@ def extract_subgraphs(
     """Induced subgraph per client (cross-client edges dropped), with masks.
 
     Local node ids follow ascending global id; masks come from split_masks
-    with per-client seed offset seed + client_id.
+    with per-client seed offset seed + client_id. One stable sort by client
+    groups the nodes and the intra-client edges, which keep their order.
     """
     if a.client_of.shape[0] != g.node_count:
         raise ValueError("assignment does not cover the graph")
-    out = []
     cl = a.client_of
-    edge_cl_u = cl[g.edges[:, 0]] if g.edge_count else np.zeros(0, dtype=np.int64)
-    edge_cl_v = cl[g.edges[:, 1]] if g.edge_count else np.zeros(0, dtype=np.int64)
-    for cid in range(a.num_clients):
-        ids = np.flatnonzero(cl == cid)
-        keep = (edge_cl_u == cid) & (edge_cl_v == cid)
-        local_edges = np.searchsorted(ids, g.edges[keep])
+    starts = np.concatenate([[0], np.cumsum(np.bincount(cl, minlength=a.num_clients))])
+    nodes = np.argsort(cl, kind="stable")  # by client, ascending id within one
+    local_of = np.empty(g.node_count, dtype=np.int64)
+    local_of[nodes] = np.arange(g.node_count) - starts[cl[nodes]]
+    ends = cl[g.edges]
+    edges = g.edges[ends[:, 0] == ends[:, 1]]
+    edge_cl = cl[edges[:, 0]]
+    order = np.argsort(edge_cl, kind="stable")
+    edge_starts = np.searchsorted(edge_cl[order], np.arange(1, a.num_clients))
+    node_groups = np.split(nodes, starts[1:-1])
+    edge_groups = np.split(local_of[edges[order]], edge_starts)
+    out = []
+    for cid, (ids, local_edges) in enumerate(zip(node_groups, edge_groups)):
         local = Graph(
             ids.size,
             local_edges,
@@ -386,15 +379,3 @@ def save_assignment(a: CommunityAssignment, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for gid, cid in enumerate(a.client_of):
             f.write(f"{gid} {cid}\n")
-
-
-def load_assignment(path) -> CommunityAssignment:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                gid, cid = line.split()
-                pairs.append((int(gid), int(cid)))
-    pairs.sort()
-    client_of = np.array([cid for _, cid in pairs], dtype=np.int64)
-    return CommunityAssignment(client_of, int(client_of.max()) + 1)

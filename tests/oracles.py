@@ -10,7 +10,7 @@ import numpy as np
 
 from fedgraphsim.gcn import PARAM_FIELDS, ModelParams
 from fedgraphsim.graphs import Graph, NodeMasks
-from fedgraphsim.partition import ClientData
+from fedgraphsim.partition import ClientData, modularity
 
 
 def make_client_data(
@@ -136,6 +136,92 @@ def modularity_ref(node_count, edges, comm_of) -> float:
     for v in range(node_count):
         comm_deg[comm_of[v]] = comm_deg.get(comm_of[v], 0) + degs[v]
     return intra / m - sum((d / (2 * m)) ** 2 for d in comm_deg.values())
+
+
+def _louvain_local_move_ref(adj, k, m2, comm, rng):
+    """One shuffled pass of greedy moves over dict adjacency; True if any moved."""
+    n = len(adj)
+    comm_k = np.zeros(n)
+    np.add.at(comm_k, comm, k)
+    moved = False
+    for v in rng.permutation(n):
+        b = comm[v]
+        k_v = k[v]
+        w_to = {}
+        for u, w in adj[v].items():
+            c = comm[u]
+            w_to[c] = w_to.get(c, 0.0) + w
+        comm_k[b] -= k_v
+        stay_gain = w_to.get(b, 0.0) - k_v * comm_k[b] / m2
+        best_c, best_gain = b, stay_gain
+        for c in sorted(w_to):
+            if c == b:
+                continue
+            gain = w_to[c] - k_v * comm_k[c] / m2
+            if gain > best_gain:
+                best_c, best_gain = c, gain
+        comm[v] = best_c
+        comm_k[best_c] += k_v
+        if best_c != b:
+            moved = True
+    return moved
+
+
+def _louvain_coarsen_ref(adj, loops, comm):
+    """Communities as super-nodes; returns (adj, loops, mapping)."""
+    ids = sorted(set(comm.tolist()))
+    remap = {c: i for i, c in enumerate(ids)}
+    mapping = np.array([remap[c] for c in comm], dtype=np.int64)
+    new_adj = [dict() for _ in ids]
+    new_loops = np.zeros(len(ids))
+    for v, nbrs in enumerate(adj):
+        cv = mapping[v]
+        new_loops[cv] += loops[v]
+        for u, w in nbrs.items():
+            if u < v:
+                continue
+            cu = mapping[u]
+            if cu == cv:
+                new_loops[cv] += w
+            else:
+                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
+    return new_adj, new_loops, mapping
+
+
+def louvain_ref(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
+    """Two-phase Louvain on dict-of-dict adjacency, self-loops kept apart.
+
+    The same seeded visit order, ascending candidate scan and strict-gain
+    rule as partition._louvain_communities, written with plain loops.
+    """
+    n = g.node_count
+    membership = np.arange(n, dtype=np.int64)
+    if g.edge_count == 0:
+        return membership
+    rng = np.random.default_rng(seed)
+    adj = [dict() for _ in range(n)]
+    for u, v in g.edges:
+        adj[u][v] = adj[u].get(v, 0.0) + 1.0
+        adj[v][u] = adj[v].get(u, 0.0) + 1.0
+    loops = np.zeros(n)
+    while True:
+        n_level = len(adj)
+        k = np.array([sum(d.values()) for d in adj]) + 2.0 * loops
+        m2 = float(k.sum())
+        comm = np.arange(n_level, dtype=np.int64)
+        while True:
+            moved = _louvain_local_move_ref(adj, k, m2, comm, rng)
+            if modularity_trace is not None:
+                modularity_trace.append(modularity(g, comm[membership]))
+            if not moved:
+                break
+        if len(set(comm.tolist())) == n_level:
+            break
+        adj, loops, mapping = _louvain_coarsen_ref(adj, loops, comm)
+        membership = mapping[membership]
+    ids = {c: i for i, c in enumerate(sorted(set(membership.tolist())))}
+    return np.array([ids[c] for c in membership], dtype=np.int64)
 
 
 def all_set_partitions(items):

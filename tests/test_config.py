@@ -5,10 +5,16 @@ import pytest
 from fedgraphsim.cli import main
 from fedgraphsim.config import (
     ConfigError,
+    ExperimentConfig,
     config_from_sections,
     parse_config,
-    serialize_config,
 )
+
+
+def serialize_config(cfg: ExperimentConfig) -> str:
+    """JSON mirror text; parse_config on the result reproduces the config."""
+    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+
 
 MINIMAL_INI = """
 [dataset]
@@ -171,6 +177,37 @@ class TestCli:
     def test_summarize_target_out_of_range_exit_code(self, tmp_path, capsys, target):
         assert main(["summarize", "--dir", str(tmp_path), "--target", target]) == 2
         assert "(0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["partition", "--method", "louvain", "--clients", "0"], "--clients"),
+            (["partition", "--method", "balanced", "--clients", "13"], "--clients"),
+            (["partition", "--method", "louvain", "--clients", "2", "--seed", "-1"], "--seed"),
+            (["gen-sbm", "--blocks", "5", "--intra", "1.5"], "--intra"),
+            (["gen-sbm", "--blocks", "5", "--inter", "-0.1"], "--inter"),
+            (["gen-sbm", "--blocks", ""], "--blocks"),
+            (["gen-sbm", "--blocks", "5,x"], "--blocks"),
+            (["gen-sbm", "--blocks", "5,0"], "--blocks"),
+            (["gen-sbm", "--blocks", "5", "--feature-dim", "0"], "--feature-dim"),
+            (["gen-sbm", "--blocks", "5", "--noise", "inf"], "--noise"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_bad_argument_exit_code(self, tmp_path, capsys, argv, flag):
+        graph_path = tmp_path / "toy.graph"
+        assert main(["gen-sbm", "--blocks", "6,6", "--out", str(graph_path)]) == 0
+        capsys.readouterr()
+        io = ["--input", str(graph_path), "--out", str(tmp_path / "out.txt")]
+        argv = argv + (io if argv[0] == "partition" else io[2:])
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad value itself
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

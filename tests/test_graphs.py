@@ -98,20 +98,37 @@ class TestSbm:
         g = generate_sbm(SbmConfig((4,), 0.0, 0.7, 3, 0.1, 5))
         assert g.edge_count == 0
 
-    def test_matches_independent_draw_loop(self):
-        cfg = SbmConfig((50, 50), 0.3, 0.01, 8, 0.25, 123)
+    @pytest.mark.parametrize(
+        "blocks, intra, inter",
+        [
+            pytest.param((50, 50), 0.3, 0.01, id="intra-above-inter"),
+            pytest.param((30, 40, 25), 0.05, 0.3, id="inter-above-intra"),
+            pytest.param((35, 45), 0.2, 0.2, id="equal"),
+            pytest.param((25, 20, 15), 0.0, 1.0, id="intra-0-inter-1"),
+            pytest.param((25, 20, 15), 1.0, 0.0, id="intra-1-inter-0"),
+        ],
+    )
+    def test_matches_independent_draw_loop(self, blocks, intra, inter):
+        cfg = SbmConfig(blocks, intra, inter, 8, 0.25, 123)
         g = generate_sbm(cfg)
-        # same documented procedure, reimplemented with explicit loops
+        # same documented procedure, reimplemented with explicit loops: one
+        # draw per pair, every pair tested against its own probability
         rng = np.random.default_rng(cfg.seed)
-        block_of = [0] * 50 + [1] * 50
+        block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+        n = len(block_of)
         expected = []
-        for i in range(100):
-            for j in range(i + 1, 100):
+        for i in range(n):
+            for j in range(i + 1, n):
                 p = cfg.intra_prob if block_of[i] == block_of[j] else cfg.inter_prob
                 if rng.random() < p:
                     expected.append((i, j))
         assert g.edge_count == len(expected)
         assert list(map(tuple, g.edges)) == expected
+        # the features are drawn after the pairs, from the same stream
+        features = np.zeros((n, cfg.feature_dim))
+        features[np.arange(n), np.array(block_of) % cfg.feature_dim] = 1.0
+        features += rng.normal(0.0, cfg.feature_noise, size=(n, cfg.feature_dim))
+        npt.assert_array_equal(g.features, features)
 
     @pytest.mark.parametrize("block", [1, 97, 4949])
     def test_chunked_draws_match_one_draw(self, monkeypatch, block):

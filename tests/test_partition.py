@@ -1,19 +1,22 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fedgraphsim.graphs import Graph, SbmConfig, degrees, generate_sbm
+from fedgraphsim import partition
+from fedgraphsim.graphs import Graph, SbmConfig, degrees, generate_sbm, split_masks
 from fedgraphsim.partition import (
+    CommunityAssignment,
     balanced_partition,
     extract_subgraphs,
-    load_assignment,
     louvain_partition,
     modularity,
     save_assignment,
     sparsify_edges,
     sparsify_labels,
 )
-from oracles import all_set_partitions, modularity_ref
+from oracles import all_set_partitions, louvain_ref, modularity_ref, random_graph_edges
 
 RATIOS = (0.4, 0.2, 0.4)
 
@@ -120,6 +123,74 @@ class TestLouvain:
             louvain_partition(two_triangles(), 7, seed=0)
 
 
+def sbm_graphs():
+    """SBM graphs of 2-5 blocks whose Louvain runs coarsen over several levels."""
+    out = []
+    for s in range(8):
+        rng = np.random.default_rng(s)
+        blocks = tuple(rng.integers(8, 40, size=rng.integers(2, 6)).tolist())
+        intra, inter = rng.uniform(0.1, 0.5), rng.uniform(0.0, 0.05)
+        out.append(generate_sbm(SbmConfig(blocks, intra, inter, 4, 0.2, s)))
+    return out
+
+
+def graphs_with_isolated_nodes():
+    """Random graphs on the first 20 of 30 nodes, relabelled by a shuffle."""
+    out = []
+    for s in range(4):
+        rng = np.random.default_rng(100 + s)
+        relabel = rng.permutation(30)
+        edges = [(relabel[u], relabel[v]) for u, v in random_graph_edges(rng, 20, 0.2)]
+        out.append(build(30, [(min(e), max(e)) for e in edges]))
+    return out
+
+
+class TestLouvainMatchesLoopReference:
+    """The CSR-level Louvain replays the dict-based loop reference exactly."""
+
+    @pytest.fixture(autouse=True)
+    def bounded_passes(self, monkeypatch):
+        # fail, rather than hang, if a change lets the moves cycle forever
+        passes = itertools.count()
+        local_move = partition._local_move
+
+        def bounded(*args):
+            assert next(passes) < 10_000, "Louvain did not converge"
+            return local_move(*args)
+
+        monkeypatch.setattr(partition, "_local_move", bounded)
+
+    @pytest.mark.parametrize(
+        "graphs, seeds",
+        [
+            pytest.param(sbm_graphs, range(10), id="sbm"),
+            pytest.param(graphs_with_isolated_nodes, range(5), id="isolated-nodes"),
+            pytest.param(lambda: [build(7, [])], range(3), id="edgeless"),
+        ],
+    )
+    def test_same_communities_and_trace(self, graphs, seeds):
+        for g in graphs():
+            for seed in seeds:
+                trace, ref_trace = [], []
+                comm = partition._louvain_communities(g, seed, trace)
+                npt.assert_array_equal(comm, louvain_ref(g, seed, ref_trace))
+                assert comm.dtype == np.int64
+                assert trace == ref_trace
+
+    def test_sbm_cases_coarsen_over_several_levels(self, monkeypatch):
+        levels = []
+        lists = partition._neighbour_lists
+        monkeypatch.setattr(
+            partition, "_neighbour_lists", lambda a: levels.append(a.shape[0]) or lists(a)
+        )
+        runs = []
+        for g in sbm_graphs():
+            levels.clear()
+            partition._louvain_communities(g, 0)
+            runs.append(len(levels))
+        assert min(runs) >= 3
+
+
 class TestBalanced:
     def test_path_two_contiguous_runs(self):
         g = build(10, [(i, i + 1) for i in range(9)])
@@ -163,13 +234,33 @@ class TestExtract:
         assert [cd.graph.edge_count for cd in parts] == [3, 3]
 
     def test_cross_edge_dropped(self):
-        from fedgraphsim.partition import CommunityAssignment
-
         g = build(3, [(0, 1), (1, 2)])
         a = CommunityAssignment(np.array([0, 0, 1]), 2)
         parts = extract_subgraphs(g, a, RATIOS, seed=0)
         assert parts[0].graph.edge_count == 1
         assert parts[1].graph.edge_count == 0
+
+    def test_matches_per_client_scan(self):
+        # reference: scan every node and edge once per client
+        for seed in range(4):
+            g = generate_sbm(SbmConfig((20, 25, 15), 0.3, 0.05, 4, 0.2, seed))
+            rng = np.random.default_rng(seed)
+            cl = np.concatenate([np.arange(7), rng.integers(0, 7, g.node_count - 7)])
+            rng.shuffle(cl)
+            parts = extract_subgraphs(g, CommunityAssignment(cl, 7), RATIOS, seed)
+            for cid, cd in enumerate(parts):
+                ids = [v for v in range(g.node_count) if cl[v] == cid]
+                local = {v: i for i, v in enumerate(ids)}
+                edges = [(local[u], local[v]) for u, v in g.edges.tolist()
+                         if cl[u] == cid and cl[v] == cid]
+                assert cd.client_id == cid
+                npt.assert_array_equal(cd.global_ids, ids)
+                assert cd.graph.edges.tolist() == [list(e) for e in edges]
+                npt.assert_array_equal(cd.graph.features, g.features[ids])
+                npt.assert_array_equal(cd.graph.labels, g.labels[ids])
+                masks = split_masks(cd.graph, RATIOS, seed + cid)
+                for which in ("train", "val", "test"):
+                    npt.assert_array_equal(cd.masks.get(which), masks.get(which))
 
     def test_never_creates_edges_and_conserves_nodes(self):
         for seed in range(4):
@@ -231,6 +322,17 @@ class TestSparsify:
         a = sparsify_labels(cd, 0.4, 13)
         b = sparsify_labels(cd, 0.4, 13)
         npt.assert_array_equal(a.masks.train, b.masks.train)
+
+
+def load_assignment(path) -> CommunityAssignment:
+    """Read the `<global_id> <client_id>` lines that save_assignment writes."""
+    pairs = sorted(
+        tuple(int(x) for x in line.split())
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    )
+    client_of = np.array([cid for _, cid in pairs], dtype=np.int64)
+    return CommunityAssignment(client_of, int(client_of.max()) + 1)
 
 
 def test_assignment_dump_round_trip(tmp_path):
