@@ -19,12 +19,10 @@ from .kernels import (
     LscValue,
     aggregate_models,
     blend_local,
-    cluster_set,
     compute_lsc,
     compute_sfm,
     cosine_similarity,
     label_propagation,
-    staleness_weights,
 )
 from .partition import (
     ClientData,

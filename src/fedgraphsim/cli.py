@@ -7,6 +7,7 @@ Set FEDGRAPHSIM_LOG=debug|info|warning|error to control verbosity.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, parse_config
+from .config import REQUIRED, SCHEMA, ConfigError, lookup, parse_config
 from .experiments import run_experiment, summarize_logs, trips_to_target, write_summary
 from .graphs import GraphFormatError, SbmConfig, generate_sbm, load_graph, save_graph
 from .partition import balanced_partition, louvain_partition, save_assignment
@@ -49,8 +50,9 @@ def _cmd_summarize(args) -> int:
     """Trips-to-target over the stored per-seed runs (metrics CSV plus JSON
     sidecar), by the rule of the summary that ``run`` writes, with the
     longest stored run (the sidecars' ``trips``) as the trip budget."""
-    if not 0.0 < args.target <= 1.0:
-        raise ConfigError(f"--target {args.target} must lie in (0, 1]")
+    target = lookup("run", "target_accuracy")
+    if not target.ok(args.target):
+        raise ConfigError(f"--target {args.target} is not {target.rule}")
     outdir = Path(args.dir)
     csvs = sorted(outdir.glob("metrics_seed*.csv"))
     if not csvs:
@@ -91,19 +93,31 @@ def _cmd_gen_sbm(args) -> int:
     return EXIT_OK
 
 
-def _arg(kind, rule: str, ok):
-    """argparse type: kind(text), refused with exit 2 unless ok(value)."""
+def _add_flag(parser, flag: str, section: str, name: str, **kw):
+    """Add a flag read and checked like the config key section.name, with
+    that key's default unless kw sets one."""
+    row = lookup(section, name)
 
     def parse(text):
         try:
-            value = kind(text)
-        except ValueError:
+            value = row.coerce(text)
+        except ConfigError:
             value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        if value is None or not row.ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {row.rule}")
         return value
 
-    return parse
+    kw.setdefault("default", None if row.default is REQUIRED else row.default)
+    parser.add_argument(flag, type=parse, **kw)
+
+
+def _schema_help() -> str:
+    lines = ["config keys, as [section] key = JSON default: rule (null means the default):"]
+    for row in SCHEMA:
+        default = "required" if row.default is REQUIRED else json.dumps(row.default)
+        only = f" (kind = {row.only} only)" if row.only else ""
+        lines.append(f"  [{row.section}] {row.name} = {default}: {row.rule}{only}")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the experiment described by a config")
+    p_run = sub.add_parser("run", help="run the experiment described by a config",
+                           formatter_class=argparse.RawDescriptionHelpFormatter,
+                           epilog=_schema_help())
     p_run.add_argument("--config", required=True)
     p_run.set_defaults(func=_cmd_run)
 
@@ -123,28 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--out", default=None)
     p_sum.set_defaults(func=_cmd_summarize)
 
-    count = _arg(int, "an integer >= 1", lambda v: v >= 1)
-    seed = _arg(int, "an integer >= 0", lambda v: v >= 0)
-    prob = _arg(float, "a probability in [0, 1]", lambda p: 0.0 <= p <= 1.0)
-
     p_part = sub.add_parser("partition", help="partition a graph file into clients")
     p_part.add_argument("--input", required=True)
     p_part.add_argument("--method", choices=("louvain", "balanced"), required=True)
-    p_part.add_argument("--clients", type=count, required=True)
-    p_part.add_argument("--seed", type=seed, default=0)
+    _add_flag(p_part, "--clients", "run", "n_clients", required=True)
+    _add_flag(p_part, "--seed", "dataset", "seed")
     p_part.add_argument("--out", default="assignment.txt")
     p_part.set_defaults(func=_cmd_partition)
 
     p_gen = sub.add_parser("gen-sbm", help="generate a synthetic block-model graph")
-    sizes = _arg(lambda t: [int(b) for b in t.replace(",", " ").split()],
-                 "comma-separated sizes >= 1", lambda b: b and min(b) >= 1)
-    p_gen.add_argument("--blocks", type=sizes, required=True, help="comma-separated sizes")
-    p_gen.add_argument("--intra", type=prob, default=0.2)
-    p_gen.add_argument("--inter", type=prob, default=0.01)
-    p_gen.add_argument("--feature-dim", type=count, default=8)
-    noise = _arg(float, "a finite number >= 0", lambda x: 0.0 <= x < float("inf"))
-    p_gen.add_argument("--noise", type=noise, default=0.5)
-    p_gen.add_argument("--seed", type=seed, default=0)
+    _add_flag(p_gen, "--blocks", "dataset", "blocks", required=True, help="comma-separated sizes")
+    _add_flag(p_gen, "--intra", "dataset", "intra_prob", default=0.2)
+    _add_flag(p_gen, "--inter", "dataset", "inter_prob", default=0.01)
+    _add_flag(p_gen, "--feature-dim", "dataset", "feature_dim")
+    _add_flag(p_gen, "--noise", "dataset", "feature_noise")
+    _add_flag(p_gen, "--seed", "dataset", "seed")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen_sbm)
     return parser

@@ -1,8 +1,19 @@
-"""Experiment configuration: schema, defaults, INI/JSON parsing, hashing.
+"""Experiment configuration: the schema table, INI/JSON parsing, hashing.
 
 The on-disk format is a sectioned key=value file (configparser syntax); a
 JSON mirror with the same section/key structure is accepted interchangeably.
-Unknown sections or keys are rejected by name.
+
+``SCHEMA`` has one row per (section, key): its type, its default (or
+REQUIRED), its allowed range and the ``ExperimentConfig`` attribute it fills.
+Unknown sections and keys, type coercion, defaults, ``to_dict`` (and so
+``config_hash``), ``ExperimentConfig.validate`` and the command-line flag
+checks all read it. Two rules hold for every key:
+
+- every float must be finite: nan and inf are refused;
+- a JSON null, or an empty list, means the key is absent: its default
+  applies, and a required key reports that it must be set.
+
+Only the rules that tie keys together are written out in ``validate``.
 """
 
 from __future__ import annotations
@@ -11,7 +22,9 @@ import configparser
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .graphs import SbmConfig
 from .kernels import FglHyper
@@ -22,93 +35,199 @@ class ConfigError(ValueError):
     """Raised for schema violations and out-of-range settings."""
 
 
+REQUIRED = object()  # the default of a key that has none and must be set
+
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+_TYPES = {  # the Python values each key type holds, and how rules name it
+    int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
+    bool: (bool, "true or false"), str: (str, "a string"),
+    list: (numbers.Integral, "a non-empty list of integers"),
+}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its type (int, float, bool, str, or list of ints),
+    default, allowed range and the ExperimentConfig attribute it fills (a
+    dotted path, where a number indexes a tuple; empty: the key's name).
+
+    lo and hi bound a number, each entry of a list, or the length of a
+    string, and above=True leaves lo itself out. A key with ``only`` set
+    belongs to datasets of that kind.
+    """
+
+    section: str
+    name: str
+    type: type
+    default: object = REQUIRED
+    attr: str = ""
+    lo: float | None = None
+    hi: float | None = None
+    above: bool = False
+    choices: tuple = ()
+    only: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "attr", self.attr or self.name)
+
+    @property
+    def rule(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        what = _TYPES[self.type][1]
+        if self.lo is None:
+            return what
+        what += " of length" if self.type is str else ""
+        if self.hi is None:
+            return f"{what} {'>' if self.above else '>='} {self.lo}"
+        return f"{what} in {'(' if self.above else '['}{self.lo}, {self.hi}]"
+
+    def refuse(self, value) -> ConfigError:
+        return ConfigError(f"[{self.section}] {self.name} = {value!r} is not {self.rule}")
+
+    def coerce(self, value):
+        """This key's value read from INI text or a JSON value (None stays None)."""
+        try:
+            if value is None or self.type is bool and isinstance(value, bool):
+                return value
+            if self.type is bool:
+                return _BOOL_TEXT[str(value).strip().lower()]
+            if self.type is list:
+                items = value.replace(",", " ").split() if isinstance(value, str) else value
+                return [int(item) for item in items]
+            return self.type(value)
+        except (TypeError, ValueError, OverflowError, KeyError):
+            raise self.refuse(value) from None
+
+    def ok(self, value) -> bool:
+        """Whether a config value (not file text) has this key's type and rule."""
+        if self.type is list:
+            return isinstance(value, list) and bool(value) and all(map(self._ok_one, value))
+        return self._ok_one(value)
+
+    def _ok_one(self, v) -> bool:
+        if not isinstance(v, _TYPES[self.type][0]) or self.choices and v not in self.choices:
+            return False
+        if self.type is float and not math.isfinite(v):
+            return False
+        size = len(v) if self.type is str else v
+        low_ok = self.lo is None or size > self.lo or (size == self.lo and not self.above)
+        return low_ok and (self.hi is None or size <= self.hi)
+
+
+SCHEMA = (
+    Key("dataset", "kind", str, attr="dataset.kind", choices=("file", "sbm")),
+    Key("dataset", "path", str, attr="dataset.path", lo=1, only="file"),
+    Key("dataset", "blocks", list, attr="dataset.sbm.block_sizes", lo=1, only="sbm"),
+    Key("dataset", "intra_prob", float, attr="dataset.sbm.intra_prob", lo=0, hi=1, only="sbm"),
+    Key("dataset", "inter_prob", float, attr="dataset.sbm.inter_prob", lo=0, hi=1, only="sbm"),
+    Key("dataset", "feature_dim", int, 8, "dataset.sbm.feature_dim", lo=1, only="sbm"),
+    Key("dataset", "feature_noise", float, 0.5, "dataset.sbm.feature_noise", lo=0, only="sbm"),
+    Key("dataset", "seed", int, 0, "dataset.sbm.seed", lo=0, only="sbm"),
+    Key("run", "n_clients", int, lo=1),
+    Key("run", "partitioner", str, "louvain", choices=("louvain", "balanced")),
+    Key("run", "strategy", str, "fedsa_gcl", choices=tuple(s.value for s in Strategy)),
+    Key("run", "k_buffer", int, None, lo=1),  # None: ceil(n_clients / 2)
+    Key("run", "lr", float, 0.01, lo=0, above=True),
+    Key("run", "hidden_dim", int, 64, lo=1),
+    Key("run", "max_trips", int, 2000, lo=0),
+    Key("run", "edge_fraction", float, 0.3, lo=0, hi=1),
+    Key("run", "lag_lo", int, 2, "lag_range.0", lo=1),
+    Key("run", "lag_hi", int, 5, "lag_range.1", lo=1),
+    Key("run", "mask_train", float, 0.2, "mask_ratios.0", lo=0, hi=1),
+    Key("run", "mask_val", float, 0.4, "mask_ratios.1", lo=0, hi=1),
+    Key("run", "mask_test", float, 0.4, "mask_ratios.2", lo=0, hi=1),
+    Key("run", "seeds", list, (0,), lo=0),
+    Key("run", "target_accuracy", float, None, lo=0, hi=1, above=True),
+    Key("run", "output_dir", str, "runs"),
+    Key("hyper", "theta", float, FglHyper.theta, "hyper.theta", lo=0, hi=1),
+    Key("hyper", "lambda", float, FglHyper.lam, "hyper.lam", lo=0, hi=1),
+    Key("hyper", "k_steps", int, FglHyper.k_steps, "hyper.k_steps", lo=0),
+    Key("hyper", "alpha", float, FglHyper.alpha, "hyper.alpha", lo=0),
+    Key("perturbation", "kind", str, "none", "perturbation.kind",
+        choices=("none", "label_sparsity", "edge_sparsity")),
+    Key("perturbation", "rate", float, 0.5, "perturbation.rate", lo=0, hi=1),
+    Key("ablation", "disable_staleness", bool, False),
+    Key("ablation", "disable_clustercast", bool, False),
+    Key("ablation", "disable_sfm_clustering", bool, False),
+)
+_ROWS = {(row.section, row.name): row for row in SCHEMA}
+
+
+def lookup(section: str, name: str) -> Key:
+    """The SCHEMA row of section.name; ConfigError names an unknown one."""
+    if (section, name) not in _ROWS:
+        raise ConfigError(f"unknown key {name!r} in section {section!r}")
+    return _ROWS[section, name]
+
+
+def _default(section: str, name: str):
+    return _ROWS[section, name].default
+
+
 @dataclass
 class DatasetSpec:
     kind: str  # "file" | "sbm"
     path: str | None = None
     sbm: SbmConfig | None = None
 
-    def __post_init__(self):
-        if self.kind == "file":
-            if not self.path:
-                raise ConfigError("dataset kind 'file' needs a path")
-        elif self.kind == "sbm":
-            if self.sbm is None:
-                raise ConfigError("dataset kind 'sbm' needs block settings")
-        else:
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
-
 
 @dataclass
 class Perturbation:
-    kind: str  # "label_sparsity" | "edge_sparsity"
-    rate: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("label_sparsity", "edge_sparsity"):
-            raise ConfigError(f"unknown perturbation {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError("perturbation rate must lie in [0, 1]")
+    kind: str  # "label_sparsity" | "edge_sparsity" ("none" changes nothing)
+    rate: float = _default("perturbation", "rate")
 
 
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec
     n_clients: int
-    partitioner: str = "louvain"
-    strategy: Strategy = Strategy.FEDSA_GCL
-    k_buffer: int | None = None  # None -> ceil(n_clients / 2)
+    partitioner: str = _default("run", "partitioner")
+    strategy: Strategy = _default("run", "strategy")
+    k_buffer: int | None = _default("run", "k_buffer")
     hyper: FglHyper = field(default_factory=FglHyper)
-    lr: float = 0.01
-    hidden_dim: int = 64
-    max_trips: int = 2000
-    edge_fraction: float = 0.3
-    lag_range: tuple = (2, 5)
-    mask_ratios: tuple = (0.2, 0.4, 0.4)
+    lr: float = _default("run", "lr")
+    hidden_dim: int = _default("run", "hidden_dim")
+    max_trips: int = _default("run", "max_trips")
+    edge_fraction: float = _default("run", "edge_fraction")
+    lag_range: tuple = (_default("run", "lag_lo"), _default("run", "lag_hi"))
+    mask_ratios: tuple = tuple(_default("run", f"mask_{m}") for m in ("train", "val", "test"))
     perturbation: Perturbation | None = None
-    disable_staleness: bool = False
-    disable_clustercast: bool = False
-    disable_sfm_clustering: bool = False
-    seeds: tuple = (0,)
-    target_accuracy: float | None = None
-    output_dir: str = "runs"
+    disable_staleness: bool = _default("ablation", "disable_staleness")
+    disable_clustercast: bool = _default("ablation", "disable_clustercast")
+    disable_sfm_clustering: bool = _default("ablation", "disable_sfm_clustering")
+    seeds: tuple = _default("run", "seeds")
+    target_accuracy: float | None = _default("run", "target_accuracy")
+    output_dir: str = _default("run", "output_dir")
 
     def __post_init__(self):
+        self.validate()
         self.strategy = Strategy(self.strategy)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.lag_range = (int(self.lag_range[0]), int(self.lag_range[1]))
         self.mask_ratios = tuple(float(r) for r in self.mask_ratios)
-        self.validate()
 
     def validate(self):
-        if self.n_clients < 1:
-            raise ConfigError("n_clients must be >= 1")
-        if self.partitioner not in ("louvain", "balanced"):
-            raise ConfigError(f"unknown partitioner {self.partitioner!r}")
-        if self.k_buffer is not None and self.k_buffer < 1:
-            raise ConfigError("k_buffer must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be >= 1")
-        if self.max_trips < 0:
-            raise ConfigError("max_trips must be >= 0")
-        if not 0.0 <= self.edge_fraction <= 1.0:
-            raise ConfigError("edge_fraction must lie in [0, 1]")
-        lo, hi = self.lag_range
-        if not 1 <= lo <= hi:
-            raise ConfigError("lag_range must satisfy 1 <= lo <= hi")
-        if min(self.mask_ratios) < 0 or sum(self.mask_ratios) > 1 + 1e-12:
-            raise ConfigError("mask_ratios must be nonnegative and sum to <= 1")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
-            raise ConfigError("target_accuracy must lie in (0, 1]")
+        """Check to_dict() against every SCHEMA row, then the cross-key rules."""
+        d = self.to_dict()
+        for row in SCHEMA:
+            section = d.get(row.section)
+            if section is None or row.only not in (None, self.dataset.kind):
+                continue
+            value = section.get(row.name)
+            if value is None and row.default is not None:
+                raise ConfigError(f"section {row.section!r} must set {row.name!r}")
+            if value is not None and not row.ok(value):
+                raise row.refuse(value)
+        run = d["run"]
+        if run["lag_lo"] > run["lag_hi"]:
+            raise ConfigError("[run] lag_lo must be <= lag_hi")
+        if run["mask_train"] + run["mask_val"] + run["mask_test"] > 1 + 1e-12:
+            raise ConfigError("[run] mask_train + mask_val + mask_test must be <= 1")
 
     def resolved_k(self) -> int:
-        if self.k_buffer is not None:
-            return self.k_buffer
-        return math.ceil(self.n_clients / 2)
+        return math.ceil(self.n_clients / 2) if self.k_buffer is None else self.k_buffer
 
     def resolved_hyper(self) -> FglHyper:
         """Hyperparameters with ablation flags applied (alpha=0 when
@@ -117,53 +236,17 @@ class ExperimentConfig:
         return FglHyper(self.hyper.theta, self.hyper.lam, self.hyper.k_steps, alpha)
 
     def to_dict(self) -> dict:
-        d: dict = {"dataset": {"kind": self.dataset.kind}}
-        if self.dataset.kind == "file":
-            d["dataset"]["path"] = self.dataset.path
-        else:
-            sbm = self.dataset.sbm
-            d["dataset"].update(
-                blocks=list(sbm.block_sizes),
-                intra_prob=sbm.intra_prob,
-                inter_prob=sbm.inter_prob,
-                feature_dim=sbm.feature_dim,
-                feature_noise=sbm.feature_noise,
-                seed=sbm.seed,
-            )
-        d["run"] = {
-            "n_clients": self.n_clients,
-            "partitioner": self.partitioner,
-            "strategy": self.strategy.value,
-            "k_buffer": self.k_buffer,
-            "lr": self.lr,
-            "hidden_dim": self.hidden_dim,
-            "max_trips": self.max_trips,
-            "edge_fraction": self.edge_fraction,
-            "lag_lo": self.lag_range[0],
-            "lag_hi": self.lag_range[1],
-            "mask_train": self.mask_ratios[0],
-            "mask_val": self.mask_ratios[1],
-            "mask_test": self.mask_ratios[2],
-            "seeds": list(self.seeds),
-            "target_accuracy": self.target_accuracy,
-            "output_dir": self.output_dir,
-        }
-        d["hyper"] = {
-            "theta": self.hyper.theta,
-            "lambda": self.hyper.lam,
-            "k_steps": self.hyper.k_steps,
-            "alpha": self.hyper.alpha,
-        }
-        if self.perturbation is not None:
-            d["perturbation"] = {
-                "kind": self.perturbation.kind,
-                "rate": self.perturbation.rate,
-            }
-        d["ablation"] = {
-            "disable_staleness": self.disable_staleness,
-            "disable_clustercast": self.disable_clustercast,
-            "disable_sfm_clustering": self.disable_sfm_clustering,
-        }
+        """The JSON mirror: every SCHEMA row of the dataset's kind, read from
+        its attribute; the perturbation section only when one is set. (The
+        strategy stays a ``Strategy``, a str that JSON writes as its value.)"""
+        d: dict = {}
+        for row in SCHEMA:
+            *owners, leaf = row.attr.split(".")
+            obj = reduce(getattr, owners, self)
+            if obj is not None and row.only in (None, self.dataset.kind):
+                value = obj[int(leaf)] if leaf.isdigit() else getattr(obj, leaf)
+                section = d.setdefault(row.section, {})
+                section[row.name] = list(value) if isinstance(value, tuple) else value
         return d
 
     def config_hash(self) -> str:
@@ -171,79 +254,14 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-_DATASET_KEYS = {
-    "kind": str,
-    "path": str,
-    "blocks": "intlist",
-    "intra_prob": float,
-    "inter_prob": float,
-    "feature_dim": int,
-    "feature_noise": float,
-    "seed": int,
-}
-_RUN_KEYS = {
-    "n_clients": int,
-    "partitioner": str,
-    "strategy": str,
-    "k_buffer": int,
-    "lr": float,
-    "hidden_dim": int,
-    "max_trips": int,
-    "edge_fraction": float,
-    "lag_lo": int,
-    "lag_hi": int,
-    "mask_train": float,
-    "mask_val": float,
-    "mask_test": float,
-    "seeds": "intlist",
-    "target_accuracy": float,
-    "output_dir": str,
-}
-_HYPER_KEYS = {"theta": float, "lambda": float, "k_steps": int, "alpha": float}
-_PERTURBATION_KEYS = {"kind": str, "rate": float}
-_ABLATION_KEYS = {
-    "disable_staleness": bool,
-    "disable_clustercast": bool,
-    "disable_sfm_clustering": bool,
-}
-_SECTIONS = {
-    "dataset": _DATASET_KEYS,
-    "run": _RUN_KEYS,
-    "hyper": _HYPER_KEYS,
-    "perturbation": _PERTURBATION_KEYS,
-    "ablation": _ABLATION_KEYS,
-}
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _coerce(section: str, key: str, value):
-    keys = _SECTIONS[section]
-    if key not in keys:
-        raise ConfigError(f"unknown key {key!r} in section {section!r}")
-    want = keys[key]
-    if value is None:
-        return None
-    try:
-        if want == "intlist":
-            if isinstance(value, str):
-                return [int(tok) for tok in value.replace(",", " ").split()]
-            return [int(tok) for tok in value]
-        if want is bool:
-            if isinstance(value, bool):
-                return value
-            low = str(value).strip().lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(value)
-        return want(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"bad value {value!r} for key {key!r} in section {section!r}"
-        ) from None
+def _check_names(sections: dict):
+    for section, pairs in sections.items():
+        if section not in {row.section for row in SCHEMA}:
+            raise ConfigError(f"unknown section {section!r}")
+        if not isinstance(pairs, dict):
+            raise ConfigError(f"section {section!r} must hold key=value pairs")
+        for name in pairs:
+            lookup(section, name)
 
 
 def _load_sections(path) -> dict:
@@ -263,91 +281,39 @@ def _load_sections(path) -> dict:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
         raw = {s: dict(parser.items(s)) for s in parser.sections()}
-    sections: dict = {}
-    for section, pairs in raw.items():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section {section!r}")
-        if not isinstance(pairs, dict):
-            raise ConfigError(f"section {section!r} must hold key=value pairs")
-        sections[section] = {
-            k: _coerce(section, k, v) for k, v in pairs.items()
-        }
-    return sections
+    _check_names(raw)
+    return {
+        section: {name: lookup(section, name).coerce(v) for name, v in pairs.items()}
+        for section, pairs in raw.items()
+    }
 
 
 def config_from_sections(sections: dict) -> ExperimentConfig:
-    ds = sections.get("dataset", {})
-    kind = ds.get("kind")
-    if kind is None:
-        raise ConfigError("section 'dataset' must set 'kind'")
-    if kind == "sbm":
-        for req in ("blocks", "intra_prob", "inter_prob"):
-            if req not in ds:
-                raise ConfigError(f"sbm dataset needs key {req!r}")
-        try:
-            sbm = SbmConfig(
-                tuple(ds["blocks"]),
-                ds["intra_prob"],
-                ds["inter_prob"],
-                ds.get("feature_dim", 8),
-                ds.get("feature_noise", 0.5),
-                ds.get("seed", 0),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        dataset = DatasetSpec("sbm", sbm=sbm)
-    else:
-        dataset = DatasetSpec(kind, path=ds.get("path"))
+    """Build and validate a config from {section: {key: value}}; an absent
+    key takes its SCHEMA default."""
+    _check_names(sections)
 
-    run = sections.get("run", {})
-    if "n_clients" not in run:
-        raise ConfigError("section 'run' must set 'n_clients'")
-    hy = sections.get("hyper", {})
-    try:
-        hyper = FglHyper(
-            hy.get("theta", 0.5),
-            hy.get("lambda", 0.5),
-            hy.get("k_steps", 2),
-            hy.get("alpha", 0.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    pert = None
-    if "perturbation" in sections:
-        p = sections["perturbation"]
-        if p.get("kind", "none") != "none":
-            pert = Perturbation(p["kind"], p.get("rate", 0.5))
-    ab = sections.get("ablation", {})
-    try:
-        return ExperimentConfig(
-            dataset=dataset,
-            n_clients=run["n_clients"],
-            partitioner=run.get("partitioner", "louvain"),
-            strategy=Strategy(run.get("strategy", "fedsa_gcl")),
-            k_buffer=run.get("k_buffer"),
-            hyper=hyper,
-            lr=run.get("lr", 0.01),
-            hidden_dim=run.get("hidden_dim", 64),
-            max_trips=run.get("max_trips", 2000),
-            edge_fraction=run.get("edge_fraction", 0.3),
-            lag_range=(run.get("lag_lo", 2), run.get("lag_hi", 5)),
-            mask_ratios=(
-                run.get("mask_train", 0.2),
-                run.get("mask_val", 0.4),
-                run.get("mask_test", 0.4),
-            ),
-            perturbation=pert,
-            disable_staleness=ab.get("disable_staleness", False),
-            disable_clustercast=ab.get("disable_clustercast", False),
-            disable_sfm_clustering=ab.get("disable_sfm_clustering", False),
-            seeds=tuple(run.get("seeds") or (0,)),
-            target_accuracy=run.get("target_accuracy"),
-            output_dir=run.get("output_dir", "runs"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    def value(section, name):
+        v = sections.get(section, {}).get(name)
+        if v is None or (isinstance(v, list) and not v):
+            v = _default(section, name)
+        return None if v is REQUIRED else v
+
+    kind = value("dataset", "kind")
+    sbm = None
+    if kind == "sbm":
+        names = ("blocks", "intra_prob", "inter_prob", "feature_dim", "feature_noise", "seed")
+        sbm = SbmConfig(*(value("dataset", name) for name in names))
+    pert = value("perturbation", "kind")
+    return ExperimentConfig(
+        dataset=DatasetSpec(kind, value("dataset", "path") if kind == "file" else None, sbm),
+        hyper=FglHyper(*(value("hyper", n) for n in ("theta", "lambda", "k_steps", "alpha"))),
+        lag_range=(value("run", "lag_lo"), value("run", "lag_hi")),
+        mask_ratios=tuple(value("run", f"mask_{m}") for m in ("train", "val", "test")),
+        perturbation=None if pert == "none" else Perturbation(pert, value("perturbation", "rate")),
+        # the keys that fill an ExperimentConfig field of their own name
+        **{row.attr: value(row.section, row.name) for row in SCHEMA if "." not in row.attr},
+    )
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -40,22 +40,13 @@ class LscValue:
 @dataclass
 class FglHyper:
     """Protocol hyperparameters: similarity threshold, propagation balance
-    and depth, staleness attenuation."""
+    and depth, staleness attenuation. The allowed ranges are the ``[hyper]``
+    rows of ``config.SCHEMA``."""
 
     theta: float = 0.5
     lam: float = 0.5
     k_steps: int = 2
     alpha: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-        if self.k_steps < 0:
-            raise ValueError("k_steps must be >= 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
 
 
 def compute_sfm(soft: np.ndarray, cd: ClientData) -> np.ndarray:
@@ -120,12 +111,9 @@ def label_propagation(
 
     Each step computes lam * initial + (1 - lam) * sum_j prev_j / sqrt(d_i d_j)
     and renormalizes every row to sum 1 (rows summing to 0 reset to uniform).
-    k_steps=0 returns the input unchanged.
+    k_steps=0 returns the input unchanged. lam and k_steps meet the [hyper]
+    rules of config.SCHEMA.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    if k_steps < 0:
-        raise ValueError("k_steps must be >= 0")
     if k_steps == 0:
         return soft.copy()
     prop = cd.prop_matrix()

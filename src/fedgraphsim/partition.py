@@ -338,8 +338,6 @@ def extract_subgraphs(
 
 def sparsify_labels(cd: ClientData, drop_rate: float, seed: int) -> ClientData:
     """Remove floor(drop_rate * |train|) uniformly chosen train nodes."""
-    if not 0.0 <= drop_rate <= 1.0:
-        raise ValueError("drop_rate must lie in [0, 1]")
     train = cd.masks.train
     n_drop = int(np.floor(drop_rate * train.size))
     if n_drop == 0:
@@ -353,8 +351,6 @@ def sparsify_labels(cd: ClientData, drop_rate: float, seed: int) -> ClientData:
 
 def sparsify_edges(cd: ClientData, drop_rate: float, seed: int) -> ClientData:
     """Remove floor(drop_rate * m) uniformly chosen undirected edges."""
-    if not 0.0 <= drop_rate <= 1.0:
-        raise ValueError("drop_rate must lie in [0, 1]")
     g = cd.graph
     n_drop = int(np.floor(drop_rate * g.edge_count))
     if n_drop == 0:

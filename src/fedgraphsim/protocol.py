@@ -161,8 +161,6 @@ class FedSaGclServer(Server):
         use_broadcast: bool = True,
     ):
         super().__init__()
-        if k < 1:
-            raise ValueError("buffer threshold K must be >= 1")
         self.k, self.hyper = k, hyper
         self.use_clustering, self.use_broadcast = use_clustering, use_broadcast
         self.queue: list[UploadMessage] = []
@@ -260,8 +258,6 @@ class FedBuffServer(Server):
 
     def __init__(self, k: int):
         super().__init__()
-        if k < 1:
-            raise ValueError("buffer threshold K must be >= 1")
         self.k = k
         self.buffer: list[UploadMessage] = []
 

@@ -60,13 +60,10 @@ def assign_latencies(
 
     Edge clients take c * n_clients time units per trip with c drawn
     uniformly from {lo..hi} (one draw per edge client, in ascending client
-    order); normal clients take 1.
+    order); normal clients take 1. edge_fraction and lag_range = (lo, hi)
+    meet the [run] rules of config.SCHEMA.
     """
     lo, hi = int(lag_range[0]), int(lag_range[1])
-    if not 0.0 <= edge_fraction <= 1.0:
-        raise ValueError("edge_fraction must lie in [0, 1]")
-    if not 1 <= lo <= hi:
-        raise ValueError("lag range must satisfy 1 <= lo <= hi")
     rng = np.random.default_rng(seed)
     n_edge = int(np.floor(edge_fraction * n_clients))
     is_edge = np.zeros(n_clients, dtype=bool)
@@ -180,20 +177,11 @@ def prepare_clients(cfg: ExperimentConfig, seed: int):
     else:
         assignment = balanced_partition(graph, cfg.n_clients, sub["partition"])
     clients = extract_subgraphs(graph, assignment, cfg.mask_ratios, sub["masks"])
-    if cfg.perturbation is not None:
-        kind, rate = cfg.perturbation.kind, cfg.perturbation.rate
-        if kind == "label_sparsity":
-            clients = [
-                sparsify_labels(cd, rate, sub["perturb"] + cd.client_id)
-                for cd in clients
-            ]
-        elif kind == "edge_sparsity":
-            clients = [
-                sparsify_edges(cd, rate, sub["perturb"] + cd.client_id)
-                for cd in clients
-            ]
-        else:
-            raise ValueError(f"unknown perturbation {kind!r}")
+    pert = cfg.perturbation
+    sparsify = {"label_sparsity": sparsify_labels, "edge_sparsity": sparsify_edges}
+    if pert is not None and pert.kind in sparsify:
+        perturb = sparsify[pert.kind]
+        clients = [perturb(cd, pert.rate, sub["perturb"] + cd.client_id) for cd in clients]
     latency = assign_latencies(
         cfg.n_clients, cfg.edge_fraction, cfg.lag_range, sub["latency"]
     )

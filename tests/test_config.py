@@ -4,11 +4,18 @@ import pytest
 
 from fedgraphsim.cli import main
 from fedgraphsim.config import (
+    REQUIRED,
+    SCHEMA,
     ConfigError,
+    DatasetSpec,
     ExperimentConfig,
+    Perturbation,
     config_from_sections,
     parse_config,
 )
+from fedgraphsim.graphs import SbmConfig
+from fedgraphsim.kernels import FglHyper
+from test_golden import golden_cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -26,6 +33,138 @@ inter_prob = 0.05
 [run]
 n_clients = 4
 """
+
+
+_MANY_SMALL = {"kind": "sbm", "feature_dim": 16, "feature_noise": 0.5, "seed": 0,
+               "blocks": [500] * 10, "intra_prob": 0.03, "inter_prob": 0.001}
+_FEW_LARGE = {**_MANY_SMALL, "blocks": [1500] * 4, "intra_prob": 0.02}
+
+
+class TestConfigHash:
+    """config_hash values pinned before the schema moved into one table."""
+
+    @pytest.mark.parametrize(
+        "sections, pinned",
+        [
+            (
+                {"dataset": _MANY_SMALL,
+                 "run": {"n_clients": 200, "k_buffer": 100, "strategy": "fedsa_gcl",
+                         "lr": 0.3, "max_trips": 1500}},
+                "5786aaa2083deeec",
+            ),
+            (
+                {"dataset": _FEW_LARGE,
+                 "run": {"n_clients": 8, "k_buffer": 4, "strategy": "fedsa_gcl",
+                         "lr": 0.3, "max_trips": 600}},
+                "3c2c1aea8ec32f8f",
+            ),
+            (
+                {"dataset": _MANY_SMALL,
+                 "run": {"n_clients": 200, "strategy": "fedasync",
+                         "lr": 0.3, "max_trips": 6000}},
+                "edb52de564637eb1",
+            ),
+        ],
+        ids=["server_bound", "client_bound", "async_mix"],
+    )
+    def test_benchmark_workloads(self, sections, pinned):
+        assert config_from_sections(sections).config_hash() == pinned
+
+    def test_golden_config(self):
+        assert golden_cfg("fedsa_gcl", "louvain").config_hash() == "3d51a7966ffb6041"
+
+    def test_integer_valued_floats_are_not_coerced(self):
+        sbm = SbmConfig((4, 4), 1, 0, 2, 0, 3)
+        assert ExperimentConfig(DatasetSpec("sbm", sbm=sbm), 2).config_hash() == "6fd9e3f24b6308dd"
+
+    def test_file_dataset_with_perturbation_and_ablation(self):
+        cfg = ExperimentConfig(
+            DatasetSpec("file", path="x.graph"),
+            3,
+            seeds=(1, 2),
+            target_accuracy=0.7,
+            perturbation=Perturbation("edge_sparsity", 0.25),
+            disable_staleness=True,
+        )
+        assert cfg.config_hash() == "6d42f2ce6096ac75"
+
+
+def small_cfg(**kw):
+    sbm = kw.pop("sbm", SbmConfig((10, 10), 0.5, 0.05, 4, 0.3, 5))
+    return ExperimentConfig(DatasetSpec("sbm", sbm=sbm), kw.pop("n_clients", 2), **kw)
+
+
+class TestSchema:
+    """Configs built in Python meet the rules of the SCHEMA table."""
+
+    @pytest.mark.parametrize(
+        "kw, key",
+        [
+            ({"hyper": FglHyper(theta=1.5)}, "theta"),
+            ({"hyper": FglHyper(lam=-0.1)}, "lambda"),
+            ({"hyper": FglHyper(k_steps=-1)}, "k_steps"),
+            ({"hyper": FglHyper(alpha=-2.0)}, "alpha"),
+            ({"hyper": FglHyper(alpha=float("nan"))}, "alpha"),
+            ({"sbm": SbmConfig((4,), 0.5, 0.5, 0, 0.1, 1)}, "feature_dim"),
+            ({"sbm": SbmConfig((4, 0), 0.5, 0.5, 2, 0.1, 1)}, "blocks"),
+            ({"sbm": SbmConfig((4,), 0.5, 1.5, 2, 0.1, 1)}, "inter_prob"),
+            ({"sbm": SbmConfig((4,), 0.5, 0.5, 2, -0.1, 1)}, "feature_noise"),
+            ({"sbm": SbmConfig((4,), 0.5, 0.5, 2, 0.1, -1)}, "seed"),
+            ({"n_clients": 0}, "n_clients"),
+            ({"lr": float("inf")}, "lr"),
+            ({"edge_fraction": 1.5}, "edge_fraction"),
+            ({"lr": None}, "lr"),
+            ({"strategy": "fedprox"}, "strategy"),
+            ({"seeds": ()}, "seeds"),
+            ({"seeds": (0, -3)}, "seeds"),
+            ({"lag_range": (0, 3)}, "lag_lo"),
+            ({"lag_range": (4, 3)}, "lag_lo"),
+            ({"mask_ratios": (0.5, 0.5, 0.5)}, "mask_test"),
+            ({"target_accuracy": 0.0}, "target_accuracy"),
+            ({"perturbation": Perturbation("dropout")}, "kind"),
+            ({"perturbation": Perturbation("edge_sparsity", 1.5)}, "rate"),
+            ({"disable_staleness": "yes"}, "disable_staleness"),
+        ],
+        ids=[
+            "hyper-theta", "hyper-lambda", "hyper-k_steps", "hyper-alpha", "hyper-alpha-nan",
+            "dataset-feature_dim", "dataset-blocks", "dataset-inter_prob",
+            "dataset-feature_noise", "dataset-seed", "run-n_clients", "run-lr-inf", "run-edge_fraction",
+            "run-lr-None", "run-strategy", "run-seeds-empty", "run-seeds-negative",
+            "run-lag_lo", "run-lag_lo-above-lag_hi", "run-mask-sum", "run-target_accuracy",
+            "perturbation-kind", "perturbation-rate", "ablation-disable_staleness",
+        ],
+    )
+    def test_built_config_refused(self, kw, key):
+        with pytest.raises(ConfigError, match=key):
+            small_cfg(**kw)
+
+    @pytest.mark.parametrize(
+        "dataset, key",
+        [
+            (DatasetSpec("file"), "must set 'path'"),
+            (DatasetSpec("file", path=""), "path"),
+            (DatasetSpec("sbm"), "must set 'blocks'"),
+            (DatasetSpec("cora"), "kind"),
+        ],
+        ids=["file-without-path", "file-empty-path", "sbm-without-blocks", "unknown-kind"],
+    )
+    def test_dataset_needs_the_keys_of_its_kind(self, dataset, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(dataset, 2)
+
+    def test_every_row_has_a_consistent_default(self):
+        for row in SCHEMA:
+            default = list(row.default) if isinstance(row.default, tuple) else row.default
+            if default is not None and row.default is not REQUIRED:
+                assert row.ok(default), (row.section, row.name)
+
+    def test_run_help_lists_every_row(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = capsys.readouterr().out
+        for row in SCHEMA:
+            assert f"[{row.section}] {row.name} = " in out
+            assert row.rule in out
 
 
 class TestParse:
@@ -208,6 +347,70 @@ class TestCli:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("dataset", "seed", "-1"),
+            ("run", "seeds", "-1"),
+            ("dataset", "feature_noise", "inf"),
+            ("dataset", "feature_noise", "nan"),
+            ("run", "mask_train", "nan"),
+            ("run", "lr", "nan"),
+            ("run", "lr", "inf"),
+            ("hyper", "alpha", "nan"),
+            ("hyper", "alpha", "inf"),
+        ],
+    )
+    def test_out_of_rule_value_exit_code(self, tmp_path, capsys, section, key, value):
+        sections = {
+            "dataset": {"kind": "sbm", "blocks": "20, 20", "intra_prob": 0.4, "inter_prob": 0.05},
+            "run": {"n_clients": 4, "max_trips": 5, "output_dir": tmp_path / "out"},
+        }
+        sections.setdefault(section, {})[key] = value
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items())
+            for name, pairs in sections.items()
+        ))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} = " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    JSON_DOC = {
+        "dataset": {"kind": "sbm", "blocks": [20, 20], "intra_prob": 0.4, "inter_prob": 0.05},
+        "run": {"n_clients": 4, "max_trips": 5},
+    }
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("run", "n_clients"), ("dataset", "blocks"), ("dataset", "intra_prob"),
+         ("dataset", "kind")],
+    )
+    def test_null_for_a_required_key_exit_code(self, tmp_path, capsys, section, key):
+        doc = json.loads(json.dumps(self.JSON_DOC))
+        doc[section][key] = None
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"section {section!r} must set {key!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("run", "lr"), ("run", "max_trips"), ("run", "lag_lo"), ("run", "output_dir"),
+         ("run", "seeds"), ("run", "k_buffer"), ("dataset", "feature_dim"),
+         ("hyper", "theta"), ("perturbation", "kind")],
+    )
+    def test_null_for_a_defaulted_key_means_absent(self, tmp_path, section, key):
+        doc = json.loads(json.dumps(self.JSON_DOC))
+        doc.setdefault(section, {})[key] = None
+        (tmp_path / "null.json").write_text(json.dumps(doc))
+        del doc[section][key]
+        (tmp_path / "absent.json").write_text(json.dumps(doc))
+        absent = parse_config(tmp_path / "absent.json")
+        assert parse_config(tmp_path / "null.json").config_hash() == absent.config_hash()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -1,12 +1,17 @@
-"""Property test: every small schema-valid config either runs to its trip
-budget or is refused with ConfigError (exit code 2 at the command line)."""
+"""Property tests: every small schema-valid config either runs to its trip
+budget or is refused with ConfigError (exit code 2 at the command line), and
+a valid config with one key set outside its SCHEMA rule is refused, naming
+that key."""
 
+import json
+import math
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgraphsim.config import ConfigError, config_from_sections
+from fedgraphsim.config import SCHEMA, ConfigError, config_from_sections, parse_config
 from fedgraphsim.sim import run_simulation
 
 unit = st.floats(0.0, 1.0)
@@ -83,3 +88,51 @@ def test_valid_config_runs_or_raises_config_error(drawn):
     except ConfigError:
         return
     assert len(log.records) == cfg.max_trips
+
+
+def bad_values(row) -> list:
+    """Values outside a SCHEMA row's rule, as a JSON config file holds them:
+    an unparsable string, non-finite floats, a name not among the choices,
+    and numbers (or a string length) just past the bounds."""
+    out = []
+    if row.type is not str:
+        out.append("x1")
+    if row.type is float:
+        out += [math.nan, math.inf, -math.inf]
+    if row.choices:
+        out.append("bogus")
+    if row.lo is not None:
+        below = row.lo if row.above else row.lo - 1
+        out.append([below] if row.type is list else "x" * below if row.type is str else below)
+    if row.hi is not None:
+        out.append(row.hi + 1)
+    return out
+
+
+BREAKABLE = [row for row in SCHEMA if bad_values(row)]
+
+
+def test_every_schema_row_can_be_broken():
+    # the rows left out hold any string, so no value breaks them
+    assert [r.name for r in SCHEMA if r not in BREAKABLE] == ["output_dir"]
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("broken") / "exp.json"
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(sections())
+def test_value_outside_its_rule_raises_config_error(config_path, drawn):
+    for row in BREAKABLE:
+        for value in bad_values(row):
+            broken = json.loads(json.dumps(drawn))
+            if row.only == "file":
+                broken["dataset"] = {"kind": "file"}
+            if row.section == "perturbation":
+                broken["perturbation"]["kind"] = "edge_sparsity"
+            broken[row.section][row.name] = value
+            config_path.write_text(json.dumps(broken))
+            with pytest.raises(ConfigError, match=row.name):
+                parse_config(config_path)

@@ -149,10 +149,6 @@ class TestSbm:
         npt.assert_array_equal(g1.features, g2.features)
         npt.assert_array_equal(g1.labels, g2.labels)
 
-    def test_feature_dim_validation(self):
-        with pytest.raises(ValueError):
-            SbmConfig((4,), 0.5, 0.5, 0, 0.1, 1)
-
 
 class TestSplitMasks:
     def test_all_train(self):

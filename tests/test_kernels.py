@@ -316,16 +316,6 @@ class TestHyper:
         h = FglHyper()
         assert (h.theta, h.lam, h.k_steps, h.alpha) == (0.5, 0.5, 2, 0.5)
 
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            FglHyper(theta=1.5)
-        with pytest.raises(ValueError):
-            FglHyper(lam=-0.1)
-        with pytest.raises(ValueError):
-            FglHyper(k_steps=-1)
-        with pytest.raises(ValueError):
-            FglHyper(alpha=-2.0)
-
 
 def test_lsc_clamp_rules():
     assert LscValue.from_raw(5.0) == LscValue(5.0, 5.0)
