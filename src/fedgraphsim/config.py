@@ -46,6 +46,13 @@ _TYPES = {  # the Python values each key type holds, and how rules name it
 }
 
 
+def _whole(value) -> int:
+    """int(value), refusing a bool or a fractional float (4.0 reads as 4)."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Key:
     """One config key: its type (int, float, bool, str, or list of ints),
@@ -95,8 +102,8 @@ class Key:
                 return _BOOL_TEXT[str(value).strip().lower()]
             if self.type is list:
                 items = value.replace(",", " ").split() if isinstance(value, str) else value
-                return [int(item) for item in items]
-            return self.type(value)
+                return [_whole(item) for item in items]
+            return _whole(value) if self.type is int else self.type(value)
         except (TypeError, ValueError, OverflowError, KeyError):
             raise self.refuse(value) from None
 
@@ -304,13 +311,15 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     if kind == "sbm":
         names = ("blocks", "intra_prob", "inter_prob", "feature_dim", "feature_noise", "seed")
         sbm = SbmConfig(*(value("dataset", name) for name in names))
-    pert = value("perturbation", "kind")
+    pert, rate = value("perturbation", "kind"), value("perturbation", "rate")
+    if not lookup("perturbation", "rate").ok(rate):  # checked whatever the kind
+        raise lookup("perturbation", "rate").refuse(rate)
     return ExperimentConfig(
         dataset=DatasetSpec(kind, value("dataset", "path") if kind == "file" else None, sbm),
         hyper=FglHyper(*(value("hyper", n) for n in ("theta", "lambda", "k_steps", "alpha"))),
         lag_range=(value("run", "lag_lo"), value("run", "lag_hi")),
         mask_ratios=tuple(value("run", f"mask_{m}") for m in ("train", "val", "test")),
-        perturbation=None if pert == "none" else Perturbation(pert, value("perturbation", "rate")),
+        perturbation=None if pert == "none" else Perturbation(pert, rate),
         # the keys that fill an ExperimentConfig field of their own name
         **{row.attr: value(row.section, row.name) for row in SCHEMA if "." not in row.attr},
     )

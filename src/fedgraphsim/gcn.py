@@ -4,6 +4,13 @@ The local learner: soft labels come from
 softmax_rows(A_hat @ relu(A_hat @ X @ W0 + b0) @ W1 + b1) with A_hat the
 GCN-normalized adjacency of the client subgraph. One training epoch is one
 full-batch gradient step on the mean cross-entropy over the train mask.
+
+Every sparse product acts on ``classes`` columns. Forward:
+z0 = (A_hat X) W0 + b0, h = relu(z0), z1 = A_hat (h W1) + b1. Backward:
+g = A_hat dZ1, dW1 = h^T g, dZ0 = (g W1^T) * [z0 > 0], dW0 = (A_hat X)^T dZ0.
+This holds because A_hat and X are fixed per client, so A_hat X is computed
+once (in the client's ``TripPlan``), and A_hat is symmetric:
+(A_hat h)^T dZ1 = h^T g and X^T (A_hat dZ0) = (A_hat X)^T dZ0.
 """
 
 from __future__ import annotations
@@ -93,12 +100,10 @@ def _check_shapes(p: ModelParams, cd: ClientData):
 
 def _forward_cached(p: ModelParams, cd: ClientData):
     """Forward pass keeping the intermediates needed by backprop."""
-    adj = cd.adjacency()
-    z0 = adj.dot(cd.graph.features @ p.w0) + p.b0
+    z0 = cd.plan.ax @ p.w0 + p.b0
     h = np.maximum(z0, 0.0)
-    ah = adj.dot(h)
-    z1 = ah @ p.w1 + p.b1
-    return z0, ah, softmax_rows(z1)
+    z1 = cd.plan.adj.dot(h @ p.w1) + p.b1
+    return z0, h, softmax_rows(z1)
 
 
 def forward(p: ModelParams, cd: ClientData) -> np.ndarray:
@@ -113,9 +118,7 @@ def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
     train = cd.masks.train
     if train.size == 0:
         raise ValueError("cannot train with an empty train mask")
-    adj = cd.adjacency()
-    x = cd.graph.features
-    z0, ah, probs = _forward_cached(p, cd)
+    z0, h, probs = _forward_cached(p, cd)
     y = cd.graph.labels
     picked = np.clip(probs[train, y[train]], LOG_CLAMP, None)
     loss = float(-np.mean(np.log(picked)))
@@ -124,11 +127,11 @@ def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
     d_z1[train] = probs[train]
     d_z1[train, y[train]] -= 1.0
     d_z1 /= train.size
-    d_w1 = ah.T @ d_z1
+    g = cd.plan.adj.dot(d_z1)
+    d_w1 = h.T @ g
     d_b1 = d_z1.sum(axis=0)
-    d_h = adj.dot(d_z1 @ p.w1.T)
-    d_z0 = d_h * (z0 > 0.0)
-    d_w0 = x.T @ adj.dot(d_z0)
+    d_z0 = (g @ p.w1.T) * (z0 > 0.0)
+    d_w0 = cd.plan.ax.T @ d_z0
     d_b0 = d_z0.sum(axis=0)
     return loss, Gradients(d_w0, d_b0, d_w1, d_b1)
 

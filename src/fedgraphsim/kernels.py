@@ -52,19 +52,14 @@ class FglHyper:
 def compute_sfm(soft: np.ndarray, cd: ClientData) -> np.ndarray:
     """Degree-weighted sum of soft-label outer products over adjacent pairs.
 
-    Both orientations of every undirected edge contribute, so the result is
-    symmetric. An edgeless graph gives the zero matrix.
+    Computed as one_way = S^T (W S), with W the trip plan's upper-triangle
+    matrix holding d_u * d_v at each edge (u, v), then one_way + one_way^T:
+    both orientations of every undirected edge contribute, and the result is
+    exactly symmetric. An edgeless graph gives the zero matrix.
     """
-    n, c = soft.shape
-    if n != cd.graph.node_count:
+    if soft.shape[0] != cd.graph.node_count:
         raise ValueError("soft labels must have one row per local node")
-    edges = cd.graph.edges
-    if edges.shape[0] == 0:
-        return np.zeros((c, c))
-    d = cd.degrees().astype(np.float64)
-    u, v = edges[:, 0], edges[:, 1]
-    w = d[u] * d[v]
-    one_way = (soft[u] * w[:, None]).T @ soft[v]
+    one_way = soft.T @ cd.plan.edge_w.dot(soft)
     return one_way + one_way.T
 
 
@@ -116,7 +111,7 @@ def label_propagation(
     """
     if k_steps == 0:
         return soft.copy()
-    prop = cd.prop_matrix()
+    prop = cd.plan.prop
     c = soft.shape[1]
     current = soft
     for _ in range(k_steps):
@@ -136,7 +131,7 @@ def compute_lsc(propagated: np.ndarray, cd: ClientData) -> LscValue:
     Uses the convention 0 * ln 0 = 0; the raw value is clamped from below
     at LSC_EPSILON.
     """
-    d = cd.degrees().astype(np.float64)
+    d = cd.plan.deg
     p = propagated
     plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     raw = float(np.sum(d * (ENTROPY_OFFSET + plogp.sum(axis=1))))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,32 +34,39 @@ class CommunityAssignment:
             raise ValueError("every client must own at least one node")
 
 
+@dataclass(frozen=True)
+class TripPlan:
+    """The operators every trip of one client reuses: ``adj`` (A_hat, the
+    GCN-normalized adjacency), ``ax`` (A_hat @ X), ``prop`` (label
+    propagation's P), ``deg`` (float raw degrees) and ``edge_w`` (upper
+    triangle, d_u * d_v at each edge (u, v))."""
+
+    adj: sp.csr_matrix
+    ax: np.ndarray
+    prop: sp.csr_matrix
+    deg: np.ndarray
+    edge_w: sp.csr_matrix
+
+    @classmethod
+    def build(cls, g: Graph) -> "TripPlan":
+        adj, deg, (u, v) = normalized_adjacency(g), degrees(g).astype(np.float64), g.edges.T
+        w = sp.csr_matrix((deg[u] * deg[v], (u, v)), shape=(g.node_count,) * 2)
+        return cls(adj, adj.dot(g.features), propagation_matrix(g), deg, w)
+
+
 @dataclass(eq=False)
 class ClientData:
-    """One client's induced subgraph with masks and the local -> global id map."""
+    """One client's induced subgraph with masks, the local -> global id map
+    and its trip plan, built on first use (a perturbation makes a new one)."""
 
     graph: Graph
     global_ids: np.ndarray
     masks: NodeMasks
     client_id: int
-    _adj: sp.csr_matrix | None = field(default=None, repr=False)
-    _prop: sp.csr_matrix | None = field(default=None, repr=False)
-    _deg: np.ndarray | None = field(default=None, repr=False)
 
-    def adjacency(self) -> sp.csr_matrix:
-        if self._adj is None:
-            self._adj = normalized_adjacency(self.graph)
-        return self._adj
-
-    def prop_matrix(self) -> sp.csr_matrix:
-        if self._prop is None:
-            self._prop = propagation_matrix(self.graph)
-        return self._prop
-
-    def degrees(self) -> np.ndarray:
-        if self._deg is None:
-            self._deg = degrees(self.graph)
-        return self._deg
+    @cached_property
+    def plan(self) -> TripPlan:
+        return TripPlan.build(self.graph)
 
 
 def modularity(g: Graph, comm_of: np.ndarray) -> float:

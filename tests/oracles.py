@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from fedgraphsim.gcn import PARAM_FIELDS, ModelParams
+from fedgraphsim.gcn import LOG_CLAMP, PARAM_FIELDS, ModelParams, softmax_rows
 from fedgraphsim.graphs import Graph, NodeMasks
 from fedgraphsim.partition import ClientData, modularity
 
@@ -53,6 +53,43 @@ def sfm_ref(soft, edges, degs) -> np.ndarray:
                 out[a, b] += w * soft[u, a] * soft[v, b]
                 out[a, b] += w * soft[v, a] * soft[u, b]
     return out
+
+
+def gcn_adjacency_ref(node_count, edges) -> np.ndarray:
+    """Dense GCN-normalized adjacency with self-loops, entry by entry."""
+    degs = degrees_ref(node_count, edges)
+    adj = np.zeros((node_count, node_count))
+    for i in range(node_count):
+        adj[i, i] = 1.0 / (degs[i] + 1)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1.0 / math.sqrt((degs[u] + 1) * (degs[v] + 1))
+    return adj
+
+
+def gcn_forward_ref(p: ModelParams, cd: ClientData):
+    """The GCN forward pass associated hidden-wide, A_hat (X W0) and
+    (A_hat h) W1, without the symmetry of A_hat: z0, A_hat h, soft labels."""
+    adj = gcn_adjacency_ref(cd.graph.node_count, cd.graph.edges.tolist())
+    z0 = adj @ (cd.graph.features @ p.w0) + p.b0
+    ah = adj @ np.maximum(z0, 0.0)
+    return z0, ah, softmax_rows(ah @ p.w1 + p.b1)
+
+
+def gcn_loss_and_grads_ref(p: ModelParams, cd: ClientData):
+    """Mean train-mask cross-entropy and its gradients by the chain rule in
+    the hidden-wide order: dW1 = (A_hat h)^T dZ1, dH = A_hat (dZ1 W1^T),
+    dW0 = X^T (A_hat dZ0)."""
+    adj = gcn_adjacency_ref(cd.graph.node_count, cd.graph.edges.tolist())
+    train, y = cd.masks.train, cd.graph.labels
+    z0, ah, probs = gcn_forward_ref(p, cd)
+    loss = float(-np.mean(np.log(np.clip(probs[train, y[train]], LOG_CLAMP, None))))
+    d_z1 = np.zeros_like(probs)
+    d_z1[train] = probs[train]
+    d_z1[train, y[train]] -= 1.0
+    d_z1 /= train.size
+    d_z0 = adj @ (d_z1 @ p.w1.T) * (z0 > 0.0)
+    d_w0 = cd.graph.features.T @ (adj @ d_z0)
+    return loss, ModelParams(d_w0, d_z0.sum(axis=0), ah.T @ d_z1, d_z1.sum(axis=0))
 
 
 def cosine_ref(a, b) -> float:

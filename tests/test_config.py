@@ -360,6 +360,8 @@ class TestCli:
             ("run", "lr", "inf"),
             ("hyper", "alpha", "nan"),
             ("hyper", "alpha", "inf"),
+            ("perturbation", "rate", "nan"),  # kind absent: none
+            ("perturbation", "rate", "7"),
         ],
     )
     def test_out_of_rule_value_exit_code(self, tmp_path, capsys, section, key, value):
@@ -382,6 +384,41 @@ class TestCli:
         "dataset": {"kind": "sbm", "blocks": [20, 20], "intra_prob": 0.4, "inter_prob": 0.05},
         "run": {"n_clients": 4, "max_trips": 5},
     }
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("run", "n_clients", 4.7), ("run", "max_trips", True), ("run", "k_buffer", True),
+         ("dataset", "seed", 1.5), ("run", "seeds", [1, 2.5]), ("dataset", "blocks", [20, True]),
+         ("hyper", "k_steps", -0.5), ("perturbation", "rate", 7)],
+    )
+    def test_json_value_refused_not_truncated(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(json.dumps(self.JSON_DOC))
+        doc.setdefault(section, {})[key] = value
+        doc["run"]["output_dir"] = str(tmp_path / "out")
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} = " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_json_floats_read_as_integers(self, tmp_path):
+        doc = json.loads(json.dumps(self.JSON_DOC))
+        (tmp_path / "int.json").write_text(json.dumps(doc))
+        doc["run"].update(n_clients=4.0, max_trips=5.0, seeds=[0.0])
+        doc["dataset"]["blocks"] = [20.0, 20.0]
+        (tmp_path / "float.json").write_text(json.dumps(doc))
+        as_float = parse_config(tmp_path / "float.json")
+        assert as_float.config_hash() == parse_config(tmp_path / "int.json").config_hash()
+        assert as_float.n_clients == 4 and type(as_float.n_clients) is int
+
+    def test_perturbation_kind_none_keeps_config_hash(self, tmp_path):
+        doc = json.loads(json.dumps(self.JSON_DOC))
+        (tmp_path / "absent.json").write_text(json.dumps(doc))
+        doc["perturbation"] = {"kind": "none", "rate": 0.25}
+        (tmp_path / "none.json").write_text(json.dumps(doc))
+        absent = parse_config(tmp_path / "absent.json")
+        assert parse_config(tmp_path / "none.json").config_hash() == absent.config_hash()
 
     @pytest.mark.parametrize(
         "section, key",

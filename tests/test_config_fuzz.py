@@ -92,13 +92,18 @@ def test_valid_config_runs_or_raises_config_error(drawn):
 
 def bad_values(row) -> list:
     """Values outside a SCHEMA row's rule, as a JSON config file holds them:
-    an unparsable string, non-finite floats, a name not among the choices,
-    and numbers (or a string length) just past the bounds."""
+    an unparsable string, non-finite floats, a fraction or a bool for an
+    integer, a name not among the choices, and numbers (or a string length)
+    just past the bounds."""
     out = []
     if row.type is not str:
         out.append("x1")
     if row.type is float:
         out += [math.nan, math.inf, -math.inf]
+    if row.type is int:
+        out += [2.5, True]
+    if row.type is list:
+        out += [[2.5], [True]]
     if row.choices:
         out.append("bogus")
     if row.lo is not None:
@@ -130,8 +135,6 @@ def test_value_outside_its_rule_raises_config_error(config_path, drawn):
             broken = json.loads(json.dumps(drawn))
             if row.only == "file":
                 broken["dataset"] = {"kind": "file"}
-            if row.section == "perturbation":
-                broken["perturbation"]["kind"] = "edge_sparsity"
             broken[row.section][row.name] = value
             config_path.write_text(json.dumps(broken))
             with pytest.raises(ConfigError, match=row.name):

@@ -15,7 +15,13 @@ from fedgraphsim.gcn import (
 )
 from fedgraphsim.graphs import Graph, NodeMasks
 from fedgraphsim.partition import ClientData
-from oracles import make_client_data, random_graph_edges
+from oracles import (
+    gcn_forward_ref,
+    gcn_loss_and_grads_ref,
+    make_client_data,
+    random_graph_edges,
+    random_params,
+)
 
 
 def loss_only(p, cd):
@@ -53,6 +59,35 @@ def max_rel_error(analytic, numeric):
         denom = np.maximum(np.abs(a) + np.abs(n), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    """max |got - ref| <= rtol * max |ref|, over the whole array."""
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+# (node count, edge probability): random graphs, some with isolated nodes,
+# an edgeless graph and a single node
+ORACLE_GRAPHS = [(n, q) for n in (3, 5, 9, 16, 30) for q in (0.1, 0.3, 0.7)]
+ORACLE_GRAPHS += [(12, 0.0), (1, 0.0)]
+
+
+@pytest.mark.parametrize("n, q", ORACLE_GRAPHS)
+def test_class_width_algebra_matches_hidden_wide_oracle(n, q):
+    rng = np.random.default_rng(1000 * n + int(100 * q))
+    c = int(rng.integers(2, 5))
+    cd = make_client_data(
+        n, random_graph_edges(rng, n, q), num_classes=c, rng=rng, feature_dim=6,
+        train=np.sort(rng.choice(n, size=max(1, n // 2), replace=False)),
+    )
+    p = random_params(rng, 6, 7, c)
+    ref_loss, ref_grads = gcn_loss_and_grads_ref(p, cd)
+    loss, grads = loss_and_grads(p, cd)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert_rel_close(forward(p, cd), gcn_forward_ref(p, cd)[2])
+    for name in PARAM_FIELDS:
+        assert_rel_close(getattr(grads, name), getattr(ref_grads, name))
 
 
 class TestInit:

@@ -47,7 +47,7 @@ def digests(strategy, partitioner, ablation=None):
 GOLDEN = {
     ("fedsa_gcl", "louvain", None): (
         "9ae97e468aeb57c6e7727ab42697c61f1e9fd484a347e0ecff5dd0a17caa48ec",
-        "c15ea44da0a519565c08f58b089c36ce755f40169d4255319c086251ca728e75",
+        "64c240b1e608325bb725b9d9d184e23cca5f27b70aa91fadb78ecd81109a6777",
     ),
     ("fedsa_gcl", "balanced", None): (
         "84c8f43ef5d7a9a95326112ca15a74db8ba3547adb82ca3db958b72abf414ab7",
@@ -83,11 +83,11 @@ GOLDEN = {
     ),
     ("fedsa_gcl", "louvain", "disable_clustercast"): (
         "bd838864f8ab8aedecb255f4dd0bda004473ac18e9fc801a2825333ef5b1d9b6",
-        "c408ac27845ca50b6bb8bb5a49f8d947a8a18ba27c15f499c1d69c7c8e912e44",
+        "a001095ff7cfa4c8c5339c3914f01f28d8a29ce0eaf4ecc61663de3c8c95413c",
     ),
     ("fedsa_gcl", "louvain", "disable_staleness"): (
         "32b2c842eb8ec33ec268b7d3dae1636eb3b3418c860cc20e0ab17e4db3783bfc",
-        "3294ab9db97b01f571506fffc3d0b983932049d2dc4a05c96d8f000f48708079",
+        "b519aa6006fd2e8343d1808ce458f7408d3079cced58ef09cf50c64475054c7a",
     ),
 }
 

@@ -17,7 +17,15 @@ from fedgraphsim.kernels import (
     label_propagation,
     staleness_weights,
 )
-from oracles import cosine_ref, make_client_data, random_params, random_soft
+from oracles import (
+    cosine_ref,
+    degrees_ref,
+    make_client_data,
+    random_graph_edges,
+    random_params,
+    random_soft,
+    sfm_ref,
+)
 
 
 class TestSfm:
@@ -44,6 +52,18 @@ class TestSfm:
         npt.assert_allclose(s1, s1.T, rtol=1e-12)
         s2 = compute_sfm(2.5 * soft, cd)
         npt.assert_allclose(s2, 2.5**2 * s1, rtol=1e-12)
+
+    @pytest.mark.parametrize("n, q", [(1, 0.0), (6, 0.0), (7, 0.2), (12, 0.4), (20, 0.8)])
+    def test_matches_oracle_and_exactly_symmetric(self, n, q):
+        rng = np.random.default_rng(n + int(10 * q))
+        edges = random_graph_edges(rng, n, q)
+        cd = make_client_data(n, edges, num_classes=4, rng=rng)
+        soft = random_soft(rng, n, 4)
+        m = compute_sfm(soft, cd)
+        npt.assert_allclose(m, sfm_ref(soft, edges, degrees_ref(n, edges)), rtol=1e-12)
+        assert np.array_equal(m, m.T)
+        if not edges:
+            npt.assert_array_equal(m, np.zeros((4, 4)))
 
     def test_row_count_checked(self):
         cd = make_client_data(3, [(0, 1)], num_classes=2)
