@@ -116,6 +116,8 @@ class Key:
     def _ok_one(self, v) -> bool:
         if not isinstance(v, _TYPES[self.type][0]) or self.choices and v not in self.choices:
             return False
+        if isinstance(v, bool) and self.type is not bool:  # a bool is not a number
+            return False
         if self.type is float and not math.isfinite(v):
             return False
         size = len(v) if self.type is str else v

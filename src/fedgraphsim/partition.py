@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 from .graphs import (
     Graph,
@@ -208,77 +208,52 @@ def louvain_partition(
     return _groups_to_assignment(_coalesce(groups, n_clients), g.node_count, n_clients)
 
 
-def _bfs_distances(adj_sorted, start, n) -> np.ndarray:
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[start] = 0
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        for u in adj_sorted[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                q.append(u)
-    return dist
-
-
-def _spread_seeds(adj_sorted, n, n_clients, rng) -> list[int]:
+def _spread_seeds(a: sp.csr_matrix, n_clients: int, rng) -> list[int]:
     """Farthest-point seed selection, robust to the random starting node.
 
-    A BFS from a random start picks the farthest node (unreachable nodes
-    count as infinitely far, ties to the lowest id) as the first seed; each
-    further seed maximizes the minimum BFS distance to the seeds so far.
+    The node farthest in hops from a random start is the first seed; each
+    further seed maximizes the running minimum hop distance to the seeds so
+    far (chosen seeds held at -1). An unreached node is at distance inf, and
+    np.argmax takes the first maximum: unreached nodes win, ties go to the
+    lowest id.
     """
-
-    def farthest(dist_arrays):
-        mindist = np.min(np.stack(dist_arrays), axis=0)
-        unreached = np.flatnonzero(mindist < 0)
-        if unreached.size:
-            return int(unreached[0])
-        return int(np.argmax(mindist))
-
-    start = int(rng.integers(n))
-    seeds = [farthest([_bfs_distances(adj_sorted, start, n)])]
-    dists = [_bfs_distances(adj_sorted, seeds[0], n)]
+    n = a.shape[0]
+    start = rng.integers(n)
+    seeds = [int(np.argmax(shortest_path(a, unweighted=True, indices=start)))]
+    mindist = np.full(n, np.inf)
     while len(seeds) < n_clients:
-        masked = [np.where(d < 0, np.iinfo(np.int64).max, d) for d in dists]
-        mindist = np.min(np.stack(masked), axis=0)
-        mindist[seeds] = -1
-        nxt = int(np.argmax(mindist))
-        seeds.append(nxt)
-        dists.append(_bfs_distances(adj_sorted, nxt, n))
+        mindist = np.minimum(mindist, shortest_path(a, unweighted=True, indices=seeds[-1]))
+        mindist[seeds[-1]] = -1
+        seeds.append(int(np.argmax(mindist)))
     return seeds
 
 
 def balanced_partition(g: Graph, n_clients: int, seed: int) -> CommunityAssignment:
     """Size-balanced locality partition (Metis stand-in).
 
-    Multi-source growth from spread seeds: at every step the client with the
-    fewest nodes (ties to the lower client id) claims the unclaimed frontier
-    node most strongly attached to it (most neighbors already inside, ties
-    to the lowest node id), or the lowest-id unclaimed node when its
-    frontier is empty. Growing the minimum-size client keeps all client
-    sizes within 1 of each other; attachment-priority claiming keeps clients
-    inside dense regions.
+    Multi-source growth from spread seeds. Once every client holds its seed,
+    claim step i goes to client i % n_clients: round robin is exactly the
+    rule "grow the client with the fewest nodes, ties to the lower client
+    id", and it keeps all client sizes within 1 of each other. A client
+    claims the unclaimed frontier node most strongly attached to it (most
+    neighbors already inside, ties to the lowest node id), or the lowest-id
+    unclaimed node when its frontier is empty; attachment-priority claiming
+    keeps clients inside dense regions.
     """
     if not 1 <= n_clients <= g.node_count:
         raise ValueError("n_clients must be in [1, node_count]")
     n = g.node_count
-    adj_sorted = _neighbour_lists(_adjacency(g))[0]
-    rng = np.random.default_rng(seed)
-    seeds = _spread_seeds(adj_sorted, n, n_clients, rng)
+    a = _adjacency(g)
+    adj_sorted = _neighbour_lists(a)[0]
+    seeds = _spread_seeds(a, n_clients, np.random.default_rng(seed))
     client_of = np.full(n, -1, dtype=np.int64)
     # per client: lazy max-heap of (-attachment, node) plus current counts
     heaps: list[list[tuple[int, int]]] = [[] for _ in range(n_clients)]
     attach: list[dict[int, int]] = [dict() for _ in range(n_clients)]
-    sizes = [0] * n_clients
     lowest_unclaimed = 0
-    claimed = 0
 
     def claim(cid: int, node: int):
-        nonlocal claimed
         client_of[node] = cid
-        sizes[cid] += 1
-        claimed += 1
         attach[cid].pop(node, None)
         for u in adj_sorted[node]:
             if client_of[u] < 0:
@@ -288,8 +263,8 @@ def balanced_partition(g: Graph, n_clients: int, seed: int) -> CommunityAssignme
 
     for cid, s in enumerate(seeds):
         claim(cid, s)
-    while claimed < n:
-        cid = min(range(n_clients), key=lambda c: (sizes[c], c))
+    for step in range(n - n_clients):
+        cid = step % n_clients
         node = -1
         heap = heaps[cid]
         while heap:

@@ -122,7 +122,6 @@ class ClientState:
     params: ModelParams
     mailbox: DownloadMessage | None = None
     tau: int = 0
-    active: bool = True
     soft: np.ndarray | None = None
     lsc: LscValue | None = None
 
@@ -301,9 +300,7 @@ def server_receive(server: Server, msg: UploadMessage) -> Deliveries:
     return deliveries
 
 
-def client_trip(
-    state: ClientState, hyper: FglHyper, lr: float
-) -> UploadMessage | None:
+def client_trip(state: ClientState, hyper: FglHyper, lr: float) -> UploadMessage:
     """One download-train-upload cycle for a client.
 
     The mailbox (at most the latest message) is consumed first: a direct
@@ -314,12 +311,9 @@ def client_trip(
     members, so only they receive broadcasts); a client that has not made a
     trip yet computes it. Then one training epoch runs, and one forward pass
     of the post-training model gives the soft labels, kept in ``state.soft``,
-    and from them the fingerprint and confidence for the upload.
-    An empty train mask deactivates the client (returns None, no upload).
+    and from them the fingerprint and confidence for the upload. The client
+    needs training nodes: training on an empty train mask raises ValueError.
     """
-    if state.data.masks.train.size == 0:
-        state.active = False
-        return None
     msg = state.mailbox
     state.mailbox = None
     if msg is not None:

@@ -40,11 +40,10 @@ from .protocol import (
 
 
 class Event(NamedTuple):
-    """Completion of one client trip; ordered by (time, client_id, seq)."""
+    """Completion of one client trip; (time, client_id) is unique and orders events."""
 
     completion_time: int
     client_id: int
-    seq: int
 
 
 @dataclass
@@ -220,15 +219,15 @@ def make_server(
 def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog:
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
-    Event loop: pop the earliest (time, client_id, seq) event, move any
+    Event loop: pop the earliest (time, client_id) event, move any
     pending download into the client's mailbox, execute the trip, take that
     client's local test accuracy from the trip's soft labels and snapshot
     the cached accuracy vector, hand the upload to the server, and schedule
     the client's next trip. When the server waits for its round
     (fedavg_sync), a client's next trip is scheduled only once that round's
-    delivery reaches it; otherwise the client is re-scheduled at once. A
-    config that yields no client with training nodes, or a client without
-    test nodes, raises ConfigError.
+    delivery reaches it; otherwise the client is re-scheduled at once. Only
+    clients with training nodes are ever scheduled. A config that yields no
+    such client, or a client without test nodes, raises ConfigError.
     """
     if seed is None:
         seed = cfg.seeds[0]
@@ -243,10 +242,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         raise ConfigError("every client needs a nonempty test mask (see mask_test)")
 
     server = make_server(cfg, clients_data, active, initial)
-    clients = [
-        ClientState(cd.client_id, cd, initial.copy(), tau=0, active=act)
-        for cd, act in zip(clients_data, active)
-    ]
+    clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
     cached = np.array(
         [evaluate(c.params, c.data, "test") for c in clients], dtype=np.float64
     )
@@ -262,12 +258,8 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         initial_mean_acc=initial_mean,
         durations=tuple(int(d) for d in latency.durations),
     )
-    heap: list[Event] = []
-    seq = 0
-    for c in clients:
-        if c.active:
-            heapq.heappush(heap, Event(int(latency.durations[c.client_id]), c.client_id, seq))
-            seq += 1
+    # a sorted list is already a heap
+    heap = sorted(Event(int(latency.durations[cid]), cid) for cid, act in enumerate(active) if act)
     gated: set[int] = set()
     trips = 0
     hyper = cfg.resolved_hyper()
@@ -278,33 +270,25 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         client.mailbox = server.mailboxes.pop(cid, None)
         upload = client_trip(client, hyper, cfg.lr)
         trips += 1
-        if upload is not None:  # else the params and their accuracy are unchanged
-            cached[cid] = accuracy(client.soft, client.data, client.data.masks.test)
+        cached[cid] = accuracy(client.soft, client.data, client.data.masks.test)
         mean = float(cached.mean())
         log.records.append(
             TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
         )
-        if server.waits_for_round and client.active:
+        deliveries = server_receive(server, upload)
+        for d_cid, d_msg in deliveries:
+            if cfg.strategy == Strategy.FEDSA_GCL:
+                kind = "personal" if d_msg.cluster_lsc is None else "broadcast"
+            else:
+                kind = "baseline"
+            log.trace.append(format_trace(d_msg.round, kind, d_cid, d_msg.round))
+        if server.waits_for_round:  # the round's delivery releases its clients
             gated.add(cid)
-        if upload is not None:
-            deliveries = server_receive(server, upload)
-            for d_cid, d_msg in deliveries:
-                if cfg.strategy == Strategy.FEDSA_GCL:
-                    kind = "personal" if d_msg.cluster_lsc is None else "broadcast"
-                else:
-                    kind = "baseline"
-                log.trace.append(format_trace(d_msg.round, kind, d_cid, d_msg.round))
-                if d_cid in gated:
-                    gated.discard(d_cid)
-                    heapq.heappush(
-                        heap,
-                        Event(now + int(latency.durations[d_cid]), d_cid, seq),
-                    )
-                    seq += 1
-        if client.active and not server.waits_for_round:
-            heapq.heappush(
-                heap, Event(now + int(latency.durations[cid]), cid, seq)
-            )
-            seq += 1
+            ready = [d_cid for d_cid, _ in deliveries if d_cid in gated]
+            gated.difference_update(ready)
+        else:
+            ready = [cid]
+        for r_cid in ready:
+            heapq.heappush(heap, Event(now + int(latency.durations[r_cid]), r_cid))
     log.aggregation_log = list(server.aggregation_log)
     return log

@@ -4,7 +4,9 @@ Everything here is deliberately written with plain Python loops over edges
 and entries, independent of the vectorized library code it checks.
 """
 
+import heapq
 import math
+from collections import deque
 
 import numpy as np
 
@@ -259,6 +261,103 @@ def louvain_ref(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
         membership = mapping[membership]
     ids = {c: i for i, c in enumerate(sorted(set(membership.tolist())))}
     return np.array([ids[c] for c in membership], dtype=np.int64)
+
+
+def _bfs_distances_ref(adj_sorted, start, n) -> np.ndarray:
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[start] = 0
+    q = deque([start])
+    while q:
+        v = q.popleft()
+        for u in adj_sorted[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                q.append(u)
+    return dist
+
+
+def _spread_seeds_ref(adj_sorted, n, n_clients, rng) -> list[int]:
+    """Farthest-point seeds: the first is the BFS-farthest node from a random
+    start (unreachable nodes first, ties to the lowest id); each further seed
+    maximizes the minimum BFS distance over every earlier seed's array."""
+
+    def farthest(dist_arrays):
+        mindist = np.min(np.stack(dist_arrays), axis=0)
+        unreached = np.flatnonzero(mindist < 0)
+        if unreached.size:
+            return int(unreached[0])
+        return int(np.argmax(mindist))
+
+    start = int(rng.integers(n))
+    seeds = [farthest([_bfs_distances_ref(adj_sorted, start, n)])]
+    dists = [_bfs_distances_ref(adj_sorted, seeds[0], n)]
+    while len(seeds) < n_clients:
+        masked = [np.where(d < 0, np.iinfo(np.int64).max, d) for d in dists]
+        mindist = np.min(np.stack(masked), axis=0)
+        mindist[seeds] = -1
+        nxt = int(np.argmax(mindist))
+        seeds.append(nxt)
+        dists.append(_bfs_distances_ref(adj_sorted, nxt, n))
+    return seeds
+
+
+def balanced_ref(g: Graph, n_clients: int, seed: int) -> np.ndarray:
+    """partition.balanced_partition's client_of, written with plain loops.
+
+    Python BFS per seed, every earlier seed's distances re-stacked for each
+    new seed, and for each claim a scan of all clients for the smallest
+    (size, client id).
+    """
+    n = g.node_count
+    nbrs = [set() for _ in range(n)]
+    for u, v in g.edges.tolist():
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    adj_sorted = [sorted(s) for s in nbrs]
+    rng = np.random.default_rng(seed)
+    seeds = _spread_seeds_ref(adj_sorted, n, n_clients, rng)
+    client_of = np.full(n, -1, dtype=np.int64)
+    # per client: lazy max-heap of (-attachment, node) plus current counts
+    heaps: list[list[tuple[int, int]]] = [[] for _ in range(n_clients)]
+    attach: list[dict[int, int]] = [dict() for _ in range(n_clients)]
+    sizes = [0] * n_clients
+    lowest_unclaimed = 0
+    claimed = 0
+
+    def claim(cid: int, node: int):
+        nonlocal claimed
+        client_of[node] = cid
+        sizes[cid] += 1
+        claimed += 1
+        attach[cid].pop(node, None)
+        for u in adj_sorted[node]:
+            if client_of[u] < 0:
+                cnt = attach[cid].get(u, 0) + 1
+                attach[cid][u] = cnt
+                heapq.heappush(heaps[cid], (-cnt, u))
+
+    for cid, s in enumerate(seeds):
+        claim(cid, s)
+    while claimed < n:
+        cid = min(range(n_clients), key=lambda c: (sizes[c], c))
+        node = -1
+        heap = heaps[cid]
+        while heap:
+            neg_cnt, cand = heapq.heappop(heap)
+            if client_of[cand] < 0 and attach[cid].get(cand) == -neg_cnt:
+                node = cand
+                break
+        if node < 0:
+            while client_of[lowest_unclaimed] >= 0:
+                lowest_unclaimed += 1
+            node = lowest_unclaimed
+        claim(cid, node)
+    # clients numbered by their lowest node id
+    order = sorted(range(n_clients), key=lambda c: int(np.flatnonzero(client_of == c)[0]))
+    relabel = np.empty(n_clients, dtype=np.int64)
+    relabel[order] = np.arange(n_clients)
+    return relabel[client_of]
 
 
 def all_set_partitions(items):

@@ -124,6 +124,10 @@ class TestSchema:
             ({"perturbation": Perturbation("dropout")}, "kind"),
             ({"perturbation": Perturbation("edge_sparsity", 1.5)}, "rate"),
             ({"disable_staleness": "yes"}, "disable_staleness"),
+            ({"n_clients": True}, "n_clients"),
+            ({"max_trips": True}, "max_trips"),
+            ({"lr": True}, "lr"),
+            ({"seeds": (True,)}, "seeds"),
         ],
         ids=[
             "hyper-theta", "hyper-lambda", "hyper-k_steps", "hyper-alpha", "hyper-alpha-nan",
@@ -132,6 +136,7 @@ class TestSchema:
             "run-lr-None", "run-strategy", "run-seeds-empty", "run-seeds-negative",
             "run-lag_lo", "run-lag_lo-above-lag_hi", "run-mask-sum", "run-target_accuracy",
             "perturbation-kind", "perturbation-rate", "ablation-disable_staleness",
+            "run-n_clients-bool", "run-max_trips-bool", "run-lr-bool", "run-seeds-bool",
         ],
     )
     def test_built_config_refused(self, kw, key):

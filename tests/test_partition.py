@@ -16,7 +16,13 @@ from fedgraphsim.partition import (
     sparsify_edges,
     sparsify_labels,
 )
-from oracles import all_set_partitions, louvain_ref, modularity_ref, random_graph_edges
+from oracles import (
+    all_set_partitions,
+    balanced_ref,
+    louvain_ref,
+    modularity_ref,
+    random_graph_edges,
+)
 
 RATIOS = (0.4, 0.2, 0.4)
 
@@ -191,7 +197,47 @@ class TestLouvainMatchesLoopReference:
         assert min(runs) >= 3
 
 
+def random_graphs():
+    """Random graphs of 5-40 nodes, from sparse to dense."""
+    out = []
+    for s in range(12):
+        rng = np.random.default_rng(200 + s)
+        n = int(rng.integers(5, 41))
+        out.append(build(n, random_graph_edges(rng, n, rng.uniform(0.02, 0.4))))
+    return out
+
+
+def graphs_with_components():
+    """Three dense random blocks side by side plus 5 isolated nodes, relabelled."""
+    out = []
+    for s in range(4):
+        rng = np.random.default_rng(300 + s)
+        sizes = rng.integers(3, 12, size=3)
+        n = int(sizes.sum()) + 5
+        relabel = rng.permutation(n)
+        edges, base = [], 0
+        for size in sizes.tolist():
+            edges += [(base + u, base + v) for u, v in random_graph_edges(rng, size, 0.6)]
+            base += size
+        out.append(build(n, [tuple(sorted(relabel[[u, v]].tolist())) for u, v in edges]))
+    return out
+
+
 class TestBalanced:
+    def test_matches_loop_reference(self):
+        server_bound = generate_sbm(SbmConfig((500,) * 10, 0.03, 0.001, 16, 0.5, 0))
+        cases = [(server_bound, 30, 0)]
+        for g in random_graphs() + graphs_with_isolated_nodes() + graphs_with_components():
+            for n_clients in sorted({1, 2, max(1, g.node_count // 4), g.node_count}):
+                cases += [(g, n_clients, seed) for seed in range(3)]
+        cases += [(build(7, []), n_clients, 0) for n_clients in (1, 3, 7)]
+        for g, n_clients, seed in cases:
+            a = balanced_partition(g, n_clients, seed)
+            npt.assert_array_equal(
+                a.client_of, balanced_ref(g, n_clients, seed),
+                err_msg=f"{g.node_count} nodes, {n_clients} clients, seed {seed}",
+            )
+
     def test_path_two_contiguous_runs(self):
         g = build(10, [(i, i + 1) for i in range(9)])
         a = balanced_partition(g, 2, seed=4)

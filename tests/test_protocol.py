@@ -379,12 +379,6 @@ class TestClientTrip:
                 rtol=1e-12,
             )
 
-    def test_empty_train_mask_deactivates(self):
-        cd = make_client_data(3, [(0, 1)], num_classes=2, train=[])
-        state = ClientState(0, cd, init_params(3, 4, 2, seed=0))
-        assert client_trip(state, FglHyper(), 0.05) is None
-        assert not state.active
-
     def test_upload_carries_post_training_stats(self):
         state = self.setup_client()
         hyper = FglHyper()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -60,16 +62,16 @@ class TestEventOrder:
     """The scheduler's heap pops events in their natural tuple order."""
 
     def test_tie_breaks_by_client(self):
-        evs = [Event(5, 3, 0), Event(5, 1, 1)]
+        evs = [Event(5, 3), Event(5, 1)]
         assert [e.client_id for e in sorted(evs)] == [1, 3]
 
     def test_empty(self):
         assert sorted([]) == []
 
     def test_full_ordering(self):
-        evs = [Event(5, 0, 0), Event(2, 1, 1), Event(2, 0, 2)]
+        evs = [Event(5, 0), Event(2, 1), Event(2, 0)]
         got = sorted(evs)
-        assert got == [Event(2, 0, 2), Event(2, 1, 1), Event(5, 0, 0)]
+        assert got == [Event(2, 0), Event(2, 1), Event(5, 0)]
 
 
 class TestRunSimulation:
@@ -154,6 +156,31 @@ class TestRunSimulation:
         )
         for a, b in zip(snapshots, snapshots[1:]):
             assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_client_without_train_nodes_never_trips(self, monkeypatch, strategy):
+        real_prepare, real_trip = sim.prepare_clients, sim.client_trip
+        tripped = []
+
+        def prepare(cfg, seed):
+            clients, latency, initial = real_prepare(cfg, seed)
+            masks = replace(clients[1].masks, train=[])
+            clients[1] = replace(clients[1], masks=masks)
+            return clients, latency, initial
+
+        def trip(state, hyper, lr):
+            tripped.append(state.client_id)
+            return real_trip(state, hyper, lr)
+
+        monkeypatch.setattr(sim, "prepare_clients", prepare)
+        monkeypatch.setattr(sim, "client_trip", trip)
+        cfg = sbm_cfg(
+            dataset=DatasetSpec("sbm", sbm=SbmConfig((12, 12, 12), 0.5, 0.05, 4, 0.3, 6)),
+            n_clients=3, k_buffer=2, strategy=strategy, max_trips=20, edge_fraction=0.34,
+        )
+        log = run_simulation(cfg, seed=1)
+        assert len(log.records) == 20
+        assert set(tripped) == {0, 2}
 
     def test_trace_kinds(self):
         log = run_simulation(sbm_cfg(max_trips=30, n_clients=4, k_buffer=2), seed=7)
