@@ -11,13 +11,17 @@ g = A_hat dZ1, dW1 = h^T g, dZ0 = (g W1^T) * [z0 > 0], dW0 = (A_hat X)^T dZ0.
 This holds because A_hat and X are fixed per client, so A_hat X is computed
 once (in the client's ``TripPlan``), and A_hat is symmetric:
 (A_hat h)^T dZ1 = h^T g and X^T (A_hat dZ0) = (A_hat X)^T dZ0.
+
+A training step writes the four gradients into one buffer laid out as the
+parameter vector and turns it into p - lr * grad in place (the same two
+roundings); it never computes the loss, which only ``loss_and_grads`` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .partition import ClientData
+from .partition import ClientData, spmm
 
 LOG_CLAMP = 1e-12
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
@@ -84,9 +88,10 @@ def init_params(
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row softmax with per-row max subtraction."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _check_shapes(p: ModelParams, cd: ClientData):
@@ -102,7 +107,8 @@ def _forward_cached(p: ModelParams, cd: ClientData):
     """Forward pass keeping the intermediates needed by backprop."""
     z0 = cd.plan.ax @ p.w0 + p.b0
     h = np.maximum(z0, 0.0)
-    z1 = cd.plan.adj.dot(h @ p.w1) + p.b1
+    z1 = spmm(cd.plan.adj, h @ p.w1)
+    z1 += p.b1
     return z0, h, softmax_rows(z1)
 
 
@@ -112,41 +118,51 @@ def forward(p: ModelParams, cd: ClientData) -> np.ndarray:
     return _forward_cached(p, cd)[2]
 
 
-def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
-    """Mean train-mask cross-entropy and its analytic gradients."""
-    _check_shapes(p, cd)
-    train = cd.masks.train
+def _gradients(p: ModelParams, cd: ClientData, z0, h, probs) -> Gradients:
+    """Gradients of the mean train-mask cross-entropy, from the forward
+    intermediates, written into one fresh vector laid out as ``p.vec``."""
+    train, y = cd.masks.train, cd.graph.labels
     if train.size == 0:
         raise ValueError("cannot train with an empty train mask")
-    z0, h, probs = _forward_cached(p, cd)
-    y = cd.graph.labels
-    picked = np.clip(probs[train, y[train]], LOG_CLAMP, None)
-    loss = float(-np.mean(np.log(picked)))
-
     d_z1 = np.zeros_like(probs)
     d_z1[train] = probs[train]
     d_z1[train, y[train]] -= 1.0
     d_z1 /= train.size
-    g = cd.plan.adj.dot(d_z1)
-    d_w1 = h.T @ g
-    d_b1 = d_z1.sum(axis=0)
-    d_z0 = (g @ p.w1.T) * (z0 > 0.0)
-    d_w0 = cd.plan.ax.T @ d_z0
-    d_b0 = d_z0.sum(axis=0)
-    return loss, Gradients(d_w0, d_b0, d_w1, d_b1)
+    g = spmm(cd.plan.adj, d_z1)
+    grads = Gradients.from_vector(np.empty_like(p.vec), p.dims)
+    np.matmul(h.T, g, out=grads.w1)
+    d_z1.sum(axis=0, out=grads.b1)
+    d_z0 = g @ p.w1.T
+    d_z0 *= z0 > 0.0
+    np.matmul(cd.plan.ax.T, d_z0, out=grads.w0)
+    d_z0.sum(axis=0, out=grads.b0)
+    return grads
+
+
+def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
+    """Mean train-mask cross-entropy and its analytic gradients."""
+    _check_shapes(p, cd)
+    z0, h, probs = _forward_cached(p, cd)
+    grads = _gradients(p, cd, z0, h, probs)
+    train, y = cd.masks.train, cd.graph.labels
+    picked = np.clip(probs[train, y[train]], LOG_CLAMP, None)
+    return float(-np.mean(np.log(picked))), grads
 
 
 def train_epoch(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:
     """One full-batch gradient step (= one local epoch = one trip's training)."""
-    _, grads = loss_and_grads(p, cd)
-    return ModelParams.from_vector(p.vec - lr * grads.vec, p.dims)
+    _check_shapes(p, cd)
+    step = _gradients(p, cd, *_forward_cached(p, cd)).vec
+    step *= lr
+    np.subtract(p.vec, step, out=step)
+    return ModelParams.from_vector(step, p.dims)
 
 
 def accuracy(probs: np.ndarray, cd: ClientData, mask: np.ndarray) -> float:
-    """Accuracy of soft labels over the mask's nodes; argmax ties resolve to
-    the lowest class."""
-    pred = np.argmax(probs[mask], axis=1)
-    return float(np.mean(pred == cd.graph.labels[mask]))
+    """Accuracy of soft labels over the (nonempty) mask's nodes; argmax ties
+    resolve to the lowest class."""
+    hit = np.argmax(probs[mask], axis=1) == cd.graph.labels[mask]
+    return int(np.count_nonzero(hit)) / mask.size
 
 
 def evaluate(p: ModelParams, cd: ClientData, which_mask: str) -> float:

@@ -270,6 +270,8 @@ def load_graph(path) -> Graph:
         n_classes = int(header["classes"])
     except (KeyError, ValueError):
         fail(1, "header must be 'nodes=<n> features=<f> classes=<C>'")
+    if n < 1 or fdim < 1 or n_classes < 2:
+        fail(1, f"header needs nodes >= 1, features >= 1 and classes >= 2, not {lines[0]!r}")
     features = np.zeros((n, fdim))
     labels = np.full(n, -1, dtype=np.int64)
     edge_set: set[tuple[int, int]] = set()
@@ -288,6 +290,8 @@ def load_graph(path) -> Graph:
                 vals = [float(t) for t in tokens[3:]]
             except ValueError:
                 fail(lineno, "malformed node line")
+            if not np.isfinite(vals).all():
+                fail(lineno, "features must be finite")
             if not 0 <= nid < n:
                 fail(lineno, f"node id {nid} out of range")
             if labels[nid] != -1:

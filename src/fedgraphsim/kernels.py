@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .gcn import ModelParams
-from .partition import ClientData
+from .partition import ClientData, spmm
 
 LSC_EPSILON = 1e-6
 ENTROPY_OFFSET = math.exp(-1.0)
@@ -59,7 +59,7 @@ def compute_sfm(soft: np.ndarray, cd: ClientData) -> np.ndarray:
     """
     if soft.shape[0] != cd.graph.node_count:
         raise ValueError("soft labels must have one row per local node")
-    one_way = soft.T @ cd.plan.edge_w.dot(soft)
+    one_way = soft.T @ spmm(cd.plan.edge_w, soft)
     return one_way + one_way.T
 
 
@@ -113,15 +113,17 @@ def label_propagation(
         return soft.copy()
     prop = cd.plan.prop
     c = soft.shape[1]
+    anchor = lam * soft
     current = soft
     for _ in range(k_steps):
-        mixed = lam * soft + (1.0 - lam) * prop.dot(current)
+        mixed = spmm(prop, current)
+        mixed *= 1.0 - lam
+        mixed += anchor
         sums = mixed.sum(axis=1, keepdims=True)
-        dead = sums[:, 0] == 0.0
-        if np.any(dead):
-            mixed[dead] = 1.0 / c
+        if not sums.all():
+            mixed[sums[:, 0] == 0.0] = 1.0 / c
             sums = mixed.sum(axis=1, keepdims=True)
-        current = mixed / sums
+        current = np.divide(mixed, sums, out=mixed)
     return current
 
 
@@ -131,10 +133,11 @@ def compute_lsc(propagated: np.ndarray, cd: ClientData) -> LscValue:
     Uses the convention 0 * ln 0 = 0; the raw value is clamped from below
     at LSC_EPSILON.
     """
-    d = cd.plan.deg
     p = propagated
-    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    raw = float(np.sum(d * (ENTROPY_OFFSET + plogp.sum(axis=1))))
+    pos = p > 0.0
+    plogp = np.log(p, out=np.zeros_like(p), where=pos)
+    np.multiply(plogp, p, out=plogp, where=pos)
+    raw = np.sum(cd.plan.deg * (ENTROPY_OFFSET + plogp.sum(axis=1)))
     return LscValue.from_raw(raw)
 
 

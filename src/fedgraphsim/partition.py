@@ -8,6 +8,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.csgraph import shortest_path
 
 from .graphs import (
@@ -52,6 +53,21 @@ class TripPlan:
         adj, deg, (u, v) = normalized_adjacency(g), degrees(g).astype(np.float64), g.edges.T
         w = sp.csr_matrix((deg[u] * deg[v], (u, v)), shape=(g.node_count,) * 2)
         return cls(adj, adj.dot(g.features), propagation_matrix(g), deg, w)
+
+
+def spmm(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a float64 CSR ``a`` and a 2-D float64 ``x``, as a new array.
+
+    On tiny client subgraphs scipy's dispatch costs twice the product, so this
+    calls the kernel ``csr_matrix.dot`` ends in (``_matmul_multivector``) with
+    the same arguments and a fresh zero output: ``a @ x`` bit for bit. The
+    kernel is private to scipy and there is no fallback: if a scipy release
+    changes it, tests/test_partition.py::TestSpmm fails.
+    """
+    (m, n), k = a.shape, x.shape[1]
+    y = np.zeros((m, k))
+    csr_matvecs(m, n, k, a.indptr, a.indices, a.data, x.ravel(), y.ravel())
+    return y
 
 
 @dataclass(eq=False)

@@ -1,7 +1,9 @@
 """Naive double-loop reference implementations used as independent oracles.
 
 Everything here is deliberately written with plain Python loops over edges
-and entries, independent of the vectorized library code it checks.
+and entries, independent of the vectorized library code it checks. The
+exception is the bit-exact section: earlier array versions of the client
+kernels, copied as they were, which the current ones must match exactly.
 """
 
 import heapq
@@ -12,6 +14,7 @@ import numpy as np
 
 from fedgraphsim.gcn import LOG_CLAMP, PARAM_FIELDS, ModelParams, softmax_rows
 from fedgraphsim.graphs import Graph, NodeMasks
+from fedgraphsim.kernels import ENTROPY_OFFSET
 from fedgraphsim.partition import ClientData, modularity
 
 
@@ -105,7 +108,7 @@ def cosine_ref(a, b) -> float:
     return dot / (na * nb)
 
 
-def label_propagation_ref(soft, edges, degs, lam, k_steps) -> np.ndarray:
+def label_propagation_loop_ref(soft, edges, degs, lam, k_steps) -> np.ndarray:
     n, c = soft.shape
     neighbors = [[] for _ in range(n)]
     for u, v in edges:
@@ -129,7 +132,7 @@ def label_propagation_ref(soft, edges, degs, lam, k_steps) -> np.ndarray:
     return current
 
 
-def lsc_ref(propagated, degs) -> float:
+def lsc_loop_ref(propagated, degs) -> float:
     total = 0.0
     for i in range(propagated.shape[0]):
         plogp = 0.0
@@ -138,6 +141,82 @@ def lsc_ref(propagated, degs) -> float:
                 plogp += p * math.log(p)
         total += degs[i] * (math.exp(-1.0) + plogp)
     return total
+
+
+# Bit-exact references: the client kernels before spmm, the single gradient
+# buffer and the in-place updates, copied verbatim (the sparse products go
+# through csr_matrix.dot). The current kernels must equal them bit for bit.
+
+
+def softmax_rows_ref(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def forward_cached_ref(p: ModelParams, cd: ClientData):
+    z0 = cd.plan.ax @ p.w0 + p.b0
+    h = np.maximum(z0, 0.0)
+    z1 = cd.plan.adj.dot(h @ p.w1) + p.b1
+    return z0, h, softmax_rows_ref(z1)
+
+
+def loss_and_grads_ref(p: ModelParams, cd: ClientData):
+    train = cd.masks.train
+    z0, h, probs = forward_cached_ref(p, cd)
+    y = cd.graph.labels
+    picked = np.clip(probs[train, y[train]], LOG_CLAMP, None)
+    loss = float(-np.mean(np.log(picked)))
+
+    d_z1 = np.zeros_like(probs)
+    d_z1[train] = probs[train]
+    d_z1[train, y[train]] -= 1.0
+    d_z1 /= train.size
+    g = cd.plan.adj.dot(d_z1)
+    d_w1 = h.T @ g
+    d_b1 = d_z1.sum(axis=0)
+    d_z0 = (g @ p.w1.T) * (z0 > 0.0)
+    d_w0 = cd.plan.ax.T @ d_z0
+    d_b0 = d_z0.sum(axis=0)
+    return loss, ModelParams(d_w0, d_b0, d_w1, d_b1)
+
+
+def train_epoch_ref(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:
+    return ModelParams.from_vector(p.vec - lr * loss_and_grads_ref(p, cd)[1].vec, p.dims)
+
+
+def accuracy_ref(probs, cd: ClientData, mask) -> float:
+    pred = np.argmax(probs[mask], axis=1)
+    return float(np.mean(pred == cd.graph.labels[mask]))
+
+
+def label_propagation_ref(soft, cd: ClientData, lam, k_steps) -> np.ndarray:
+    if k_steps == 0:
+        return soft.copy()
+    prop = cd.plan.prop
+    c = soft.shape[1]
+    current = soft
+    for _ in range(k_steps):
+        mixed = lam * soft + (1.0 - lam) * prop.dot(current)
+        sums = mixed.sum(axis=1, keepdims=True)
+        dead = sums[:, 0] == 0.0
+        if np.any(dead):
+            mixed[dead] = 1.0 / c
+            sums = mixed.sum(axis=1, keepdims=True)
+        current = mixed / sums
+    return current
+
+
+def compute_lsc_ref(propagated, cd: ClientData) -> float:
+    d = cd.plan.deg
+    p = propagated
+    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return float(np.sum(d * (ENTROPY_OFFSET + plogp.sum(axis=1))))
+
+
+def compute_sfm_ref(soft, cd: ClientData) -> np.ndarray:
+    one_way = soft.T @ cd.plan.edge_w.dot(soft)
+    return one_way + one_way.T
 
 
 def staleness_ref(lscs_clamped, taus, t, alpha):

@@ -7,20 +7,27 @@ import pytest
 from fedgraphsim.gcn import (
     PARAM_FIELDS,
     ModelParams,
+    accuracy,
     evaluate,
     forward,
     init_params,
     loss_and_grads,
+    softmax_rows,
     train_epoch,
 )
 from fedgraphsim.graphs import Graph, NodeMasks
 from fedgraphsim.partition import ClientData
 from oracles import (
+    accuracy_ref,
+    forward_cached_ref,
     gcn_forward_ref,
     gcn_loss_and_grads_ref,
+    loss_and_grads_ref,
     make_client_data,
     random_graph_edges,
     random_params,
+    softmax_rows_ref,
+    train_epoch_ref,
 )
 
 
@@ -73,21 +80,67 @@ ORACLE_GRAPHS = [(n, q) for n in (3, 5, 9, 16, 30) for q in (0.1, 0.3, 0.7)]
 ORACLE_GRAPHS += [(12, 0.0), (1, 0.0)]
 
 
-@pytest.mark.parametrize("n, q", ORACLE_GRAPHS)
-def test_class_width_algebra_matches_hidden_wide_oracle(n, q):
+def oracle_case(n, q, hidden=7):
+    """A client on a random graph with half its nodes in the train mask, and
+    random params."""
     rng = np.random.default_rng(1000 * n + int(100 * q))
     c = int(rng.integers(2, 5))
     cd = make_client_data(
         n, random_graph_edges(rng, n, q), num_classes=c, rng=rng, feature_dim=6,
         train=np.sort(rng.choice(n, size=max(1, n // 2), replace=False)),
     )
-    p = random_params(rng, 6, 7, c)
+    return cd, random_params(rng, 6, hidden, c)
+
+
+@pytest.mark.parametrize("n, q", ORACLE_GRAPHS)
+def test_class_width_algebra_matches_hidden_wide_oracle(n, q):
+    cd, p = oracle_case(n, q)
     ref_loss, ref_grads = gcn_loss_and_grads_ref(p, cd)
     loss, grads = loss_and_grads(p, cd)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert_rel_close(forward(p, cd), gcn_forward_ref(p, cd)[2])
     for name in PARAM_FIELDS:
         assert_rel_close(getattr(grads, name), getattr(ref_grads, name))
+
+
+@pytest.mark.parametrize("hidden", [7, 64])
+@pytest.mark.parametrize("n, q", ORACLE_GRAPHS)
+def test_training_step_is_bit_exact(n, q, hidden):
+    """The one-buffer step equals p.vec - lr * grads of the earlier
+    expressions (tests/oracles.py) bit for bit, as do loss, gradients,
+    soft labels and accuracy."""
+    cd, p = oracle_case(n, q, hidden)
+    loss, grads = loss_and_grads(p, cd)
+    ref_loss, ref_grads = loss_and_grads_ref(p, cd)
+    assert loss == ref_loss
+    assert np.array_equal(grads.vec, ref_grads.vec)
+    for lr in (0.3, 0.01):
+        assert np.array_equal(train_epoch(p, cd, lr).vec, train_epoch_ref(p, cd, lr).vec)
+    probs = forward(p, cd)
+    assert np.array_equal(probs, forward_cached_ref(p, cd)[2])
+    for mask in (cd.masks.train, cd.masks.test, np.arange(n)[::2]):
+        got = accuracy(probs, cd, mask)
+        assert type(got) is float and got == accuracy_ref(probs, cd, mask)
+
+
+def test_softmax_rows_is_bit_exact_and_leaves_input():
+    rng = np.random.default_rng(8)
+    z = rng.normal(scale=30.0, size=(12, 5))
+    z[3] = 0.0
+    z[4, 2] = -np.inf
+    keep = z.copy()
+    got = softmax_rows(z)
+    assert np.array_equal(got, softmax_rows_ref(keep))
+    assert np.array_equal(z, keep) and not np.shares_memory(got, z)
+
+
+def test_train_epoch_leaves_params():
+    cd, p = oracle_case(16, 0.3)
+    keep = p.vec.copy()
+    out = train_epoch(p, cd, 0.3)
+    assert np.array_equal(p.vec, keep)
+    assert not np.shares_memory(out.vec, p.vec)
+    assert out.vec.flags.c_contiguous and out.dims == p.dims
 
 
 class TestInit:

@@ -1,5 +1,7 @@
 """Golden digests of whole simulations: every strategy with both
-partitioners, plus the three fedsa_gcl ablations.
+partitioners, the three fedsa_gcl ablations, and three fedsa_gcl variants
+that reach the client kernels' edge cases (isolated nodes with lam = 0,
+sparse labels, no propagation).
 
 Each case pins the SHA-256 of ``MetricsLog.to_csv_text()`` and of
 ``repr(log.aggregation_log)``. A refactor or optimization must leave both
@@ -11,15 +13,27 @@ import hashlib
 
 import pytest
 
-from fedgraphsim.config import DatasetSpec, ExperimentConfig
+from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.graphs import SbmConfig
+from fedgraphsim.kernels import FglHyper
 from fedgraphsim.sim import run_simulation
 
 SEED = 5
 
+# Config overrides by variant name; any other name is an ablation flag.
+# edge_sparsity_lam0 leaves every client with isolated nodes, so propagation
+# hits empty rows and the uniform reset, and 33 of its 120 LSCs are unclamped.
+VARIANTS = {
+    "edge_sparsity_lam0": dict(
+        perturbation=Perturbation("edge_sparsity", 0.6), hyper=FglHyper(lam=0.0)
+    ),
+    "label_sparsity": dict(perturbation=Perturbation("label_sparsity", 0.5)),
+    "k_steps0": dict(hyper=FglHyper(k_steps=0)),
+}
+
 
 def golden_cfg(strategy, partitioner, ablation=None):
-    kw = {ablation: True} if ablation else {}
+    kw = VARIANTS.get(ablation, {ablation: True} if ablation else {})
     return ExperimentConfig(
         dataset=DatasetSpec("sbm", sbm=SbmConfig((40, 40, 40), 0.15, 0.01, 6, 0.5, 3)),
         n_clients=8,
@@ -88,6 +102,18 @@ GOLDEN = {
     ("fedsa_gcl", "louvain", "disable_staleness"): (
         "32b2c842eb8ec33ec268b7d3dae1636eb3b3418c860cc20e0ab17e4db3783bfc",
         "b519aa6006fd2e8343d1808ce458f7408d3079cced58ef09cf50c64475054c7a",
+    ),
+    ("fedsa_gcl", "louvain", "edge_sparsity_lam0"): (
+        "d21de211142b0f98bb0bc016e28069a135720a001016e3f4cbfc29f26aa6d3b1",
+        "20b18ba6c270c5b937073d16d7325a5815ff005bcd4837f96b415af310dd10ef",
+    ),
+    ("fedsa_gcl", "louvain", "label_sparsity"): (
+        "447c084e5d57fc2268ccf49ccae44696fa65244648ab8a5ca634099b73f11057",
+        "b4a0dbf4fe00af7c087eda612303873276c6ad9999a95c041673ab718e1a1fb3",
+    ),
+    ("fedsa_gcl", "louvain", "k_steps0"): (
+        "bd526c9fbb795d4a0651984842c99b2451d81efe9ae665ca803066ee0716a199",
+        "607203d7983daddff495b7d349847dc3fa230c85bd4a7391829b3430ceb43362",
     ),
 }
 

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from fedgraphsim import graphs
+from fedgraphsim.cli import main
 from fedgraphsim.graphs import (
     Graph,
     GraphFormatError,
@@ -235,6 +236,43 @@ class TestGraphFile:
         path.write_text("nodes=1 features=1 classes=2\nnode 0 5 0.0\n")
         with pytest.raises(GraphFormatError, match="label 5"):
             load_graph(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "nodes=-1 features=1 classes=2",
+            "nodes=0 features=1 classes=2",
+            "nodes=2 features=-1 classes=2",
+            "nodes=2 features=0 classes=2",
+            "nodes=2 features=1 classes=1",
+        ],
+    )
+    def test_header_out_of_range(self, tmp_path, header):
+        path = tmp_path / "header.graph"
+        path.write_text(f"{header}\nnode 0 0 0.0\nnode 1 0 0.0\n")
+        with pytest.raises(GraphFormatError, match="line 1: header needs"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature(self, tmp_path, value):
+        path = tmp_path / "nan.graph"
+        path.write_text(f"nodes=2 features=2 classes=2\nnode 0 0 0.0 1.0\nnode 1 1 0.5 {value}\n")
+        with pytest.raises(GraphFormatError, match="line 3: features must be finite"):
+            load_graph(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["nodes=-1 features=1 classes=2\n", "nodes=1 features=1 classes=2\nnode 0 0 nan\n"],
+    )
+    def test_cli_partition_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        out = tmp_path / "assign.txt"
+        assert main(
+            ["partition", "--input", str(path), "--method", "louvain", "--clients", "1",
+             "--out", str(out)]
+        ) == 2
+        assert "line " in capsys.readouterr().err and not out.exists()
 
     def test_round_trip(self, tmp_path):
         g = generate_sbm(SbmConfig((6, 5), 0.6, 0.2, 3, 0.4, 21))

@@ -18,8 +18,13 @@ from fedgraphsim.kernels import (
     staleness_weights,
 )
 from oracles import (
+    compute_lsc_ref,
+    compute_sfm_ref,
     cosine_ref,
     degrees_ref,
+    label_propagation_loop_ref,
+    label_propagation_ref,
+    lsc_loop_ref,
     make_client_data,
     random_graph_edges,
     random_params,
@@ -209,6 +214,68 @@ class TestLsc:
         soft = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
         got = compute_lsc(soft, cd)
         assert np.isfinite(got.raw)
+
+
+# (node count, edge probability): sparse ones leave isolated nodes
+EXACT_GRAPHS = [(1, 0.0), (6, 0.0), (9, 0.1), (16, 0.1), (16, 0.3), (30, 0.05), (30, 0.4)]
+
+
+def exact_case(n, q, c=3):
+    """A client on a random graph and soft labels with some exact zeros."""
+    rng = np.random.default_rng(10 * n + int(100 * q))
+    cd = make_client_data(n, random_graph_edges(rng, n, q), num_classes=c, rng=rng)
+    soft = random_soft(rng, n, c)
+    soft[rng.random((n, c)) < 0.2] = 0.0
+    soft[0] = np.eye(c)[0]
+    return cd, soft / np.maximum(soft.sum(axis=1, keepdims=True), 1e-300)
+
+
+class TestBitExact:
+    """The client kernels equal their earlier array versions bit for bit
+    (tests/oracles.py keeps those verbatim), and the loop oracles closely."""
+
+    @pytest.mark.parametrize("n, q", EXACT_GRAPHS)
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k_steps", [0, 1, 2, 3])
+    def test_label_propagation(self, n, q, lam, k_steps):
+        cd, soft = exact_case(n, q)
+        got = label_propagation(soft, cd, lam, k_steps)
+        assert np.array_equal(got, label_propagation_ref(soft, cd, lam, k_steps))
+        degs = degrees_ref(n, cd.graph.edges.tolist())
+        loop = label_propagation_loop_ref(soft, cd.graph.edges.tolist(), degs, lam, k_steps)
+        npt.assert_allclose(got, loop, rtol=1e-12, atol=1e-15)
+
+    def test_propagation_dead_rows_reset(self):
+        # lam = 0 and isolated nodes: every isolated row sums to 0 and resets
+        cd, soft = exact_case(30, 0.05)
+        isolated = np.asarray(degrees_ref(30, cd.graph.edges.tolist())) == 0
+        assert isolated.any() and not isolated.all()
+        got = label_propagation(soft, cd, 0.0, 2)
+        assert np.array_equal(got, label_propagation_ref(soft, cd, 0.0, 2))
+        assert np.array_equal(got[isolated], np.full((isolated.sum(), 3), 1 / 3))
+
+    @pytest.mark.parametrize("n, q", EXACT_GRAPHS)
+    def test_lsc_and_sfm(self, n, q):
+        cd, soft = exact_case(n, q)
+        assert (soft == 0.0).any()
+        got = compute_lsc(soft, cd)
+        assert got.raw == compute_lsc_ref(soft, cd)
+        degs = degrees_ref(n, cd.graph.edges.tolist())
+        assert got.raw == pytest.approx(lsc_loop_ref(soft, degs), rel=1e-12, abs=1e-15)
+        assert np.array_equal(compute_sfm(soft, cd), compute_sfm_ref(soft, cd))
+
+    def test_lsc_ignores_non_positive_and_nan_entries(self):
+        cd, soft = exact_case(16, 0.3)
+        soft[1, 0], soft[2, 1], soft[3, 2] = np.nan, -0.0, -0.25
+        assert compute_lsc(soft, cd).raw == compute_lsc_ref(soft, cd)
+
+    @pytest.mark.parametrize("k_steps", [0, 1, 2])
+    def test_propagation_leaves_input(self, k_steps):
+        cd, soft = exact_case(16, 0.3)
+        keep = soft.copy()
+        out = label_propagation(soft, cd, 0.4, k_steps)
+        assert np.array_equal(soft, keep)
+        assert out is not soft and not np.shares_memory(out, soft)
 
 
 class TestStalenessWeights:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from fedgraphsim import partition
 from fedgraphsim.graphs import Graph, SbmConfig, degrees, generate_sbm, split_masks
@@ -15,6 +16,7 @@ from fedgraphsim.partition import (
     save_assignment,
     sparsify_edges,
     sparsify_labels,
+    spmm,
 )
 from oracles import (
     all_set_partitions,
@@ -262,6 +264,56 @@ class TestBalanced:
             sizes = np.bincount(a.client_of, minlength=n_clients)
             assert sizes.max() - sizes.min() <= 1
             assert sizes.sum() == g.node_count
+
+
+def random_csr(rng, m, n, density, index_dtype):
+    """Random float64 CSR with every third row empty, its indices cast to
+    index_dtype."""
+    dense = rng.normal(size=(m, n)) * (rng.random((m, n)) < density)
+    dense[::3] = 0.0
+    a = sp.csr_matrix(dense)
+    a.indptr = a.indptr.astype(index_dtype)
+    a.indices = a.indices.astype(index_dtype)
+    return a
+
+
+class TestSpmm:
+    """spmm calls scipy's private csr_matvecs kernel: these tests guard that
+    it is still there and still equals ``a @ x`` bit for bit."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("m, n", [(1, 1), (7, 7), (16, 16), (5, 12), (12, 5), (40, 40)])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_equals_scipy_product(self, index_dtype, m, n, k):
+        rng = np.random.default_rng(100 * m + n + k)
+        a = random_csr(rng, m, n, 0.3, index_dtype)
+        assert a.indices.dtype == index_dtype
+        x = rng.normal(size=(n, k))
+        y = spmm(a, x)
+        assert y.shape == (m, k) and y.dtype == np.float64
+        assert np.array_equal(y, a @ x)
+        npt.assert_allclose(y, a.toarray() @ x, rtol=1e-12, atol=1e-12)
+
+    def test_empty_rows_are_zero(self):
+        a = sp.csr_matrix(np.array([[0.0, 0.0], [1.5, -2.0], [0.0, 0.0]]))
+        y = spmm(a, np.ones((2, 3)))
+        assert np.array_equal(y, [[0.0] * 3, [-0.5] * 3, [0.0] * 3])
+
+    def test_transposed_operand(self):
+        rng = np.random.default_rng(3)
+        a = random_csr(rng, 9, 6, 0.4, np.int32)
+        x = rng.normal(size=(4, 6)).T  # not C-contiguous
+        assert not x.flags.c_contiguous
+        assert np.array_equal(spmm(a, x), a @ x)
+
+    def test_fresh_output_leaves_operand(self):
+        rng = np.random.default_rng(4)
+        a = random_csr(rng, 6, 6, 0.5, np.int32)
+        x = rng.normal(size=(6, 3))
+        keep = x.copy()
+        y = spmm(a, x)
+        assert np.array_equal(x, keep) and not np.shares_memory(x, y)
+        assert y.flags.c_contiguous and y.flags.writeable
 
 
 class TestExtract:
