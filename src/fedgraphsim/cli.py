@@ -49,7 +49,8 @@ def _cmd_run(args) -> int:
 def _cmd_summarize(args) -> int:
     """Trips-to-target over the stored per-seed runs (metrics CSV plus JSON
     sidecar), by the rule of the summary that ``run`` writes, with the
-    longest stored run (the sidecars' ``trips``) as the trip budget."""
+    longest stored run (the sidecars' ``trips``) as the trip budget. Runs of
+    different configs (sidecar ``config_hash``) are refused."""
     target = lookup("run", "target_accuracy")
     if not target.ok(args.target):
         raise ConfigError(f"--target {args.target} is not {target.rule}")
@@ -58,6 +59,12 @@ def _cmd_summarize(args) -> int:
     if not csvs:
         raise ConfigError(f"no metrics_seed*.csv files in {outdir}")
     logs = [MetricsLog.read(path, path.with_suffix(".json")) for path in csvs]
+    configs: dict[str, str] = {}  # config hash -> its first sidecar
+    for path, lg in zip(csvs, logs):
+        configs.setdefault(lg.config_hash, path.with_suffix(".json").name)
+    if len(configs) > 1:
+        named = ", ".join(f"{h} ({name})" for h, name in configs.items())
+        raise ConfigError(f"the runs in {outdir} come from different configs: {named}")
     for path, lg in zip(csvs, logs):
         reached = trips_to_target(lg, args.target)
         shown = "NOT_REACHED" if reached is None else reached

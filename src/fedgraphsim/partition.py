@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,10 +50,30 @@ class TripPlan:
     edge_w: sp.csr_matrix
 
     @classmethod
-    def build(cls, g: Graph) -> "TripPlan":
-        adj, deg, (u, v) = normalized_adjacency(g), degrees(g).astype(np.float64), g.edges.T
-        w = sp.csr_matrix((deg[u] * deg[v], (u, v)), shape=(g.node_count,) * 2)
-        return cls(adj, adj.dot(g.features), propagation_matrix(g), deg, w)
+    def build_all(cls, graphs: list[Graph]) -> list["TripPlan"]:
+        """Each graph's plan (all share one feature_dim) from one block-diagonal
+        pass that cuts each graph's rows out of the joined operators: bit for bit
+        its plan alone, as every stored value comes from its own nodes' degrees,
+        no edge joins two blocks and A_hat X is computed row by row."""
+        starts = np.cumsum([0] + [g.node_count for g in graphs])
+        edges = np.concatenate([g.edges + s for g, s in zip(graphs, starts.tolist())])
+        # canonical already (each graph's edges are, and the offsets grow), so
+        # a Graph's sort and checks would only repeat work
+        joined = SimpleNamespace(node_count=int(starts[-1]), edges=edges, edge_count=len(edges))
+        adj, deg, (u, v) = normalized_adjacency(joined), degrees(joined).astype(float), edges.T
+        w = sp.csr_matrix((deg[u] * deg[v], (u, v)), shape=adj.shape)
+        ax = adj.dot(np.concatenate([g.features for g in graphs]))
+        prop = propagation_matrix(joined)
+
+        def block(m: sp.csr_matrix, s: int, e: int) -> sp.csr_matrix:
+            lo, hi = m.indptr[s], m.indptr[e]
+            parts = (m.data[lo:hi], m.indices[lo:hi] - s, m.indptr[s : e + 1] - lo)
+            return sp.csr_matrix(parts, shape=(e - s, e - s))
+
+        return [
+            cls(block(adj, s, e), ax[s:e], block(prop, s, e), deg[s:e], block(w, s, e))
+            for s, e in zip(starts[:-1].tolist(), starts[1:].tolist())
+        ]
 
 
 def spmm(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -82,7 +103,7 @@ class ClientData:
 
     @cached_property
     def plan(self) -> TripPlan:
-        return TripPlan.build(self.graph)
+        return TripPlan.build_all([self.graph])[0]
 
 
 def modularity(g: Graph, comm_of: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -49,14 +50,28 @@ FEDASYNC_BETA = 0.5
 
 @dataclass(eq=False)
 class UploadMessage:
-    """Client -> server: trained params plus fingerprint, confidence, and the
-    round stamp of the model version the client last received (0 initially)."""
+    """Client -> server: trained params, the round stamp of the model version
+    the client last received (0 initially) and the params' soft labels. The
+    fingerprint ``sfm`` and confidence ``lsc`` are computed on first read, so
+    a server that never reads them (the baselines) never pays for them; as
+    nothing changes ``soft``, ``data`` or ``hyper`` after the trip, each is
+    the same whenever it is first read."""
 
     params: ModelParams
     tau: int
-    sfm: np.ndarray
-    lsc: LscValue
+    soft: np.ndarray
+    data: ClientData
+    hyper: FglHyper
     client_id: int
+
+    @cached_property
+    def sfm(self) -> np.ndarray:
+        return compute_sfm(self.soft, self.data)
+
+    @cached_property
+    def lsc(self) -> LscValue:
+        propagated = label_propagation(self.soft, self.data, self.hyper.lam, self.hyper.k_steps)
+        return compute_lsc(propagated, self.data)
 
 
 @dataclass(eq=False)
@@ -110,20 +125,15 @@ class KnowledgeBaseRows:
 
 @dataclass(eq=False)
 class ClientState:
-    """A client's local model and protocol state.
-
-    ``soft`` (the soft labels) and ``lsc`` (the confidence) describe the
-    current ``params``: the end of each trip sets them for the params it
-    uploads, and they are None before the first trip.
-    """
+    """A client's local model and protocol state. ``upload`` is the last
+    upload, made with the current ``params`` (None before the first trip)."""
 
     client_id: int
     data: ClientData
     params: ModelParams
     mailbox: DownloadMessage | None = None
     tau: int = 0
-    soft: np.ndarray | None = None
-    lsc: LscValue | None = None
+    upload: UploadMessage | None = None
 
 
 Deliveries = list[tuple[int, DownloadMessage]]
@@ -306,38 +316,30 @@ def client_trip(state: ClientState, hyper: FglHyper, lr: float) -> UploadMessage
     The mailbox (at most the latest message) is consumed first: a direct
     delivery replaces the local params, a broadcast is blended in weighted
     by cluster vs local confidence; either updates tau to the message round.
-    The local confidence is ``state.lsc``, the one uploaded with the current
-    params at the end of the last trip (only uploaders can be cluster
-    members, so only they receive broadcasts); a client that has not made a
-    trip yet computes it. Then one training epoch runs, and one forward pass
-    of the post-training model gives the soft labels, kept in ``state.soft``,
-    and from them the fingerprint and confidence for the upload. The client
-    needs training nodes: training on an empty train mask raises ValueError.
+    The local confidence is the one of ``state.upload``, made with the
+    current params at the end of the last trip. Only uploaders are cluster
+    members, so a broadcast to a client that has not uploaded raises
+    ValueError. Then one training epoch runs, and one forward pass of the
+    post-training model gives the soft labels of the upload, which is also
+    kept in ``state.upload``. The client needs training nodes: training on an
+    empty train mask raises ValueError.
     """
     msg = state.mailbox
     state.mailbox = None
     if msg is not None:
         if msg.cluster_lsc is None:
             state.params = msg.params
+        elif state.upload is None:
+            raise ValueError(f"client {state.client_id} got a broadcast before uploading")
         else:
-            local_lsc = state.lsc
-            if local_lsc is None:
-                soft = forward(state.params, state.data)
-                local_lsc = _confidence(soft, state.data, hyper)
             state.params = blend_local(
-                msg.params, state.params, msg.cluster_lsc, local_lsc.clamped
+                msg.params, state.params, msg.cluster_lsc, state.upload.lsc.clamped
             )
         state.tau = msg.round
     state.params = train_epoch(state.params, state.data, lr)
-    state.soft = forward(state.params, state.data)
-    sfm = compute_sfm(state.soft, state.data)
-    state.lsc = _confidence(state.soft, state.data, hyper)
-    return UploadMessage(state.params, state.tau, sfm, state.lsc, state.client_id)
-
-
-def _confidence(soft: np.ndarray, cd: ClientData, hyper: FglHyper) -> LscValue:
-    """The LSC of soft labels after hyper's label propagation."""
-    return compute_lsc(label_propagation(soft, cd, hyper.lam, hyper.k_steps), cd)
+    soft = forward(state.params, state.data)
+    state.upload = UploadMessage(state.params, state.tau, soft, state.data, hyper, state.client_id)
+    return state.upload
 
 
 def format_trace(round_: int, kind: str, dst: int, tau: int) -> str:

@@ -19,6 +19,7 @@ from .config import ConfigError, ExperimentConfig
 from .gcn import ModelParams, accuracy, evaluate, init_params
 from .graphs import generate_sbm, load_graph
 from .partition import (
+    TripPlan,
     balanced_partition,
     extract_subgraphs,
     louvain_partition,
@@ -219,19 +220,22 @@ def make_server(
 def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog:
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
-    Event loop: pop the earliest (time, client_id) event, move any
-    pending download into the client's mailbox, execute the trip, take that
-    client's local test accuracy from the trip's soft labels and snapshot
-    the cached accuracy vector, hand the upload to the server, and schedule
-    the client's next trip. When the server waits for its round
-    (fedavg_sync), a client's next trip is scheduled only once that round's
-    delivery reaches it; otherwise the client is re-scheduled at once. Only
-    clients with training nodes are ever scheduled. A config that yields no
-    such client, or a client without test nodes, raises ConfigError.
+    Every client's trip plan is built in one pass after set-up. Event loop:
+    pop the earliest (time, client_id) event, move any pending download into
+    the client's mailbox, execute the trip, take that client's local test
+    accuracy from the trip's soft labels and snapshot the cached accuracy
+    vector, hand the upload to the server, and schedule the client's next
+    trip. When the server waits for its round (fedavg_sync), a client's next
+    trip is scheduled only once that round's delivery reaches it; otherwise
+    the client is re-scheduled at once. Only clients with training nodes are
+    ever scheduled. A config that yields no such client, or a client without
+    test nodes, raises ConfigError.
     """
     if seed is None:
         seed = cfg.seeds[0]
     clients_data, latency, initial = prepare_clients(cfg, seed)
+    for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
+        cd.plan = plan
     active = [cd.masks.train.size > 0 for cd in clients_data]
     if not any(active):
         raise ConfigError(
@@ -270,8 +274,8 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         client.mailbox = server.mailboxes.pop(cid, None)
         upload = client_trip(client, hyper, cfg.lr)
         trips += 1
-        cached[cid] = accuracy(client.soft, client.data, client.data.masks.test)
-        mean = float(cached.mean())
+        cached[cid] = accuracy(client.upload.soft, client.data, client.data.masks.test)
+        mean = float(cached.sum() / cached.size)
         log.records.append(
             TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
         )

@@ -11,11 +11,18 @@ import math
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 
 from fedgraphsim.gcn import LOG_CLAMP, PARAM_FIELDS, ModelParams, softmax_rows
-from fedgraphsim.graphs import Graph, NodeMasks
+from fedgraphsim.graphs import (
+    Graph,
+    NodeMasks,
+    degrees,
+    normalized_adjacency,
+    propagation_matrix,
+)
 from fedgraphsim.kernels import ENTROPY_OFFSET
-from fedgraphsim.partition import ClientData, modularity
+from fedgraphsim.partition import ClientData, TripPlan, modularity
 
 
 def make_client_data(
@@ -217,6 +224,32 @@ def compute_lsc_ref(propagated, cd: ClientData) -> float:
 def compute_sfm_ref(soft, cd: ClientData) -> np.ndarray:
     one_way = soft.T @ cd.plan.edge_w.dot(soft)
     return one_way + one_way.T
+
+
+def trip_plan_ref(g: Graph) -> TripPlan:
+    """One graph's trip plan built on its own, the per-graph build that
+    TripPlan.build_all must equal bit for bit."""
+    adj, deg, (u, v) = normalized_adjacency(g), degrees(g).astype(np.float64), g.edges.T
+    w = sp.csr_matrix((deg[u] * deg[v], (u, v)), shape=(g.node_count,) * 2)
+    return TripPlan(adj, adj.dot(g.features), propagation_matrix(g), deg, w)
+
+
+def plan_mismatches(plan: TripPlan, ref: TripPlan) -> list[str]:
+    """The parts in which two trip plans differ, compared bit for bit."""
+    bad = []
+    for name in ("adj", "prop", "edge_w"):
+        m, r = getattr(plan, name), getattr(ref, name)
+        if m.shape != r.shape:
+            bad.append(f"{name}.shape")
+        for part in ("indptr", "indices", "data"):
+            x, y = getattr(m, part), getattr(r, part)
+            if x.dtype != y.dtype or not np.array_equal(x, y):
+                bad.append(f"{name}.{part}")
+    for name in ("ax", "deg"):
+        x, y = getattr(plan, name), getattr(ref, name)
+        if x.shape != y.shape or not np.array_equal(x, y):
+            bad.append(name)
+    return bad
 
 
 def staleness_ref(lscs_clamped, taus, t, alpha):

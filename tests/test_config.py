@@ -317,6 +317,27 @@ class TestCli:
         assert target_rows(out) == target_rows(outdir / "summary.csv")
         assert target_rows(out)[1] == "trips_to_target_reached,2.0,0.0,3"
 
+    def test_summarize_refuses_runs_of_different_configs(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        hashes = []
+        for strategy, seeds in (("fedasync", "1, 2, 3"), ("fedsa_gcl", "1, 2")):
+            cfg = tmp_path / f"{strategy}.ini"
+            cfg.write_text(
+                MINIMAL_INI
+                + f"strategy = {strategy}\nseeds = {seeds}\nmax_trips = 8\nhidden_dim = 8\n"
+                + f"output_dir = {outdir}\nmask_train = 0.5\nmask_val = 0.0\nmask_test = 0.5\n"
+            )
+            assert main(["run", "--config", str(cfg)]) == 0
+            hashes.append(json.loads((outdir / "metrics_seed1.json").read_text())["config_hash"])
+        capsys.readouterr()
+        assert main(["summarize", "--dir", str(outdir), "--target", "0.6"]) == 2
+        captured = capsys.readouterr()
+        assert "different configs" in captured.err and "Traceback" not in captured.err
+        # the fedsa_gcl runs overwrote seeds 1 and 2; seed 3 is the stale fedasync run
+        assert f"{hashes[0]} (metrics_seed3.json)" in captured.err
+        assert f"{hashes[1]} (metrics_seed1.json)" in captured.err
+        assert "+-" not in captured.out
+
     @pytest.mark.parametrize("target", ["0", "-0.2", "1.5"])
     def test_summarize_target_out_of_range_exit_code(self, tmp_path, capsys, target):
         assert main(["summarize", "--dir", str(tmp_path), "--target", target]) == 2

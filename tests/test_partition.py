@@ -9,6 +9,7 @@ from fedgraphsim import partition
 from fedgraphsim.graphs import Graph, SbmConfig, degrees, generate_sbm, split_masks
 from fedgraphsim.partition import (
     CommunityAssignment,
+    TripPlan,
     balanced_partition,
     extract_subgraphs,
     louvain_partition,
@@ -23,7 +24,9 @@ from oracles import (
     balanced_ref,
     louvain_ref,
     modularity_ref,
+    plan_mismatches,
     random_graph_edges,
+    trip_plan_ref,
 )
 
 RATIOS = (0.4, 0.2, 0.4)
@@ -264,6 +267,64 @@ class TestBalanced:
             sizes = np.bincount(a.client_of, minlength=n_clients)
             assert sizes.max() - sizes.min() <= 1
             assert sizes.sum() == g.node_count
+
+
+def random_clients(g, rng, n_clients):
+    """g split into n_clients random node sets (each nonempty)."""
+    client_of = rng.permutation(np.arange(g.node_count) % n_clients)
+    return extract_subgraphs(g, CommunityAssignment(client_of, n_clients), RATIOS, 0)
+
+
+class TestTripPlan:
+    """build_all cuts each graph's plan out of one block-diagonal build; it
+    must equal the plan built from that graph alone, bit for bit."""
+
+    def assert_matches_alone(self, graphs):
+        plans = TripPlan.build_all(graphs)
+        assert len(plans) == len(graphs)
+        for i, (g, plan) in enumerate(zip(graphs, plans)):
+            assert plan_mismatches(plan, trip_plan_ref(g)) == [], f"graph {i} of {len(graphs)}"
+
+    def test_random_partitions(self):
+        rng = np.random.default_rng(11)
+        for g in random_graphs() + graphs_with_components():
+            for n_clients in sorted({1, 2, max(1, g.node_count // 3), g.node_count}):
+                self.assert_matches_alone([cd.graph for cd in random_clients(g, rng, n_clients)])
+
+    def test_louvain_clients_of_an_sbm_graph(self):
+        g = generate_sbm(SbmConfig((60,) * 5, 0.1, 0.005, 16, 0.5, 4))
+        clients = extract_subgraphs(g, louvain_partition(g, 12, 0), RATIOS, 0)
+        self.assert_matches_alone([cd.graph for cd in clients])
+
+    def test_edgeless_and_single_node_clients(self):
+        rng = np.random.default_rng(12)
+        mixed = [build(1, []), build(6, []), two_triangles(), build(1, []), build(2, [(0, 1)])]
+        self.assert_matches_alone(mixed)
+        self.assert_matches_alone([build(1, [])])
+        self.assert_matches_alone([build(4, [])] * 3)
+        self.assert_matches_alone(mixed + [cd.graph for cd in random_clients(clique_ring(), rng, 7)])
+
+    def test_clients_with_isolated_nodes(self):
+        rng = np.random.default_rng(13)
+        graphs = graphs_with_isolated_nodes()
+        self.assert_matches_alone(graphs)
+        for g in graphs:
+            self.assert_matches_alone([cd.graph for cd in random_clients(g, rng, 4)])
+
+    def test_clients_thinned_by_edge_sparsity(self):
+        rng = np.random.default_rng(14)
+        dropped = 0
+        for g in random_graphs()[:6] + graphs_with_components():
+            clients = random_clients(g, rng, 3)
+            thinned = [sparsify_edges(cd, 0.6, 50 + cd.client_id) for cd in clients]
+            dropped += sum(a.graph.edge_count - b.graph.edge_count for a, b in zip(clients, thinned))
+            self.assert_matches_alone([cd.graph for cd in thinned])
+        assert dropped > 0
+
+    def test_lazy_plan_of_a_lone_client_matches_alone(self):
+        for g in random_graphs()[:4] + [build(1, []), two_triangles()]:
+            cd = partition.ClientData(g, np.arange(g.node_count), split_masks(g, RATIOS, 0), 0)
+            assert plan_mismatches(cd.plan, trip_plan_ref(g)) == []
 
 
 def random_csr(rng, m, n, density, index_dtype):

@@ -47,7 +47,9 @@ def upload(cid, params=None, tau=0, sfm=None, lsc=1.0):
         params = const_params(cid)
     if sfm is None:
         sfm = np.eye(2)
-    return UploadMessage(params, tau, np.asarray(sfm, float), LscValue.from_raw(lsc), cid)
+    msg = UploadMessage(params, tau, None, None, None, cid)
+    msg.sfm, msg.lsc = np.asarray(sfm, float), LscValue.from_raw(lsc)
+    return msg
 
 
 def fedsa_server(k=2, theta=0.5, alpha=0.5, **kw):
@@ -318,24 +320,12 @@ class TestClientTrip:
         for name in PARAM_FIELDS:
             npt.assert_array_equal(getattr(msg.params, name), getattr(expected, name))
 
-    def test_broadcast_blends_with_local_confidence(self):
+    def test_broadcast_before_the_first_upload_is_refused(self):
         state = self.setup_client()
-        old = state.params
-        hyper = FglHyper()
         incoming = init_params(3, 4, 2, seed=123)
         state.mailbox = DownloadMessage(incoming, round=9, cluster_lsc=3.0)
-        # recompute the local confidence the client will derive from old params
-        soft = forward(old, state.data)
-        lsc = compute_lsc(
-            label_propagation(soft, state.data, hyper.lam, hyper.k_steps), state.data
-        )
-        expected = train_epoch(
-            blend_local(incoming, old, 3.0, lsc.clamped), state.data, 0.05
-        )
-        msg = client_trip(state, hyper, 0.05)
-        assert msg.tau == 9
-        for name in PARAM_FIELDS:
-            npt.assert_array_equal(getattr(msg.params, name), getattr(expected, name))
+        with pytest.raises(ValueError, match="client 0 got a broadcast before uploading"):
+            client_trip(state, FglHyper(), 0.05)
 
     def test_broadcast_after_a_trip_blends_with_the_uploaded_confidence(
         self, monkeypatch
@@ -364,8 +354,8 @@ class TestClientTrip:
         msg = client_trip(state, hyper, 0.05)
         assert len(forwarded) == 1 and forwarded[0] is msg.params
         npt.assert_array_equal(msg.params.vec, expected.vec)
-        npt.assert_array_equal(state.soft, forward(msg.params, state.data))
-        assert state.lsc is msg.lsc
+        npt.assert_array_equal(state.upload.soft, forward(msg.params, state.data))
+        assert state.upload is msg
 
     def test_blend_weights_formula(self):
         rng = np.random.default_rng(5)

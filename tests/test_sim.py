@@ -1,11 +1,12 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fedgraphsim import gcn, protocol, sim
-from fedgraphsim.config import DatasetSpec, ExperimentConfig
+from fedgraphsim import gcn, kernels, protocol, sim
+from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.gcn import evaluate
 from fedgraphsim.graphs import SbmConfig
 from fedgraphsim.protocol import Strategy
@@ -16,6 +17,7 @@ from fedgraphsim.sim import (
     prepare_clients,
     run_simulation,
 )
+from oracles import plan_mismatches, trip_plan_ref
 
 
 def sbm_cfg(**kw):
@@ -228,6 +230,85 @@ def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
     assert len(held) == len(log.records) == cfg.max_trips
     for r, (data, params) in zip(log.records, held):
         assert r.client_acc == evaluate(params, data, "test")
+
+
+UPLOAD_KERNELS = ("compute_sfm", "label_propagation", "compute_lsc")
+
+
+@pytest.mark.parametrize("strategy", ["fedavg_sync", "fedbuff", "fedasync"])
+def test_baseline_trips_compute_no_fingerprint_or_confidence(monkeypatch, strategy):
+    cfg = sbm_cfg(strategy=strategy, n_clients=4, k_buffer=2, max_trips=40, edge_fraction=0.25)
+    plain = run_simulation(cfg, seed=3).to_csv_text()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the upload's fingerprint or confidence was computed")
+
+    for name in UPLOAD_KERNELS:
+        monkeypatch.setattr(protocol, name, refuse)
+    assert run_simulation(cfg, seed=3).to_csv_text() == plain
+    with pytest.raises(AssertionError, match="fingerprint or confidence"):
+        run_simulation(replace(cfg, strategy=Strategy.FEDSA_GCL), seed=3)
+
+
+def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
+    cfg = sbm_cfg(n_clients=6, k_buffer=4, max_trips=42, edge_fraction=0.25)
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(protocol, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return count
+
+    for name in UPLOAD_KERNELS:
+        monkeypatch.setattr(protocol, name, counted(name))
+    real_trip, uploads = sim.client_trip, []
+
+    def trip(state, hyper, lr):
+        before = calls.copy()
+        upload = real_trip(state, hyper, lr)
+        assert calls == before  # the trip itself computes neither
+        propagated = kernels.label_propagation(upload.soft, upload.data, hyper.lam, hyper.k_steps)
+        eager = (kernels.compute_sfm(upload.soft, upload.data),
+                 kernels.compute_lsc(propagated, upload.data))
+        uploads.append((upload, eager))
+        return upload
+
+    monkeypatch.setattr(sim, "client_trip", trip)
+    log = run_simulation(cfg, seed=5)
+    assert any("kind=broadcast" in line for line in log.trace)
+    assert 0 < calls["compute_sfm"] < len(uploads)  # the last queued ones are never read
+    for upload, (sfm, lsc) in uploads:
+        for _ in range(2):
+            assert np.array_equal(upload.sfm, sfm) and upload.lsc == lsc
+    assert calls == {name: len(uploads) for name in UPLOAD_KERNELS}
+
+
+@pytest.mark.parametrize("kind", ["edge_sparsity", "label_sparsity", None])
+def test_run_builds_every_plan_as_alone_after_perturbation(monkeypatch, kind):
+    pert = Perturbation(kind, 0.5) if kind else None
+    cfg = sbm_cfg(n_clients=5, partitioner="louvain", perturbation=pert, max_trips=10)
+    real_prepare, prepared = sim.prepare_clients, []
+
+    def prepare(cfg, seed):
+        out = real_prepare(cfg, seed)
+        prepared.extend(out[0])
+        return out
+
+    monkeypatch.setattr(sim, "prepare_clients", prepare)
+    run_simulation(cfg, seed=2)
+    assert len(prepared) == 5
+    if kind == "edge_sparsity":
+        unperturbed, _, _ = real_prepare(replace(cfg, perturbation=None), 2)
+        assert [cd.graph.edge_count for cd in prepared] != [
+            cd.graph.edge_count for cd in unperturbed
+        ]
+    for cd in prepared:
+        assert "plan" in vars(cd)  # built by the run, not on a later read
+        assert plan_mismatches(cd.plan, trip_plan_ref(cd.graph)) == []
 
 
 SERVER_TYPES = {
