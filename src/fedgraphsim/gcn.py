@@ -15,16 +15,20 @@ once (in the client's ``TripPlan``), and A_hat is symmetric:
 A training step writes the four gradients into one buffer laid out as the
 parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss, which only ``loss_and_grads`` does.
+``train_batch`` and ``forward_batch`` run this for many clients per kernel
+call (``_Block``), each client's numbers bit for bit those of it alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .partition import ClientData, spmm
 
 LOG_CLAMP = 1e-12
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
+BATCH_ROWS = 1024  # padded rows one batched kernel call may hold
 
 
 class ModelParams:
@@ -87,75 +91,158 @@ def init_params(
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row softmax with per-row max subtraction."""
-    e = z - z.max(axis=1, keepdims=True)
+    """Softmax along the last axis with per-row max subtraction."""
+    e = z - z.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _check_shapes(p: ModelParams, cd: ClientData):
-    g = cd.graph
-    if p.w0.shape[0] != g.feature_dim or p.w1.shape[1] != g.num_classes:
-        raise ValueError(
-            f"params for (feature, hidden, classes) {p.dims} do not match data "
-            f"({g.feature_dim}, {g.num_classes})"
-        )
+def _check_shapes(p: ModelParams, cd: ClientData, dims: tuple):
+    f, c = cd.graph.feature_dim, cd.graph.num_classes
+    if p.dims != dims or p.w0.shape[0] != f or p.w1.shape[1] != c:
+        raise ValueError(f"params for (feature, hidden, classes) {p.dims} do not match "
+                         f"data ({f}, {c}) or the batch's {dims}")
 
 
-def _forward_cached(p: ModelParams, cd: ClientData):
-    """Forward pass keeping the intermediates needed by backprop."""
-    z0 = cd.plan.ax @ p.w0 + p.b0
-    h = np.maximum(z0, 0.0)
-    z1 = spmm(cd.plan.adj, h @ p.w1)
-    z1 += p.b1
-    return z0, h, softmax_rows(z1)
+def _fields(vecs: np.ndarray, dims: tuple) -> tuple:
+    """w0, b0, w1 and b1 as views of a parameter vector, or of each row of a
+    stack of them; a bias keeps a node axis of length 1."""
+    f, h, c = dims
+    o1 = f * h + h
+    o2 = o1 + h * c
+    b = vecs.shape[:-1]
+    return (vecs[..., : f * h].reshape(*b, f, h), vecs[..., f * h : o1].reshape(*b, 1, h),
+            vecs[..., o1:o2].reshape(*b, h, c), vecs[..., o2:].reshape(*b, 1, c))
+
+
+class _Block:
+    """The clients of one kernel call: a lone client on its trip plan, or
+    several zero-padded to their largest node count ``rows`` (``ax`` is
+    (clients, rows, feature); ``adj`` is block-diagonal, client k's A_hat at
+    row k * rows). A padded row is zero in ``ax`` and empty in ``adj``, so it
+    adds exact zeros to every sum over nodes and reaches no client's row."""
+
+    def __init__(self, members: list):
+        self.datas = datas = [cd for _, cd in members]
+        self.dims = dims = members[0][0].dims
+        self.vecs = np.stack([p.vec for p, _ in members]) if len(datas) > 1 else members[0][0].vec
+        trains = [cd.masks.train for cd in datas]
+        self.trainable = all(t.size for t in trains)
+        self.labels = np.concatenate([cd.graph.labels[t] for cd, t in zip(datas, trains)])
+        if len(datas) == 1:
+            self.ax, self.adj, self.train = datas[0].plan.ax, datas[0].plan.adj, trains[0]
+            self.sizes = trains[0].size
+            return
+        self.sizes = np.array([t.size for t in trains], dtype=np.float64)[:, None, None]
+        n = np.array([cd.graph.node_count for cd in datas])
+        rows = int(n.max())
+        starts = np.arange(0, n.size * rows, rows)
+        real = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)  # the clients' rows
+        adjs = [cd.plan.adj for cd in datas]
+        nnz = np.cumsum([0] + [a.data.size for a in adjs])
+        indptr = np.append(np.repeat(nnz[1:], rows), nnz[-1])  # a padded row is empty
+        indptr[real] = np.concatenate([a.indptr[:-1] for a in adjs]) + np.repeat(nnz[:-1], n)
+        indices = np.concatenate([a.indices for a in adjs]) + np.repeat(starts, np.diff(nnz))
+        data = np.concatenate([a.data for a in adjs])
+        self.adj = sp.csr_matrix((data, indices, indptr), shape=(n.size * rows,) * 2)
+        self.ax = np.zeros((n.size * rows, dims[0]))
+        self.ax[real] = np.concatenate([cd.plan.ax for cd in datas])
+        self.ax = self.ax.reshape(n.size, rows, dims[0])
+        self.train = np.concatenate(trains) + np.repeat(starts, [t.size for t in trains])
+
+    def forward(self, w: tuple):
+        """z0, relu(z0) and the soft labels for the parameter fields ``w``."""
+        z0 = self.ax @ w[0]
+        z0 += w[1]
+        h = np.maximum(z0, 0.0)
+        z1 = spmm(self.adj, (h @ w[2]).reshape(-1, self.dims[2])).reshape(h.shape[:-1] + (-1,))
+        z1 += w[3]
+        return z0, h, softmax_rows(z1)
+
+    def gradients(self):
+        """Each client's gradients of its mean train-mask cross-entropy, in
+        one fresh array laid out as ``vecs``, and its soft labels."""
+        if not self.trainable:
+            raise ValueError("cannot train with an empty train mask")
+        w, c = _fields(self.vecs, self.dims), self.dims[2]
+        z0, h, probs = self.forward(w)
+        d_z1 = np.zeros_like(probs)
+        flat = d_z1.reshape(-1, c)
+        flat[self.train] = probs.reshape(-1, c)[self.train]
+        flat[self.train, self.labels] -= 1.0
+        d_z1 /= self.sizes
+        g = spmm(self.adj, flat).reshape(d_z1.shape)
+        grads = np.empty_like(self.vecs)
+        g_w0, g_b0, g_w1, g_b1 = _fields(grads, self.dims)
+        np.matmul(np.swapaxes(h, -1, -2), g, out=g_w1)
+        d_z1.sum(axis=-2, out=g_b1[..., 0, :])
+        d_z0 = g @ np.swapaxes(w[2], -1, -2)
+        d_z0 *= z0 > 0.0
+        np.matmul(np.swapaxes(self.ax, -1, -2), d_z0, out=g_w0)
+        d_z0.sum(axis=-2, out=g_b0[..., 0, :])
+        return grads, probs
+
+    def soft(self, vecs: np.ndarray) -> list[np.ndarray]:
+        """Each client's soft labels under ``vecs`` (laid out as ``self.vecs``),
+        as a view of its rows of one array."""
+        probs = self.forward(_fields(vecs, self.dims))[2]
+        probs = probs.reshape(len(self.datas), -1, self.dims[2])
+        return [p[: cd.graph.node_count] for p, cd in zip(probs, self.datas)]
+
+
+def _blocks(members: list):
+    """Each kernel call over (params, ClientData) members: consecutive members
+    while members x padded rows stays within BATCH_ROWS (a larger one alone).
+    A 1-node member's products are matrix-vector ones, which BLAS rounds
+    apart from a padded matrix's rows, so it shares a call only with its like."""
+    part, rows = [], 0
+    for p, cd in members:
+        _check_shapes(p, cd, members[0][0].dims)
+        n = cd.graph.node_count
+        if part and ((len(part) + 1) * max(rows, n) > BATCH_ROWS or (n == 1) != (rows == 1)):
+            yield _Block(part)
+            part, rows = [], 0
+        part.append((p, cd))
+        rows = max(rows, n)
+    if part:
+        yield _Block(part)
+
+
+def forward_batch(members: list) -> list[np.ndarray]:
+    """Soft labels of each (params, ClientData) member: one probability row
+    per local node."""
+    return [soft for block in _blocks(members) for soft in block.soft(block.vecs)]
+
+
+def train_batch(members: list, lr: float):
+    """One full-batch gradient step (p - lr * grad, in one fresh array) per
+    (params, ClientData) member and the trained params' soft labels, yielded
+    in member order; a kernel call runs when its first member is asked for."""
+    for block in _blocks(members):
+        step = block.gradients()[0]
+        step *= lr
+        np.subtract(block.vecs, step, out=step)
+        rows = step.reshape(len(block.datas), -1)
+        yield from zip([ModelParams.from_vector(v, block.dims) for v in rows], block.soft(step))
 
 
 def forward(p: ModelParams, cd: ClientData) -> np.ndarray:
     """Soft labels: one probability row per local node."""
-    _check_shapes(p, cd)
-    return _forward_cached(p, cd)[2]
-
-
-def _gradients(p: ModelParams, cd: ClientData, z0, h, probs) -> Gradients:
-    """Gradients of the mean train-mask cross-entropy, from the forward
-    intermediates, written into one fresh vector laid out as ``p.vec``."""
-    train, y = cd.masks.train, cd.graph.labels
-    if train.size == 0:
-        raise ValueError("cannot train with an empty train mask")
-    d_z1 = np.zeros_like(probs)
-    d_z1[train] = probs[train]
-    d_z1[train, y[train]] -= 1.0
-    d_z1 /= train.size
-    g = spmm(cd.plan.adj, d_z1)
-    grads = Gradients.from_vector(np.empty_like(p.vec), p.dims)
-    np.matmul(h.T, g, out=grads.w1)
-    d_z1.sum(axis=0, out=grads.b1)
-    d_z0 = g @ p.w1.T
-    d_z0 *= z0 > 0.0
-    np.matmul(cd.plan.ax.T, d_z0, out=grads.w0)
-    d_z0.sum(axis=0, out=grads.b0)
-    return grads
+    return forward_batch([(p, cd)])[0]
 
 
 def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
     """Mean train-mask cross-entropy and its analytic gradients."""
-    _check_shapes(p, cd)
-    z0, h, probs = _forward_cached(p, cd)
-    grads = _gradients(p, cd, z0, h, probs)
-    train, y = cd.masks.train, cd.graph.labels
-    picked = np.clip(probs[train, y[train]], LOG_CLAMP, None)
-    return float(-np.mean(np.log(picked))), grads
+    (block,) = _blocks([(p, cd)])
+    grads, probs = block.gradients()
+    picked = np.clip(probs[block.train, block.labels], LOG_CLAMP, None)
+    return float(-np.mean(np.log(picked))), Gradients.from_vector(grads, p.dims)
 
 
 def train_epoch(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:
     """One full-batch gradient step (= one local epoch = one trip's training)."""
-    _check_shapes(p, cd)
-    step = _gradients(p, cd, *_forward_cached(p, cd)).vec
-    step *= lr
-    np.subtract(p.vec, step, out=step)
-    return ModelParams.from_vector(step, p.dims)
+    return next(train_batch([(p, cd)], lr))[0]
 
 
 def accuracy(probs: np.ndarray, cd: ClientData, mask: np.ndarray) -> float:

@@ -37,11 +37,13 @@ class Graph:
     feature_dim: int
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if self.edges.shape[0]:
-            self.edges = np.sort(self.edges, axis=1)
-            order = np.lexsort((self.edges[:, 1], self.edges[:, 0]))
-            self.edges = self.edges[order]
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        (u0, v0), (u1, v1) = e[:-1].T, e[1:].T
+        if np.all(e[:, 0] < e[:, 1]) and np.all((u0 < u1) | ((u0 == u1) & (v0 < v1))):
+            self.edges = e.copy()  # canonical already: owned, as a sort would leave it
+        else:
+            e = np.sort(e, axis=1)
+            self.edges = e[np.lexsort((e[:, 1], e[:, 0]))]
         self.features = np.asarray(self.features, dtype=np.float64).reshape(
             self.node_count, -1
         )

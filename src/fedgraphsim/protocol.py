@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from .gcn import ModelParams, forward, train_epoch
+from .gcn import ModelParams, train_batch
 from .kernels import (
     FglHyper,
     LscValue,
@@ -126,7 +127,8 @@ class KnowledgeBaseRows:
 @dataclass(eq=False)
 class ClientState:
     """A client's local model and protocol state. ``upload`` is the last
-    upload, made with the current ``params`` (None before the first trip)."""
+    upload, made with the current ``params`` (None before the first trip);
+    ``trained`` the batch ``train_trips`` put it in, until ``client_trip``."""
 
     client_id: int
     data: ClientData
@@ -134,6 +136,7 @@ class ClientState:
     mailbox: DownloadMessage | None = None
     tau: int = 0
     upload: UploadMessage | None = None
+    trained: Iterator | None = None
 
 
 Deliveries = list[tuple[int, DownloadMessage]]
@@ -157,6 +160,11 @@ class Server:
         """Take one upload; return the deliveries it triggers, if any."""
         raise NotImplementedError
 
+    def uploads_to_reach_others(self) -> float:
+        """How many more uploads it takes before one can deliver to a client
+        other than its sender (as many same-time trips can train as a batch)."""
+        raise NotImplementedError
+
 
 class FedSaGclServer(Server):
     """fedsa_gcl: one aggregation round per K queued uploads, over the
@@ -174,6 +182,9 @@ class FedSaGclServer(Server):
         self.use_clustering, self.use_broadcast = use_clustering, use_broadcast
         self.queue: list[UploadMessage] = []
         self.kb = KnowledgeBaseRows()
+
+    def uploads_to_reach_others(self) -> float:
+        return self.k - len(self.queue)
 
     def receive(self, msg: UploadMessage) -> Deliveries:
         """Queue the upload; once K are queued, run one aggregation round.
@@ -249,6 +260,9 @@ class FedAvgSyncServer(Server):
         self.weights = sizes / sizes.sum()
         self.buffer: dict[int, UploadMessage] = {}
 
+    def uploads_to_reach_others(self) -> float:
+        return sum(c not in self.buffer for c in self.expected)
+
     def receive(self, msg: UploadMessage) -> Deliveries:
         self.buffer[msg.client_id] = msg
         if not all(c in self.buffer for c in self.expected):
@@ -269,6 +283,9 @@ class FedBuffServer(Server):
         super().__init__()
         self.k = k
         self.buffer: list[UploadMessage] = []
+
+    def uploads_to_reach_others(self) -> float:
+        return self.k - len(self.buffer)
 
     def receive(self, msg: UploadMessage) -> Deliveries:
         self.buffer.append(msg)
@@ -291,12 +308,17 @@ class FedAsyncServer(Server):
         super().__init__()
         self.global_params, self.alpha = initial, alpha
 
+    def uploads_to_reach_others(self) -> float:
+        return float("inf")  # every reply goes to its sender
+
     def receive(self, msg: UploadMessage) -> Deliveries:
+        if msg.params.dims != (g := self.global_params).dims:
+            raise ValueError("parameter sets must share dims")
         staleness = self.round - msg.tau
         mix = FEDASYNC_BETA * (staleness + 1.0) ** (-self.alpha)
         self.round += 1
-        self.global_params = aggregate_models(
-            [self.global_params, msg.params], [1.0 - mix, mix]
+        self.global_params = ModelParams.from_vector(
+            (1.0 - mix) * g.vec + mix * msg.params.vec, g.dims
         )
         return [(msg.client_id, DownloadMessage(self.global_params, self.round, None))]
 
@@ -310,8 +332,8 @@ def server_receive(server: Server, msg: UploadMessage) -> Deliveries:
     return deliveries
 
 
-def client_trip(state: ClientState, hyper: FglHyper, lr: float) -> UploadMessage:
-    """One download-train-upload cycle for a client.
+def train_trips(states: list[ClientState], lr: float) -> None:
+    """Open each client's mailbox, then train all of them as one batch.
 
     The mailbox (at most the latest message) is consumed first: a direct
     delivery replaces the local params, a broadcast is blended in weighted
@@ -319,14 +341,16 @@ def client_trip(state: ClientState, hyper: FglHyper, lr: float) -> UploadMessage
     The local confidence is the one of ``state.upload``, made with the
     current params at the end of the last trip. Only uploaders are cluster
     members, so a broadcast to a client that has not uploaded raises
-    ValueError. Then one training epoch runs, and one forward pass of the
-    post-training model gives the soft labels of the upload, which is also
-    kept in ``state.upload``. The client needs training nodes: training on an
-    empty train mask raises ValueError.
+    ValueError. Then the clients' training epochs, each followed by the
+    forward pass of the trained model, run as ``gcn.train_batch``: each
+    kernel call inside the ``client_trip`` of its first client, so a trip
+    still holds its training. Training on an empty train mask raises
+    ValueError.
     """
-    msg = state.mailbox
-    state.mailbox = None
-    if msg is not None:
+    for state in states:
+        msg, state.mailbox = state.mailbox, None
+        if msg is None:
+            continue
         if msg.cluster_lsc is None:
             state.params = msg.params
         elif state.upload is None:
@@ -336,8 +360,22 @@ def client_trip(state: ClientState, hyper: FglHyper, lr: float) -> UploadMessage
                 msg.params, state.params, msg.cluster_lsc, state.upload.lsc.clamped
             )
         state.tau = msg.round
-    state.params = train_epoch(state.params, state.data, lr)
-    soft = forward(state.params, state.data)
+    batch = zip(states, train_batch([(s.params, s.data) for s in states], lr))
+    for state in states:
+        state.trained = batch
+
+
+def client_trip(state: ClientState, hyper: FglHyper, lr: float) -> UploadMessage:
+    """One download-train-upload cycle for a client: its batch from
+    ``train_trips`` (a batch of one if it has none; a batch's trips finish in
+    its order), whose trained params and soft labels make the upload, also
+    kept in ``state.upload``."""
+    if state.trained is None:
+        train_trips([state], lr)
+    owner, (params, soft) = next(state.trained)
+    if owner is not state:
+        raise RuntimeError(f"client {state.client_id} finished its trip out of batch order")
+    state.params, state.trained = params, None
     state.upload = UploadMessage(state.params, state.tau, soft, state.data, hyper, state.client_id)
     return state.upload
 

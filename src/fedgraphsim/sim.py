@@ -1,9 +1,10 @@
 """Deterministic discrete-event driver: stragglers, client trips, metrics.
 
 Time is abstract and integer-valued; it only sequences events. A normal
-client finishes a trip in 1 unit; an edge (straggler) client takes a whole
-multiple of one global cycle (n_clients trips). The event loop is
-single-threaded and fully determined by the experiment config and seed.
+client finishes a trip in 1 unit; an edge (straggler) client takes lag x
+n_clients units (lag drawn per client from ``lag_range``), while every normal
+client finishes one trip per unit. The event loop is single-threaded and
+fully determined by the experiment config and seed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .protocol import (
     client_trip,
     format_trace,
     server_receive,
+    train_trips,
 )
 
 
@@ -221,15 +223,21 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
     Every client's trip plan is built in one pass after set-up. Event loop:
-    pop the earliest (time, client_id) event, move any pending download into
-    the client's mailbox, execute the trip, take that client's local test
+    pop the events of the earliest time in client order, at most as many as
+    trips are left and as the server takes uploads before one can deliver
+    to a client other than its sender; move each one's pending download into
+    its mailbox and train them as one batch (``train_trips``). Then, trip by
+    trip, finish the trip (``client_trip``), take the client's local test
     accuracy from the trip's soft labels and snapshot the cached accuracy
     vector, hand the upload to the server, and schedule the client's next
-    trip. When the server waits for its round (fedavg_sync), a client's next
-    trip is scheduled only once that round's delivery reaches it; otherwise
-    the client is re-scheduled at once. Only clients with training nodes are
-    ever scheduled. A config that yields no such client, or a client without
-    test nodes, raises ConfigError.
+    trip. So only a batch's last upload can reach its other clients, and the
+    run is bit for bit the one-event-at-a-time loop; a delivery to a batch
+    client that has not uploaded yet raises RuntimeError. When the server
+    waits for its round (fedavg_sync), a client's next trip is scheduled only
+    once that round's delivery reaches it; otherwise the client is
+    re-scheduled at once. Only clients with training nodes are ever
+    scheduled. A config that yields no such client, or a client without test
+    nodes, raises ConfigError.
     """
     if seed is None:
         seed = cfg.seeds[0]
@@ -268,31 +276,41 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     trips = 0
     hyper = cfg.resolved_hyper()
     while trips < cfg.max_trips and heap:
-        ev = heapq.heappop(heap)
-        now, cid = ev.completion_time, ev.client_id
-        client = clients[cid]
-        client.mailbox = server.mailboxes.pop(cid, None)
-        upload = client_trip(client, hyper, cfg.lr)
-        trips += 1
-        cached[cid] = accuracy(client.upload.soft, client.data, client.data.masks.test)
-        mean = float(cached.sum() / cached.size)
-        log.records.append(
-            TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
-        )
-        deliveries = server_receive(server, upload)
-        for d_cid, d_msg in deliveries:
-            if cfg.strategy == Strategy.FEDSA_GCL:
-                kind = "personal" if d_msg.cluster_lsc is None else "broadcast"
+        now = heap[0].completion_time
+        room = min(server.uploads_to_reach_others(), cfg.max_trips - trips)
+        batch = []
+        while heap and heap[0].completion_time == now and len(batch) < room:
+            client = clients[heapq.heappop(heap).client_id]
+            client.mailbox = server.mailboxes.pop(client.client_id, None)
+            batch.append(client)
+        train_trips(batch, cfg.lr)
+        pending = {client.client_id for client in batch}
+        for client in batch:
+            cid = client.client_id
+            pending.remove(cid)
+            upload = client_trip(client, hyper, cfg.lr)
+            trips += 1
+            cached[cid] = accuracy(upload.soft, client.data, client.data.masks.test)
+            mean = float(cached.sum() / cached.size)
+            log.records.append(
+                TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
+            )
+            deliveries = server_receive(server, upload)
+            for d_cid, d_msg in deliveries:
+                if d_cid in pending:
+                    raise RuntimeError(f"a delivery reached client {d_cid} within its batch")
+                if cfg.strategy == Strategy.FEDSA_GCL:
+                    kind = "personal" if d_msg.cluster_lsc is None else "broadcast"
+                else:
+                    kind = "baseline"
+                log.trace.append(format_trace(d_msg.round, kind, d_cid, d_msg.round))
+            if server.waits_for_round:  # the round's delivery releases its clients
+                gated.add(cid)
+                ready = [d_cid for d_cid, _ in deliveries if d_cid in gated]
+                gated.difference_update(ready)
             else:
-                kind = "baseline"
-            log.trace.append(format_trace(d_msg.round, kind, d_cid, d_msg.round))
-        if server.waits_for_round:  # the round's delivery releases its clients
-            gated.add(cid)
-            ready = [d_cid for d_cid, _ in deliveries if d_cid in gated]
-            gated.difference_update(ready)
-        else:
-            ready = [cid]
-        for r_cid in ready:
-            heapq.heappush(heap, Event(now + int(latency.durations[r_cid]), r_cid))
+                ready = [cid]
+            for r_cid in ready:
+                heapq.heappush(heap, Event(now + int(latency.durations[r_cid]), r_cid))
     log.aggregation_log = list(server.aggregation_log)
     return log

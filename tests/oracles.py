@@ -3,7 +3,8 @@
 Everything here is deliberately written with plain Python loops over edges
 and entries, independent of the vectorized library code it checks. The
 exception is the bit-exact section: earlier array versions of the client
-kernels, copied as they were, which the current ones must match exactly.
+kernels and of the event loop, copied as they were, which the current ones
+must match exactly.
 """
 
 import heapq
@@ -13,7 +14,9 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 
-from fedgraphsim.gcn import LOG_CLAMP, PARAM_FIELDS, ModelParams, softmax_rows
+from fedgraphsim import sim
+from fedgraphsim.config import ExperimentConfig
+from fedgraphsim.gcn import LOG_CLAMP, PARAM_FIELDS, ModelParams, accuracy, evaluate, softmax_rows
 from fedgraphsim.graphs import (
     Graph,
     NodeMasks,
@@ -22,7 +25,8 @@ from fedgraphsim.graphs import (
     propagation_matrix,
 )
 from fedgraphsim.kernels import ENTROPY_OFFSET
-from fedgraphsim.partition import ClientData, TripPlan, modularity
+from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
+from fedgraphsim.protocol import ClientState, Strategy, client_trip, format_trace, server_receive
 
 
 def make_client_data(
@@ -190,6 +194,131 @@ def loss_and_grads_ref(p: ModelParams, cd: ClientData):
 
 def train_epoch_ref(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:
     return ModelParams.from_vector(p.vec - lr * loss_and_grads_ref(p, cd)[1].vec, p.dims)
+
+
+# The per-client trip kernels as they were before trips trained in batches,
+# copied verbatim (renamed): the batched kernels must equal them bit for bit.
+
+
+def _softmax_rows_per_client(z: np.ndarray) -> np.ndarray:
+    """Row softmax with per-row max subtraction."""
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def _check_shapes_per_client(p: ModelParams, cd: ClientData):
+    g = cd.graph
+    if p.w0.shape[0] != g.feature_dim or p.w1.shape[1] != g.num_classes:
+        raise ValueError(
+            f"params for (feature, hidden, classes) {p.dims} do not match data "
+            f"({g.feature_dim}, {g.num_classes})"
+        )
+
+
+def _forward_cached_per_client(p: ModelParams, cd: ClientData):
+    """Forward pass keeping the intermediates needed by backprop."""
+    z0 = cd.plan.ax @ p.w0 + p.b0
+    h = np.maximum(z0, 0.0)
+    z1 = spmm(cd.plan.adj, h @ p.w1)
+    z1 += p.b1
+    return z0, h, _softmax_rows_per_client(z1)
+
+
+def forward_per_client(p: ModelParams, cd: ClientData) -> np.ndarray:
+    """Soft labels: one probability row per local node."""
+    _check_shapes_per_client(p, cd)
+    return _forward_cached_per_client(p, cd)[2]
+
+
+def _gradients_per_client(p: ModelParams, cd: ClientData, z0, h, probs) -> ModelParams:
+    """Gradients of the mean train-mask cross-entropy, from the forward
+    intermediates, written into one fresh vector laid out as ``p.vec``."""
+    train, y = cd.masks.train, cd.graph.labels
+    if train.size == 0:
+        raise ValueError("cannot train with an empty train mask")
+    d_z1 = np.zeros_like(probs)
+    d_z1[train] = probs[train]
+    d_z1[train, y[train]] -= 1.0
+    d_z1 /= train.size
+    g = spmm(cd.plan.adj, d_z1)
+    grads = ModelParams.from_vector(np.empty_like(p.vec), p.dims)
+    np.matmul(h.T, g, out=grads.w1)
+    d_z1.sum(axis=0, out=grads.b1)
+    d_z0 = g @ p.w1.T
+    d_z0 *= z0 > 0.0
+    np.matmul(cd.plan.ax.T, d_z0, out=grads.w0)
+    d_z0.sum(axis=0, out=grads.b0)
+    return grads
+
+
+def train_epoch_per_client(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:
+    """One full-batch gradient step (= one local epoch = one trip's training)."""
+    _check_shapes_per_client(p, cd)
+    step = _gradients_per_client(p, cd, *_forward_cached_per_client(p, cd)).vec
+    step *= lr
+    np.subtract(p.vec, step, out=step)
+    return ModelParams.from_vector(step, p.dims)
+
+
+def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.MetricsLog:
+    """The event loop as it was before same-time trips trained in batches:
+    each popped event opens its mailbox and runs its whole trip (a batch of
+    one) before the next event pops."""
+    clients_data, latency, initial = sim.prepare_clients(cfg, seed)
+    for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
+        cd.plan = plan
+    active = [cd.masks.train.size > 0 for cd in clients_data]
+    server = sim.make_server(cfg, clients_data, active, initial)
+    clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
+    cached = np.array(
+        [evaluate(c.params, c.data, "test") for c in clients], dtype=np.float64
+    )
+    log = sim.MetricsLog(
+        records=[],
+        seed=seed,
+        config_hash=cfg.config_hash(),
+        strategy=cfg.strategy.value,
+        initial_accs=tuple(cached.tolist()),
+        initial_mean_acc=float(cached.mean()),
+        durations=tuple(int(d) for d in latency.durations),
+    )
+    heap = sorted(
+        sim.Event(int(latency.durations[cid]), cid) for cid, act in enumerate(active) if act
+    )
+    gated: set[int] = set()
+    trips = 0
+    hyper = cfg.resolved_hyper()
+    while trips < cfg.max_trips and heap:
+        ev = heapq.heappop(heap)
+        now, cid = ev.completion_time, ev.client_id
+        client = clients[cid]
+        client.mailbox = server.mailboxes.pop(cid, None)
+        upload = client_trip(client, hyper, cfg.lr)
+        trips += 1
+        cached[cid] = accuracy(client.upload.soft, client.data, client.data.masks.test)
+        mean = float(cached.sum() / cached.size)
+        log.records.append(
+            sim.TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
+        )
+        deliveries = server_receive(server, upload)
+        for d_cid, d_msg in deliveries:
+            if cfg.strategy == Strategy.FEDSA_GCL:
+                kind = "personal" if d_msg.cluster_lsc is None else "broadcast"
+            else:
+                kind = "baseline"
+            log.trace.append(format_trace(d_msg.round, kind, d_cid, d_msg.round))
+        if server.waits_for_round:  # the round's delivery releases its clients
+            gated.add(cid)
+            ready = [d_cid for d_cid, _ in deliveries if d_cid in gated]
+            gated.difference_update(ready)
+        else:
+            ready = [cid]
+        for r_cid in ready:
+            heapq.heappush(heap, sim.Event(now + int(latency.durations[r_cid]), r_cid))
+    log.aggregation_log = list(server.aggregation_log)
+    return log
 
 
 def accuracy_ref(probs, cd: ClientData, mask) -> float:

@@ -4,22 +4,27 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fedgraphsim import gcn
 from fedgraphsim.gcn import (
+    BATCH_ROWS,
     PARAM_FIELDS,
     ModelParams,
     accuracy,
     evaluate,
     forward,
+    forward_batch,
     init_params,
     loss_and_grads,
     softmax_rows,
+    train_batch,
     train_epoch,
 )
 from fedgraphsim.graphs import Graph, NodeMasks
-from fedgraphsim.partition import ClientData
+from fedgraphsim.partition import ClientData, sparsify_edges
 from oracles import (
     accuracy_ref,
     forward_cached_ref,
+    forward_per_client,
     gcn_forward_ref,
     gcn_loss_and_grads_ref,
     loss_and_grads_ref,
@@ -27,6 +32,7 @@ from oracles import (
     random_graph_edges,
     random_params,
     softmax_rows_ref,
+    train_epoch_per_client,
     train_epoch_ref,
 )
 
@@ -314,3 +320,117 @@ def test_deterministic_forward_backward():
     assert l1 == l2
     for name in PARAM_FIELDS:
         npt.assert_array_equal(getattr(g1, name), getattr(g2, name))
+
+
+# Batched kernels: every member of a batch equals the per-client loop (the
+# kernels as they were, in tests/oracles.py) bit for bit.
+
+
+def batch_client(rng, n, q, f=6, c=3, edges=None):
+    """A client of n nodes on a random graph (or the given edges), half its
+    nodes training, with random params; every client of a batch shares f, c."""
+    cd = make_client_data(
+        n, random_graph_edges(rng, n, q) if edges is None else edges, num_classes=c,
+        rng=rng, feature_dim=f, train=np.sort(rng.choice(n, size=max(1, n // 2), replace=False)),
+    )
+    return random_params(rng, f, 5, c), cd
+
+
+def assert_batch_matches_loop(members, lr=0.3):
+    trained = list(train_batch(members, lr))
+    assert len(trained) == len(members)
+    for (p, cd), (q, soft) in zip(members, trained):
+        ref = train_epoch_per_client(p, cd, lr)
+        assert q.dims == p.dims and np.array_equal(q.vec, ref.vec)
+        assert np.array_equal(soft, forward_per_client(ref, cd))
+    for (p, cd), soft in zip(members, forward_batch(members)):
+        assert np.array_equal(soft, forward_per_client(p, cd))
+
+
+def kernel_calls(monkeypatch):
+    """Record the member count of every kernel call."""
+    calls, real = [], gcn._Block
+
+    def block(members):
+        calls.append(len(members))
+        return real(members)
+
+    monkeypatch.setattr(gcn, "_Block", block)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_of_random_clients_matches_per_client_loop(seed):
+    rng = np.random.default_rng(seed)
+    members = [
+        batch_client(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)))
+        for _ in range(int(rng.integers(2, 12)))
+    ]
+    assert_batch_matches_loop(members)
+
+
+def test_batch_with_edgeless_and_one_node_clients_matches_loop():
+    rng = np.random.default_rng(3)
+    members = [
+        batch_client(rng, 9, 0.4),
+        batch_client(rng, 12, 0.0, edges=[]),
+        batch_client(rng, 1, 0.0, edges=[]),
+        batch_client(rng, 20, 0.2),
+        batch_client(rng, 1, 0.0, edges=[]),
+    ]
+    assert_batch_matches_loop(members)
+    for member in members[1:3]:  # each alone, a batch of one
+        assert_batch_matches_loop([member])
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.8])
+def test_batch_of_edge_sparsified_clients_matches_loop(rate):
+    rng = np.random.default_rng(int(10 * rate))
+    members = []
+    for k in range(5):
+        p, cd = batch_client(rng, int(rng.integers(6, 30)), 0.5)
+        thinned = sparsify_edges(cd, rate, seed=k)
+        assert thinned.graph.edge_count < cd.graph.edge_count
+        members.append((p, thinned))
+    assert_batch_matches_loop(members)
+
+
+def test_batch_of_mixed_sizes_is_one_padded_call(monkeypatch):
+    rng = np.random.default_rng(5)
+    members = [batch_client(rng, n, 0.3) for n in (3, 17, 40, 9, 2, 40, 25)]
+    calls = kernel_calls(monkeypatch)
+    assert_batch_matches_loop(members)
+    assert calls == [7, 7]  # train_batch, then forward_batch
+
+
+def test_batch_straddling_the_cap_splits_into_consecutive_calls(monkeypatch):
+    rng = np.random.default_rng(6)
+    sizes = (300, 280, 310, 200, 120, BATCH_ROWS + 50, 60)
+    members = [batch_client(rng, n, 4.0 / n, f=4, c=2) for n in sizes]
+    calls = kernel_calls(monkeypatch)
+    assert_batch_matches_loop(members)
+    # 4 x 310 padded rows pass the cap; a member above it runs alone
+    assert calls == [3, 2, 1, 1] * 2
+
+
+def test_batch_of_one_assembles_nothing():
+    rng = np.random.default_rng(7)
+    p, cd = batch_client(rng, 15, 0.3)
+    (block,) = gcn._blocks([(p, cd)])
+    assert block.vecs is p.vec and block.ax is cd.plan.ax and block.adj is cd.plan.adj
+    (q, soft), = train_batch([(p, cd)], 0.1)
+    assert not np.shares_memory(q.vec, p.vec)
+    assert np.array_equal(q.vec, train_epoch(p, cd, 0.1).vec)
+    assert np.array_equal(soft, forward(q, cd))
+
+
+def test_batch_refuses_mismatched_shapes_and_empty_train_masks():
+    rng = np.random.default_rng(8)
+    members = [batch_client(rng, 6, 0.5), batch_client(rng, 6, 0.5, f=4)]
+    with pytest.raises(ValueError, match="do not match data"):
+        forward_batch(members)
+    empty = make_client_data(4, [(0, 1)], num_classes=3, rng=rng, feature_dim=6, train=[])
+    members = [batch_client(rng, 6, 0.5), (random_params(rng, 6, 5, 3), empty)]
+    assert len(forward_batch(members)) == 2
+    with pytest.raises(ValueError, match="empty train mask"):
+        list(train_batch(members, 0.1))

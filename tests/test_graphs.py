@@ -49,6 +49,63 @@ class TestGraphInvariants:
         npt.assert_array_equal(g.edges, [[0, 1], [2, 3]])
 
 
+def canonical_ref(edges):
+    """Edges as construction always canonicalized them: each row sorted, then
+    the rows lexicographically."""
+    e = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    return e[np.lexsort((e[:, 1], e[:, 0]))]
+
+
+class TestEdgeCanonicalization:
+    """Canonical input skips the sort; any other input is sorted or refused
+    exactly as before."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_and_reversed_edges_are_sorted(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 12
+        edges = np.array([(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        canonical = tiny_graph(n, edges).edges
+        npt.assert_array_equal(canonical, canonical_ref(edges))
+        flipped = np.where(rng.random(len(edges))[:, None] < 0.5, edges[:, ::-1], edges)
+        for variant in (edges[rng.permutation(len(edges))], edges[::-1], flipped):
+            got = tiny_graph(n, variant).edges
+            npt.assert_array_equal(got, canonical_ref(variant))
+            npt.assert_array_equal(got, canonical)
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 2), (0, 1), (1, 2)], [(0, 1), (2, 3), (1, 3)], [(0, 1), (3, 2)]]
+    )
+    def test_rows_out_of_order_in_one_column_are_sorted(self, edges):
+        npt.assert_array_equal(tiny_graph(4, edges).edges, canonical_ref(edges))
+
+    def test_canonical_edges_are_kept_as_an_owned_copy(self):
+        edges = np.array([[0, 1], [0, 2], [1, 2], [2, 3]], dtype=np.int64)
+        g = tiny_graph(4, edges)
+        npt.assert_array_equal(g.edges, edges)
+        assert not np.shares_memory(g.edges, edges)
+
+    @pytest.mark.parametrize(
+        "edges, match",
+        [
+            ([(0, 1), (1, 2), (0, 1)], "duplicate"),
+            ([(0, 1), (1, 0)], "duplicate"),
+            ([(0, 1), (0, 1)], "duplicate"),
+            ([(1, 1)], "self-loops"),
+            ([(0, 1), (2, 2)], "self-loops"),
+            ([(0, 1), (1, 3)], "out of range"),
+            ([(-1, 1)], "out of range"),
+        ],
+    )
+    def test_duplicates_loops_and_bad_endpoints_are_refused(self, edges, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_graph(3, edges)
+
+    @pytest.mark.parametrize("edges", [[], [(1, 2)], [(2, 1)]])
+    def test_no_or_one_edge(self, edges):
+        npt.assert_array_equal(tiny_graph(3, edges).edges, canonical_ref(edges))
+
+
 class TestNormalizedAdjacency:
     def test_single_node(self):
         g = tiny_graph(1, [])

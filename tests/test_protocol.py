@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, init_params, train_epoch
 from fedgraphsim.kernels import (
@@ -15,8 +17,8 @@ from fedgraphsim.kernels import (
     label_propagation,
     staleness_weights,
 )
-from fedgraphsim.gcn import forward
-from fedgraphsim import protocol
+from fedgraphsim.gcn import forward, softmax_rows
+from fedgraphsim import gcn, protocol
 from fedgraphsim.protocol import (
     KB_INITIAL_ROWS,
     ClientState,
@@ -29,8 +31,9 @@ from fedgraphsim.protocol import (
     UploadMessage,
     client_trip,
     server_receive,
+    train_trips,
 )
-from oracles import cosine_ref, make_client_data
+from oracles import cosine_ref, make_client_data, random_params
 
 
 def const_params(v, f=2, h=3, c=2):
@@ -344,15 +347,17 @@ class TestClientTrip:
         expected = train_epoch(
             blend_local(incoming, uploaded, 3.0, first.lsc.clamped), state.data, 0.05
         )
-        forwarded = []
+        forwards = []
 
-        def counting_forward(p, cd):
-            forwarded.append(p)
-            return forward(p, cd)
+        def counting_softmax(z):  # one call per forward pass of the kernel
+            forwards.append(z.shape)
+            return softmax_rows(z)
 
-        monkeypatch.setattr(protocol, "forward", counting_forward)
+        monkeypatch.setattr(gcn, "softmax_rows", counting_softmax)
         msg = client_trip(state, hyper, 0.05)
-        assert len(forwarded) == 1 and forwarded[0] is msg.params
+        # the training step's forward and the trained model's: the blend adds none
+        assert forwards == [(5, 2), (5, 2)]
+        monkeypatch.undo()
         npt.assert_array_equal(msg.params.vec, expected.vec)
         npt.assert_array_equal(state.upload.soft, forward(msg.params, state.data))
         assert state.upload is msg
@@ -417,6 +422,131 @@ class TestBaselines:
         mix = 0.5 * (3 + 1) ** -0.5
         for name in PARAM_FIELDS:
             npt.assert_allclose(getattr(s.global_params, name), mix * 4.0)
+
+    def test_fedasync_mix_equals_the_two_model_aggregate(self):
+        rng = np.random.default_rng(12)
+        s = FedAsyncServer(random_params(rng, 3, 4, 2), alpha=0.5)
+        expected = s.global_params
+        for _ in range(2000):
+            tau = int(rng.integers(0, s.round + 1))
+            params = random_params(rng, 3, 4, 2)
+            mix = 0.5 * (s.round - tau + 1.0) ** -0.5
+            (cid, msg), = server_receive(s, upload(5, params=params, tau=tau))
+            expected = aggregate_models([expected, params], [1.0 - mix, mix])
+            assert cid == 5 and msg.params is s.global_params and msg.round == s.round
+            assert np.array_equal(s.global_params.vec, expected.vec)
+
+    def test_fedasync_refuses_params_of_other_dims(self):
+        s = FedAsyncServer(const_params(0.0), alpha=0.5)
+        with pytest.raises(ValueError, match="must share dims"):
+            s.receive(upload(1, params=const_params(1.0, h=4)))
+        assert s.round == 0
+
+
+# An upload stream for the server-count contract: (client id, round-stamp lag).
+UPLOAD_STREAMS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=40)
+
+
+def contract_servers():
+    hyper = FglHyper(theta=0.0)
+    return [
+        FedSaGclServer(3, hyper),
+        FedSaGclServer(1, hyper),
+        FedSaGclServer(4, hyper, use_broadcast=False),
+        FedAvgSyncServer({c: c + 1 for c in range(6)}),
+        FedAvgSyncServer({2: 1, 4: 1}),
+        FedBuffServer(3),
+        FedBuffServer(1),
+        FedAsyncServer(const_params(0.0), alpha=0.5),
+    ]
+
+
+class TestServerCount:
+    """``uploads_to_reach_others``: until that many uploads are in, no
+    delivery reaches a client other than the upload's sender."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(UPLOAD_STREAMS)
+    def test_no_delivery_reaches_another_client_before_the_count_runs_out(self, stream):
+        for s in contract_servers():
+            count = s.uploads_to_reach_others()
+            for cid, lag in stream:
+                assert count >= 1
+                sfm = np.array([[1.0, 0.1 * cid], [0.1 * cid, 1.0]])
+                msg = upload(cid, tau=max(s.round - lag, 0), sfm=sfm)
+                others = [d for d, _ in server_receive(s, msg) if d != cid]
+                count -= 1
+                if count > 0:
+                    assert others == [], type(s).__name__
+                if others or count == 0:
+                    count = s.uploads_to_reach_others()
+
+    def test_counts_follow_the_buffers(self):
+        s = fedsa_server(k=3)
+        assert s.uploads_to_reach_others() == 3
+        server_receive(s, upload(1))
+        assert s.uploads_to_reach_others() == 2
+        f = FedAvgSyncServer({1: 1, 2: 1, 3: 1})
+        server_receive(f, upload(2))
+        assert f.uploads_to_reach_others() == 2
+        b = FedBuffServer(2)
+        server_receive(b, upload(2))
+        assert b.uploads_to_reach_others() == 1
+        assert FedAsyncServer(const_params(0.0), 0.5).uploads_to_reach_others() == math.inf
+
+
+class TestTrainTrips:
+    def clients(self, n=4):
+        rng = np.random.default_rng(4)
+        out = []
+        for cid in range(n):
+            cd = make_client_data(5 + cid, [(0, 1), (1, 2), (2, 3)], num_classes=2, rng=rng)
+            out.append(ClientState(cid, cd, init_params(3, 4, 2, seed=cid)))
+        return out
+
+    def test_batched_trips_equal_trips_alone(self):
+        hyper = FglHyper()
+        batched, alone = self.clients(), self.clients()
+        for states in (batched, alone):
+            states[1].mailbox = DownloadMessage(init_params(3, 4, 2, seed=50), 6, None)
+        train_trips(batched, 0.05)
+        assert all(s.mailbox is None and s.trained is not None for s in batched)
+        assert batched[1].tau == 6
+        for b, a in zip(batched, alone):
+            got, ref = client_trip(b, hyper, 0.05), client_trip(a, hyper, 0.05)
+            assert b.trained is None and b.upload is got and got.tau == ref.tau
+            assert np.array_equal(got.params.vec, ref.params.vec)
+            assert np.array_equal(got.soft, ref.soft)
+
+    def test_trips_of_a_batch_finish_in_its_order(self):
+        states = self.clients(3)
+        train_trips(states, 0.05)
+        with pytest.raises(RuntimeError, match="client 1 finished its trip out of batch order"):
+            client_trip(states[1], FglHyper(), 0.05)
+
+    def test_a_batch_trains_each_kernel_call_when_its_first_trip_finishes(self, monkeypatch):
+        states = self.clients(3)
+        calls = []
+        real = gcn._Block
+
+        def block(members):
+            calls.append(len(members))
+            return real(members)
+
+        monkeypatch.setattr(gcn, "_Block", block)
+        train_trips(states, 0.05)
+        assert calls == []
+        client_trip(states[0], FglHyper(), 0.05)
+        assert calls == [3]
+        client_trip(states[1], FglHyper(), 0.05)
+        client_trip(states[2], FglHyper(), 0.05)
+        assert calls == [3]
+
+    def test_a_broadcast_before_the_first_upload_stops_the_batch(self):
+        states = self.clients(2)
+        states[1].mailbox = DownloadMessage(init_params(3, 4, 2, seed=9), 2, 1.0)
+        with pytest.raises(ValueError, match="client 1 got a broadcast before uploading"):
+            train_trips(states, 0.05)
 
 
 class TestMailboxes:

@@ -9,6 +9,7 @@ from fedgraphsim import gcn, kernels, protocol, sim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.gcn import evaluate
 from fedgraphsim.graphs import SbmConfig
+from fedgraphsim.kernels import FglHyper
 from fedgraphsim.protocol import Strategy
 from fedgraphsim.sim import (
     Event,
@@ -17,7 +18,7 @@ from fedgraphsim.sim import (
     prepare_clients,
     run_simulation,
 )
-from oracles import plan_mismatches, trip_plan_ref
+from oracles import plan_mismatches, run_simulation_one_event_at_a_time, trip_plan_ref
 
 
 def sbm_cfg(**kw):
@@ -207,7 +208,7 @@ class TestRunSimulation:
 @pytest.mark.parametrize("strategy", ["fedsa_gcl", "fedavg_sync", "fedbuff", "fedasync"])
 def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
     cfg = sbm_cfg(strategy=strategy, n_clients=4, k_buffer=2, max_trips=40)
-    trip, real_forward = sim.client_trip, gcn.forward
+    trip, real_softmax = sim.client_trip, gcn.softmax_rows
     held, forwards = [], []
 
     def recording_trip(state, hyper, lr):
@@ -215,15 +216,16 @@ def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
         held.append((state.data, state.params))
         return upload
 
-    def counting_forward(p, cd):
-        forwards.append(p)
-        return real_forward(p, cd)
+    def counting_softmax(z):  # once per forward pass, over its member rows
+        forwards.append(z.shape[0] if z.ndim == 3 else 1)
+        return real_softmax(z)
 
     monkeypatch.setattr(sim, "client_trip", recording_trip)
-    monkeypatch.setattr(gcn, "forward", counting_forward)
-    monkeypatch.setattr(protocol, "forward", counting_forward)
+    monkeypatch.setattr(gcn, "softmax_rows", counting_softmax)
     log = run_simulation(cfg, seed=3)
-    assert len(forwards) == len(log.records) + cfg.n_clients
+    # per trip the training step's forward and the trained model's, which the
+    # trip accuracy reuses; plus each client's initial evaluation
+    assert sum(forwards) == 2 * len(log.records) + cfg.n_clients
     if strategy == "fedsa_gcl":  # the broadcast blend must not add a forward
         assert any("kind=broadcast" in line for line in log.trace)
     monkeypatch.undo()
@@ -337,3 +339,66 @@ def test_make_server_builds_the_strategy_server(strategy):
         assert server.k == 3
     if strategy == Strategy.FEDSA_GCL:
         assert server.use_clustering and not server.use_broadcast
+
+
+STRAGGLER_RUN = dict(
+    dataset=DatasetSpec("sbm", sbm=SbmConfig((12, 12, 12, 12), 0.5, 0.05, 4, 0.3, 6)),
+    n_clients=8, k_buffer=3, max_trips=150, edge_fraction=0.25, lag_range=(2, 3),
+)
+# fedsa_gcl with K=3 of 6 normal clients per time unit: rounds fire mid-step
+# and broadcast to clients of the same step
+DRIVER_CASES = {
+    **{s.value: dict(strategy=s) for s in Strategy},
+    "fedsa_gcl_theta0": dict(hyper=FglHyper(theta=0.0)),
+    "label_sparsity": dict(perturbation=Perturbation("label_sparsity", 0.5)),
+    "k_steps0": dict(hyper=FglHyper(k_steps=0)),
+}
+
+
+@pytest.mark.parametrize("case", DRIVER_CASES)
+def test_batched_driver_equals_the_one_event_at_a_time_loop(monkeypatch, case):
+    cfg = sbm_cfg(**{**STRAGGLER_RUN, **DRIVER_CASES[case]})
+    ref = run_simulation_one_event_at_a_time(cfg, 4)
+    batches, real = [], sim.train_trips
+
+    def recording(states, lr):
+        batches.append([s.client_id for s in states])
+        return real(states, lr)
+
+    monkeypatch.setattr(sim, "train_trips", recording)
+    log = run_simulation(cfg, 4)
+    assert log.to_csv_text() == ref.to_csv_text()
+    assert repr(log.aggregation_log) == repr(ref.aggregation_log)
+    assert log.trace == ref.trace
+    assert [c for b in batches for c in b] == [r.client_id for r in log.records]
+    assert max(map(len, batches)) > 1
+    slow = [c for c, d in enumerate(log.durations) if d > 1]
+    assert slow and set(slow) <= {r.client_id for r in log.records}  # stragglers upload
+    if cfg.strategy == Strategy.FEDSA_GCL:
+        assert any("kind=broadcast" in line for line in log.trace)
+        # some time step's trips were cut into more than one batch
+        assert len(batches) > len({r.time for r in log.records})
+
+
+def test_a_server_count_one_too_large_is_caught(monkeypatch):
+    cfg = sbm_cfg(**STRAGGLER_RUN, hyper=FglHyper(theta=0.0))
+    monkeypatch.setattr(
+        protocol.FedSaGclServer, "uploads_to_reach_others", lambda s: s.k - len(s.queue) + 1
+    )
+    with pytest.raises(RuntimeError, match="a delivery reached client .* within its batch"):
+        run_simulation(cfg, 4)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_client_trip_runs_once_per_trip_in_record_order(monkeypatch, strategy):
+    cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy, "max_trips": 61})
+    real, tripped = sim.client_trip, []
+
+    def trip(state, hyper, lr):
+        tripped.append(state.client_id)
+        return real(state, hyper, lr)
+
+    monkeypatch.setattr(sim, "client_trip", trip)
+    log = run_simulation(cfg, 2)
+    assert len(tripped) == len(log.records) == cfg.max_trips
+    assert tripped == [r.client_id for r in log.records]
