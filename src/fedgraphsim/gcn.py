@@ -22,9 +22,8 @@ call (``_Block``), each client's numbers bit for bit those of it alone.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .partition import ClientData, spmm
+from .partition import ClientData, block_diag, spmm
 
 LOG_CLAMP = 1e-12
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
@@ -138,14 +137,7 @@ class _Block:
         n = np.array([cd.graph.node_count for cd in datas])
         rows = int(n.max())
         starts = np.arange(0, n.size * rows, rows)
-        real = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)  # the clients' rows
-        adjs = [cd.plan.adj for cd in datas]
-        nnz = np.cumsum([0] + [a.data.size for a in adjs])
-        indptr = np.append(np.repeat(nnz[1:], rows), nnz[-1])  # a padded row is empty
-        indptr[real] = np.concatenate([a.indptr[:-1] for a in adjs]) + np.repeat(nnz[:-1], n)
-        indices = np.concatenate([a.indices for a in adjs]) + np.repeat(starts, np.diff(nnz))
-        data = np.concatenate([a.data for a in adjs])
-        self.adj = sp.csr_matrix((data, indices, indptr), shape=(n.size * rows,) * 2)
+        self.adj, real = block_diag([cd.plan.adj for cd in datas], rows)  # real: the clients' rows
         self.ax = np.zeros((n.size * rows, dims[0]))
         self.ax[real] = np.concatenate([cd.plan.ax for cd in datas])
         self.ax = self.ax.reshape(n.size, rows, dims[0])

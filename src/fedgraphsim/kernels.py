@@ -3,18 +3,24 @@ label propagation, smoothness confidence, and staleness-aware weighting.
 
 Degrees here are always raw local degrees (no self-loops); isolated nodes
 contribute nothing to edge sums and degree-weighted sums.
+
+``compute_sfm``, ``label_propagation`` and ``compute_lsc`` take a batch of
+clients, rows back to back, with one block-diagonal operator per sparse
+product. All but the fingerprint's GEMM and the confidence's sum (per client)
+is row-wise, so each client's values are bit for bit those of it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
 
 from .gcn import ModelParams
-from .partition import ClientData, spmm
+from .partition import ClientData, block_diag, spmm
 
 LSC_EPSILON = 1e-6
 ENTROPY_OFFSET = math.exp(-1.0)
@@ -49,18 +55,29 @@ class FglHyper:
     alpha: float = 0.5
 
 
-def compute_sfm(soft: np.ndarray, cd: ClientData) -> np.ndarray:
-    """Degree-weighted sum of soft-label outer products over adjacent pairs.
+def _bounds(rows: np.ndarray, datas: list[ClientData]) -> list[int]:
+    """Each client's first row and the end, checking one row per local node."""
+    bounds = [0, *accumulate(cd.graph.node_count for cd in datas)]
+    if rows.shape[0] != bounds[-1]:
+        raise ValueError("soft labels must have one row per local node")
+    return bounds
 
-    Computed as one_way = S^T (W S), with W the trip plan's upper-triangle
-    matrix holding d_u * d_v at each edge (u, v), then one_way + one_way^T:
-    both orientations of every undirected edge contribute, and the result is
+
+def compute_sfm(soft: np.ndarray, datas: list[ClientData]) -> list[np.ndarray]:
+    """Each client's degree-weighted sum of soft-label outer products over edges.
+
+    For client k with soft rows S_k: one_way = S_k^T (W S)_k, where W S is one
+    product over the block-diagonal of the trip plans' upper-triangle
+    matrices (d_u * d_v at each edge (u, v)), then one_way + one_way^T: both
+    orientations of every undirected edge contribute, and the result is
     exactly symmetric. An edgeless graph gives the zero matrix.
     """
-    if soft.shape[0] != cd.graph.node_count:
-        raise ValueError("soft labels must have one row per local node")
-    one_way = soft.T @ spmm(cd.plan.edge_w, soft)
-    return one_way + one_way.T
+    bounds = _bounds(soft, datas)
+    ws = spmm(block_diag([cd.plan.edge_w for cd in datas])[0], soft)
+    one_way = np.empty((len(datas), soft.shape[1], soft.shape[1]))
+    for out, s, e in zip(one_way, bounds, bounds[1:]):
+        np.matmul(soft[s:e].T, ws[s:e], out=out)
+    return list(one_way + one_way.transpose(0, 2, 1))
 
 
 def cosine_block(
@@ -100,18 +117,20 @@ def cluster_set(i: int, sfms: Mapping[int, np.ndarray], theta: float) -> set[int
 
 
 def label_propagation(
-    soft: np.ndarray, cd: ClientData, lam: float, k_steps: int
+    soft: np.ndarray, datas: list[ClientData], lam: float, k_steps: int
 ) -> np.ndarray:
-    """k-step non-parametric propagation mixing each node with its neighbors.
+    """k-step non-parametric propagation mixing each node with its neighbors,
+    on the clients' rows back to back (a new array in the same layout).
 
     Each step computes lam * initial + (1 - lam) * sum_j prev_j / sqrt(d_i d_j)
     and renormalizes every row to sum 1 (rows summing to 0 reset to uniform).
-    k_steps=0 returns the input unchanged. lam and k_steps meet the [hyper]
+    k_steps=0 returns a copy of the input. lam and k_steps meet the [hyper]
     rules of config.SCHEMA.
     """
+    _bounds(soft, datas)
     if k_steps == 0:
         return soft.copy()
-    prop = cd.plan.prop
+    prop = block_diag([cd.plan.prop for cd in datas])[0]
     c = soft.shape[1]
     anchor = lam * soft
     current = soft
@@ -127,18 +146,19 @@ def label_propagation(
     return current
 
 
-def compute_lsc(propagated: np.ndarray, cd: ClientData) -> LscValue:
-    """Degree-weighted sum of (1/e - entropy) over propagated soft labels.
+def compute_lsc(propagated: np.ndarray, datas: list[ClientData]) -> list[LscValue]:
+    """Each client's degree-weighted sum of (1/e - entropy) over its propagated rows.
 
     Uses the convention 0 * ln 0 = 0; the raw value is clamped from below
     at LSC_EPSILON.
     """
+    bounds = _bounds(propagated, datas)
     p = propagated
     pos = p > 0.0
     plogp = np.log(p, out=np.zeros_like(p), where=pos)
     np.multiply(plogp, p, out=plogp, where=pos)
-    raw = np.sum(cd.plan.deg * (ENTROPY_OFFSET + plogp.sum(axis=1)))
-    return LscValue.from_raw(raw)
+    terms = np.concatenate([cd.plan.deg for cd in datas]) * (ENTROPY_OFFSET + plogp.sum(axis=1))
+    return [LscValue.from_raw(terms[s:e].sum()) for s, e in zip(bounds, bounds[1:])]
 
 
 def staleness_factors(

@@ -76,6 +76,25 @@ class TripPlan:
         ]
 
 
+def block_diag(mats: list[sp.csr_matrix], rows: int | None = None):
+    """Square CSR blocks on one diagonal, back to back (a lone block is itself)
+    or block k at k * ``rows`` (rows past a block's own are empty), each row's
+    values in order. Returns the joined matrix and each block row's joined row."""
+    if len(mats) == 1 and rows is None:
+        return mats[0], np.arange(mats[0].shape[0])
+    n = np.array([m.shape[0] for m in mats])
+    span = n if rows is None else np.full(n.size, rows)
+    nnz = np.cumsum([0] + [m.data.size for m in mats])
+    index = sp.get_index_dtype(maxval=max(span.sum(), nnz[-1]))  # so scipy scans no index
+    starts, nnz = (np.cumsum(span) - span).astype(index), nnz.astype(index)
+    real = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)  # the blocks' rows
+    indptr = np.append(np.repeat(nnz[1:], span), nnz[-1])  # a padded row is empty
+    indptr[real] = np.concatenate([m.indptr[:-1] for m in mats]) + np.repeat(nnz[:-1], n)
+    indices = np.concatenate([m.indices for m in mats]) + np.repeat(starts, np.diff(nnz))
+    data = np.concatenate([m.data for m in mats])
+    return sp.csr_matrix((data, indices, indptr), shape=(int(span.sum()),) * 2), real
+
+
 def spmm(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """``a @ x`` for a float64 CSR ``a`` and a 2-D float64 ``x``, as a new array.
 

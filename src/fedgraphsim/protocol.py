@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gcn import ModelParams, train_batch
+from .gcn import BATCH_ROWS, ModelParams, train_batch
 from .kernels import (
     FglHyper,
     LscValue,
@@ -53,10 +53,10 @@ FEDASYNC_BETA = 0.5
 class UploadMessage:
     """Client -> server: trained params, the round stamp of the model version
     the client last received (0 initially) and the params' soft labels. The
-    fingerprint ``sfm`` and confidence ``lsc`` are computed on first read, so
-    a server that never reads them (the baselines) never pays for them; as
-    nothing changes ``soft``, ``data`` or ``hyper`` after the trip, each is
-    the same whenever it is first read."""
+    fingerprint ``sfm`` and confidence ``lsc`` are computed when a fedsa_gcl
+    round needs them (``fill_stats``, in batches) or on first read (a batch of
+    one), so the baselines never pay for them; as nothing changes
+    ``soft``, ``data`` or ``hyper`` after the trip, each is the same either way."""
 
     params: ModelParams
     tau: int
@@ -67,12 +67,36 @@ class UploadMessage:
 
     @cached_property
     def sfm(self) -> np.ndarray:
-        return compute_sfm(self.soft, self.data)
+        fill_stats([self], ("sfm",))
+        return vars(self)["sfm"]
 
     @cached_property
     def lsc(self) -> LscValue:
-        propagated = label_propagation(self.soft, self.data, self.hyper.lam, self.hyper.k_steps)
-        return compute_lsc(propagated, self.data)
+        fill_stats([self], ("lsc",))
+        return vars(self)["lsc"]
+
+
+def fill_stats(uploads: list[UploadMessage], names=("sfm", "lsc")) -> None:
+    """Give the uploads their missing ``sfm`` and ``lsc``: one kernel call per
+    kind and run of uploads, as many as the trip kernel's BATCH_ROWS rule allows
+    (joining a large client's operators costs more than the calls it saves). A
+    value already read is kept; two uploads of one client are two entries.
+    ValueError if the uploads lacking ``lsc`` differ in (lam, k_steps)."""
+    for name in names:
+        todo = [m for m in uploads if name not in vars(m)]
+        if name == "lsc" and len({(m.hyper.lam, m.hyper.k_steps) for m in todo}) > 1:
+            raise ValueError("the uploads in one batch must share lam and k_steps")
+        per_run = max(1, BATCH_ROWS // max((len(m.soft) for m in todo), default=1))
+        for run in (todo[i : i + per_run] for i in range(0, len(todo), per_run)):
+            soft = np.concatenate([m.soft for m in run]) if len(run) > 1 else run[0].soft
+            datas = [m.data for m in run]
+            if name == "sfm":
+                values = compute_sfm(soft, datas)
+            else:
+                lam, k_steps = run[0].hyper.lam, run[0].hyper.k_steps
+                values = compute_lsc(label_propagation(soft, datas, lam, k_steps), datas)
+            for m, value in zip(run, values):
+                vars(m)[name] = value
 
 
 @dataclass(eq=False)
@@ -198,12 +222,17 @@ class FedSaGclServer(Server):
         without cluster confidence. Every s in some I_i \\ U receives the
         cluster model of its most similar uploader (ties to the lower
         uploader id) together with that cluster's summed clamped confidence.
+        The queue's missing fingerprints and confidences are computed in
+        batches (``fill_stats``). Staleness is fixed for the round, so each
+        distinct member set is aggregated once into one ``ModelParams`` that
+        its uploaders share, each with its own log entry and delivery.
         """
         self.queue.append(msg)
         if len(self.queue) < self.k:
             return []
         self.round += 1
         t = self.round
+        fill_stats(self.queue)
         for m in self.queue:
             self.kb.put(m)
         u_ids = np.array(sorted({m.client_id for m in self.queue}))
@@ -221,22 +250,22 @@ class FedSaGclServer(Server):
             )
             member = own | (sims >= self.hyper.theta)
         stale = staleness_factors(kb.lsc[cols], kb.tau[cols], t, self.hyper.alpha)
-        deliveries = []
-        models, lsc_sums = [], []
+        deliveries, models, lsc_sums, clusters = [], [], [], {}
         for i, in_cluster in zip(u_ids.tolist(), member):
-            members = np.flatnonzero(in_cluster)
-            u = stale[members]
-            weights = u / u.sum()
-            rows = cols[members]
-            model_i = ModelParams.from_vector(
-                weighted_row_sum(kb.params[rows], weights), kb.dims
-            )
-            self.aggregation_log.append(
-                (t, i, tuple(col_ids[members].tolist()), tuple(weights.tolist()))
-            )
+            key = in_cluster.tobytes()
+            if key not in clusters:
+                members = np.flatnonzero(in_cluster)
+                u = stale[members]
+                weights = u / u.sum()
+                rows = cols[members]
+                model = ModelParams.from_vector(weighted_row_sum(kb.params[rows], weights), kb.dims)
+                clusters[key] = (model, sum(kb.lsc[rows].tolist()),
+                                 tuple(col_ids[members].tolist()), tuple(weights.tolist()))
+            model_i, lsc_sum, *logged = clusters[key]
+            self.aggregation_log.append((t, i, *logged))
             deliveries.append((i, DownloadMessage(model_i, t, None)))
             models.append(model_i)
-            lsc_sums.append(sum(kb.lsc[rows].tolist()))
+            lsc_sums.append(lsc_sum)
         if self.use_broadcast and self.use_clustering:  # singletons reach no one
             reach = member & ~own.any(axis=0)
             targets = np.flatnonzero(reach.any(axis=0))

@@ -3,8 +3,8 @@
 Everything here is deliberately written with plain Python loops over edges
 and entries, independent of the vectorized library code it checks. The
 exception is the bit-exact section: earlier array versions of the client
-kernels and of the event loop, copied as they were, which the current ones
-must match exactly.
+kernels, of the event loop and of the fedsa_gcl server round, copied as
+they were, which the current ones must match exactly.
 """
 
 import heapq
@@ -24,9 +24,23 @@ from fedgraphsim.graphs import (
     normalized_adjacency,
     propagation_matrix,
 )
-from fedgraphsim.kernels import ENTROPY_OFFSET
+from fedgraphsim.kernels import (
+    ENTROPY_OFFSET,
+    cosine_block,
+    staleness_factors,
+    weighted_row_sum,
+)
 from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
-from fedgraphsim.protocol import ClientState, Strategy, client_trip, format_trace, server_receive
+from fedgraphsim.protocol import (
+    ClientState,
+    DownloadMessage,
+    FedSaGclServer,
+    Strategy,
+    UploadMessage,
+    client_trip,
+    format_trace,
+    server_receive,
+)
 
 
 def make_client_data(
@@ -319,6 +333,61 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
             heapq.heappush(heap, sim.Event(now + int(latency.durations[r_cid]), r_cid))
     log.aggregation_log = list(server.aggregation_log)
     return log
+
+
+class FedSaGclServerRef(FedSaGclServer):
+    """The fedsa_gcl round as it was before each round computed its uploads'
+    fingerprints and confidences in one batch and each distinct cluster's
+    model once: every upload enters the knowledge base on its own (reading
+    its lazy ``sfm`` and ``lsc``), and every uploader's model is aggregated
+    on its own."""
+
+    def receive(self, msg: UploadMessage):
+        self.queue.append(msg)
+        if len(self.queue) < self.k:
+            return []
+        self.round += 1
+        t = self.round
+        for m in self.queue:
+            self.kb.put(m)
+        u_ids = np.array(sorted({m.client_id for m in self.queue}))
+        self.queue.clear()
+        kb = self.kb
+        ids = np.fromiter(kb.row_of, dtype=np.int64, count=len(kb.row_of))
+        cols = np.argsort(ids)  # rows in ascending client id
+        col_ids = ids[cols]
+        own = col_ids == u_ids[:, None]
+        member = own
+        if self.use_clustering:
+            u_rows = [kb.row_of[i] for i in u_ids.tolist()]
+            sims = cosine_block(
+                kb.sfm[u_rows], kb.sfm[cols], kb.sfm_norm[u_rows], kb.sfm_norm[cols]
+            )
+            member = own | (sims >= self.hyper.theta)
+        stale = staleness_factors(kb.lsc[cols], kb.tau[cols], t, self.hyper.alpha)
+        deliveries = []
+        models, lsc_sums = [], []
+        for i, in_cluster in zip(u_ids.tolist(), member):
+            members = np.flatnonzero(in_cluster)
+            u = stale[members]
+            weights = u / u.sum()
+            rows = cols[members]
+            model_i = ModelParams.from_vector(
+                weighted_row_sum(kb.params[rows], weights), kb.dims
+            )
+            self.aggregation_log.append(
+                (t, i, tuple(col_ids[members].tolist()), tuple(weights.tolist()))
+            )
+            deliveries.append((i, DownloadMessage(model_i, t, None)))
+            models.append(model_i)
+            lsc_sums.append(sum(kb.lsc[rows].tolist()))
+        if self.use_broadcast and self.use_clustering:  # singletons reach no one
+            reach = member & ~own.any(axis=0)
+            targets = np.flatnonzero(reach.any(axis=0))
+            sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
+            for s, k in zip(col_ids[targets].tolist(), sources.tolist()):
+                deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k])))
+        return deliveries
 
 
 def accuracy_ref(probs, cd: ClientData, mask) -> float:

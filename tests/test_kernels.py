@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgraphsim.gcn import PARAM_FIELDS
 from fedgraphsim.kernels import (
@@ -37,25 +39,25 @@ class TestSfm:
     def test_edgeless_graph_zero(self):
         cd = make_client_data(3, [], num_classes=2)
         soft = random_soft(np.random.default_rng(0), 3, 2)
-        npt.assert_array_equal(compute_sfm(soft, cd), np.zeros((2, 2)))
+        npt.assert_array_equal(compute_sfm(soft, [cd])[0], np.zeros((2, 2)))
 
     def test_two_node_hand_example(self):
         cd = make_client_data(2, [(0, 1)], num_classes=2)
         soft = np.array([[1.0, 0.0], [0.0, 1.0]])
-        npt.assert_allclose(compute_sfm(soft, cd), [[0, 1], [1, 0]])
+        npt.assert_allclose(compute_sfm(soft, [cd])[0], [[0, 1], [1, 0]])
 
     def test_triangle_uniform(self):
         cd = make_client_data(3, [(0, 1), (0, 2), (1, 2)], num_classes=2)
         soft = np.full((3, 2), 0.5)
-        npt.assert_allclose(compute_sfm(soft, cd), np.full((2, 2), 6.0))
+        npt.assert_allclose(compute_sfm(soft, [cd])[0], np.full((2, 2), 6.0))
 
     def test_symmetric_and_quadratic_scaling(self):
         rng = np.random.default_rng(4)
         cd = make_client_data(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], num_classes=3)
         soft = random_soft(rng, 5, 3)
-        s1 = compute_sfm(soft, cd)
+        s1 = compute_sfm(soft, [cd])[0]
         npt.assert_allclose(s1, s1.T, rtol=1e-12)
-        s2 = compute_sfm(2.5 * soft, cd)
+        s2 = compute_sfm(2.5 * soft, [cd])[0]
         npt.assert_allclose(s2, 2.5**2 * s1, rtol=1e-12)
 
     @pytest.mark.parametrize("n, q", [(1, 0.0), (6, 0.0), (7, 0.2), (12, 0.4), (20, 0.8)])
@@ -64,7 +66,7 @@ class TestSfm:
         edges = random_graph_edges(rng, n, q)
         cd = make_client_data(n, edges, num_classes=4, rng=rng)
         soft = random_soft(rng, n, 4)
-        m = compute_sfm(soft, cd)
+        m = compute_sfm(soft, [cd])[0]
         npt.assert_allclose(m, sfm_ref(soft, edges, degrees_ref(n, edges)), rtol=1e-12)
         assert np.array_equal(m, m.T)
         if not edges:
@@ -73,7 +75,7 @@ class TestSfm:
     def test_row_count_checked(self):
         cd = make_client_data(3, [(0, 1)], num_classes=2)
         with pytest.raises(ValueError):
-            compute_sfm(np.ones((2, 2)), cd)
+            compute_sfm(np.ones((2, 2)), [cd])[0]
 
 
 class TestCosine:
@@ -154,35 +156,35 @@ class TestLabelPropagation:
         cd = make_client_data(4, [(0, 1), (1, 2), (2, 3)], num_classes=2)
         soft = random_soft(np.random.default_rng(0), 4, 2)
         for k in (1, 3):
-            npt.assert_allclose(label_propagation(soft, cd, 1.0, k), soft)
+            npt.assert_allclose(label_propagation(soft, [cd], 1.0, k), soft)
 
     def test_two_node_path(self):
         cd = make_client_data(2, [(0, 1)], num_classes=2)
         soft = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = label_propagation(soft, cd, 0.5, 1)
+        out = label_propagation(soft, [cd], 0.5, 1)
         npt.assert_allclose(out, np.full((2, 2), 0.5))
 
     def test_isolated_node_renormalizes(self):
         cd = make_client_data(1, [], num_classes=2)
         soft = np.array([[0.3, 0.7]])
-        out = label_propagation(soft, cd, 0.5, 1)
+        out = label_propagation(soft, [cd], 0.5, 1)
         npt.assert_allclose(out, [[0.3, 0.7]], rtol=1e-12)
 
     def test_isolated_node_zero_lambda_uniform(self):
         cd = make_client_data(1, [], num_classes=4)
-        out = label_propagation(np.array([[0.1, 0.2, 0.3, 0.4]]), cd, 0.0, 2)
+        out = label_propagation(np.array([[0.1, 0.2, 0.3, 0.4]]), [cd], 0.0, 2)
         npt.assert_allclose(out, [[0.25, 0.25, 0.25, 0.25]])
 
     def test_zero_steps_returns_input(self):
         cd = make_client_data(3, [(0, 1)], num_classes=2)
         soft = random_soft(np.random.default_rng(2), 3, 2)
-        npt.assert_array_equal(label_propagation(soft, cd, 0.3, 0), soft)
+        npt.assert_array_equal(label_propagation(soft, [cd], 0.3, 0), soft)
 
     def test_rows_always_sum_to_one(self):
         rng = np.random.default_rng(5)
         cd = make_client_data(6, [(0, 1), (1, 2), (3, 4)], num_classes=3)
         for lam in (0.0, 0.3, 0.7, 1.0):
-            out = label_propagation(random_soft(rng, 6, 3), cd, lam, 3)
+            out = label_propagation(random_soft(rng, 6, 3), [cd], lam, 3)
             npt.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-9)
 
 
@@ -192,27 +194,27 @@ class TestLsc:
         soft = np.zeros((4, 2))
         soft[:, 0] = 1.0
         want = math.exp(-1) * (1 + 2 + 2 + 1)
-        got = compute_lsc(soft, cd)
+        got = compute_lsc(soft, [cd])[0]
         assert got.raw == pytest.approx(want, rel=1e-12)
         assert got.clamped == got.raw
 
     def test_two_node_uniform(self):
         cd = make_client_data(2, [(0, 1)], num_classes=2)
-        got = compute_lsc(np.full((2, 2), 0.5), cd)
+        got = compute_lsc(np.full((2, 2), 0.5), [cd])[0]
         assert got.raw == pytest.approx(2 * (math.exp(-1) - math.log(2)), rel=1e-9)
         assert got.raw == pytest.approx(-0.65054, abs=1e-5)
         assert got.clamped == 1e-6
 
     def test_all_isolated(self):
         cd = make_client_data(3, [], num_classes=2)
-        got = compute_lsc(np.full((3, 2), 0.5), cd)
+        got = compute_lsc(np.full((3, 2), 0.5), [cd])[0]
         assert got.raw == 0.0
         assert got.clamped == 1e-6
 
     def test_zero_prob_convention(self):
         cd = make_client_data(2, [(0, 1)], num_classes=3)
         soft = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
-        got = compute_lsc(soft, cd)
+        got = compute_lsc(soft, [cd])[0]
         assert np.isfinite(got.raw)
 
 
@@ -239,7 +241,7 @@ class TestBitExact:
     @pytest.mark.parametrize("k_steps", [0, 1, 2, 3])
     def test_label_propagation(self, n, q, lam, k_steps):
         cd, soft = exact_case(n, q)
-        got = label_propagation(soft, cd, lam, k_steps)
+        got = label_propagation(soft, [cd], lam, k_steps)
         assert np.array_equal(got, label_propagation_ref(soft, cd, lam, k_steps))
         degs = degrees_ref(n, cd.graph.edges.tolist())
         loop = label_propagation_loop_ref(soft, cd.graph.edges.tolist(), degs, lam, k_steps)
@@ -250,7 +252,7 @@ class TestBitExact:
         cd, soft = exact_case(30, 0.05)
         isolated = np.asarray(degrees_ref(30, cd.graph.edges.tolist())) == 0
         assert isolated.any() and not isolated.all()
-        got = label_propagation(soft, cd, 0.0, 2)
+        got = label_propagation(soft, [cd], 0.0, 2)
         assert np.array_equal(got, label_propagation_ref(soft, cd, 0.0, 2))
         assert np.array_equal(got[isolated], np.full((isolated.sum(), 3), 1 / 3))
 
@@ -258,24 +260,108 @@ class TestBitExact:
     def test_lsc_and_sfm(self, n, q):
         cd, soft = exact_case(n, q)
         assert (soft == 0.0).any()
-        got = compute_lsc(soft, cd)
+        got = compute_lsc(soft, [cd])[0]
         assert got.raw == compute_lsc_ref(soft, cd)
         degs = degrees_ref(n, cd.graph.edges.tolist())
         assert got.raw == pytest.approx(lsc_loop_ref(soft, degs), rel=1e-12, abs=1e-15)
-        assert np.array_equal(compute_sfm(soft, cd), compute_sfm_ref(soft, cd))
+        assert np.array_equal(compute_sfm(soft, [cd])[0], compute_sfm_ref(soft, cd))
 
     def test_lsc_ignores_non_positive_and_nan_entries(self):
         cd, soft = exact_case(16, 0.3)
         soft[1, 0], soft[2, 1], soft[3, 2] = np.nan, -0.0, -0.25
-        assert compute_lsc(soft, cd).raw == compute_lsc_ref(soft, cd)
+        assert compute_lsc(soft, [cd])[0].raw == compute_lsc_ref(soft, cd)
 
     @pytest.mark.parametrize("k_steps", [0, 1, 2])
     def test_propagation_leaves_input(self, k_steps):
         cd, soft = exact_case(16, 0.3)
         keep = soft.copy()
-        out = label_propagation(soft, cd, 0.4, k_steps)
+        out = label_propagation(soft, [cd], 0.4, k_steps)
         assert np.array_equal(soft, keep)
         assert out is not soft and not np.shares_memory(out, soft)
+
+
+# A client for the batched kernels: (node count, edge probability, rng seed).
+STATS_CLIENTS = st.lists(
+    st.tuples(st.integers(1, 14), st.sampled_from([0.0, 0.1, 0.3, 0.8]), st.integers(0, 999)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def stats_case(clients, c=4):
+    """Clients on random graphs and their soft labels, with exact zeros and
+    now and then an all-zero row."""
+    datas, softs = [], []
+    for n, q, seed in clients:
+        rng = np.random.default_rng(seed)
+        datas.append(make_client_data(n, random_graph_edges(rng, n, q), num_classes=c, rng=rng))
+        soft = random_soft(rng, n, c)
+        soft[rng.random((n, c)) < 0.2] = 0.0
+        soft[rng.random(n) < 0.15] = 0.0
+        softs.append(soft / np.maximum(soft.sum(axis=1, keepdims=True), 1e-300))
+    return datas, softs
+
+
+def assert_batch_equals_each_alone(datas, softs, lam, k_steps):
+    """One batched pass gives every client's oracle values bit for bit."""
+    soft = np.concatenate(softs)
+    sfms = compute_sfm(soft, datas)
+    propagated = label_propagation(soft, datas, lam, k_steps)
+    lscs = compute_lsc(propagated, datas)
+    assert len(sfms) == len(lscs) == len(datas)
+    start = 0
+    for cd, own, sfm, lsc in zip(datas, softs, sfms, lscs):
+        end = start + cd.graph.node_count
+        alone = label_propagation_ref(own, cd, lam, k_steps)
+        assert np.array_equal(sfm, compute_sfm_ref(own, cd))
+        assert np.array_equal(propagated[start:end], alone)
+        want = LscValue.from_raw(compute_lsc_ref(alone, cd))
+        assert lsc.raw == want.raw and lsc.clamped == want.clamped
+        start = end
+    assert start == soft.shape[0]
+    return propagated
+
+
+class TestBatchedStats:
+    """compute_sfm, label_propagation and compute_lsc on many clients at once
+    equal the per-client oracles bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(STATS_CLIENTS, st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0, 1, 3]))
+    def test_random_client_sets(self, clients, lam, k_steps):
+        assert_batch_equals_each_alone(*stats_case(clients), lam, k_steps)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("k_steps", [0, 1, 3])
+    def test_edgeless_one_node_and_isolated_clients(self, lam, k_steps):
+        clients = [(5, 0.0, 1), (1, 0.0, 2), (12, 0.1, 3), (9, 0.8, 4), (1, 0.0, 5)]
+        datas, softs = stats_case(clients)
+        softs[0][0] = 0.0  # an edgeless node's zero row sums to 0 at any lam
+        isolated = np.concatenate([cd.plan.deg for cd in datas]) == 0.0
+        assert isolated[5 + 1 : 5 + 1 + 12].any() and not isolated[5 + 1 : 5 + 1 + 12].all()
+        propagated = assert_batch_equals_each_alone(datas, softs, lam, k_steps)
+        if k_steps:  # the zero-sum rows reset to uniform
+            npt.assert_array_equal(propagated[0], np.full(4, 0.25))
+            if lam == 0.0:
+                npt.assert_array_equal(propagated[isolated], 0.25)
+
+    @pytest.mark.parametrize("k_steps", [0, 2])
+    def test_clients_past_one_pairwise_block(self, k_steps):
+        # numpy sums more than 128 terms pairwise in halves: each client's
+        # sum must still be its own, whatever its offset in the batch
+        clients = [(7, 0.3, 1), (150, 0.03, 2), (1, 0.0, 3), (300, 0.01, 4), (129, 0.05, 5)]
+        assert_batch_equals_each_alone(*stats_case(clients), 0.5, k_steps)
+
+    def test_rows_must_cover_every_client(self):
+        datas, softs = stats_case([(3, 0.5, 1), (4, 0.5, 2)])
+        short = np.concatenate(softs)[:-1]
+        for call in (
+            lambda: compute_sfm(short, datas),
+            lambda: label_propagation(short, datas, 0.5, 0),
+            lambda: compute_lsc(short, datas),
+        ):
+            with pytest.raises(ValueError, match="one row per local node"):
+                call()
 
 
 class TestStalenessWeights:

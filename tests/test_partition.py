@@ -11,6 +11,7 @@ from fedgraphsim.partition import (
     CommunityAssignment,
     TripPlan,
     balanced_partition,
+    block_diag,
     extract_subgraphs,
     louvain_partition,
     modularity,
@@ -375,6 +376,49 @@ class TestSpmm:
         y = spmm(a, x)
         assert np.array_equal(x, keep) and not np.shares_memory(x, y)
         assert y.flags.c_contiguous and y.flags.writeable
+
+
+class TestBlockDiag:
+    """block_diag places square CSR blocks on one diagonal, back to back or
+    every ``rows`` rows, keeping each row's stored values in order."""
+
+    def blocks(self, sizes, seed=5):
+        rng = np.random.default_rng(seed)
+        return [random_csr(rng, n, n, 0.4, np.int32) for n in sizes]
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [4, 1, 7], [6, 6, 2, 9], [3, 5]])
+    def test_back_to_back_equals_scipy(self, sizes):
+        mats = self.blocks(sizes)
+        joined, real = block_diag(mats)
+        assert np.array_equal(real, np.arange(sum(sizes)))
+        want = sp.block_diag(mats, format="csr")
+        assert joined.shape == want.shape
+        assert np.array_equal(joined.toarray(), want.toarray())
+        assert np.array_equal(joined.indptr, want.indptr)
+        assert np.array_equal(joined.indices, want.indices)
+        x = np.random.default_rng(1).normal(size=(sum(sizes), 3))
+        starts = np.cumsum([0] + sizes)
+        y = spmm(joined, x)
+        for m, s, e in zip(mats, starts[:-1], starts[1:]):
+            assert np.array_equal(y[s:e], spmm(m, x[s:e]))
+
+    def test_padded_rows_are_empty(self):
+        mats = self.blocks([4, 1, 3])
+        joined, real = block_diag(mats, rows=5)
+        assert real.tolist() == [0, 1, 2, 3, 5, 10, 11, 12]
+        assert joined.shape == (15, 15)
+        dense = joined.toarray()
+        for k, m in enumerate(mats):
+            n = m.shape[0]
+            block = dense[5 * k : 5 * k + 5, 5 * k : 5 * k + 5]
+            assert np.array_equal(block[:n, :n], m.toarray())
+            assert not block[n:].any() and not block[:, n:].any()
+        assert np.count_nonzero(dense) == sum(m.nnz for m in mats)
+
+    def test_one_block_is_returned_as_it_is(self):
+        (m,) = self.blocks([6])
+        assert block_diag([m])[0] is m
+        assert block_diag([m], rows=8)[0].shape == (8, 8)
 
 
 class TestExtract:

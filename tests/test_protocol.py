@@ -30,10 +30,21 @@ from fedgraphsim.protocol import (
     KnowledgeBaseRows,
     UploadMessage,
     client_trip,
+    fill_stats,
     server_receive,
     train_trips,
 )
-from oracles import cosine_ref, make_client_data, random_params
+from oracles import (
+    FedSaGclServerRef,
+    compute_lsc_ref,
+    compute_sfm_ref,
+    cosine_ref,
+    label_propagation_ref,
+    make_client_data,
+    random_graph_edges,
+    random_params,
+    random_soft,
+)
 
 
 def const_params(v, f=2, h=3, c=2):
@@ -296,6 +307,214 @@ class TestServerStep:
         assert not np.shares_memory(msg.params.vec, s.kb.params)
 
 
+def stats_pool(c=3):
+    """Clients for real uploads: two edgeless ones (zero fingerprints), a
+    1-node one and small random graphs with isolated nodes."""
+    rng = np.random.default_rng(11)
+    shapes = [(4, 0.0), (1, 0.0), (3, 0.0), (6, 0.5), (8, 0.2), (5, 0.9), (9, 0.3)]
+    return [
+        make_client_data(n, random_graph_edges(rng, n, q), num_classes=c, rng=rng)
+        for n, q in shapes
+    ]
+
+
+STATS_POOL = stats_pool()
+
+
+def real_upload(cid, seed, hyper, tau=0, cd=None):
+    """An upload with soft labels (some exact zeros) but no fingerprint or
+    confidence yet."""
+    cd = cd or STATS_POOL[cid]
+    rng = np.random.default_rng(seed)
+    soft = random_soft(rng, cd.graph.node_count, cd.graph.num_classes)
+    soft[rng.random(soft.shape) < 0.2] = 0.0
+    soft /= np.maximum(soft.sum(axis=1, keepdims=True), 1e-300)
+    return UploadMessage(random_params(rng, 3, 4, 3), tau, soft, cd, hyper, cid)
+
+
+def oracle_stats(msg):
+    """The upload's fingerprint and confidence from the per-client oracles."""
+    propagated = label_propagation_ref(msg.soft, msg.data, msg.hyper.lam, msg.hyper.k_steps)
+    lsc = LscValue.from_raw(compute_lsc_ref(propagated, msg.data))
+    return compute_sfm_ref(msg.soft, msg.data), lsc
+
+
+def count_kernel_entries(monkeypatch):
+    """Count each batched kernel's calls and the clients they computed."""
+    calls, entries = {}, {}
+    for name in ("compute_sfm", "label_propagation", "compute_lsc"):
+        real = getattr(protocol, name)
+
+        def counted(rows, datas, *args, name=name, real=real):
+            calls[name] = calls.get(name, 0) + 1
+            entries[name] = entries.get(name, 0) + len(datas)
+            return real(rows, datas, *args)
+
+        monkeypatch.setattr(protocol, name, counted)
+    return calls, entries
+
+
+class TestFillStats:
+    """A round computes its uploads' missing fingerprints and confidences in
+    batched kernel calls, runs of uploads under the BATCH_ROWS rule; a lone
+    read is a batch of one."""
+
+    def test_a_round_computes_its_queue_in_one_pass_per_kernel(self, monkeypatch):
+        calls, entries = count_kernel_entries(monkeypatch)
+        hyper = FglHyper()
+        s = FedSaGclServer(4, hyper)
+        ups = [real_upload(cid, cid, hyper) for cid in (3, 0, 5, 1)]
+        for msg in ups[:-1]:
+            assert server_receive(s, msg) == []
+        assert calls == {}
+        server_receive(s, ups[-1])
+        assert calls == {"compute_sfm": 1, "label_propagation": 1, "compute_lsc": 1}
+        assert entries == {name: 4 for name in calls}
+        for msg in ups:
+            sfm, lsc = oracle_stats(msg)
+            assert np.array_equal(msg.sfm, sfm) and msg.lsc == lsc
+        assert calls == {"compute_sfm": 1, "label_propagation": 1, "compute_lsc": 1}
+
+    def test_a_value_read_before_the_round_is_kept(self, monkeypatch):
+        calls, entries = count_kernel_entries(monkeypatch)
+        hyper = FglHyper()
+        s = FedSaGclServer(3, hyper)
+        ups = [real_upload(cid, 10 + cid, hyper) for cid in (2, 4, 6)]
+        early = ups[1].sfm  # a batch of one, computing no confidence
+        assert entries == {"compute_sfm": 1}
+        for msg in ups:
+            server_receive(s, msg)
+        assert ups[1].sfm is early
+        assert entries == {"compute_sfm": 3, "label_propagation": 3, "compute_lsc": 3}
+        for msg in ups:
+            sfm, lsc = oracle_stats(msg)
+            assert np.array_equal(msg.sfm, sfm) and msg.lsc == lsc
+
+    def test_runs_hold_at_most_batch_rows_padded_rows(self, monkeypatch):
+        calls, entries = count_kernel_entries(monkeypatch)
+        monkeypatch.setattr(protocol, "BATCH_ROWS", 17)
+        hyper = FglHyper()
+        ups = [real_upload(cid, 20 + cid, hyper) for cid in (0, 1, 2, 3, 4)]  # 4, 1, 3, 6, 8 rows
+        fill_stats(ups)  # 17 // 8 = 2 uploads a run
+        assert calls == {name: 3 for name in calls} and entries == {name: 5 for name in calls}
+        for msg in ups:
+            sfm, lsc = oracle_stats(msg)
+            assert np.array_equal(msg.sfm, sfm) and msg.lsc == lsc
+        monkeypatch.setattr(protocol, "BATCH_ROWS", 7)  # fewer rows than one upload holds
+        fill_stats([real_upload(cid, 30 + cid, hyper) for cid in (4, 6)])
+        assert calls == {name: 5 for name in calls}
+
+    def test_two_uploads_of_one_client_are_two_entries(self, monkeypatch):
+        calls, entries = count_kernel_entries(monkeypatch)
+        hyper = FglHyper(k_steps=3)
+        first, second = real_upload(4, 1, hyper), real_upload(4, 2, hyper)
+        fill_stats([first, second])
+        assert entries == {"compute_sfm": 2, "label_propagation": 2, "compute_lsc": 2}
+        assert not np.array_equal(first.sfm, second.sfm)
+        for msg in (first, second):
+            sfm, lsc = oracle_stats(msg)
+            assert np.array_equal(msg.sfm, sfm) and msg.lsc == lsc
+
+    def test_lazy_reads_are_batches_of_one(self, monkeypatch):
+        calls, entries = count_kernel_entries(monkeypatch)
+        msg = real_upload(5, 3, FglHyper(lam=0.0, k_steps=1))
+        sfm, lsc = oracle_stats(msg)
+        assert msg.lsc == lsc and entries == {"label_propagation": 1, "compute_lsc": 1}
+        assert np.array_equal(msg.sfm, sfm) and entries["compute_sfm"] == 1
+        fill_stats([msg])
+        assert calls == {name: 1 for name in entries}
+
+    @pytest.mark.parametrize("other", [FglHyper(lam=0.3), FglHyper(k_steps=1)])
+    def test_a_batch_of_mixed_hypers_is_refused(self, other):
+        ups = [real_upload(3, 1, FglHyper()), real_upload(4, 2, other)]
+        with pytest.raises(ValueError, match="must share lam and k_steps"):
+            fill_stats(ups)
+        ups[1].lsc  # with its confidence read, the rest is one batch again
+        fill_stats(ups)
+        assert ups[0].lsc == oracle_stats(ups[0])[1]
+
+    def test_fingerprints_alone_need_no_shared_hypers(self):
+        ups = [real_upload(3, 1, FglHyper()), real_upload(4, 2, FglHyper(lam=0.1, theta=0.9))]
+        fill_stats(ups, ("sfm",))
+        assert all("lsc" not in vars(m) for m in ups)
+        assert np.array_equal(ups[1].sfm, oracle_stats(ups[1])[0])
+
+
+# A fedsa_gcl upload stream: (client id in STATS_POOL, round-stamp lag, read
+# the fingerprint before handing the upload over).
+ROUND_STREAMS = st.lists(
+    st.tuples(st.integers(0, len(STATS_POOL) - 1), st.integers(0, 3), st.booleans()),
+    min_size=1,
+    max_size=40,
+)
+# (K, theta, use_clustering, use_broadcast)
+ROUND_CONFIGS = [
+    (3, 0.5, True, True),
+    (4, 0.0, True, True),
+    (3, 1.0, True, True),
+    (5, 0.9, False, True),
+    (4, 0.7, True, False),
+    (1, 0.5, True, True),
+]
+
+
+def run_against_reference(stream, config, alpha=0.7):
+    """Hand the stream to the server and to the reference round, the latter's
+    uploads carrying the per-client oracles' values; require equal deliveries
+    and logs, and that uploaders with equal clusters share one model."""
+    k, theta, clustering, broadcast = config
+    hyper = FglHyper(theta=theta, alpha=alpha)
+    new = FedSaGclServer(k, hyper, clustering, broadcast)
+    ref = FedSaGclServerRef(k, hyper, clustering, broadcast)
+    shared = 0
+    for pos, (cid, lag, pre_read) in enumerate(stream):
+        mine = real_upload(cid, pos, hyper, tau=max(new.round - lag, 0))
+        theirs = UploadMessage(mine.params, mine.tau, mine.soft, mine.data, hyper, cid)
+        theirs.sfm, theirs.lsc = oracle_stats(theirs)
+        if pre_read:
+            mine.sfm
+        got, want = server_receive(new, mine), server_receive(ref, theirs)
+        assert len(got) == len(want)
+        for (g_cid, g), (w_cid, w) in zip(got, want):
+            assert (g_cid, g.round, g.cluster_lsc) == (w_cid, w.round, w.cluster_lsc)
+            assert np.array_equal(g.params.vec, w.params.vec)
+        personal = [d for _, d in got if d.cluster_lsc is None]
+        logged = new.aggregation_log[len(new.aggregation_log) - len(personal):]
+        for d_i, entry_i in zip(personal, logged):
+            for d_j, entry_j in zip(personal, logged):
+                assert (d_i.params is d_j.params) == (entry_i[2] == entry_j[2])
+                shared += d_i.params is d_j.params and d_i is not d_j
+    assert new.aggregation_log == ref.aggregation_log
+    assert new.round == ref.round
+    return shared
+
+
+class TestRoundAgainstReference:
+    """The batched round equals the round as it was (tests/oracles.py) on
+    real uploads, delivery for delivery and log entry for log entry."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ROUND_STREAMS)
+    def test_random_upload_streams(self, stream):
+        for config in ROUND_CONFIGS:
+            run_against_reference(stream, config)
+
+    def test_theta_zero_shares_one_model_per_round(self):
+        stream = [(cid % len(STATS_POOL), cid % 3, cid % 2 == 0) for cid in range(24)]
+        assert run_against_reference(stream, (4, 0.0, True, True)) > 0
+        s = FedSaGclServer(3, FglHyper(theta=0.0))
+        for pos, cid in enumerate((0, 1, 2, 3, 4, 5)):
+            got = server_receive(s, real_upload(cid, pos, s.hyper))
+        assert len({id(d.params) for _, d in got}) == 1
+        assert {d.cluster_lsc is None for _, d in got} == {True, False}
+
+    def test_a_client_uploading_twice_in_one_queue(self, monkeypatch):
+        calls, entries = count_kernel_entries(monkeypatch)
+        stream = [(3, 0, False), (5, 0, True), (3, 0, False)]
+        run_against_reference(stream, (3, 0.5, True, True))
+        assert entries["compute_lsc"] == 3 and calls["compute_lsc"] == 1
+
+
 class TestClientTrip:
     def setup_client(self, seed=0):
         cd = make_client_data(5, [(0, 1), (1, 2), (2, 3), (3, 4)], num_classes=2)
@@ -339,9 +558,8 @@ class TestClientTrip:
         uploaded = state.params
         # the uploaded confidence is the one a fresh forward would give
         soft = forward(uploaded, state.data)
-        assert first.lsc == compute_lsc(
-            label_propagation(soft, state.data, hyper.lam, hyper.k_steps), state.data
-        )
+        propagated = label_propagation(soft, [state.data], hyper.lam, hyper.k_steps)
+        assert [first.lsc] == compute_lsc(propagated, [state.data])
         incoming = init_params(3, 4, 2, seed=123)
         state.mailbox = DownloadMessage(incoming, round=4, cluster_lsc=3.0)
         expected = train_epoch(

@@ -254,14 +254,15 @@ def test_baseline_trips_compute_no_fingerprint_or_confidence(monkeypatch, strate
 
 def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
     cfg = sbm_cfg(n_clients=6, k_buffer=4, max_trips=42, edge_fraction=0.25)
-    calls = Counter()
+    calls, uploads_computed = Counter(), Counter()
 
     def counted(name):
         real = getattr(protocol, name)
 
-        def count(*args, **kwargs):
+        def count(rows, datas, *args):
             calls[name] += 1
-            return real(*args, **kwargs)
+            uploads_computed[name] += len(datas)  # a batch holds one client per upload
+            return real(rows, datas, *args)
 
         return count
 
@@ -270,23 +271,24 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
     real_trip, uploads = sim.client_trip, []
 
     def trip(state, hyper, lr):
-        before = calls.copy()
+        before = uploads_computed.copy()
         upload = real_trip(state, hyper, lr)
-        assert calls == before  # the trip itself computes neither
-        propagated = kernels.label_propagation(upload.soft, upload.data, hyper.lam, hyper.k_steps)
-        eager = (kernels.compute_sfm(upload.soft, upload.data),
-                 kernels.compute_lsc(propagated, upload.data))
+        assert uploads_computed == before  # the trip itself computes neither
+        propagated = kernels.label_propagation(upload.soft, [upload.data], hyper.lam, hyper.k_steps)
+        eager = (kernels.compute_sfm(upload.soft, [upload.data])[0],
+                 kernels.compute_lsc(propagated, [upload.data])[0])
         uploads.append((upload, eager))
         return upload
 
     monkeypatch.setattr(sim, "client_trip", trip)
     log = run_simulation(cfg, seed=5)
     assert any("kind=broadcast" in line for line in log.trace)
-    assert 0 < calls["compute_sfm"] < len(uploads)  # the last queued ones are never read
+    assert 0 < uploads_computed["compute_sfm"] < len(uploads)  # the last queued ones are never read
+    assert calls["compute_sfm"] < uploads_computed["compute_sfm"]  # rounds compute in batches
     for upload, (sfm, lsc) in uploads:
         for _ in range(2):
             assert np.array_equal(upload.sfm, sfm) and upload.lsc == lsc
-    assert calls == {name: len(uploads) for name in UPLOAD_KERNELS}
+    assert uploads_computed == {name: len(uploads) for name in UPLOAD_KERNELS}
 
 
 @pytest.mark.parametrize("kind", ["edge_sparsity", "label_sparsity", None])
