@@ -2,7 +2,7 @@
 
 from .config import ConfigError, DatasetSpec, ExperimentConfig, Perturbation, parse_config
 from .experiments import SummaryRow, aggregate_seeds, run_experiment, trips_to_target
-from .gcn import ModelParams, evaluate, forward, init_params, loss_and_grads, train_epoch
+from .gcn import ModelParams, evaluate, forward, init_params, train_epoch
 from .graphs import (
     Graph,
     GraphFormatError,

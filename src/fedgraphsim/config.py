@@ -274,7 +274,8 @@ def _check_names(sections: dict):
 
 
 def _load_sections(path) -> dict:
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
     stripped = text.lstrip()
     if str(path).endswith(".json") or stripped.startswith("{"):
         try:

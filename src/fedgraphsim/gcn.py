@@ -14,7 +14,7 @@ once (in the client's ``TripPlan``), and A_hat is symmetric:
 
 A training step writes the four gradients into one buffer laid out as the
 parameter vector and turns it into p - lr * grad in place (the same two
-roundings); it never computes the loss, which only ``loss_and_grads`` does.
+roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this for many clients per kernel
 call (``_Block``), each client's numbers bit for bit those of it alone.
 """
@@ -25,7 +25,6 @@ import numpy as np
 
 from .partition import ClientData, block_diag, spmm
 
-LOG_CLAMP = 1e-12
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
 BATCH_ROWS = 1024  # padded rows one batched kernel call may hold
 
@@ -57,19 +56,15 @@ class ModelParams:
         if vec.shape != (h * (f + 1 + c) + c,):
             raise ValueError(f"a vector of shape {vec.shape} does not hold dims {dims}")
         self.vec, self.dims = vec, (f, h, c)
-        o1 = f * h + h
-        o2 = o1 + h * c
-        self.w0 = vec[: f * h].reshape(f, h)
-        self.b0 = vec[f * h : o1]
-        self.w1 = vec[o1:o2].reshape(h, c)
-        self.b1 = vec[o2:]
+
+    # Each read of a field makes its view anew; the simulation reads only vec.
+    w0 = property(lambda self: _fields(self.vec, self.dims)[0])
+    b0 = property(lambda self: _fields(self.vec, self.dims)[1][0])
+    w1 = property(lambda self: _fields(self.vec, self.dims)[2])
+    b1 = property(lambda self: _fields(self.vec, self.dims)[3][0])
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_vector(self.vec.copy(), self.dims)
-
-
-# Gradients share the parameter container (same shapes, entrywise layout).
-Gradients = ModelParams
 
 
 def init_params(
@@ -99,7 +94,7 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 def _check_shapes(p: ModelParams, cd: ClientData, dims: tuple):
     f, c = cd.graph.feature_dim, cd.graph.num_classes
-    if p.dims != dims or p.w0.shape[0] != f or p.w1.shape[1] != c:
+    if p.dims != dims or (p.dims[0], p.dims[2]) != (f, c):
         raise ValueError(f"params for (feature, hidden, classes) {p.dims} do not match "
                          f"data ({f}, {c}) or the batch's {dims}")
 
@@ -222,14 +217,6 @@ def train_batch(members: list, lr: float):
 def forward(p: ModelParams, cd: ClientData) -> np.ndarray:
     """Soft labels: one probability row per local node."""
     return forward_batch([(p, cd)])[0]
-
-
-def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
-    """Mean train-mask cross-entropy and its analytic gradients."""
-    (block,) = _blocks([(p, cd)])
-    grads, probs = block.gradients()
-    picked = np.clip(probs[block.train, block.labels], LOG_CLAMP, None)
-    return float(-np.mean(np.log(picked))), Gradients.from_vector(grads, p.dims)
 
 
 def train_epoch(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:

@@ -274,6 +274,10 @@ def load_graph(path) -> Graph:
         fail(1, "header must be 'nodes=<n> features=<f> classes=<C>'")
     if n < 1 or fdim < 1 or n_classes < 2:
         fail(1, f"header needs nodes >= 1, features >= 1 and classes >= 2, not {lines[0]!r}")
+    wide = sum(len(line.split()) >= 3 + fdim for line in lines[1:])
+    if n > wide:  # each node needs a line of its own with 3 + fdim tokens
+        fail(1, f"header declares {n} nodes of {fdim} features, but only {wide} "
+                f"lines hold {3 + fdim} tokens")
     features = np.zeros((n, fdim))
     labels = np.full(n, -1, dtype=np.int64)
     edge_set: set[tuple[int, int]] = set()

@@ -4,13 +4,14 @@ federated training.
 Each server holds only its own strategy's state; ``receive`` turns one
 upload into (client id, download) deliveries, which ``server_receive`` also
 posts to the recipients' mailboxes. ``FedSaGclServer``, the main strategy,
-aggregates once K uploads are queued: each uploader gets a personalized
-model averaged over its similarity cluster with staleness-aware weights, and
-cluster members that did not upload receive the same model as a broadcast
-carrying the cluster confidence, which they blend into their local model
-before the next training step. The baselines are ``FedAvgSyncServer``
-(synchronous FedAvg), ``FedBuffServer`` (FedBuff-style buffered semi-async)
-and ``FedAsyncServer`` (FedAsync-style per-upload mixing).
+keeps every client's latest upload in a ``KnowledgeBase`` whose row c is
+client c, and aggregates over it once K uploads are queued: each uploader
+gets a personalized model averaged over its similarity cluster with
+staleness-aware weights, and cluster members that did not upload receive the
+same model as a broadcast carrying the cluster confidence, which they blend
+into their local model before the next training step. The baselines are
+``FedAvgSyncServer`` (synchronous FedAvg), ``FedBuffServer`` (FedBuff-style
+buffered semi-async) and ``FedAsyncServer`` (FedAsync-style per-upload mixing).
 """
 
 from __future__ import annotations
@@ -109,43 +110,41 @@ class DownloadMessage:
     cluster_lsc: float | None = None
 
 
-KB_INITIAL_ROWS = 16
+class KnowledgeBase:
+    """The fedsa_gcl knowledge base as row arrays: row c holds client c's
+    latest upload (``known`` flags the clients that have one), its flat
+    parameter vector in ``params``, its flattened fingerprint in ``sfm`` with
+    the row norm cached in ``sfm_norm``, and its ``tau`` and clamped
+    confidence ``lsc``. The first ``put`` fixes the row widths."""
 
+    def __init__(self, n_clients: int):
+        self.known = np.zeros(n_clients, dtype=bool)
 
-class KnowledgeBaseRows:
-    """The fedsa_gcl knowledge base as row arrays, one row per client id.
-
-    A client's row holds its latest upload: its flat parameter vector in
-    ``params``, its flattened fingerprint in ``sfm`` with the row norm cached
-    in ``sfm_norm``, and its ``tau`` and clamped confidence ``lsc``. Rows are
-    handed out in order of first upload, so ``row_of`` lists the client ids
-    in row order, and the arrays double in capacity when a new id finds them
-    full.
-    """
-
-    def __init__(self):
-        self.row_of: dict[int, int] = {}
-        self.sfm_norm = self.tau = self.lsc = np.zeros(0)
-
-    def put(self, msg: UploadMessage) -> None:
-        """Copy the upload into its client's row, adding a row for a new id."""
-        if not self.row_of:  # the first upload fixes the row widths
-            self.dims = msg.params.dims
-            self.params = np.zeros((0, msg.params.vec.size))
-            self.sfm = np.zeros((0, msg.sfm.size))
-        row = self.row_of.setdefault(msg.client_id, len(self.row_of))
-        if row == self.tau.size:
-            more = max(row, KB_INITIAL_ROWS)
-            for name in ("params", "sfm", "sfm_norm", "tau", "lsc"):
-                old = getattr(self, name)
-                new = np.zeros_like(old, shape=(more,) + old.shape[1:])
-                setattr(self, name, np.concatenate([old, new]))
-        sfm = np.ravel(msg.sfm)
-        self.params[row] = msg.params.vec
-        self.sfm[row] = sfm
-        self.sfm_norm[row] = np.linalg.norm(sfm)
-        self.tau[row] = msg.tau
-        self.lsc[row] = msg.lsc.clamped
+    def put(self, uploads: list[UploadMessage]) -> np.ndarray:
+        """Copy each client's latest upload in ``uploads`` into its row and
+        return their client ids, ascending. ValueError for an id outside
+        [0, n_clients)."""
+        latest = {m.client_id: m for m in sorted(uploads, key=lambda m: m.client_id)}
+        ids = np.fromiter(latest, dtype=np.int64, count=len(latest))
+        n = self.known.size
+        bad = ids[(ids < 0) | (ids >= n)]
+        if bad.size:
+            raise ValueError(f"client id {bad[0]} outside [0, {n})")
+        ups = latest.values()
+        if not self.known.any():
+            first = uploads[0]
+            self.dims = first.params.dims
+            self.params = np.zeros((n, first.params.vec.size))
+            self.sfm = np.zeros((n, first.sfm.size))
+            self.sfm_norm, self.tau, self.lsc = np.zeros(n), np.zeros(n), np.zeros(n)
+        sfms = [np.ravel(m.sfm) for m in ups]
+        self.params[ids] = [m.params.vec for m in ups]
+        self.sfm[ids] = sfms
+        self.sfm_norm[ids] = [np.linalg.norm(v) for v in sfms]
+        self.tau[ids] = [m.tau for m in ups]
+        self.lsc[ids] = [m.lsc.clamped for m in ups]
+        self.known[ids] = True
+        return ids
 
 
 @dataclass(eq=False)
@@ -192,12 +191,14 @@ class Server:
 
 class FedSaGclServer(Server):
     """fedsa_gcl: one aggregation round per K queued uploads, over the
-    knowledge base ``kb`` of every client's latest upload."""
+    knowledge base ``kb`` of every client's latest upload, one row per
+    client id in [0, n_clients)."""
 
     def __init__(
         self,
         k: int,
         hyper: FglHyper,
+        n_clients: int,
         use_clustering: bool = True,
         use_broadcast: bool = True,
     ):
@@ -205,7 +206,7 @@ class FedSaGclServer(Server):
         self.k, self.hyper = k, hyper
         self.use_clustering, self.use_broadcast = use_clustering, use_broadcast
         self.queue: list[UploadMessage] = []
-        self.kb = KnowledgeBaseRows()
+        self.kb = KnowledgeBase(n_clients)
 
     def uploads_to_reach_others(self) -> float:
         return self.k - len(self.queue)
@@ -233,23 +234,16 @@ class FedSaGclServer(Server):
         self.round += 1
         t = self.round
         fill_stats(self.queue)
-        for m in self.queue:
-            self.kb.put(m)
-        u_ids = np.array(sorted({m.client_id for m in self.queue}))
-        self.queue.clear()
         kb = self.kb
-        ids = np.fromiter(kb.row_of, dtype=np.int64, count=len(kb.row_of))
-        cols = np.argsort(ids)  # rows in ascending client id
-        col_ids = ids[cols]
-        own = col_ids == u_ids[:, None]
+        u_ids = kb.put(self.queue)
+        self.queue.clear()
+        ids = np.flatnonzero(kb.known)  # every known client, ascending
+        own = ids == u_ids[:, None]
         member = own
         if self.use_clustering:
-            u_rows = [kb.row_of[i] for i in u_ids.tolist()]
-            sims = cosine_block(
-                kb.sfm[u_rows], kb.sfm[cols], kb.sfm_norm[u_rows], kb.sfm_norm[cols]
-            )
+            sims = cosine_block(kb.sfm[u_ids], kb.sfm[ids], kb.sfm_norm[u_ids], kb.sfm_norm[ids])
             member = own | (sims >= self.hyper.theta)
-        stale = staleness_factors(kb.lsc[cols], kb.tau[cols], t, self.hyper.alpha)
+        stale = staleness_factors(kb.lsc[ids], kb.tau[ids], t, self.hyper.alpha)
         deliveries, models, lsc_sums, clusters = [], [], [], {}
         for i, in_cluster in zip(u_ids.tolist(), member):
             key = in_cluster.tobytes()
@@ -257,10 +251,10 @@ class FedSaGclServer(Server):
                 members = np.flatnonzero(in_cluster)
                 u = stale[members]
                 weights = u / u.sum()
-                rows = cols[members]
+                rows = ids[members]
                 model = ModelParams.from_vector(weighted_row_sum(kb.params[rows], weights), kb.dims)
                 clusters[key] = (model, sum(kb.lsc[rows].tolist()),
-                                 tuple(col_ids[members].tolist()), tuple(weights.tolist()))
+                                 tuple(rows.tolist()), tuple(weights.tolist()))
             model_i, lsc_sum, *logged = clusters[key]
             self.aggregation_log.append((t, i, *logged))
             deliveries.append((i, DownloadMessage(model_i, t, None)))
@@ -270,7 +264,7 @@ class FedSaGclServer(Server):
             reach = member & ~own.any(axis=0)
             targets = np.flatnonzero(reach.any(axis=0))
             sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
-            for s, k in zip(col_ids[targets].tolist(), sources.tolist()):
+            for s, k in zip(ids[targets].tolist(), sources.tolist()):
                 deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k])))
         return deliveries
 

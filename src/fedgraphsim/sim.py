@@ -79,6 +79,9 @@ def assign_latencies(
     return LatencyProfile(durations, is_edge)
 
 
+CSV_HEADER = "trip,time,client_id,client_acc,mean_acc"
+
+
 @dataclass
 class TripRecord:
     trip: int
@@ -104,7 +107,7 @@ class MetricsLog:
     aggregation_log: list = field(default_factory=list)
 
     def to_csv_text(self) -> str:
-        lines = ["trip,time,client_id,client_acc,mean_acc"]
+        lines = [CSV_HEADER]
         for r in self.records:
             lines.append(
                 f"{r.trip},{r.time},{r.client_id},{r.client_acc!r},{r.mean_acc!r}"
@@ -137,24 +140,29 @@ class MetricsLog:
     @classmethod
     def read(cls, csv_path, sidecar_path) -> "MetricsLog":
         """A log as ``write`` stored it; the accuracy snapshots and the
-        initial per-client accuracies are not stored and come back empty."""
-        with open(sidecar_path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
+        initial per-client accuracies are not stored and come back empty. A
+        sidecar that is not a JSON object with the fields read here, or a CSV
+        row that is not five numbers, raises ConfigError naming the file (and
+        the line)."""
+        try:
+            with open(sidecar_path, "r", encoding="utf-8") as f:
+                meta = dict(json.load(f))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{sidecar_path}: not a JSON object: {exc}") from None
+        names = ("seed", "config_hash", "strategy", "initial_mean_acc", "durations")
+        if missing := [name for name in names if name not in meta]:
+            raise ConfigError(f"{sidecar_path}: no {', '.join(missing)} in the sidecar")
+        records = []
         with open(csv_path, "r", encoding="utf-8") as f:
-            rows = [line.split(",") for line in f.read().splitlines()[1:]]
-        records = [
-            TripRecord(int(trip), int(time), int(cid), float(acc), float(mean), None)
-            for trip, time, cid, acc, mean in rows
-        ]
-        return cls(
-            records,
-            meta["seed"],
-            meta["config_hash"],
-            meta["strategy"],
-            (),
-            meta["initial_mean_acc"],
-            tuple(meta["durations"]),
-        )
+            for lineno, line in enumerate(f.read().splitlines()[1:], start=2):
+                try:
+                    trip, time, cid, acc, mean = line.split(",")
+                    records.append(TripRecord(int(trip), int(time), int(cid), float(acc),
+                                              float(mean), None))
+                except ValueError:
+                    raise ConfigError(f"{csv_path}: line {lineno}: not {CSV_HEADER}") from None
+        seed, config_hash, strategy, initial, durations = (meta[name] for name in names)
+        return cls(records, seed, config_hash, strategy, (), initial, tuple(durations))
 
 
 def _derived_seeds(seed: int) -> dict:
@@ -203,6 +211,7 @@ def make_server(
         return FedSaGclServer(
             cfg.resolved_k(),
             hyper,
+            len(clients_data),
             use_clustering=not cfg.disable_sfm_clustering,
             use_broadcast=not cfg.disable_clustercast,
         )

@@ -4,7 +4,8 @@ Everything here is deliberately written with plain Python loops over edges
 and entries, independent of the vectorized library code it checks. The
 exception is the bit-exact section: earlier array versions of the client
 kernels, of the event loop and of the fedsa_gcl server round, copied as
-they were, which the current ones must match exactly.
+they were, which the current ones must match exactly; and ``loss_and_grads``,
+the loss that the library's training step never computes.
 """
 
 import heapq
@@ -14,9 +15,9 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 
-from fedgraphsim import sim
+from fedgraphsim import gcn, sim
 from fedgraphsim.config import ExperimentConfig
-from fedgraphsim.gcn import LOG_CLAMP, PARAM_FIELDS, ModelParams, accuracy, evaluate, softmax_rows
+from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, accuracy, evaluate, softmax_rows
 from fedgraphsim.graphs import (
     Graph,
     NodeMasks,
@@ -41,6 +42,20 @@ from fedgraphsim.protocol import (
     format_trace,
     server_receive,
 )
+
+
+LOG_CLAMP = 1e-12
+# Gradients share the parameter container (same shapes, entrywise layout).
+Gradients = ModelParams
+
+
+def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
+    """Mean train-mask cross-entropy and its analytic gradients, from the
+    library's kernel call for the one client (training never needs the loss)."""
+    (block,) = gcn._blocks([(p, cd)])
+    grads, probs = block.gradients()
+    picked = np.clip(probs[block.train, block.labels], LOG_CLAMP, None)
+    return float(-np.mean(np.log(picked))), Gradients.from_vector(grads, p.dims)
 
 
 def make_client_data(
@@ -349,34 +364,31 @@ class FedSaGclServerRef(FedSaGclServer):
         self.round += 1
         t = self.round
         for m in self.queue:
-            self.kb.put(m)
+            self.kb.put([m])
         u_ids = np.array(sorted({m.client_id for m in self.queue}))
         self.queue.clear()
         kb = self.kb
-        ids = np.fromiter(kb.row_of, dtype=np.int64, count=len(kb.row_of))
-        cols = np.argsort(ids)  # rows in ascending client id
-        col_ids = ids[cols]
-        own = col_ids == u_ids[:, None]
+        ids = np.flatnonzero(kb.known)
+        own = ids == u_ids[:, None]
         member = own
         if self.use_clustering:
-            u_rows = [kb.row_of[i] for i in u_ids.tolist()]
             sims = cosine_block(
-                kb.sfm[u_rows], kb.sfm[cols], kb.sfm_norm[u_rows], kb.sfm_norm[cols]
+                kb.sfm[u_ids], kb.sfm[ids], kb.sfm_norm[u_ids], kb.sfm_norm[ids]
             )
             member = own | (sims >= self.hyper.theta)
-        stale = staleness_factors(kb.lsc[cols], kb.tau[cols], t, self.hyper.alpha)
+        stale = staleness_factors(kb.lsc[ids], kb.tau[ids], t, self.hyper.alpha)
         deliveries = []
         models, lsc_sums = [], []
         for i, in_cluster in zip(u_ids.tolist(), member):
             members = np.flatnonzero(in_cluster)
             u = stale[members]
             weights = u / u.sum()
-            rows = cols[members]
+            rows = ids[members]
             model_i = ModelParams.from_vector(
                 weighted_row_sum(kb.params[rows], weights), kb.dims
             )
             self.aggregation_log.append(
-                (t, i, tuple(col_ids[members].tolist()), tuple(weights.tolist()))
+                (t, i, tuple(rows.tolist()), tuple(weights.tolist()))
             )
             deliveries.append((i, DownloadMessage(model_i, t, None)))
             models.append(model_i)
@@ -385,7 +397,7 @@ class FedSaGclServerRef(FedSaGclServer):
             reach = member & ~own.any(axis=0)
             targets = np.flatnonzero(reach.any(axis=0))
             sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
-            for s, k in zip(col_ids[targets].tolist(), sources.tolist()):
+            for s, k in zip(ids[targets].tolist(), sources.tolist()):
                 deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k])))
         return deliveries
 

@@ -254,6 +254,11 @@ class TestParse:
             parse_config(path)
 
 
+# A sidecar as ``MetricsLog.write`` stores it, for a run of two trips.
+STORED_SIDECAR = json.dumps({"seed": 0, "config_hash": "abc", "strategy": "fedsa_gcl",
+                             "initial_mean_acc": 0.1, "durations": [1, 1], "trips": 2})
+
+
 class TestCli:
     def test_gen_sbm_and_partition(self, tmp_path, capsys):
         graph_path = tmp_path / "toy.graph"
@@ -337,6 +342,26 @@ class TestCli:
         assert f"{hashes[0]} (metrics_seed3.json)" in captured.err
         assert f"{hashes[1]} (metrics_seed1.json)" in captured.err
         assert "+-" not in captured.out
+
+    @pytest.mark.parametrize(
+        "csv_row, sidecar, named",
+        [
+            ("2,1,1,0.7", STORED_SIDECAR, "metrics_seed0.csv: line 3: not trip,time,client_id"),
+            ("2,1,1,0.7,x", STORED_SIDECAR, "metrics_seed0.csv: line 3: not trip,time,client_id"),
+            ("2,1,1,0.7,0.6", STORED_SIDECAR.replace('"config_hash"', '"hash"'),
+             "metrics_seed0.json: no config_hash"),
+            ("2,1,1,0.7,0.6", STORED_SIDECAR[:20], "metrics_seed0.json: not a JSON object"),
+            ("2,1,1,0.7,0.6", "7", "metrics_seed0.json: not a JSON object"),
+        ],
+    )
+    def test_summarize_malformed_stored_run_exit_code(self, tmp_path, capsys, csv_row, sidecar, named):
+        (tmp_path / "metrics_seed0.json").write_text(sidecar)
+        (tmp_path / "metrics_seed0.csv").write_text(
+            f"trip,time,client_id,client_acc,mean_acc\n1,1,0,0.5,0.3\n{csv_row}\n"
+        )
+        assert main(["summarize", "--dir", str(tmp_path), "--target", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("target", ["0", "-0.2", "1.5"])
     def test_summarize_target_out_of_range_exit_code(self, tmp_path, capsys, target):

@@ -14,7 +14,6 @@ from fedgraphsim.gcn import (
     forward,
     forward_batch,
     init_params,
-    loss_and_grads,
     softmax_rows,
     train_batch,
     train_epoch,
@@ -27,6 +26,7 @@ from oracles import (
     forward_per_client,
     gcn_forward_ref,
     gcn_loss_and_grads_ref,
+    loss_and_grads,
     loss_and_grads_ref,
     make_client_data,
     random_graph_edges,
@@ -147,6 +147,23 @@ def test_train_epoch_leaves_params():
     assert np.array_equal(p.vec, keep)
     assert not np.shares_memory(out.vec, p.vec)
     assert out.vec.flags.c_contiguous and out.dims == p.dims
+
+
+def test_fields_are_views_of_the_vector_in_layout_order():
+    f, h, c = 2, 3, 4
+    vec = np.arange(h * (f + 1 + c) + c, dtype=np.float64)
+    p = ModelParams.from_vector(vec, (f, h, c))
+    shapes = {"w0": (f, h), "b0": (h,), "w1": (h, c), "b1": (c,)}
+    for name in PARAM_FIELDS:
+        field = getattr(p, name)
+        assert field.shape == shapes[name] and np.shares_memory(field, vec)
+    npt.assert_array_equal(np.concatenate([getattr(p, n).ravel() for n in PARAM_FIELDS]), vec)
+    p.b1[0] = -1.0  # a write to a field writes to the vector
+    assert vec[-c] == -1.0
+    q = ModelParams(p.w0, p.b0, p.w1, p.b1)
+    assert np.array_equal(q.vec, vec) and not np.shares_memory(q.vec, vec)
+    with pytest.raises(AttributeError):
+        p.w2
 
 
 class TestInit:

@@ -331,6 +331,32 @@ class TestGraphFile:
         ) == 2
         assert "line " in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nodes=3 features=1 classes=2\nnode 0 0 0.0\nnode 1 0 0.0\n",  # a line short
+            "nodes=1 features=3 classes=2\nnode 0 0 0.0 1.0\n",  # a token short
+            "nodes=1 features=1 classes=2\n",  # no node line
+            "nodes=2 features=3 classes=2\nnode 0 0 0.0 1.0 2.0\nedge 0 1\n",  # a wide line short
+        ],
+    )
+    def test_header_larger_than_the_file_is_refused(self, tmp_path, text):
+        path = tmp_path / "short.graph"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match="line 1: header declares"):
+            load_graph(path)
+
+    def test_cli_partition_oversize_header_exits_2_before_allocating(self, tmp_path, capsys):
+        path = tmp_path / "huge.graph"
+        path.write_text("nodes=100000000000 features=100000 classes=2\nnode 0 0 0.0\n")
+        out = tmp_path / "assign.txt"
+        assert main(
+            ["partition", "--input", str(path), "--method", "louvain", "--clients", "1",
+             "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "line 1: header declares 100000000000 nodes" in err and not out.exists()
+
     def test_round_trip(self, tmp_path):
         g = generate_sbm(SbmConfig((6, 5), 0.6, 0.2, 3, 0.4, 21))
         path = tmp_path / "rt.graph"

@@ -20,14 +20,13 @@ from fedgraphsim.kernels import (
 from fedgraphsim.gcn import forward, softmax_rows
 from fedgraphsim import gcn, protocol
 from fedgraphsim.protocol import (
-    KB_INITIAL_ROWS,
     ClientState,
     DownloadMessage,
     FedAsyncServer,
     FedAvgSyncServer,
     FedBuffServer,
     FedSaGclServer,
-    KnowledgeBaseRows,
+    KnowledgeBase,
     UploadMessage,
     client_trip,
     fill_stats,
@@ -66,8 +65,11 @@ def upload(cid, params=None, tau=0, sfm=None, lsc=1.0):
     return msg
 
 
+N_CLIENTS = 64  # the client count of every test server; ids stay below it
+
+
 def fedsa_server(k=2, theta=0.5, alpha=0.5, **kw):
-    return FedSaGclServer(k, FglHyper(theta=theta, alpha=alpha), **kw)
+    return FedSaGclServer(k, FglHyper(theta=theta, alpha=alpha), N_CLIENTS, **kw)
 
 
 def receive_all(server, uploads):
@@ -78,27 +80,50 @@ def receive_all(server, uploads):
 
 
 class TestKbUpdate:
-    """The fedsa_gcl knowledge base keeps one row per client, latest wins."""
+    """The fedsa_gcl knowledge base: row c is client c's latest upload."""
 
     def test_first_upload_creates_entry(self):
-        kb = KnowledgeBaseRows()
-        kb.put(upload(7))
-        assert kb.row_of == {7: 0}
-        npt.assert_array_equal(kb.params[0], const_params(7).vec)
+        kb = KnowledgeBase(10)
+        npt.assert_array_equal(kb.put([upload(7, tau=3, lsc=2.0)]), [7])
+        npt.assert_array_equal(np.flatnonzero(kb.known), [7])
+        npt.assert_array_equal(kb.params[7], const_params(7).vec)
+        assert kb.params.shape == (10, const_params(7).vec.size)
+        assert kb.tau[7] == 3 and kb.lsc[7] == 2.0
+        assert kb.sfm_norm[7] == np.linalg.norm(np.eye(2).ravel())
 
     def test_latest_wins(self):
-        kb = KnowledgeBaseRows()
-        kb.put(upload(7, tau=0, lsc=1.0))
-        kb.put(upload(7, params=const_params(2.0), tau=4, lsc=9.0))
-        assert len(kb.row_of) == 1
-        assert kb.tau[0] == 4 and kb.lsc[0] == 9.0
-        npt.assert_array_equal(kb.params[0], const_params(2.0).vec)
+        kb = KnowledgeBase(10)
+        ids = kb.put([
+            upload(7, tau=0, lsc=1.0),
+            upload(2),
+            upload(7, params=const_params(2.0), tau=4, lsc=9.0, sfm=np.ones((2, 2))),
+        ])
+        npt.assert_array_equal(ids, [2, 7])
+        assert kb.tau[7] == 4 and kb.lsc[7] == 9.0
+        npt.assert_array_equal(kb.params[7], const_params(2.0).vec)
+        npt.assert_array_equal(kb.sfm[7], np.ones(4))
+        assert kb.sfm_norm[7] == 2.0
+        kb.put([upload(7, params=const_params(5.0), tau=6)])  # a later put wins too
+        assert kb.tau[7] == 6
+        npt.assert_array_equal(kb.params[7], const_params(5.0).vec)
+        npt.assert_array_equal(kb.params[2], const_params(2).vec)
 
     def test_three_clients(self):
-        kb = KnowledgeBaseRows()
+        kb = KnowledgeBase(10)
+        npt.assert_array_equal(kb.put([upload(cid) for cid in (9, 1, 5)]), [1, 5, 9])
+        npt.assert_array_equal(np.flatnonzero(kb.known), [1, 5, 9])
         for cid in (1, 5, 9):
-            kb.put(upload(cid))
-        assert kb.row_of == {1: 0, 5: 1, 9: 2}
+            npt.assert_array_equal(kb.params[cid], const_params(cid).vec)
+        assert not kb.params[~kb.known].any()
+
+    @pytest.mark.parametrize("bad", [-1, 10, 11])
+    def test_an_id_outside_the_client_range_is_refused(self, bad):
+        kb = KnowledgeBase(10)
+        kb.put([upload(9)])
+        with pytest.raises(ValueError, match=f"client id {bad} outside \\[0, 10\\)"):
+            kb.put([upload(3), upload(bad)])
+        npt.assert_array_equal(np.flatnonzero(kb.known), [9])
+        npt.assert_array_equal(kb.params[9], const_params(9).vec)
 
 
 class TestServerStep:
@@ -108,7 +133,7 @@ class TestServerStep:
         s = fedsa_server(k=2)
         assert server_receive(s, upload(1)) == []
         assert s.round == 0 and len(s.queue) == 1
-        assert not s.kb.row_of and not s.mailboxes
+        assert not s.kb.known.any() and not s.mailboxes
 
     def test_mutual_cluster_no_broadcast(self):
         s = fedsa_server(k=2, theta=0.5)
@@ -130,7 +155,7 @@ class TestServerStep:
         v3 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v1 = np.array([[0.8, 0.6], [0.0, 0.0]])
         v2 = np.array([[0.2, 0.0], [math.sqrt(1 - 0.04), 0.0]])
-        s.kb.put(upload(3, sfm=v3, lsc=1.0))
+        s.kb.put([upload(3, sfm=v3, lsc=1.0)])
         deliveries = dict(
             receive_all(s, [upload(1, sfm=v1, lsc=2.0), upload(2, sfm=v2, lsc=5.0)])
         )
@@ -158,7 +183,7 @@ class TestServerStep:
         v3 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v1 = np.array([[0.8, 0.6], [0.0, 0.0]])  # sim(1,3)=0.8
         v2 = np.array([[0.3, math.sqrt(1 - 0.09)], [0.0, 0.0]])  # sim(2,3)=0.3
-        s.kb.put(upload(3, sfm=v3, lsc=1.0))
+        s.kb.put([upload(3, sfm=v3, lsc=1.0)])
         deliveries = dict(
             receive_all(s, [upload(2, sfm=v2, lsc=1.0), upload(1, sfm=v1, lsc=1.0)])
         )
@@ -218,7 +243,7 @@ class TestServerStep:
 
     def test_broadcast_disabled(self):
         s = fedsa_server(k=2, theta=0.0, use_broadcast=False)
-        s.kb.put(upload(3))
+        s.kb.put([upload(3)])
         deliveries = receive_all(s, [upload(1), upload(2)])
         assert {cid for cid, _ in deliveries} == {1, 2}
         assert all(m.cluster_lsc is None for _, m in deliveries)
@@ -229,7 +254,7 @@ class TestServerStep:
         theta = cosine_ref(v1, v3)
         assert theta == 0.6
         s = fedsa_server(k=1, theta=theta)
-        s.kb.put(upload(3, sfm=v3))
+        s.kb.put([upload(3, sfm=v3)])
         deliveries = dict(server_receive(s, upload(1, sfm=v1)))
         assert s.aggregation_log[-1][2] == (1, 3)
         assert set(deliveries) == {1, 3} and deliveries[3].cluster_lsc == 2.0
@@ -237,15 +262,15 @@ class TestServerStep:
     def test_zero_norm_fingerprint_joins_only_at_theta_zero(self):
         for theta, cluster in ((0.0, (1, 2, 3)), (1e-12, (1,))):
             s = fedsa_server(k=1, theta=theta)
-            s.kb.put(upload(2, sfm=np.eye(2)))
-            s.kb.put(upload(3, sfm=np.ones((2, 2))))
+            s.kb.put([upload(2, sfm=np.eye(2))])
+            s.kb.put([upload(3, sfm=np.ones((2, 2)))])
             server_receive(s, upload(1, sfm=np.zeros((2, 2))))
             assert s.aggregation_log[-1][2] == cluster
 
     def test_broadcast_tie_goes_to_lower_uploader(self):
         # sim(2,3) = sim(5,3) = 1/sqrt(2) >= theta > sim(2,5) = 1/2
         s = fedsa_server(k=2, theta=0.6)
-        s.kb.put(upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]]))
+        s.kb.put([upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]])])
         deliveries = dict(
             receive_all(
                 s,
@@ -260,13 +285,13 @@ class TestServerStep:
         assert deliveries[3].params is deliveries[2].params
         assert deliveries[3].cluster_lsc == 1.0 + 1.0
 
-    def test_matches_per_client_kernels_with_sparse_ids_and_growth(self):
-        # ids 7, 10, 13, ... arrive out of order, over two rounds that
-        # together grow the knowledge base past its first allocation
+    def test_matches_per_client_kernels_with_sparse_ids(self):
+        # ids 63, 60, ..., 3 (the last row included) arrive out of order over
+        # two rounds; two first-round clients upload again in the second
         rng = np.random.default_rng(3)
-        ids = [7 + 3 * j for j in range(KB_INITIAL_ROWS + 5)]
+        ids = [N_CLIENTS - 1 - 3 * j for j in range(21)]
         rng.shuffle(ids)
-        first, second = ids[:6], ids[6:]
+        first, second = ids[:6], ids[6:] + ids[:2]
         s = fedsa_server(k=len(first), theta=0.8, alpha=0.7)
         latest = {}
         for t, batch in enumerate((first, second)):
@@ -292,16 +317,16 @@ class TestServerStep:
                 assert logged[i][2] == tuple(members)
                 assert logged[i][3] == tuple(weights.tolist())
                 npt.assert_array_equal(deliveries[i].params.vec, model.vec)
-        assert len(s.kb.row_of) == len(ids) > KB_INITIAL_ROWS
-        for cid in first:
-            row = s.kb.row_of[cid]
-            npt.assert_array_equal(s.kb.params[row], latest[cid].params.vec)
+        npt.assert_array_equal(np.flatnonzero(s.kb.known), sorted(ids))
+        for cid in ids:
+            npt.assert_array_equal(s.kb.params[cid], latest[cid].params.vec)
+            assert s.kb.tau[cid] == latest[cid].tau
 
     def test_delivered_model_does_not_alias_knowledge_base(self):
         s = fedsa_server(k=1, theta=0.0)
         (_, msg), = server_receive(s, upload(1, params=const_params(1.0)))
         before = msg.params.vec.copy()
-        s.kb.put(upload(1, params=const_params(9.0), tau=1))
+        s.kb.put([upload(1, params=const_params(9.0), tau=1)])
         server_receive(s, upload(1, params=const_params(5.0), tau=1))
         npt.assert_array_equal(msg.params.vec, before)
         assert not np.shares_memory(msg.params.vec, s.kb.params)
@@ -362,7 +387,7 @@ class TestFillStats:
     def test_a_round_computes_its_queue_in_one_pass_per_kernel(self, monkeypatch):
         calls, entries = count_kernel_entries(monkeypatch)
         hyper = FglHyper()
-        s = FedSaGclServer(4, hyper)
+        s = FedSaGclServer(4, hyper, N_CLIENTS)
         ups = [real_upload(cid, cid, hyper) for cid in (3, 0, 5, 1)]
         for msg in ups[:-1]:
             assert server_receive(s, msg) == []
@@ -378,7 +403,7 @@ class TestFillStats:
     def test_a_value_read_before_the_round_is_kept(self, monkeypatch):
         calls, entries = count_kernel_entries(monkeypatch)
         hyper = FglHyper()
-        s = FedSaGclServer(3, hyper)
+        s = FedSaGclServer(3, hyper, N_CLIENTS)
         ups = [real_upload(cid, 10 + cid, hyper) for cid in (2, 4, 6)]
         early = ups[1].sfm  # a batch of one, computing no confidence
         assert entries == {"compute_sfm": 1}
@@ -464,8 +489,8 @@ def run_against_reference(stream, config, alpha=0.7):
     and logs, and that uploaders with equal clusters share one model."""
     k, theta, clustering, broadcast = config
     hyper = FglHyper(theta=theta, alpha=alpha)
-    new = FedSaGclServer(k, hyper, clustering, broadcast)
-    ref = FedSaGclServerRef(k, hyper, clustering, broadcast)
+    new = FedSaGclServer(k, hyper, len(STATS_POOL), clustering, broadcast)
+    ref = FedSaGclServerRef(k, hyper, len(STATS_POOL), clustering, broadcast)
     shared = 0
     for pos, (cid, lag, pre_read) in enumerate(stream):
         mine = real_upload(cid, pos, hyper, tau=max(new.round - lag, 0))
@@ -502,7 +527,7 @@ class TestRoundAgainstReference:
     def test_theta_zero_shares_one_model_per_round(self):
         stream = [(cid % len(STATS_POOL), cid % 3, cid % 2 == 0) for cid in range(24)]
         assert run_against_reference(stream, (4, 0.0, True, True)) > 0
-        s = FedSaGclServer(3, FglHyper(theta=0.0))
+        s = FedSaGclServer(3, FglHyper(theta=0.0), len(STATS_POOL))
         for pos, cid in enumerate((0, 1, 2, 3, 4, 5)):
             got = server_receive(s, real_upload(cid, pos, s.hyper))
         assert len({id(d.params) for _, d in got}) == 1
@@ -668,9 +693,9 @@ UPLOAD_STREAMS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_s
 def contract_servers():
     hyper = FglHyper(theta=0.0)
     return [
-        FedSaGclServer(3, hyper),
-        FedSaGclServer(1, hyper),
-        FedSaGclServer(4, hyper, use_broadcast=False),
+        FedSaGclServer(3, hyper, N_CLIENTS),
+        FedSaGclServer(1, hyper, N_CLIENTS),
+        FedSaGclServer(4, hyper, N_CLIENTS, use_broadcast=False),
         FedAvgSyncServer({c: c + 1 for c in range(6)}),
         FedAvgSyncServer({2: 1, 4: 1}),
         FedBuffServer(3),

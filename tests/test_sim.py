@@ -341,6 +341,7 @@ def test_make_server_builds_the_strategy_server(strategy):
         assert server.k == 3
     if strategy == Strategy.FEDSA_GCL:
         assert server.use_clustering and not server.use_broadcast
+        assert server.kb.known.size == len(clients) and not server.kb.known.any()
 
 
 STRAGGLER_RUN = dict(
