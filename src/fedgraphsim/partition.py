@@ -137,31 +137,75 @@ def modularity(g: Graph, comm_of: np.ndarray) -> float:
     return intra / m - float(np.sum((deg_per_comm / (2.0 * m)) ** 2))
 
 
-def _local_move(nbrs, wts, k, m2, comm, rng):
+SLACK = 1e-9  # rounding allowance per unit of degree in _local_move's skip test
+
+
+def _move(v, nbrs, wts, k, m2, comm, comm_k) -> bool:
+    """Move v to the neighbour community of largest gain (ascending id scan), if
+    strictly above its stay gain; updates comm and comm_k, True when v moved."""
+    b, k_v = comm[v], k[v]
+    w_to: dict[int, float] = {}
+    for u, w in zip(nbrs[v], wts[v]):
+        c = comm[u]
+        w_to[c] = w_to.get(c, 0.0) + w
+    comm_k[b] -= k_v
+    best_c, best_gain = b, w_to.pop(b, 0.0) - k_v * comm_k[b] / m2
+    for c in sorted(w_to):
+        gain = w_to[c] - k_v * comm_k[c] / m2
+        if gain > best_gain:
+            best_c, best_gain = c, gain
+    comm[v] = best_c
+    comm_k[best_c] += k_v
+    return best_c != b
+
+
+def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     """One pass of greedy modularity moves over all nodes in shuffled order.
 
-    nbrs[v] and wts[v] list v's neighbours (self excluded) and edge weights;
-    k, comm and the community degree totals are plain lists, so the loop
-    indexes no numpy scalar. Returns True when at least one node moved. comm
-    is updated in place; every accepted move strictly increases modularity.
+    nbrs[v], wts[v] list v's neighbours (self excluded) and edge weights,
+    a_off holds them as CSR and k (an array) the degrees. Returns True when a
+    node moved; comm is updated in place, each move strictly raising modularity.
+
+    It skips each node whose stay is provable, so the result is ``_move`` on
+    every node. One product a_off @ P gives each node's pass-start slack: its
+    stay gain, less its best other gain clamped at 0, less SLACK * (1 + k_v).
+    Node v is skipped while 2 shift[v] + (2 k_v / m2) moved_k < slack[v], with
+    moved_k the degree moved so far and shift[v] the weight of v's moved
+    neighbours. Exact, as every weight, degree and community total is an
+    integer-valued float: the moves so far shift any w_to[c] by at most
+    shift[v] and any comm_k[c] by at most moved_k, and one move can lower the
+    stay gain and raise another, hence twice each. A community first adjacent
+    mid-pass gains at most shift[v], which the clamp covers. Float gains are
+    within a few ulps of their real values (|gain| <= 2 k_v), far inside
+    SLACK; a stay leaves comm and comm_k bit-identical. Once moved_k reaches
+    every node's budget, the rest of the pass runs ``_move`` on each.
     """
-    comm_k = np.bincount(comm, weights=k, minlength=len(k)).tolist()
-    moved = False
-    for v in rng.permutation(len(k)).tolist():
-        b, k_v = comm[v], k[v]
-        w_to: dict[int, float] = {}
-        for u, w in zip(nbrs[v], wts[v]):
-            c = comm[u]
-            w_to[c] = w_to.get(c, 0.0) + w
-        comm_k[b] -= k_v
-        best_c, best_gain = b, w_to.pop(b, 0.0) - k_v * comm_k[b] / m2
-        for c in sorted(w_to):
-            gain = w_to[c] - k_v * comm_k[c] / m2
-            if gain > best_gain:
-                best_c, best_gain = c, gain
-        comm[v] = best_c
-        comm_k[best_c] += k_v
-        moved = moved or best_c != b
+    n, at = len(comm), np.array(comm)
+    comm_k = np.bincount(at, weights=k, minlength=n)
+    to = a_off @ sp.csr_matrix((np.ones(n), at, np.arange(n + 1)), shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(to.indptr))
+    own = to.indices == at[rows]
+    w_own = np.bincount(rows[own], weights=to.data[own], minlength=n)  # one entry at most
+    gain = to.data - k[rows] * comm_k[to.indices] / m2
+    best, filled = np.full(n, -np.inf), np.diff(to.indptr) > 0
+    best[filled] = np.maximum.reduceat(np.where(own, -np.inf, gain), to.indptr[:-1][filled])
+    slack = w_own - k * (comm_k[at] - k) / m2 - np.maximum(best, 0.0) - SLACK * (1.0 + k)
+    sure = slack > 0  # never a node of degree 0
+    budget = np.max(slack[sure] * m2 / (2.0 * k[sure]), initial=0.0)
+    scale, slack, k, comm_k = (2.0 * k / m2).tolist(), slack.tolist(), k.tolist(), comm_k.tolist()
+    shift, moved_k, moved = [0.0] * n, 0.0, False
+    visits = iter(rng.permutation(n).tolist())
+    for v in visits:
+        if 2.0 * shift[v] + scale[v] * moved_k < slack[v]:
+            continue
+        if _move(v, nbrs, wts, k, m2, comm, comm_k):
+            moved, moved_k = True, moved_k + k[v]
+            if moved_k >= budget:
+                break
+            for u, w in zip(nbrs[v], wts[v]):
+                shift[u] += w
+    for v in visits:  # the nodes left once none can be skipped
+        _move(v, nbrs, wts, k, m2, comm, comm_k)
     return moved
 
 
@@ -172,11 +216,11 @@ def _adjacency(g: Graph) -> sp.csr_matrix:
 
 
 def _neighbour_lists(a: sp.csr_matrix):
-    """Per-node neighbour and weight lists of a CSR level, its diagonal left out."""
+    """Per-node neighbour and weight lists of a CSR level and the level, its diagonal left out."""
     a = a - sp.diags(a.diagonal(), format="csr")
     ptr, idx, w = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
     spans = list(zip(ptr, ptr[1:]))
-    return [idx[i:j] for i, j in spans], [w[i:j] for i, j in spans]
+    return [idx[i:j] for i, j in spans], [w[i:j] for i, j in spans], a
 
 
 def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
@@ -194,12 +238,12 @@ def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarr
     a = _adjacency(g)
     while True:
         n_level = a.shape[0]
-        k = np.asarray(a.sum(axis=1)).ravel().tolist()
-        m2 = float(sum(k))
-        nbrs, wts = _neighbour_lists(a)
+        k = np.asarray(a.sum(axis=1)).ravel()
+        m2 = float(k.sum())
+        nbrs, wts, a_off = _neighbour_lists(a)
         comm = list(range(n_level))
         while True:
-            moved = _local_move(nbrs, wts, k, m2, comm, rng)
+            moved = _local_move(nbrs, wts, a_off, k, m2, comm, rng)
             if modularity_trace is not None:
                 modularity_trace.append(modularity(g, np.array(comm)[membership]))
             if not moved:
@@ -253,9 +297,10 @@ def louvain_partition(
     in ascending id and moves only on a strictly larger gain, so it stays on
     a tie. The result does not depend on summation order: every edge weight,
     degree and 2m is an integer-valued float below 2**53, so each sum is
-    exact, and each gain is w - (k_v * tot_c) / 2m in float64. When
-    modularity_trace is given, the partition's modularity on the original
-    graph is appended after every pass (monotone nondecreasing).
+    exact, and each gain is w - (k_v * tot_c) / 2m in float64. A pass skips
+    the nodes it can prove stay, with the same result (_local_move shows
+    why). When modularity_trace is given, the partition's modularity on the
+    original graph is appended after every pass (monotone nondecreasing).
     """
     if not 1 <= n_clients <= g.node_count:
         raise ValueError("n_clients must be in [1, node_count]")

@@ -139,29 +139,34 @@ class MetricsLog:
 
     @classmethod
     def read(cls, csv_path, sidecar_path) -> "MetricsLog":
-        """A log as ``write`` stored it; the accuracy snapshots and the
-        initial per-client accuracies are not stored and come back empty. A
-        sidecar that is not a JSON object with the fields read here, or a CSV
-        row that is not five numbers, raises ConfigError naming the file (and
-        the line)."""
+        """A log as ``write`` stored it (the accuracy snapshots and initial
+        per-client accuracies, not stored, come back empty). A sidecar that is
+        not a JSON object with the fields read here, or a CSV other than
+        CSV_HEADER and the sidecar's ``trips`` rows of five numbers, raises
+        ConfigError naming the file (and the line)."""
         try:
             with open(sidecar_path, "r", encoding="utf-8") as f:
                 meta = dict(json.load(f))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{sidecar_path}: not a JSON object: {exc}") from None
-        names = ("seed", "config_hash", "strategy", "initial_mean_acc", "durations")
+        names = ("seed", "config_hash", "strategy", "initial_mean_acc", "durations", "trips")
         if missing := [name for name in names if name not in meta]:
             raise ConfigError(f"{sidecar_path}: no {', '.join(missing)} in the sidecar")
         records = []
         with open(csv_path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f.read().splitlines()[1:], start=2):
+            lines = f.read().splitlines()
+            if lines[:1] != [CSV_HEADER]:
+                raise ConfigError(f"{csv_path}: line 1: not the header {CSV_HEADER}")
+            for lineno, line in enumerate(lines[1:], start=2):
                 try:
                     trip, time, cid, acc, mean = line.split(",")
                     records.append(TripRecord(int(trip), int(time), int(cid), float(acc),
                                               float(mean), None))
                 except ValueError:
                     raise ConfigError(f"{csv_path}: line {lineno}: not {CSV_HEADER}") from None
-        seed, config_hash, strategy, initial, durations = (meta[name] for name in names)
+        seed, config_hash, strategy, initial, durations, trips = (meta[name] for name in names)
+        if len(records) != trips:
+            raise ConfigError(f"{csv_path}: {len(records)} trips, the sidecar says {trips}")
         return cls(records, seed, config_hash, strategy, (), initial, tuple(durations))
 
 

@@ -15,6 +15,7 @@ from fedgraphsim.config import (
 )
 from fedgraphsim.graphs import SbmConfig
 from fedgraphsim.kernels import FglHyper
+from fedgraphsim.sim import CSV_HEADER
 from test_golden import golden_cfg
 
 
@@ -362,6 +363,32 @@ class TestCli:
         assert main(["summarize", "--dir", str(tmp_path), "--target", "0.5"]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "csv_text, named",
+        [
+            pytest.param("", "metrics_seed0.csv: line 1: not the header", id="empty"),
+            pytest.param(f"{CSV_HEADER}\n", "metrics_seed0.csv: 0 trips, the sidecar says 2",
+                         id="header-only"),
+            pytest.param("1,1,0,0.5,0.3\n2,1,1,0.7,0.6\n",
+                         "metrics_seed0.csv: line 1: not the header", id="headerless"),
+            pytest.param(f"{CSV_HEADER}\n1,1,0,0.5,0.3\n2,1,1,0.7,0.6\n3,2,0,0.7,0.7\n",
+                         "metrics_seed0.csv: 3 trips, the sidecar says 2", id="one-row-too-many"),
+        ],
+    )
+    def test_summarize_refuses_rows_that_are_not_the_stored_trips(self, tmp_path, capsys,
+                                                                  csv_text, named):
+        (tmp_path / "metrics_seed0.json").write_text(STORED_SIDECAR)
+        (tmp_path / "metrics_seed0.csv").write_text(csv_text)
+        assert main(["summarize", "--dir", str(tmp_path), "--target", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_summarize_refuses_a_sidecar_without_trips(self, tmp_path, capsys):
+        (tmp_path / "metrics_seed0.json").write_text(STORED_SIDECAR.replace('"trips"', '"n"'))
+        (tmp_path / "metrics_seed0.csv").write_text(f"{CSV_HEADER}\n1,1,0,0.5,0.3\n")
+        assert main(["summarize", "--dir", str(tmp_path), "--target", "0.5"]) == 2
+        assert "metrics_seed0.json: no trips" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["0", "-0.2", "1.5"])
     def test_summarize_target_out_of_range_exit_code(self, tmp_path, capsys, target):

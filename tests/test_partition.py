@@ -1,9 +1,12 @@
+import functools
 import itertools
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedgraphsim import partition
 from fedgraphsim.graphs import Graph, SbmConfig, degrees, generate_sbm, split_masks
@@ -21,6 +24,7 @@ from fedgraphsim.partition import (
     spmm,
 )
 from oracles import (
+    _louvain_local_move_ref,
     all_set_partitions,
     balanced_ref,
     louvain_ref,
@@ -157,6 +161,24 @@ def graphs_with_isolated_nodes():
     return out
 
 
+@functools.cache
+def server_bound_graph():
+    """The SBM of perfbench's server_bound workload: 10 blocks of 500 nodes."""
+    return generate_sbm(SbmConfig((500,) * 10, 0.03, 0.001, 16, 0.5, 0))
+
+
+@st.composite
+def planted_blocks(draw):
+    """Blocks of 50-300 nodes plus isolated nodes, relabelled by a shuffle, so
+    the coarse levels carry self-loops and integer weights above 1."""
+    blocks = tuple(draw(st.lists(st.integers(50, 300), min_size=1, max_size=3)))
+    intra, inter = draw(st.floats(0.02, 0.1)), draw(st.floats(0.0, 0.003))
+    isolated, seed = draw(st.integers(0, 10)), draw(st.integers(0, 2**16))
+    g = generate_sbm(SbmConfig(blocks, intra, inter, 2, 0.2, seed))
+    relabel = np.random.default_rng(seed).permutation(g.node_count + isolated)
+    return build(g.node_count + isolated, np.sort(relabel[g.edges], axis=1))
+
+
 class TestLouvainMatchesLoopReference:
     """The CSR-level Louvain replays the dict-based loop reference exactly."""
 
@@ -178,16 +200,27 @@ class TestLouvainMatchesLoopReference:
             pytest.param(sbm_graphs, range(10), id="sbm"),
             pytest.param(graphs_with_isolated_nodes, range(5), id="isolated-nodes"),
             pytest.param(lambda: [build(7, [])], range(3), id="edgeless"),
+            pytest.param(lambda: [server_bound_graph()], range(2), id="server-bound"),
         ],
     )
     def test_same_communities_and_trace(self, graphs, seeds):
         for g in graphs():
             for seed in seeds:
-                trace, ref_trace = [], []
-                comm = partition._louvain_communities(g, seed, trace)
-                npt.assert_array_equal(comm, louvain_ref(g, seed, ref_trace))
-                assert comm.dtype == np.int64
-                assert trace == ref_trace
+                self.check(g, seed)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(planted_blocks(), st.integers(0, 2**32 - 1))
+    def test_planted_blocks(self, g, seed):
+        self.check(g, seed)
+
+    @staticmethod
+    def check(g, seed):
+        trace, ref_trace = [], []
+        comm = partition._louvain_communities(g, seed, trace)
+        npt.assert_array_equal(comm, louvain_ref(g, seed, ref_trace))
+        assert comm.dtype == np.int64
+        assert trace == ref_trace
 
     def test_sbm_cases_coarsen_over_several_levels(self, monkeypatch):
         levels = []
@@ -201,6 +234,112 @@ class TestLouvainMatchesLoopReference:
             partition._louvain_communities(g, 0)
             runs.append(len(levels))
         assert min(runs) >= 3
+
+
+class FixedOrder:
+    """An rng stand-in whose permutation is a given visit order."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def permutation(self, n):
+        return np.array(self.order)
+
+
+def clique(first, size):
+    return [(first + i, first + j) for i in range(size) for j in range(i + 1, size)]
+
+
+def one_pass(n, edges, comm, order):
+    """Communities after one _local_move pass from comm in the given visit
+    order, and the loop reference's after the same pass."""
+    a = partition._adjacency(build(n, edges))
+    k = np.asarray(a.sum(axis=1)).ravel()
+    m2 = float(k.sum())
+    nbrs, wts, a_off = partition._neighbour_lists(a)
+    got = list(comm)
+    partition._local_move(nbrs, wts, a_off, k, m2, got, FixedOrder(order))
+    adj = [dict() for _ in range(n)]
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = 1.0
+    want = np.array(comm)
+    _louvain_local_move_ref(adj, k, m2, want, FixedOrder(order))
+    return got, want.tolist()
+
+
+class TestSkipIsExact:
+    """Passes in which a node that a looser skip bound would pass over must
+    move: one case per term of the bound in _local_move. In the moved-degree
+    and shift cases a 12-clique in its own community, visited last, raises m2
+    so that v's other community keeps a positive gain: the clamp at 0 then
+    leaves v's slack at its true margin, and the term under test decides."""
+
+    PAD = clique(0, 12)
+
+    def test_a_neighbour_leads_into_a_new_community(self):
+        # node 1 has no other community at the start (its best other gain is
+        # clamped up to 0); hub 0 then leaves for community 3 and node 1 follows
+        got, want = one_pass(4, [(0, 1), (0, 2), (0, 3)], [2, 2, 3, 3], [0, 1, 2, 3])
+        assert got == want == [3, 3, 3, 3]
+
+    def test_moved_degree_alone_flips_a_node(self):
+        # v=12 sits in b with p=13 and y=16-18, and also touches q=14 in c; x=15
+        # (degree 3, no edge to v) leaves c for b, which moves comm_k[b] up and
+        # comm_k[c] down by 3 each: v's margin 2 * 4 / m2 drops by 2 * 2 * 3 / m2
+        edges = self.PAD + [(12, 13), (12, 14), (14, 19), (14, 20), (15, 16), (15, 17), (15, 18)]
+        comm = [0] * 12 + [12, 12, 14, 14, 12, 12, 12, 14, 14]
+        order = [15, 12] + [v for v in range(21) if v not in (12, 15)]
+        got, want = one_pass(21, edges, comm, order)
+        assert got == want and want[12] == 14 and want[15] == 12
+
+    def test_neighbour_shift_alone_flips_a_node(self):
+        # v=12 has p=13 and u=14 in b and q=15 in c (a 4-clique 15-18); u leaves
+        # b for c, so v's weight to b falls by 1 and to c rises by 1: its margin
+        # 1 + 3 * 11 / m2 drops by 2 less the 2 * 3 * 4 / m2 that u's own move adds
+        edges = self.PAD + [(12, 13), (12, 14), (12, 15), (14, 16), (14, 17), (14, 18)]
+        edges += clique(15, 4)
+        comm = [0] * 12 + [12, 12, 12, 15, 15, 15, 15]
+        order = [14, 12] + [v for v in range(19) if v not in (12, 14)]
+        got, want = one_pass(19, edges, comm, order)
+        assert got == want and want[12] == want[14] == 15
+
+    def test_rounding_slack_covers_a_tie_that_floats_break(self):
+        # v=0 has 1 and 2 in b and q=4 in c; x=5 (degree 1, no edge to v) leaves
+        # c for b, which narrows v's margin 6 / 18 by exactly the bound 2 * 3 * 1
+        # / 18. The real tie left, 2 - 3 * 10 / 18 against 1 - 3 * 4 / 18, rounds
+        # in c's favour, so v moves; without SLACK the float test would skip it
+        edges = [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (3, 5), (4, 6), (4, 7)]
+        got, want = one_pass(8, edges, [0, 0, 0, 0, 4, 4, 4, 7], [5, 0, 1, 2, 3, 4, 6, 7])
+        assert got == want and want[0] == 4
+
+
+def test_louvain_skips_the_nodes_that_provably_stay(monkeypatch):
+    """A tripwire for the skip on the server_bound graph: level 0's last pass,
+    in which no node moves, evaluates under 5% of the nodes, and the two runs
+    evaluate under 60% of their node visits."""
+    evaluated, passes = [0], []
+    move, local_move = partition._move, partition._local_move
+
+    def counted_move(*args):
+        evaluated[0] += 1
+        return move(*args)
+
+    def recorded_pass(nbrs, *args):
+        evaluated[0] = 0
+        moved = local_move(nbrs, *args)
+        passes.append((len(nbrs), evaluated[0], moved))
+        return moved
+
+    monkeypatch.setattr(partition, "_move", counted_move)
+    monkeypatch.setattr(partition, "_local_move", recorded_pass)
+    g = server_bound_graph()
+    for seed in range(2):
+        start = len(passes)
+        partition._louvain_communities(g, seed)
+        n, last, moved = [p for p in passes[start:] if p[0] == g.node_count][-1]
+        assert not moved and last < 0.05 * n
+    visits, evaluations = np.sum([p[:2] for p in passes], axis=0)
+    assert evaluations < 0.6 * visits
 
 
 def random_graphs():
