@@ -26,7 +26,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .graphs import SbmConfig
+from .graphs import SbmConfig, read_text
 from .kernels import FglHyper
 from .protocol import Strategy
 
@@ -274,8 +274,7 @@ def _check_names(sections: dict):
 
 
 def _load_sections(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    text = read_text(path, ConfigError)
     stripped = text.lstrip()
     if str(path).endswith(".json") or stripped.startswith("{"):
         try:

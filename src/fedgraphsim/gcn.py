@@ -16,7 +16,9 @@ A training step writes the four gradients into one buffer laid out as the
 parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this for many clients per kernel
-call (``_Block``), each client's numbers bit for bit those of it alone.
+call (``_Block``), each client's numbers bit for bit those of it alone. Given
+a run's memo, a call's padded layout (``_Layout``) is reused by the next
+batch's call of the same clients in the same order, and by no later one.
 """
 
 from __future__ import annotations
@@ -110,17 +112,17 @@ def _fields(vecs: np.ndarray, dims: tuple) -> tuple:
             vecs[..., o1:o2].reshape(*b, h, c), vecs[..., o2:].reshape(*b, 1, c))
 
 
-class _Block:
-    """The clients of one kernel call: a lone client on its trip plan, or
-    several zero-padded to their largest node count ``rows`` (``ax`` is
-    (clients, rows, feature); ``adj`` is block-diagonal, client k's A_hat at
-    row k * rows). A padded row is zero in ``ax`` and empty in ``adj``, so it
-    adds exact zeros to every sum over nodes and reaches no client's row."""
+class _Layout:
+    """What a kernel call needs of its members' ClientData: a lone client's
+    trip plan, or several zero-padded to their largest node count ``rows``
+    (``ax`` is (clients, rows, feature); ``adj`` is block-diagonal, client k's
+    A_hat at row k * rows), with the train rows, their labels and sizes. A
+    padded row is zero in ``ax`` and empty in ``adj``, so it adds exact zeros
+    to every sum over nodes and reaches no client's row. Batches share a
+    padded layout (``_blocks``), so its arrays are read-only."""
 
-    def __init__(self, members: list):
-        self.datas = datas = [cd for _, cd in members]
-        self.dims = dims = members[0][0].dims
-        self.vecs = np.stack([p.vec for p, _ in members]) if len(datas) > 1 else members[0][0].vec
+    def __init__(self, datas: tuple):
+        self.datas = datas
         trains = [cd.masks.train for cd in datas]
         self.trainable = all(t.size for t in trains)
         self.labels = np.concatenate([cd.graph.labels[t] for cd, t in zip(datas, trains)])
@@ -130,43 +132,56 @@ class _Block:
             return
         self.sizes = np.array([t.size for t in trains], dtype=np.float64)[:, None, None]
         n = np.array([cd.graph.node_count for cd in datas])
-        rows = int(n.max())
+        rows, f = int(n.max()), datas[0].graph.feature_dim
         starts = np.arange(0, n.size * rows, rows)
         self.adj, real = block_diag([cd.plan.adj for cd in datas], rows)  # real: the clients' rows
-        self.ax = np.zeros((n.size * rows, dims[0]))
-        self.ax[real] = np.concatenate([cd.plan.ax for cd in datas])
-        self.ax = self.ax.reshape(n.size, rows, dims[0])
+        ax = np.zeros((n.size * rows, f))
+        ax[real] = np.concatenate([cd.plan.ax for cd in datas])
+        self.ax = ax.reshape(n.size, rows, f)
         self.train = np.concatenate(trains) + np.repeat(starts, [t.size for t in trains])
+        for a in (self.ax, self.train, self.labels, self.sizes, self.adj.data,
+                  self.adj.indices, self.adj.indptr):
+            a.flags.writeable = False
+
+
+class _Block:
+    """One kernel call: the members' parameter vectors ``vecs`` on a ``_Layout``."""
+
+    def __init__(self, members: list):
+        self.dims = members[0][0].dims
+        self.vecs = np.stack([p.vec for p, _ in members]) if len(members) > 1 else members[0][0].vec
 
     def forward(self, w: tuple):
         """z0, relu(z0) and the soft labels for the parameter fields ``w``."""
-        z0 = self.ax @ w[0]
+        lay = self.layout
+        z0 = lay.ax @ w[0]
         z0 += w[1]
         h = np.maximum(z0, 0.0)
-        z1 = spmm(self.adj, (h @ w[2]).reshape(-1, self.dims[2])).reshape(h.shape[:-1] + (-1,))
+        z1 = spmm(lay.adj, (h @ w[2]).reshape(-1, self.dims[2])).reshape(h.shape[:-1] + (-1,))
         z1 += w[3]
         return z0, h, softmax_rows(z1)
 
     def gradients(self):
         """Each client's gradients of its mean train-mask cross-entropy, in
         one fresh array laid out as ``vecs``, and its soft labels."""
-        if not self.trainable:
+        lay = self.layout
+        if not lay.trainable:
             raise ValueError("cannot train with an empty train mask")
         w, c = _fields(self.vecs, self.dims), self.dims[2]
         z0, h, probs = self.forward(w)
         d_z1 = np.zeros_like(probs)
         flat = d_z1.reshape(-1, c)
-        flat[self.train] = probs.reshape(-1, c)[self.train]
-        flat[self.train, self.labels] -= 1.0
-        d_z1 /= self.sizes
-        g = spmm(self.adj, flat).reshape(d_z1.shape)
+        flat[lay.train] = probs.reshape(-1, c)[lay.train]
+        flat[lay.train, lay.labels] -= 1.0
+        d_z1 /= lay.sizes
+        g = spmm(lay.adj, flat).reshape(d_z1.shape)
         grads = np.empty_like(self.vecs)
         g_w0, g_b0, g_w1, g_b1 = _fields(grads, self.dims)
         np.matmul(np.swapaxes(h, -1, -2), g, out=g_w1)
         d_z1.sum(axis=-2, out=g_b1[..., 0, :])
         d_z0 = g @ np.swapaxes(w[2], -1, -2)
         d_z0 *= z0 > 0.0
-        np.matmul(np.swapaxes(self.ax, -1, -2), d_z0, out=g_w0)
+        np.matmul(np.swapaxes(lay.ax, -1, -2), d_z0, out=g_w0)
         d_z0.sum(axis=-2, out=g_b0[..., 0, :])
         return grads, probs
 
@@ -174,26 +189,36 @@ class _Block:
         """Each client's soft labels under ``vecs`` (laid out as ``self.vecs``),
         as a view of its rows of one array."""
         probs = self.forward(_fields(vecs, self.dims))[2]
-        probs = probs.reshape(len(self.datas), -1, self.dims[2])
-        return [p[: cd.graph.node_count] for p, cd in zip(probs, self.datas)]
+        datas = self.layout.datas
+        probs = probs.reshape(len(datas), -1, self.dims[2])
+        return [p[: cd.graph.node_count] for p, cd in zip(probs, datas)]
 
 
-def _blocks(members: list):
+def _blocks(members: list, layouts: dict | None = None):
     """Each kernel call over (params, ClientData) members: consecutive members
     while members x padded rows stays within BATCH_ROWS (a larger one alone).
     A 1-node member's products are matrix-vector ones, which BLAS rounds
-    apart from a padded matrix's rows, so it shares a call only with its like."""
-    part, rows = [], 0
+    apart from a padded matrix's rows, so it shares a call only with its like.
+    The memo ``layouts`` is left mapping each several-member call's tuple of
+    ClientData to its layout, for the next batch to reuse."""
+    parts, rows = [], 0
     for p, cd in members:
         _check_shapes(p, cd, members[0][0].dims)
         n = cd.graph.node_count
-        if part and ((len(part) + 1) * max(rows, n) > BATCH_ROWS or (n == 1) != (rows == 1)):
-            yield _Block(part)
-            part, rows = [], 0
-        part.append((p, cd))
+        if not parts or (len(parts[-1]) + 1) * max(rows, n) > BATCH_ROWS or (n == 1) != (rows == 1):
+            parts.append([])
+            rows = 0
+        parts[-1].append((p, cd))
         rows = max(rows, n)
-    if part:
-        yield _Block(part)
+    layouts = {} if layouts is None else layouts
+    old = layouts.copy()
+    layouts.clear()
+    for part in parts:
+        block, datas = _Block(part), tuple(cd for _, cd in part)
+        block.layout = old.get(datas) or _Layout(datas)
+        if len(datas) > 1:
+            layouts[datas] = block.layout
+        yield block
 
 
 def forward_batch(members: list) -> list[np.ndarray]:
@@ -202,15 +227,16 @@ def forward_batch(members: list) -> list[np.ndarray]:
     return [soft for block in _blocks(members) for soft in block.soft(block.vecs)]
 
 
-def train_batch(members: list, lr: float):
+def train_batch(members: list, lr: float, layouts: dict | None = None):
     """One full-batch gradient step (p - lr * grad, in one fresh array) per
     (params, ClientData) member and the trained params' soft labels, yielded
-    in member order; a kernel call runs when its first member is asked for."""
-    for block in _blocks(members):
+    in member order; a kernel call runs when its first member is asked for.
+    ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
+    for block in _blocks(members, layouts):
         step = block.gradients()[0]
         step *= lr
         np.subtract(block.vecs, step, out=step)
-        rows = step.reshape(len(block.datas), -1)
+        rows = step.reshape(len(block.layout.datas), -1)
         yield from zip([ModelParams.from_vector(v, block.dims) for v in rows], block.soft(step))
 
 

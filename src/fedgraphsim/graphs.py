@@ -20,6 +20,15 @@ class GraphFormatError(ValueError):
     """Raised when a graph file is malformed or fails validation."""
 
 
+def read_text(path, error: type) -> str:
+    """A UTF-8 text file's contents; other bytes raise ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 @dataclass(eq=False)
 class Graph:
     """Undirected attributed labeled graph.
@@ -259,8 +268,7 @@ def load_graph(path) -> Graph:
     def fail(lineno, msg):
         raise GraphFormatError(f"{path}: line {lineno}: {msg}")
 
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path, GraphFormatError).splitlines()
     if not lines:
         raise GraphFormatError(f"{path}: empty file")
     header = dict(

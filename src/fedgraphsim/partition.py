@@ -178,10 +178,16 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     mid-pass gains at most shift[v], which the clamp covers. Float gains are
     within a few ulps of their real values (|gain| <= 2 k_v), far inside
     SLACK; a stay leaves comm and comm_k bit-identical. Once moved_k reaches
-    every node's budget, the rest of the pass runs ``_move`` on each.
+    every node's budget, the rest of the pass runs ``_move`` on each. A
+    level's first pass, every node alone, skips nothing and so sets up no
+    slack: w_own and each stay gain are 0, so every slack is below -SLACK.
     """
     n, at = len(comm), np.array(comm)
     comm_k = np.bincount(at, weights=k, minlength=n)
+    if len(set(comm)) == n:
+        visits, k, comm_k = rng.permutation(n).tolist(), k.tolist(), comm_k.tolist()
+        moved = [_move(v, nbrs, wts, k, m2, comm, comm_k) for v in visits]
+        return any(moved)
     to = a_off @ sp.csr_matrix((np.ones(n), at, np.arange(n + 1)), shape=(n, n))
     rows = np.repeat(np.arange(n), np.diff(to.indptr))
     own = to.indices == at[rows]

@@ -355,7 +355,7 @@ def server_receive(server: Server, msg: UploadMessage) -> Deliveries:
     return deliveries
 
 
-def train_trips(states: list[ClientState], lr: float) -> None:
+def train_trips(states: list[ClientState], lr: float, layouts: dict | None = None) -> None:
     """Open each client's mailbox, then train all of them as one batch.
 
     The mailbox (at most the latest message) is consumed first: a direct
@@ -367,8 +367,8 @@ def train_trips(states: list[ClientState], lr: float) -> None:
     ValueError. Then the clients' training epochs, each followed by the
     forward pass of the trained model, run as ``gcn.train_batch``: each
     kernel call inside the ``client_trip`` of its first client, so a trip
-    still holds its training. Training on an empty train mask raises
-    ValueError.
+    still holds its training. ``layouts`` is the run's memo of batch layouts
+    (``gcn._blocks``). Training on an empty train mask raises ValueError.
     """
     for state in states:
         msg, state.mailbox = state.mailbox, None
@@ -383,7 +383,7 @@ def train_trips(states: list[ClientState], lr: float) -> None:
                 msg.params, state.params, msg.cluster_lsc, state.upload.lsc.clamped
             )
         state.tau = msg.round
-    batch = zip(states, train_batch([(s.params, s.data) for s in states], lr))
+    batch = zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts))
     for state in states:
         state.trained = batch
 

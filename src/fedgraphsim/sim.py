@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .gcn import ModelParams, accuracy, evaluate, init_params
-from .graphs import generate_sbm, load_graph
+from .gcn import ModelParams, accuracy, forward_batch, init_params
+from .graphs import generate_sbm, load_graph, read_text
 from .partition import (
     TripPlan,
     balanced_partition,
@@ -153,17 +153,16 @@ class MetricsLog:
         if missing := [name for name in names if name not in meta]:
             raise ConfigError(f"{sidecar_path}: no {', '.join(missing)} in the sidecar")
         records = []
-        with open(csv_path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-            if lines[:1] != [CSV_HEADER]:
-                raise ConfigError(f"{csv_path}: line 1: not the header {CSV_HEADER}")
-            for lineno, line in enumerate(lines[1:], start=2):
-                try:
-                    trip, time, cid, acc, mean = line.split(",")
-                    records.append(TripRecord(int(trip), int(time), int(cid), float(acc),
-                                              float(mean), None))
-                except ValueError:
-                    raise ConfigError(f"{csv_path}: line {lineno}: not {CSV_HEADER}") from None
+        lines = read_text(csv_path, ConfigError).splitlines()
+        if lines[:1] != [CSV_HEADER]:
+            raise ConfigError(f"{csv_path}: line 1: not the header {CSV_HEADER}")
+        for lineno, line in enumerate(lines[1:], start=2):
+            try:
+                trip, time, cid, acc, mean = line.split(",")
+                records.append(TripRecord(int(trip), int(time), int(cid), float(acc),
+                                          float(mean), None))
+            except ValueError:
+                raise ConfigError(f"{csv_path}: line {lineno}: not {CSV_HEADER}") from None
         seed, config_hash, strategy, initial, durations, trips = (meta[name] for name in names)
         if len(records) != trips:
             raise ConfigError(f"{csv_path}: {len(records)} trips, the sidecar says {trips}")
@@ -236,22 +235,25 @@ def make_server(
 def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog:
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
-    Every client's trip plan is built in one pass after set-up. Event loop:
-    pop the events of the earliest time in client order, at most as many as
-    trips are left and as the server takes uploads before one can deliver
-    to a client other than its sender; move each one's pending download into
-    its mailbox and train them as one batch (``train_trips``). Then, trip by
-    trip, finish the trip (``client_trip``), take the client's local test
-    accuracy from the trip's soft labels and snapshot the cached accuracy
-    vector, hand the upload to the server, and schedule the client's next
-    trip. So only a batch's last upload can reach its other clients, and the
-    run is bit for bit the one-event-at-a-time loop; a delivery to a batch
-    client that has not uploaded yet raises RuntimeError. When the server
-    waits for its round (fedavg_sync), a client's next trip is scheduled only
-    once that round's delivery reaches it; otherwise the client is
-    re-scheduled at once. Only clients with training nodes are ever
-    scheduled. A config that yields no such client, or a client without test
-    nodes, raises ConfigError.
+    Every client's trip plan is built in one pass after set-up, and the
+    initial model is scored on all clients in one ``gcn.forward_batch``.
+    Event loop: pop the events of the earliest time in client order, at most
+    as many as trips are left and as the server takes uploads before one can
+    deliver to a client other than its sender; move each one's pending
+    download into its mailbox and train them as one batch (``train_trips``).
+    A kernel call of several clients reuses the padded layout of the previous
+    batch's call of the same clients in the same order, if any: the run's
+    memo holds that batch's layouts alone. Then, trip by trip, finish the
+    trip (``client_trip``), take the client's local test accuracy from the
+    trip's soft labels and snapshot the cached accuracy vector, hand the
+    upload to the server, and schedule the client's next trip. So only a
+    batch's last upload can reach its other clients, and the run is bit for
+    bit the one-event-at-a-time loop; a delivery to a batch client that has
+    not uploaded yet raises RuntimeError. When the server waits for its round
+    (fedavg_sync), a client's next trip is scheduled only once that round's
+    delivery reaches it; otherwise the client is re-scheduled at once. Only
+    clients with training nodes are ever scheduled. A config that yields no
+    such client, or a client without test nodes, raises ConfigError.
     """
     if seed is None:
         seed = cfg.seeds[0]
@@ -269,9 +271,8 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
 
     server = make_server(cfg, clients_data, active, initial)
     clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
-    cached = np.array(
-        [evaluate(c.params, c.data, "test") for c in clients], dtype=np.float64
-    )
+    soft = forward_batch([(c.params, c.data) for c in clients])
+    cached = np.array([accuracy(s, c.data, c.data.masks.test) for s, c in zip(soft, clients)])
     initial_accs = tuple(cached.tolist())
     initial_mean = float(cached.mean())
 
@@ -287,7 +288,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     # a sorted list is already a heap
     heap = sorted(Event(int(latency.durations[cid]), cid) for cid, act in enumerate(active) if act)
     gated: set[int] = set()
-    trips = 0
+    trips, layouts = 0, {}  # layouts: the previous batch's kernel layouts
     hyper = cfg.resolved_hyper()
     while trips < cfg.max_trips and heap:
         now = heap[0].completion_time
@@ -297,7 +298,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
             client = clients[heapq.heappop(heap).client_id]
             client.mailbox = server.mailboxes.pop(client.client_id, None)
             batch.append(client)
-        train_trips(batch, cfg.lr)
+        train_trips(batch, cfg.lr, layouts)
         pending = {client.client_id for client in batch}
         for client in batch:
             cid = client.client_id

@@ -54,7 +54,7 @@ def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
     library's kernel call for the one client (training never needs the loss)."""
     (block,) = gcn._blocks([(p, cd)])
     grads, probs = block.gradients()
-    picked = np.clip(probs[block.train, block.labels], LOG_CLAMP, None)
+    picked = np.clip(probs[block.layout.train, block.layout.labels], LOG_CLAMP, None)
     return float(-np.mean(np.log(picked))), Gradients.from_vector(grads, p.dims)
 
 

@@ -384,6 +384,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    def test_summarize_refuses_a_non_utf8_csv(self, tmp_path, capsys):
+        (tmp_path / "metrics_seed0.json").write_text(STORED_SIDECAR)
+        (tmp_path / "metrics_seed0.csv").write_bytes(
+            f"{CSV_HEADER}\n1,1,0,0.5,0.3\n2,1,1,0.7,0.6\xff\n".encode("latin-1")
+        )
+        assert main(["summarize", "--dir", str(tmp_path), "--target", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "metrics_seed0.csv: not UTF-8 text" in err and "runtime failure" not in err
+
     def test_summarize_refuses_a_sidecar_without_trips(self, tmp_path, capsys):
         (tmp_path / "metrics_seed0.json").write_text(STORED_SIDECAR.replace('"trips"', '"n"'))
         (tmp_path / "metrics_seed0.csv").write_text(f"{CSV_HEADER}\n1,1,0,0.5,0.3\n")
@@ -534,6 +543,15 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    @pytest.mark.parametrize("name, text", [("exp.ini", MINIMAL_INI), ("exp.json", "{}")],
+                             ids=["sectioned", "json"])
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys, name, text):
+        cfg = tmp_path / name
+        cfg.write_bytes(text.encode() + b"\n# \xff\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: not UTF-8 text" in err and "runtime failure" not in err
 
     @pytest.mark.parametrize(
         "run_lines, problem",

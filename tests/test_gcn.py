@@ -353,8 +353,8 @@ def batch_client(rng, n, q, f=6, c=3, edges=None):
     return random_params(rng, f, 5, c), cd
 
 
-def assert_batch_matches_loop(members, lr=0.3):
-    trained = list(train_batch(members, lr))
+def assert_batch_matches_loop(members, lr=0.3, layouts=None):
+    trained = list(train_batch(members, lr, layouts))
     assert len(trained) == len(members)
     for (p, cd), (q, soft) in zip(members, trained):
         ref = train_epoch_per_client(p, cd, lr)
@@ -434,11 +434,69 @@ def test_batch_of_one_assembles_nothing():
     rng = np.random.default_rng(7)
     p, cd = batch_client(rng, 15, 0.3)
     (block,) = gcn._blocks([(p, cd)])
-    assert block.vecs is p.vec and block.ax is cd.plan.ax and block.adj is cd.plan.adj
+    lay = block.layout
+    assert block.vecs is p.vec and lay.ax is cd.plan.ax and lay.adj is cd.plan.adj
     (q, soft), = train_batch([(p, cd)], 0.1)
     assert not np.shares_memory(q.vec, p.vec)
     assert np.array_equal(q.vec, train_epoch(p, cd, 0.1).vec)
     assert np.array_equal(soft, forward(q, cd))
+
+
+# A run's memo of layouts (gcn._blocks): a kernel call of several members
+# reuses the layout of the previous batch's call of the same ClientData in
+# the same order, and no other.
+
+
+def built_layouts(monkeypatch):
+    """Record the members of every layout built."""
+    built, real = [], gcn._Layout
+
+    def layout(datas):
+        built.append(datas)
+        return real(datas)
+
+    monkeypatch.setattr(gcn, "_Layout", layout)
+    return built
+
+
+def test_a_batch_reuses_only_the_previous_batch_layouts(monkeypatch):
+    rng = np.random.default_rng(11)
+    a = [batch_client(rng, n, 0.4) for n in (5, 9, 7)]
+    b = [batch_client(rng, n, 0.4) for n in (5, 9, 7)]  # a's shapes and client ids, other data
+    assert {cd.client_id for _, cd in a + b} == {0}
+    built, layouts = built_layouts(monkeypatch), {}
+    batches = {"a": a, "reversed": a[::-1], "b": b, "lone": a[:1]}
+    steps = [("a", True), ("a", False), ("reversed", True), ("b", True), ("a", True),
+             ("a", False), ("lone", True), ("a", True)]
+    for name, builds in steps:
+        before, datas = len(built), tuple(cd for _, cd in batches[name])
+        assert_batch_matches_loop(batches[name], layouts=layouts)
+        # the loop check's forward_batch builds one more layout, outside the memo
+        assert built[before:-1] == ([datas] if builds else [])
+        assert list(layouts) == ([] if name == "lone" else [datas])
+
+
+def test_a_shared_layout_is_read_only():
+    rng = np.random.default_rng(12)
+    layouts = {}
+    list(train_batch([batch_client(rng, n, 0.5) for n in (4, 6)], 0.3, layouts))
+    (lay,) = layouts.values()
+    for array in (lay.ax, lay.train, lay.labels, lay.sizes, lay.adj.data, lay.adj.indices,
+                  lay.adj.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_a_reused_layout_reads_no_member_labels_or_masks():
+    rng = np.random.default_rng(13)
+    members = [batch_client(rng, n, 0.4) for n in (6, 11, 8)]
+    layouts = {}
+    first = [(q.vec, soft) for q, soft in train_batch(members, 0.3, layouts)]
+    for _, cd in members:
+        cd.graph.labels, cd.masks = None, None
+    again = [(q.vec, soft) for q, soft in train_batch(members, 0.3, layouts)]
+    for (v1, s1), (v2, s2) in zip(first, again, strict=True):
+        assert np.array_equal(v1, v2) and np.array_equal(s1, s2)
 
 
 def test_batch_refuses_mismatched_shapes_and_empty_train_masks():

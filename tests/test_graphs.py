@@ -346,6 +346,18 @@ class TestGraphFile:
         with pytest.raises(GraphFormatError, match="line 1: header declares"):
             load_graph(path)
 
+    def test_cli_partition_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.graph"
+        path.write_bytes(b"nodes=1 features=1 classes=2\nnode 0 0 0.5 \xff\n")
+        out = tmp_path / "assign.txt"
+        assert main(
+            ["partition", "--input", str(path), "--method", "louvain", "--clients", "1",
+             "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err and "runtime failure" not in err
+        assert not out.exists()
+
     def test_cli_partition_oversize_header_exits_2_before_allocating(self, tmp_path, capsys):
         path = tmp_path / "huge.graph"
         path.write_text("nodes=100000000000 features=100000 classes=2\nnode 0 0 0.0\n")

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -364,9 +366,9 @@ def test_batched_driver_equals_the_one_event_at_a_time_loop(monkeypatch, case):
     ref = run_simulation_one_event_at_a_time(cfg, 4)
     batches, real = [], sim.train_trips
 
-    def recording(states, lr):
+    def recording(states, lr, layouts):
         batches.append([s.client_id for s in states])
-        return real(states, lr)
+        return real(states, lr, layouts)
 
     monkeypatch.setattr(sim, "train_trips", recording)
     log = run_simulation(cfg, 4)
@@ -405,3 +407,107 @@ def test_client_trip_runs_once_per_trip_in_record_order(monkeypatch, strategy):
     log = run_simulation(cfg, 2)
     assert len(tripped) == len(log.records) == cfg.max_trips
     assert tripped == [r.client_id for r in log.records]
+
+
+# Layout reuse (gcn._blocks): run_simulation hands its memo to each batch, so
+# a kernel call of several clients reuses the layout of the previous batch's
+# call of the same clients in the same order.
+
+
+def record_layouts(monkeypatch):
+    """Record each batch (``sim.train_trips``), kernel call and layout built,
+    by client ids, in the order they happen."""
+    events = []
+    real_trips, real_block, real_layout = sim.train_trips, gcn._Block, gcn._Layout
+
+    def trips(states, lr, layouts):
+        events.append(("batch", tuple(s.client_id for s in states)))
+        return real_trips(states, lr, layouts)
+
+    def block(members):
+        events.append(("call", tuple(cd.client_id for _, cd in members)))
+        return real_block(members)
+
+    def layout(datas):
+        events.append(("build", tuple(cd.client_id for cd in datas)))
+        return real_layout(datas)
+
+    monkeypatch.setattr(sim, "train_trips", trips)
+    monkeypatch.setattr(gcn, "_Block", block)
+    monkeypatch.setattr(gcn, "_Layout", layout)
+    return events
+
+
+def batch_calls(events):
+    """(batch client ids, [(call client ids, built), ...]) per batch; the
+    kernel calls before the first batch come first, with ids None."""
+    out = [(None, [])]
+    for kind, ids in events:
+        if kind == "batch":
+            out.append((ids, []))
+        elif kind == "call":
+            out[-1][1].append((ids, False))
+        else:  # a call's build comes right after it
+            assert out[-1][1][-1] == (ids, False)
+            out[-1][1][-1] = (ids, True)
+    return out
+
+
+def test_repeated_time_steps_build_their_layouts_once(monkeypatch):
+    """A tripwire for layout reuse: with every client tripping at every time
+    step (fedasync, no stragglers) each step is one kernel call of the same
+    clients, and only the first step builds its layout."""
+    events = record_layouts(monkeypatch)
+    log = run_simulation(sbm_cfg(strategy="fedasync", n_clients=4, max_trips=40), 3)
+    initial, *steps = batch_calls(events)
+    everyone = (0, 1, 2, 3)
+    assert initial == (None, [(everyone, True)])  # the initial evaluation, outside the memo
+    assert len(steps) == len({r.time for r in log.records}) == 10
+    assert steps == [(everyone, [(everyone, True)])] + [(everyone, [(everyone, False)])] * 9
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, strategy):
+    """Stragglers join some steps, fedsa_gcl rounds cut steps into batches and
+    the trip budget cuts the last batch short: a kernel call of several clients
+    builds its layout exactly when the previous batch had no call of the same
+    clients, and the run is the one-event-at-a-time loop's."""
+    cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy, "max_trips": 149})
+    ref = run_simulation_one_event_at_a_time(cfg, 4)
+    events = record_layouts(monkeypatch)
+    log = run_simulation(cfg, 4)
+    assert log.initial_accs == ref.initial_accs  # one forward_batch against evaluate per client
+    assert log.to_csv_text() == ref.to_csv_text()
+    assert repr(log.aggregation_log) == repr(ref.aggregation_log)
+    assert log.trace == ref.trace
+    _, *batches = batch_calls(events)
+    previous, reused, rebuilt = set(), 0, 0
+    for _, calls in batches:
+        for ids, built in calls:
+            assert built == (len(ids) == 1 or ids not in previous)
+            reused += not built
+            rebuilt += built and len(ids) > 1 and bool(previous)
+        previous = {ids for ids, _ in calls if len(ids) > 1}
+    assert rebuilt and (reused or strategy != Strategy.FEDASYNC)
+    slow = {c for c, d in enumerate(log.durations) if d > 1}
+    assert any(slow & set(ids) for ids, _ in batches)  # a straggler joins a step
+    # a larger budget lets the last batch take more of the same step's clients
+    seen = len(events)
+    run_simulation(replace(cfg, max_trips=cfg.max_trips + 10), 4)
+    tail, uncut = batches[-1][0], batch_calls(events[seen:])[len(batches)][0]
+    assert len(uncut) > len(tail) and uncut[: len(tail)] == tail
+
+
+def test_a_run_keeps_no_client_data_alive(monkeypatch):
+    refs, real = [], sim.prepare_clients
+
+    def prepare(cfg, seed):
+        clients, latency, initial = real(cfg, seed)
+        refs.extend(weakref.ref(cd) for cd in clients)
+        return clients, latency, initial
+
+    monkeypatch.setattr(sim, "prepare_clients", prepare)
+    log = run_simulation(sbm_cfg(strategy="fedasync", n_clients=4, max_trips=40), 3)
+    gc.collect()
+    assert len(log.records) == 40 and len(refs) == 4
+    assert all(ref() is None for ref in refs)
