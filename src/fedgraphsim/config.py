@@ -232,6 +232,8 @@ class ExperimentConfig:
         run = d["run"]
         if run["lag_lo"] > run["lag_hi"]:
             raise ConfigError("[run] lag_lo must be <= lag_hi")
+        if run["lag_hi"] * run["n_clients"] > 2**63 - 1:  # a straggler's int64 trip duration
+            raise ConfigError("[run] lag_hi x n_clients must be at most 2**63 - 1")
         if run["mask_train"] + run["mask_val"] + run["mask_test"] > 1 + 1e-12:
             raise ConfigError("[run] mask_train + mask_val + mask_test must be <= 1")
 

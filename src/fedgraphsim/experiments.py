@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .config import ExperimentConfig
 from .sim import MetricsLog, run_simulation
@@ -33,6 +32,7 @@ def aggregate_seeds(values, metric: str = "") -> SummaryRow:
     if n == 1:
         return SummaryRow(metric, mean, 0.0, 1)
     sd = float(np.std(values, ddof=1))
+    from scipy import stats  # imported on use: it adds ~48 MiB RSS to any process
     half = float(stats.t.ppf(0.975, n - 1) * sd / math.sqrt(n))
     return SummaryRow(metric, mean, half, n)
 

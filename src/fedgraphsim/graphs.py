@@ -9,11 +9,13 @@ adjacency.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+log = logging.getLogger("fedgraphsim")
 
 
 class GraphFormatError(ValueError):
@@ -156,7 +158,7 @@ def split_masks(g: Graph, ratios: tuple, seed: int) -> NodeMasks:
     stay unassigned. Classes are processed in ascending order, one shuffle
     each, so the result is deterministic under the seed. If any class has
     fewer nodes than the three categories, the whole split falls back to a
-    single unstratified pool (with a warning).
+    single unstratified pool (with a warning on the ``fedgraphsim`` logger).
     """
     r_train, r_val, r_test = (float(r) for r in ratios)
     if min(r_train, r_val, r_test) < 0 or r_train + r_val + r_test > 1 + 1e-12:
@@ -165,9 +167,8 @@ def split_masks(g: Graph, ratios: tuple, seed: int) -> NodeMasks:
     groups = [np.flatnonzero(g.labels == c) for c in range(g.num_classes)]
     groups = [grp for grp in groups if grp.size]
     if any(grp.size < 3 for grp in groups):
-        warnings.warn(
-            "class with fewer nodes than mask categories; "
-            "falling back to unstratified split"
+        log.warning(
+            "class with fewer nodes than mask categories; falling back to unstratified split"
         )
         groups = [np.arange(g.node_count, dtype=np.int64)]
     parts: list[list[np.ndarray]] = [[], [], []]
@@ -337,9 +338,8 @@ def load_graph(path) -> Graph:
     if missing.size:
         raise GraphFormatError(f"{path}: node {missing[0]} never declared")
     if dropped_loops or dropped_dups:
-        warnings.warn(
-            f"{path}: dropped {dropped_loops} self-loops and "
-            f"{dropped_dups} duplicate edges"
+        log.warning(
+            f"{path}: dropped {dropped_loops} self-loops and {dropped_dups} duplicate edges"
         )
     edges = np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
     return Graph(n, edges, features, labels, n_classes, fdim)

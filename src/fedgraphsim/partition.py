@@ -10,7 +10,6 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
-from scipy.sparse.csgraph import shortest_path
 
 from .graphs import (
     Graph,
@@ -324,6 +323,7 @@ def _spread_seeds(a: sp.csr_matrix, n_clients: int, rng) -> list[int]:
     np.argmax takes the first maximum: unreached nodes win, ties go to the
     lowest id.
     """
+    from scipy.sparse.csgraph import shortest_path  # imported on use: ~10 MiB RSS
     n = a.shape[0]
     start = rng.integers(n)
     seeds = [int(np.argmax(shortest_path(a, unweighted=True, indices=start)))]

@@ -2,8 +2,10 @@
 federated training.
 
 Each server holds only its own strategy's state; ``receive`` turns one
-upload into (client id, download) deliveries, which ``server_receive`` also
-posts to the recipients' mailboxes. ``FedSaGclServer``, the main strategy,
+upload into (client id, download) deliveries that name their ``kind``, and
+``server_receive`` posts them to ``Server.mailboxes``, the run's one mailbox.
+A batch of trips starts when ``train_trips`` takes its clients' messages out,
+and each trip ends in ``client_trip``. ``FedSaGclServer``, the main strategy,
 keeps every client's latest upload in a ``KnowledgeBase`` whose row c is
 client c, and aggregates over it once K uploads are queued: each uploader
 gets a personalized model averaged over its similarity cluster with
@@ -103,11 +105,14 @@ def fill_stats(uploads: list[UploadMessage], names=("sfm", "lsc")) -> None:
 @dataclass(eq=False)
 class DownloadMessage:
     """Server -> client. cluster_lsc present means ClusterCast broadcast
-    (blend on receipt); absent means direct personalized delivery (replace)."""
+    (blend on receipt); absent means direct delivery (replace). ``kind`` is
+    fedsa_gcl's "personal" (to an uploader) or "broadcast" (to a cluster
+    member that did not upload), or "baseline" from the other servers."""
 
     params: ModelParams
     round: int
     cluster_lsc: float | None = None
+    kind: str = "baseline"
 
 
 class KnowledgeBase:
@@ -149,17 +154,15 @@ class KnowledgeBase:
 
 @dataclass(eq=False)
 class ClientState:
-    """A client's local model and protocol state. ``upload`` is the last
-    upload, made with the current ``params`` (None before the first trip);
-    ``trained`` the batch ``train_trips`` put it in, until ``client_trip``."""
+    """A client's local model and protocol state: ``tau`` is the round of the
+    last message it read, ``upload`` its last upload, made with the current
+    ``params`` (None before the first trip)."""
 
     client_id: int
     data: ClientData
     params: ModelParams
-    mailbox: DownloadMessage | None = None
     tau: int = 0
     upload: UploadMessage | None = None
-    trained: Iterator | None = None
 
 
 Deliveries = list[tuple[int, DownloadMessage]]
@@ -257,7 +260,7 @@ class FedSaGclServer(Server):
                                  tuple(rows.tolist()), tuple(weights.tolist()))
             model_i, lsc_sum, *logged = clusters[key]
             self.aggregation_log.append((t, i, *logged))
-            deliveries.append((i, DownloadMessage(model_i, t, None)))
+            deliveries.append((i, DownloadMessage(model_i, t, None, "personal")))
             models.append(model_i)
             lsc_sums.append(lsc_sum)
         if self.use_broadcast and self.use_clustering:  # singletons reach no one
@@ -265,7 +268,7 @@ class FedSaGclServer(Server):
             targets = np.flatnonzero(reach.any(axis=0))
             sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
             for s, k in zip(ids[targets].tolist(), sources.tolist()):
-                deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k])))
+                deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k], "broadcast")))
         return deliveries
 
 
@@ -295,7 +298,7 @@ class FedAvgSyncServer(Server):
             [self.buffer[c].params for c in self.expected], self.weights
         )
         self.buffer.clear()
-        return [(c, DownloadMessage(model, self.round, None)) for c in self.expected]
+        return [(c, DownloadMessage(model, self.round)) for c in self.expected]
 
 
 class FedBuffServer(Server):
@@ -320,7 +323,7 @@ class FedBuffServer(Server):
         model = aggregate_models([m.params for m in buf], weights)
         recipients = sorted({m.client_id for m in buf})
         self.buffer = []
-        return [(c, DownloadMessage(model, self.round, None)) for c in recipients]
+        return [(c, DownloadMessage(model, self.round)) for c in recipients]
 
 
 class FedAsyncServer(Server):
@@ -343,7 +346,7 @@ class FedAsyncServer(Server):
         self.global_params = ModelParams.from_vector(
             (1.0 - mix) * g.vec + mix * msg.params.vec, g.dims
         )
-        return [(msg.client_id, DownloadMessage(self.global_params, self.round, None))]
+        return [(msg.client_id, DownloadMessage(self.global_params, self.round))]
 
 
 def server_receive(server: Server, msg: UploadMessage) -> Deliveries:
@@ -355,10 +358,13 @@ def server_receive(server: Server, msg: UploadMessage) -> Deliveries:
     return deliveries
 
 
-def train_trips(states: list[ClientState], lr: float, layouts: dict | None = None) -> None:
-    """Open each client's mailbox, then train all of them as one batch.
+def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage], lr: float,
+                layouts: dict | None = None) -> Iterator:
+    """Take each client's message out of ``mailboxes``, then train all of them
+    as one batch; return the batch, a lazy iterator of (state, (trained
+    params, soft labels)) in ``states`` order for ``client_trip``.
 
-    The mailbox (at most the latest message) is consumed first: a direct
+    A message (at most the latest per client) is read first: a direct
     delivery replaces the local params, a broadcast is blended in weighted
     by cluster vs local confidence; either updates tau to the message round.
     The local confidence is the one of ``state.upload``, made with the
@@ -371,7 +377,7 @@ def train_trips(states: list[ClientState], lr: float, layouts: dict | None = Non
     (``gcn._blocks``). Training on an empty train mask raises ValueError.
     """
     for state in states:
-        msg, state.mailbox = state.mailbox, None
+        msg = mailboxes.pop(state.client_id, None)
         if msg is None:
             continue
         if msg.cluster_lsc is None:
@@ -383,26 +389,21 @@ def train_trips(states: list[ClientState], lr: float, layouts: dict | None = Non
                 msg.params, state.params, msg.cluster_lsc, state.upload.lsc.clamped
             )
         state.tau = msg.round
-    batch = zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts))
-    for state in states:
-        state.trained = batch
+    return zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts))
 
 
-def client_trip(state: ClientState, hyper: FglHyper, lr: float) -> UploadMessage:
-    """One download-train-upload cycle for a client: its batch from
-    ``train_trips`` (a batch of one if it has none; a batch's trips finish in
-    its order), whose trained params and soft labels make the upload, also
-    kept in ``state.upload``."""
-    if state.trained is None:
-        train_trips([state], lr)
-    owner, (params, soft) = next(state.trained)
+def client_trip(state: ClientState, batch: Iterator, hyper: FglHyper) -> UploadMessage:
+    """Finish a client's trip from the next entry of its ``train_trips`` batch
+    (a batch's trips finish in its order, else RuntimeError): the trained
+    params and soft labels make the upload, also kept in ``state.upload``."""
+    owner, (params, soft) = next(batch)
     if owner is not state:
         raise RuntimeError(f"client {state.client_id} finished its trip out of batch order")
-    state.params, state.trained = params, None
-    state.upload = UploadMessage(state.params, state.tau, soft, state.data, hyper, state.client_id)
+    state.params = params
+    state.upload = UploadMessage(params, state.tau, soft, state.data, hyper, state.client_id)
     return state.upload
 
 
-def format_trace(round_: int, kind: str, dst: int, tau: int) -> str:
-    """One delivery line for trace dumps."""
-    return f"t={round_} kind={kind} src=server dst={dst} tau={tau}"
+def format_trace(round_: int, kind: str, dst: int) -> str:
+    """One delivery line for trace dumps; its ``tau`` is the message round."""
+    return f"t={round_} kind={kind} src=server dst={dst} tau={round_}"

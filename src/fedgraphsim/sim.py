@@ -239,21 +239,22 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     initial model is scored on all clients in one ``gcn.forward_batch``.
     Event loop: pop the events of the earliest time in client order, at most
     as many as trips are left and as the server takes uploads before one can
-    deliver to a client other than its sender; move each one's pending
-    download into its mailbox and train them as one batch (``train_trips``).
-    A kernel call of several clients reuses the padded layout of the previous
+    deliver to a client other than its sender; they read their messages from
+    the server's mailboxes and train as one batch (``train_trips``). A
+    kernel call of several clients reuses the padded layout of the previous
     batch's call of the same clients in the same order, if any: the run's
     memo holds that batch's layouts alone. Then, trip by trip, finish the
     trip (``client_trip``), take the client's local test accuracy from the
     trip's soft labels and snapshot the cached accuracy vector, hand the
-    upload to the server, and schedule the client's next trip. So only a
-    batch's last upload can reach its other clients, and the run is bit for
-    bit the one-event-at-a-time loop; a delivery to a batch client that has
-    not uploaded yet raises RuntimeError. When the server waits for its round
-    (fedavg_sync), a client's next trip is scheduled only once that round's
-    delivery reaches it; otherwise the client is re-scheduled at once. Only
-    clients with training nodes are ever scheduled. A config that yields no
-    such client, or a client without test nodes, raises ConfigError.
+    upload to the server, trace each delivery by its kind, and schedule the
+    client's next trip. So only a batch's last upload can reach its other
+    clients, and the run is bit for bit the one-event-at-a-time loop; a
+    delivery to a batch client that has not uploaded yet raises
+    RuntimeError. When the server waits for its round (fedavg_sync), the
+    round's deliveries schedule the next trips of their recipients, all
+    waiting; otherwise the client is re-scheduled at once. Only clients with
+    training nodes are ever scheduled. A config that yields no such client,
+    or a client without test nodes, raises ConfigError.
     """
     if seed is None:
         seed = cfg.seeds[0]
@@ -287,7 +288,6 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     )
     # a sorted list is already a heap
     heap = sorted(Event(int(latency.durations[cid]), cid) for cid, act in enumerate(active) if act)
-    gated: set[int] = set()
     trips, layouts = 0, {}  # layouts: the previous batch's kernel layouts
     hyper = cfg.resolved_hyper()
     while trips < cfg.max_trips and heap:
@@ -295,15 +295,13 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         room = min(server.uploads_to_reach_others(), cfg.max_trips - trips)
         batch = []
         while heap and heap[0].completion_time == now and len(batch) < room:
-            client = clients[heapq.heappop(heap).client_id]
-            client.mailbox = server.mailboxes.pop(client.client_id, None)
-            batch.append(client)
-        train_trips(batch, cfg.lr, layouts)
+            batch.append(clients[heapq.heappop(heap).client_id])
+        trained = train_trips(batch, server.mailboxes, cfg.lr, layouts)
         pending = {client.client_id for client in batch}
         for client in batch:
             cid = client.client_id
             pending.remove(cid)
-            upload = client_trip(client, hyper, cfg.lr)
+            upload = client_trip(client, trained, hyper)
             trips += 1
             cached[cid] = accuracy(upload.soft, client.data, client.data.masks.test)
             mean = float(cached.sum() / cached.size)
@@ -314,17 +312,9 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
             for d_cid, d_msg in deliveries:
                 if d_cid in pending:
                     raise RuntimeError(f"a delivery reached client {d_cid} within its batch")
-                if cfg.strategy == Strategy.FEDSA_GCL:
-                    kind = "personal" if d_msg.cluster_lsc is None else "broadcast"
-                else:
-                    kind = "baseline"
-                log.trace.append(format_trace(d_msg.round, kind, d_cid, d_msg.round))
-            if server.waits_for_round:  # the round's delivery releases its clients
-                gated.add(cid)
-                ready = [d_cid for d_cid, _ in deliveries if d_cid in gated]
-                gated.difference_update(ready)
-            else:
-                ready = [cid]
+                log.trace.append(format_trace(d_msg.round, d_msg.kind, d_cid))
+            # the round's delivery releases its recipients, all of them waiting
+            ready = [d_cid for d_cid, _ in deliveries] if server.waits_for_round else [cid]
             for r_cid in ready:
                 heapq.heappush(heap, Event(now + int(latency.durations[r_cid]), r_cid))
     log.aggregation_log = list(server.aggregation_log)

@@ -41,6 +41,7 @@ from fedgraphsim.protocol import (
     client_trip,
     format_trace,
     server_receive,
+    train_trips,
 )
 
 
@@ -323,8 +324,7 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
         ev = heapq.heappop(heap)
         now, cid = ev.completion_time, ev.client_id
         client = clients[cid]
-        client.mailbox = server.mailboxes.pop(cid, None)
-        upload = client_trip(client, hyper, cfg.lr)
+        upload = client_trip(client, train_trips([client], server.mailboxes, cfg.lr), hyper)
         trips += 1
         cached[cid] = accuracy(client.upload.soft, client.data, client.data.masks.test)
         mean = float(cached.sum() / cached.size)
@@ -337,7 +337,7 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
                 kind = "personal" if d_msg.cluster_lsc is None else "broadcast"
             else:
                 kind = "baseline"
-            log.trace.append(format_trace(d_msg.round, kind, d_cid, d_msg.round))
+            log.trace.append(format_trace(d_msg.round, kind, d_cid))
         if server.waits_for_round:  # the round's delivery releases its clients
             gated.add(cid)
             ready = [d_cid for d_cid, _ in deliveries if d_cid in gated]

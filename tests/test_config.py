@@ -574,3 +574,29 @@ class TestCli:
         )
         assert main(["run", "--config", str(cfg)]) == 2
         assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n_clients, lag, code",
+        [(4, 2**62, 2), (2, 2**63 - 1, 2), (2, 2**62 - 1, 0)],
+        ids=["four-clients-2**62", "two-clients-int64-max", "two-clients-largest-lag"],
+    )
+    def test_straggler_trip_duration_must_fit_in_int64(self, tmp_path, capsys, n_clients,
+                                                         lag, code):
+        """A straggler's trip takes lag x n_clients time units, an int64: a lag that
+        overflows it names lag_hi; the largest that fits runs, its straggler never
+        finishing a trip."""
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            MINIMAL_INI.replace("n_clients = 4\n", "")
+            + f"n_clients = {n_clients}\nlag_lo = {lag}\nlag_hi = {lag}\nedge_fraction = 0.5\n"
+            + f"max_trips = 12\nmask_train = 0.5\nmask_val = 0.0\nmask_test = 0.5\n"
+            + f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert ("[run] lag_hi x n_clients must be at most 2**63 - 1" in err) == (code == 2)
+        if code == 0:
+            meta = json.loads((tmp_path / "out" / "metrics_seed0.json").read_text())
+            assert max(meta["durations"]) == lag * n_clients
+            times = (tmp_path / "out" / "metrics_seed0.csv").read_text().splitlines()[1:]
+            assert {int(row.split(",")[1]) for row in times} == set(range(1, 13))

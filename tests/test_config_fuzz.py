@@ -5,7 +5,6 @@ that key."""
 
 import json
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -82,9 +81,7 @@ def sections(draw):
 def test_valid_config_runs_or_raises_config_error(drawn):
     try:
         cfg = config_from_sections(drawn)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # unstratified mask split
-            log = run_simulation(cfg)
+        log = run_simulation(cfg)
     except ConfigError:
         return
     assert len(log.records) == cfg.max_trips

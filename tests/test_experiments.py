@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedgraphsim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig
 from fedgraphsim.experiments import (
     aggregate_seeds,
@@ -160,3 +165,17 @@ class TestAblationTraces:
         cfg = sbm_cfg(disable_staleness=True)
         assert cfg.resolved_hyper().alpha == 0.0
         assert cfg.hyper.alpha == 0.5  # raw config untouched
+
+
+def test_import_leaves_scipy_stats_and_csgraph_unloaded():
+    """``scipy.stats`` (aggregate_seeds) and ``scipy.sparse.csgraph``
+    (balanced_partition) load on first use: together they double the memory
+    of a process that imports fedgraphsim."""
+    src = str(Path(fedgraphsim.__file__).resolve().parents[1])
+    code = ("import sys, fedgraphsim; "
+            "print(sorted({'scipy.stats', 'scipy.sparse.csgraph'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

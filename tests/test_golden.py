@@ -3,10 +3,11 @@ partitioners, the three fedsa_gcl ablations, and three fedsa_gcl variants
 that reach the client kernels' edge cases (isolated nodes with lam = 0,
 sparse labels, no propagation).
 
-Each case pins the SHA-256 of ``MetricsLog.to_csv_text()`` and of
-``repr(log.aggregation_log)``. A refactor or optimization must leave both
-unchanged; a change that provably alters float summation order may re-pin
-only after showing that the old and new accuracy curves agree to 1e-9.
+Each case pins the SHA-256 of ``MetricsLog.to_csv_text()``, of
+``repr(log.aggregation_log)`` and of ``repr(log.trace)`` (the delivery
+trace). A refactor or optimization must leave all three unchanged; a change
+that provably alters float summation order may re-pin only after showing
+that the old and new accuracy curves agree to 1e-9.
 """
 
 import hashlib
@@ -55,6 +56,7 @@ def digests(strategy, partitioner, ablation=None):
     return (
         hashlib.sha256(log.to_csv_text().encode()).hexdigest(),
         hashlib.sha256(repr(log.aggregation_log).encode()).hexdigest(),
+        hashlib.sha256(repr(log.trace).encode()).hexdigest(),
     )
 
 
@@ -62,58 +64,72 @@ GOLDEN = {
     ("fedsa_gcl", "louvain", None): (
         "9ae97e468aeb57c6e7727ab42697c61f1e9fd484a347e0ecff5dd0a17caa48ec",
         "64c240b1e608325bb725b9d9d184e23cca5f27b70aa91fadb78ecd81109a6777",
+        "c45382095c31de27aeb23787691f70abf009e7cca6d0436fc9a73fa39f24e35e",
     ),
     ("fedsa_gcl", "balanced", None): (
         "84c8f43ef5d7a9a95326112ca15a74db8ba3547adb82ca3db958b72abf414ab7",
         "52dfde5b503fad0d1de2b5c9d958ac71693eabcd917d05b8158a01b688453a37",
+        "da5bb11c64235e235bafc8d7b5884472de2cd5f72d489463fb9c07b4dba7adfc",
     ),
     ("fedavg_sync", "louvain", None): (
         "4c35ed1b9744465be17fcad5efc26d01564415ee1207c8e5ac10c38692ed7faa",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "eaee46f8149df9da0cbf7d20ecb0021f4e505145f7a4608cccec8055c87c5dc4",
     ),
     ("fedavg_sync", "balanced", None): (
         "ab6a486df251e2a514791cdb7bb145972ff444e4c179712f1b277cfb441b2113",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "eaee46f8149df9da0cbf7d20ecb0021f4e505145f7a4608cccec8055c87c5dc4",
     ),
     ("fedbuff", "louvain", None): (
         "c2f1b9eedb67e428751be2603cec827aec7aa3364ff37f710c92cdebe70d98e0",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "71bb4df5eaf78670903e68e3966617d2dc7cd351e7e60428ea7ce2ed550a7823",
     ),
     ("fedbuff", "balanced", None): (
         "65dc5fe6c1b0c0775d8487f66967584af14fc3333e4e19540e49b7312b732ffa",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "71bb4df5eaf78670903e68e3966617d2dc7cd351e7e60428ea7ce2ed550a7823",
     ),
     ("fedasync", "louvain", None): (
         "7b9c19753e9df0b2bfa74407ffcb240c16d9e0136686510e06da4a11cbad10e1",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "922458efdcd8291298fda43332d3f24219ddcd131584fd5ff5302454daba8816",
     ),
     ("fedasync", "balanced", None): (
         "e36b0c3e680edf9141b5e3f9de41313ad849a7cef9c70836049e1fb3d7283684",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "922458efdcd8291298fda43332d3f24219ddcd131584fd5ff5302454daba8816",
     ),
     ("fedsa_gcl", "louvain", "disable_sfm_clustering"): (
         "5ca04fffd7be2587426301547929d778a10f5e2eb08ab53975b6c776a9b744ca",
         "d536eff1a60b77a1f1fa4b67d14d8449836b19b62898efe9393e8ef991e8e64a",
+        "c5f30c8cbe8336053b9ae4c4a4ad8091d1d17e18e390f7d54e2f194d2fb78211",
     ),
     ("fedsa_gcl", "louvain", "disable_clustercast"): (
         "bd838864f8ab8aedecb255f4dd0bda004473ac18e9fc801a2825333ef5b1d9b6",
         "a001095ff7cfa4c8c5339c3914f01f28d8a29ce0eaf4ecc61663de3c8c95413c",
+        "c5f30c8cbe8336053b9ae4c4a4ad8091d1d17e18e390f7d54e2f194d2fb78211",
     ),
     ("fedsa_gcl", "louvain", "disable_staleness"): (
         "32b2c842eb8ec33ec268b7d3dae1636eb3b3418c860cc20e0ab17e4db3783bfc",
         "b519aa6006fd2e8343d1808ce458f7408d3079cced58ef09cf50c64475054c7a",
+        "c45382095c31de27aeb23787691f70abf009e7cca6d0436fc9a73fa39f24e35e",
     ),
     ("fedsa_gcl", "louvain", "edge_sparsity_lam0"): (
         "d21de211142b0f98bb0bc016e28069a135720a001016e3f4cbfc29f26aa6d3b1",
         "20b18ba6c270c5b937073d16d7325a5815ff005bcd4837f96b415af310dd10ef",
+        "fa4935e15d3bbf9cf9d4c21dbac2b7a2cef8f4ca1dcff8a97ee75392b88071e1",
     ),
     ("fedsa_gcl", "louvain", "label_sparsity"): (
         "447c084e5d57fc2268ccf49ccae44696fa65244648ab8a5ca634099b73f11057",
         "b4a0dbf4fe00af7c087eda612303873276c6ad9999a95c041673ab718e1a1fb3",
+        "e3590f1fcf315221e9b33ab6a88094436ba0dab3796497481e065467b4b5ce8c",
     ),
     ("fedsa_gcl", "louvain", "k_steps0"): (
         "bd526c9fbb795d4a0651984842c99b2451d81efe9ae665ca803066ee0716a199",
         "607203d7983daddff495b7d349847dc3fa230c85bd4a7391829b3430ceb43362",
+        "c45382095c31de27aeb23787691f70abf009e7cca6d0436fc9a73fa39f24e35e",
     ),
 }
 

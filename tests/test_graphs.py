@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -239,11 +241,12 @@ class TestSplitMasks:
                 got = np.intersect1d(mask, nodes).size
                 assert abs(got - ratio * nodes.size) <= 1
 
-    def test_small_class_falls_back(self):
+    def test_small_class_falls_back(self, caplog):
         labels = np.array([0] * 8 + [1] * 2)
         g = tiny_graph(10, [], labels=labels)
-        with pytest.warns(UserWarning, match="unstratified"):
+        with caplog.at_level(logging.WARNING, logger="fedgraphsim"):
             m = split_masks(g, (0.5, 0.2, 0.3), 0)
+        assert "unstratified" in caplog.text
         assert (m.train.size, m.val.size, m.test.size) == (5, 2, 3)
 
     def test_bad_ratios(self):
@@ -272,14 +275,15 @@ class TestGraphFile:
         g = load_graph(path)
         assert g.node_count == 1 and g.edge_count == 0
 
-    def test_dedup_and_loop_drop(self, tmp_path):
+    def test_dedup_and_loop_drop(self, tmp_path, caplog):
         path = tmp_path / "dirty.graph"
         lines = ["nodes=6 features=1 classes=2"]
         lines += [f"node {i} {i % 2} 0.0" for i in range(6)]
         lines += ["edge 3 5", "edge 3 5", "edge 4 4"]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.warns(UserWarning, match="dropped"):
+        with caplog.at_level(logging.WARNING, logger="fedgraphsim"):
             g = load_graph(path)
+        assert "dropped" in caplog.text
         npt.assert_array_equal(g.edges, [[3, 5]])
 
     def test_parse_error_has_line_number(self, tmp_path):

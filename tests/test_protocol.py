@@ -551,7 +551,7 @@ class TestClientTrip:
         before = state.params
         hyper = FglHyper()
         expected = train_epoch(before, state.data, 0.05)
-        msg = client_trip(state, hyper, 0.05)
+        msg = client_trip(state, train_trips([state], {}, 0.05), hyper)
         assert msg is not None and msg.tau == 0
         for name in PARAM_FIELDS:
             npt.assert_array_equal(getattr(msg.params, name), getattr(expected, name))
@@ -559,34 +559,34 @@ class TestClientTrip:
     def test_direct_message_replaces_params(self):
         state = self.setup_client()
         fresh = init_params(3, 4, 2, seed=99)
-        state.mailbox = DownloadMessage(fresh, round=5, cluster_lsc=None)
+        mailboxes = {0: DownloadMessage(fresh, round=5, cluster_lsc=None)}
         expected = train_epoch(fresh, state.data, 0.05)
-        msg = client_trip(state, FglHyper(), 0.05)
+        msg = client_trip(state, train_trips([state], mailboxes, 0.05), FglHyper())
         assert msg.tau == 5
-        assert state.mailbox is None
+        assert mailboxes == {}
         for name in PARAM_FIELDS:
             npt.assert_array_equal(getattr(msg.params, name), getattr(expected, name))
 
     def test_broadcast_before_the_first_upload_is_refused(self):
         state = self.setup_client()
         incoming = init_params(3, 4, 2, seed=123)
-        state.mailbox = DownloadMessage(incoming, round=9, cluster_lsc=3.0)
+        mailboxes = {0: DownloadMessage(incoming, round=9, cluster_lsc=3.0)}
         with pytest.raises(ValueError, match="client 0 got a broadcast before uploading"):
-            client_trip(state, FglHyper(), 0.05)
+            train_trips([state], mailboxes, 0.05)
 
     def test_broadcast_after_a_trip_blends_with_the_uploaded_confidence(
         self, monkeypatch
     ):
         state = self.setup_client()
         hyper = FglHyper()
-        first = client_trip(state, hyper, 0.05)
+        first = client_trip(state, train_trips([state], {}, 0.05), hyper)
         uploaded = state.params
         # the uploaded confidence is the one a fresh forward would give
         soft = forward(uploaded, state.data)
         propagated = label_propagation(soft, [state.data], hyper.lam, hyper.k_steps)
         assert [first.lsc] == compute_lsc(propagated, [state.data])
         incoming = init_params(3, 4, 2, seed=123)
-        state.mailbox = DownloadMessage(incoming, round=4, cluster_lsc=3.0)
+        mailboxes = {0: DownloadMessage(incoming, round=4, cluster_lsc=3.0)}
         expected = train_epoch(
             blend_local(incoming, uploaded, 3.0, first.lsc.clamped), state.data, 0.05
         )
@@ -597,7 +597,7 @@ class TestClientTrip:
             return softmax_rows(z)
 
         monkeypatch.setattr(gcn, "softmax_rows", counting_softmax)
-        msg = client_trip(state, hyper, 0.05)
+        msg = client_trip(state, train_trips([state], mailboxes, 0.05), hyper)
         # the training step's forward and the trained model's: the blend adds none
         assert forwards == [(5, 2), (5, 2)]
         monkeypatch.undo()
@@ -620,7 +620,7 @@ class TestClientTrip:
     def test_upload_carries_post_training_stats(self):
         state = self.setup_client()
         hyper = FglHyper()
-        msg = client_trip(state, hyper, 0.05)
+        msg = client_trip(state, train_trips([state], {}, 0.05), hyper)
         assert msg.sfm.shape == (2, 2)
         npt.assert_allclose(msg.sfm, msg.sfm.T)
         assert msg.lsc.clamped >= 1e-6
@@ -750,22 +750,23 @@ class TestTrainTrips:
     def test_batched_trips_equal_trips_alone(self):
         hyper = FglHyper()
         batched, alone = self.clients(), self.clients()
-        for states in (batched, alone):
-            states[1].mailbox = DownloadMessage(init_params(3, 4, 2, seed=50), 6, None)
-        train_trips(batched, 0.05)
-        assert all(s.mailbox is None and s.trained is not None for s in batched)
+        box, alone_box = ({1: DownloadMessage(init_params(3, 4, 2, seed=50), 6, None)}
+                          for _ in range(2))
+        batch = train_trips(batched, box, 0.05)
+        assert box == {}
         assert batched[1].tau == 6
         for b, a in zip(batched, alone):
-            got, ref = client_trip(b, hyper, 0.05), client_trip(a, hyper, 0.05)
-            assert b.trained is None and b.upload is got and got.tau == ref.tau
+            got = client_trip(b, batch, hyper)
+            ref = client_trip(a, train_trips([a], alone_box, 0.05), hyper)
+            assert b.upload is got and got.tau == ref.tau
             assert np.array_equal(got.params.vec, ref.params.vec)
             assert np.array_equal(got.soft, ref.soft)
 
     def test_trips_of_a_batch_finish_in_its_order(self):
         states = self.clients(3)
-        train_trips(states, 0.05)
+        batch = train_trips(states, {}, 0.05)
         with pytest.raises(RuntimeError, match="client 1 finished its trip out of batch order"):
-            client_trip(states[1], FglHyper(), 0.05)
+            client_trip(states[1], batch, FglHyper())
 
     def test_a_batch_trains_each_kernel_call_when_its_first_trip_finishes(self, monkeypatch):
         states = self.clients(3)
@@ -777,19 +778,19 @@ class TestTrainTrips:
             return real(members)
 
         monkeypatch.setattr(gcn, "_Block", block)
-        train_trips(states, 0.05)
+        batch = train_trips(states, {}, 0.05)
         assert calls == []
-        client_trip(states[0], FglHyper(), 0.05)
+        client_trip(states[0], batch, FglHyper())
         assert calls == [3]
-        client_trip(states[1], FglHyper(), 0.05)
-        client_trip(states[2], FglHyper(), 0.05)
+        client_trip(states[1], batch, FglHyper())
+        client_trip(states[2], batch, FglHyper())
         assert calls == [3]
 
     def test_a_broadcast_before_the_first_upload_stops_the_batch(self):
         states = self.clients(2)
-        states[1].mailbox = DownloadMessage(init_params(3, 4, 2, seed=9), 2, 1.0)
+        mailboxes = {1: DownloadMessage(init_params(3, 4, 2, seed=9), 2, 1.0)}
         with pytest.raises(ValueError, match="client 1 got a broadcast before uploading"):
-            train_trips(states, 0.05)
+            train_trips(states, mailboxes, 0.05)
 
 
 class TestMailboxes:

@@ -173,9 +173,9 @@ class TestRunSimulation:
             clients[1] = replace(clients[1], masks=masks)
             return clients, latency, initial
 
-        def trip(state, hyper, lr):
+        def trip(state, batch, hyper):
             tripped.append(state.client_id)
-            return real_trip(state, hyper, lr)
+            return real_trip(state, batch, hyper)
 
         monkeypatch.setattr(sim, "prepare_clients", prepare)
         monkeypatch.setattr(sim, "client_trip", trip)
@@ -213,8 +213,8 @@ def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
     trip, real_softmax = sim.client_trip, gcn.softmax_rows
     held, forwards = [], []
 
-    def recording_trip(state, hyper, lr):
-        upload = trip(state, hyper, lr)
+    def recording_trip(state, batch, hyper):
+        upload = trip(state, batch, hyper)
         held.append((state.data, state.params))
         return upload
 
@@ -272,9 +272,9 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
         monkeypatch.setattr(protocol, name, counted(name))
     real_trip, uploads = sim.client_trip, []
 
-    def trip(state, hyper, lr):
+    def trip(state, batch, hyper):
         before = uploads_computed.copy()
-        upload = real_trip(state, hyper, lr)
+        upload = real_trip(state, batch, hyper)
         assert uploads_computed == before  # the trip itself computes neither
         propagated = kernels.label_propagation(upload.soft, [upload.data], hyper.lam, hyper.k_steps)
         eager = (kernels.compute_sfm(upload.soft, [upload.data])[0],
@@ -366,9 +366,9 @@ def test_batched_driver_equals_the_one_event_at_a_time_loop(monkeypatch, case):
     ref = run_simulation_one_event_at_a_time(cfg, 4)
     batches, real = [], sim.train_trips
 
-    def recording(states, lr, layouts):
+    def recording(states, mailboxes, lr, layouts):
         batches.append([s.client_id for s in states])
-        return real(states, lr, layouts)
+        return real(states, mailboxes, lr, layouts)
 
     monkeypatch.setattr(sim, "train_trips", recording)
     log = run_simulation(cfg, 4)
@@ -399,9 +399,9 @@ def test_client_trip_runs_once_per_trip_in_record_order(monkeypatch, strategy):
     cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy, "max_trips": 61})
     real, tripped = sim.client_trip, []
 
-    def trip(state, hyper, lr):
+    def trip(state, batch, hyper):
         tripped.append(state.client_id)
-        return real(state, hyper, lr)
+        return real(state, batch, hyper)
 
     monkeypatch.setattr(sim, "client_trip", trip)
     log = run_simulation(cfg, 2)
@@ -420,9 +420,9 @@ def record_layouts(monkeypatch):
     events = []
     real_trips, real_block, real_layout = sim.train_trips, gcn._Block, gcn._Layout
 
-    def trips(states, lr, layouts):
+    def trips(states, mailboxes, lr, layouts):
         events.append(("batch", tuple(s.client_id for s in states)))
-        return real_trips(states, lr, layouts)
+        return real_trips(states, mailboxes, lr, layouts)
 
     def block(members):
         events.append(("call", tuple(cd.client_id for _, cd in members)))
