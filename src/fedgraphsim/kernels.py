@@ -8,6 +8,10 @@ contribute nothing to edge sums and degree-weighted sums.
 clients, rows back to back, with one block-diagonal operator per sparse
 product. All but the fingerprint's GEMM and the confidence's sum (per client)
 is row-wise, so each client's values are bit for bit those of it alone.
+
+Model aggregation is one BLAS product of weights and parameter rows
+(``aggregate_models`` here, a whole fedsa_gcl round in ``protocol``); its
+summation order is BLAS's, so it matches a row-by-row sum to rounding only.
 """
 
 from __future__ import annotations
@@ -183,17 +187,6 @@ def staleness_weights(lsc_clamped, taus, t: int, alpha: float) -> np.ndarray:
     return u / u.sum()
 
 
-def weighted_row_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] * rows[j]; scales ``rows`` in place, so pass a copy.
-
-    The axis-0 reduction adds the scaled rows one after another, exactly as
-    the loop ``acc = acc + w_j * row_j`` does; ``weights @ rows`` (BLAS) sums
-    in another order and rounds differently, so it must not replace this.
-    """
-    rows *= weights[:, None]
-    return rows.sum(axis=0)
-
-
 def aggregate_models(params_list: list[ModelParams], weights) -> ModelParams:
     """Entrywise convex combination of parameter sets."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -204,8 +197,7 @@ def aggregate_models(params_list: list[ModelParams], weights) -> ModelParams:
     dims = params_list[0].dims
     if any(p.dims != dims for p in params_list):
         raise ValueError("parameter sets must share dims")
-    rows = np.array([p.vec for p in params_list])
-    return ModelParams.from_vector(weighted_row_sum(rows, weights), dims)
+    return ModelParams.from_vector(weights @ np.array([p.vec for p in params_list]), dims)
 
 
 def blend_local(

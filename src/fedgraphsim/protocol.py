@@ -37,7 +37,6 @@ from .kernels import (
     cosine_similarity,  # noqa: F401  (perfbench/test_harness.py patches it here)
     label_propagation,
     staleness_factors,
-    weighted_row_sum,
 )
 from .partition import ClientData
 
@@ -222,14 +221,17 @@ class FedSaGclServer(Server):
         (uploaders against every known client, ascending ids) then gives both
         the clusters and the broadcast choice. Uploader i's cluster I_i is i
         plus every client with similarity >= theta; its personalized model is
-        the staleness-weighted row sum over I_i's parameter rows, delivered
+        the staleness-weighted average of I_i's parameter rows, delivered
         without cluster confidence. Every s in some I_i \\ U receives the
         cluster model of its most similar uploader (ties to the lower
         uploader id) together with that cluster's summed clamped confidence.
         The queue's missing fingerprints and confidences are computed in
         batches (``fill_stats``). Staleness is fixed for the round, so each
-        distinct member set is aggregated once into one ``ModelParams`` that
-        its uploaders share, each with its own log entry and delivery.
+        distinct member set gets one row of weights (in order of first
+        appearance), and one product per round, weights times the known
+        clients' parameter rows, builds every cluster model. Uploaders with
+        equal sets share one ``ModelParams``, each with its own log entry
+        and delivery.
         """
         self.queue.append(msg)
         if len(self.queue) < self.k:
@@ -247,28 +249,30 @@ class FedSaGclServer(Server):
             sims = cosine_block(kb.sfm[u_ids], kb.sfm[ids], kb.sfm_norm[u_ids], kb.sfm_norm[ids])
             member = own | (sims >= self.hyper.theta)
         stale = staleness_factors(kb.lsc[ids], kb.tau[ids], t, self.hyper.alpha)
-        deliveries, models, lsc_sums, clusters = [], [], [], {}
-        for i, in_cluster in zip(u_ids.tolist(), member):
-            key = in_cluster.tobytes()
-            if key not in clusters:
-                members = np.flatnonzero(in_cluster)
-                u = stale[members]
-                weights = u / u.sum()
-                rows = ids[members]
-                model = ModelParams.from_vector(weighted_row_sum(kb.params[rows], weights), kb.dims)
-                clusters[key] = (model, sum(kb.lsc[rows].tolist()),
-                                 tuple(rows.tolist()), tuple(weights.tolist()))
-            model_i, lsc_sum, *logged = clusters[key]
-            self.aggregation_log.append((t, i, *logged))
-            deliveries.append((i, DownloadMessage(model_i, t, None, "personal")))
-            models.append(model_i)
-            lsc_sums.append(lsc_sum)
+        sets = {}  # distinct member set -> (its weight row, its member flags)
+        of = [sets.setdefault(m.tobytes(), (len(sets), m))[0] for m in member]
+        weights = np.zeros((len(sets), ids.size))
+        logged, lsc_sums = [], []
+        for row, (_, in_cluster) in zip(weights, sets.values()):
+            members = np.flatnonzero(in_cluster)
+            u = stale[members]
+            w = u / u.sum()
+            row[members] = w
+            rows = ids[members]
+            logged.append((tuple(rows.tolist()), tuple(w.tolist())))
+            lsc_sums.append(sum(kb.lsc[rows].tolist()))
+        models = [ModelParams.from_vector(v, kb.dims) for v in weights @ kb.params[ids]]
+        deliveries = []
+        for i, j in zip(u_ids.tolist(), of):
+            self.aggregation_log.append((t, i, *logged[j]))
+            deliveries.append((i, DownloadMessage(models[j], t, None, "personal")))
         if self.use_broadcast and self.use_clustering:  # singletons reach no one
             reach = member & ~own.any(axis=0)
             targets = np.flatnonzero(reach.any(axis=0))
             sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
             for s, k in zip(ids[targets].tolist(), sources.tolist()):
-                deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k], "broadcast")))
+                j = of[k]
+                deliveries.append((s, DownloadMessage(models[j], t, lsc_sums[j], "broadcast")))
         return deliveries
 
 

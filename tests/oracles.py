@@ -4,8 +4,9 @@ Everything here is deliberately written with plain Python loops over edges
 and entries, independent of the vectorized library code it checks. The
 exception is the bit-exact section: earlier array versions of the client
 kernels, of the event loop and of the fedsa_gcl server round, copied as
-they were, which the current ones must match exactly; and ``loss_and_grads``,
-the loss that the library's training step never computes.
+they were, which the current ones must match exactly (the round's models
+within summation rounding, ``assert_within_sum_error``); and
+``loss_and_grads``, the loss that the library's training step never computes.
 """
 
 import heapq
@@ -25,12 +26,7 @@ from fedgraphsim.graphs import (
     normalized_adjacency,
     propagation_matrix,
 )
-from fedgraphsim.kernels import (
-    ENTROPY_OFFSET,
-    cosine_block,
-    staleness_factors,
-    weighted_row_sum,
-)
+from fedgraphsim.kernels import ENTROPY_OFFSET, cosine_block, staleness_factors
 from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
 from fedgraphsim.protocol import (
     ClientState,
@@ -350,12 +346,33 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
     return log
 
 
+def weighted_row_sum_ref(rows: np.ndarray, weights) -> np.ndarray:
+    """sum_j weights[j] * rows[j], adding the scaled rows one after another."""
+    acc = np.zeros(rows.shape[1])
+    for w, row in zip(weights, rows):
+        acc = acc + w * row
+    return acc
+
+
+def assert_within_sum_error(got, want, weights, rows):
+    """Two float64 evaluations of weights @ rows, in any summation order, agree
+    entry by entry to twice the forward error bound of one: each lies within
+    gamma_n * (|weights| @ |rows|) of the exact sum, gamma_n = n u / (1 - n u)
+    for n terms and unit roundoff u = 2**-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 3.1). The last factor covers
+    the rounding of that bound's own product."""
+    n = len(weights)
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    bound = 2.0 * gamma / (1.0 - gamma) * (np.abs(weights) @ np.abs(rows))
+    assert np.all(np.abs(np.asarray(got) - want) <= bound)
+
+
 class FedSaGclServerRef(FedSaGclServer):
     """The fedsa_gcl round as it was before each round computed its uploads'
-    fingerprints and confidences in one batch and each distinct cluster's
-    model once: every upload enters the knowledge base on its own (reading
-    its lazy ``sfm`` and ``lsc``), and every uploader's model is aggregated
-    on its own."""
+    fingerprints and confidences in one batch and all its cluster models in
+    one product: every upload enters the knowledge base on its own (reading
+    its lazy ``sfm`` and ``lsc``), and every uploader's model is the
+    row-by-row sum of its cluster's weighted rows."""
 
     def receive(self, msg: UploadMessage):
         self.queue.append(msg)
@@ -385,12 +402,12 @@ class FedSaGclServerRef(FedSaGclServer):
             weights = u / u.sum()
             rows = ids[members]
             model_i = ModelParams.from_vector(
-                weighted_row_sum(kb.params[rows], weights), kb.dims
+                weighted_row_sum_ref(kb.params[rows], weights), kb.dims
             )
             self.aggregation_log.append(
                 (t, i, tuple(rows.tolist()), tuple(weights.tolist()))
             )
-            deliveries.append((i, DownloadMessage(model_i, t, None)))
+            deliveries.append((i, DownloadMessage(model_i, t, None, "personal")))
             models.append(model_i)
             lsc_sums.append(sum(kb.lsc[rows].tolist()))
         if self.use_broadcast and self.use_clustering:  # singletons reach no one
@@ -398,7 +415,7 @@ class FedSaGclServerRef(FedSaGclServer):
             targets = np.flatnonzero(reach.any(axis=0))
             sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
             for s, k in zip(ids[targets].tolist(), sources.tolist()):
-                deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k])))
+                deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k], "broadcast")))
         return deliveries
 
 

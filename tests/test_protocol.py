@@ -35,6 +35,7 @@ from fedgraphsim.protocol import (
 )
 from oracles import (
     FedSaGclServerRef,
+    assert_within_sum_error,
     compute_lsc_ref,
     compute_sfm_ref,
     cosine_ref,
@@ -313,14 +314,34 @@ class TestServerStep:
                 weights = staleness_weights(
                     [m.lsc.clamped for m in ups], [m.tau for m in ups], t + 1, 0.7
                 )
+                rows = np.array([m.params.vec for m in ups])
                 model = aggregate_models([m.params for m in ups], weights)
                 assert logged[i][2] == tuple(members)
                 assert logged[i][3] == tuple(weights.tolist())
-                npt.assert_array_equal(deliveries[i].params.vec, model.vec)
+                assert_within_sum_error(deliveries[i].params.vec, model.vec, weights, rows)
         npt.assert_array_equal(np.flatnonzero(s.kb.known), sorted(ids))
         for cid in ids:
             npt.assert_array_equal(s.kb.params[cid], latest[cid].params.vec)
             assert s.kb.tau[cid] == latest[cid].tau
+
+    @pytest.mark.parametrize("theta, clustering", [(1.5, True), (0.0, False)])
+    def test_singleton_clusters_deliver_the_uploaders_rows(self, theta, clustering):
+        # a cluster of one weighs its row 1.0 and every other known row 0.0,
+        # so the round's product gives back that row bit for bit
+        rng = np.random.default_rng(8)
+        s = fedsa_server(k=4, theta=theta, use_clustering=clustering)
+        for t in range(3):
+            ups = [upload(int(cid), random_params(rng, 2, 3, 2), tau=t,
+                          sfm=rng.random((2, 2)), lsc=float(rng.random()))
+                   for cid in rng.choice(N_CLIENTS, 4, replace=False)]
+            deliveries = dict(receive_all(s, ups))
+            assert sorted(deliveries) == sorted(m.client_id for m in ups)
+            for m in ups:
+                got = deliveries[m.client_id]
+                assert got.kind == "personal" and got.cluster_lsc is None
+                assert got.params.vec.tobytes() == m.params.vec.tobytes()
+        assert all(entry[3] == (1.0,) for entry in s.aggregation_log)
+        assert s.kb.known.sum() > 4
 
     def test_delivered_model_does_not_alias_knowledge_base(self):
         s = fedsa_server(k=1, theta=0.0)
@@ -485,8 +506,10 @@ ROUND_CONFIGS = [
 
 def run_against_reference(stream, config, alpha=0.7):
     """Hand the stream to the server and to the reference round, the latter's
-    uploads carrying the per-client oracles' values; require equal deliveries
-    and logs, and that uploaders with equal clusters share one model."""
+    uploads carrying the per-client oracles' values; require equal logs and
+    equal deliveries (recipient, round, confidence and kind), models equal to
+    summation rounding, and that uploaders with equal clusters share one
+    model."""
     k, theta, clustering, broadcast = config
     hyper = FglHyper(theta=theta, alpha=alpha)
     new = FedSaGclServer(k, hyper, len(STATS_POOL), clustering, broadcast)
@@ -500,10 +523,15 @@ def run_against_reference(stream, config, alpha=0.7):
             mine.sfm
         got, want = server_receive(new, mine), server_receive(ref, theirs)
         assert len(got) == len(want)
-        for (g_cid, g), (w_cid, w) in zip(got, want):
-            assert (g_cid, g.round, g.cluster_lsc) == (w_cid, w.round, w.cluster_lsc)
-            assert np.array_equal(g.params.vec, w.params.vec)
+        # personal deliveries come first, one per log entry of the round
         personal = [d for _, d in got if d.cluster_lsc is None]
+        entries = ref.aggregation_log[len(ref.aggregation_log) - len(personal):]
+        source = {id(w.params): entry for (_, w), entry in zip(want, entries)}
+        for (g_cid, g), (w_cid, w) in zip(got, want):
+            assert (g_cid, g.round, g.cluster_lsc, g.kind) == (w_cid, w.round, w.cluster_lsc, w.kind)
+            _, _, members, weights = source[id(w.params)]
+            assert_within_sum_error(g.params.vec, w.params.vec, weights,
+                                    ref.kb.params[list(members)])
         logged = new.aggregation_log[len(new.aggregation_log) - len(personal):]
         for d_i, entry_i in zip(personal, logged):
             for d_j, entry_j in zip(personal, logged):
@@ -669,15 +697,17 @@ class TestBaselines:
     def test_fedasync_mix_equals_the_two_model_aggregate(self):
         rng = np.random.default_rng(12)
         s = FedAsyncServer(random_params(rng, 3, 4, 2), alpha=0.5)
-        expected = s.global_params
         for _ in range(2000):
             tau = int(rng.integers(0, s.round + 1))
             params = random_params(rng, 3, 4, 2)
             mix = 0.5 * (s.round - tau + 1.0) ** -0.5
+            before = s.global_params
             (cid, msg), = server_receive(s, upload(5, params=params, tau=tau))
-            expected = aggregate_models([expected, params], [1.0 - mix, mix])
+            weights = [1.0 - mix, mix]
+            expected = aggregate_models([before, params], weights)
             assert cid == 5 and msg.params is s.global_params and msg.round == s.round
-            assert np.array_equal(s.global_params.vec, expected.vec)
+            assert_within_sum_error(s.global_params.vec, expected.vec, weights,
+                                    np.array([before.vec, params.vec]))
 
     def test_fedasync_refuses_params_of_other_dims(self):
         s = FedAsyncServer(const_params(0.0), alpha=0.5)
