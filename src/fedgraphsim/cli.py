@@ -172,7 +172,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GraphFormatError, FileNotFoundError) as exc:
+    except (ConfigError, GraphFormatError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, FileExistsError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -153,7 +153,9 @@ SCHEMA = (
     Key("hyper", "theta", float, FglHyper.theta, "hyper.theta", lo=0, hi=1),
     Key("hyper", "lambda", float, FglHyper.lam, "hyper.lam", lo=0, hi=1),
     Key("hyper", "k_steps", int, FglHyper.k_steps, "hyper.k_steps", lo=0),
-    Key("hyper", "alpha", float, FglHyper.alpha, "hyper.alpha", lo=0),
+    # alpha <= 16 keeps every staleness factor positive: for any staleness s < 2**63
+    # rounds, LSC_EPSILON * s**-16 > 2**-1074, so no cluster's weights sum to 0
+    Key("hyper", "alpha", float, FglHyper.alpha, "hyper.alpha", lo=0, hi=16),
     Key("perturbation", "kind", str, "none", "perturbation.kind",
         choices=("none", "label_sparsity", "edge_sparsity")),
     Key("perturbation", "rate", float, 0.5, "perturbation.rate", lo=0, hi=1),
@@ -236,6 +238,8 @@ class ExperimentConfig:
             raise ConfigError("[run] lag_hi x n_clients must be at most 2**63 - 1")
         if run["mask_train"] + run["mask_val"] + run["mask_test"] > 1 + 1e-12:
             raise ConfigError("[run] mask_train + mask_val + mask_test must be <= 1")
+        if len(set(run["seeds"])) < len(run["seeds"]):  # one run, and summary row, per seed
+            raise ConfigError(f"[run] seeds = {run['seeds']} must be distinct")
 
     def resolved_k(self) -> int:
         return math.ceil(self.n_clients / 2) if self.k_buffer is None else self.k_buffer

@@ -5,15 +5,17 @@ Each server holds only its own strategy's state; ``receive`` turns one
 upload into (client id, download) deliveries that name their ``kind``, and
 ``server_receive`` posts them to ``Server.mailboxes``, the run's one mailbox.
 A batch of trips starts when ``train_trips`` takes its clients' messages out,
-and each trip ends in ``client_trip``. ``FedSaGclServer``, the main strategy,
-keeps every client's latest upload in a ``KnowledgeBase`` whose row c is
-client c, and aggregates over it once K uploads are queued: each uploader
-gets a personalized model averaged over its similarity cluster with
-staleness-aware weights, and cluster members that did not upload receive the
-same model as a broadcast carrying the cluster confidence, which they blend
-into their local model before the next training step. The baselines are
-``FedAvgSyncServer`` (synchronous FedAvg), ``FedBuffServer`` (FedBuff-style
-buffered semi-async) and ``FedAsyncServer`` (FedAsync-style per-upload mixing).
+and each trip ends in ``client_trip``. Messages are values: nothing writes
+to one once it is built. ``FedSaGclServer``, the main strategy, scores each
+upload's fingerprint and confidence in its aggregation round, once K uploads
+are queued, and keeps every client's latest in a ``KnowledgeBase`` whose row
+c is client c: each uploader gets a personalized model averaged over its
+similarity cluster with staleness-aware weights, and cluster members that
+did not upload receive the same model as a broadcast carrying the cluster
+confidence and their own, which they blend into their local model before the
+next training step. The baselines are ``FedAvgSyncServer`` (synchronous
+FedAvg), ``FedBuffServer`` (FedBuff-style buffered semi-async) and
+``FedAsyncServer`` (FedAsync-style per-upload mixing).
 """
 
 from __future__ import annotations
@@ -54,57 +56,45 @@ FEDASYNC_BETA = 0.5
 @dataclass(eq=False)
 class UploadMessage:
     """Client -> server: trained params, the round stamp of the model version
-    the client last received (0 initially) and the params' soft labels. The
-    fingerprint ``sfm`` and confidence ``lsc`` are computed when a fedsa_gcl
-    round needs them (``fill_stats``, in batches) or on first read (a batch of
-    one), so the baselines never pay for them; as nothing changes
-    ``soft``, ``data`` or ``hyper`` after the trip, each is the same either way."""
+    the client last received (0 initially), the params' soft labels on the
+    client's subgraph ``data``, and the sender. Nothing writes to a message
+    once it is built: a fedsa_gcl round scores its uploads itself
+    (``upload_stats``), so the baselines never pay for that."""
 
     params: ModelParams
     tau: int
     soft: np.ndarray
     data: ClientData
-    hyper: FglHyper
     client_id: int
 
     @cached_property
     def sfm(self) -> np.ndarray:
-        fill_stats([self], ("sfm",))
-        return vars(self)["sfm"]
-
-    @cached_property
-    def lsc(self) -> LscValue:
-        fill_stats([self], ("lsc",))
-        return vars(self)["lsc"]
+        """This upload's fingerprint alone. No simulation path reads it;
+        perfbench's traced byte count reads ``sfm.nbytes`` of every upload,
+        whatever the strategy."""
+        return compute_sfm(self.soft, [self.data])[0]
 
 
-def fill_stats(uploads: list[UploadMessage], names=("sfm", "lsc")) -> None:
-    """Give the uploads their missing ``sfm`` and ``lsc``: one kernel call per
-    kind and run of uploads, as many as the trip kernel's BATCH_ROWS rule allows
-    (joining a large client's operators costs more than the calls it saves). A
-    value already read is kept; two uploads of one client are two entries.
-    ValueError if the uploads lacking ``lsc`` differ in (lam, k_steps)."""
-    for name in names:
-        todo = [m for m in uploads if name not in vars(m)]
-        if name == "lsc" and len({(m.hyper.lam, m.hyper.k_steps) for m in todo}) > 1:
-            raise ValueError("the uploads in one batch must share lam and k_steps")
-        per_run = max(1, BATCH_ROWS // max((len(m.soft) for m in todo), default=1))
-        for run in (todo[i : i + per_run] for i in range(0, len(todo), per_run)):
-            soft = np.concatenate([m.soft for m in run]) if len(run) > 1 else run[0].soft
-            datas = [m.data for m in run]
-            if name == "sfm":
-                values = compute_sfm(soft, datas)
-            else:
-                lam, k_steps = run[0].hyper.lam, run[0].hyper.k_steps
-                values = compute_lsc(label_propagation(soft, datas, lam, k_steps), datas)
-            for m, value in zip(run, values):
-                vars(m)[name] = value
+def upload_stats(uploads: list[UploadMessage], hyper: FglHyper) -> tuple[list, list]:
+    """The uploads' fingerprints and confidences (``LscValue``) under hyper's
+    lam and k_steps, in ``uploads`` order: one kernel call per kind and run
+    of uploads, as many as the trip kernel's BATCH_ROWS rule allows (joining
+    a large client's operators costs more than the calls it saves)."""
+    sfms, lscs = [], []
+    per_run = max(1, BATCH_ROWS // max((len(m.soft) for m in uploads), default=1))
+    for run in (uploads[i : i + per_run] for i in range(0, len(uploads), per_run)):
+        soft = np.concatenate([m.soft for m in run]) if len(run) > 1 else run[0].soft
+        datas = [m.data for m in run]
+        sfms += compute_sfm(soft, datas)
+        lscs += compute_lsc(label_propagation(soft, datas, hyper.lam, hyper.k_steps), datas)
+    return sfms, lscs
 
 
 @dataclass(eq=False)
 class DownloadMessage:
-    """Server -> client. cluster_lsc present means ClusterCast broadcast
-    (blend on receipt); absent means direct delivery (replace). ``kind`` is
+    """Server -> client. cluster_lsc present means ClusterCast broadcast,
+    blended on receipt with ``local_lsc``, the recipient's own clamped
+    confidence; absent means direct delivery (replace). ``kind`` is
     fedsa_gcl's "personal" (to an uploader) or "broadcast" (to a cluster
     member that did not upload), or "baseline" from the other servers."""
 
@@ -112,6 +102,7 @@ class DownloadMessage:
     round: int
     cluster_lsc: float | None = None
     kind: str = "baseline"
+    local_lsc: float | None = None
 
 
 class KnowledgeBase:
@@ -124,29 +115,26 @@ class KnowledgeBase:
     def __init__(self, n_clients: int):
         self.known = np.zeros(n_clients, dtype=bool)
 
-    def put(self, uploads: list[UploadMessage]) -> np.ndarray:
-        """Copy each client's latest upload in ``uploads`` into its row and
-        return their client ids, ascending. ValueError for an id outside
-        [0, n_clients)."""
-        latest = {m.client_id: m for m in sorted(uploads, key=lambda m: m.client_id)}
-        ids = np.fromiter(latest, dtype=np.int64, count=len(latest))
+    def put(self, uploads: list[UploadMessage], sfms: list, lscs: list[LscValue]) -> np.ndarray:
+        """Copy the uploads, one per client, with their fingerprints and
+        confidences into their clients' rows and return their client ids.
+        ValueError for an id outside [0, n_clients)."""
+        ids = np.fromiter((m.client_id for m in uploads), dtype=np.int64, count=len(uploads))
         n = self.known.size
         bad = ids[(ids < 0) | (ids >= n)]
         if bad.size:
             raise ValueError(f"client id {bad[0]} outside [0, {n})")
-        ups = latest.values()
         if not self.known.any():
-            first = uploads[0]
-            self.dims = first.params.dims
-            self.params = np.zeros((n, first.params.vec.size))
-            self.sfm = np.zeros((n, first.sfm.size))
+            self.dims = uploads[0].params.dims
+            self.params = np.zeros((n, uploads[0].params.vec.size))
+            self.sfm = np.zeros((n, sfms[0].size))
             self.sfm_norm, self.tau, self.lsc = np.zeros(n), np.zeros(n), np.zeros(n)
-        sfms = [np.ravel(m.sfm) for m in ups]
-        self.params[ids] = [m.params.vec for m in ups]
+        sfms = [np.ravel(v) for v in sfms]
+        self.params[ids] = [m.params.vec for m in uploads]
         self.sfm[ids] = sfms
         self.sfm_norm[ids] = [np.linalg.norm(v) for v in sfms]
-        self.tau[ids] = [m.tau for m in ups]
-        self.lsc[ids] = [m.lsc.clamped for m in ups]
+        self.tau[ids] = [m.tau for m in uploads]
+        self.lsc[ids] = [v.clamped for v in lscs]
         self.known[ids] = True
         return ids
 
@@ -154,14 +142,12 @@ class KnowledgeBase:
 @dataclass(eq=False)
 class ClientState:
     """A client's local model and protocol state: ``tau`` is the round of the
-    last message it read, ``upload`` its last upload, made with the current
-    ``params`` (None before the first trip)."""
+    last message it read."""
 
     client_id: int
     data: ClientData
     params: ModelParams
     tau: int = 0
-    upload: UploadMessage | None = None
 
 
 Deliveries = list[tuple[int, DownloadMessage]]
@@ -216,31 +202,33 @@ class FedSaGclServer(Server):
     def receive(self, msg: UploadMessage) -> Deliveries:
         """Queue the upload; once K are queued, run one aggregation round.
 
-        The round moves the whole queue into the knowledge base and makes its
-        clients the uploaded set U. One |U| x N block of fingerprint cosines
-        (uploaders against every known client, ascending ids) then gives both
-        the clusters and the broadcast choice. Uploader i's cluster I_i is i
-        plus every client with similarity >= theta; its personalized model is
-        the staleness-weighted average of I_i's parameter rows, delivered
-        without cluster confidence. Every s in some I_i \\ U receives the
-        cluster model of its most similar uploader (ties to the lower
-        uploader id) together with that cluster's summed clamped confidence.
-        The queue's missing fingerprints and confidences are computed in
-        batches (``fill_stats``). Staleness is fixed for the round, so each
-        distinct member set gets one row of weights (in order of first
-        appearance), and one product per round, weights times the known
-        clients' parameter rows, builds every cluster model. Uploaders with
-        equal sets share one ``ModelParams``, each with its own log entry
-        and delivery.
+        The round takes the whole queue. It scores each client's latest
+        upload in it, in ascending ids, once (``upload_stats``, in batches),
+        puts them into the knowledge base and makes their clients the
+        uploaded set U. One |U| x N block of fingerprint cosines (uploaders
+        against every known client, ascending ids) then gives both the
+        clusters and the broadcast choice. Uploader i's cluster I_i is i plus
+        every client with similarity >= theta; its personalized model is the
+        staleness-weighted average of I_i's parameter rows, delivered without
+        cluster confidence. Every s in some I_i \\ U receives the cluster
+        model of its most similar uploader (ties to the lower uploader id)
+        together with that cluster's summed clamped confidence and s's own
+        (its row, as s has nothing queued). Staleness is fixed for the
+        round, so each distinct member set gets one row of weights (in order
+        of first appearance), and one product per round, weights times the
+        known clients' parameter rows, builds every cluster model. Uploaders
+        with equal sets share one ``ModelParams``, each with its own log
+        entry and delivery.
         """
         self.queue.append(msg)
         if len(self.queue) < self.k:
             return []
         self.round += 1
         t = self.round
-        fill_stats(self.queue)
+        latest = {m.client_id: m for m in sorted(self.queue, key=lambda m: m.client_id)}
+        uploads = list(latest.values())
         kb = self.kb
-        u_ids = kb.put(self.queue)
+        u_ids = kb.put(uploads, *upload_stats(uploads, self.hyper))
         self.queue.clear()
         ids = np.flatnonzero(kb.known)  # every known client, ascending
         own = ids == u_ids[:, None]
@@ -271,8 +259,8 @@ class FedSaGclServer(Server):
             targets = np.flatnonzero(reach.any(axis=0))
             sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
             for s, k in zip(ids[targets].tolist(), sources.tolist()):
-                j = of[k]
-                deliveries.append((s, DownloadMessage(models[j], t, lsc_sums[j], "broadcast")))
+                j, lsc = of[k], float(kb.lsc[s])  # s's own clamped confidence
+                deliveries.append((s, DownloadMessage(models[j], t, lsc_sums[j], "broadcast", lsc)))
         return deliveries
 
 
@@ -370,12 +358,9 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
 
     A message (at most the latest per client) is read first: a direct
     delivery replaces the local params, a broadcast is blended in weighted
-    by cluster vs local confidence; either updates tau to the message round.
-    The local confidence is the one of ``state.upload``, made with the
-    current params at the end of the last trip. Only uploaders are cluster
-    members, so a broadcast to a client that has not uploaded raises
-    ValueError. Then the clients' training epochs, each followed by the
-    forward pass of the trained model, run as ``gcn.train_batch``: each
+    by the cluster and local confidences it carries; either updates tau to
+    the message round. Then the clients' training epochs, each followed by
+    the forward pass of the trained model, run as ``gcn.train_batch``: each
     kernel call inside the ``client_trip`` of its first client, so a trip
     still holds its training. ``layouts`` is the run's memo of batch layouts
     (``gcn._blocks``). Training on an empty train mask raises ValueError.
@@ -386,26 +371,22 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
             continue
         if msg.cluster_lsc is None:
             state.params = msg.params
-        elif state.upload is None:
-            raise ValueError(f"client {state.client_id} got a broadcast before uploading")
         else:
-            state.params = blend_local(
-                msg.params, state.params, msg.cluster_lsc, state.upload.lsc.clamped
-            )
+            state.params = blend_local(msg.params, state.params, msg.cluster_lsc, msg.local_lsc)
         state.tau = msg.round
     return zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts))
 
 
-def client_trip(state: ClientState, batch: Iterator, hyper: FglHyper) -> UploadMessage:
+def client_trip(state: ClientState, batch: Iterator) -> UploadMessage:
     """Finish a client's trip from the next entry of its ``train_trips`` batch
     (a batch's trips finish in its order, else RuntimeError): the trained
-    params and soft labels make the upload, also kept in ``state.upload``."""
+    params become the local model and, with the soft labels, the returned
+    upload."""
     owner, (params, soft) = next(batch)
     if owner is not state:
         raise RuntimeError(f"client {state.client_id} finished its trip out of batch order")
     state.params = params
-    state.upload = UploadMessage(params, state.tau, soft, state.data, hyper, state.client_id)
-    return state.upload
+    return UploadMessage(params, state.tau, soft, state.data, state.client_id)
 
 
 def format_trace(round_: int, kind: str, dst: int) -> str:

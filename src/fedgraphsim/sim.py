@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, Key
 from .gcn import ModelParams, accuracy, forward_batch, init_params
 from .graphs import generate_sbm, load_graph, read_text
 from .partition import (
@@ -80,6 +80,9 @@ def assign_latencies(
 
 
 CSV_HEADER = "trip,time,client_id,client_acc,mean_acc"
+SIDECAR_FIELDS = tuple(Key("sidecar", name, kind) for name, kind in (
+    ("seed", int), ("config_hash", str), ("strategy", str), ("initial_mean_acc", float),
+    ("durations", list), ("trips", int)))
 
 
 @dataclass
@@ -141,17 +144,20 @@ class MetricsLog:
     def read(cls, csv_path, sidecar_path) -> "MetricsLog":
         """A log as ``write`` stored it (the accuracy snapshots and initial
         per-client accuracies, not stored, come back empty). A sidecar that is
-        not a JSON object with the fields read here, or a CSV other than
-        CSV_HEADER and the sidecar's ``trips`` rows of five numbers, raises
-        ConfigError naming the file (and the line)."""
+        not a JSON object with the SIDECAR_FIELDS, each of its type, or a CSV
+        other than CSV_HEADER and the sidecar's ``trips`` rows of five
+        numbers, raises ConfigError naming the file (and the line or field)."""
         try:
             with open(sidecar_path, "r", encoding="utf-8") as f:
                 meta = dict(json.load(f))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{sidecar_path}: not a JSON object: {exc}") from None
-        names = ("seed", "config_hash", "strategy", "initial_mean_acc", "durations", "trips")
+        names = [row.name for row in SIDECAR_FIELDS]
         if missing := [name for name in names if name not in meta]:
             raise ConfigError(f"{sidecar_path}: no {', '.join(missing)} in the sidecar")
+        for row in SIDECAR_FIELDS:
+            if not row.ok(meta[row.name]):
+                raise ConfigError(f"{sidecar_path}: {row.refuse(meta[row.name])}")
         records = []
         lines = read_text(csv_path, ConfigError).splitlines()
         if lines[:1] != [CSV_HEADER]:
@@ -246,7 +252,8 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     memo holds that batch's layouts alone. Then, trip by trip, finish the
     trip (``client_trip``), take the client's local test accuracy from the
     trip's soft labels and snapshot the cached accuracy vector, hand the
-    upload to the server, trace each delivery by its kind, and schedule the
+    upload to the server (which alone holds the protocol hyperparameters,
+    from ``make_server``), trace each delivery by its kind, and schedule the
     client's next trip. So only a batch's last upload can reach its other
     clients, and the run is bit for bit the one-event-at-a-time loop; a
     delivery to a batch client that has not uploaded yet raises
@@ -289,7 +296,6 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     # a sorted list is already a heap
     heap = sorted(Event(int(latency.durations[cid]), cid) for cid, act in enumerate(active) if act)
     trips, layouts = 0, {}  # layouts: the previous batch's kernel layouts
-    hyper = cfg.resolved_hyper()
     while trips < cfg.max_trips and heap:
         now = heap[0].completion_time
         room = min(server.uploads_to_reach_others(), cfg.max_trips - trips)
@@ -301,7 +307,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         for client in batch:
             cid = client.client_id
             pending.remove(cid)
-            upload = client_trip(client, trained, hyper)
+            upload = client_trip(client, trained)
             trips += 1
             cached[cid] = accuracy(upload.soft, client.data, client.data.masks.test)
             mean = float(cached.sum() / cached.size)

@@ -26,7 +26,7 @@ from fedgraphsim.graphs import (
     normalized_adjacency,
     propagation_matrix,
 )
-from fedgraphsim.kernels import ENTROPY_OFFSET, cosine_block, staleness_factors
+from fedgraphsim.kernels import ENTROPY_OFFSET, LscValue, cosine_block, staleness_factors
 from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
 from fedgraphsim.protocol import (
     ClientState,
@@ -315,14 +315,13 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
     )
     gated: set[int] = set()
     trips = 0
-    hyper = cfg.resolved_hyper()
     while trips < cfg.max_trips and heap:
         ev = heapq.heappop(heap)
         now, cid = ev.completion_time, ev.client_id
         client = clients[cid]
-        upload = client_trip(client, train_trips([client], server.mailboxes, cfg.lr), hyper)
+        upload = client_trip(client, train_trips([client], server.mailboxes, cfg.lr))
         trips += 1
-        cached[cid] = accuracy(client.upload.soft, client.data, client.data.masks.test)
+        cached[cid] = accuracy(upload.soft, client.data, client.data.masks.test)
         mean = float(cached.sum() / cached.size)
         log.records.append(
             sim.TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
@@ -370,9 +369,10 @@ def assert_within_sum_error(got, want, weights, rows):
 class FedSaGclServerRef(FedSaGclServer):
     """The fedsa_gcl round as it was before each round computed its uploads'
     fingerprints and confidences in one batch and all its cluster models in
-    one product: every upload enters the knowledge base on its own (reading
-    its lazy ``sfm`` and ``lsc``), and every uploader's model is the
-    row-by-row sum of its cluster's weighted rows."""
+    one product: every upload is scored alone by the per-client oracles and
+    enters the knowledge base on its own, every uploader's model is the
+    row-by-row sum of its cluster's weighted rows, and a broadcast carries
+    its recipient's knowledge-base confidence."""
 
     def receive(self, msg: UploadMessage):
         self.queue.append(msg)
@@ -380,8 +380,11 @@ class FedSaGclServerRef(FedSaGclServer):
             return []
         self.round += 1
         t = self.round
+        hyper = self.hyper
         for m in self.queue:
-            self.kb.put([m])
+            propagated = label_propagation_ref(m.soft, m.data, hyper.lam, hyper.k_steps)
+            lsc = LscValue.from_raw(compute_lsc_ref(propagated, m.data))
+            self.kb.put([m], [compute_sfm_ref(m.soft, m.data)], [lsc])
         u_ids = np.array(sorted({m.client_id for m in self.queue}))
         self.queue.clear()
         kb = self.kb
@@ -415,7 +418,9 @@ class FedSaGclServerRef(FedSaGclServer):
             targets = np.flatnonzero(reach.any(axis=0))
             sources = np.where(reach, sims, -np.inf)[:, targets].argmax(axis=0)
             for s, k in zip(ids[targets].tolist(), sources.tolist()):
-                deliveries.append((s, DownloadMessage(models[k], t, lsc_sums[k], "broadcast")))
+                deliveries.append(
+                    (s, DownloadMessage(models[k], t, lsc_sums[k], "broadcast", kb.lsc[s].item()))
+                )
         return deliveries
 
 

@@ -353,6 +353,16 @@ class TestCli:
              "metrics_seed0.json: no config_hash"),
             ("2,1,1,0.7,0.6", STORED_SIDECAR[:20], "metrics_seed0.json: not a JSON object"),
             ("2,1,1,0.7,0.6", "7", "metrics_seed0.json: not a JSON object"),
+            ("2,1,1,0.7,0.6", STORED_SIDECAR.replace("[1, 1]", "5"),
+             "metrics_seed0.json: [sidecar] durations = 5 is not a non-empty list of integers"),
+            ("2,1,1,0.7,0.6", STORED_SIDECAR.replace("0.1", '"high"'),
+             "metrics_seed0.json: [sidecar] initial_mean_acc = 'high' is not a finite number"),
+            ("2,1,1,0.7,0.6", STORED_SIDECAR.replace('"abc"', '["a"]'),
+             "metrics_seed0.json: [sidecar] config_hash = ['a'] is not a string"),
+            ("2,1,1,0.7,0.6", STORED_SIDECAR.replace('"trips": 2', '"trips": "2"'),
+             "metrics_seed0.json: [sidecar] trips = '2' is not an integer"),
+            ("2,1,1,0.7,0.6", STORED_SIDECAR.replace('"fedsa_gcl"', "7"),
+             "metrics_seed0.json: [sidecar] strategy = 7 is not a string"),
         ],
     )
     def test_summarize_malformed_stored_run_exit_code(self, tmp_path, capsys, csv_row, sidecar, named):
@@ -383,6 +393,39 @@ class TestCli:
         assert main(["summarize", "--dir", str(tmp_path), "--target", "0.5"]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_run_refuses_repeated_seeds(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MINIMAL_INI + f"seeds = 1, 1, 2\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[run] seeds = [1, 1, 2] must be distinct" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, out", [
+        ("run", "toy.graph"), ("run", "toy.graph/runs"), ("summarize", "runs"),
+        ("partition", "runs"), ("gen-sbm", "runs"), ("gen-sbm", "toy.graph/x"),
+    ])
+    def test_output_path_that_cannot_be_a_file_exit_code(self, tmp_path, capsys, command, out):
+        # a graph file, and a directory of stored runs
+        graph, runs = tmp_path / "toy.graph", tmp_path / "runs"
+        assert main(["gen-sbm", "--blocks", "20,20", "--out", str(graph)]) == 0
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MINIMAL_INI + f"max_trips = 4\nhidden_dim = 4\noutput_dir = {runs}\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        out = tmp_path / out
+        cfg.write_text(MINIMAL_INI + f"max_trips = 4\nhidden_dim = 4\noutput_dir = {out}\n")
+        argv = {
+            "run": ["run", "--config", str(cfg)],
+            "summarize": ["summarize", "--dir", str(runs), "--target", "0.5", "--out", str(out)],
+            "partition": ["partition", "--input", str(graph), "--method", "balanced",
+                          "--clients", "2", "--out", str(out)],
+            "gen-sbm": ["gen-sbm", "--blocks", "5,5", "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
 
     def test_summarize_refuses_a_non_utf8_csv(self, tmp_path, capsys):
         (tmp_path / "metrics_seed0.json").write_text(STORED_SIDECAR)
@@ -447,6 +490,7 @@ class TestCli:
             ("run", "lr", "inf"),
             ("hyper", "alpha", "nan"),
             ("hyper", "alpha", "inf"),
+            ("hyper", "alpha", "1e308"),  # its staleness factors would underflow to 0
             ("perturbation", "rate", "nan"),  # kind absent: none
             ("perturbation", "rate", "7"),
         ],

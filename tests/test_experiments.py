@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fedgraphsim
-from fedgraphsim.config import DatasetSpec, ExperimentConfig
+from fedgraphsim.config import ConfigError, DatasetSpec, ExperimentConfig
 from fedgraphsim.experiments import (
     aggregate_seeds,
     run_experiment,
@@ -110,9 +110,11 @@ class TestRunExperiment:
         assert float(row.split(",")[2]) == 0.0  # single-seed half-width
 
     def test_repeated_seed_zero_halfwidth(self, tmp_path):
-        cfg = sbm_cfg(output_dir=str(tmp_path / "out"), seeds=(7, 7, 7, 7, 7))
-        logs = run_experiment(cfg)
-        finals = [lg.records[-1].mean_acc for lg in logs]
+        # a config names each seed once, so the seed is repeated over experiments
+        cfg = sbm_cfg(output_dir=str(tmp_path / "out"), seeds=(7,))
+        with pytest.raises(ConfigError, match="must be distinct"):
+            sbm_cfg(seeds=(7, 7))
+        finals = [run_experiment(cfg)[0].records[-1].mean_acc for _ in range(5)]
         row = aggregate_seeds(finals, "final")
         assert row.ci95_half == 0.0
 

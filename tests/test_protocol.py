@@ -29,9 +29,9 @@ from fedgraphsim.protocol import (
     KnowledgeBase,
     UploadMessage,
     client_trip,
-    fill_stats,
     server_receive,
     train_trips,
+    upload_stats,
 )
 from oracles import (
     FedSaGclServerRef,
@@ -57,13 +57,36 @@ def const_params(v, f=2, h=3, c=2):
 
 
 def upload(cid, params=None, tau=0, sfm=None, lsc=1.0):
+    """An upload without soft labels, whose fingerprint and confidence are
+    set by hand (rounds read them through ``preset_stats``)."""
     if params is None:
         params = const_params(cid)
     if sfm is None:
         sfm = np.eye(2)
-    msg = UploadMessage(params, tau, None, None, None, cid)
+    msg = UploadMessage(params, tau, None, None, cid)
     msg.sfm, msg.lsc = np.asarray(sfm, float), LscValue.from_raw(lsc)
     return msg
+
+
+@pytest.fixture(autouse=True, scope="module")
+def preset_stats():
+    """A round scores a batch of ``upload`` messages as set by hand, and any
+    other batch as the library does."""
+    real = protocol.upload_stats
+
+    def stats(uploads, hyper):
+        if all("lsc" in vars(m) for m in uploads):
+            return [m.sfm for m in uploads], [m.lsc for m in uploads]
+        return real(uploads, hyper)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "upload_stats", stats)
+        yield
+
+
+def put(kb, uploads):
+    """Put ``upload`` messages into a knowledge base with their set stats."""
+    return kb.put(uploads, [m.sfm for m in uploads], [m.lsc for m in uploads])
 
 
 N_CLIENTS = 64  # the client count of every test server; ids stay below it
@@ -85,7 +108,7 @@ class TestKbUpdate:
 
     def test_first_upload_creates_entry(self):
         kb = KnowledgeBase(10)
-        npt.assert_array_equal(kb.put([upload(7, tau=3, lsc=2.0)]), [7])
+        npt.assert_array_equal(put(kb, [upload(7, tau=3, lsc=2.0)]), [7])
         npt.assert_array_equal(np.flatnonzero(kb.known), [7])
         npt.assert_array_equal(kb.params[7], const_params(7).vec)
         assert kb.params.shape == (10, const_params(7).vec.size)
@@ -94,24 +117,20 @@ class TestKbUpdate:
 
     def test_latest_wins(self):
         kb = KnowledgeBase(10)
-        ids = kb.put([
-            upload(7, tau=0, lsc=1.0),
-            upload(2),
-            upload(7, params=const_params(2.0), tau=4, lsc=9.0, sfm=np.ones((2, 2))),
-        ])
-        npt.assert_array_equal(ids, [2, 7])
+        npt.assert_array_equal(put(kb, [upload(7, tau=0, lsc=1.0), upload(2)]), [7, 2])
+        put(kb, [upload(7, params=const_params(2.0), tau=4, lsc=9.0, sfm=np.ones((2, 2)))])
         assert kb.tau[7] == 4 and kb.lsc[7] == 9.0
         npt.assert_array_equal(kb.params[7], const_params(2.0).vec)
         npt.assert_array_equal(kb.sfm[7], np.ones(4))
         assert kb.sfm_norm[7] == 2.0
-        kb.put([upload(7, params=const_params(5.0), tau=6)])  # a later put wins too
+        put(kb, [upload(7, params=const_params(5.0), tau=6)])
         assert kb.tau[7] == 6
         npt.assert_array_equal(kb.params[7], const_params(5.0).vec)
         npt.assert_array_equal(kb.params[2], const_params(2).vec)
 
     def test_three_clients(self):
         kb = KnowledgeBase(10)
-        npt.assert_array_equal(kb.put([upload(cid) for cid in (9, 1, 5)]), [1, 5, 9])
+        npt.assert_array_equal(put(kb, [upload(cid) for cid in (9, 1, 5)]), [9, 1, 5])
         npt.assert_array_equal(np.flatnonzero(kb.known), [1, 5, 9])
         for cid in (1, 5, 9):
             npt.assert_array_equal(kb.params[cid], const_params(cid).vec)
@@ -120,9 +139,9 @@ class TestKbUpdate:
     @pytest.mark.parametrize("bad", [-1, 10, 11])
     def test_an_id_outside_the_client_range_is_refused(self, bad):
         kb = KnowledgeBase(10)
-        kb.put([upload(9)])
+        put(kb, [upload(9)])
         with pytest.raises(ValueError, match=f"client id {bad} outside \\[0, 10\\)"):
-            kb.put([upload(3), upload(bad)])
+            put(kb, [upload(3), upload(bad)])
         npt.assert_array_equal(np.flatnonzero(kb.known), [9])
         npt.assert_array_equal(kb.params[9], const_params(9).vec)
 
@@ -156,7 +175,7 @@ class TestServerStep:
         v3 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v1 = np.array([[0.8, 0.6], [0.0, 0.0]])
         v2 = np.array([[0.2, 0.0], [math.sqrt(1 - 0.04), 0.0]])
-        s.kb.put([upload(3, sfm=v3, lsc=1.0)])
+        put(s.kb, [upload(3, sfm=v3, lsc=1.0)])
         deliveries = dict(
             receive_all(s, [upload(1, sfm=v1, lsc=2.0), upload(2, sfm=v2, lsc=5.0)])
         )
@@ -184,7 +203,7 @@ class TestServerStep:
         v3 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v1 = np.array([[0.8, 0.6], [0.0, 0.0]])  # sim(1,3)=0.8
         v2 = np.array([[0.3, math.sqrt(1 - 0.09)], [0.0, 0.0]])  # sim(2,3)=0.3
-        s.kb.put([upload(3, sfm=v3, lsc=1.0)])
+        put(s.kb, [upload(3, sfm=v3, lsc=1.0)])
         deliveries = dict(
             receive_all(s, [upload(2, sfm=v2, lsc=1.0), upload(1, sfm=v1, lsc=1.0)])
         )
@@ -244,7 +263,7 @@ class TestServerStep:
 
     def test_broadcast_disabled(self):
         s = fedsa_server(k=2, theta=0.0, use_broadcast=False)
-        s.kb.put([upload(3)])
+        put(s.kb, [upload(3)])
         deliveries = receive_all(s, [upload(1), upload(2)])
         assert {cid for cid, _ in deliveries} == {1, 2}
         assert all(m.cluster_lsc is None for _, m in deliveries)
@@ -255,7 +274,7 @@ class TestServerStep:
         theta = cosine_ref(v1, v3)
         assert theta == 0.6
         s = fedsa_server(k=1, theta=theta)
-        s.kb.put([upload(3, sfm=v3)])
+        put(s.kb, [upload(3, sfm=v3)])
         deliveries = dict(server_receive(s, upload(1, sfm=v1)))
         assert s.aggregation_log[-1][2] == (1, 3)
         assert set(deliveries) == {1, 3} and deliveries[3].cluster_lsc == 2.0
@@ -263,15 +282,15 @@ class TestServerStep:
     def test_zero_norm_fingerprint_joins_only_at_theta_zero(self):
         for theta, cluster in ((0.0, (1, 2, 3)), (1e-12, (1,))):
             s = fedsa_server(k=1, theta=theta)
-            s.kb.put([upload(2, sfm=np.eye(2))])
-            s.kb.put([upload(3, sfm=np.ones((2, 2)))])
+            put(s.kb, [upload(2, sfm=np.eye(2))])
+            put(s.kb, [upload(3, sfm=np.ones((2, 2)))])
             server_receive(s, upload(1, sfm=np.zeros((2, 2))))
             assert s.aggregation_log[-1][2] == cluster
 
     def test_broadcast_tie_goes_to_lower_uploader(self):
         # sim(2,3) = sim(5,3) = 1/sqrt(2) >= theta > sim(2,5) = 1/2
         s = fedsa_server(k=2, theta=0.6)
-        s.kb.put([upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]])])
+        put(s.kb, [upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]])])
         deliveries = dict(
             receive_all(
                 s,
@@ -347,7 +366,7 @@ class TestServerStep:
         s = fedsa_server(k=1, theta=0.0)
         (_, msg), = server_receive(s, upload(1, params=const_params(1.0)))
         before = msg.params.vec.copy()
-        s.kb.put([upload(1, params=const_params(9.0), tau=1)])
+        put(s.kb, [upload(1, params=const_params(9.0), tau=1)])
         server_receive(s, upload(1, params=const_params(5.0), tau=1))
         npt.assert_array_equal(msg.params.vec, before)
         assert not np.shares_memory(msg.params.vec, s.kb.params)
@@ -367,22 +386,36 @@ def stats_pool(c=3):
 STATS_POOL = stats_pool()
 
 
-def real_upload(cid, seed, hyper, tau=0, cd=None):
-    """An upload with soft labels (some exact zeros) but no fingerprint or
-    confidence yet."""
+def real_upload(cid, seed, tau=0, cd=None):
+    """An upload with soft labels, some of them exact zeros."""
     cd = cd or STATS_POOL[cid]
     rng = np.random.default_rng(seed)
     soft = random_soft(rng, cd.graph.node_count, cd.graph.num_classes)
     soft[rng.random(soft.shape) < 0.2] = 0.0
     soft /= np.maximum(soft.sum(axis=1, keepdims=True), 1e-300)
-    return UploadMessage(random_params(rng, 3, 4, 3), tau, soft, cd, hyper, cid)
+    return UploadMessage(random_params(rng, 3, 4, 3), tau, soft, cd, cid)
 
 
-def oracle_stats(msg):
+def oracle_stats(msg, hyper):
     """The upload's fingerprint and confidence from the per-client oracles."""
-    propagated = label_propagation_ref(msg.soft, msg.data, msg.hyper.lam, msg.hyper.k_steps)
+    propagated = label_propagation_ref(msg.soft, msg.data, hyper.lam, hyper.k_steps)
     lsc = LscValue.from_raw(compute_lsc_ref(propagated, msg.data))
     return compute_sfm_ref(msg.soft, msg.data), lsc
+
+
+def assert_oracle_stats(uploads, sfms, lscs, hyper):
+    for msg, sfm, lsc in zip(uploads, sfms, lscs, strict=True):
+        want_sfm, want_lsc = oracle_stats(msg, hyper)
+        assert np.array_equal(sfm, want_sfm) and lsc == want_lsc
+
+
+def assert_kb_holds_oracle_stats(kb, uploads, hyper):
+    """Each upload's knowledge-base row holds its oracle fingerprint and
+    clamped confidence."""
+    for msg in uploads:
+        sfm, lsc = oracle_stats(msg, hyper)
+        row = msg.client_id
+        assert np.array_equal(kb.sfm[row], sfm.ravel()) and kb.lsc[row] == lsc.clamped
 
 
 def count_kernel_entries(monkeypatch):
@@ -401,89 +434,92 @@ def count_kernel_entries(monkeypatch):
 
 
 class TestFillStats:
-    """A round computes its uploads' missing fingerprints and confidences in
-    batched kernel calls, runs of uploads under the BATCH_ROWS rule; a lone
+    """``upload_stats`` scores uploads in batched kernel calls, runs of
+    uploads under the BATCH_ROWS rule, and writes nothing into them; a round
+    scores each client's latest upload in its queue once; a lone ``sfm``
     read is a batch of one."""
 
     def test_a_round_computes_its_queue_in_one_pass_per_kernel(self, monkeypatch):
         calls, entries = count_kernel_entries(monkeypatch)
         hyper = FglHyper()
         s = FedSaGclServer(4, hyper, N_CLIENTS)
-        ups = [real_upload(cid, cid, hyper) for cid in (3, 0, 5, 1)]
+        ups = [real_upload(cid, cid) for cid in (3, 0, 5, 1)]
         for msg in ups[:-1]:
             assert server_receive(s, msg) == []
         assert calls == {}
         server_receive(s, ups[-1])
         assert calls == {"compute_sfm": 1, "label_propagation": 1, "compute_lsc": 1}
         assert entries == {name: 4 for name in calls}
-        for msg in ups:
-            sfm, lsc = oracle_stats(msg)
-            assert np.array_equal(msg.sfm, sfm) and msg.lsc == lsc
-        assert calls == {"compute_sfm": 1, "label_propagation": 1, "compute_lsc": 1}
+        assert_kb_holds_oracle_stats(s.kb, ups, hyper)
 
     def test_a_value_read_before_the_round_is_kept(self, monkeypatch):
         calls, entries = count_kernel_entries(monkeypatch)
         hyper = FglHyper()
         s = FedSaGclServer(3, hyper, N_CLIENTS)
-        ups = [real_upload(cid, 10 + cid, hyper) for cid in (2, 4, 6)]
+        ups = [real_upload(cid, 10 + cid) for cid in (2, 4, 6)]
         early = ups[1].sfm  # a batch of one, computing no confidence
         assert entries == {"compute_sfm": 1}
         for msg in ups:
             server_receive(s, msg)
-        assert ups[1].sfm is early
-        assert entries == {"compute_sfm": 3, "label_propagation": 3, "compute_lsc": 3}
-        for msg in ups:
-            sfm, lsc = oracle_stats(msg)
-            assert np.array_equal(msg.sfm, sfm) and msg.lsc == lsc
+        # the round scores its whole queue and leaves the upload's own value
+        assert ups[1].sfm is early and np.array_equal(s.kb.sfm[4], early.ravel())
+        assert entries == {"compute_sfm": 4, "label_propagation": 3, "compute_lsc": 3}
+        assert_kb_holds_oracle_stats(s.kb, ups, hyper)
 
     def test_runs_hold_at_most_batch_rows_padded_rows(self, monkeypatch):
         calls, entries = count_kernel_entries(monkeypatch)
         monkeypatch.setattr(protocol, "BATCH_ROWS", 17)
         hyper = FglHyper()
-        ups = [real_upload(cid, 20 + cid, hyper) for cid in (0, 1, 2, 3, 4)]  # 4, 1, 3, 6, 8 rows
-        fill_stats(ups)  # 17 // 8 = 2 uploads a run
+        ups = [real_upload(cid, 20 + cid) for cid in (0, 1, 2, 3, 4)]  # 4, 1, 3, 6, 8 rows
+        sfms, lscs = upload_stats(ups, hyper)  # 17 // 8 = 2 uploads a run
         assert calls == {name: 3 for name in calls} and entries == {name: 5 for name in calls}
-        for msg in ups:
-            sfm, lsc = oracle_stats(msg)
-            assert np.array_equal(msg.sfm, sfm) and msg.lsc == lsc
+        assert_oracle_stats(ups, sfms, lscs, hyper)
         monkeypatch.setattr(protocol, "BATCH_ROWS", 7)  # fewer rows than one upload holds
-        fill_stats([real_upload(cid, 30 + cid, hyper) for cid in (4, 6)])
+        upload_stats([real_upload(cid, 30 + cid) for cid in (4, 6)], hyper)
         assert calls == {name: 5 for name in calls}
 
     def test_two_uploads_of_one_client_are_two_entries(self, monkeypatch):
         calls, entries = count_kernel_entries(monkeypatch)
         hyper = FglHyper(k_steps=3)
-        first, second = real_upload(4, 1, hyper), real_upload(4, 2, hyper)
-        fill_stats([first, second])
+        ups = [real_upload(4, 1), real_upload(4, 2)]
+        sfms, lscs = upload_stats(ups, hyper)
         assert entries == {"compute_sfm": 2, "label_propagation": 2, "compute_lsc": 2}
-        assert not np.array_equal(first.sfm, second.sfm)
-        for msg in (first, second):
-            sfm, lsc = oracle_stats(msg)
-            assert np.array_equal(msg.sfm, sfm) and msg.lsc == lsc
+        assert not np.array_equal(*sfms)
+        assert_oracle_stats(ups, sfms, lscs, hyper)
 
     def test_lazy_reads_are_batches_of_one(self, monkeypatch):
         calls, entries = count_kernel_entries(monkeypatch)
-        msg = real_upload(5, 3, FglHyper(lam=0.0, k_steps=1))
-        sfm, lsc = oracle_stats(msg)
-        assert msg.lsc == lsc and entries == {"label_propagation": 1, "compute_lsc": 1}
-        assert np.array_equal(msg.sfm, sfm) and entries["compute_sfm"] == 1
-        fill_stats([msg])
-        assert calls == {name: 1 for name in entries}
+        hyper = FglHyper(lam=0.0, k_steps=1)
+        msg = real_upload(5, 3)
+        sfm, lsc = oracle_stats(msg, hyper)
+        assert np.array_equal(msg.sfm, sfm) and entries == {"compute_sfm": 1}
+        assert msg.sfm is msg.sfm and calls == {"compute_sfm": 1}
+        assert_oracle_stats([msg], *upload_stats([msg], hyper), hyper)
+        assert calls == {"compute_sfm": 2, "label_propagation": 1, "compute_lsc": 1}
 
-    @pytest.mark.parametrize("other", [FglHyper(lam=0.3), FglHyper(k_steps=1)])
-    def test_a_batch_of_mixed_hypers_is_refused(self, other):
-        ups = [real_upload(3, 1, FglHyper()), real_upload(4, 2, other)]
-        with pytest.raises(ValueError, match="must share lam and k_steps"):
-            fill_stats(ups)
-        ups[1].lsc  # with its confidence read, the rest is one batch again
-        fill_stats(ups)
-        assert ups[0].lsc == oracle_stats(ups[0])[1]
+    def test_a_round_leaves_every_upload_as_it_was_sent(self):
+        s = FedSaGclServer(3, FglHyper(theta=0.0), len(STATS_POOL))
+        sent = []
+        for pos, cid in enumerate((0, 3, 0, 5, 6, 1, 2, 4, 3)):
+            msg = real_upload(cid, 40 + pos)
+            sent.append((msg, dict(vars(msg))))
+            server_receive(s, msg)
+        assert s.round == 3
+        for msg, fields in sent:
+            assert vars(msg).keys() == fields.keys()
+            assert all(vars(msg)[name] is value for name, value in fields.items())
 
-    def test_fingerprints_alone_need_no_shared_hypers(self):
-        ups = [real_upload(3, 1, FglHyper()), real_upload(4, 2, FglHyper(lam=0.1, theta=0.9))]
-        fill_stats(ups, ("sfm",))
-        assert all("lsc" not in vars(m) for m in ups)
-        assert np.array_equal(ups[1].sfm, oracle_stats(ups[1])[0])
+    def test_a_client_uploading_twice_is_scored_once_for_its_later_upload(self, monkeypatch):
+        calls, entries = count_kernel_entries(monkeypatch)
+        hyper = FglHyper()
+        s = FedSaGclServer(3, hyper, N_CLIENTS)
+        ups = [real_upload(3, 1), real_upload(5, 2), real_upload(3, 3)]
+        for msg in ups:
+            server_receive(s, msg)
+        assert entries == {"compute_sfm": 2, "label_propagation": 2, "compute_lsc": 2}
+        npt.assert_array_equal(np.flatnonzero(s.kb.known), [3, 5])
+        assert s.kb.params[3].tobytes() == ups[2].params.vec.tobytes()
+        assert_kb_holds_oracle_stats(s.kb, ups[1:], hyper)
 
 
 # A fedsa_gcl upload stream: (client id in STATS_POOL, round-stamp lag, read
@@ -505,30 +541,33 @@ ROUND_CONFIGS = [
 
 
 def run_against_reference(stream, config, alpha=0.7):
-    """Hand the stream to the server and to the reference round, the latter's
-    uploads carrying the per-client oracles' values; require equal logs and
-    equal deliveries (recipient, round, confidence and kind), models equal to
-    summation rounding, and that uploaders with equal clusters share one
-    model."""
+    """Hand the stream to the server and to the reference round, which scores
+    each upload alone with the per-client oracles; require equal logs and
+    equal deliveries (recipient, round, confidences and kind), models equal
+    to summation rounding, that each broadcast carries the oracle's clamped
+    confidence of its recipient's latest upload, and that uploaders with
+    equal clusters share one model."""
     k, theta, clustering, broadcast = config
     hyper = FglHyper(theta=theta, alpha=alpha)
     new = FedSaGclServer(k, hyper, len(STATS_POOL), clustering, broadcast)
     ref = FedSaGclServerRef(k, hyper, len(STATS_POOL), clustering, broadcast)
-    shared = 0
+    shared, latest = 0, {}
     for pos, (cid, lag, pre_read) in enumerate(stream):
-        mine = real_upload(cid, pos, hyper, tau=max(new.round - lag, 0))
-        theirs = UploadMessage(mine.params, mine.tau, mine.soft, mine.data, hyper, cid)
-        theirs.sfm, theirs.lsc = oracle_stats(theirs)
+        msg = real_upload(cid, pos, tau=max(new.round - lag, 0))
+        latest[cid] = msg
         if pre_read:
-            mine.sfm
-        got, want = server_receive(new, mine), server_receive(ref, theirs)
+            msg.sfm
+        got, want = server_receive(new, msg), server_receive(ref, msg)
         assert len(got) == len(want)
         # personal deliveries come first, one per log entry of the round
         personal = [d for _, d in got if d.cluster_lsc is None]
         entries = ref.aggregation_log[len(ref.aggregation_log) - len(personal):]
         source = {id(w.params): entry for (_, w), entry in zip(want, entries)}
         for (g_cid, g), (w_cid, w) in zip(got, want):
-            assert (g_cid, g.round, g.cluster_lsc, g.kind) == (w_cid, w.round, w.cluster_lsc, w.kind)
+            assert (g_cid, g.round, g.cluster_lsc, g.local_lsc, g.kind) == (
+                w_cid, w.round, w.cluster_lsc, w.local_lsc, w.kind)
+            if g.kind == "broadcast":
+                assert g.local_lsc == oracle_stats(latest[g_cid], hyper)[1].clamped
             _, _, members, weights = source[id(w.params)]
             assert_within_sum_error(g.params.vec, w.params.vec, weights,
                                     ref.kb.params[list(members)])
@@ -557,7 +596,7 @@ class TestRoundAgainstReference:
         assert run_against_reference(stream, (4, 0.0, True, True)) > 0
         s = FedSaGclServer(3, FglHyper(theta=0.0), len(STATS_POOL))
         for pos, cid in enumerate((0, 1, 2, 3, 4, 5)):
-            got = server_receive(s, real_upload(cid, pos, s.hyper))
+            got = server_receive(s, real_upload(cid, pos))
         assert len({id(d.params) for _, d in got}) == 1
         assert {d.cluster_lsc is None for _, d in got} == {True, False}
 
@@ -565,7 +604,22 @@ class TestRoundAgainstReference:
         calls, entries = count_kernel_entries(monkeypatch)
         stream = [(3, 0, False), (5, 0, True), (3, 0, False)]
         run_against_reference(stream, (3, 0.5, True, True))
-        assert entries["compute_lsc"] == 3 and calls["compute_lsc"] == 1
+        assert entries["compute_lsc"] == 2 and calls["compute_lsc"] == 1
+
+    def test_every_broadcast_carries_its_recipients_own_confidence(self):
+        hyper = FglHyper(theta=0.0)
+        s = FedSaGclServer(2, hyper, len(STATS_POOL))
+        latest, broadcasts = {}, 0
+        for pos, cid in enumerate((0, 1, 2, 3, 4, 5, 6, 2, 5, 0, 6, 3, 1, 4)):
+            latest[cid] = real_upload(cid, 50 + pos, tau=s.round)
+            for r_cid, msg in server_receive(s, latest[cid]):
+                if msg.kind == "broadcast":
+                    broadcasts += 1
+                    assert type(msg.local_lsc) is float
+                    assert msg.local_lsc == oracle_stats(latest[r_cid], hyper)[1].clamped
+                else:
+                    assert msg.local_lsc is None
+        assert broadcasts >= 10
 
 
 class TestClientTrip:
@@ -577,9 +631,8 @@ class TestClientTrip:
     def test_empty_mailbox_pure_local_step(self):
         state = self.setup_client()
         before = state.params
-        hyper = FglHyper()
         expected = train_epoch(before, state.data, 0.05)
-        msg = client_trip(state, train_trips([state], {}, 0.05), hyper)
+        msg = client_trip(state, train_trips([state], {}, 0.05))
         assert msg is not None and msg.tau == 0
         for name in PARAM_FIELDS:
             npt.assert_array_equal(getattr(msg.params, name), getattr(expected, name))
@@ -589,35 +642,28 @@ class TestClientTrip:
         fresh = init_params(3, 4, 2, seed=99)
         mailboxes = {0: DownloadMessage(fresh, round=5, cluster_lsc=None)}
         expected = train_epoch(fresh, state.data, 0.05)
-        msg = client_trip(state, train_trips([state], mailboxes, 0.05), FglHyper())
+        msg = client_trip(state, train_trips([state], mailboxes, 0.05))
         assert msg.tau == 5
         assert mailboxes == {}
         for name in PARAM_FIELDS:
             npt.assert_array_equal(getattr(msg.params, name), getattr(expected, name))
-
-    def test_broadcast_before_the_first_upload_is_refused(self):
-        state = self.setup_client()
-        incoming = init_params(3, 4, 2, seed=123)
-        mailboxes = {0: DownloadMessage(incoming, round=9, cluster_lsc=3.0)}
-        with pytest.raises(ValueError, match="client 0 got a broadcast before uploading"):
-            train_trips([state], mailboxes, 0.05)
 
     def test_broadcast_after_a_trip_blends_with_the_uploaded_confidence(
         self, monkeypatch
     ):
         state = self.setup_client()
         hyper = FglHyper()
-        first = client_trip(state, train_trips([state], {}, 0.05), hyper)
+        first = client_trip(state, train_trips([state], {}, 0.05))
         uploaded = state.params
-        # the uploaded confidence is the one a fresh forward would give
+        # the uploaded confidence, which the server holds, is the one a fresh
+        # forward would give
+        (_,), (lsc,) = upload_stats([first], hyper)
         soft = forward(uploaded, state.data)
         propagated = label_propagation(soft, [state.data], hyper.lam, hyper.k_steps)
-        assert [first.lsc] == compute_lsc(propagated, [state.data])
+        assert [lsc] == compute_lsc(propagated, [state.data])
         incoming = init_params(3, 4, 2, seed=123)
-        mailboxes = {0: DownloadMessage(incoming, round=4, cluster_lsc=3.0)}
-        expected = train_epoch(
-            blend_local(incoming, uploaded, 3.0, first.lsc.clamped), state.data, 0.05
-        )
+        mailboxes = {0: DownloadMessage(incoming, 4, 3.0, "broadcast", lsc.clamped)}
+        expected = train_epoch(blend_local(incoming, uploaded, 3.0, lsc.clamped), state.data, 0.05)
         forwards = []
 
         def counting_softmax(z):  # one call per forward pass of the kernel
@@ -625,13 +671,13 @@ class TestClientTrip:
             return softmax_rows(z)
 
         monkeypatch.setattr(gcn, "softmax_rows", counting_softmax)
-        msg = client_trip(state, train_trips([state], mailboxes, 0.05), hyper)
+        msg = client_trip(state, train_trips([state], mailboxes, 0.05))
         # the training step's forward and the trained model's: the blend adds none
         assert forwards == [(5, 2), (5, 2)]
         monkeypatch.undo()
         npt.assert_array_equal(msg.params.vec, expected.vec)
-        npt.assert_array_equal(state.upload.soft, forward(msg.params, state.data))
-        assert state.upload is msg
+        npt.assert_array_equal(msg.soft, forward(msg.params, state.data))
+        assert state.params is msg.params
 
     def test_blend_weights_formula(self):
         rng = np.random.default_rng(5)
@@ -647,11 +693,11 @@ class TestClientTrip:
 
     def test_upload_carries_post_training_stats(self):
         state = self.setup_client()
-        hyper = FglHyper()
-        msg = client_trip(state, train_trips([state], {}, 0.05), hyper)
+        msg = client_trip(state, train_trips([state], {}, 0.05))
         assert msg.sfm.shape == (2, 2)
         npt.assert_allclose(msg.sfm, msg.sfm.T)
-        assert msg.lsc.clamped >= 1e-6
+        (_,), (lsc,) = upload_stats([msg], FglHyper())
+        assert lsc.clamped >= 1e-6
 
 
 class TestBaselines:
@@ -778,7 +824,6 @@ class TestTrainTrips:
         return out
 
     def test_batched_trips_equal_trips_alone(self):
-        hyper = FglHyper()
         batched, alone = self.clients(), self.clients()
         box, alone_box = ({1: DownloadMessage(init_params(3, 4, 2, seed=50), 6, None)}
                           for _ in range(2))
@@ -786,9 +831,9 @@ class TestTrainTrips:
         assert box == {}
         assert batched[1].tau == 6
         for b, a in zip(batched, alone):
-            got = client_trip(b, batch, hyper)
-            ref = client_trip(a, train_trips([a], alone_box, 0.05), hyper)
-            assert b.upload is got and got.tau == ref.tau
+            got = client_trip(b, batch)
+            ref = client_trip(a, train_trips([a], alone_box, 0.05))
+            assert b.params is got.params and got.tau == ref.tau
             assert np.array_equal(got.params.vec, ref.params.vec)
             assert np.array_equal(got.soft, ref.soft)
 
@@ -796,7 +841,7 @@ class TestTrainTrips:
         states = self.clients(3)
         batch = train_trips(states, {}, 0.05)
         with pytest.raises(RuntimeError, match="client 1 finished its trip out of batch order"):
-            client_trip(states[1], batch, FglHyper())
+            client_trip(states[1], batch)
 
     def test_a_batch_trains_each_kernel_call_when_its_first_trip_finishes(self, monkeypatch):
         states = self.clients(3)
@@ -810,17 +855,19 @@ class TestTrainTrips:
         monkeypatch.setattr(gcn, "_Block", block)
         batch = train_trips(states, {}, 0.05)
         assert calls == []
-        client_trip(states[0], batch, FglHyper())
+        client_trip(states[0], batch)
         assert calls == [3]
-        client_trip(states[1], batch, FglHyper())
-        client_trip(states[2], batch, FglHyper())
+        client_trip(states[1], batch)
+        client_trip(states[2], batch)
         assert calls == [3]
 
-    def test_a_broadcast_before_the_first_upload_stops_the_batch(self):
+    def test_a_broadcast_blends_with_the_confidences_it_carries(self):
         states = self.clients(2)
-        mailboxes = {1: DownloadMessage(init_params(3, 4, 2, seed=9), 2, 1.0)}
-        with pytest.raises(ValueError, match="client 1 got a broadcast before uploading"):
-            train_trips(states, mailboxes, 0.05)
+        incoming, local = init_params(3, 4, 2, seed=9), states[1].params
+        mailboxes = {1: DownloadMessage(incoming, 2, 1.0, "broadcast", 3.0)}
+        train_trips(states, mailboxes, 0.05)
+        assert mailboxes == {} and states[1].tau == 2
+        npt.assert_array_equal(states[1].params.vec, blend_local(incoming, local, 1.0, 3.0).vec)
 
 
 class TestMailboxes:

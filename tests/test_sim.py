@@ -173,9 +173,9 @@ class TestRunSimulation:
             clients[1] = replace(clients[1], masks=masks)
             return clients, latency, initial
 
-        def trip(state, batch, hyper):
+        def trip(state, batch):
             tripped.append(state.client_id)
-            return real_trip(state, batch, hyper)
+            return real_trip(state, batch)
 
         monkeypatch.setattr(sim, "prepare_clients", prepare)
         monkeypatch.setattr(sim, "client_trip", trip)
@@ -213,8 +213,8 @@ def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
     trip, real_softmax = sim.client_trip, gcn.softmax_rows
     held, forwards = [], []
 
-    def recording_trip(state, batch, hyper):
-        upload = trip(state, batch, hyper)
+    def recording_trip(state, batch):
+        upload = trip(state, batch)
         held.append((state.data, state.params))
         return upload
 
@@ -255,7 +255,7 @@ def test_baseline_trips_compute_no_fingerprint_or_confidence(monkeypatch, strate
 
 
 def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
-    cfg = sbm_cfg(n_clients=6, k_buffer=4, max_trips=42, edge_fraction=0.25)
+    cfg = sbm_cfg(n_clients=4, k_buffer=4, max_trips=60, edge_fraction=0.25)
     calls, uploads_computed = Counter(), Counter()
 
     def counted(name):
@@ -270,27 +270,38 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
 
     for name in UPLOAD_KERNELS:
         monkeypatch.setattr(protocol, name, counted(name))
-    real_trip, uploads = sim.client_trip, []
+    real_trip, real_stats, uploads, scored = sim.client_trip, protocol.upload_stats, [], []
 
-    def trip(state, batch, hyper):
+    def trip(state, batch):
         before = uploads_computed.copy()
-        upload = real_trip(state, batch, hyper)
+        uploads.append(real_trip(state, batch))
         assert uploads_computed == before  # the trip itself computes neither
-        propagated = kernels.label_propagation(upload.soft, [upload.data], hyper.lam, hyper.k_steps)
-        eager = (kernels.compute_sfm(upload.soft, [upload.data])[0],
-                 kernels.compute_lsc(propagated, [upload.data])[0])
-        uploads.append((upload, eager))
-        return upload
+        return uploads[-1]
+
+    def stats(batch, hyper):
+        scored.append(batch)
+        sfms, lscs = real_stats(batch, hyper)
+        for upload, sfm, lsc in zip(batch, sfms, lscs, strict=True):
+            alone = [upload.data]
+            propagated = kernels.label_propagation(upload.soft, alone, hyper.lam, hyper.k_steps)
+            assert np.array_equal(sfm, kernels.compute_sfm(upload.soft, alone)[0])
+            assert [lsc] == kernels.compute_lsc(propagated, alone)
+        return sfms, lscs
 
     monkeypatch.setattr(sim, "client_trip", trip)
+    monkeypatch.setattr(protocol, "upload_stats", stats)
     log = run_simulation(cfg, seed=5)
     assert any("kind=broadcast" in line for line in log.trace)
-    assert 0 < uploads_computed["compute_sfm"] < len(uploads)  # the last queued ones are never read
+    # each round, K uploads in arrival order, scores each client's latest
+    # upload in it once, in ascending ids; the last queued ones never
+    k = cfg.k_buffer
+    queues = [uploads[i : i + k] for i in range(0, len(uploads) - k + 1, k)]
+    latest = [{m.client_id: m for m in queue} for queue in queues]
+    want = [[by_id[c] for c in sorted(by_id)] for by_id in latest]
+    assert [list(map(id, b)) for b in scored] == [list(map(id, b)) for b in want]
+    assert any(len(b) < k for b in want)  # a client uploaded twice into one queue
+    assert uploads_computed == {name: sum(map(len, want)) for name in UPLOAD_KERNELS}
     assert calls["compute_sfm"] < uploads_computed["compute_sfm"]  # rounds compute in batches
-    for upload, (sfm, lsc) in uploads:
-        for _ in range(2):
-            assert np.array_equal(upload.sfm, sfm) and upload.lsc == lsc
-    assert uploads_computed == {name: len(uploads) for name in UPLOAD_KERNELS}
 
 
 @pytest.mark.parametrize("kind", ["edge_sparsity", "label_sparsity", None])
@@ -399,9 +410,9 @@ def test_client_trip_runs_once_per_trip_in_record_order(monkeypatch, strategy):
     cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy, "max_trips": 61})
     real, tripped = sim.client_trip, []
 
-    def trip(state, batch, hyper):
+    def trip(state, batch):
         tripped.append(state.client_id)
-        return real(state, batch, hyper)
+        return real(state, batch)
 
     monkeypatch.setattr(sim, "client_trip", trip)
     log = run_simulation(cfg, 2)
