@@ -45,6 +45,6 @@ from .protocol import (
     client_trip,
     server_receive,
 )
-from .sim import Event, LatencyProfile, MetricsLog, assign_latencies, run_simulation
+from .sim import Event, MetricsLog, assign_latencies, run_simulation
 
 __version__ = "0.1.0"

@@ -11,15 +11,14 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .config import REQUIRED, SCHEMA, ConfigError, lookup, parse_config
 from .experiments import run_experiment, summarize_logs, trips_to_target, write_summary
 from .graphs import GraphFormatError, SbmConfig, generate_sbm, load_graph, save_graph
-from .partition import balanced_partition, louvain_partition, save_assignment
-from .sim import MetricsLog
+from .partition import save_assignment
+from .sim import partition_graph, read_runs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,29 +46,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    """Trips-to-target over the stored per-seed runs (metrics CSV plus JSON
-    sidecar), by the rule of the summary that ``run`` writes, with the
-    longest stored run (the sidecars' ``trips``) as the trip budget. Runs of
-    different configs (sidecar ``config_hash``) are refused."""
-    target = lookup("run", "target_accuracy")
-    if not target.ok(args.target):
-        raise ConfigError(f"--target {args.target} is not {target.rule}")
-    outdir = Path(args.dir)
-    csvs = sorted(outdir.glob("metrics_seed*.csv"))
-    if not csvs:
-        raise ConfigError(f"no metrics_seed*.csv files in {outdir}")
-    logs = [MetricsLog.read(path, path.with_suffix(".json")) for path in csvs]
-    configs: dict[str, str] = {}  # config hash -> its first sidecar
-    for path, lg in zip(csvs, logs):
-        configs.setdefault(lg.config_hash, path.with_suffix(".json").name)
-    if len(configs) > 1:
-        named = ", ".join(f"{h} ({name})" for h, name in configs.items())
-        raise ConfigError(f"the runs in {outdir} come from different configs: {named}")
-    for path, lg in zip(csvs, logs):
+    """Trips-to-target over the runs stored in --dir (``sim.read_runs``), by
+    the rule of the summary that ``run`` writes."""
+    runs = read_runs(args.dir)
+    for path, lg in runs.items():
         reached = trips_to_target(lg, args.target)
         shown = "NOT_REACHED" if reached is None else reached
         print(f"{path.name}: trips_to_target={shown} final={lg.final_mean_acc:.4f}")
-    rows = summarize_logs(logs, args.target, max(len(lg.records) for lg in logs))
+    rows = summarize_logs(list(runs.values()), args.target)
     if args.out:
         write_summary(rows, args.out)
     for r in rows:
@@ -78,13 +62,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    g = load_graph(args.input)
-    if args.clients > g.node_count:
-        raise ConfigError(f"--clients {args.clients} is more than the {g.node_count} nodes")
-    if args.method == "louvain":
-        assignment = louvain_partition(g, args.clients, args.seed)
-    else:
-        assignment = balanced_partition(g, args.clients, args.seed)
+    assignment = partition_graph(load_graph(args.input), args.method, args.clients, args.seed)
     save_assignment(assignment, args.out)
     sizes = np.bincount(assignment.client_of, minlength=args.clients)
     print(f"wrote {args.out}; client sizes {sizes.tolist()}")
@@ -102,7 +80,7 @@ def _cmd_gen_sbm(args) -> int:
 
 def _add_flag(parser, flag: str, section: str, name: str, **kw):
     """Add a flag read and checked like the config key section.name, with
-    that key's default unless kw sets one."""
+    that key's default and its rule as help unless kw sets them."""
     row = lookup(section, name)
 
     def parse(text):
@@ -115,6 +93,7 @@ def _add_flag(parser, flag: str, section: str, name: str, **kw):
         return value
 
     kw.setdefault("default", None if row.default is REQUIRED else row.default)
+    kw.setdefault("help", row.rule)
     parser.add_argument(flag, type=parse, **kw)
 
 
@@ -142,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("summarize", help="trips-to-target over stored runs")
     p_sum.add_argument("--dir", required=True)
-    p_sum.add_argument("--target", type=float, required=True)
+    _add_flag(p_sum, "--target", "run", "target_accuracy", required=True)
     p_sum.add_argument("--out", default=None)
     p_sum.set_defaults(func=_cmd_summarize)
 
     p_part = sub.add_parser("partition", help="partition a graph file into clients")
     p_part.add_argument("--input", required=True)
-    p_part.add_argument("--method", choices=("louvain", "balanced"), required=True)
+    _add_flag(p_part, "--method", "run", "partitioner", required=True)
     _add_flag(p_part, "--clients", "run", "n_clients", required=True)
     _add_flag(p_part, "--seed", "dataset", "seed")
     p_part.add_argument("--out", default="assignment.txt")

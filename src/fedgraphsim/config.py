@@ -132,7 +132,9 @@ SCHEMA = (
     Key("dataset", "intra_prob", float, attr="dataset.sbm.intra_prob", lo=0, hi=1, only="sbm"),
     Key("dataset", "inter_prob", float, attr="dataset.sbm.inter_prob", lo=0, hi=1, only="sbm"),
     Key("dataset", "feature_dim", int, 8, "dataset.sbm.feature_dim", lo=1, only="sbm"),
-    Key("dataset", "feature_noise", float, 0.5, "dataset.sbm.feature_noise", lo=0, only="sbm"),
+    # <= 1e300 keeps features finite: numpy's normal stays within 13.7 (ziggurat tail)
+    Key("dataset", "feature_noise", float, 0.5, "dataset.sbm.feature_noise", lo=0, hi=1e300,
+        only="sbm"),
     Key("dataset", "seed", int, 0, "dataset.sbm.seed", lo=0, only="sbm"),
     Key("run", "n_clients", int, lo=1),
     Key("run", "partitioner", str, "louvain", choices=("louvain", "balanced")),

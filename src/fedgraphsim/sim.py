@@ -12,14 +12,16 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, Key
 from .gcn import ModelParams, accuracy, forward_batch, init_params
-from .graphs import generate_sbm, load_graph, read_text
+from .graphs import Graph, generate_sbm, load_graph, read_text
 from .partition import (
+    CommunityAssignment,
     TripPlan,
     balanced_partition,
     extract_subgraphs,
@@ -49,34 +51,23 @@ class Event(NamedTuple):
     client_id: int
 
 
-@dataclass
-class LatencyProfile:
-    durations: np.ndarray
-    is_edge: np.ndarray
-
-
 def assign_latencies(
     n_clients: int, edge_fraction: float, lag_range: tuple, seed: int
-) -> LatencyProfile:
-    """Flag floor(edge_fraction * n) seeded clients as stragglers.
+) -> np.ndarray:
+    """Each client's trip duration (int64); a duration above 1 marks a straggler.
 
-    Edge clients take c * n_clients time units per trip with c drawn
-    uniformly from {lo..hi} (one draw per edge client, in ascending client
-    order); normal clients take 1. edge_fraction and lag_range = (lo, hi)
-    meet the [run] rules of config.SCHEMA.
-    """
+    floor(edge_fraction * n) seeded clients take c * n_clients time units per
+    trip, with c drawn uniformly from {lo..hi} (one draw each, in ascending
+    client order); the others take 1. edge_fraction and lag_range = (lo, hi)
+    meet the [run] rules of config.SCHEMA."""
     lo, hi = int(lag_range[0]), int(lag_range[1])
     rng = np.random.default_rng(seed)
     n_edge = int(np.floor(edge_fraction * n_clients))
-    is_edge = np.zeros(n_clients, dtype=bool)
-    if n_edge:
-        chosen = np.sort(rng.choice(n_clients, size=n_edge, replace=False))
-        is_edge[chosen] = True
     durations = np.ones(n_clients, dtype=np.int64)
     if n_edge:
-        lags = rng.integers(lo, hi + 1, size=n_edge)
-        durations[np.flatnonzero(is_edge)] = lags * n_clients
-    return LatencyProfile(durations, is_edge)
+        chosen = np.sort(rng.choice(n_clients, size=n_edge, replace=False))
+        durations[chosen] = rng.integers(lo, hi + 1, size=n_edge) * n_clients
+    return durations
 
 
 CSV_HEADER = "trip,time,client_id,client_acc,mean_acc"
@@ -132,21 +123,25 @@ class MetricsLog:
             "trips": len(self.records),
         }
 
-    def write(self, csv_path, sidecar_path=None) -> None:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(self.to_csv_text())
-        if sidecar_path is not None:
-            with open(sidecar_path, "w", encoding="utf-8") as f:
-                json.dump(self.sidecar(), f, indent=2, sort_keys=True)
-                f.write("\n")
+    def write(self, outdir) -> None:
+        """Store the run in the directory outdir, as ``metrics_seed{seed}.csv``
+        (``to_csv_text``), its ``.json`` sidecar and ``trace_seed{seed}.log``
+        (``trace``, one line each); ``read`` and ``read_runs`` read them."""
+        sidecar = json.dumps(self.sidecar(), indent=2, sort_keys=True) + "\n"
+        for name, text in ((f"metrics_seed{self.seed}.csv", self.to_csv_text()),
+                           (f"metrics_seed{self.seed}.json", sidecar),
+                           (f"trace_seed{self.seed}.log", "".join(f"{t}\n" for t in self.trace))):
+            with open(Path(outdir) / name, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
 
     @classmethod
-    def read(cls, csv_path, sidecar_path) -> "MetricsLog":
-        """A log as ``write`` stored it (the accuracy snapshots and initial
-        per-client accuracies, not stored, come back empty). A sidecar that is
-        not a JSON object with the SIDECAR_FIELDS, each of its type, or a CSV
-        other than CSV_HEADER and the sidecar's ``trips`` rows of five
-        numbers, raises ConfigError naming the file (and the line or field)."""
+    def read(cls, csv_path) -> "MetricsLog":
+        """A log as ``write`` stored it: the CSV and the ``.json`` sidecar beside
+        it (snapshots, initial per-client accuracies and trace come back empty).
+        A sidecar that is not a JSON object with the SIDECAR_FIELDS, each of its
+        type, or a CSV other than CSV_HEADER and the sidecar's ``trips`` rows of
+        five numbers, raises ConfigError naming the file (and the line or field)."""
+        sidecar_path = Path(csv_path).with_suffix(".json")
         try:
             with open(sidecar_path, "r", encoding="utf-8") as f:
                 meta = dict(json.load(f))
@@ -175,40 +170,62 @@ class MetricsLog:
         return cls(records, seed, config_hash, strategy, (), initial, tuple(durations))
 
 
+def read_runs(outdir) -> dict:
+    """The runs ``MetricsLog.write`` stored in the directory outdir, as
+    {CSV path: log} in path order. No ``metrics_seed*.csv`` file, a malformed
+    run (see ``MetricsLog.read``) or runs of different configs (sidecar
+    ``config_hash``) raise ConfigError."""
+    outdir = Path(outdir)
+    runs = {path: MetricsLog.read(path) for path in sorted(outdir.glob("metrics_seed*.csv"))}
+    if not runs:
+        raise ConfigError(f"no metrics_seed*.csv files in {outdir}")
+    configs: dict[str, str] = {}  # config hash -> its first sidecar
+    for path, lg in runs.items():
+        configs.setdefault(lg.config_hash, path.with_suffix(".json").name)
+    if len(configs) > 1:
+        named = ", ".join(f"{h} ({name})" for h, name in configs.items())
+        raise ConfigError(f"the runs in {outdir} come from different configs: {named}")
+    return runs
+
+
 def _derived_seeds(seed: int) -> dict:
     words = np.random.SeedSequence(seed).generate_state(5)
     names = ("partition", "masks", "perturb", "latency", "params")
     return {name: int(w) for name, w in zip(names, words)}
 
 
+def partition_graph(graph: Graph, method: str, n_clients: int, seed: int) -> CommunityAssignment:
+    """Split graph into n_clients by the [run] partitioner method; more clients
+    than nodes raises ConfigError naming both counts. Each partitioner is
+    called by its module-level name with positional (graph, n_clients, seed):
+    a tracer that rebinds module attributes and reads those arguments needs
+    both, and a function reached through a table would escape it."""
+    if n_clients > graph.node_count:
+        raise ConfigError(f"{n_clients} clients is more than the graph's {graph.node_count} nodes")
+    if method == "louvain":
+        return louvain_partition(graph, n_clients, seed)
+    return balanced_partition(graph, n_clients, seed)
+
+
 def prepare_clients(cfg: ExperimentConfig, seed: int):
-    """Build the per-client datasets, straggler profile, and initial model."""
+    """The per-client datasets, each client's trip duration and the initial
+    model. The graph is split by ``partition_graph``, so a tracer of
+    ``partition.louvain_partition`` sees this call's partition."""
     sub = _derived_seeds(seed)
     if cfg.dataset.kind == "sbm":
         graph = generate_sbm(cfg.dataset.sbm)
     else:
         graph = load_graph(cfg.dataset.path)
-    if cfg.n_clients > graph.node_count:
-        raise ConfigError(
-            f"n_clients = {cfg.n_clients} is more than the graph's {graph.node_count} nodes"
-        )
-    if cfg.partitioner == "louvain":
-        assignment = louvain_partition(graph, cfg.n_clients, sub["partition"])
-    else:
-        assignment = balanced_partition(graph, cfg.n_clients, sub["partition"])
+    assignment = partition_graph(graph, cfg.partitioner, cfg.n_clients, sub["partition"])
     clients = extract_subgraphs(graph, assignment, cfg.mask_ratios, sub["masks"])
     pert = cfg.perturbation
     sparsify = {"label_sparsity": sparsify_labels, "edge_sparsity": sparsify_edges}
     if pert is not None and pert.kind in sparsify:
         perturb = sparsify[pert.kind]
         clients = [perturb(cd, pert.rate, sub["perturb"] + cd.client_id) for cd in clients]
-    latency = assign_latencies(
-        cfg.n_clients, cfg.edge_fraction, cfg.lag_range, sub["latency"]
-    )
-    initial = init_params(
-        graph.feature_dim, cfg.hidden_dim, graph.num_classes, sub["params"]
-    )
-    return clients, latency, initial
+    durations = assign_latencies(cfg.n_clients, cfg.edge_fraction, cfg.lag_range, sub["latency"])
+    initial = init_params(graph.feature_dim, cfg.hidden_dim, graph.num_classes, sub["params"])
+    return clients, durations, initial
 
 
 def make_server(
@@ -265,7 +282,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     """
     if seed is None:
         seed = cfg.seeds[0]
-    clients_data, latency, initial = prepare_clients(cfg, seed)
+    clients_data, durations, initial = prepare_clients(cfg, seed)
     for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
         cd.plan = plan
     active = [cd.masks.train.size > 0 for cd in clients_data]
@@ -291,10 +308,10 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
         strategy=cfg.strategy.value,
         initial_accs=initial_accs,
         initial_mean_acc=initial_mean,
-        durations=tuple(int(d) for d in latency.durations),
+        durations=tuple(int(d) for d in durations),
     )
     # a sorted list is already a heap
-    heap = sorted(Event(int(latency.durations[cid]), cid) for cid, act in enumerate(active) if act)
+    heap = sorted(Event(int(durations[cid]), cid) for cid, act in enumerate(active) if act)
     trips, layouts = 0, {}  # layouts: the previous batch's kernel layouts
     while trips < cfg.max_trips and heap:
         now = heap[0].completion_time
@@ -322,6 +339,6 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
             # the round's delivery releases its recipients, all of them waiting
             ready = [d_cid for d_cid, _ in deliveries] if server.waits_for_round else [cid]
             for r_cid in ready:
-                heapq.heappush(heap, Event(now + int(latency.durations[r_cid]), r_cid))
+                heapq.heappush(heap, Event(now + int(durations[r_cid]), r_cid))
     log.aggregation_log = list(server.aggregation_log)
     return log

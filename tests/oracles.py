@@ -292,7 +292,7 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
     """The event loop as it was before same-time trips trained in batches:
     each popped event opens its mailbox and runs its whole trip (a batch of
     one) before the next event pops."""
-    clients_data, latency, initial = sim.prepare_clients(cfg, seed)
+    clients_data, durations, initial = sim.prepare_clients(cfg, seed)
     for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
         cd.plan = plan
     active = [cd.masks.train.size > 0 for cd in clients_data]
@@ -308,10 +308,10 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
         strategy=cfg.strategy.value,
         initial_accs=tuple(cached.tolist()),
         initial_mean_acc=float(cached.mean()),
-        durations=tuple(int(d) for d in latency.durations),
+        durations=tuple(int(d) for d in durations),
     )
     heap = sorted(
-        sim.Event(int(latency.durations[cid]), cid) for cid, act in enumerate(active) if act
+        sim.Event(int(durations[cid]), cid) for cid, act in enumerate(active) if act
     )
     gated: set[int] = set()
     trips = 0
@@ -340,7 +340,7 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
         else:
             ready = [cid]
         for r_cid in ready:
-            heapq.heappush(heap, sim.Event(now + int(latency.durations[r_cid]), r_cid))
+            heapq.heappush(heap, sim.Event(now + int(durations[r_cid]), r_cid))
     log.aggregation_log = list(server.aggregation_log)
     return log
 

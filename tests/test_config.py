@@ -444,14 +444,20 @@ class TestCli:
 
     @pytest.mark.parametrize("target", ["0", "-0.2", "1.5"])
     def test_summarize_target_out_of_range_exit_code(self, tmp_path, capsys, target):
-        assert main(["summarize", "--dir", str(tmp_path), "--target", target]) == 2
+        try:
+            rc = main(["summarize", "--dir", str(tmp_path), "--target", target])
+        except SystemExit as exc:  # argparse rejects a bad value itself
+            rc = exc.code
+        assert rc == 2
         assert "(0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, flag",
         [
             (["partition", "--method", "louvain", "--clients", "0"], "--clients"),
-            (["partition", "--method", "balanced", "--clients", "13"], "--clients"),
+            pytest.param(["partition", "--method", "balanced", "--clients", "13"],
+                         "13 clients is more than the graph's 12 nodes",
+                         id="partition --method balanced --clients 13---clients"),
             (["partition", "--method", "louvain", "--clients", "2", "--seed", "-1"], "--seed"),
             (["gen-sbm", "--blocks", "5", "--intra", "1.5"], "--intra"),
             (["gen-sbm", "--blocks", "5", "--inter", "-0.1"], "--inter"),
@@ -460,6 +466,7 @@ class TestCli:
             (["gen-sbm", "--blocks", "5,0"], "--blocks"),
             (["gen-sbm", "--blocks", "5", "--feature-dim", "0"], "--feature-dim"),
             (["gen-sbm", "--blocks", "5", "--noise", "inf"], "--noise"),
+            (["gen-sbm", "--blocks", "5", "--noise", "1e308"], "--noise"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )
@@ -485,6 +492,7 @@ class TestCli:
             ("run", "seeds", "-1"),
             ("dataset", "feature_noise", "inf"),
             ("dataset", "feature_noise", "nan"),
+            ("dataset", "feature_noise", "1e308"),  # its features would overflow to inf
             ("run", "mask_train", "nan"),
             ("run", "lr", "nan"),
             ("run", "lr", "inf"),
@@ -618,6 +626,22 @@ class TestCli:
         )
         assert main(["run", "--config", str(cfg)]) == 2
         assert problem in capsys.readouterr().err
+
+    def test_run_and_partition_refuse_too_many_clients_alike(self, tmp_path, capsys):
+        graph = tmp_path / "toy.graph"
+        assert main(["gen-sbm", "--blocks", "20,20", "--out", str(graph)]) == 0
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[dataset]\nkind = file\npath = {graph}\n[run]\nn_clients = 41\n"
+                       f"partitioner = balanced\noutput_dir = {tmp_path / 'out'}\n")
+        capsys.readouterr()
+        errs = []
+        for argv in (["run", "--config", str(cfg)],
+                     ["partition", "--input", str(graph), "--method", "balanced",
+                      "--clients", "41", "--out", str(tmp_path / "assign.txt")]):
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "error: 41 clients is more than the graph's 40 nodes" in errs[0]
 
     @pytest.mark.parametrize(
         "n_clients, lag, code",

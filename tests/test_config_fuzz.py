@@ -106,8 +106,8 @@ def bad_values(row) -> list:
     if row.lo is not None:
         below = row.lo if row.above else row.lo - 1
         out.append([below] if row.type is list else "x" * below if row.type is str else below)
-    if row.hi is not None:
-        out.append(row.hi + 1)
+    if row.hi is not None:  # the next float: hi + 1 rounds back to hi once hi > 2**53
+        out.append(math.nextafter(row.hi, math.inf) if row.type is float else row.hi + 1)
     return out
 
 

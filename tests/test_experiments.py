@@ -131,7 +131,7 @@ class TestRunExperiment:
 
     def test_summary_not_reached_uses_budget(self):
         logs = [fake_log([0.2, 0.3]), fake_log([0.2, 0.9])]
-        rows = summarize_logs(logs, target=0.85, max_trips=2)
+        rows = summarize_logs(logs, target=0.85)  # the unreached run counts its 2 trips
         by_name = {r.metric: r for r in rows}
         assert by_name["trips_to_target"].mean == pytest.approx((2 + 2) / 2)
         assert by_name["trips_to_target_reached"].mean == 1.0
@@ -170,11 +170,11 @@ class TestAblationTraces:
 
 
 def test_import_leaves_scipy_stats_and_csgraph_unloaded():
-    """``scipy.stats`` (aggregate_seeds) and ``scipy.sparse.csgraph``
-    (balanced_partition) load on first use: together they double the memory
-    of a process that imports fedgraphsim."""
+    """``scipy.sparse.csgraph`` (balanced_partition) loads on first use, and
+    ``scipy.stats`` never, not even for aggregate_seeds' t quantile: together
+    they double the memory of a process that imports fedgraphsim."""
     src = str(Path(fedgraphsim.__file__).resolve().parents[1])
-    code = ("import sys, fedgraphsim; "
+    code = ("import sys, fedgraphsim; fedgraphsim.aggregate_seeds([0.5, 0.7]); "
             "print(sorted({'scipy.stats', 'scipy.sparse.csgraph'} & set(sys.modules)))")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

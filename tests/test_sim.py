@@ -43,24 +43,22 @@ def sbm_cfg(**kw):
 
 class TestLatencies:
     def test_no_edge_devices(self):
-        prof = assign_latencies(10, 0.0, (2, 5), seed=0)
-        assert np.all(prof.durations == 1)
-        assert not prof.is_edge.any()
+        durations = assign_latencies(10, 0.0, (2, 5), seed=0)
+        assert np.all(durations == 1)
 
     def test_thirty_percent_of_twenty(self):
-        prof = assign_latencies(20, 0.3, (2, 5), seed=3)
-        assert int(prof.is_edge.sum()) == 6
+        durations = assign_latencies(20, 0.3, (2, 5), seed=3)
+        assert int((durations > 1).sum()) == 6
 
     def test_edge_durations_whole_cycles(self):
-        prof = assign_latencies(20, 0.3, (2, 5), seed=7)
-        edge_durs = set(prof.durations[prof.is_edge].tolist())
-        assert edge_durs <= {40, 60, 80, 100}
-        assert np.all(prof.durations[~prof.is_edge] == 1)
+        durations = assign_latencies(20, 0.3, (2, 5), seed=7)
+        assert set(durations[durations > 1].tolist()) <= {40, 60, 80, 100}
+        assert int((durations == 1).sum()) == 14
 
     def test_deterministic(self):
         a = assign_latencies(12, 0.5, (2, 4), seed=9)
         b = assign_latencies(12, 0.5, (2, 4), seed=9)
-        npt.assert_array_equal(a.durations, b.durations)
+        npt.assert_array_equal(a, b)
 
 
 class TestEventOrder:
@@ -168,10 +166,10 @@ class TestRunSimulation:
         tripped = []
 
         def prepare(cfg, seed):
-            clients, latency, initial = real_prepare(cfg, seed)
+            clients, durations, initial = real_prepare(cfg, seed)
             masks = replace(clients[1].masks, train=[])
             clients[1] = replace(clients[1], masks=masks)
-            return clients, latency, initial
+            return clients, durations, initial
 
         def trip(state, batch):
             tripped.append(state.client_id)
@@ -195,16 +193,25 @@ class TestRunSimulation:
 
     def test_sidecar_fields(self, tmp_path):
         log = run_simulation(sbm_cfg(max_trips=5), seed=8)
-        csv = tmp_path / "m.csv"
-        side = tmp_path / "m.json"
-        log.write(csv, side)
+        log.write(tmp_path)
+        csv = tmp_path / "metrics_seed8.csv"
         import json
 
-        meta = json.loads(side.read_text())
+        meta = json.loads(csv.with_suffix(".json").read_text())
         assert meta["seed"] == 8
         assert meta["trips"] == 5
         assert 0.0 <= meta["initial_mean_acc"] <= 1.0
         assert len(csv.read_text().splitlines()) == 6
+
+    def test_a_written_run_reads_back_from_its_directory(self, tmp_path):
+        log = run_simulation(sbm_cfg(max_trips=30, n_clients=4, k_buffer=2), seed=7)
+        log.write(tmp_path)
+        ((path, back),) = sim.read_runs(tmp_path).items()
+        assert path == tmp_path / "metrics_seed7.csv"
+        assert back.to_csv_text() == log.to_csv_text() == path.read_text()
+        assert back.sidecar() == log.sidecar()
+        assert log.trace  # the run delivered
+        assert (tmp_path / "trace_seed7.log").read_text().splitlines() == log.trace
 
 
 @pytest.mark.parametrize("strategy", ["fedsa_gcl", "fedavg_sync", "fedbuff", "fedasync"])
@@ -513,9 +520,9 @@ def test_a_run_keeps_no_client_data_alive(monkeypatch):
     refs, real = [], sim.prepare_clients
 
     def prepare(cfg, seed):
-        clients, latency, initial = real(cfg, seed)
+        clients, durations, initial = real(cfg, seed)
         refs.extend(weakref.ref(cd) for cd in clients)
-        return clients, latency, initial
+        return clients, durations, initial
 
     monkeypatch.setattr(sim, "prepare_clients", prepare)
     log = run_simulation(sbm_cfg(strategy="fedasync", n_clients=4, max_trips=40), 3)
