@@ -16,9 +16,11 @@ A training step writes the four gradients into one buffer laid out as the
 parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this for many clients per kernel
-call (``_Block``), each client's numbers bit for bit those of it alone. Given
-a run's memo, a call's padded layout (``_Layout``) is reused by the next
-batch's call of the same clients in the same order, and by no later one.
+call (``_Block``), each client's numbers bit for bit those of it alone, and
+score every client's soft labels on its test mask with one argmax per call:
+the floats ``accuracy`` gives. Given a run's memo, a call's padded layout
+(``_Layout``) is reused by the next batch's call of the same clients in the
+same order, and by no later one.
 """
 
 from __future__ import annotations
@@ -116,20 +118,28 @@ class _Layout:
     """What a kernel call needs of its members' ClientData: a lone client's
     trip plan, or several zero-padded to their largest node count ``rows``
     (``ax`` is (clients, rows, feature); ``adj`` is block-diagonal, client k's
-    A_hat at row k * rows), with the train rows, their labels and sizes. A
-    padded row is zero in ``ax`` and empty in ``adj``, so it adds exact zeros
-    to every sum over nodes and reaches no client's row. Batches share a
-    padded layout (``_blocks``), so its arrays are read-only."""
+    A_hat at row k * rows), with the train rows, their labels and sizes, and
+    the test rows (a lone client's mask itself), their labels, each row's
+    member (``owner``) and each member's test count (``test_sizes``). A padded
+    row is zero in ``ax`` and empty in ``adj``, so it adds exact zeros to
+    every sum over nodes and reaches no client's row. Batches share a padded
+    layout (``_blocks``), so its arrays are read-only."""
 
     def __init__(self, datas: tuple):
         self.datas = datas
-        trains = [cd.masks.train for cd in datas]
+        trains, tests = [cd.masks.train for cd in datas], [cd.masks.test for cd in datas]
         self.trainable = all(t.size for t in trains)
-        self.labels = np.concatenate([cd.graph.labels[t] for cd, t in zip(datas, trains)])
-        if len(datas) == 1:
-            self.ax, self.adj, self.train = datas[0].plan.ax, datas[0].plan.adj, trains[0]
-            self.sizes = trains[0].size
+        self.test_sizes = [t.size for t in tests]
+        if len(datas) == 1:  # built for every call: as few numpy calls as it can
+            (cd,) = datas
+            self.ax, self.adj, self.train, self.test = cd.plan.ax, cd.plan.adj, trains[0], tests[0]
+            self.labels, self.test_labels = cd.graph.labels[self.train], cd.graph.labels[self.test]
+            self.sizes, self.owner = self.train.size, np.zeros(self.test.size, dtype=np.intp)
             return
+        self.labels, self.test_labels = (
+            np.concatenate([cd.graph.labels[m] for cd, m in zip(datas, masks)])
+            for masks in (trains, tests))
+        self.owner = np.repeat(np.arange(len(datas)), self.test_sizes)
         self.sizes = np.array([t.size for t in trains], dtype=np.float64)[:, None, None]
         n = np.array([cd.graph.node_count for cd in datas])
         rows, f = int(n.max()), datas[0].graph.feature_dim
@@ -139,8 +149,9 @@ class _Layout:
         ax[real] = np.concatenate([cd.plan.ax for cd in datas])
         self.ax = ax.reshape(n.size, rows, f)
         self.train = np.concatenate(trains) + np.repeat(starts, [t.size for t in trains])
-        for a in (self.ax, self.train, self.labels, self.sizes, self.adj.data,
-                  self.adj.indices, self.adj.indptr):
+        self.test = np.concatenate(tests) + np.repeat(starts, self.test_sizes)
+        for a in (self.ax, self.train, self.labels, self.sizes, self.test, self.test_labels,
+                  self.owner, self.adj.data, self.adj.indices, self.adj.indptr):
             a.flags.writeable = False
 
 
@@ -185,13 +196,19 @@ class _Block:
         d_z0.sum(axis=-2, out=g_b0[..., 0, :])
         return grads, probs
 
-    def soft(self, vecs: np.ndarray) -> list[np.ndarray]:
+    def scored(self, vecs: np.ndarray) -> list[tuple]:
         """Each client's soft labels under ``vecs`` (laid out as ``self.vecs``),
-        as a view of its rows of one array."""
+        as a view of its rows of one array, and its test accuracy: one argmax
+        over the call's test rows (ties to the lowest class), then integer
+        hits over the client's test count, the float ``accuracy`` gives (NaN
+        for a client without test nodes)."""
+        lay, c = self.layout, self.dims[2]
         probs = self.forward(_fields(vecs, self.dims))[2]
-        datas = self.layout.datas
-        probs = probs.reshape(len(datas), -1, self.dims[2])
-        return [p[: cd.graph.node_count] for p, cd in zip(probs, datas)]
+        hit = np.argmax(probs.reshape(-1, c)[lay.test], axis=1) == lay.test_labels
+        hits = np.bincount(lay.owner[hit], minlength=len(lay.datas)).tolist()
+        accs = [h / n if n else np.nan for h, n in zip(hits, lay.test_sizes)]
+        probs = probs.reshape(len(lay.datas), -1, c)
+        return [(p[: cd.graph.node_count], a) for p, cd, a in zip(probs, lay.datas, accs)]
 
 
 def _blocks(members: list, layouts: dict | None = None):
@@ -221,28 +238,30 @@ def _blocks(members: list, layouts: dict | None = None):
         yield block
 
 
-def forward_batch(members: list) -> list[np.ndarray]:
-    """Soft labels of each (params, ClientData) member: one probability row
-    per local node."""
-    return [soft for block in _blocks(members) for soft in block.soft(block.vecs)]
+def forward_batch(members: list) -> list[tuple]:
+    """Soft labels (one probability row per local node) and test accuracy
+    (see ``_Block.scored``) of each (params, ClientData) member."""
+    return [out for block in _blocks(members) for out in block.scored(block.vecs)]
 
 
 def train_batch(members: list, lr: float, layouts: dict | None = None):
     """One full-batch gradient step (p - lr * grad, in one fresh array) per
-    (params, ClientData) member and the trained params' soft labels, yielded
-    in member order; a kernel call runs when its first member is asked for.
+    (params, ClientData) member, with the trained params' soft labels and
+    test accuracy (see ``_Block.scored``): (params, soft, acc), yielded in
+    member order; a kernel call runs when its first member is asked for.
     ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
     for block in _blocks(members, layouts):
         step = block.gradients()[0]
         step *= lr
         np.subtract(block.vecs, step, out=step)
         rows = step.reshape(len(block.layout.datas), -1)
-        yield from zip([ModelParams.from_vector(v, block.dims) for v in rows], block.soft(step))
+        for v, (soft, acc) in zip(rows, block.scored(step)):
+            yield ModelParams.from_vector(v, block.dims), soft, acc
 
 
 def forward(p: ModelParams, cd: ClientData) -> np.ndarray:
     """Soft labels: one probability row per local node."""
-    return forward_batch([(p, cd)])[0]
+    return forward_batch([(p, cd)])[0][0]
 
 
 def train_epoch(p: ModelParams, cd: ClientData, lr: float) -> ModelParams:

@@ -335,9 +335,9 @@ class FedAsyncServer(Server):
         staleness = self.round - msg.tau
         mix = FEDASYNC_BETA * (staleness + 1.0) ** (-self.alpha)
         self.round += 1
-        self.global_params = ModelParams.from_vector(
-            (1.0 - mix) * g.vec + mix * msg.params.vec, g.dims
-        )
+        vec = np.multiply(g.vec, 1.0 - mix)  # (1 - mix) g + mix p, summed in place
+        vec += np.multiply(msg.params.vec, mix)
+        self.global_params = ModelParams.from_vector(vec, g.dims)
         return [(msg.client_id, DownloadMessage(self.global_params, self.round))]
 
 
@@ -354,16 +354,17 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
                 layouts: dict | None = None) -> Iterator:
     """Take each client's message out of ``mailboxes``, then train all of them
     as one batch; return the batch, a lazy iterator of (state, (trained
-    params, soft labels)) in ``states`` order for ``client_trip``.
+    params, soft labels, test accuracy)) in ``states`` order for ``client_trip``.
 
     A message (at most the latest per client) is read first: a direct
     delivery replaces the local params, a broadcast is blended in weighted
     by the cluster and local confidences it carries; either updates tau to
     the message round. Then the clients' training epochs, each followed by
-    the forward pass of the trained model, run as ``gcn.train_batch``: each
-    kernel call inside the ``client_trip`` of its first client, so a trip
-    still holds its training. ``layouts`` is the run's memo of batch layouts
-    (``gcn._blocks``). Training on an empty train mask raises ValueError.
+    the forward pass of the trained model and its scoring on the client's
+    test mask, run as ``gcn.train_batch``: each kernel call inside the
+    ``client_trip`` of its first client, so a trip still holds its training.
+    ``layouts`` is the run's memo of batch layouts (``gcn._blocks``).
+    Training on an empty train mask raises ValueError.
     """
     for state in states:
         msg = mailboxes.pop(state.client_id, None)
@@ -377,16 +378,17 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
     return zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts))
 
 
-def client_trip(state: ClientState, batch: Iterator) -> UploadMessage:
+def client_trip(state: ClientState, batch: Iterator) -> tuple[UploadMessage, float]:
     """Finish a client's trip from the next entry of its ``train_trips`` batch
     (a batch's trips finish in its order, else RuntimeError): the trained
     params become the local model and, with the soft labels, the returned
-    upload."""
-    owner, (params, soft) = next(batch)
+    upload; returned with it, the trained model's test accuracy, which the
+    upload does not carry, so no server sees a client's test score."""
+    owner, (params, soft, acc) = next(batch)
     if owner is not state:
         raise RuntimeError(f"client {state.client_id} finished its trip out of batch order")
     state.params = params
-    return UploadMessage(params, state.tau, soft, state.data, state.client_id)
+    return UploadMessage(params, state.tau, soft, state.data, state.client_id), acc
 
 
 def format_trace(round_: int, kind: str, dst: int) -> str:

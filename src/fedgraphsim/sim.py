@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, Key
-from .gcn import ModelParams, accuracy, forward_batch, init_params
+from .gcn import ModelParams, forward_batch, init_params
 from .graphs import Graph, generate_sbm, load_graph, read_text
 from .partition import (
     CommunityAssignment,
@@ -255,6 +255,7 @@ def make_server(
     return FedAsyncServer(initial, hyper.alpha)
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog:
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
@@ -267,78 +268,75 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     kernel call of several clients reuses the padded layout of the previous
     batch's call of the same clients in the same order, if any: the run's
     memo holds that batch's layouts alone. Then, trip by trip, finish the
-    trip (``client_trip``), take the client's local test accuracy from the
-    trip's soft labels and snapshot the cached accuracy vector, hand the
-    upload to the server (which alone holds the protocol hyperparameters,
-    from ``make_server``), trace each delivery by its kind, and schedule the
-    client's next trip. So only a batch's last upload can reach its other
-    clients, and the run is bit for bit the one-event-at-a-time loop; a
-    delivery to a batch client that has not uploaded yet raises
-    RuntimeError. When the server waits for its round (fedavg_sync), the
-    round's deliveries schedule the next trips of their recipients, all
-    waiting; otherwise the client is re-scheduled at once. Only clients with
-    training nodes are ever scheduled. A config that yields no such client,
-    or a client without test nodes, raises ConfigError.
+    trip (``client_trip``: the upload, and the client's test accuracy as
+    its kernel call scored it) and snapshot the cached accuracy vector, hand
+    the upload to the server (which alone holds the protocol
+    hyperparameters, from ``make_server``), trace each delivery by its kind,
+    and schedule the client's next trip. So only a batch's last upload can
+    reach its other clients, and the run is bit for bit the
+    one-event-at-a-time loop; a delivery to a batch client that has not
+    uploaded yet raises RuntimeError. When the server waits for its round
+    (fedavg_sync), the round's deliveries schedule the next trips of their
+    recipients, all waiting; otherwise the client is re-scheduled at once.
+    Only clients with training nodes are ever scheduled. A config that
+    yields no such client, or a client without test nodes, raises
+    ConfigError; so does a run that diverges: numpy's overflow, invalid
+    and divide-by-zero raise, and become a ConfigError naming the trips
+    reached, ``[run] lr``, ``[dataset] feature_noise`` and graph files.
     """
     if seed is None:
         seed = cfg.seeds[0]
-    clients_data, durations, initial = prepare_clients(cfg, seed)
-    for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
-        cd.plan = plan
-    active = [cd.masks.train.size > 0 for cd in clients_data]
-    if not any(active):
+    trips = 0
+    try:
+        clients_data, durations, initial = prepare_clients(cfg, seed)
+        for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
+            cd.plan = plan
+        active = [cd.masks.train.size > 0 for cd in clients_data]
+        if not any(active):
+            raise ConfigError("no client has any training nodes (see mask_train, "
+                              "n_clients and the label_sparsity rate)")
+        if any(cd.masks.test.size == 0 for cd in clients_data):
+            raise ConfigError("every client needs a nonempty test mask (see mask_test)")
+
+        server = make_server(cfg, clients_data, active, initial)
+        clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
+        cached = np.array([acc for _, acc in forward_batch([(c.params, c.data) for c in clients])])
+        log = MetricsLog(records=[], seed=seed, config_hash=cfg.config_hash(),
+                         strategy=cfg.strategy.value, initial_accs=tuple(cached.tolist()),
+                         initial_mean_acc=float(cached.mean()),
+                         durations=tuple(int(d) for d in durations))
+        # a sorted list is already a heap
+        heap = sorted(Event(int(durations[cid]), cid) for cid, act in enumerate(active) if act)
+        layouts = {}  # the previous batch's kernel layouts
+        while trips < cfg.max_trips and heap:
+            now = heap[0].completion_time
+            room = min(server.uploads_to_reach_others(), cfg.max_trips - trips)
+            batch = []
+            while heap and heap[0].completion_time == now and len(batch) < room:
+                batch.append(clients[heapq.heappop(heap).client_id])
+            trained = train_trips(batch, server.mailboxes, cfg.lr, layouts)
+            pending = {client.client_id for client in batch}
+            for client in batch:
+                cid = client.client_id
+                pending.remove(cid)
+                upload, cached[cid] = client_trip(client, trained)
+                trips += 1
+                mean = float(cached.sum() / cached.size)
+                log.records.append(
+                    TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
+                )
+                deliveries = server_receive(server, upload)
+                for d_cid, d_msg in deliveries:
+                    if d_cid in pending:
+                        raise RuntimeError(f"a delivery reached client {d_cid} within its batch")
+                    log.trace.append(format_trace(d_msg.round, d_msg.kind, d_cid))
+                # the round's delivery releases its recipients, all of them waiting
+                ready = [d_cid for d_cid, _ in deliveries] if server.waits_for_round else [cid]
+                for r_cid in ready:
+                    heapq.heappush(heap, Event(now + int(durations[r_cid]), r_cid))
+    except FloatingPointError as exc:
         raise ConfigError(
-            "no client has any training nodes (see mask_train, n_clients and "
-            "the label_sparsity rate)"
-        )
-    if any(cd.masks.test.size == 0 for cd in clients_data):
-        raise ConfigError("every client needs a nonempty test mask (see mask_test)")
-
-    server = make_server(cfg, clients_data, active, initial)
-    clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
-    soft = forward_batch([(c.params, c.data) for c in clients])
-    cached = np.array([accuracy(s, c.data, c.data.masks.test) for s, c in zip(soft, clients)])
-    initial_accs = tuple(cached.tolist())
-    initial_mean = float(cached.mean())
-
-    log = MetricsLog(
-        records=[],
-        seed=seed,
-        config_hash=cfg.config_hash(),
-        strategy=cfg.strategy.value,
-        initial_accs=initial_accs,
-        initial_mean_acc=initial_mean,
-        durations=tuple(int(d) for d in durations),
-    )
-    # a sorted list is already a heap
-    heap = sorted(Event(int(durations[cid]), cid) for cid, act in enumerate(active) if act)
-    trips, layouts = 0, {}  # layouts: the previous batch's kernel layouts
-    while trips < cfg.max_trips and heap:
-        now = heap[0].completion_time
-        room = min(server.uploads_to_reach_others(), cfg.max_trips - trips)
-        batch = []
-        while heap and heap[0].completion_time == now and len(batch) < room:
-            batch.append(clients[heapq.heappop(heap).client_id])
-        trained = train_trips(batch, server.mailboxes, cfg.lr, layouts)
-        pending = {client.client_id for client in batch}
-        for client in batch:
-            cid = client.client_id
-            pending.remove(cid)
-            upload = client_trip(client, trained)
-            trips += 1
-            cached[cid] = accuracy(upload.soft, client.data, client.data.masks.test)
-            mean = float(cached.sum() / cached.size)
-            log.records.append(
-                TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
-            )
-            deliveries = server_receive(server, upload)
-            for d_cid, d_msg in deliveries:
-                if d_cid in pending:
-                    raise RuntimeError(f"a delivery reached client {d_cid} within its batch")
-                log.trace.append(format_trace(d_msg.round, d_msg.kind, d_cid))
-            # the round's delivery releases its recipients, all of them waiting
-            ready = [d_cid for d_cid, _ in deliveries] if server.waits_for_round else [cid]
-            for r_cid in ready:
-                heapq.heappush(heap, Event(now + int(durations[r_cid]), r_cid))
+            f"the run diverged after {trips} of {cfg.max_trips} trips ({exc}); "
+            "see [run] lr and [dataset] feature_noise, or a graph file's features") from None
     log.aggregation_log = list(server.aggregation_log)
     return log

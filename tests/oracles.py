@@ -319,7 +319,7 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
         ev = heapq.heappop(heap)
         now, cid = ev.completion_time, ev.client_id
         client = clients[cid]
-        upload = client_trip(client, train_trips([client], server.mailboxes, cfg.lr))
+        upload, _ = client_trip(client, train_trips([client], server.mailboxes, cfg.lr))
         trips += 1
         cached[cid] = accuracy(upload.soft, client.data, client.data.masks.test)
         mean = float(cached.sum() / cached.size)

@@ -519,6 +519,35 @@ class TestCli:
         assert f"[{section}] {key} = " in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value",
+                             [("dataset", "feature_noise", "1e200"), ("run", "lr", "1e300"),
+                              ("dataset", "path", "huge.graph")])
+    def test_diverging_run_exit_code(self, tmp_path, capsys, section, key, value):
+        # in-rule values whose floats overflow, or a graph file of such
+        # features: no NaN models are stored
+        sections = {
+            "dataset": {"kind": "sbm", "blocks": "20, 20", "intra_prob": 0.4, "inter_prob": 0.05},
+            "run": {"n_clients": 2, "max_trips": 10, "output_dir": tmp_path / "out"},
+        }
+        if key == "path":
+            value = tmp_path / value
+            argv = ["gen-sbm", "--blocks", "20,20", "--intra", "0.4", "--inter", "0.05",
+                    "--noise", "1e200", "--out", str(value)]
+            assert main(argv) == 0
+            sections["dataset"] = {"kind": "file"}
+        sections[section][key] = value
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items())
+            for name, pairs in sections.items()
+        ))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "the run diverged after" in err and "of 10 trips" in err
+        assert "[run] lr" in err and "[dataset] feature_noise" in err and "Traceback" not in err
+        assert "or a graph file's features" in err
+        assert not list(tmp_path.glob("out/metrics_seed*"))
+
     JSON_DOC = {
         "dataset": {"kind": "sbm", "blocks": [20, 20], "intra_prob": 0.4, "inter_prob": 0.05},
         "run": {"n_clients": 4, "max_trips": 5},

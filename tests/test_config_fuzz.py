@@ -14,6 +14,8 @@ from fedgraphsim.config import SCHEMA, ConfigError, config_from_sections, parse_
 from fedgraphsim.sim import run_simulation
 
 unit = st.floats(0.0, 1.0)
+# in-rule values large enough to make the GCN overflow: the run must refuse them
+huge = st.sampled_from([1e10, 1e150, 1e300])
 
 
 @st.composite
@@ -34,7 +36,7 @@ def sections(draw):
             st.sampled_from(["fedsa_gcl", "fedavg_sync", "fedbuff", "fedasync"])
         ),
         "k_buffer": draw(st.none() | st.integers(1, n_clients + 3)),
-        "lr": draw(st.floats(0.01, 1.0)),
+        "lr": draw(st.floats(0.01, 1.0) | huge),
         "hidden_dim": draw(st.integers(1, 4)),
         "max_trips": draw(st.integers(0, 12)),
         "edge_fraction": draw(st.sampled_from([0.0, 1.0]) | unit),
@@ -52,7 +54,7 @@ def sections(draw):
             "intra_prob": draw(unit),
             "inter_prob": draw(unit),
             "feature_dim": draw(st.integers(1, 4)),
-            "feature_noise": draw(unit),
+            "feature_noise": draw(unit | huge),
             "seed": draw(st.integers(0, 2**16)),
         },
         "run": run,

@@ -354,14 +354,24 @@ def batch_client(rng, n, q, f=6, c=3, edges=None):
 
 
 def assert_batch_matches_loop(members, lr=0.3, layouts=None):
+    """Train and forward the batch; every member's params and soft labels are
+    the per-client loop's, and its test accuracy is ``accuracy``'s float of
+    those soft labels (NaN for a member without test nodes)."""
     trained = list(train_batch(members, lr, layouts))
     assert len(trained) == len(members)
-    for (p, cd), (q, soft) in zip(members, trained):
+    scored = []
+    for (p, cd), (q, soft, acc) in zip(members, trained):
         ref = train_epoch_per_client(p, cd, lr)
         assert q.dims == p.dims and np.array_equal(q.vec, ref.vec)
         assert np.array_equal(soft, forward_per_client(ref, cd))
-    for (p, cd), soft in zip(members, forward_batch(members)):
+        scored.append((cd, soft, acc))
+    for (p, cd), (soft, acc) in zip(members, forward_batch(members)):
         assert np.array_equal(soft, forward_per_client(p, cd))
+        scored.append((cd, soft, acc))
+    for cd, soft, acc in scored:
+        test = cd.masks.test
+        assert type(acc) is float
+        assert repr(acc) == repr(accuracy(soft, cd, test) if test.size else math.nan)
 
 
 def kernel_calls(monkeypatch):
@@ -397,6 +407,22 @@ def test_batch_with_edgeless_and_one_node_clients_matches_loop():
     ]
     assert_batch_matches_loop(members)
     for member in members[1:3]:  # each alone, a batch of one
+        assert_batch_matches_loop([member])
+
+
+def test_batch_with_empty_test_masks_scores_every_other_member():
+    rng = np.random.default_rng(9)
+    members = [batch_client(rng, n, 0.4) for n in (8, 13, 10, 5, 1, 1)]
+    # random test subsets; empty first and last in the padded call, first in the 1-node one
+    for k, (_, cd) in enumerate(members):
+        size = 0 if k in (0, 3, 4) else int(rng.integers(1, cd.graph.node_count + 1))
+        cd.masks.test = np.sort(rng.choice(cd.graph.node_count, size=size, replace=False))
+    p, cd = members[2]
+    p.w1[:], p.b1[:] = 0.0, 0.0  # uniform soft labels: every argmax ties, to class 0
+    test = cd.masks.test
+    assert accuracy(forward(p, cd), cd, test) == np.mean(cd.graph.labels[test] == 0)
+    assert_batch_matches_loop(members)
+    for member in members[:2] + members[3:5]:  # each alone, a batch of one
         assert_batch_matches_loop([member])
 
 
@@ -436,7 +462,8 @@ def test_batch_of_one_assembles_nothing():
     (block,) = gcn._blocks([(p, cd)])
     lay = block.layout
     assert block.vecs is p.vec and lay.ax is cd.plan.ax and lay.adj is cd.plan.adj
-    (q, soft), = train_batch([(p, cd)], 0.1)
+    (q, soft, acc), = train_batch([(p, cd)], 0.1)
+    assert lay.test is cd.masks.test and acc == accuracy(soft, cd, cd.masks.test)
     assert not np.shares_memory(q.vec, p.vec)
     assert np.array_equal(q.vec, train_epoch(p, cd, 0.1).vec)
     assert np.array_equal(soft, forward(q, cd))
@@ -481,8 +508,8 @@ def test_a_shared_layout_is_read_only():
     layouts = {}
     list(train_batch([batch_client(rng, n, 0.5) for n in (4, 6)], 0.3, layouts))
     (lay,) = layouts.values()
-    for array in (lay.ax, lay.train, lay.labels, lay.sizes, lay.adj.data, lay.adj.indices,
-                  lay.adj.indptr):
+    for array in (lay.ax, lay.train, lay.labels, lay.sizes, lay.test, lay.test_labels,
+                  lay.owner, lay.adj.data, lay.adj.indices, lay.adj.indptr):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
@@ -491,12 +518,15 @@ def test_a_reused_layout_reads_no_member_labels_or_masks():
     rng = np.random.default_rng(13)
     members = [batch_client(rng, n, 0.4) for n in (6, 11, 8)]
     layouts = {}
-    first = [(q.vec, soft) for q, soft in train_batch(members, 0.3, layouts)]
-    for _, cd in members:
+    for _, cd in members:  # a test subset, so each member's accuracy is its own
+        cd.masks.test = np.sort(rng.choice(cd.graph.node_count, size=4, replace=False))
+    first = list(train_batch(members, 0.3, layouts))
+    for (_, cd), (_, soft, acc) in zip(members, first):
+        assert acc == accuracy(soft, cd, cd.masks.test)
         cd.graph.labels, cd.masks = None, None
-    again = [(q.vec, soft) for q, soft in train_batch(members, 0.3, layouts)]
-    for (v1, s1), (v2, s2) in zip(first, again, strict=True):
-        assert np.array_equal(v1, v2) and np.array_equal(s1, s2)
+    again = list(train_batch(members, 0.3, layouts))
+    for (q1, s1, a1), (q2, s2, a2) in zip(first, again, strict=True):
+        assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
 
 
 def test_batch_refuses_mismatched_shapes_and_empty_train_masks():

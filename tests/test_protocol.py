@@ -17,7 +17,7 @@ from fedgraphsim.kernels import (
     label_propagation,
     staleness_weights,
 )
-from fedgraphsim.gcn import forward, softmax_rows
+from fedgraphsim.gcn import accuracy, forward, softmax_rows
 from fedgraphsim import gcn, protocol
 from fedgraphsim.protocol import (
     ClientState,
@@ -632,8 +632,9 @@ class TestClientTrip:
         state = self.setup_client()
         before = state.params
         expected = train_epoch(before, state.data, 0.05)
-        msg = client_trip(state, train_trips([state], {}, 0.05))
+        msg, acc = client_trip(state, train_trips([state], {}, 0.05))
         assert msg is not None and msg.tau == 0
+        assert acc == accuracy(forward(expected, state.data), state.data, state.data.masks.test)
         for name in PARAM_FIELDS:
             npt.assert_array_equal(getattr(msg.params, name), getattr(expected, name))
 
@@ -642,7 +643,7 @@ class TestClientTrip:
         fresh = init_params(3, 4, 2, seed=99)
         mailboxes = {0: DownloadMessage(fresh, round=5, cluster_lsc=None)}
         expected = train_epoch(fresh, state.data, 0.05)
-        msg = client_trip(state, train_trips([state], mailboxes, 0.05))
+        msg, _ = client_trip(state, train_trips([state], mailboxes, 0.05))
         assert msg.tau == 5
         assert mailboxes == {}
         for name in PARAM_FIELDS:
@@ -653,7 +654,7 @@ class TestClientTrip:
     ):
         state = self.setup_client()
         hyper = FglHyper()
-        first = client_trip(state, train_trips([state], {}, 0.05))
+        first, _ = client_trip(state, train_trips([state], {}, 0.05))
         uploaded = state.params
         # the uploaded confidence, which the server holds, is the one a fresh
         # forward would give
@@ -671,7 +672,7 @@ class TestClientTrip:
             return softmax_rows(z)
 
         monkeypatch.setattr(gcn, "softmax_rows", counting_softmax)
-        msg = client_trip(state, train_trips([state], mailboxes, 0.05))
+        msg, _ = client_trip(state, train_trips([state], mailboxes, 0.05))
         # the training step's forward and the trained model's: the blend adds none
         assert forwards == [(5, 2), (5, 2)]
         monkeypatch.undo()
@@ -693,7 +694,7 @@ class TestClientTrip:
 
     def test_upload_carries_post_training_stats(self):
         state = self.setup_client()
-        msg = client_trip(state, train_trips([state], {}, 0.05))
+        msg, _ = client_trip(state, train_trips([state], {}, 0.05))
         assert msg.sfm.shape == (2, 2)
         npt.assert_allclose(msg.sfm, msg.sfm.T)
         (_,), (lsc,) = upload_stats([msg], FglHyper())
@@ -831,8 +832,9 @@ class TestTrainTrips:
         assert box == {}
         assert batched[1].tau == 6
         for b, a in zip(batched, alone):
-            got = client_trip(b, batch)
-            ref = client_trip(a, train_trips([a], alone_box, 0.05))
+            got, got_acc = client_trip(b, batch)
+            ref, ref_acc = client_trip(a, train_trips([a], alone_box, 0.05))
+            assert got_acc == ref_acc
             assert b.params is got.params and got.tau == ref.tau
             assert np.array_equal(got.params.vec, ref.params.vec)
             assert np.array_equal(got.soft, ref.soft)

@@ -221,9 +221,9 @@ def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
     held, forwards = [], []
 
     def recording_trip(state, batch):
-        upload = trip(state, batch)
-        held.append((state.data, state.params))
-        return upload
+        out = trip(state, batch)
+        held.append((state.data, state.params, out[1]))
+        return out
 
     def counting_softmax(z):  # once per forward pass, over its member rows
         forwards.append(z.shape[0] if z.ndim == 3 else 1)
@@ -239,8 +239,8 @@ def test_trip_accuracy_reuses_the_trip_forward(monkeypatch, strategy):
         assert any("kind=broadcast" in line for line in log.trace)
     monkeypatch.undo()
     assert len(held) == len(log.records) == cfg.max_trips
-    for r, (data, params) in zip(log.records, held):
-        assert r.client_acc == evaluate(params, data, "test")
+    for r, (data, params, acc) in zip(log.records, held):
+        assert r.client_acc == acc == evaluate(params, data, "test")
 
 
 UPLOAD_KERNELS = ("compute_sfm", "label_propagation", "compute_lsc")
@@ -281,9 +281,10 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
 
     def trip(state, batch):
         before = uploads_computed.copy()
-        uploads.append(real_trip(state, batch))
+        upload, acc = real_trip(state, batch)
+        uploads.append(upload)
         assert uploads_computed == before  # the trip itself computes neither
-        return uploads[-1]
+        return upload, acc
 
     def stats(batch, hyper):
         scored.append(batch)
