@@ -11,6 +11,10 @@ g = A_hat dZ1, dW1 = h^T g, dZ0 = (g W1^T) * [z0 > 0], dW0 = (A_hat X)^T dZ0.
 This holds because A_hat and X are fixed per client, so A_hat X is computed
 once (in the client's ``TripPlan``), and A_hat is symmetric:
 (A_hat h)^T dZ1 = h^T g and X^T (A_hat dZ0) = (A_hat X)^T dZ0.
+dZ1 is zero off the train rows, so a step runs z1, softmax and dZ1 on A_hat's
+train rows A_t alone and takes g = A_t^T dZ1_t: each row of g adds A_hat dZ1's
+products in its order (A_hat is symmetric bit for bit, columns ascending) less
+exact +0 ones, which never change a sum that starts at +0; so does b1's sum.
 
 A training step writes the four gradients into one buffer laid out as the
 parameter vector and turns it into p - lr * grad in place (the same two
@@ -20,12 +24,15 @@ call (``_Block``), each client's numbers bit for bit those of it alone, and
 score every client's soft labels on its test mask with one argmax per call:
 the floats ``accuracy`` gives. Given a run's memo, a call's padded layout
 (``_Layout``) is reused by the next batch's call of the same clients in the
-same order, and by no later one.
+same order, and by no later one; a lone client's layout by every later call.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
+import scipy.sparse as sp
 
 from .partition import ClientData, block_diag, spmm
 
@@ -89,8 +96,8 @@ def init_params(
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis with per-row max subtraction."""
-    e = z - z.max(axis=-1, keepdims=True)
+    """Softmax along the last axis, less each row's exact max (column maxima)."""
+    e = z - reduce(np.maximum, [z[..., j : j + 1] for j in range(z.shape[-1])])
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -122,37 +129,50 @@ class _Layout:
     the test rows (a lone client's mask itself), their labels, each row's
     member (``owner``) and each member's test count (``test_sizes``). A padded
     row is zero in ``ax`` and empty in ``adj``, so it adds exact zeros to
-    every sum over nodes and reaches no client's row. Batches share a padded
-    layout (``_blocks``), so its arrays are read-only."""
+    every sum over nodes and reaches no client's row. ``adj_t`` holds ``adj``'s
+    train rows (masks are sorted), client k's from row k * the largest train
+    count, at ``slots``. Calls share layouts (``_blocks``), so a padded
+    layout's arrays are read-only."""
 
     def __init__(self, datas: tuple):
         self.datas = datas
         trains, tests = [cd.masks.train for cd in datas], [cd.masks.test for cd in datas]
         self.trainable = all(t.size for t in trains)
         self.test_sizes = [t.size for t in tests]
-        if len(datas) == 1:  # built for every call: as few numpy calls as it can
+        counts = np.array([t.size for t in trains])
+        if len(datas) == 1:
             (cd,) = datas
             self.ax, self.adj, self.train, self.test = cd.plan.ax, cd.plan.adj, trains[0], tests[0]
             self.labels, self.test_labels = cd.graph.labels[self.train], cd.graph.labels[self.test]
             self.sizes, self.owner = self.train.size, np.zeros(self.test.size, dtype=np.intp)
-            return
-        self.labels, self.test_labels = (
-            np.concatenate([cd.graph.labels[m] for cd, m in zip(datas, masks)])
-            for masks in (trains, tests))
-        self.owner = np.repeat(np.arange(len(datas)), self.test_sizes)
-        self.sizes = np.array([t.size for t in trains], dtype=np.float64)[:, None, None]
-        n = np.array([cd.graph.node_count for cd in datas])
-        rows, f = int(n.max()), datas[0].graph.feature_dim
-        starts = np.arange(0, n.size * rows, rows)
-        self.adj, real = block_diag([cd.plan.adj for cd in datas], rows)  # real: the clients' rows
-        ax = np.zeros((n.size * rows, f))
-        ax[real] = np.concatenate([cd.plan.ax for cd in datas])
-        self.ax = ax.reshape(n.size, rows, f)
-        self.train = np.concatenate(trains) + np.repeat(starts, [t.size for t in trains])
-        self.test = np.concatenate(tests) + np.repeat(starts, self.test_sizes)
-        for a in (self.ax, self.train, self.labels, self.sizes, self.test, self.test_labels,
-                  self.owner, self.adj.data, self.adj.indices, self.adj.indptr):
-            a.flags.writeable = False
+        else:
+            self.labels, self.test_labels = (
+                np.concatenate([cd.graph.labels[m] for cd, m in zip(datas, masks)])
+                for masks in (trains, tests))
+            self.owner = np.repeat(np.arange(len(datas)), self.test_sizes)
+            self.sizes = counts.astype(np.float64)[:, None, None]
+            n = np.array([cd.graph.node_count for cd in datas])
+            rows, f = int(n.max()), datas[0].graph.feature_dim
+            starts = np.arange(0, n.size * rows, rows)
+            self.adj, real = block_diag([cd.plan.adj for cd in datas], rows)  # real: client rows
+            ax = np.zeros((n.size * rows, f))
+            ax[real] = np.concatenate([cd.plan.ax for cd in datas])
+            self.ax = ax.reshape(n.size, rows, f)
+            self.train = np.concatenate(trains) + np.repeat(starts, counts)
+            self.test = np.concatenate(tests) + np.repeat(starts, self.test_sizes)
+        shift = np.arange(counts.size) * counts.max() - np.cumsum(counts) + counts
+        self.slots = np.arange(counts.sum()) + np.repeat(shift, counts)
+        ptr, lens = self.adj.indptr, np.diff(self.adj.indptr)[self.train]  # adj_t: these rows
+        ends = np.cumsum(np.append(0, lens), dtype=ptr.dtype)
+        take = np.repeat(ptr[self.train] - ends[:-1], lens) + np.arange(ends[-1])
+        indptr = ends[np.searchsorted(self.slots, np.arange(counts.size * counts.max() + 1))]
+        self.adj_t = sp.csr_matrix((self.adj.data[take], self.adj.indices[take], indptr),
+                                   shape=(indptr.size - 1, self.adj.shape[1]))
+        if len(datas) > 1:
+            for a in (self.ax, self.train, self.labels, self.sizes, self.test, self.test_labels,
+                      self.owner, self.slots, self.adj.data, self.adj.indices, self.adj.indptr,
+                      self.adj_t.data, self.adj_t.indices, self.adj_t.indptr):
+                a.flags.writeable = False
 
 
 class _Block:
@@ -162,30 +182,30 @@ class _Block:
         self.dims = members[0][0].dims
         self.vecs = np.stack([p.vec for p, _ in members]) if len(members) > 1 else members[0][0].vec
 
-    def forward(self, w: tuple):
-        """z0, relu(z0) and the soft labels for the parameter fields ``w``."""
-        lay = self.layout
+    def forward(self, w: tuple, adj):
+        """z0, relu(z0) and the soft labels of ``adj``'s rows under the fields ``w``."""
+        lay, c = self.layout, self.dims[2]
         z0 = lay.ax @ w[0]
         z0 += w[1]
         h = np.maximum(z0, 0.0)
-        z1 = spmm(lay.adj, (h @ w[2]).reshape(-1, self.dims[2])).reshape(h.shape[:-1] + (-1,))
+        z1 = spmm(adj, (h @ w[2]).reshape(-1, c)).reshape(h.shape[:-2] + (-1, c))
         z1 += w[3]
         return z0, h, softmax_rows(z1)
 
-    def gradients(self):
+    def gradients(self) -> np.ndarray:
         """Each client's gradients of its mean train-mask cross-entropy, in
-        one fresh array laid out as ``vecs``, and its soft labels."""
+        one fresh array laid out as ``vecs``, from the train rows' output layer."""
         lay = self.layout
         if not lay.trainable:
             raise ValueError("cannot train with an empty train mask")
         w, c = _fields(self.vecs, self.dims), self.dims[2]
-        z0, h, probs = self.forward(w)
+        z0, h, probs = self.forward(w, lay.adj_t)
         d_z1 = np.zeros_like(probs)
         flat = d_z1.reshape(-1, c)
-        flat[lay.train] = probs.reshape(-1, c)[lay.train]
-        flat[lay.train, lay.labels] -= 1.0
+        flat[lay.slots] = probs.reshape(-1, c)[lay.slots]
+        flat[lay.slots, lay.labels] -= 1.0
         d_z1 /= lay.sizes
-        g = spmm(lay.adj, flat).reshape(d_z1.shape)
+        g = spmm(lay.adj_t, flat, transposed=True).reshape(h.shape[:-1] + (c,))
         grads = np.empty_like(self.vecs)
         g_w0, g_b0, g_w1, g_b1 = _fields(grads, self.dims)
         np.matmul(np.swapaxes(h, -1, -2), g, out=g_w1)
@@ -194,7 +214,7 @@ class _Block:
         d_z0 *= z0 > 0.0
         np.matmul(np.swapaxes(lay.ax, -1, -2), d_z0, out=g_w0)
         d_z0.sum(axis=-2, out=g_b0[..., 0, :])
-        return grads, probs
+        return grads
 
     def scored(self, vecs: np.ndarray) -> list[tuple]:
         """Each client's soft labels under ``vecs`` (laid out as ``self.vecs``),
@@ -203,7 +223,7 @@ class _Block:
         hits over the client's test count, the float ``accuracy`` gives (NaN
         for a client without test nodes)."""
         lay, c = self.layout, self.dims[2]
-        probs = self.forward(_fields(vecs, self.dims))[2]
+        probs = self.forward(_fields(vecs, self.dims), lay.adj)[2]
         hit = np.argmax(probs.reshape(-1, c)[lay.test], axis=1) == lay.test_labels
         hits = np.bincount(lay.owner[hit], minlength=len(lay.datas)).tolist()
         accs = [h / n if n else np.nan for h, n in zip(hits, lay.test_sizes)]
@@ -216,8 +236,8 @@ def _blocks(members: list, layouts: dict | None = None):
     while members x padded rows stays within BATCH_ROWS (a larger one alone).
     A 1-node member's products are matrix-vector ones, which BLAS rounds
     apart from a padded matrix's rows, so it shares a call only with its like.
-    The memo ``layouts`` is left mapping each several-member call's tuple of
-    ClientData to its layout, for the next batch to reuse."""
+    The memo ``layouts`` maps ClientData tuples to layouts: a lone client's
+    for the run, a several-member call's for the next batch to reuse."""
     parts, rows = [], 0
     for p, cd in members:
         _check_shapes(p, cd, members[0][0].dims)
@@ -229,12 +249,11 @@ def _blocks(members: list, layouts: dict | None = None):
         rows = max(rows, n)
     layouts = {} if layouts is None else layouts
     old = layouts.copy()
-    layouts.clear()
+    for datas in [datas for datas in old if len(datas) > 1]:
+        del layouts[datas]
     for part in parts:
         block, datas = _Block(part), tuple(cd for _, cd in part)
-        block.layout = old.get(datas) or _Layout(datas)
-        if len(datas) > 1:
-            layouts[datas] = block.layout
+        block.layout = layouts[datas] = old.get(datas) or _Layout(datas)
         yield block
 
 
@@ -251,7 +270,7 @@ def train_batch(members: list, lr: float, layouts: dict | None = None):
     member order; a kernel call runs when its first member is asked for.
     ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
     for block in _blocks(members, layouts):
-        step = block.gradients()[0]
+        step = block.gradients()
         step *= lr
         np.subtract(block.vecs, step, out=step)
         rows = step.reshape(len(block.layout.datas), -1)

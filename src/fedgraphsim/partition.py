@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvecs
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .graphs import (
     Graph,
@@ -94,18 +94,18 @@ def block_diag(mats: list[sp.csr_matrix], rows: int | None = None):
     return sp.csr_matrix((data, indices, indptr), shape=(int(span.sum()),) * 2), real
 
 
-def spmm(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+def spmm(a: sp.csr_matrix, x: np.ndarray, transposed: bool = False) -> np.ndarray:
     """``a @ x`` for a float64 CSR ``a`` and a 2-D float64 ``x``, as a new array.
 
     On tiny client subgraphs scipy's dispatch costs twice the product, so this
-    calls the kernel ``csr_matrix.dot`` ends in (``_matmul_multivector``) with
-    the same arguments and a fresh zero output: ``a @ x`` bit for bit. The
-    kernel is private to scipy and there is no fallback: if a scipy release
-    changes it, tests/test_partition.py::TestSpmm fails.
+    calls the kernel ``a.dot`` (``a.T.dot``, CSC, if ``transposed``) ends in
+    (``_matmul_multivector``) with its arguments and a fresh zero output, bit
+    for bit. The kernels are private to scipy and there is no fallback: if a
+    scipy release changes them, tests/test_partition.py::TestSpmm fails.
     """
-    (m, n), k = a.shape, x.shape[1]
-    y = np.zeros((m, k))
-    csr_matvecs(m, n, k, a.indptr, a.indices, a.data, x.ravel(), y.ravel())
+    (m, n), mul = (a.shape[::-1], csc_matvecs) if transposed else (a.shape, csr_matvecs)
+    y = np.zeros((m, x.shape[1]))
+    mul(m, n, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), y.ravel())
     return y
 
 

@@ -20,6 +20,7 @@ FedAvg), ``FedBuffServer`` (FedBuff-style buffered semi-async) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -132,7 +133,7 @@ class KnowledgeBase:
         sfms = [np.ravel(v) for v in sfms]
         self.params[ids] = [m.params.vec for m in uploads]
         self.sfm[ids] = sfms
-        self.sfm_norm[ids] = [np.linalg.norm(v) for v in sfms]
+        self.sfm_norm[ids] = [math.sqrt(v @ v) for v in sfms]  # np.linalg.norm's float
         self.tau[ids] = [m.tau for m in uploads]
         self.lsc[ids] = [v.clamped for v in lscs]
         self.known[ids] = True

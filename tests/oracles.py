@@ -48,11 +48,12 @@ Gradients = ModelParams
 
 def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
     """Mean train-mask cross-entropy and its analytic gradients, from the
-    library's kernel call for the one client (training never needs the loss)."""
+    library's kernel call for the one client (training never needs the loss);
+    the loss reads the train rows of the library's soft labels."""
     (block,) = gcn._blocks([(p, cd)])
-    grads, probs = block.gradients()
-    picked = np.clip(probs[block.layout.train, block.layout.labels], LOG_CLAMP, None)
-    return float(-np.mean(np.log(picked))), Gradients.from_vector(grads, p.dims)
+    grads, train = Gradients.from_vector(block.gradients(), p.dims), cd.masks.train
+    picked = np.clip(gcn.forward(p, cd)[train, cd.graph.labels[train]], LOG_CLAMP, None)
+    return float(-np.mean(np.log(picked))), grads
 
 
 def make_client_data(
@@ -286,6 +287,41 @@ def train_epoch_per_client(p: ModelParams, cd: ClientData, lr: float) -> ModelPa
     step *= lr
     np.subtract(p.vec, step, out=step)
     return ModelParams.from_vector(step, p.dims)
+
+
+# The kernel call's gradient step as it was before its output layer ran on
+# the train rows only, copied verbatim (a function of the call): softmax, dZ1
+# and g = A_hat dZ1 over every row of the call's layout. The train-row step
+# must equal it bit for bit on the same layout, whatever BLAS kernel runs.
+
+
+def gradients_full_rows(block) -> np.ndarray:
+    """Each member's gradients, in one fresh array laid out as ``block.vecs``."""
+    lay = block.layout
+    w, c = gcn._fields(block.vecs, block.dims), block.dims[2]
+    z0 = lay.ax @ w[0]
+    z0 += w[1]
+    h = np.maximum(z0, 0.0)
+    z1 = spmm(lay.adj, (h @ w[2]).reshape(-1, c)).reshape(h.shape[:-1] + (-1,))
+    z1 += w[3]
+    probs = z1 - z1.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    d_z1 = np.zeros_like(probs)
+    flat = d_z1.reshape(-1, c)
+    flat[lay.train] = probs.reshape(-1, c)[lay.train]
+    flat[lay.train, lay.labels] -= 1.0
+    d_z1 /= lay.sizes
+    g = spmm(lay.adj, flat).reshape(d_z1.shape)
+    grads = np.empty_like(block.vecs)
+    g_w0, g_b0, g_w1, g_b1 = gcn._fields(grads, block.dims)
+    np.matmul(np.swapaxes(h, -1, -2), g, out=g_w1)
+    d_z1.sum(axis=-2, out=g_b1[..., 0, :])
+    d_z0 = g @ np.swapaxes(w[2], -1, -2)
+    d_z0 *= z0 > 0.0
+    np.matmul(np.swapaxes(lay.ax, -1, -2), d_z0, out=g_w0)
+    d_z0.sum(axis=-2, out=g_b0[..., 0, :])
+    return grads
 
 
 def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.MetricsLog:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgraphsim import gcn
 from fedgraphsim.gcn import (
@@ -19,13 +21,14 @@ from fedgraphsim.gcn import (
     train_epoch,
 )
 from fedgraphsim.graphs import Graph, NodeMasks
-from fedgraphsim.partition import ClientData, sparsify_edges
+from fedgraphsim.partition import ClientData, sparsify_edges, sparsify_labels
 from oracles import (
     accuracy_ref,
     forward_cached_ref,
     forward_per_client,
     gcn_forward_ref,
     gcn_loss_and_grads_ref,
+    gradients_full_rows,
     loss_and_grads,
     loss_and_grads_ref,
     make_client_data,
@@ -471,7 +474,7 @@ def test_batch_of_one_assembles_nothing():
 
 # A run's memo of layouts (gcn._blocks): a kernel call of several members
 # reuses the layout of the previous batch's call of the same ClientData in
-# the same order, and no other.
+# the same order, and no other; a lone client's layout is kept for the run.
 
 
 def built_layouts(monkeypatch):
@@ -494,13 +497,15 @@ def test_a_batch_reuses_only_the_previous_batch_layouts(monkeypatch):
     built, layouts = built_layouts(monkeypatch), {}
     batches = {"a": a, "reversed": a[::-1], "b": b, "lone": a[:1]}
     steps = [("a", True), ("a", False), ("reversed", True), ("b", True), ("a", True),
-             ("a", False), ("lone", True), ("a", True)]
+             ("a", False), ("lone", True), ("a", True), ("b", True), ("lone", False)]
+    kept = []  # the lone layouts, in the memo from their first call on
     for name, builds in steps:
         before, datas = len(built), tuple(cd for _, cd in batches[name])
         assert_batch_matches_loop(batches[name], layouts=layouts)
         # the loop check's forward_batch builds one more layout, outside the memo
         assert built[before:-1] == ([datas] if builds else [])
-        assert list(layouts) == ([] if name == "lone" else [datas])
+        kept += [datas] if name == "lone" and builds else []
+        assert list(layouts) == kept + ([] if name == "lone" else [datas])
 
 
 def test_a_shared_layout_is_read_only():
@@ -509,7 +514,8 @@ def test_a_shared_layout_is_read_only():
     list(train_batch([batch_client(rng, n, 0.5) for n in (4, 6)], 0.3, layouts))
     (lay,) = layouts.values()
     for array in (lay.ax, lay.train, lay.labels, lay.sizes, lay.test, lay.test_labels,
-                  lay.owner, lay.adj.data, lay.adj.indices, lay.adj.indptr):
+                  lay.owner, lay.adj.data, lay.adj.indices, lay.adj.indptr, lay.slots,
+                  lay.adj_t.data, lay.adj_t.indices, lay.adj_t.indptr):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
@@ -527,6 +533,50 @@ def test_a_reused_layout_reads_no_member_labels_or_masks():
     again = list(train_batch(members, 0.3, layouts))
     for (q1, s1, a1), (q2, s2, a2) in zip(first, again, strict=True):
         assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
+
+
+# The training step runs its output layer on the train rows only and takes
+# g = A_hat dZ1 as the transposed product of A_hat's train rows. Exact, not
+# close: every kernel call's gradients are the full-row step's on the same
+# layout bit for bit (tests/oracles.py), and a lone client's are the
+# per-client reference's.
+
+
+@st.composite
+def step_members(draw):
+    """(params, ClientData) members of one train_batch: mixed node counts,
+    1-node clients, and train masks that are a random subset, every node, or
+    nodes with only their self-loop; some clients label- or edge-sparsified.
+    Feature and hidden widths start at 2: at width 1 a padded call's products
+    round apart from one client's alone, with or without the train rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f, h, c = draw(st.integers(2, 5)), draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    members = []
+    for k in range(draw(st.integers(1, 6))):
+        n = draw(st.sampled_from([1, 1, 2, 5, 8, 13, 21, 34]))
+        kind = draw(st.sampled_from(["subset", "all", "self-loop only"]))
+        train = np.arange(n) if kind == "all" else np.sort(
+            rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        edges = random_graph_edges(rng, n, float(rng.uniform(0.0, 0.7)))
+        if kind == "self-loop only":
+            edges = [e for e in edges if not set(e) & set(train.tolist())]
+        cd = make_client_data(n, edges, num_classes=c, rng=rng, feature_dim=f, train=train)
+        perturb = draw(st.sampled_from([None, sparsify_labels, sparsify_edges]))
+        cd = perturb(cd, 0.5, k) if perturb else cd
+        members.append((random_params(rng, f, h, c), cd))
+    return members
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(step_members())
+def test_train_row_step_is_the_full_row_step_bit_for_bit(members):
+    for block in gcn._blocks(members):
+        grads = block.gradients()
+        assert grads.tobytes() == gradients_full_rows(block).tobytes()
+        if len(block.layout.datas) == 1:
+            (cd,) = block.layout.datas
+            p = next(p for p, d in members if d is cd)
+            assert grads.tobytes() == loss_and_grads_ref(p, cd)[1].vec.tobytes()
 
 
 def test_batch_refuses_mismatched_shapes_and_empty_train_masks():

@@ -24,6 +24,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -41,7 +42,12 @@ SEED = 5
 # hits empty rows and the uniform reset, and 33 of its 120 LSCs are unclamped.
 # k_buffer8 starts trips with an empty mailbox while a message is waiting
 # for a later trip of the same client, which reading the mailbox without
-# emptying it gets wrong.
+# emptying it gets wrong. fedbuff's k_buffer7 (7 does not divide the 6 normal
+# clients' uploads per time unit) takes that path on a baseline strategy:
+# counted by wrapping sim.train_trips, 17 of its 120 trips start, after their
+# client's first trip, with an empty mailbox (16 of them after the client had
+# read a message), where every other fedbuff case has none. Its digests were
+# computed before the training step moved its output layer to the train rows.
 VARIANTS = {
     "edge_sparsity_lam0": dict(
         perturbation=Perturbation("edge_sparsity", 0.6), hyper=FglHyper(lam=0.0)
@@ -49,6 +55,7 @@ VARIANTS = {
     "label_sparsity": dict(perturbation=Perturbation("label_sparsity", 0.5)),
     "k_steps0": dict(hyper=FglHyper(k_steps=0)),
     "k_buffer8": dict(k_buffer=8),
+    "k_buffer7": dict(k_buffer=7),
 }
 
 
@@ -155,6 +162,11 @@ GOLDEN = {
         "5c6f4ad3163e5d1f1d101aecddb74c6de0cd5ad71f233724e3744e3c8386f9b1",
         "d4977fff1f1454f2af2a887ec58fe506a83f3bdf996dd93d363e9abc82adfeb6",
     ),
+    ("fedbuff", "louvain", "k_buffer7"): (
+        "227c2d89a6f445f75683576dc3cad4876957189702bb0d3ac17f30a448301477",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "5f22ece78ea1795a92daea22cf60f146699e5994832b6a80926818212e7399f8",
+    ),
 }
 
 
@@ -175,6 +187,43 @@ def test_one_blas_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert tuple(json.loads(out.splitlines()[-1])) == GOLDEN[case]
+
+
+@pytest.mark.skipif("OPENBLAS_CORETYPE" not in os.environ,
+                    reason="on the default kernel test_golden_digests checks all three digests")
+def test_golden_csv_and_trace_digests():
+    """Every golden's metrics CSV and delivery trace, on an OpenBLAS kernel
+    picked by OPENBLAS_CORETYPE. The aggregation_log digests are left out:
+    the fedsa_gcl round's one product rounds apart on some kernels."""
+    for case, (csv, _, trace) in GOLDEN.items():
+        got = digests(*case)
+        assert (got[0], got[2]) == (csv, trace), case
+
+
+def _openblas_with_dynamic_arch() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("name") == "scipy-openblas" and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", "")
+
+
+@pytest.mark.skipif(not _openblas_with_dynamic_arch(),
+                    reason="numpy's BLAS is not scipy-openblas built with DYNAMIC_ARCH, "
+                           "so OPENBLAS_CORETYPE cannot pick its kernel")
+def test_haswell_kernel_in_a_child_process():
+    """One child pytest process on OpenBLAS's Haswell (AVX2) kernel runs the
+    trip kernel's batch-against-loop and train-row exactness tests and the
+    goldens' CSV and trace digests."""
+    here = Path(__file__).resolve().parent
+    src = here.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), str(here), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Haswell"}
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            str(here / "test_gcn.py"), str(here / "test_golden.py"),
+            "-k", "batch or train_row or csv_and_trace"]
+    out = subprocess.run(args, env=env, cwd=here.parent, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]
+    assert " passed" in out.stdout and "skipped" not in out.stdout, out.stdout[-3000:]
 
 
 # The aggregation_log digests of the re-pinned cases before the re-pin, which

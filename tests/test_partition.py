@@ -9,7 +9,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedgraphsim import partition
-from fedgraphsim.graphs import Graph, SbmConfig, degrees, generate_sbm, split_masks
+from fedgraphsim.graphs import (
+    Graph,
+    SbmConfig,
+    degrees,
+    generate_sbm,
+    load_graph,
+    save_graph,
+    split_masks,
+)
 from fedgraphsim.partition import (
     CommunityAssignment,
     TripPlan,
@@ -466,6 +474,28 @@ class TestTripPlan:
             cd = partition.ClientData(g, np.arange(g.node_count), split_masks(g, RATIOS, 0), 0)
             assert plan_mismatches(cd.plan, trip_plan_ref(g)) == []
 
+    @pytest.mark.parametrize("source", ["generate_sbm", "load_graph", "sparsify_edges"])
+    def test_adjacency_equals_its_transpose_bit_for_bit(self, tmp_path, source):
+        """The training step's transposed product (gcn) needs A_hat[u, v] and
+        A_hat[v, u] to be the same float, and each row's columns ascending."""
+        g = generate_sbm(SbmConfig((40,) * 4, 0.15, 0.01, 6, 0.5, 5))
+        if source == "load_graph":
+            save_graph(g, tmp_path / "g.txt")
+            g = load_graph(tmp_path / "g.txt")
+        clients = extract_subgraphs(g, louvain_partition(g, 5, 0), RATIOS, 0)
+        if source == "sparsify_edges":
+            clients = [sparsify_edges(cd, 0.5, 60 + cd.client_id) for cd in clients]
+        plans = TripPlan.build_all([cd.graph for cd in clients]) + [cd.plan for cd in clients]
+        padded = max(cd.graph.node_count for cd in clients) + 3  # as a batch pads
+        for adj in [plan.adj for plan in plans] + [block_diag([p.adj for p in plans], padded)[0]]:
+            n = adj.shape[0]
+            rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+            cols = adj.indices.astype(np.int64)
+            assert np.all(np.diff(rows * n + cols) > 0)  # row-major, each row ascending
+            t = np.lexsort((rows, cols))  # the entries of the transpose, row-major
+            assert np.array_equal(rows[t], cols) and np.array_equal(cols[t], rows)
+            assert adj.data[t].tobytes() == adj.data.tobytes()
+
 
 def random_csr(rng, m, n, density, index_dtype):
     """Random float64 CSR with every third row empty, its indices cast to
@@ -494,6 +524,19 @@ class TestSpmm:
         assert y.shape == (m, k) and y.dtype == np.float64
         assert np.array_equal(y, a @ x)
         npt.assert_allclose(y, a.toarray() @ x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("m, n", [(1, 1), (7, 7), (16, 16), (5, 12), (12, 5), (40, 40)])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_transposed_equals_scipy_product(self, index_dtype, m, n, k):
+        """The transposed product calls scipy's private csc_matvecs kernel."""
+        rng = np.random.default_rng(100 * m + n + k)
+        a = random_csr(rng, m, n, 0.3, index_dtype)
+        x = rng.normal(size=(m, k))
+        y = spmm(a, x, transposed=True)
+        assert y.shape == (n, k) and y.dtype == np.float64
+        assert y.tobytes() == (a.T @ x).tobytes()
+        npt.assert_allclose(y, a.toarray().T @ x, rtol=1e-12, atol=1e-12)
 
     def test_empty_rows_are_zero(self):
         a = sp.csr_matrix(np.array([[0.0, 0.0], [1.5, -2.0], [0.0, 0.0]]))

@@ -136,6 +136,21 @@ class TestKbUpdate:
             npt.assert_array_equal(kb.params[cid], const_params(cid).vec)
         assert not kb.params[~kb.known].any()
 
+    def test_fingerprint_norms_are_numpys_norm(self):
+        """The cached norm is the float np.linalg.norm gives for each raveled
+        fingerprint: random rows, rows near the ends of the float range
+        (where the squares under- or overflow) and zero rows."""
+        rng = np.random.default_rng(21)
+        scales = [1.0] * 20 + [1e-160, 1e-200, 1e-310, 1e150, 1e160, 1e300, 0.0, 0.0]
+        sfms = [rng.normal(size=(4, 4)) * s for s in scales]
+        sfms += [np.zeros((4, 4)), np.full((4, 4), -0.0)]
+        kb = KnowledgeBase(len(sfms))
+        with np.errstate(over="ignore", under="ignore"):
+            put(kb, [upload(cid, sfm=v) for cid, v in enumerate(sfms)])
+            want = [np.linalg.norm(v.ravel()) for v in sfms]
+        assert np.isinf(want).any() and not np.all(want)  # overflow and zero rows
+        assert [float(x).hex() for x in kb.sfm_norm] == [float(x).hex() for x in want]
+
     @pytest.mark.parametrize("bad", [-1, 10, 11])
     def test_an_id_outside_the_client_range_is_refused(self, bad):
         kb = KnowledgeBase(10)

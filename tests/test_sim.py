@@ -485,12 +485,23 @@ def test_repeated_time_steps_build_their_layouts_once(monkeypatch):
     assert steps == [(everyone, [(everyone, True)])] + [(everyone, [(everyone, False)])] * 9
 
 
+def test_a_lone_client_builds_its_layout_once(monkeypatch):
+    """A client that trips alone at every step keeps one layout for the run."""
+    events = record_layouts(monkeypatch)
+    log = run_simulation(sbm_cfg(strategy="fedasync", n_clients=1, max_trips=10), 3)
+    initial, *steps = batch_calls(events)
+    assert initial == (None, [((0,), True)])  # the initial evaluation, outside the memo
+    assert len(steps) == len(log.records) == 10
+    assert steps == [((0,), [((0,), True)])] + [((0,), [((0,), False)])] * 9
+
+
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, strategy):
     """Stragglers join some steps, fedsa_gcl rounds cut steps into batches and
     the trip budget cuts the last batch short: a kernel call of several clients
     builds its layout exactly when the previous batch had no call of the same
-    clients, and the run is the one-event-at-a-time loop's."""
+    clients, a lone client's call only the first time it runs alone, and the
+    run is the one-event-at-a-time loop's."""
     cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy, "max_trips": 149})
     ref = run_simulation_one_event_at_a_time(cfg, 4)
     events = record_layouts(monkeypatch)
@@ -500,10 +511,11 @@ def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, str
     assert repr(log.aggregation_log) == repr(ref.aggregation_log)
     assert log.trace == ref.trace
     _, *batches = batch_calls(events)
-    previous, reused, rebuilt = set(), 0, 0
+    previous, alone, reused, rebuilt = set(), set(), 0, 0
     for _, calls in batches:
         for ids, built in calls:
-            assert built == (len(ids) == 1 or ids not in previous)
+            assert built == (ids not in (alone if len(ids) == 1 else previous))
+            alone |= {ids} if len(ids) == 1 else set()
             reused += not built
             rebuilt += built and len(ids) > 1 and bool(previous)
         previous = {ids for ids, _ in calls if len(ids) > 1}
