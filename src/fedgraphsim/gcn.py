@@ -5,7 +5,7 @@ softmax_rows(A_hat @ relu(A_hat @ X @ W0 + b0) @ W1 + b1) with A_hat the
 GCN-normalized adjacency of the client subgraph. One training epoch is one
 full-batch gradient step on the mean cross-entropy over the train mask.
 
-Every sparse product acts on ``classes`` columns. Forward:
+Every sparse product (``spmm``, plain CSR arrays) acts on ``classes`` columns. Forward:
 z0 = (A_hat X) W0 + b0, h = relu(z0), z1 = A_hat (h W1) + b1. Backward:
 g = A_hat dZ1, dW1 = h^T g, dZ0 = (g W1^T) * [z0 > 0], dW0 = (A_hat X)^T dZ0.
 This holds because A_hat and X are fixed per client, so A_hat X is computed
@@ -32,9 +32,8 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
-from .partition import ClientData, block_diag, spmm
+from .partition import ClientData, Csr, block_diag, spmm
 
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
 BATCH_ROWS = 1024  # padded rows one batched kernel call may hold
@@ -131,8 +130,8 @@ class _Layout:
     row is zero in ``ax`` and empty in ``adj``, so it adds exact zeros to
     every sum over nodes and reaches no client's row. ``adj_t`` holds ``adj``'s
     train rows (masks are sorted), client k's from row k * the largest train
-    count, at ``slots``. Calls share layouts (``_blocks``), so a padded
-    layout's arrays are read-only."""
+    count, at ``slots``; both are plain ``Csr`` arrays. Calls share layouts
+    (``_blocks``), so a padded layout's arrays are read-only."""
 
     def __init__(self, datas: tuple):
         self.datas = datas
@@ -166,12 +165,11 @@ class _Layout:
         ends = np.cumsum(np.append(0, lens), dtype=ptr.dtype)
         take = np.repeat(ptr[self.train] - ends[:-1], lens) + np.arange(ends[-1])
         indptr = ends[np.searchsorted(self.slots, np.arange(counts.size * counts.max() + 1))]
-        self.adj_t = sp.csr_matrix((self.adj.data[take], self.adj.indices[take], indptr),
-                                   shape=(indptr.size - 1, self.adj.shape[1]))
+        self.adj_t = Csr(self.adj.data[take], self.adj.indices[take], indptr,
+                         (indptr.size - 1, self.adj.shape[1]))
         if len(datas) > 1:
             for a in (self.ax, self.train, self.labels, self.sizes, self.test, self.test_labels,
-                      self.owner, self.slots, self.adj.data, self.adj.indices, self.adj.indptr,
-                      self.adj_t.data, self.adj_t.indices, self.adj_t.indptr):
+                      self.owner, self.slots, *self.adj[:3], *self.adj_t[:3]):
                 a.flags.writeable = False
 
 
@@ -234,14 +232,15 @@ class _Block:
 def _blocks(members: list, layouts: dict | None = None):
     """Each kernel call over (params, ClientData) members: consecutive members
     while members x padded rows stays within BATCH_ROWS (a larger one alone).
-    A 1-node member's products are matrix-vector ones, which BLAS rounds
-    apart from a padded matrix's rows, so it shares a call only with its like.
+    A 1-node member's products are matrix-vector ones, which BLAS rounds apart
+    from a padded matrix's rows, so it shares a call only with its like; at
+    feature or hidden width 1 so are every member's, and each fills a call.
     The memo ``layouts`` maps ClientData tuples to layouts: a lone client's
     for the run, a several-member call's for the next batch to reuse."""
     parts, rows = [], 0
     for p, cd in members:
         _check_shapes(p, cd, members[0][0].dims)
-        n = cd.graph.node_count
+        n = cd.graph.node_count if min(p.dims[:2]) > 1 else BATCH_ROWS
         if not parts or (len(parts[-1]) + 1) * max(rows, n) > BATCH_ROWS or (n == 1) != (rows == 1):
             parts.append([])
             rows = 0
@@ -257,10 +256,10 @@ def _blocks(members: list, layouts: dict | None = None):
         yield block
 
 
-def forward_batch(members: list) -> list[tuple]:
+def forward_batch(members: list, layouts: dict | None = None) -> list[tuple]:
     """Soft labels (one probability row per local node) and test accuracy
-    (see ``_Block.scored``) of each (params, ClientData) member."""
-    return [out for block in _blocks(members) for out in block.scored(block.vecs)]
+    (``_Block.scored``) of each (params, ClientData) member; ``layouts``: see ``_blocks``."""
+    return [out for block in _blocks(members, layouts) for out in block.scored(block.vecs)]
 
 
 def train_batch(members: list, lr: float, layouts: dict | None = None):

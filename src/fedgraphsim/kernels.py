@@ -5,9 +5,9 @@ Degrees here are always raw local degrees (no self-loops); isolated nodes
 contribute nothing to edge sums and degree-weighted sums.
 
 ``compute_sfm``, ``label_propagation`` and ``compute_lsc`` take a batch of
-clients, rows back to back, with one block-diagonal operator per sparse
-product. All but the fingerprint's GEMM and the confidence's sum (per client)
-is row-wise, so each client's values are bit for bit those of it alone.
+clients, rows back to back, with one block-diagonal ``partition.Csr`` per
+sparse product. All but the fingerprint's GEMM and the confidence's sum (per
+client) is row-wise, so each client's values are bit for bit those of it alone.
 
 Model aggregation is one BLAS product of weights and parameter rows
 (``aggregate_models`` here, a whole fedsa_gcl round in ``protocol``); its

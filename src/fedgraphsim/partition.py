@@ -6,6 +6,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,25 +36,34 @@ class CommunityAssignment:
             raise ValueError("every client must own at least one node")
 
 
+class Csr(NamedTuple):
+    """A CSR matrix as the plain arrays ``spmm`` reads, built with no scipy checks."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
 @dataclass(frozen=True)
 class TripPlan:
     """The operators every trip of one client reuses: ``adj`` (A_hat, the
     GCN-normalized adjacency), ``ax`` (A_hat @ X), ``prop`` (label
     propagation's P), ``deg`` (float raw degrees) and ``edge_w`` (upper
-    triangle, d_u * d_v at each edge (u, v))."""
+    triangle, d_u * d_v at each edge (u, v)), the operators as plain ``Csr``."""
 
-    adj: sp.csr_matrix
+    adj: Csr
     ax: np.ndarray
-    prop: sp.csr_matrix
+    prop: Csr
     deg: np.ndarray
-    edge_w: sp.csr_matrix
+    edge_w: Csr
 
     @classmethod
     def build_all(cls, graphs: list[Graph]) -> list["TripPlan"]:
         """Each graph's plan (all share one feature_dim) from one block-diagonal
-        pass that cuts each graph's rows out of the joined operators: bit for bit
-        its plan alone, as every stored value comes from its own nodes' degrees,
-        no edge joins two blocks and A_hat X is computed row by row."""
+        pass that cuts each graph's rows, as ``Csr`` views, out of the joined scipy
+        operators: bit for bit its plan alone, as every stored value comes from its
+        own nodes' degrees, no edge joins two blocks and A_hat X is row by row."""
         starts = np.cumsum([0] + [g.node_count for g in graphs])
         edges = np.concatenate([g.edges + s for g, s in zip(graphs, starts.tolist())])
         # canonical already (each graph's edges are, and the offsets grow), so
@@ -64,10 +74,9 @@ class TripPlan:
         ax = adj.dot(np.concatenate([g.features for g in graphs]))
         prop = propagation_matrix(joined)
 
-        def block(m: sp.csr_matrix, s: int, e: int) -> sp.csr_matrix:
+        def block(m: sp.csr_matrix, s: int, e: int) -> Csr:
             lo, hi = m.indptr[s], m.indptr[e]
-            parts = (m.data[lo:hi], m.indices[lo:hi] - s, m.indptr[s : e + 1] - lo)
-            return sp.csr_matrix(parts, shape=(e - s, e - s))
+            return Csr(m.data[lo:hi], m.indices[lo:hi] - s, m.indptr[s : e + 1] - lo, (e - s,) * 2)
 
         return [
             cls(block(adj, s, e), ax[s:e], block(prop, s, e), deg[s:e], block(w, s, e))
@@ -75,33 +84,33 @@ class TripPlan:
         ]
 
 
-def block_diag(mats: list[sp.csr_matrix], rows: int | None = None):
-    """Square CSR blocks on one diagonal, back to back (a lone block is itself)
-    or block k at k * ``rows`` (rows past a block's own are empty), each row's
-    values in order. Returns the joined matrix and each block row's joined row."""
+def block_diag(mats: list[Csr], rows: int | None = None):
+    """Square CSR blocks on one diagonal, back to back (a lone block is itself) or block
+    k at k * ``rows`` (rows past a block's own are empty), each row's values in order.
+    Returns the joined ``Csr`` (int32 indices while they fit) and each block row's row."""
     if len(mats) == 1 and rows is None:
         return mats[0], np.arange(mats[0].shape[0])
     n = np.array([m.shape[0] for m in mats])
     span = n if rows is None else np.full(n.size, rows)
     nnz = np.cumsum([0] + [m.data.size for m in mats])
-    index = sp.get_index_dtype(maxval=max(span.sum(), nnz[-1]))  # so scipy scans no index
+    index = np.int32 if max(span.sum(), nnz[-1]) <= np.iinfo(np.int32).max else np.int64
     starts, nnz = (np.cumsum(span) - span).astype(index), nnz.astype(index)
     real = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)  # the blocks' rows
     indptr = np.append(np.repeat(nnz[1:], span), nnz[-1])  # a padded row is empty
     indptr[real] = np.concatenate([m.indptr[:-1] for m in mats]) + np.repeat(nnz[:-1], n)
-    indices = np.concatenate([m.indices for m in mats]) + np.repeat(starts, np.diff(nnz))
+    indices = np.concatenate([m.indices for m in mats], dtype=index) + starts.repeat(np.diff(nnz))
     data = np.concatenate([m.data for m in mats])
-    return sp.csr_matrix((data, indices, indptr), shape=(int(span.sum()),) * 2), real
+    return Csr(data, indices, indptr, (int(span.sum()),) * 2), real
 
 
-def spmm(a: sp.csr_matrix, x: np.ndarray, transposed: bool = False) -> np.ndarray:
+def spmm(a: Csr, x: np.ndarray, transposed: bool = False) -> np.ndarray:
     """``a @ x`` for a float64 CSR ``a`` and a 2-D float64 ``x``, as a new array.
 
-    On tiny client subgraphs scipy's dispatch costs twice the product, so this
-    calls the kernel ``a.dot`` (``a.T.dot``, CSC, if ``transposed``) ends in
-    (``_matmul_multivector``) with its arguments and a fresh zero output, bit
-    for bit. The kernels are private to scipy and there is no fallback: if a
-    scipy release changes them, tests/test_partition.py::TestSpmm fails.
+    On ``a``'s arrays (a ``Csr`` or a scipy matrix) this calls the kernel a scipy
+    ``a.dot`` (``a.T.dot``, CSC, if ``transposed``) ends in (``_matmul_multivector``)
+    with a fresh zero output, bit for bit, skipping scipy's dispatch (twice the product
+    on tiny client subgraphs). The kernels are private to scipy and there is no
+    fallback: if a scipy release changes them, tests/test_partition.py::TestSpmm fails.
     """
     (m, n), mul = (a.shape[::-1], csc_matvecs) if transposed else (a.shape, csr_matvecs)
     y = np.zeros((m, x.shape[1]))

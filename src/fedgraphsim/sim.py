@@ -264,13 +264,13 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     Event loop: pop the events of the earliest time in client order, at most
     as many as trips are left and as the server takes uploads before one can
     deliver to a client other than its sender; they read their messages from
-    the server's mailboxes and train as one batch (``train_trips``). A
-    kernel call of several clients reuses the padded layout of the previous
-    batch's call of the same clients in the same order, if any: the run's
-    memo holds that batch's layouts alone. Then, trip by trip, finish the
-    trip (``client_trip``: the upload, and the client's test accuracy as
-    its kernel call scored it) and snapshot the cached accuracy vector, hand
-    the upload to the server (which alone holds the protocol
+    the server's mailboxes and train as one batch (``train_trips``). A kernel
+    call of several clients reuses the padded layout of the previous batch's
+    (first, the initial scoring's) call of the same clients in the same
+    order, if any, and a lone client its first one. Then, trip by trip,
+    finish the trip (``client_trip``: the upload, and the client's test
+    accuracy as its kernel call scored it) and snapshot the cached accuracy
+    vector, hand the upload to the server (which alone holds the protocol
     hyperparameters, from ``make_server``), trace each delivery by its kind,
     and schedule the client's next trip. So only a batch's last upload can
     reach its other clients, and the run is bit for bit the
@@ -300,14 +300,15 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
 
         server = make_server(cfg, clients_data, active, initial)
         clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
-        cached = np.array([acc for _, acc in forward_batch([(c.params, c.data) for c in clients])])
+        layouts = {}  # the previous batch's kernel layouts, and every lone client's
+        scored = forward_batch([(c.params, c.data) for c in clients], layouts)
+        cached = np.array([acc for _, acc in scored])
         log = MetricsLog(records=[], seed=seed, config_hash=cfg.config_hash(),
                          strategy=cfg.strategy.value, initial_accs=tuple(cached.tolist()),
                          initial_mean_acc=float(cached.mean()),
                          durations=tuple(int(d) for d in durations))
         # a sorted list is already a heap
         heap = sorted(Event(int(durations[cid]), cid) for cid, act in enumerate(active) if act)
-        layouts = {}  # the previous batch's kernel layouts
         while trips < cfg.max_trips and heap:
             now = heap[0].completion_time
             room = min(server.uploads_to_reach_others(), cfg.max_trips - trips)

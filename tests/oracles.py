@@ -181,6 +181,13 @@ def lsc_loop_ref(propagated, degs) -> float:
     return total
 
 
+def as_scipy(m) -> sp.csr_matrix:
+    """A plain CSR (``partition.Csr``: a trip plan's operator, a joined block
+    diagonal, a layout's ``adj_t``) as a scipy matrix on the same arrays, so a
+    reference's product, ``.toarray`` or ``.nnz`` is scipy's own."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 # Bit-exact references: the client kernels before spmm, the single gradient
 # buffer and the in-place updates, copied verbatim (the sparse products go
 # through csr_matrix.dot). The current kernels must equal them bit for bit.
@@ -195,7 +202,7 @@ def softmax_rows_ref(z: np.ndarray) -> np.ndarray:
 def forward_cached_ref(p: ModelParams, cd: ClientData):
     z0 = cd.plan.ax @ p.w0 + p.b0
     h = np.maximum(z0, 0.0)
-    z1 = cd.plan.adj.dot(h @ p.w1) + p.b1
+    z1 = as_scipy(cd.plan.adj).dot(h @ p.w1) + p.b1
     return z0, h, softmax_rows_ref(z1)
 
 
@@ -210,7 +217,7 @@ def loss_and_grads_ref(p: ModelParams, cd: ClientData):
     d_z1[train] = probs[train]
     d_z1[train, y[train]] -= 1.0
     d_z1 /= train.size
-    g = cd.plan.adj.dot(d_z1)
+    g = as_scipy(cd.plan.adj).dot(d_z1)
     d_w1 = h.T @ g
     d_b1 = d_z1.sum(axis=0)
     d_z0 = (g @ p.w1.T) * (z0 > 0.0)
@@ -468,7 +475,7 @@ def accuracy_ref(probs, cd: ClientData, mask) -> float:
 def label_propagation_ref(soft, cd: ClientData, lam, k_steps) -> np.ndarray:
     if k_steps == 0:
         return soft.copy()
-    prop = cd.plan.prop
+    prop = as_scipy(cd.plan.prop)
     c = soft.shape[1]
     current = soft
     for _ in range(k_steps):
@@ -490,7 +497,7 @@ def compute_lsc_ref(propagated, cd: ClientData) -> float:
 
 
 def compute_sfm_ref(soft, cd: ClientData) -> np.ndarray:
-    one_way = soft.T @ cd.plan.edge_w.dot(soft)
+    one_way = soft.T @ as_scipy(cd.plan.edge_w).dot(soft)
     return one_way + one_way.T
 
 

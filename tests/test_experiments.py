@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -181,3 +182,36 @@ def test_import_leaves_scipy_stats_and_csgraph_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def scipy_sparse_imports(path: Path) -> list[str]:
+    """Every import of ``scipy.sparse`` (or a submodule) in a module's source,
+    at any depth, as written."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("scipy.sparse")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            found += [n for n in names if n.startswith("scipy.sparse")]
+    return found
+
+
+def test_scipy_sparse_is_imported_by_graphs_and_partition_alone():
+    """Scipy's sparse matrices are set-up algebra (graphs, Louvain, the
+    balanced partition and the joined operators of TripPlan.build_all); every
+    other module reads plain CSR arrays, ``partition.Csr``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "fedgraphsim"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    assert [p.stem for p in modules if scipy_sparse_imports(p)] == ["graphs", "partition"]
+
+
+@pytest.mark.parametrize("line", [
+    "import scipy.sparse as sp", "from scipy import sparse", "from scipy.sparse import csr_matrix",
+    "def f():\n    from scipy.sparse._sparsetools import csr_matvecs"])
+def test_the_import_guard_sees_each_form(tmp_path, line):
+    path = tmp_path / "m.py"
+    path.write_text(f"import numpy as np\nfrom scipy.special import stdtrit\n{line}\n")
+    assert len(scipy_sparse_imports(path)) == 1
+

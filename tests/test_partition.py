@@ -34,6 +34,7 @@ from fedgraphsim.partition import (
 from oracles import (
     _louvain_local_move_ref,
     all_set_partitions,
+    as_scipy,
     balanced_ref,
     louvain_ref,
     modularity_ref,
@@ -575,7 +576,8 @@ class TestBlockDiag:
         assert np.array_equal(real, np.arange(sum(sizes)))
         want = sp.block_diag(mats, format="csr")
         assert joined.shape == want.shape
-        assert np.array_equal(joined.toarray(), want.toarray())
+        assert isinstance(joined, partition.Csr)
+        assert np.array_equal(as_scipy(joined).toarray(), want.toarray())
         assert np.array_equal(joined.indptr, want.indptr)
         assert np.array_equal(joined.indices, want.indices)
         x = np.random.default_rng(1).normal(size=(sum(sizes), 3))
@@ -589,13 +591,24 @@ class TestBlockDiag:
         joined, real = block_diag(mats, rows=5)
         assert real.tolist() == [0, 1, 2, 3, 5, 10, 11, 12]
         assert joined.shape == (15, 15)
-        dense = joined.toarray()
+        dense = as_scipy(joined).toarray()
         for k, m in enumerate(mats):
             n = m.shape[0]
             block = dense[5 * k : 5 * k + 5, 5 * k : 5 * k + 5]
             assert np.array_equal(block[:n, :n], m.toarray())
             assert not block[n:].any() and not block[:, n:].any()
         assert np.count_nonzero(dense) == sum(m.nnz for m in mats)
+
+    @pytest.mark.parametrize("rows", [None, 9])
+    def test_indices_are_int32_while_they_fit(self, rows):
+        """Like scipy, block_diag picks int32 for the joined indices and
+        indptr, whatever index dtype its blocks hold."""
+        mats = [random_csr(np.random.default_rng(n), n, n, 0.4, np.int64) for n in (4, 7, 2)]
+        joined, real = block_diag(mats, rows)
+        assert joined.indices.dtype == joined.indptr.dtype == np.int32
+        x = np.random.default_rng(2).normal(size=(joined.shape[0], 3))
+        want = sp.block_diag(mats, format="csr") @ x[real]
+        assert np.array_equal(spmm(joined, x)[real], want)
 
     def test_one_block_is_returned_as_it_is(self):
         (m,) = self.blocks([6])

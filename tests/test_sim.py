@@ -7,11 +7,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from scipy.sparse._compressed import _cs_matrix
+
 from fedgraphsim import gcn, kernels, protocol, sim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.gcn import evaluate
 from fedgraphsim.graphs import SbmConfig
 from fedgraphsim.kernels import FglHyper
+from fedgraphsim.partition import TripPlan
 from fedgraphsim.protocol import Strategy
 from fedgraphsim.sim import (
     Event,
@@ -428,9 +431,10 @@ def test_client_trip_runs_once_per_trip_in_record_order(monkeypatch, strategy):
     assert tripped == [r.client_id for r in log.records]
 
 
-# Layout reuse (gcn._blocks): run_simulation hands its memo to each batch, so
-# a kernel call of several clients reuses the layout of the previous batch's
-# call of the same clients in the same order.
+# Layout reuse (gcn._blocks): run_simulation hands its memo to the initial
+# scoring and then to each batch, so a kernel call of several clients reuses
+# the layout of the previous batch's (first, the initial scoring's) call of
+# the same clients in the same order, and a lone client its first layout.
 
 
 def record_layouts(monkeypatch):
@@ -475,33 +479,36 @@ def batch_calls(events):
 def test_repeated_time_steps_build_their_layouts_once(monkeypatch):
     """A tripwire for layout reuse: with every client tripping at every time
     step (fedasync, no stragglers) each step is one kernel call of the same
-    clients, and only the first step builds its layout."""
+    clients, and only the initial scoring builds its layout."""
     events = record_layouts(monkeypatch)
     log = run_simulation(sbm_cfg(strategy="fedasync", n_clients=4, max_trips=40), 3)
     initial, *steps = batch_calls(events)
     everyone = (0, 1, 2, 3)
-    assert initial == (None, [(everyone, True)])  # the initial evaluation, outside the memo
+    assert initial == (None, [(everyone, True)])  # the initial scoring, the memo's first batch
     assert len(steps) == len({r.time for r in log.records}) == 10
-    assert steps == [(everyone, [(everyone, True)])] + [(everyone, [(everyone, False)])] * 9
+    assert steps == [(everyone, [(everyone, False)])] * 10
 
 
 def test_a_lone_client_builds_its_layout_once(monkeypatch):
-    """A client that trips alone at every step keeps one layout for the run."""
+    """A client that trips alone at every step keeps one layout, and one
+    ``adj_t``, for the run: the initial scoring builds it, every trip reuses it."""
     events = record_layouts(monkeypatch)
     log = run_simulation(sbm_cfg(strategy="fedasync", n_clients=1, max_trips=10), 3)
     initial, *steps = batch_calls(events)
-    assert initial == (None, [((0,), True)])  # the initial evaluation, outside the memo
+    assert initial == (None, [((0,), True)])  # the initial scoring, into the memo
     assert len(steps) == len(log.records) == 10
-    assert steps == [((0,), [((0,), True)])] + [((0,), [((0,), False)])] * 9
+    assert steps == [((0,), [((0,), False)])] * 10
+    assert [kind for kind, _ in events].count("build") == 1
 
 
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, strategy):
     """Stragglers join some steps, fedsa_gcl rounds cut steps into batches and
     the trip budget cuts the last batch short: a kernel call of several clients
-    builds its layout exactly when the previous batch had no call of the same
-    clients, a lone client's call only the first time it runs alone, and the
-    run is the one-event-at-a-time loop's."""
+    builds its layout exactly when the previous batch (for the first batch,
+    the initial scoring) had no call of the same clients, a lone client's call
+    only the first time it runs alone, and the run is the one-event-at-a-time
+    loop's."""
     cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy, "max_trips": 149})
     ref = run_simulation_one_event_at_a_time(cfg, 4)
     events = record_layouts(monkeypatch)
@@ -510,8 +517,10 @@ def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, str
     assert log.to_csv_text() == ref.to_csv_text()
     assert repr(log.aggregation_log) == repr(ref.aggregation_log)
     assert log.trace == ref.trace
-    _, *batches = batch_calls(events)
-    previous, alone, reused, rebuilt = set(), set(), 0, 0
+    (_, scoring), *batches = batch_calls(events)
+    assert all(built for _, built in scoring)
+    alone = {ids for ids, _ in scoring if len(ids) == 1}  # the initial scoring's layouts
+    previous, reused, rebuilt = {ids for ids, _ in scoring} - alone, 0, 0
     for _, calls in batches:
         for ids, built in calls:
             assert built == (ids not in (alone if len(ids) == 1 else previous))
@@ -527,6 +536,40 @@ def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, str
     run_simulation(replace(cfg, max_trips=cfg.max_trips + 10), 4)
     tail, uncut = batches[-1][0], batch_calls(events[seen:])[len(batches)][0]
     assert len(uncut) > len(tail) and uncut[: len(tail)] == tail
+
+
+def count_scipy_matrices(monkeypatch):
+    """Count the scipy compressed sparse matrices built (any CSR or CSC), and
+    the count each time ``TripPlan.build_all`` returns."""
+    seen = {"built": 0, "at_plans": []}
+    real_init, real_build = _cs_matrix.__init__, TripPlan.build_all.__func__
+
+    def init(self, *args, **kwargs):
+        seen["built"] += 1
+        real_init(self, *args, **kwargs)
+
+    def build_all(cls, graphs):
+        plans = real_build(cls, graphs)
+        seen["at_plans"].append(seen["built"])
+        return plans
+
+    monkeypatch.setattr(_cs_matrix, "__init__", init)
+    monkeypatch.setattr(TripPlan, "build_all", classmethod(build_all))
+    return seen
+
+
+@pytest.mark.parametrize("strategy", ["fedsa_gcl", "fedasync"])
+def test_a_run_builds_no_scipy_matrix_after_its_trip_plans(monkeypatch, strategy):
+    """The trip and round paths read plain CSR arrays (partition.Csr): once
+    TripPlan.build_all returns, a run builds no scipy sparse matrix, so its
+    count does not grow with the trip budget."""
+    seen, totals = count_scipy_matrices(monkeypatch), []
+    for max_trips in (20, 80):
+        before = seen["built"]
+        run_simulation(sbm_cfg(**{**STRAGGLER_RUN, "max_trips": max_trips}, strategy=strategy), 4)
+        assert seen["at_plans"][len(totals):] == [seen["built"]]
+        totals.append(seen["built"] - before)
+    assert totals[0] == totals[1] > 0
 
 
 def test_a_run_keeps_no_client_data_alive(monkeypatch):
