@@ -19,12 +19,13 @@ exact +0 ones, which never change a sum that starts at +0; so does b1's sum.
 A training step writes the four gradients into one buffer laid out as the
 parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss.
-``train_batch`` and ``forward_batch`` run this for many clients per kernel
-call (``_Block``), each client's numbers bit for bit those of it alone, and
-score every client's soft labels on its test mask with one argmax per call:
-the floats ``accuracy`` gives. Given a run's memo, a call's padded layout
-(``_Layout``) is reused by the next batch's call of the same clients in the
-same order, and by no later one; a lone client's layout by every later call.
+``train_batch`` and ``forward_batch`` run this as kernel calls (``_Block``) of
+one client or several on one path: stacked parameter vectors on data zero-padded
+to one layout (``_Layout``), each client's numbers bit for bit those of it alone,
+scored on the test masks with one argmax per call: the floats ``accuracy`` gives.
+Given a run's memo, a several-client layout is reused by the next batch's call
+of the same clients in the same order, and by no later one; a lone client's
+layout by every later call.
 """
 
 from __future__ import annotations
@@ -121,17 +122,17 @@ def _fields(vecs: np.ndarray, dims: tuple) -> tuple:
 
 
 class _Layout:
-    """What a kernel call needs of its members' ClientData: a lone client's
-    trip plan, or several zero-padded to their largest node count ``rows``
-    (``ax`` is (clients, rows, feature); ``adj`` is block-diagonal, client k's
-    A_hat at row k * rows), with the train rows, their labels and sizes, and
-    the test rows (a lone client's mask itself), their labels, each row's
-    member (``owner``) and each member's test count (``test_sizes``). A padded
-    row is zero in ``ax`` and empty in ``adj``, so it adds exact zeros to
-    every sum over nodes and reaches no client's row. ``adj_t`` holds ``adj``'s
-    train rows (masks are sorted), client k's from row k * the largest train
-    count, at ``slots``; both are plain ``Csr`` arrays. Calls share layouts
-    (``_blocks``), so a padded layout's arrays are read-only."""
+    """What a kernel call needs of its members' ClientData, copied out of
+    their trip plans and zero-padded to their largest node count ``rows``
+    (one client or several, the same way): ``ax`` is (clients, rows,
+    feature); ``adj`` is block-diagonal, client k's A_hat at row k * rows;
+    with the train rows, their labels and sizes, and the test rows, their
+    labels, each row's member (``owner``) and each member's test count
+    (``test_sizes``). A padded row is zero in ``ax`` and empty in ``adj``, so
+    it adds exact zeros to every sum over nodes and reaches no client's row.
+    ``adj_t`` holds ``adj``'s train rows (masks are sorted), client k's from
+    row k * the largest train count, at ``slots``; both are plain ``Csr``
+    arrays. Calls share layouts (``_blocks``), so every array is read-only."""
 
     def __init__(self, datas: tuple):
         self.datas = datas
@@ -139,26 +140,20 @@ class _Layout:
         self.trainable = all(t.size for t in trains)
         self.test_sizes = [t.size for t in tests]
         counts = np.array([t.size for t in trains])
-        if len(datas) == 1:
-            (cd,) = datas
-            self.ax, self.adj, self.train, self.test = cd.plan.ax, cd.plan.adj, trains[0], tests[0]
-            self.labels, self.test_labels = cd.graph.labels[self.train], cd.graph.labels[self.test]
-            self.sizes, self.owner = self.train.size, np.zeros(self.test.size, dtype=np.intp)
-        else:
-            self.labels, self.test_labels = (
-                np.concatenate([cd.graph.labels[m] for cd, m in zip(datas, masks)])
-                for masks in (trains, tests))
-            self.owner = np.repeat(np.arange(len(datas)), self.test_sizes)
-            self.sizes = counts.astype(np.float64)[:, None, None]
-            n = np.array([cd.graph.node_count for cd in datas])
-            rows, f = int(n.max()), datas[0].graph.feature_dim
-            starts = np.arange(0, n.size * rows, rows)
-            self.adj, real = block_diag([cd.plan.adj for cd in datas], rows)  # real: client rows
-            ax = np.zeros((n.size * rows, f))
-            ax[real] = np.concatenate([cd.plan.ax for cd in datas])
-            self.ax = ax.reshape(n.size, rows, f)
-            self.train = np.concatenate(trains) + np.repeat(starts, counts)
-            self.test = np.concatenate(tests) + np.repeat(starts, self.test_sizes)
+        self.labels, self.test_labels = (
+            np.concatenate([cd.graph.labels[m] for cd, m in zip(datas, masks)])
+            for masks in (trains, tests))
+        self.owner = np.repeat(np.arange(len(datas)), self.test_sizes)
+        self.sizes = counts.astype(np.float64)[:, None, None]
+        n = np.array([cd.graph.node_count for cd in datas])
+        rows, f = int(n.max()), datas[0].graph.feature_dim
+        starts = np.arange(0, n.size * rows, rows)
+        self.adj, real = block_diag([cd.plan.adj for cd in datas], rows)  # real: client rows
+        ax = np.zeros((n.size * rows, f))
+        ax[real] = np.concatenate([cd.plan.ax for cd in datas])
+        self.ax = ax.reshape(n.size, rows, f)
+        self.train = np.concatenate(trains) + np.repeat(starts, counts)
+        self.test = np.concatenate(tests) + np.repeat(starts, self.test_sizes)
         shift = np.arange(counts.size) * counts.max() - np.cumsum(counts) + counts
         self.slots = np.arange(counts.sum()) + np.repeat(shift, counts)
         ptr, lens = self.adj.indptr, np.diff(self.adj.indptr)[self.train]  # adj_t: these rows
@@ -167,18 +162,17 @@ class _Layout:
         indptr = ends[np.searchsorted(self.slots, np.arange(counts.size * counts.max() + 1))]
         self.adj_t = Csr(self.adj.data[take], self.adj.indices[take], indptr,
                          (indptr.size - 1, self.adj.shape[1]))
-        if len(datas) > 1:
-            for a in (self.ax, self.train, self.labels, self.sizes, self.test, self.test_labels,
-                      self.owner, self.slots, *self.adj[:3], *self.adj_t[:3]):
-                a.flags.writeable = False
+        for a in (self.ax, self.train, self.labels, self.sizes, self.test, self.test_labels,
+                  self.owner, self.slots, *self.adj[:3], *self.adj_t[:3]):
+            a.flags.writeable = False
 
 
 class _Block:
-    """One kernel call: the members' parameter vectors ``vecs`` on a ``_Layout``."""
+    """One kernel call: the members' parameter vectors, the rows of ``vecs``, on a ``_Layout``."""
 
     def __init__(self, members: list):
         self.dims = members[0][0].dims
-        self.vecs = np.stack([p.vec for p, _ in members]) if len(members) > 1 else members[0][0].vec
+        self.vecs = np.array([p.vec for p, _ in members])
 
     def forward(self, w: tuple, adj):
         """z0, relu(z0) and the soft labels of ``adj``'s rows under the fields ``w``."""
@@ -225,16 +219,15 @@ class _Block:
         hit = np.argmax(probs.reshape(-1, c)[lay.test], axis=1) == lay.test_labels
         hits = np.bincount(lay.owner[hit], minlength=len(lay.datas)).tolist()
         accs = [h / n if n else np.nan for h, n in zip(hits, lay.test_sizes)]
-        probs = probs.reshape(len(lay.datas), -1, c)
         return [(p[: cd.graph.node_count], a) for p, cd, a in zip(probs, lay.datas, accs)]
 
 
 def _blocks(members: list, layouts: dict | None = None):
-    """Each kernel call over (params, ClientData) members: consecutive members
-    while members x padded rows stays within BATCH_ROWS (a larger one alone).
-    A 1-node member's products are matrix-vector ones, which BLAS rounds apart
-    from a padded matrix's rows, so it shares a call only with its like; at
-    feature or hidden width 1 so are every member's, and each fills a call.
+    """Each padded kernel call over (params, ClientData) members: consecutive
+    members while members x padded rows stays within BATCH_ROWS (a larger one
+    in a call of one). A 1-node member's products are matrix-vector ones, which
+    BLAS rounds apart from a padded matrix's rows, so it shares a call only with
+    its like; at feature or hidden width 1 so are every member's: one per call.
     The memo ``layouts`` maps ClientData tuples to layouts: a lone client's
     for the run, a several-member call's for the next batch to reuse."""
     parts, rows = [], 0
@@ -272,8 +265,7 @@ def train_batch(members: list, lr: float, layouts: dict | None = None):
         step = block.gradients()
         step *= lr
         np.subtract(block.vecs, step, out=step)
-        rows = step.reshape(len(block.layout.datas), -1)
-        for v, (soft, acc) in zip(rows, block.scored(step)):
+        for v, (soft, acc) in zip(step, block.scored(step)):
             yield ModelParams.from_vector(v, block.dims), soft, acc
 
 

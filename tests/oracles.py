@@ -48,10 +48,10 @@ Gradients = ModelParams
 
 def loss_and_grads(p: ModelParams, cd: ClientData) -> tuple[float, Gradients]:
     """Mean train-mask cross-entropy and its analytic gradients, from the
-    library's kernel call for the one client (training never needs the loss);
-    the loss reads the train rows of the library's soft labels."""
+    library's kernel call for the one client (row 0 of its gradients; training
+    never needs the loss); the loss reads the train rows of the library's soft labels."""
     (block,) = gcn._blocks([(p, cd)])
-    grads, train = Gradients.from_vector(block.gradients(), p.dims), cd.masks.train
+    grads, train = Gradients.from_vector(block.gradients()[0], p.dims), cd.masks.train
     picked = np.clip(gcn.forward(p, cd)[train, cd.graph.labels[train]], LOG_CLAMP, None)
     return float(-np.mean(np.log(picked))), grads
 

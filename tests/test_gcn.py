@@ -459,17 +459,19 @@ def test_batch_straddling_the_cap_splits_into_consecutive_calls(monkeypatch):
     assert calls == [3, 2, 1, 1] * 2
 
 
-def test_batch_of_one_assembles_nothing():
+def test_a_batch_of_one_is_a_padded_call_of_one():
     rng = np.random.default_rng(7)
     p, cd = batch_client(rng, 15, 0.3)
     (block,) = gcn._blocks([(p, cd)])
     lay = block.layout
-    assert block.vecs is p.vec and lay.ax is cd.plan.ax and lay.adj is cd.plan.adj
-    (q, soft, acc), = train_batch([(p, cd)], 0.1)
-    assert lay.test is cd.masks.test and acc == accuracy(soft, cd, cd.masks.test)
+    assert block.vecs.shape == (1, p.vec.size) and lay.ax.shape == (1, 15, 6)
+    assert np.array_equal(lay.ax[0], cd.plan.ax) and not np.shares_memory(lay.ax, cd.plan.ax)
+    assert lay.adj.shape == cd.plan.adj.shape
+    for got, own in zip(lay.adj[:3], cd.plan.adj[:3]):
+        assert np.array_equal(got, own) and got is not own and not np.shares_memory(got, own)
+    assert_batch_matches_loop([(p, cd)])
+    (q, _, _), = train_batch([(p, cd)], 0.1)
     assert not np.shares_memory(q.vec, p.vec)
-    assert np.array_equal(q.vec, train_epoch(p, cd, 0.1).vec)
-    assert np.array_equal(soft, forward(q, cd))
 
 
 # A run's memo of layouts (gcn._blocks): a kernel call of several members
@@ -509,15 +511,15 @@ def test_a_batch_reuses_only_the_previous_batch_layouts(monkeypatch):
 
 
 def test_a_shared_layout_is_read_only():
-    rng = np.random.default_rng(12)
-    layouts = {}
-    list(train_batch([batch_client(rng, n, 0.5) for n in (4, 6)], 0.3, layouts))
-    (lay,) = layouts.values()
-    for array in (lay.ax, lay.train, lay.labels, lay.sizes, lay.test, lay.test_labels,
-                  lay.owner, lay.adj.data, lay.adj.indices, lay.adj.indptr, lay.slots,
-                  lay.adj_t.data, lay.adj_t.indices, lay.adj_t.indptr):
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0
+    for sizes in ((9,), (4, 6)):  # a lone client's layout, then a padded one
+        rng, layouts = np.random.default_rng(12), {}
+        list(train_batch([batch_client(rng, n, 0.5) for n in sizes], 0.3, layouts))
+        (lay,) = layouts.values()
+        for array in (lay.ax, lay.train, lay.labels, lay.sizes, lay.test, lay.test_labels,
+                      lay.owner, lay.adj.data, lay.adj.indices, lay.adj.indptr, lay.slots,
+                      lay.adj_t.data, lay.adj_t.indices, lay.adj_t.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 def test_a_reused_layout_reads_no_member_labels_or_masks():

@@ -689,7 +689,7 @@ class TestClientTrip:
         monkeypatch.setattr(gcn, "softmax_rows", counting_softmax)
         msg, _ = client_trip(state, train_trips([state], mailboxes, 0.05))
         # the training step's forward and the trained model's: the blend adds none
-        assert forwards == [(5, 2), (5, 2)]
+        assert forwards == [(1, 5, 2)] * 2
         monkeypatch.undo()
         npt.assert_array_equal(msg.params.vec, expected.vec)
         npt.assert_array_equal(msg.soft, forward(msg.params, state.data))
