@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .sim import MetricsLog, run_simulation
+from .sim import MetricsLog, build_graph, run_simulation
 
 
 @dataclass
@@ -85,13 +85,13 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsLog]:
-    """One simulation per configured seed, each stored by ``MetricsLog.write``,
-    and a summary table, all in cfg.output_dir."""
+    """One simulation per configured seed, all on one graph, each stored by
+    ``MetricsLog.write``, and a summary table, all in cfg.output_dir."""
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    logs = []
+    logs, graph = [], build_graph(cfg)
     for seed in cfg.seeds:
-        log = run_simulation(cfg, seed)
+        log = run_simulation(cfg, seed, graph)
         log.write(outdir)
         logs.append(log)
     rows = summarize_logs(logs, cfg.target_accuracy)

@@ -202,7 +202,9 @@ class SbmConfig:
     seed: int
 
 
-SBM_PAIR_BLOCK = 1 << 20  # node pairs per generate_sbm draw block
+# Node pairs per generate_sbm draw block, all drawn into one reused buffer of
+# 1 MiB (it fits a core's L2 cache), so memory is O(n + m + SBM_PAIR_BLOCK).
+SBM_PAIR_BLOCK = 1 << 17
 
 
 def generate_sbm(cfg: SbmConfig) -> Graph:
@@ -215,23 +217,22 @@ def generate_sbm(cfg: SbmConfig) -> Graph:
     then drawn: one-hot block indicator at column (block mod feature_dim)
     plus Gaussian noise of the configured stddev. Labels are block ids.
 
-    The draws come SBM_PAIR_BLOCK pairs per ``rng.random`` call, which
-    continues one stream, so they equal one draw. Only candidates, pairs
-    drawn below max(intra_prob, inter_prob), are mapped to (i, j) and tested:
-    the rest are below neither probability. So the edges, and the stream the
-    features come from, are those of the per-pair procedure.
+    The draws come SBM_PAIR_BLOCK pairs per ``rng.random`` call, into one
+    reused buffer; the calls continue one stream, so they equal one draw. Only
+    candidates, pairs drawn below max(intra_prob, inter_prob), are mapped to
+    (i, j) and tested: the rest are below neither probability. So the edges,
+    and the stream the features come from, are those of the per-pair procedure.
     """
     n = sum(cfg.block_sizes)
     block_of = np.repeat(np.arange(len(cfg.block_sizes)), cfg.block_sizes)
     rng = np.random.default_rng(cfg.seed)
-    # The pairs are drawn SBM_PAIR_BLOCK at a time, so memory stays O(n + m).
     # row i holds the pairs (i, j > i); row_start[i] is the index of its first
     row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
     pairs = int(row_start[-1])
     p_max = max(cfg.intra_prob, cfg.inter_prob)
-    kept = []
+    kept, buf = [], np.empty(min(SBM_PAIR_BLOCK, pairs))
     for lo in range(0, pairs, SBM_PAIR_BLOCK):
-        draws = rng.random(min(SBM_PAIR_BLOCK, pairs - lo))
+        draws = rng.random(out=buf[: min(SBM_PAIR_BLOCK, pairs - lo)])
         cand = np.flatnonzero(draws < p_max)
         pair = cand + lo
         rows = np.searchsorted(row_start, pair, side="right") - 1
@@ -240,6 +241,7 @@ def generate_sbm(cfg: SbmConfig) -> Graph:
         keep = draws[cand] < probs
         kept.append(np.column_stack([rows[keep], cols[keep]]))
     edges = np.concatenate(kept) if kept else np.zeros((0, 2), dtype=np.int64)
+    kept.clear()  # Graph copies the joined edges: no third copy alive meanwhile
     features = np.zeros((n, cfg.feature_dim))
     features[np.arange(n), block_of % cfg.feature_dim] = 1.0
     features += rng.normal(0.0, cfg.feature_noise, size=(n, cfg.feature_dim))

@@ -230,9 +230,12 @@ def _adjacency(g: Graph) -> sp.csr_matrix:
 
 
 def _neighbour_lists(a: sp.csr_matrix):
-    """Per-node neighbour and weight lists of a CSR level and the level, its diagonal left out."""
+    """Per-node neighbour and weight lists of a CSR level and the level, its diagonal left out.
+    Same values in less memory: the lists share one int per node, one float per distinct weight."""
     a = a - sp.diags(a.diagonal(), format="csr")
-    ptr, idx, w = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    nodes, (values, which) = list(range(a.shape[0])), np.unique(a.data, return_inverse=True)
+    ptr, idx = a.indptr.tolist(), list(map(nodes.__getitem__, a.indices.tolist()))
+    w = list(map(values.tolist().__getitem__, which.tolist()))
     spans = list(zip(ptr, ptr[1:]))
     return [idx[i:j] for i, j in spans], [w[i:j] for i, j in spans], a
 

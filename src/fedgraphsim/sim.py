@@ -207,15 +207,19 @@ def partition_graph(graph: Graph, method: str, n_clients: int, seed: int) -> Com
     return balanced_partition(graph, n_clients, seed)
 
 
-def prepare_clients(cfg: ExperimentConfig, seed: int):
+def build_graph(cfg: ExperimentConfig) -> Graph:
+    """The config's graph, by the module-level names a tracer rebinds."""
+    d = cfg.dataset
+    return generate_sbm(d.sbm) if d.kind == "sbm" else load_graph(d.path)
+
+
+def prepare_clients(cfg: ExperimentConfig, seed: int, graph: Graph | None = None):
     """The per-client datasets, each client's trip duration and the initial
-    model. The graph is split by ``partition_graph``, so a tracer of
-    ``partition.louvain_partition`` sees this call's partition."""
+    model. ``graph`` (``build_graph(cfg)`` if None) is split by
+    ``partition_graph``, so a tracer of ``partition.louvain_partition`` sees
+    this call's partition."""
     sub = _derived_seeds(seed)
-    if cfg.dataset.kind == "sbm":
-        graph = generate_sbm(cfg.dataset.sbm)
-    else:
-        graph = load_graph(cfg.dataset.path)
+    graph = build_graph(cfg) if graph is None else graph
     assignment = partition_graph(graph, cfg.partitioner, cfg.n_clients, sub["partition"])
     clients = extract_subgraphs(graph, assignment, cfg.mask_ratios, sub["masks"])
     pert = cfg.perturbation
@@ -256,7 +260,8 @@ def make_server(
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog:
+def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
+                   graph: Graph | None = None) -> MetricsLog:
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
     Every client's trip plan is built in one pass after set-up, and the
@@ -283,12 +288,13 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None) -> MetricsLog
     ConfigError; so does a run that diverges: numpy's overflow, invalid
     and divide-by-zero raise, and become a ConfigError naming the trips
     reached, ``[run] lr``, ``[dataset] feature_noise`` and graph files.
+    Set-up splits ``graph``, a new ``build_graph(cfg)`` if None.
     """
     if seed is None:
         seed = cfg.seeds[0]
     trips = 0
     try:
-        clients_data, durations, initial = prepare_clients(cfg, seed)
+        clients_data, durations, initial = prepare_clients(cfg, seed, graph)
         for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
             cd.plan = plan
         active = [cd.masks.train.size > 0 for cd in clients_data]

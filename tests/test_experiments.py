@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fedgraphsim
+from fedgraphsim import sim
 from fedgraphsim.config import ConfigError, DatasetSpec, ExperimentConfig
 from fedgraphsim.experiments import (
     aggregate_seeds,
@@ -17,7 +18,7 @@ from fedgraphsim.experiments import (
     trips_to_target,
 )
 from fedgraphsim.graphs import SbmConfig
-from fedgraphsim.sim import MetricsLog, TripRecord
+from fedgraphsim.sim import MetricsLog, TripRecord, run_simulation
 
 
 def fake_log(means, initial=0.1):
@@ -129,6 +130,22 @@ class TestRunExperiment:
         sd = math.sqrt(sum((f - mean) ** 2 for f in finals) / (n - 1))
         assert row.mean == pytest.approx(mean, rel=1e-12)
         assert row.ci95_half == pytest.approx(2.776 * sd / math.sqrt(n), rel=1e-3)
+
+    def test_the_seeds_share_one_graph(self, tmp_path, monkeypatch):
+        cfg = sbm_cfg(output_dir=str(tmp_path / "out"), seeds=(0, 1, 2))
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        for seed in cfg.seeds:
+            run_simulation(cfg, seed).write(alone)
+        built = []
+        generate_sbm = sim.generate_sbm
+        monkeypatch.setattr(sim, "generate_sbm", lambda c: built.append(c) or generate_sbm(c))
+        run_experiment(cfg)
+        assert built == [cfg.dataset.sbm]
+        for seed in cfg.seeds:
+            for name in (f"metrics_seed{seed}.csv", f"metrics_seed{seed}.json",
+                         f"trace_seed{seed}.log"):
+                assert (tmp_path / "out" / name).read_bytes() == (alone / name).read_bytes()
 
     def test_summary_not_reached_uses_budget(self):
         logs = [fake_log([0.2, 0.3]), fake_log([0.2, 0.9])]

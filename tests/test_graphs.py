@@ -1,4 +1,6 @@
+import hashlib
 import logging
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -146,6 +148,9 @@ class TestNormalizedAdjacency:
             assert np.all(np.diag(dense) > 0)
 
 
+SERVER_BOUND_SBM = SbmConfig((500,) * 10, 0.03, 0.001, 16, 0.5, 0)
+
+
 class TestSbm:
     def test_two_full_blocks(self):
         g = generate_sbm(SbmConfig((3, 3), 1.0, 0.0, 4, 0.0, 5))
@@ -201,6 +206,41 @@ class TestSbm:
         chunked = generate_sbm(cfg)
         npt.assert_array_equal(chunked.edges, whole.edges)
         npt.assert_array_equal(chunked.features, whole.features)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # perfbench's server_bound graph: 12,497,500 pairs, so 95 full
+            # blocks and a last one of 45,660, all through the same buffer
+            pytest.param(SERVER_BOUND_SBM, id="server-bound"),
+            # 1,999,000 pairs and a graph of 50 KB: the buffer is the peak
+            pytest.param(SbmConfig((1000,) * 2, 0.001, 0.0001, 1, 0.5, 0), id="sparse"),
+        ],
+    )
+    def test_draws_go_through_one_reused_buffer(self, cfg):
+        generate_sbm(cfg)
+        tracemalloc.start()
+        try:
+            g = generate_sbm(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = g.edges.nbytes + g.features.nbytes + g.labels.nbytes
+        # 10 bytes per pair of one block (the float64 buffer, its boolean mask
+        # and the candidates of a sparse graph) and two copies of the graph's
+        # own arrays (the joined edges as Graph copies them, the features and
+        # the noise added to them); a fresh buffer per block exceeds it on the
+        # sparse graph
+        assert peak <= 10 * graphs.SBM_PAIR_BLOCK + 2 * own
+
+    def test_server_bound_graph_is_pinned(self):
+        assert divmod(5000 * 4999 // 2, graphs.SBM_PAIR_BLOCK) == (95, 45_660)
+        g = generate_sbm(SERVER_BOUND_SBM)
+        assert g.edge_count == 48_750
+        assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
+            "f3cafabc8e8aad460cc6d01509b9c6b1625864a26db6a45352fda0c92eac1d01")
+        assert hashlib.sha256(g.features.tobytes()).hexdigest() == (
+            "52a3c58d164ad7e8f5760fa79b182485adcc2a31dd1d4f2d20b65c07726050d8")
 
     def test_pure_function_of_config(self):
         cfg = SbmConfig((10, 15), 0.4, 0.05, 6, 0.5, 99)

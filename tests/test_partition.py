@@ -351,6 +351,52 @@ def test_louvain_skips_the_nodes_that_provably_stay(monkeypatch):
     assert evaluations < 0.6 * visits
 
 
+def plain_lists(a):
+    """The neighbour and weight lists as plain ``tolist()`` slices of the level
+    less its diagonal: one object per stored entry."""
+    off = a - sp.diags(a.diagonal(), format="csr")
+    spans = list(zip(off.indptr.tolist(), off.indptr[1:].tolist()))
+    return ([off.indices[i:j].tolist() for i, j in spans],
+            [off.data[i:j].tolist() for i, j in spans], off)
+
+
+def test_level_0_lists_share_one_object_per_node_and_one_unit_weight():
+    g = server_bound_graph()
+    nbrs, wts, _ = partition._neighbour_lists(partition._adjacency(g))
+    assert sum(map(len, nbrs)) == 2 * g.edge_count
+    assert len({id(u) for row in nbrs for u in row}) <= g.node_count
+    assert len({id(w) for row in wts for w in row}) == 1
+    assert wts[0][0] == 1.0
+
+
+@st.composite
+def weighted_levels(draw):
+    """A symmetric weighted CSR level as Louvain coarsens to: any diagonal,
+    weights from a few repeated values or all distinct."""
+    n = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 1.0))
+    pool = [1.0, 2.0, 3.0, 0.1 + 0.2, 7.5] if draw(st.booleans()) else None
+    w = rng.choice(pool, (n, n)) if pool else rng.uniform(0.5, 9.0, (n, n))
+    upper = np.triu(np.where(rng.random((n, n)) < density, w, 0.0))
+    return sp.csr_matrix(upper + upper.T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weighted_levels())
+def test_neighbour_lists_equal_plain_slices(a):
+    nbrs, wts, off = partition._neighbour_lists(a)
+    want_nbrs, want_wts, want_off = plain_lists(a)
+    assert nbrs == want_nbrs and wts == want_wts
+    flat = [w for row in wts for w in row]
+    want_flat = [w for row in want_wts for w in row]
+    npt.assert_array_equal(np.array(flat).view(np.int64), np.array(want_flat).view(np.int64))
+    assert all(type(u) is int for row in nbrs for u in row)
+    assert all(type(w) is float for w in flat)
+    for name in ("data", "indices", "indptr"):
+        npt.assert_array_equal(getattr(off, name), getattr(want_off, name))
+
+
 def random_graphs():
     """Random graphs of 5-40 nodes, from sparse to dense."""
     out = []

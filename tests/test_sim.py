@@ -168,8 +168,8 @@ class TestRunSimulation:
         real_prepare, real_trip = sim.prepare_clients, sim.client_trip
         tripped = []
 
-        def prepare(cfg, seed):
-            clients, durations, initial = real_prepare(cfg, seed)
+        def prepare(cfg, seed, graph=None):
+            clients, durations, initial = real_prepare(cfg, seed, graph)
             masks = replace(clients[1].masks, train=[])
             clients[1] = replace(clients[1], masks=masks)
             return clients, durations, initial
@@ -321,8 +321,8 @@ def test_run_builds_every_plan_as_alone_after_perturbation(monkeypatch, kind):
     cfg = sbm_cfg(n_clients=5, partitioner="louvain", perturbation=pert, max_trips=10)
     real_prepare, prepared = sim.prepare_clients, []
 
-    def prepare(cfg, seed):
-        out = real_prepare(cfg, seed)
+    def prepare(cfg, seed, graph=None):
+        out = real_prepare(cfg, seed, graph)
         prepared.extend(out[0])
         return out
 
@@ -575,8 +575,8 @@ def test_a_run_builds_no_scipy_matrix_after_its_trip_plans(monkeypatch, strategy
 def test_a_run_keeps_no_client_data_alive(monkeypatch):
     refs, real = [], sim.prepare_clients
 
-    def prepare(cfg, seed):
-        clients, durations, initial = real(cfg, seed)
+    def prepare(cfg, seed, graph=None):
+        clients, durations, initial = real(cfg, seed, graph)
         refs.extend(weakref.ref(cd) for cd in clients)
         return clients, durations, initial
 
