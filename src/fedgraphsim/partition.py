@@ -148,20 +148,27 @@ def modularity(g: Graph, comm_of: np.ndarray) -> float:
 SLACK = 1e-9  # rounding allowance per unit of degree in _local_move's skip test
 
 
-def _move(v, nbrs, wts, k, m2, comm, comm_k) -> bool:
-    """Move v to the neighbour community of largest gain (ascending id scan), if
-    strictly above its stay gain; updates comm and comm_k, True when v moved."""
-    b, k_v = comm[v], k[v]
-    w_to: dict[int, float] = {}
+def _move(v, nbrs, wts, k, m2, comm, comm_k, acc) -> bool:
+    """Move v to the lowest-id neighbour community of largest gain, if strictly
+    above its stay gain; updates comm and comm_k, True when v moved. acc, zeros
+    indexed by community id, sums v's weight to each in neighbour order (nonzero
+    means seen: weights are positive) and is zeroed again. The first-seen scan
+    takes a higher gain, or an equal one of lower id unless the best is the stay."""
+    b, k_v, seen = comm[v], k[v], []
     for u, w in zip(nbrs[v], wts[v]):
         c = comm[u]
-        w_to[c] = w_to.get(c, 0.0) + w
+        if acc[c]:
+            acc[c] += w
+        else:
+            acc[c] = w
+            seen.append(c)
     comm_k[b] -= k_v
-    best_c, best_gain = b, w_to.pop(b, 0.0) - k_v * comm_k[b] / m2
-    for c in sorted(w_to):
-        gain = w_to[c] - k_v * comm_k[c] / m2
-        if gain > best_gain:
+    best_c, best_gain = b, acc[b] - k_v * comm_k[b] / m2
+    for c in seen:  # b itself, if seen, gains exactly its stay gain and is never taken
+        gain = acc[c] - k_v * comm_k[c] / m2
+        if gain > best_gain or gain == best_gain and best_c != b and c < best_c:
             best_c, best_gain = c, gain
+        acc[c] = 0.0
     comm[v] = best_c
     comm_k[best_c] += k_v
     return best_c != b
@@ -180,7 +187,7 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     Node v is skipped while 2 shift[v] + (2 k_v / m2) moved_k < slack[v], with
     moved_k the degree moved so far and shift[v] the weight of v's moved
     neighbours. Exact, as every weight, degree and community total is an
-    integer-valued float: the moves so far shift any w_to[c] by at most
+    integer-valued float: the moves so far shift v's acc[c] by at most
     shift[v] and any comm_k[c] by at most moved_k, and one move can lower the
     stay gain and raise another, hence twice each. A community first adjacent
     mid-pass gains at most shift[v], which the clamp covers. Float gains are
@@ -190,11 +197,11 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     level's first pass, every node alone, skips nothing and so sets up no
     slack: w_own and each stay gain are 0, so every slack is below -SLACK.
     """
-    n, at = len(comm), np.array(comm)
+    n, at, acc = len(comm), np.array(comm), [0.0] * len(comm)
     comm_k = np.bincount(at, weights=k, minlength=n)
     if len(set(comm)) == n:
         visits, k, comm_k = rng.permutation(n).tolist(), k.tolist(), comm_k.tolist()
-        moved = [_move(v, nbrs, wts, k, m2, comm, comm_k) for v in visits]
+        moved = [_move(v, nbrs, wts, k, m2, comm, comm_k, acc) for v in visits]
         return any(moved)
     to = a_off @ sp.csr_matrix((np.ones(n), at, np.arange(n + 1)), shape=(n, n))
     rows = np.repeat(np.arange(n), np.diff(to.indptr))
@@ -212,14 +219,14 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     for v in visits:
         if 2.0 * shift[v] + scale[v] * moved_k < slack[v]:
             continue
-        if _move(v, nbrs, wts, k, m2, comm, comm_k):
+        if _move(v, nbrs, wts, k, m2, comm, comm_k, acc):
             moved, moved_k = True, moved_k + k[v]
             if moved_k >= budget:
                 break
             for u, w in zip(nbrs[v], wts[v]):
                 shift[u] += w
     for v in visits:  # the nodes left once none can be skipped
-        _move(v, nbrs, wts, k, m2, comm, comm_k)
+        _move(v, nbrs, wts, k, m2, comm, comm_k, acc)
     return moved
 
 
@@ -231,13 +238,13 @@ def _adjacency(g: Graph) -> sp.csr_matrix:
 
 def _neighbour_lists(a: sp.csr_matrix):
     """Per-node neighbour and weight lists of a CSR level and the level, its diagonal left out.
-    Same values in less memory: the lists share one int per node, one float per distinct weight."""
+    The lists share one int per node and one float per distinct weight: per-row slices of
+    object arrays of those shared objects, with no flat list of one object per stored entry."""
     a = a - sp.diags(a.diagonal(), format="csr")
-    nodes, (values, which) = list(range(a.shape[0])), np.unique(a.data, return_inverse=True)
-    ptr, idx = a.indptr.tolist(), list(map(nodes.__getitem__, a.indices.tolist()))
-    w = list(map(values.tolist().__getitem__, which.tolist()))
-    spans = list(zip(ptr, ptr[1:]))
-    return [idx[i:j] for i, j in spans], [w[i:j] for i, j in spans], a
+    values, which = np.unique(a.data, return_inverse=True)
+    idx, w = np.arange(a.shape[0]).astype(object)[a.indices], values.astype(object)[which]
+    spans = list(zip(a.indptr.tolist(), a.indptr[1:].tolist()))
+    return [idx[i:j].tolist() for i, j in spans], [w[i:j].tolist() for i, j in spans], a
 
 
 def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
@@ -279,21 +286,24 @@ def _coalesce(groups: list[list[int]], n_clients: int) -> list[list[int]]:
 
     Too many groups: repeatedly merge the smallest group into the smallest
     remaining one (ties broken by lowest contained node id). Too few:
-    repeatedly split the largest group in half by ascending node id.
+    repeatedly split the largest group in half by ascending node id. Each
+    phase keeps its groups in a heap keyed by (size, first node), or by
+    (-size, first node); groups are disjoint, so no two keys tie.
     """
-    groups = [sorted(grp) for grp in groups]
-    while len(groups) > n_clients:
-        order = sorted(range(len(groups)), key=lambda i: (len(groups[i]), groups[i][0]))
-        small, target = order[0], order[1]
-        groups[target] = sorted(groups[target] + groups[small])
-        del groups[small]
-    while len(groups) < n_clients:
-        order = sorted(range(len(groups)), key=lambda i: (-len(groups[i]), groups[i][0]))
-        big = groups[order[0]]
+    heap = [(len(grp), grp[0], grp) for grp in map(sorted, groups)]
+    heapq.heapify(heap)
+    while len(heap) > n_clients:
+        small, target = heapq.heappop(heap)[2], heapq.heappop(heap)[2]
+        grp = sorted(target + small)
+        heapq.heappush(heap, (len(grp), grp[0], grp))
+    heap = [(-size, first, grp) for size, first, grp in heap]
+    heapq.heapify(heap)
+    while len(heap) < n_clients:
+        big = heapq.heappop(heap)[2]
         half = (len(big) + 1) // 2
-        groups[order[0]] = big[:half]
-        groups.append(big[half:])
-    return groups
+        for grp in (big[:half], big[half:]):
+            heapq.heappush(heap, (-len(grp), grp[0], grp))
+    return [grp for _, _, grp in heap]
 
 
 def _groups_to_assignment(groups, node_count, n_clients) -> CommunityAssignment:
@@ -310,14 +320,15 @@ def louvain_partition(
     """Louvain communities coalesced into exactly n_clients clients.
 
     Node visit order within each local-moving pass is shuffled by the seed
-    (one rng.permutation per pass); a node scans its neighbour communities
-    in ascending id and moves only on a strictly larger gain, so it stays on
-    a tie. The result does not depend on summation order: every edge weight,
-    degree and 2m is an integer-valued float below 2**53, so each sum is
-    exact, and each gain is w - (k_v * tot_c) / 2m in float64. A pass skips
-    the nodes it can prove stay, with the same result (_local_move shows
-    why). When modularity_trace is given, the partition's modularity on the
-    original graph is appended after every pass (monotone nondecreasing).
+    (one rng.permutation per pass); a node picks the lowest-id neighbour
+    community of largest gain and moves only if that beats its stay gain
+    strictly, so it stays on a tie. The result does not depend on summation
+    order: every edge weight, degree and 2m is an integer-valued float below
+    2**53, so each sum is exact, and each gain is w - (k_v * tot_c) / 2m in
+    float64. A pass skips the nodes it can prove stay, with the same result
+    (_local_move shows why). When modularity_trace is given, the partition's
+    modularity on the original graph is appended after every pass (monotone
+    nondecreasing).
     """
     if not 1 <= n_clients <= g.node_count:
         raise ValueError("n_clients must be in [1, node_count]")
@@ -334,15 +345,30 @@ def _spread_seeds(a: sp.csr_matrix, n_clients: int, rng) -> list[int]:
     far (chosen seeds held at -1). An unreached node is at distance inf, and
     np.argmax takes the first maximum: unreached nodes win, ties go to the
     lowest id.
+
+    Each seed's hops grow into that minimum by a breadth-first search that
+    expands a node only when its distance improves. That is exact: on any
+    shortest path from the seed to a node it improves, every node improves
+    too, since the minimum over earlier seeds grows by at most 1 per hop, and
+    a seed held at -1 is itself at distance 0 from what lies beyond it.
     """
-    from scipy.sparse.csgraph import shortest_path  # imported on use: ~10 MiB RSS
     n = a.shape[0]
-    start = rng.integers(n)
-    seeds = [int(np.argmax(shortest_path(a, unweighted=True, indices=start)))]
+
+    def grow(s: int, dist: np.ndarray) -> np.ndarray:
+        frontier, hops, dist[s] = np.array([s]), 0, 0
+        while frontier.size:
+            hops += 1
+            lo, hi = a.indptr[frontier], a.indptr[frontier + 1]
+            ends = np.cumsum(hi - lo)  # the frontier's rows of indices, back to back
+            nbrs = a.indices[np.arange(ends[-1]) + np.repeat(hi - ends, hi - lo)]
+            frontier = np.unique(nbrs[hops < dist[nbrs]])
+            dist[frontier] = hops
+        return dist
+
+    seeds = [int(np.argmax(grow(rng.integers(n), np.full(n, np.inf))))]
     mindist = np.full(n, np.inf)
     while len(seeds) < n_clients:
-        mindist = np.minimum(mindist, shortest_path(a, unweighted=True, indices=seeds[-1]))
-        mindist[seeds[-1]] = -1
+        grow(seeds[-1], mindist)[seeds[-1]] = -1
         seeds.append(int(np.argmax(mindist)))
     return seeds
 

@@ -747,6 +747,73 @@ def balanced_ref(g: Graph, n_clients: int, seed: int) -> np.ndarray:
     return relabel[client_of]
 
 
+# The partition step's helpers as they were before the one-accumulator move,
+# the heap coalescing and the pruned seed search, copied verbatim (renamed):
+# the current ones must give the same result.
+
+
+def move_ref(v, nbrs, wts, k, m2, comm, comm_k) -> bool:
+    """Move v to the neighbour community of largest gain (ascending id scan), if
+    strictly above its stay gain; updates comm and comm_k, True when v moved."""
+    b, k_v = comm[v], k[v]
+    w_to: dict[int, float] = {}
+    for u, w in zip(nbrs[v], wts[v]):
+        c = comm[u]
+        w_to[c] = w_to.get(c, 0.0) + w
+    comm_k[b] -= k_v
+    best_c, best_gain = b, w_to.pop(b, 0.0) - k_v * comm_k[b] / m2
+    for c in sorted(w_to):
+        gain = w_to[c] - k_v * comm_k[c] / m2
+        if gain > best_gain:
+            best_c, best_gain = c, gain
+    comm[v] = best_c
+    comm_k[best_c] += k_v
+    return best_c != b
+
+
+def coalesce_ref(groups: list[list[int]], n_clients: int) -> list[list[int]]:
+    """Merge or split node groups until exactly n_clients remain.
+
+    Too many groups: repeatedly merge the smallest group into the smallest
+    remaining one (ties broken by lowest contained node id). Too few:
+    repeatedly split the largest group in half by ascending node id.
+    """
+    groups = [sorted(grp) for grp in groups]
+    while len(groups) > n_clients:
+        order = sorted(range(len(groups)), key=lambda i: (len(groups[i]), groups[i][0]))
+        small, target = order[0], order[1]
+        groups[target] = sorted(groups[target] + groups[small])
+        del groups[small]
+    while len(groups) < n_clients:
+        order = sorted(range(len(groups)), key=lambda i: (-len(groups[i]), groups[i][0]))
+        big = groups[order[0]]
+        half = (len(big) + 1) // 2
+        groups[order[0]] = big[:half]
+        groups.append(big[half:])
+    return groups
+
+
+def spread_seeds_ref(a: sp.csr_matrix, n_clients: int, rng) -> list[int]:
+    """Farthest-point seed selection, robust to the random starting node.
+
+    The node farthest in hops from a random start is the first seed; each
+    further seed maximizes the running minimum hop distance to the seeds so
+    far (chosen seeds held at -1). An unreached node is at distance inf, and
+    np.argmax takes the first maximum: unreached nodes win, ties go to the
+    lowest id.
+    """
+    from scipy.sparse.csgraph import shortest_path  # imported on use: ~10 MiB RSS
+    n = a.shape[0]
+    start = rng.integers(n)
+    seeds = [int(np.argmax(shortest_path(a, unweighted=True, indices=start)))]
+    mindist = np.full(n, np.inf)
+    while len(seeds) < n_clients:
+        mindist = np.minimum(mindist, shortest_path(a, unweighted=True, indices=seeds[-1]))
+        mindist[seeds[-1]] = -1
+        seeds.append(int(np.argmax(mindist)))
+    return seeds
+
+
 def all_set_partitions(items):
     """Every partition of a list into nonempty blocks (Bell-number many)."""
     if not items:

@@ -188,9 +188,9 @@ class TestAblationTraces:
 
 
 def test_import_leaves_scipy_stats_and_csgraph_unloaded():
-    """``scipy.sparse.csgraph`` (balanced_partition) loads on first use, and
-    ``scipy.stats`` never, not even for aggregate_seeds' t quantile: together
-    they double the memory of a process that imports fedgraphsim."""
+    """Neither ``scipy.sparse.csgraph`` nor ``scipy.stats`` loads, not even for
+    aggregate_seeds' t quantile: together they double the memory of a process
+    that imports fedgraphsim."""
     src = str(Path(fedgraphsim.__file__).resolve().parents[1])
     code = ("import sys, fedgraphsim; fedgraphsim.aggregate_seeds([0.5, 0.7]); "
             "print(sorted({'scipy.stats', 'scipy.sparse.csgraph'} & set(sys.modules)))")
@@ -231,4 +231,34 @@ def test_the_import_guard_sees_each_form(tmp_path, line):
     path = tmp_path / "m.py"
     path.write_text(f"import numpy as np\nfrom scipy.special import stdtrit\n{line}\n")
     assert len(scipy_sparse_imports(path)) == 1
+
+
+def csgraph_uses(path: Path) -> list[str]:
+    """Every import of ``scipy.sparse.csgraph`` (or a name in it) in a module's
+    source, and every ``.csgraph`` attribute, which loads the submodule too."""
+    found = [n for n in scipy_sparse_imports(path) if n.startswith("scipy.sparse.csgraph")]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "csgraph":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_no_module_uses_scipy_csgraph():
+    """The balanced partition's seed search is a numpy breadth-first search:
+    the csgraph import took about 0.14 s and 10 MiB on its first use."""
+    package = Path(__file__).resolve().parents[1] / "src" / "fedgraphsim"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    assert {p.stem: csgraph_uses(p) for p in modules if csgraph_uses(p)} == {}
+
+
+@pytest.mark.parametrize("line", [
+    "import scipy.sparse.csgraph", "from scipy.sparse import csgraph",
+    "from scipy.sparse.csgraph import shortest_path",
+    "def f(a):\n    from scipy.sparse.csgraph import shortest_path as sp_",
+    "import scipy.sparse as sp\nd = sp.csgraph.shortest_path"])
+def test_the_csgraph_guard_sees_each_form(tmp_path, line):
+    path = tmp_path / "m.py"
+    path.write_text(f"import numpy as np\nfrom scipy.sparse import csr_matrix\n{line}\n")
+    assert len(csgraph_uses(path)) == 1
 

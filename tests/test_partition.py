@@ -36,10 +36,13 @@ from oracles import (
     all_set_partitions,
     as_scipy,
     balanced_ref,
+    coalesce_ref,
     louvain_ref,
     modularity_ref,
+    move_ref,
     plan_mismatches,
     random_graph_edges,
+    spread_seeds_ref,
     trip_plan_ref,
 )
 
@@ -397,6 +400,82 @@ def test_neighbour_lists_equal_plain_slices(a):
         npt.assert_array_equal(getattr(off, name), getattr(want_off, name))
 
 
+class TestMove:
+    """``_move``'s unsorted scan picks what an ascending id scan picks: the
+    lowest id of the largest gain, and the stay on a tie with it."""
+
+    @staticmethod
+    def move(v, nbrs, wts, k, comm):
+        comm_k = np.bincount(comm, weights=k, minlength=len(comm)).tolist()
+        acc = [0.0] * len(comm)
+        moved = partition._move(v, nbrs, wts, k, sum(k), comm, comm_k, acc)
+        assert acc == [0.0] * len(comm)
+        return moved
+
+    @pytest.mark.parametrize("order", [[5, 3, 1], [1, 3, 5], [3, 5, 1]])
+    def test_equal_gains_go_to_the_lowest_id(self, order):
+        # node 0 sits alone and touches singletons 1, 3 and 5 of equal degree:
+        # the three gains are equal and above the stay gain 0
+        nbrs = [order, [0], [], [0], [], [0]]
+        wts = [[1.0] * 3, [1.0], [], [1.0], [], [1.0]]
+        comm = list(range(6))
+        assert self.move(0, nbrs, wts, [3.0, 1.0, 0.0, 1.0, 0.0, 1.0], comm)
+        assert comm == [1, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("order", [[1, 2], [2, 1]])
+    def test_a_gain_equal_to_the_stay_gain_stays(self, order):
+        # node 0 shares community 2 with node 2 and touches node 1 in community
+        # 1, a lower id: both gains are 1 - 2 * 1 / 4
+        nbrs, wts = [order, [0], [0]], [[1.0, 1.0], [1.0], [1.0]]
+        comm = [2, 1, 2]
+        assert not self.move(0, nbrs, wts, [2.0, 1.0, 1.0], comm)
+        assert comm == [2, 1, 2]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(weighted_levels(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_a_pass_of_moves_equals_the_dict_reference(self, a, unit, singletons, seed):
+        # unit weights and singleton communities, as at level 0, make equal gains common
+        if unit:
+            a.data[:] = 1.0
+        nbrs, wts, _ = partition._neighbour_lists(a)
+        k = np.asarray(a.sum(axis=1)).ravel()
+        if not k.any():
+            return
+        n, m2, rng = a.shape[0], float(k.sum()), np.random.default_rng(seed)
+        comm = list(range(n)) if singletons else rng.integers(0, rng.integers(1, n + 1), n).tolist()
+        comm_k = np.bincount(comm, weights=k, minlength=n).tolist()
+        ref, ref_k, k, acc = list(comm), list(comm_k), k.tolist(), [0.0] * n
+        for v in rng.permutation(n).tolist():
+            moved = partition._move(v, nbrs, wts, k, m2, comm, comm_k, acc)
+            assert moved == move_ref(v, nbrs, wts, k, m2, ref, ref_k)
+            assert comm == ref
+            npt.assert_array_equal(np.array(comm_k).view(np.int64), np.array(ref_k).view(np.int64))
+            assert acc == [0.0] * n
+
+
+@st.composite
+def coalesce_cases(draw):
+    """Node groups of a few repeated sizes over shuffled ids, and a client
+    count that merges most of them or splits them many times over."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.choice(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)),
+                       draw(st.integers(1, 40))).tolist()
+    nodes = rng.permutation(sum(sizes)).tolist()
+    ends = np.cumsum(sizes).tolist()
+    groups = [nodes[e - size:e] for size, e in zip(sizes, ends)]
+    merge = draw(st.booleans())
+    n_clients = draw(st.integers(1, len(groups)) if merge else st.integers(len(groups), len(nodes)))
+    return groups, n_clients
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(coalesce_cases())
+def test_coalesce_equals_the_sorted_loop(case):
+    groups, n_clients = case
+    got = partition._coalesce([list(grp) for grp in groups], n_clients)
+    assert sorted(got) == sorted(coalesce_ref(groups, n_clients))
+
+
 def random_graphs():
     """Random graphs of 5-40 nodes, from sparse to dense."""
     out = []
@@ -437,6 +516,16 @@ class TestBalanced:
                 a.client_of, balanced_ref(g, n_clients, seed),
                 err_msg=f"{g.node_count} nodes, {n_clients} clients, seed {seed}",
             )
+
+    def test_seeds_equal_the_shortest_path_reference(self):
+        cases = [(server_bound_graph(), 200, seed) for seed in range(3)]
+        for g in random_graphs() + graphs_with_isolated_nodes() + graphs_with_components():
+            for n_clients in sorted({1, 2, max(1, g.node_count // 3), g.node_count}):
+                cases += [(g, n_clients, seed) for seed in range(2)]
+        for g, n_clients, seed in cases:
+            a = partition._adjacency(g)
+            got = partition._spread_seeds(a, n_clients, np.random.default_rng(seed))
+            assert got == spread_seeds_ref(a, n_clients, np.random.default_rng(seed))
 
     def test_path_two_contiguous_runs(self):
         g = build(10, [(i, i + 1) for i in range(9)])
