@@ -21,8 +21,11 @@ parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this as kernel calls (``_Block``) of
 one client or several on one path: stacked parameter vectors on data zero-padded
-to one layout (``_Layout``), each client's numbers bit for bit those of it alone,
-scored on the test masks with one argmax per call: the floats ``accuracy`` gives.
+to one layout (``_Layout``), scored on the test masks with one argmax per call:
+the floats ``accuracy`` gives. Each client's numbers are bit for bit those of it
+alone at the widths the tests pin (feature <= 6, hidden <= 8, classes <= 4) on
+OpenBLAS's SkylakeX kernel; at hidden >= 16 with 2, 3 or 10 classes a row of
+``h @ w1`` can round by the call's padded row count (an xfail in the tests).
 Given a run's memo, a several-client layout is reused by the next batch's call
 of the same clients in the same order, and by no later one; a lone client's
 layout by every later call.

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 log = logging.getLogger("fedgraphsim")
+FALLBACK_WARNING = "class with fewer nodes than mask categories; falling back to unstratified split"
 
 
 class GraphFormatError(ValueError):
@@ -150,7 +151,7 @@ class NodeMasks:
         return getattr(self, which)
 
 
-def split_masks(g: Graph, ratios: tuple, seed: int) -> NodeMasks:
+def split_masks(g: Graph, ratios: tuple, seed: int, fallbacks: list | None = None) -> NodeMasks:
     """Per-class stratified random assignment of nodes to train/val/test.
 
     Within each class the shuffled nodes are split by floor(ratio * count)
@@ -158,7 +159,8 @@ def split_masks(g: Graph, ratios: tuple, seed: int) -> NodeMasks:
     stay unassigned. Classes are processed in ascending order, one shuffle
     each, so the result is deterministic under the seed. If any class has
     fewer nodes than the three categories, the whole split falls back to a
-    single unstratified pool (with a warning on the ``fedgraphsim`` logger).
+    single unstratified pool, with a warning on the ``fedgraphsim`` logger or,
+    given a list ``fallbacks``, the seed appended to it instead.
     """
     r_train, r_val, r_test = (float(r) for r in ratios)
     if min(r_train, r_val, r_test) < 0 or r_train + r_val + r_test > 1 + 1e-12:
@@ -167,9 +169,10 @@ def split_masks(g: Graph, ratios: tuple, seed: int) -> NodeMasks:
     groups = [np.flatnonzero(g.labels == c) for c in range(g.num_classes)]
     groups = [grp for grp in groups if grp.size]
     if any(grp.size < 3 for grp in groups):
-        log.warning(
-            "class with fewer nodes than mask categories; falling back to unstratified split"
-        )
+        if fallbacks is None:
+            log.warning(FALLBACK_WARNING)
+        else:
+            fallbacks.append(seed)
         groups = [np.arange(g.node_count, dtype=np.int64)]
     parts: list[list[np.ndarray]] = [[], [], []]
     for grp in groups:

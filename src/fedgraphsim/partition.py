@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .graphs import (
+    FALLBACK_WARNING,
     Graph,
     NodeMasks,
     degrees,
@@ -20,6 +22,8 @@ from .graphs import (
     propagation_matrix,
     split_masks,
 )
+
+log = logging.getLogger("fedgraphsim")
 
 
 @dataclass
@@ -432,8 +436,9 @@ def extract_subgraphs(
     """Induced subgraph per client (cross-client edges dropped), with masks.
 
     Local node ids follow ascending global id; masks come from split_masks
-    with per-client seed offset seed + client_id. One stable sort by client
-    groups the nodes and the intra-client edges, which keep their order.
+    with per-client seed offset seed + client_id, and one warning counts the
+    clients whose split fell back. One stable sort by client groups the nodes
+    and the intra-client edges, which keep their order.
     """
     if a.client_of.shape[0] != g.node_count:
         raise ValueError("assignment does not cover the graph")
@@ -449,7 +454,7 @@ def extract_subgraphs(
     edge_starts = np.searchsorted(edge_cl[order], np.arange(1, a.num_clients))
     node_groups = np.split(nodes, starts[1:-1])
     edge_groups = np.split(local_of[edges[order]], edge_starts)
-    out = []
+    out, fallbacks = [], []
     for cid, (ids, local_edges) in enumerate(zip(node_groups, edge_groups)):
         local = Graph(
             ids.size,
@@ -459,8 +464,10 @@ def extract_subgraphs(
             g.num_classes,
             g.feature_dim,
         )
-        masks = split_masks(local, ratios, seed + cid)
+        masks = split_masks(local, ratios, seed + cid, fallbacks)
         out.append(ClientData(local, ids, masks, cid))
+    if fallbacks:
+        log.warning("%d of %d clients: %s", len(fallbacks), a.num_clients, FALLBACK_WARNING)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -76,19 +77,46 @@ SIDECAR_FIELDS = tuple(Key("sidecar", name, kind) for name, kind in (
     ("durations", list), ("trips", int)))
 
 
-@dataclass
+class AccuracyReplay:
+    """A run's initial accuracy vector and one (client id, accuracy) pair per
+    trip; ``at(trip)`` applies the pairs from a cursor and returns a copy."""
+
+    def __init__(self, initial: np.ndarray):
+        self.initial, self.ids, self.accs = initial.copy(), array("q"), array("d")
+        self.trip, self.cursor = 0, initial.copy()
+
+    def at(self, trip: int) -> np.ndarray:
+        if trip < self.trip:  # a backward read restarts
+            self.trip, self.cursor = 0, self.initial.copy()
+        for i in range(self.trip, trip):
+            self.cursor[self.ids[i]] = self.accs[i]
+        self.trip = trip
+        return self.cursor.copy()
+
+
+@dataclass(slots=True)
 class TripRecord:
+    """One completed trip. ``all_accs`` replays every client's accuracy after
+    it from the run's shared ``AccuracyReplay`` (None without one, as after
+    ``MetricsLog.read``): a fresh array per read, O(clients) in trip order and
+    O(trip) backward. The replay holds no record, so no cycle keeps a log."""
+
     trip: int
     time: int
     client_id: int
     client_acc: float
     mean_acc: float
-    all_accs: np.ndarray | None  # every client's accuracy after this trip
+    replay: AccuracyReplay | None = None
+
+    @property
+    def all_accs(self) -> np.ndarray | None:
+        return None if self.replay is None else self.replay.at(self.trip)
 
 
 @dataclass
 class MetricsLog:
-    """Per-trip accuracy time series plus run metadata and protocol traces."""
+    """Per-trip accuracy time series plus run metadata and protocol traces; a
+    run keeps one (client id, accuracy) pair per trip, not a snapshot."""
 
     records: list[TripRecord]
     seed: int
@@ -160,8 +188,7 @@ class MetricsLog:
         for lineno, line in enumerate(lines[1:], start=2):
             try:
                 trip, time, cid, acc, mean = line.split(",")
-                records.append(TripRecord(int(trip), int(time), int(cid), float(acc),
-                                          float(mean), None))
+                records.append(TripRecord(int(trip), int(time), int(cid), float(acc), float(mean)))
             except ValueError:
                 raise ConfigError(f"{csv_path}: line {lineno}: not {CSV_HEADER}") from None
         seed, config_hash, strategy, initial, durations, trips = (meta[name] for name in names)
@@ -274,13 +301,13 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
     (first, the initial scoring's) call of the same clients in the same
     order, if any, and a lone client its first one. Then, trip by trip,
     finish the trip (``client_trip``: the upload, and the client's test
-    accuracy as its kernel call scored it) and snapshot the cached accuracy
-    vector, hand the upload to the server (which alone holds the protocol
-    hyperparameters, from ``make_server``), trace each delivery by its kind,
-    and schedule the client's next trip. So only a batch's last upload can
-    reach its other clients, and the run is bit for bit the
-    one-event-at-a-time loop; a delivery to a batch client that has not
-    uploaded yet raises RuntimeError. When the server waits for its round
+    accuracy as its kernel call scored it) and log that accuracy, hand the
+    upload to the server (which alone holds the protocol hyperparameters,
+    from ``make_server``), trace each delivery by its kind, and schedule the
+    client's next trip. So only a batch's last upload can reach its other
+    clients, and the run is the one-event-at-a-time loop, bit for bit at the
+    widths ``gcn`` names; a delivery to a batch client that has not uploaded
+    yet raises RuntimeError. When the server waits for its round
     (fedavg_sync), the round's deliveries schedule the next trips of their
     recipients, all waiting; otherwise the client is re-scheduled at once.
     Only clients with training nodes are ever scheduled. A config that
@@ -313,6 +340,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
                          strategy=cfg.strategy.value, initial_accs=tuple(cached.tolist()),
                          initial_mean_acc=float(cached.mean()),
                          durations=tuple(int(d) for d in durations))
+        replay = AccuracyReplay(cached)
         # a sorted list is already a heap
         heap = sorted(Event(int(durations[cid]), cid) for cid, act in enumerate(active) if act)
         while trips < cfg.max_trips and heap:
@@ -328,10 +356,10 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
                 pending.remove(cid)
                 upload, cached[cid] = client_trip(client, trained)
                 trips += 1
-                mean = float(cached.sum() / cached.size)
-                log.records.append(
-                    TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
-                )
+                acc, mean = float(cached[cid]), float(cached.sum() / cached.size)
+                replay.ids.append(cid)
+                replay.accs.append(acc)
+                log.records.append(TripRecord(trips, now, cid, acc, mean, replay))
                 deliveries = server_receive(server, upload)
                 for d_cid, d_msg in deliveries:
                     if d_cid in pending:

@@ -331,10 +331,11 @@ def gradients_full_rows(block) -> np.ndarray:
     return grads
 
 
-def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.MetricsLog:
+def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int):
     """The event loop as it was before same-time trips trained in batches:
     each popped event opens its mailbox and runs its whole trip (a batch of
-    one) before the next event pops."""
+    one) before the next event pops. Returns the log, whose records replay
+    nothing, and every client's accuracy after each trip, copied eagerly."""
     clients_data, durations, initial = sim.prepare_clients(cfg, seed)
     for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
         cd.plan = plan
@@ -357,7 +358,7 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
         sim.Event(int(durations[cid]), cid) for cid, act in enumerate(active) if act
     )
     gated: set[int] = set()
-    trips = 0
+    trips, snapshots = 0, []
     while trips < cfg.max_trips and heap:
         ev = heapq.heappop(heap)
         now, cid = ev.completion_time, ev.client_id
@@ -366,9 +367,8 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
         trips += 1
         cached[cid] = accuracy(upload.soft, client.data, client.data.masks.test)
         mean = float(cached.sum() / cached.size)
-        log.records.append(
-            sim.TripRecord(trips, now, cid, float(cached[cid]), mean, cached.copy())
-        )
+        log.records.append(sim.TripRecord(trips, now, cid, float(cached[cid]), mean))
+        snapshots.append(cached.copy())
         deliveries = server_receive(server, upload)
         for d_cid, d_msg in deliveries:
             if cfg.strategy == Strategy.FEDSA_GCL:
@@ -385,7 +385,7 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int) -> sim.
         for r_cid in ready:
             heapq.heappush(heap, sim.Event(now + int(durations[r_cid]), r_cid))
     log.aggregation_log = list(server.aggregation_log)
-    return log
+    return log, snapshots
 
 
 def weighted_row_sum_ref(rows: np.ndarray, weights) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The benchmark's traced path runs for every strategy.
+"""The benchmark's traced path runs for every strategy, and its run check
+still catches a wrong mean accuracy.
 
 perfbench's own smoke test traces only fedsa_gcl, yet its protocol counters
 read every upload's parameters and fingerprint whatever the strategy. This
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from fedgraphsim.protocol import Strategy
+from fedgraphsim.sim import run_simulation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +52,14 @@ def test_traced_benchmark_runs_for_every_strategy(strategy):
     metrics = result["metrics"]
     assert metrics["protocol.bytes_up"]["value"] > 0
     assert metrics["protocol.server_receive.calls"]["value"] == 20
+
+
+def test_check_log_reads_the_replayed_snapshots():
+    """``check_log`` compares every trip's ``mean_acc`` with the mean of its
+    replayed accuracy vector: a correct run has no problem, and a mean shifted
+    by 1e-9 on one trip is flagged at that trip."""
+    cfg = tiny("fedsa_gcl").config()
+    log = run_simulation(cfg, 1)
+    assert run.check_log(log, cfg) == []
+    log.records[12].mean_acc += 1e-9
+    assert run.check_log(log, cfg) == ["trip 13: mean_acc is not the mean of all_accs"]

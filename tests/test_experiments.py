@@ -23,7 +23,7 @@ from fedgraphsim.sim import MetricsLog, TripRecord, run_simulation
 
 def fake_log(means, initial=0.1):
     records = [
-        TripRecord(i + 1, i + 1, 0, m, m, (m,)) for i, m in enumerate(means)
+        TripRecord(i + 1, i + 1, 0, m, m) for i, m in enumerate(means)
     ]
     return MetricsLog(
         records=records,

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -346,14 +347,14 @@ def test_deterministic_forward_backward():
 # kernels as they were, in tests/oracles.py) bit for bit.
 
 
-def batch_client(rng, n, q, f=6, c=3, edges=None):
+def batch_client(rng, n, q, f=6, c=3, edges=None, h=5):
     """A client of n nodes on a random graph (or the given edges), half its
-    nodes training, with random params; every client of a batch shares f, c."""
+    nodes training, with random params; every client of a batch shares f, h, c."""
     cd = make_client_data(
         n, random_graph_edges(rng, n, q) if edges is None else edges, num_classes=c,
         rng=rng, feature_dim=f, train=np.sort(rng.choice(n, size=max(1, n // 2), replace=False)),
     )
-    return random_params(rng, f, 5, c), cd
+    return random_params(rng, f, h, c), cd
 
 
 def assert_batch_matches_loop(members, lr=0.3, layouts=None):
@@ -389,14 +390,28 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_batch_of_random_clients_matches_per_client_loop(seed):
+def random_batch(seed, **widths):
     rng = np.random.default_rng(seed)
-    members = [
-        batch_client(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)))
+    return [
+        batch_client(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)), **widths)
         for _ in range(int(rng.integers(2, 12)))
     ]
-    assert_batch_matches_loop(members)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_of_random_clients_matches_per_client_loop(seed):
+    assert_batch_matches_loop(random_batch(seed))
+
+
+@pytest.mark.xfail(os.environ.get("OPENBLAS_CORETYPE") != "Sandybridge", strict=True,
+                   reason="at hidden 16 or more with 2, 3 or 10 classes a row of h @ w1 "
+                          "rounds by the padded call's row count (not on Sandybridge)")
+def test_batch_at_the_default_hidden_width_matches_the_loop():
+    """The random batches above at feature 16 and the default hidden width
+    64: a member whose node count is not a multiple of 4 can round apart from
+    its call of one (on SkylakeX, Haswell and Prescott, not Sandybridge)."""
+    for seed in range(6):
+        assert_batch_matches_loop(random_batch(seed, f=16, h=64, c=3))
 
 
 def test_batch_with_edgeless_and_one_node_clients_matches_loop():

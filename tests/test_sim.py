@@ -1,4 +1,5 @@
 import gc
+import logging
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +13,7 @@ from scipy.sparse._compressed import _cs_matrix
 from fedgraphsim import gcn, kernels, protocol, sim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.gcn import evaluate
-from fedgraphsim.graphs import SbmConfig
+from fedgraphsim.graphs import SbmConfig, split_masks
 from fedgraphsim.kernels import FglHyper
 from fedgraphsim.partition import TripPlan
 from fedgraphsim.protocol import Strategy
@@ -163,6 +164,37 @@ class TestRunSimulation:
         for a, b in zip(snapshots, snapshots[1:]):
             assert not np.shares_memory(a, b)
 
+    def test_accuracy_snapshots_in_any_read_order(self):
+        """A backward read restarts the replay and an in-order one moves its
+        cursor on: every order gives the in-order arrays, each a fresh one."""
+        log = run_simulation(sbm_cfg(**{**STRAGGLER_RUN, "max_trips": 60}), seed=4)
+        in_order = [r.all_accs for r in log.records]
+        order = np.random.default_rng(0).permutation(len(log.records))
+        for k in [*range(len(log.records) - 1, -1, -1), *order.tolist()]:
+            got = log.records[k].all_accs
+            assert got.tobytes() == in_order[k].tobytes()
+            assert not np.shares_memory(got, in_order[k])
+
+    def test_records_hold_no_array(self):
+        log = run_simulation(sbm_cfg(max_trips=20), seed=6)
+        (replay,) = {id(r.replay): r.replay for r in log.records}.values()
+        for r in log.records:
+            assert not hasattr(r, "__dict__")
+            assert not any(isinstance(getattr(r, name), np.ndarray) for name in r.__slots__)
+        assert replay.ids.tolist() == [r.client_id for r in log.records]
+
+    def test_a_dropped_log_is_freed_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            log = run_simulation(sbm_cfg(max_trips=20), seed=6)
+            log.records[5].all_accs  # a read leaves the replay's cursor mid-log
+            refs = [weakref.ref(log), weakref.ref(log.records[0].replay)]
+            del log
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_client_without_train_nodes_never_trips(self, monkeypatch, strategy):
         real_prepare, real_trip = sim.prepare_clients, sim.client_trip
@@ -213,6 +245,7 @@ class TestRunSimulation:
         assert path == tmp_path / "metrics_seed7.csv"
         assert back.to_csv_text() == log.to_csv_text() == path.read_text()
         assert back.sidecar() == log.sidecar()
+        assert all(r.all_accs is None for r in back.records)  # no snapshots on disk
         assert log.trace  # the run delivered
         assert (tmp_path / "trace_seed7.log").read_text().splitlines() == log.trace
 
@@ -385,7 +418,7 @@ DRIVER_CASES = {
 @pytest.mark.parametrize("case", DRIVER_CASES)
 def test_batched_driver_equals_the_one_event_at_a_time_loop(monkeypatch, case):
     cfg = sbm_cfg(**{**STRAGGLER_RUN, **DRIVER_CASES[case]})
-    ref = run_simulation_one_event_at_a_time(cfg, 4)
+    ref, snapshots = run_simulation_one_event_at_a_time(cfg, 4)
     batches, real = [], sim.train_trips
 
     def recording(states, mailboxes, lr, layouts):
@@ -397,6 +430,9 @@ def test_batched_driver_equals_the_one_event_at_a_time_loop(monkeypatch, case):
     assert log.to_csv_text() == ref.to_csv_text()
     assert repr(log.aggregation_log) == repr(ref.aggregation_log)
     assert log.trace == ref.trace
+    # the replayed accuracy vectors are the loop's eager copies, bit for bit
+    for r, snapshot in zip(log.records, snapshots, strict=True):
+        assert r.all_accs.tobytes() == snapshot.tobytes()
     assert [c for b in batches for c in b] == [r.client_id for r in log.records]
     assert max(map(len, batches)) > 1
     slow = [c for c, d in enumerate(log.durations) if d > 1]
@@ -510,7 +546,7 @@ def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, str
     only the first time it runs alone, and the run is the one-event-at-a-time
     loop's."""
     cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy, "max_trips": 149})
-    ref = run_simulation_one_event_at_a_time(cfg, 4)
+    ref, _ = run_simulation_one_event_at_a_time(cfg, 4)
     events = record_layouts(monkeypatch)
     log = run_simulation(cfg, 4)
     assert log.initial_accs == ref.initial_accs  # one forward_batch against evaluate per client
@@ -585,3 +621,20 @@ def test_a_run_keeps_no_client_data_alive(monkeypatch):
     gc.collect()
     assert len(log.records) == 40 and len(refs) == 4
     assert all(ref() is None for ref in refs)
+
+
+def test_a_set_up_warns_once_for_its_mask_fallbacks(caplog):
+    """Every 10-node client of a balanced split holds a class of fewer than 3
+    nodes, so each split falls back to unstratified: one warning names the
+    count, and the masks are split_masks' own."""
+    blocks = SbmConfig((10, 10, 10, 10), 0.5, 0.05, 4, 0.3, 5)
+    cfg = sbm_cfg(dataset=DatasetSpec("sbm", sbm=blocks), n_clients=4)
+    with caplog.at_level(logging.WARNING, logger="fedgraphsim"):
+        clients, _, _ = prepare_clients(cfg, 1)
+    (record,) = caplog.records
+    assert record.getMessage().startswith("4 of 4 clients: class with fewer nodes")
+    seed = sim._derived_seeds(1)["masks"]
+    for cd in clients:
+        masks = split_masks(cd.graph, cfg.mask_ratios, seed + cd.client_id)
+        assert all(np.array_equal(getattr(cd.masks, m), getattr(masks, m))
+                   for m in ("train", "val", "test"))
