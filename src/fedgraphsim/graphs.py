@@ -9,11 +9,16 @@ adjacency.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 log = logging.getLogger("fedgraphsim")
 FALLBACK_WARNING = "class with fewer nodes than mask categories; falling back to unstratified split"
@@ -21,6 +26,60 @@ FALLBACK_WARNING = "class with fewer nodes than mask categories; falling back to
 
 class GraphFormatError(ValueError):
     """Raised when a graph file is malformed or fails validation."""
+
+
+def load_sparsetools():
+    """scipy's compiled sparse kernels, the extension ``scipy.sparse._sparsetools``, loaded
+    without ``scipy.sparse``, whose ``__init__`` pulls in ``numpy.f2py`` and
+    ``array_api_compat`` (about 15 MiB RSS). It is found in scipy's sparse directory by
+    the path finder, which runs no package code, and kept under its own name in
+    ``sys.modules``: a process holds one copy, whichever of the two is imported first."""
+    name, where = "scipy.sparse._sparsetools", os.path.join(scipy.__path__[0], "sparse")
+    if name not in sys.modules:
+        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"no {name} extension in {where}", name=name, path=where)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+sparsetools = load_sparsetools()
+
+
+class Csr(NamedTuple):
+    """A CSR matrix as the plain arrays ``spmm`` reads, built with no scipy checks."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def index_dtype(*sizes: int) -> type:
+    """A CSR's index type: int32 while every size fits it, as scipy picks, else int64."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+
+
+def coo_to_csr(rows, cols, vals, n: int) -> Csr:
+    """The n x n CSR with vals[i] at (rows[i], cols[i]), array for array what
+    ``scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))`` builds, in O(nnz)
+    with scipy's own kernels: a stable counting sort by row, each row's columns then
+    sorted unless they ascend already, and duplicates summed in that order. ``vals``
+    None stands for all ones: one array of ones is read and written in place."""
+    index = index_dtype(n, len(rows))
+    rows, cols = np.asarray(rows, index), np.asarray(cols, index)
+    indptr, indices = np.empty(n + 1, index), np.empty(len(rows), index)
+    data = np.ones(len(rows)) if vals is None else np.empty(len(rows))
+    sparsetools.coo_tocsr(n, n, len(rows), rows, cols, data if vals is None else vals,
+                          indptr, indices, data)
+    if not sparsetools.csr_has_sorted_indices(n, indptr, indices):
+        sparsetools.csr_sort_indices(n, indptr, indices, data)
+    sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
+    if indptr[-1] < len(rows):  # summed duplicates: keep no unused tail
+        data, indices = data[: indptr[-1]].copy(), indices[: indptr[-1]].copy()
+    return Csr(data, indices, indptr, (n, n))
 
 
 def read_text(path, error: type) -> str:
@@ -101,24 +160,25 @@ def degrees(g: Graph) -> np.ndarray:
     return np.bincount(g.edges.ravel(), minlength=g.node_count).astype(np.int64)
 
 
-def normalized_adjacency(g: Graph) -> sp.csr_matrix:
-    """GCN-normalized adjacency with self-loops.
+def normalized_adjacency(g: Graph) -> Csr:
+    """GCN-normalized adjacency with self-loops, as a ``Csr`` (columns ascending).
 
     Entry (i, j) = 1/sqrt((d_i + 1)(d_j + 1)) for every edge and for every
-    diagonal position, with d the raw degree.
+    diagonal position, with d the raw degree. Each row's entries come in as its
+    lower neighbours, itself, its upper neighbours: ascending, so none is sorted.
     """
     n = g.node_count
     inv = 1.0 / np.sqrt(degrees(g).astype(np.float64) + 1.0)
     diag = np.arange(n, dtype=np.int64)
     u, v = g.edges[:, 0], g.edges[:, 1]
-    rows = np.concatenate([u, v, diag])
-    cols = np.concatenate([v, u, diag])
-    vals = inv[rows] * inv[cols]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    rows = np.concatenate([v, diag, u])
+    cols = np.concatenate([u, diag, v])
+    return coo_to_csr(rows, cols, inv[rows] * inv[cols], n)
 
 
-def propagation_matrix(g: Graph) -> sp.csr_matrix:
-    """Neighbor-averaging operator: entry (i, j) = 1/sqrt(d_i * d_j) per edge.
+def propagation_matrix(g: Graph) -> Csr:
+    """Neighbor-averaging operator, as a ``Csr`` (columns ascending): entry
+    (i, j) = 1/sqrt(d_i * d_j) per edge.
 
     No diagonal; rows of isolated nodes are empty. Both edge endpoints have
     degree >= 1, so every stored value is finite.
@@ -126,10 +186,9 @@ def propagation_matrix(g: Graph) -> sp.csr_matrix:
     n = g.node_count
     d = degrees(g).astype(np.float64)
     u, v = g.edges[:, 0], g.edges[:, 1]
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    vals = 1.0 / np.sqrt(d[rows] * d[cols])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    rows = np.concatenate([v, u])
+    cols = np.concatenate([u, v])
+    return coo_to_csr(rows, cols, 1.0 / np.sqrt(d[rows] * d[cols]), n)
 
 
 @dataclass
@@ -328,7 +387,7 @@ def load_graph(path) -> Graph:
             except ValueError:
                 fail(lineno, "malformed edge line")
             if not (0 <= u < n and 0 <= v < n):
-                fail(lineno, f"edge endpoint out of range")
+                fail(lineno, f"edge {u} {v}: endpoint out of range for {n} nodes")
             if u == v:
                 dropped_loops += 1
                 continue

@@ -7,21 +7,25 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .graphs import (
     FALLBACK_WARNING,
+    Csr,
     Graph,
     NodeMasks,
+    coo_to_csr,
     degrees,
+    index_dtype,
     normalized_adjacency,
     propagation_matrix,
+    sparsetools,
     split_masks,
 )
+
+csr_matvecs, csc_matvecs = sparsetools.csr_matvecs, sparsetools.csc_matvecs
+csr_matmat = sparsetools.csr_matmat
 
 log = logging.getLogger("fedgraphsim")
 
@@ -40,15 +44,6 @@ class CommunityAssignment:
             raise ValueError("every client must own at least one node")
 
 
-class Csr(NamedTuple):
-    """A CSR matrix as the plain arrays ``spmm`` reads, built with no scipy checks."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple
-
-
 @dataclass(frozen=True)
 class TripPlan:
     """The operators every trip of one client reuses: ``adj`` (A_hat, the
@@ -65,20 +60,21 @@ class TripPlan:
     @classmethod
     def build_all(cls, graphs: list[Graph]) -> list["TripPlan"]:
         """Each graph's plan (all share one feature_dim) from one block-diagonal
-        pass that cuts each graph's rows, as ``Csr`` views, out of the joined scipy
-        operators: bit for bit its plan alone, as every stored value comes from its
-        own nodes' degrees, no edge joins two blocks and A_hat X is row by row."""
+        pass that cuts each graph's rows, as ``Csr`` views, out of the joined
+        operators (each one ``Csr`` of all graphs): bit for bit its plan alone, as
+        every stored value comes from its own nodes' degrees, no edge joins two
+        blocks and A_hat X is row by row."""
         starts = np.cumsum([0] + [g.node_count for g in graphs])
         edges = np.concatenate([g.edges + s for g, s in zip(graphs, starts.tolist())])
         # canonical already (each graph's edges are, and the offsets grow), so
         # a Graph's sort and checks would only repeat work
         joined = SimpleNamespace(node_count=int(starts[-1]), edges=edges, edge_count=len(edges))
         adj, deg, (u, v) = normalized_adjacency(joined), degrees(joined).astype(float), edges.T
-        w = sp.csr_matrix((deg[u] * deg[v], (u, v)), shape=adj.shape)
-        ax = adj.dot(np.concatenate([g.features for g in graphs]))
+        w = coo_to_csr(u, v, deg[u] * deg[v], joined.node_count)
+        ax = spmm(adj, np.concatenate([g.features for g in graphs]))
         prop = propagation_matrix(joined)
 
-        def block(m: sp.csr_matrix, s: int, e: int) -> Csr:
+        def block(m: Csr, s: int, e: int) -> Csr:
             lo, hi = m.indptr[s], m.indptr[e]
             return Csr(m.data[lo:hi], m.indices[lo:hi] - s, m.indptr[s : e + 1] - lo, (e - s,) * 2)
 
@@ -97,7 +93,7 @@ def block_diag(mats: list[Csr], rows: int | None = None):
     n = np.array([m.shape[0] for m in mats])
     span = n if rows is None else np.full(n.size, rows)
     nnz = np.cumsum([0] + [m.data.size for m in mats])
-    index = np.int32 if max(span.sum(), nnz[-1]) <= np.iinfo(np.int32).max else np.int64
+    index = index_dtype(span.sum(), nnz[-1])
     starts, nnz = (np.cumsum(span) - span).astype(index), nnz.astype(index)
     real = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)  # the blocks' rows
     indptr = np.append(np.repeat(nnz[1:], span), nnz[-1])  # a padded row is empty
@@ -113,8 +109,10 @@ def spmm(a: Csr, x: np.ndarray, transposed: bool = False) -> np.ndarray:
     On ``a``'s arrays (a ``Csr`` or a scipy matrix) this calls the kernel a scipy
     ``a.dot`` (``a.T.dot``, CSC, if ``transposed``) ends in (``_matmul_multivector``)
     with a fresh zero output, bit for bit, skipping scipy's dispatch (twice the product
-    on tiny client subgraphs). The kernels are private to scipy and there is no
-    fallback: if a scipy release changes them, tests/test_partition.py::TestSpmm fails.
+    on tiny client subgraphs): ``csr_matvecs`` (``csc_matvecs``) of the extension
+    ``scipy.sparse._sparsetools``, which ``graphs.load_sparsetools`` loads without
+    ``scipy.sparse``. The kernels are private to scipy and there is no fallback: if a
+    scipy release changes them, tests/test_partition.py::TestSpmm fails.
     """
     (m, n), mul = (a.shape[::-1], csc_matvecs) if transposed else (a.shape, csr_matvecs)
     y = np.zeros((m, x.shape[1]))
@@ -186,11 +184,12 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     node moved; comm is updated in place, each move strictly raising modularity.
 
     It skips each node whose stay is provable, so the result is ``_move`` on
-    every node. One product a_off @ P gives each node's pass-start slack: its
-    stay gain, less its best other gain clamped at 0, less SLACK * (1 + k_v).
-    Node v is skipped while 2 shift[v] + (2 k_v / m2) moved_k < slack[v], with
-    moved_k the degree moved so far and shift[v] the weight of v's moved
-    neighbours. Exact, as every weight, degree and community total is an
+    every node. One product a_off @ P, scipy's ``csr_matmat`` kernel with P the
+    node -> community indicator (``_community_weights``), gives each node's
+    pass-start slack: its stay gain, less its best other gain clamped at 0,
+    less SLACK * (1 + k_v). Node v is skipped while 2 shift[v] + (2 k_v / m2)
+    moved_k < slack[v], with moved_k the degree moved so far and shift[v] the
+    weight of v's moved neighbours. Exact, as every weight, degree and community total is an
     integer-valued float: the moves so far shift v's acc[c] by at most
     shift[v] and any comm_k[c] by at most moved_k, and one move can lower the
     stay gain and raise another, hence twice each. A community first adjacent
@@ -207,8 +206,8 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
         visits, k, comm_k = rng.permutation(n).tolist(), k.tolist(), comm_k.tolist()
         moved = [_move(v, nbrs, wts, k, m2, comm, comm_k, acc) for v in visits]
         return any(moved)
-    to = a_off @ sp.csr_matrix((np.ones(n), at, np.arange(n + 1)), shape=(n, n))
-    rows = np.repeat(np.arange(n), np.diff(to.indptr))
+    to = _community_weights(a_off, at)
+    rows = _rows(to)
     own = to.indices == at[rows]
     w_own = np.bincount(rows[own], weights=to.data[own], minlength=n)  # one entry at most
     gain = to.data - k[rows] * comm_k[to.indices] / m2
@@ -234,17 +233,46 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     return moved
 
 
-def _adjacency(g: Graph) -> sp.csr_matrix:
-    """Symmetric CSR adjacency of g, weight 1 per edge, indices sorted per row."""
-    ends = np.concatenate([g.edges, g.edges[:, ::-1]]).T
-    return sp.csr_matrix((np.ones(ends.shape[1]), tuple(ends)), shape=(g.node_count,) * 2)
+def _rows(a: Csr) -> np.ndarray:
+    """The row of each stored entry of a CSR."""
+    return np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
 
 
-def _neighbour_lists(a: sp.csr_matrix):
+def _community_weights(a: Csr, comm: np.ndarray) -> Csr:
+    """a @ P, P the node -> community indicator: each row's total weight to each community
+    it touches, by scipy's ``csr_matmat`` with its column order (not sorted). P holds one
+    entry per row, so the product holds at most as many entries as a."""
+    n, index = a.shape[0], a.indices.dtype
+    indptr, indices, data = np.empty_like(a.indptr), np.empty_like(a.indices), np.empty_like(a.data)
+    csr_matmat(n, n, a.indptr, a.indices, a.data, np.arange(n + 1, dtype=index),
+               comm.astype(index), np.ones(n), indptr, indices, data)
+    return Csr(data[: indptr[-1]], indices[: indptr[-1]], indptr, (n, n))
+
+
+def _coarsen(a: Csr, mapping: np.ndarray) -> Csr:
+    """P.T @ a @ P, P the node -> community indicator of ``mapping``: each entry of a
+    added at its two ends' communities (duplicates summed, columns ascending)."""
+    return coo_to_csr(np.repeat(mapping, np.diff(a.indptr)), mapping[a.indices], a.data,
+                      int(mapping.max()) + 1)
+
+
+def _adjacency(g: Graph) -> Csr:
+    """Symmetric CSR adjacency of g, weight 1 per edge, columns ascending per row: each
+    row's lower neighbours come first (the edges turned round), then its upper ones."""
+    index, ends = index_dtype(g.node_count, 2 * g.edge_count), g.edges.T
+    rows = np.concatenate([ends[1], ends[0]], dtype=index)
+    return coo_to_csr(rows, np.concatenate([ends[0], ends[1]], dtype=index), None, g.node_count)
+
+
+def _neighbour_lists(a: Csr):
     """Per-node neighbour and weight lists of a CSR level and the level, its diagonal left out.
     The lists share one int per node and one float per distinct weight: per-row slices of
     object arrays of those shared objects, with no flat list of one object per stored entry."""
-    a = a - sp.diags(a.diagonal(), format="csr")
+    diag = a.indices == _rows(a)
+    if diag.any():  # a coarse level: at most one diagonal entry per row
+        cut = np.cumsum(np.bincount(a.indices[diag], minlength=a.shape[0]))
+        indptr = (a.indptr - np.concatenate([[0], cut])).astype(a.indptr.dtype)
+        a = Csr(a.data[~diag], a.indices[~diag], indptr, a.shape)
     values, which = np.unique(a.data, return_inverse=True)
     idx, w = np.arange(a.shape[0]).astype(object)[a.indices], values.astype(object)[which]
     spans = list(zip(a.indptr.tolist(), a.indptr[1:].tolist()))
@@ -256,7 +284,7 @@ def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarr
 
     Each level is one symmetric weighted CSR whose diagonal holds twice the
     self-loop weight, so a node's degree k is its row sum; coarsening is
-    P.T @ A @ P with P the node -> community indicator.
+    P.T @ A @ P with P the node -> community indicator (``_coarsen``).
     """
     n = g.node_count
     membership = np.arange(n, dtype=np.int64)
@@ -266,7 +294,7 @@ def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarr
     a = _adjacency(g)
     while True:
         n_level = a.shape[0]
-        k = np.asarray(a.sum(axis=1)).ravel()
+        k = np.bincount(_rows(a), weights=a.data, minlength=n_level)
         m2 = float(k.sum())
         nbrs, wts, a_off = _neighbour_lists(a)
         comm = list(range(n_level))
@@ -278,9 +306,8 @@ def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarr
                 break
         if len(set(comm)) == n_level:
             break
-        mapping = np.unique(comm, return_inverse=True)[1]
-        p = sp.csr_matrix((np.ones(n_level), (np.arange(n_level), mapping)))
-        a = (p.T @ a @ p).tocsr()
+        mapping = np.unique(comm, return_inverse=True)[1].astype(a.indices.dtype)
+        a = _coarsen(a, mapping)
         membership = mapping[membership]
     return np.unique(membership, return_inverse=True)[1].astype(np.int64)
 
@@ -341,7 +368,7 @@ def louvain_partition(
     return _groups_to_assignment(_coalesce(groups, n_clients), g.node_count, n_clients)
 
 
-def _spread_seeds(a: sp.csr_matrix, n_clients: int, rng) -> list[int]:
+def _spread_seeds(a: Csr, n_clients: int, rng) -> list[int]:
     """Farthest-point seed selection, robust to the random starting node.
 
     The node farthest in hops from a random start is the first seed; each

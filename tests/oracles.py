@@ -19,13 +19,7 @@ import scipy.sparse as sp
 from fedgraphsim import gcn, sim
 from fedgraphsim.config import ExperimentConfig
 from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, accuracy, evaluate, softmax_rows
-from fedgraphsim.graphs import (
-    Graph,
-    NodeMasks,
-    degrees,
-    normalized_adjacency,
-    propagation_matrix,
-)
+from fedgraphsim.graphs import Graph, NodeMasks, degrees
 from fedgraphsim.kernels import ENTROPY_OFFSET, LscValue, cosine_block, staleness_factors
 from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
 from fedgraphsim.protocol import (
@@ -501,25 +495,78 @@ def compute_sfm_ref(soft, cd: ClientData) -> np.ndarray:
     return one_way + one_way.T
 
 
+# Scipy-built references: the set-up operators as scipy's csr_matrix built
+# them before the library built its own CSR arrays, copied as they were. The
+# library's must equal them array for array (the slack product entry for entry).
+
+
+def normalized_adjacency_ref(g: Graph) -> sp.csr_matrix:
+    n = g.node_count
+    inv = 1.0 / np.sqrt(degrees(g).astype(np.float64) + 1.0)
+    diag = np.arange(n, dtype=np.int64)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    rows = np.concatenate([u, v, diag])
+    cols = np.concatenate([v, u, diag])
+    vals = inv[rows] * inv[cols]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def propagation_matrix_ref(g: Graph) -> sp.csr_matrix:
+    n = g.node_count
+    d = degrees(g).astype(np.float64)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    vals = 1.0 / np.sqrt(d[rows] * d[cols])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def edge_weights_ref(g: Graph) -> sp.csr_matrix:
+    deg, (u, v) = degrees(g).astype(np.float64), g.edges.T
+    return sp.csr_matrix((deg[u] * deg[v], (u, v)), shape=(g.node_count,) * 2)
+
+
+def adjacency_ref(g: Graph) -> sp.csr_matrix:
+    ends = np.concatenate([g.edges, g.edges[:, ::-1]]).T
+    return sp.csr_matrix((np.ones(ends.shape[1]), tuple(ends)), shape=(g.node_count,) * 2)
+
+
+def coarsen_ref(a, mapping) -> sp.csr_matrix:
+    """A Louvain level coarsened to its communities, P.T @ A @ P."""
+    n_level = a.shape[0]
+    p = sp.csr_matrix((np.ones(n_level), (np.arange(n_level), mapping)))
+    return (p.T @ as_scipy(a) @ p).tocsr()
+
+
+def community_weights_ref(a_off, at) -> sp.csr_matrix:
+    """The pass-start slack product a_off @ P."""
+    n = len(at)
+    return as_scipy(a_off) @ sp.csr_matrix((np.ones(n), at, np.arange(n + 1)), shape=(n, n))
+
+
 def trip_plan_ref(g: Graph) -> TripPlan:
-    """One graph's trip plan built on its own, the per-graph build that
-    TripPlan.build_all must equal bit for bit."""
-    adj, deg, (u, v) = normalized_adjacency(g), degrees(g).astype(np.float64), g.edges.T
-    w = sp.csr_matrix((deg[u] * deg[v], (u, v)), shape=(g.node_count,) * 2)
-    return TripPlan(adj, adj.dot(g.features), propagation_matrix(g), deg, w)
+    """One graph's trip plan built on its own by scipy, which TripPlan.build_all
+    must equal bit for bit."""
+    adj = normalized_adjacency_ref(g)
+    return TripPlan(adj, adj.dot(g.features), propagation_matrix_ref(g),
+                    degrees(g).astype(np.float64), edge_weights_ref(g))
+
+
+def csr_mismatches(m, ref, name: str = "csr") -> list[str]:
+    """The parts in which two CSRs (a ``Csr`` or a scipy matrix) differ: the
+    shape, or the dtype or bits of indptr, indices or data."""
+    bad = [f"{name}.shape"] if m.shape != ref.shape else []
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(m, part), getattr(ref, part)
+        if x.dtype != y.dtype or x.tobytes() != y.tobytes():
+            bad.append(f"{name}.{part}")
+    return bad
 
 
 def plan_mismatches(plan: TripPlan, ref: TripPlan) -> list[str]:
     """The parts in which two trip plans differ, compared bit for bit."""
-    bad = []
-    for name in ("adj", "prop", "edge_w"):
-        m, r = getattr(plan, name), getattr(ref, name)
-        if m.shape != r.shape:
-            bad.append(f"{name}.shape")
-        for part in ("indptr", "indices", "data"):
-            x, y = getattr(m, part), getattr(r, part)
-            if x.dtype != y.dtype or not np.array_equal(x, y):
-                bad.append(f"{name}.{part}")
+    bad = [b for name in ("adj", "prop", "edge_w")
+           for b in csr_mismatches(getattr(plan, name), getattr(ref, name), name)]
     for name in ("ax", "deg"):
         x, y = getattr(plan, name), getattr(ref, name)
         if x.shape != y.shape or not np.array_equal(x, y):
@@ -793,7 +840,7 @@ def coalesce_ref(groups: list[list[int]], n_clients: int) -> list[list[int]]:
     return groups
 
 
-def spread_seeds_ref(a: sp.csr_matrix, n_clients: int, rng) -> list[int]:
+def spread_seeds_ref(a, n_clients: int, rng) -> list[int]:
     """Farthest-point seed selection, robust to the random starting node.
 
     The node farthest in hops from a random start is the first seed; each
@@ -803,7 +850,7 @@ def spread_seeds_ref(a: sp.csr_matrix, n_clients: int, rng) -> list[int]:
     lowest id.
     """
     from scipy.sparse.csgraph import shortest_path  # imported on use: ~10 MiB RSS
-    n = a.shape[0]
+    a, n = as_scipy(a), a.shape[0]
     start = rng.integers(n)
     seeds = [int(np.argmax(shortest_path(a, unweighted=True, indices=start)))]
     mindist = np.full(n, np.inf)

@@ -1,15 +1,18 @@
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import fedgraphsim
-from fedgraphsim import sim
+from fedgraphsim import graphs, sim
 from fedgraphsim.config import ConfigError, DatasetSpec, ExperimentConfig
 from fedgraphsim.experiments import (
     aggregate_seeds,
@@ -187,23 +190,69 @@ class TestAblationTraces:
         assert cfg.hyper.alpha == 0.5  # raw config untouched
 
 
-def test_import_leaves_scipy_stats_and_csgraph_unloaded():
-    """Neither ``scipy.sparse.csgraph`` nor ``scipy.stats`` loads, not even for
-    aggregate_seeds' t quantile: together they double the memory of a process
-    that imports fedgraphsim."""
+def run_child(code: str) -> str:
+    """Standard output of a fresh Python process that runs ``code`` with this
+    checkout's fedgraphsim importable. Pytest itself imports scipy.sparse (to
+    resolve a warning filter), so what a process loads is seen only in a child."""
     src = str(Path(fedgraphsim.__file__).resolve().parents[1])
-    code = ("import sys, fedgraphsim; fedgraphsim.aggregate_seeds([0.5, 0.7]); "
-            "print(sorted({'scipy.stats', 'scipy.sparse.csgraph'} & set(sys.modules)))")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_leaves_scipy_stats_and_csgraph_unloaded():
+    """Neither ``scipy.sparse`` (with ``csgraph``) nor ``scipy.stats`` loads, not
+    for aggregate_seeds' t quantile and not for a run on either partitioner: the
+    set-up builds its CSR arrays with scipy's compiled kernels alone.
+    ``scipy.sparse``'s ``__init__`` alone costs about 15 MiB RSS."""
+    out = run_child("""
+        import sys
+        import fedgraphsim as fg
+        fg.aggregate_seeds([0.5, 0.7])
+        sbm = fg.DatasetSpec("sbm", sbm=fg.SbmConfig((12, 12), 0.5, 0.05, 4, 0.3, 5))
+        for partitioner in ("louvain", "balanced"):
+            cfg = fg.ExperimentConfig(dataset=sbm, n_clients=2, partitioner=partitioner,
+                                      hidden_dim=8, max_trips=15, mask_ratios=(0.5, 0.0, 0.5))
+            assert len(fg.run_simulation(cfg, 0).records) == 15
+        print(sorted({"scipy.stats", "scipy.sparse", "scipy.sparse.csgraph"} & set(sys.modules)))
+        """)
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["fedgraphsim", "scipy.sparse"])
+def test_one_sparse_extension_whichever_is_imported_first(first):
+    """fedgraphsim's sparse kernels are those of scipy's own extension module:
+    every module that holds one holds the same, and scipy.sparse still works."""
+    out = run_child(f"""
+        import importlib, sys
+        import numpy as np
+        importlib.import_module({first!r})
+        import scipy.sparse
+        from fedgraphsim import graphs, partition
+        ext = sys.modules["scipy.sparse._sparsetools"]
+        others = [name for name, m in list(sys.modules.items())
+                  if getattr(m, "_sparsetools", ext) is not ext]
+        kernels = [getattr(partition, f) is getattr(ext, f)
+                   for f in ("csr_matvecs", "csc_matvecs", "csr_matmat")]
+        works = (scipy.sparse.eye(3, format="csr") @ np.ones((3, 2))).sum() == 6.0
+        print(others, graphs.sparsetools is ext, kernels, works)
+        """)
+    assert out.strip() == "[] True [True, True, True] True"
+
+
+def test_a_missing_sparse_extension_names_scipys_directory(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))) as err:
+        graphs.load_sparsetools()
+    assert err.value.path == str(tmp_path / "sparse")
 
 
 def scipy_sparse_imports(path: Path) -> list[str]:
     """Every import of ``scipy.sparse`` (or a submodule) in a module's source,
-    at any depth, as written."""
+    at any depth, as written: import statements, ``importlib.import_module``
+    and ``__import__`` calls."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -211,22 +260,28 @@ def scipy_sparse_imports(path: Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module:
             names = [f"{node.module}.{a.name}" for a in node.names]
             found += [n for n in names if n.startswith("scipy.sparse")]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            arg = node.args[0].value
+            if name in ("import_module", "__import__") and str(arg).startswith("scipy.sparse"):
+                found.append(arg)
     return found
 
 
-def test_scipy_sparse_is_imported_by_graphs_and_partition_alone():
-    """Scipy's sparse matrices are set-up algebra (graphs, Louvain, the
-    balanced partition and the joined operators of TripPlan.build_all); every
-    other module reads plain CSR arrays, ``partition.Csr``."""
+def test_no_module_imports_scipy_sparse():
+    """The set-up CSRs are ``graphs.Csr`` arrays built by scipy's compiled
+    kernels, which ``graphs.load_sparsetools`` loads without the package."""
     package = Path(__file__).resolve().parents[1] / "src" / "fedgraphsim"
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 5
-    assert [p.stem for p in modules if scipy_sparse_imports(p)] == ["graphs", "partition"]
+    assert {p.stem: scipy_sparse_imports(p) for p in modules if scipy_sparse_imports(p)} == {}
 
 
 @pytest.mark.parametrize("line", [
     "import scipy.sparse as sp", "from scipy import sparse", "from scipy.sparse import csr_matrix",
-    "def f():\n    from scipy.sparse._sparsetools import csr_matvecs"])
+    "def f():\n    from scipy.sparse._sparsetools import csr_matvecs",
+    "import importlib\nsp = importlib.import_module('scipy.sparse')",
+    "sp = __import__('scipy.sparse')"])
 def test_the_import_guard_sees_each_form(tmp_path, line):
     path = tmp_path / "m.py"
     path.write_text(f"import numpy as np\nfrom scipy.special import stdtrit\n{line}\n")

@@ -19,6 +19,7 @@ from fedgraphsim.graphs import (
     save_graph,
     split_masks,
 )
+from oracles import as_scipy
 
 
 def tiny_graph(node_count, edges, num_classes=2, feature_dim=2, labels=None):
@@ -113,18 +114,18 @@ class TestEdgeCanonicalization:
 class TestNormalizedAdjacency:
     def test_single_node(self):
         g = tiny_graph(1, [])
-        dense = normalized_adjacency(g).toarray()
+        dense = as_scipy(normalized_adjacency(g)).toarray()
         npt.assert_allclose(dense, [[1.0]])
 
     def test_two_nodes_one_edge(self):
         # every entry 1/sqrt(2*2) = 1/2
         g = tiny_graph(2, [(0, 1)])
-        dense = normalized_adjacency(g).toarray()
+        dense = as_scipy(normalized_adjacency(g)).toarray()
         npt.assert_allclose(dense, np.full((2, 2), 0.5))
 
     def test_triangle(self):
         g = tiny_graph(3, [(0, 1), (0, 2), (1, 2)])
-        dense = normalized_adjacency(g).toarray()
+        dense = as_scipy(normalized_adjacency(g)).toarray()
         npt.assert_allclose(dense, np.full((3, 3), 1.0 / 3.0))
 
     def test_symmetric_and_bounded_random(self):
@@ -138,7 +139,7 @@ class TestNormalizedAdjacency:
                 if rng.random() < 0.4
             ]
             g = tiny_graph(n, edges)
-            dense = normalized_adjacency(g).toarray()
+            dense = as_scipy(normalized_adjacency(g)).toarray()
             npt.assert_array_equal(dense, dense.T)
             vals = dense[dense > 0]
             assert np.all(vals <= 1.0)
@@ -331,6 +332,14 @@ class TestGraphFile:
         path.write_text("nodes=2 features=1 classes=2\nnode 0 0 0.0\nnode 1 oops 0.0\n")
         with pytest.raises(GraphFormatError, match="line 3"):
             load_graph(path)
+
+    @pytest.mark.parametrize("edge", ["0 2", "-1 1", "5 0"])
+    def test_edge_out_of_range_names_both_endpoints(self, tmp_path, edge):
+        path = tmp_path / "edge.graph"
+        path.write_text(f"nodes=2 features=1 classes=2\nnode 0 0 0.0\nnode 1 1 0.0\nedge {edge}\n")
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert str(err.value) == f"{path}: line 4: edge {edge}: endpoint out of range for 2 nodes"
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "range.graph"

@@ -5,16 +5,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fedgraphsim import partition
 from fedgraphsim.graphs import (
     Graph,
     SbmConfig,
+    coo_to_csr,
     degrees,
     generate_sbm,
     load_graph,
+    normalized_adjacency,
+    propagation_matrix,
     save_graph,
     split_masks,
 )
@@ -33,14 +36,21 @@ from fedgraphsim.partition import (
 )
 from oracles import (
     _louvain_local_move_ref,
+    adjacency_ref,
     all_set_partitions,
     as_scipy,
     balanced_ref,
     coalesce_ref,
+    coarsen_ref,
+    community_weights_ref,
+    csr_mismatches,
+    edge_weights_ref,
     louvain_ref,
     modularity_ref,
     move_ref,
+    normalized_adjacency_ref,
     plan_mismatches,
+    propagation_matrix_ref,
     random_graph_edges,
     spread_seeds_ref,
     trip_plan_ref,
@@ -266,7 +276,7 @@ def one_pass(n, edges, comm, order):
     """Communities after one _local_move pass from comm in the given visit
     order, and the loop reference's after the same pass."""
     a = partition._adjacency(build(n, edges))
-    k = np.asarray(a.sum(axis=1)).ravel()
+    k = np.asarray(as_scipy(a).sum(axis=1)).ravel()
     m2 = float(k.sum())
     nbrs, wts, a_off = partition._neighbour_lists(a)
     got = list(comm)
@@ -631,6 +641,63 @@ class TestTripPlan:
             t = np.lexsort((rows, cols))  # the entries of the transpose, row-major
             assert np.array_equal(rows[t], cols) and np.array_equal(cols[t], rows)
             assert adj.data[t].tobytes() == adj.data.tobytes()
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graphs of 1-30 nodes, edgeless to complete, sparse ones with
+    isolated nodes."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return build(n, random_graph_edges(rng, n, draw(st.sampled_from([0.0, 0.03, 0.2, 1.0]))))
+
+
+class TestSetUpCsrs:
+    """Each set-up CSR equals the one scipy's csr_matrix builds from the same
+    entries (tests/oracles.py), array for array."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(small_graphs())
+    @example(build(1, []))
+    @example(build(6, []))
+    @example(build(6, [(1, 4)]))  # four isolated nodes
+    def test_graph_operators_equal_scipys(self, g):
+        assert csr_mismatches(normalized_adjacency(g), normalized_adjacency_ref(g)) == []
+        assert csr_mismatches(propagation_matrix(g), propagation_matrix_ref(g)) == []
+        assert csr_mismatches(TripPlan.build_all([g])[0].edge_w, edge_weights_ref(g)) == []
+        assert csr_mismatches(partition._adjacency(g), adjacency_ref(g)) == []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(small_graphs(), st.integers(0, 2**32 - 1))
+    @example(build(1, []), 0)
+    @example(build(6, [(1, 4)]), 0)
+    def test_coarsening_and_slack_product_equal_scipys(self, g, seed):
+        """Two random coarsenings give integer weights above 1 and diagonals, as
+        Louvain's coarse levels have. Scipy's coarse level is the same matrix
+        with its columns unsorted; its slack product is the same kernel's on
+        the same arrays."""
+        rng, a = np.random.default_rng(seed), partition._adjacency(g)
+        for _ in range(2):
+            comm = rng.integers(0, rng.integers(1, a.shape[0] + 1), a.shape[0])
+            mapping = np.unique(comm, return_inverse=True)[1].astype(a.indices.dtype)
+            ref = coarsen_ref(a, mapping)
+            ref.sort_indices()
+            a = partition._coarsen(a, mapping)
+            assert csr_mismatches(a, ref) == []
+            a_off = partition._neighbour_lists(a)[2]
+            at = rng.integers(0, a.shape[0], a.shape[0])
+            got = partition._community_weights(a_off, at)
+            assert csr_mismatches(got, community_weights_ref(a_off, at)) == []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12), st.integers(0, 60), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_coo_to_csr_equals_scipy_with_duplicates(self, n, nnz, ones, seed):
+        """Unsorted entries, duplicates summed in scipy's order: float bits too."""
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+        vals = np.ones(nnz) if ones else rng.normal(size=nnz) * 10.0 ** rng.integers(-8, 9, nnz)
+        want = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        assert csr_mismatches(coo_to_csr(rows, cols, None if ones else vals, n), want) == []
 
 
 def random_csr(rng, m, n, density, index_dtype):
