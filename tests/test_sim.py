@@ -8,11 +8,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from scipy.sparse._compressed import _cs_matrix
+
 from fedgraphsim import gcn, kernels, protocol, sim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.gcn import evaluate
 from fedgraphsim.graphs import SbmConfig, split_masks
 from fedgraphsim.kernels import FglHyper
+from fedgraphsim.partition import TripPlan
 from fedgraphsim.protocol import Strategy
 from fedgraphsim.sim import (
     Event,
@@ -569,6 +572,40 @@ def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, str
     run_simulation(replace(cfg, max_trips=cfg.max_trips + 10), 4)
     tail, uncut = batches[-1][0], batch_calls(events[seen:])[len(batches)][0]
     assert len(uncut) > len(tail) and uncut[: len(tail)] == tail
+
+
+def count_scipy_matrices(monkeypatch):
+    """Count the scipy compressed sparse matrices built (any CSR or CSC), and
+    the count each time ``TripPlan.build_all`` returns."""
+    seen = {"built": 0, "at_plans": []}
+    real_init, real_build = _cs_matrix.__init__, TripPlan.build_all.__func__
+
+    def init(self, *args, **kwargs):
+        seen["built"] += 1
+        real_init(self, *args, **kwargs)
+
+    def build_all(cls, graphs):
+        plans = real_build(cls, graphs)
+        seen["at_plans"].append(seen["built"])
+        return plans
+
+    monkeypatch.setattr(_cs_matrix, "__init__", init)
+    monkeypatch.setattr(TripPlan, "build_all", classmethod(build_all))
+    return seen
+
+
+@pytest.mark.parametrize("strategy", ["fedsa_gcl", "fedasync"])
+def test_a_run_builds_no_scipy_matrix_after_its_trip_plans(monkeypatch, strategy):
+    """Set-up, trip and round paths all read plain CSR arrays (graphs.Csr): a
+    run builds no scipy sparse matrix, neither before TripPlan.build_all
+    returns nor after, at any trip budget."""
+    seen, totals = count_scipy_matrices(monkeypatch), []
+    for max_trips in (20, 80):
+        before = seen["built"]
+        run_simulation(sbm_cfg(**{**STRAGGLER_RUN, "max_trips": max_trips}, strategy=strategy), 4)
+        assert seen["at_plans"][len(totals):] == [seen["built"]]
+        totals.append(seen["built"] - before)
+    assert totals == [0, 0]
 
 
 def test_a_run_keeps_no_client_data_alive(monkeypatch):
