@@ -40,7 +40,7 @@ import numpy as np
 from .partition import ClientData, Csr, block_diag, spmm
 
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
-BATCH_ROWS = 1024  # padded rows one batched kernel call may hold
+BATCH_ROWS = 1024  # padded rows a kernel call may hold, to train and to score its uploads
 
 
 class ModelParams:
@@ -258,18 +258,21 @@ def forward_batch(members: list, layouts: dict | None = None) -> list[tuple]:
     return [out for block in _blocks(members, layouts) for out in block.scored(block.vecs)]
 
 
-def train_batch(members: list, lr: float, layouts: dict | None = None):
+def train_batch(members: list, lr: float, layouts: dict | None = None, score=None):
     """One full-batch gradient step (p - lr * grad, in one fresh array) per
-    (params, ClientData) member, with the trained params' soft labels and
-    test accuracy (see ``_Block.scored``): (params, soft, acc), yielded in
-    member order; a kernel call runs when its first member is asked for.
-    ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
+    (params, ClientData) member, with the trained params' test accuracy (see
+    ``_Block.scored``) and ``score``'s value, yielded in member order: ``score``
+    maps a kernel call's soft labels, rows back to back, and ClientData to one
+    value per member (None without it); a call runs when its first member is
+    asked for. ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
     for block in _blocks(members, layouts):
         step = block.gradients()
         step *= lr
         np.subtract(block.vecs, step, out=step)
-        for v, (soft, acc) in zip(step, block.scored(step)):
-            yield ModelParams.from_vector(v, block.dims), soft, acc
+        softs, accs = zip(*block.scored(step))
+        scores = score(np.concatenate(softs), block.layout.datas) if score else [None] * len(accs)
+        for v, acc, s in zip(step, accs, scores):
+            yield ModelParams.from_vector(v, block.dims), acc, s
 
 
 def forward(p: ModelParams, cd: ClientData) -> np.ndarray:

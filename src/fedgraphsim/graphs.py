@@ -14,6 +14,7 @@ import importlib.util
 import logging
 import os
 import sys
+import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,17 +33,27 @@ def load_sparsetools():
     """scipy's compiled sparse kernels, the extension ``scipy.sparse._sparsetools``, loaded
     without ``scipy.sparse``, whose ``__init__`` pulls in ``numpy.f2py`` and
     ``array_api_compat`` (about 15 MiB RSS). It is found in scipy's sparse directory by
-    the path finder, which runs no package code, and kept under its own name in
-    ``sys.modules``: a process holds one copy, whichever of the two is imported first."""
+    the path finder, which runs no package code, and handed to the package's own import
+    by a one-shot finder, so that import binds it: one copy, whichever comes first."""
     name, where = "scipy.sparse._sparsetools", os.path.join(scipy.__path__[0], "sparse")
-    if name not in sys.modules:
-        spec = importlib.machinery.PathFinder.find_spec(name, [where])
-        if spec is None:
-            raise ImportError(f"no {name} extension in {where}", name=name, path=where)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name]
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"no {name} extension in {where}", name=name, path=where)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)  # a single-phase extension registers itself
+
+    def find_spec(fullname, path=None, target=None):
+        if fullname == name:
+            sys.meta_path.remove(hand_over)
+            return importlib.util.spec_from_loader(name, hand_over)
+
+    hand_over = types.SimpleNamespace(find_spec=find_spec, create_module=lambda _: module,
+                                      exec_module=lambda m: setattr(m, "__spec__", spec))
+    sys.meta_path.insert(0, hand_over)
+    return module
 
 
 sparsetools = load_sparsetools()

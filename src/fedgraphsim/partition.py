@@ -88,8 +88,8 @@ def block_diag(mats: list[Csr], rows: int | None = None):
     """Square CSR blocks on one diagonal, back to back (a lone block is itself) or block
     k at k * ``rows`` (rows past a block's own are empty), each row's values in order.
     Returns the joined ``Csr`` (int32 indices while they fit) and each block row's row."""
-    if len(mats) == 1 and rows is None:  # client_bound scores each 750-node upload alone:
-        return mats[0], np.arange(mats[0].shape[0])  # a copy would cost a join per upload
+    if len(mats) == 1 and rows is None:  # a lone client's kernel call scores its upload
+        return mats[0], np.arange(mats[0].shape[0])  # on its own operators, copying none
     n = np.array([m.shape[0] for m in mats])
     span = n if rows is None else np.full(n.size, rows)
     nnz = np.cumsum([0] + [m.data.size for m in mats])

@@ -5,16 +5,16 @@ Each server holds only its own strategy's state; ``receive`` turns one
 upload into (client id, download) deliveries that name their ``kind``, and
 ``server_receive`` posts them to ``Server.mailboxes``, the run's one mailbox.
 A batch of trips starts when ``train_trips`` takes its clients' messages out,
-and each trip ends in ``client_trip``. Messages are values: nothing writes
-to one once it is built. ``FedSaGclServer``, the main strategy, scores each
-upload's fingerprint and confidence in its aggregation round, once K uploads
-are queued, and keeps every client's latest in a ``KnowledgeBase`` whose row
-c is client c: each uploader gets a personalized model averaged over its
-similarity cluster with staleness-aware weights, and cluster members that
-did not upload receive the same model as a broadcast carrying the cluster
-confidence and their own, which they blend into their local model before the
-next training step. The baselines are ``FedAvgSyncServer`` (synchronous
-FedAvg), ``FedBuffServer`` (FedBuff-style buffered semi-async) and
+and each trip ends in ``client_trip``. Messages are values, built once; an
+upload holds what a client sends, never its data. ``FedSaGclServer``, the main
+strategy, runs a round once K uploads are queued, over a ``KnowledgeBase`` of
+every client's latest params, fingerprint and confidence (as its trip scored
+them), whose row c is client c: each uploader gets a personalized model
+averaged over its similarity cluster with staleness-aware weights, and cluster
+members that did not upload receive the same model as a broadcast carrying the
+cluster confidence and their own, which they blend into their local model
+before the next training step. The baselines are ``FedAvgSyncServer``
+(synchronous FedAvg), ``FedBuffServer`` (FedBuff-style buffered semi-async) and
 ``FedAsyncServer`` (FedAsync-style per-upload mixing).
 """
 
@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from .gcn import BATCH_ROWS, ModelParams, train_batch
+from .gcn import ModelParams, train_batch
 from .kernels import (
     FglHyper,
     LscValue,
@@ -54,41 +53,22 @@ class Strategy(str, Enum):
 FEDASYNC_BETA = 0.5
 
 
+NO_SFM = np.empty(0)  # a baseline upload's fingerprint: none, zero bytes
+NO_SFM.flags.writeable = False
+
+
 @dataclass(eq=False)
 class UploadMessage:
     """Client -> server: trained params, the round stamp of the model version
-    the client last received (0 initially), the params' soft labels on the
-    client's subgraph ``data``, and the sender. Nothing writes to a message
-    once it is built: a fedsa_gcl round scores its uploads itself
-    (``upload_stats``), so the baselines never pay for that."""
+    the client last received (0 initially), the params' fingerprint ``sfm``
+    (classes x classes) and ``LscValue`` confidence ``lsc`` on the client's
+    subgraph, and the sender; a baseline upload's are ``NO_SFM`` and None."""
 
     params: ModelParams
     tau: int
-    soft: np.ndarray
-    data: ClientData
+    sfm: np.ndarray
+    lsc: LscValue | None
     client_id: int
-
-    @cached_property
-    def sfm(self) -> np.ndarray:
-        """This upload's fingerprint alone. No simulation path reads it;
-        perfbench's traced byte count reads ``sfm.nbytes`` of every upload,
-        whatever the strategy."""
-        return compute_sfm(self.soft, [self.data])[0]
-
-
-def upload_stats(uploads: list[UploadMessage], hyper: FglHyper) -> tuple[list, list]:
-    """The uploads' fingerprints and confidences (``LscValue``) under hyper's
-    lam and k_steps, in ``uploads`` order: one kernel call per kind and run
-    of uploads, as many as the trip kernel's BATCH_ROWS rule allows (joining
-    a large client's operators costs more than the calls it saves)."""
-    sfms, lscs = [], []
-    per_run = max(1, BATCH_ROWS // max((len(m.soft) for m in uploads), default=1))
-    for run in (uploads[i : i + per_run] for i in range(0, len(uploads), per_run)):
-        soft = np.concatenate([m.soft for m in run]) if len(run) > 1 else run[0].soft
-        datas = [m.data for m in run]
-        sfms += compute_sfm(soft, datas)
-        lscs += compute_lsc(label_propagation(soft, datas, hyper.lam, hyper.k_steps), datas)
-    return sfms, lscs
 
 
 @dataclass(eq=False)
@@ -116,10 +96,9 @@ class KnowledgeBase:
     def __init__(self, n_clients: int):
         self.known = np.zeros(n_clients, dtype=bool)
 
-    def put(self, uploads: list[UploadMessage], sfms: list, lscs: list[LscValue]) -> np.ndarray:
-        """Copy the uploads, one per client, with their fingerprints and
-        confidences into their clients' rows and return their client ids.
-        ValueError for an id outside [0, n_clients)."""
+    def put(self, uploads: list[UploadMessage]) -> np.ndarray:
+        """Copy the uploads, one per client, into their clients' rows and
+        return their client ids. ValueError for an id outside [0, n_clients)."""
         ids = np.fromiter((m.client_id for m in uploads), dtype=np.int64, count=len(uploads))
         n = self.known.size
         bad = ids[(ids < 0) | (ids >= n)]
@@ -128,14 +107,14 @@ class KnowledgeBase:
         if not self.known.any():
             self.dims = uploads[0].params.dims
             self.params = np.zeros((n, uploads[0].params.vec.size))
-            self.sfm = np.zeros((n, sfms[0].size))
+            self.sfm = np.zeros((n, uploads[0].sfm.size))
             self.sfm_norm, self.tau, self.lsc = np.zeros(n), np.zeros(n), np.zeros(n)
-        sfms = [np.ravel(v) for v in sfms]
+        sfms = [np.ravel(m.sfm) for m in uploads]
         self.params[ids] = [m.params.vec for m in uploads]
         self.sfm[ids] = sfms
         self.sfm_norm[ids] = [math.sqrt(v @ v) for v in sfms]  # np.linalg.norm's float
         self.tau[ids] = [m.tau for m in uploads]
-        self.lsc[ids] = [v.clamped for v in lscs]
+        self.lsc[ids] = [m.lsc.clamped for m in uploads]
         self.known[ids] = True
         return ids
 
@@ -159,9 +138,11 @@ class Server:
     every strategy's server has. The log holds one (round, client_id, cluster
     member tuple, weight tuple) per personalized aggregation (none under the
     baselines). ``waits_for_round``: a client starts its next trip only once
-    the current round's delivery reaches it."""
+    the current round's delivery reaches it. ``hyper``: the ``FglHyper`` a trip
+    scores its upload with (``train_trips``), or None: no scores are read."""
 
     waits_for_round = False
+    hyper: FglHyper | None = None
 
     def __init__(self):
         self.round = 0
@@ -203,10 +184,10 @@ class FedSaGclServer(Server):
     def receive(self, msg: UploadMessage) -> Deliveries:
         """Queue the upload; once K are queued, run one aggregation round.
 
-        The round takes the whole queue. It scores each client's latest
-        upload in it, in ascending ids, once (``upload_stats``, in batches),
-        puts them into the knowledge base and makes their clients the
-        uploaded set U. One |U| x N block of fingerprint cosines (uploaders
+        The round takes the whole queue. It puts each client's latest upload
+        in it, in ascending ids, into the knowledge base, with the
+        fingerprint and confidence its trip scored, and makes their clients
+        the uploaded set U. One |U| x N block of fingerprint cosines (uploaders
         against every known client, ascending ids) then gives both the
         clusters and the broadcast choice. Uploader i's cluster I_i is i plus
         every client with similarity >= theta; its personalized model is the
@@ -227,9 +208,8 @@ class FedSaGclServer(Server):
         self.round += 1
         t = self.round
         latest = {m.client_id: m for m in sorted(self.queue, key=lambda m: m.client_id)}
-        uploads = list(latest.values())
         kb = self.kb
-        u_ids = kb.put(uploads, *upload_stats(uploads, self.hyper))
+        u_ids = kb.put(list(latest.values()))
         self.queue.clear()
         ids = np.flatnonzero(kb.known)  # every known client, ascending
         own = ids == u_ids[:, None]
@@ -352,10 +332,10 @@ def server_receive(server: Server, msg: UploadMessage) -> Deliveries:
 
 
 def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage], lr: float,
-                layouts: dict | None = None) -> Iterator:
+                layouts: dict | None = None, hyper: FglHyper | None = None) -> Iterator:
     """Take each client's message out of ``mailboxes``, then train all of them
     as one batch; return the batch, a lazy iterator of (state, (trained
-    params, soft labels, test accuracy)) in ``states`` order for ``client_trip``.
+    params, test accuracy, scores)) in ``states`` order for ``client_trip``.
 
     A message (at most the latest per client) is read first: a direct
     delivery replaces the local params, a broadcast is blended in weighted
@@ -364,6 +344,9 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
     the forward pass of the trained model and its scoring on the client's
     test mask, run as ``gcn.train_batch``: each kernel call inside the
     ``client_trip`` of its first client, so a trip still holds its training.
+    Given ``hyper``, a call scores each client's (fingerprint, confidence), its
+    values alone, with one ``compute_sfm``, ``label_propagation`` and
+    ``compute_lsc`` (lam, k_steps) over the call's rows; else the scores are None.
     ``layouts`` is the run's memo of batch layouts (``gcn._blocks``).
     Training on an empty train mask raises ValueError.
     """
@@ -376,20 +359,23 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
         else:
             state.params = blend_local(msg.params, state.params, msg.cluster_lsc, msg.local_lsc)
         state.tau = msg.round
-    return zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts))
+    score = None if hyper is None else lambda soft, datas: zip(
+        compute_sfm(soft, datas),
+        compute_lsc(label_propagation(soft, datas, hyper.lam, hyper.k_steps), datas))
+    return zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts, score))
 
 
 def client_trip(state: ClientState, batch: Iterator) -> tuple[UploadMessage, float]:
     """Finish a client's trip from the next entry of its ``train_trips`` batch
     (a batch's trips finish in its order, else RuntimeError): the trained
-    params become the local model and, with the soft labels, the returned
+    params become the local model and, with their scores, the returned
     upload; returned with it, the trained model's test accuracy, which the
     upload does not carry, so no server sees a client's test score."""
-    owner, (params, soft, acc) = next(batch)
+    owner, (params, acc, stats) = next(batch)
     if owner is not state:
         raise RuntimeError(f"client {state.client_id} finished its trip out of batch order")
     state.params = params
-    return UploadMessage(params, state.tau, soft, state.data, state.client_id), acc
+    return UploadMessage(params, state.tau, *(stats or (NO_SFM, None)), state.client_id), acc
 
 
 def format_trace(round_: int, kind: str, dst: int) -> str:

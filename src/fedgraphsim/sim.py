@@ -296,25 +296,24 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
     Event loop: pop the events of the earliest time in client order, at most
     as many as trips are left and as the server takes uploads before one can
     deliver to a client other than its sender; they read their messages from
-    the server's mailboxes and train as one batch (``train_trips``). A kernel
-    call of several clients reuses the padded layout of the previous batch's
-    (first, the initial scoring's) call of the same clients in the same
-    order, if any, and a lone client its first one. Then, trip by trip,
-    finish the trip (``client_trip``: the upload, and the client's test
-    accuracy as its kernel call scored it) and log that accuracy, hand the
-    upload to the server (which alone holds the protocol hyperparameters,
-    from ``make_server``), trace each delivery by its kind, and schedule the
-    client's next trip. So only a batch's last upload can reach its other
-    clients, and the run is the one-event-at-a-time loop, bit for bit at the
-    widths ``gcn`` names; a delivery to a batch client that has not uploaded
-    yet raises RuntimeError. When the server waits for its round
-    (fedavg_sync), the round's deliveries schedule the next trips of their
-    recipients, all waiting; otherwise the client is re-scheduled at once.
-    Only clients with training nodes are ever scheduled. A config that
-    yields no such client, or a client without test nodes, raises
-    ConfigError; so does a run that diverges: numpy's overflow, invalid
-    and divide-by-zero raise, and become a ConfigError naming the trips
-    reached, ``[run] lr``, ``[dataset] feature_noise`` and graph files.
+    the server's mailboxes and train as one batch (``train_trips``, scored
+    under the server's ``hyper``). A kernel call of several clients reuses
+    the padded layout of the previous batch's (first, the initial scoring's)
+    call of the same clients in the same order, if any, and a lone client its
+    first one. Then, trip by trip, finish the trip (``client_trip``: the
+    upload, and the client's test accuracy as its kernel call scored it) and
+    log that accuracy, hand the upload to the server, trace each delivery by
+    its kind, and schedule the client's next trip. So only a batch's last
+    upload can reach its other clients, and the run is the one-event-at-a-time
+    loop, bit for bit at the widths ``gcn`` names; a delivery to a batch
+    client that has not uploaded yet raises RuntimeError. When the server
+    waits for its round (fedavg_sync), the round's deliveries schedule the
+    next trips of their recipients, all waiting; otherwise the client is
+    re-scheduled at once. Only clients with training nodes are ever
+    scheduled. A config that yields no such client, or a client without test
+    nodes, raises ConfigError; so does a run that diverges: numpy's overflow,
+    invalid and divide-by-zero raise, and become a ConfigError naming the
+    trips reached, ``[run] lr``, ``[dataset] feature_noise`` and graph files.
     Set-up splits ``graph``, a new ``build_graph(cfg)`` if None.
     """
     if seed is None:
@@ -349,7 +348,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
             batch = []
             while heap and heap[0].completion_time == now and len(batch) < room:
                 batch.append(clients[heapq.heappop(heap).client_id])
-            trained = train_trips(batch, server.mailboxes, cfg.lr, layouts)
+            trained = train_trips(batch, server.mailboxes, cfg.lr, layouts, server.hyper)
             pending = {client.client_id for client in batch}
             for client in batch:
                 cid = client.client_id

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from fedgraphsim import gcn, sim
 from fedgraphsim.config import ExperimentConfig
-from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, accuracy, evaluate, softmax_rows
+from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, evaluate, softmax_rows
 from fedgraphsim.graphs import Graph, NodeMasks, degrees
 from fedgraphsim.kernels import ENTROPY_OFFSET, LscValue, cosine_block, staleness_factors
 from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
@@ -357,9 +357,10 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int):
         ev = heapq.heappop(heap)
         now, cid = ev.completion_time, ev.client_id
         client = clients[cid]
-        upload, _ = client_trip(client, train_trips([client], server.mailboxes, cfg.lr))
+        trained = train_trips([client], server.mailboxes, cfg.lr, hyper=server.hyper)
+        upload, _ = client_trip(client, trained)
         trips += 1
-        cached[cid] = accuracy(upload.soft, client.data, client.data.masks.test)
+        cached[cid] = evaluate(upload.params, client.data, "test")
         mean = float(cached.sum() / cached.size)
         log.records.append(sim.TripRecord(trips, now, cid, float(cached[cid]), mean))
         snapshots.append(cached.copy())
@@ -404,11 +405,10 @@ def assert_within_sum_error(got, want, weights, rows):
 
 
 class FedSaGclServerRef(FedSaGclServer):
-    """The fedsa_gcl round as it was before each round computed its uploads'
-    fingerprints and confidences in one batch and all its cluster models in
-    one product: every upload is scored alone by the per-client oracles and
-    enters the knowledge base on its own, every uploader's model is the
-    row-by-row sum of its cluster's weighted rows, and a broadcast carries
+    """The fedsa_gcl round as it was before each round built all its cluster
+    models in one product: every upload enters the knowledge base on its own,
+    with the fingerprint and confidence it carries, every uploader's model is
+    the row-by-row sum of its cluster's weighted rows, and a broadcast carries
     its recipient's knowledge-base confidence."""
 
     def receive(self, msg: UploadMessage):
@@ -417,11 +417,8 @@ class FedSaGclServerRef(FedSaGclServer):
             return []
         self.round += 1
         t = self.round
-        hyper = self.hyper
         for m in self.queue:
-            propagated = label_propagation_ref(m.soft, m.data, hyper.lam, hyper.k_steps)
-            lsc = LscValue.from_raw(compute_lsc_ref(propagated, m.data))
-            self.kb.put([m], [compute_sfm_ref(m.soft, m.data)], [lsc])
+            self.kb.put([m])
         u_ids = np.array(sorted({m.client_id for m in self.queue}))
         self.queue.clear()
         kb = self.kb
@@ -493,6 +490,12 @@ def compute_lsc_ref(propagated, cd: ClientData) -> float:
 def compute_sfm_ref(soft, cd: ClientData) -> np.ndarray:
     one_way = soft.T @ as_scipy(cd.plan.edge_w).dot(soft)
     return one_way + one_way.T
+
+
+def upload_stats_ref(soft, cd: ClientData, lam, k_steps) -> tuple:
+    """The fingerprint and confidence (``LscValue``) of one client's soft labels."""
+    lsc = compute_lsc_ref(label_propagation_ref(soft, cd, lam, k_steps), cd)
+    return compute_sfm_ref(soft, cd), LscValue.from_raw(lsc)
 
 
 # Scipy-built references: the set-up operators as scipy's csr_matrix built
@@ -880,6 +883,16 @@ def random_params(rng, f, h, c, scale=1.0) -> ModelParams:
         rng.normal(scale=scale, size=(h, c)),
         rng.normal(scale=scale, size=c),
     )
+
+
+def batch_client(rng, n, q, f=6, c=3, edges=None, h=5):
+    """A client of n nodes on a random graph (or the given edges), half its
+    nodes training, with random params; every client of a batch shares f, h, c."""
+    cd = make_client_data(
+        n, random_graph_edges(rng, n, q) if edges is None else edges, num_classes=c,
+        rng=rng, feature_dim=f, train=np.sort(rng.choice(n, size=max(1, n // 2), replace=False)),
+    )
+    return random_params(rng, f, h, c), cd
 
 
 def random_graph_edges(rng, n, p=0.5):

@@ -1,10 +1,10 @@
-"""The benchmark's traced path runs for every strategy, and its run check
-still catches a wrong mean accuracy.
+"""The benchmark's traced path runs for every strategy, counts the bytes each
+upload carries, and its run check still catches a wrong mean accuracy.
 
 perfbench's own smoke test traces only fedsa_gcl, yet its protocol counters
-read every upload's parameters and fingerprint whatever the strategy. This
-runs ``perfbench/run.py``'s ``benchmark`` with tracing on a tiny config of
-each strategy, importing the harness by path.
+read every upload's ``params`` and ``sfm`` whatever the strategy; a baseline
+upload's ``sfm`` is empty. This runs ``perfbench/run.py``'s ``benchmark``
+with tracing on a tiny config of each strategy, importing the harness by path.
 """
 
 import importlib.util
@@ -52,6 +52,22 @@ def test_traced_benchmark_runs_for_every_strategy(strategy):
     metrics = result["metrics"]
     assert metrics["protocol.bytes_up"]["value"] > 0
     assert metrics["protocol.server_receive.calls"]["value"] == 20
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_bytes_up_are_the_uploaded_payload(strategy):
+    """``protocol.bytes_up`` is each upload's parameters, plus a classes x
+    classes fingerprint under fedsa_gcl; a baseline run computes none."""
+    workload = tiny(strategy)
+    result, notes = run.benchmark(workload, 3, 0.01, trace=True)
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    f, h, c = 8, workload.config().hidden_dim, 2  # the two SBM blocks are the classes
+    params = 8 * (h * (f + 1 + c) + c)
+    sfm = 8 * c * c if strategy == "fedsa_gcl" else 0
+    uploads = metrics["protocol.server_receive.calls"]
+    assert metrics["protocol.bytes_up"] == uploads * (params + sfm), notes
+    if strategy != "fedsa_gcl":
+        assert metrics["kernels.compute_sfm.s"] == 0
 
 
 def test_check_log_reads_the_replayed_snapshots():

@@ -25,6 +25,7 @@ from fedgraphsim.graphs import Graph, NodeMasks
 from fedgraphsim.partition import ClientData, sparsify_edges, sparsify_labels
 from oracles import (
     accuracy_ref,
+    batch_client,
     forward_cached_ref,
     forward_per_client,
     gcn_forward_ref,
@@ -347,24 +348,19 @@ def test_deterministic_forward_backward():
 # kernels as they were, in tests/oracles.py) bit for bit.
 
 
-def batch_client(rng, n, q, f=6, c=3, edges=None, h=5):
-    """A client of n nodes on a random graph (or the given edges), half its
-    nodes training, with random params; every client of a batch shares f, h, c."""
-    cd = make_client_data(
-        n, random_graph_edges(rng, n, q) if edges is None else edges, num_classes=c,
-        rng=rng, feature_dim=f, train=np.sort(rng.choice(n, size=max(1, n // 2), replace=False)),
-    )
-    return random_params(rng, f, h, c), cd
+def member_rows(soft, datas):
+    """A ``train_batch`` score: each member's soft labels, its rows of ``soft``."""
+    return np.split(soft, np.cumsum([cd.graph.node_count for cd in datas])[:-1])
 
 
 def assert_batch_matches_loop(members, lr=0.3, layouts=None):
     """Train and forward the batch; every member's params and soft labels are
     the per-client loop's, and its test accuracy is ``accuracy``'s float of
     those soft labels (NaN for a member without test nodes)."""
-    trained = list(train_batch(members, lr, layouts))
+    trained = list(train_batch(members, lr, layouts, member_rows))
     assert len(trained) == len(members)
     scored = []
-    for (p, cd), (q, soft, acc) in zip(members, trained):
+    for (p, cd), (q, acc, soft) in zip(members, trained):
         ref = train_epoch_per_client(p, cd, lr)
         assert q.dims == p.dims and np.array_equal(q.vec, ref.vec)
         assert np.array_equal(soft, forward_per_client(ref, cd))
@@ -543,12 +539,12 @@ def test_a_reused_layout_reads_no_member_labels_or_masks():
     layouts = {}
     for _, cd in members:  # a test subset, so each member's accuracy is its own
         cd.masks.test = np.sort(rng.choice(cd.graph.node_count, size=4, replace=False))
-    first = list(train_batch(members, 0.3, layouts))
-    for (_, cd), (_, soft, acc) in zip(members, first):
+    first = list(train_batch(members, 0.3, layouts, member_rows))
+    for (_, cd), (_, acc, soft) in zip(members, first):
         assert acc == accuracy(soft, cd, cd.masks.test)
         cd.graph.labels, cd.masks = None, None
-    again = list(train_batch(members, 0.3, layouts))
-    for (q1, s1, a1), (q2, s2, a2) in zip(first, again, strict=True):
+    again = list(train_batch(members, 0.3, layouts, member_rows))
+    for (q1, a1, s1), (q2, a2, s2) in zip(first, again, strict=True):
         assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
 
 

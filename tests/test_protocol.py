@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -31,19 +33,17 @@ from fedgraphsim.protocol import (
     client_trip,
     server_receive,
     train_trips,
-    upload_stats,
 )
 from oracles import (
     FedSaGclServerRef,
     assert_within_sum_error,
-    compute_lsc_ref,
-    compute_sfm_ref,
+    batch_client,
     cosine_ref,
-    label_propagation_ref,
     make_client_data,
     random_graph_edges,
     random_params,
     random_soft,
+    upload_stats_ref,
 )
 
 
@@ -57,36 +57,12 @@ def const_params(v, f=2, h=3, c=2):
 
 
 def upload(cid, params=None, tau=0, sfm=None, lsc=1.0):
-    """An upload without soft labels, whose fingerprint and confidence are
-    set by hand (rounds read them through ``preset_stats``)."""
+    """An upload whose fingerprint and confidence are set by hand."""
     if params is None:
         params = const_params(cid)
     if sfm is None:
         sfm = np.eye(2)
-    msg = UploadMessage(params, tau, None, None, cid)
-    msg.sfm, msg.lsc = np.asarray(sfm, float), LscValue.from_raw(lsc)
-    return msg
-
-
-@pytest.fixture(autouse=True, scope="module")
-def preset_stats():
-    """A round scores a batch of ``upload`` messages as set by hand, and any
-    other batch as the library does."""
-    real = protocol.upload_stats
-
-    def stats(uploads, hyper):
-        if all("lsc" in vars(m) for m in uploads):
-            return [m.sfm for m in uploads], [m.lsc for m in uploads]
-        return real(uploads, hyper)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol, "upload_stats", stats)
-        yield
-
-
-def put(kb, uploads):
-    """Put ``upload`` messages into a knowledge base with their set stats."""
-    return kb.put(uploads, [m.sfm for m in uploads], [m.lsc for m in uploads])
+    return UploadMessage(params, tau, np.asarray(sfm, float), LscValue.from_raw(lsc), cid)
 
 
 N_CLIENTS = 64  # the client count of every test server; ids stay below it
@@ -108,7 +84,7 @@ class TestKbUpdate:
 
     def test_first_upload_creates_entry(self):
         kb = KnowledgeBase(10)
-        npt.assert_array_equal(put(kb, [upload(7, tau=3, lsc=2.0)]), [7])
+        npt.assert_array_equal(kb.put([upload(7, tau=3, lsc=2.0)]), [7])
         npt.assert_array_equal(np.flatnonzero(kb.known), [7])
         npt.assert_array_equal(kb.params[7], const_params(7).vec)
         assert kb.params.shape == (10, const_params(7).vec.size)
@@ -117,20 +93,20 @@ class TestKbUpdate:
 
     def test_latest_wins(self):
         kb = KnowledgeBase(10)
-        npt.assert_array_equal(put(kb, [upload(7, tau=0, lsc=1.0), upload(2)]), [7, 2])
-        put(kb, [upload(7, params=const_params(2.0), tau=4, lsc=9.0, sfm=np.ones((2, 2)))])
+        npt.assert_array_equal(kb.put([upload(7, tau=0, lsc=1.0), upload(2)]), [7, 2])
+        kb.put([upload(7, params=const_params(2.0), tau=4, lsc=9.0, sfm=np.ones((2, 2)))])
         assert kb.tau[7] == 4 and kb.lsc[7] == 9.0
         npt.assert_array_equal(kb.params[7], const_params(2.0).vec)
         npt.assert_array_equal(kb.sfm[7], np.ones(4))
         assert kb.sfm_norm[7] == 2.0
-        put(kb, [upload(7, params=const_params(5.0), tau=6)])
+        kb.put([upload(7, params=const_params(5.0), tau=6)])
         assert kb.tau[7] == 6
         npt.assert_array_equal(kb.params[7], const_params(5.0).vec)
         npt.assert_array_equal(kb.params[2], const_params(2).vec)
 
     def test_three_clients(self):
         kb = KnowledgeBase(10)
-        npt.assert_array_equal(put(kb, [upload(cid) for cid in (9, 1, 5)]), [9, 1, 5])
+        npt.assert_array_equal(kb.put([upload(cid) for cid in (9, 1, 5)]), [9, 1, 5])
         npt.assert_array_equal(np.flatnonzero(kb.known), [1, 5, 9])
         for cid in (1, 5, 9):
             npt.assert_array_equal(kb.params[cid], const_params(cid).vec)
@@ -146,7 +122,7 @@ class TestKbUpdate:
         sfms += [np.zeros((4, 4)), np.full((4, 4), -0.0)]
         kb = KnowledgeBase(len(sfms))
         with np.errstate(over="ignore", under="ignore"):
-            put(kb, [upload(cid, sfm=v) for cid, v in enumerate(sfms)])
+            kb.put([upload(cid, sfm=v) for cid, v in enumerate(sfms)])
             want = [np.linalg.norm(v.ravel()) for v in sfms]
         assert np.isinf(want).any() and not np.all(want)  # overflow and zero rows
         assert [float(x).hex() for x in kb.sfm_norm] == [float(x).hex() for x in want]
@@ -154,9 +130,9 @@ class TestKbUpdate:
     @pytest.mark.parametrize("bad", [-1, 10, 11])
     def test_an_id_outside_the_client_range_is_refused(self, bad):
         kb = KnowledgeBase(10)
-        put(kb, [upload(9)])
+        kb.put([upload(9)])
         with pytest.raises(ValueError, match=f"client id {bad} outside \\[0, 10\\)"):
-            put(kb, [upload(3), upload(bad)])
+            kb.put([upload(3), upload(bad)])
         npt.assert_array_equal(np.flatnonzero(kb.known), [9])
         npt.assert_array_equal(kb.params[9], const_params(9).vec)
 
@@ -190,7 +166,7 @@ class TestServerStep:
         v3 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v1 = np.array([[0.8, 0.6], [0.0, 0.0]])
         v2 = np.array([[0.2, 0.0], [math.sqrt(1 - 0.04), 0.0]])
-        put(s.kb, [upload(3, sfm=v3, lsc=1.0)])
+        s.kb.put([upload(3, sfm=v3, lsc=1.0)])
         deliveries = dict(
             receive_all(s, [upload(1, sfm=v1, lsc=2.0), upload(2, sfm=v2, lsc=5.0)])
         )
@@ -218,7 +194,7 @@ class TestServerStep:
         v3 = np.array([[1.0, 0.0], [0.0, 0.0]])
         v1 = np.array([[0.8, 0.6], [0.0, 0.0]])  # sim(1,3)=0.8
         v2 = np.array([[0.3, math.sqrt(1 - 0.09)], [0.0, 0.0]])  # sim(2,3)=0.3
-        put(s.kb, [upload(3, sfm=v3, lsc=1.0)])
+        s.kb.put([upload(3, sfm=v3, lsc=1.0)])
         deliveries = dict(
             receive_all(s, [upload(2, sfm=v2, lsc=1.0), upload(1, sfm=v1, lsc=1.0)])
         )
@@ -278,7 +254,7 @@ class TestServerStep:
 
     def test_broadcast_disabled(self):
         s = fedsa_server(k=2, theta=0.0, use_broadcast=False)
-        put(s.kb, [upload(3)])
+        s.kb.put([upload(3)])
         deliveries = receive_all(s, [upload(1), upload(2)])
         assert {cid for cid, _ in deliveries} == {1, 2}
         assert all(m.cluster_lsc is None for _, m in deliveries)
@@ -289,7 +265,7 @@ class TestServerStep:
         theta = cosine_ref(v1, v3)
         assert theta == 0.6
         s = fedsa_server(k=1, theta=theta)
-        put(s.kb, [upload(3, sfm=v3)])
+        s.kb.put([upload(3, sfm=v3)])
         deliveries = dict(server_receive(s, upload(1, sfm=v1)))
         assert s.aggregation_log[-1][2] == (1, 3)
         assert set(deliveries) == {1, 3} and deliveries[3].cluster_lsc == 2.0
@@ -297,15 +273,15 @@ class TestServerStep:
     def test_zero_norm_fingerprint_joins_only_at_theta_zero(self):
         for theta, cluster in ((0.0, (1, 2, 3)), (1e-12, (1,))):
             s = fedsa_server(k=1, theta=theta)
-            put(s.kb, [upload(2, sfm=np.eye(2))])
-            put(s.kb, [upload(3, sfm=np.ones((2, 2)))])
+            s.kb.put([upload(2, sfm=np.eye(2))])
+            s.kb.put([upload(3, sfm=np.ones((2, 2)))])
             server_receive(s, upload(1, sfm=np.zeros((2, 2))))
             assert s.aggregation_log[-1][2] == cluster
 
     def test_broadcast_tie_goes_to_lower_uploader(self):
         # sim(2,3) = sim(5,3) = 1/sqrt(2) >= theta > sim(2,5) = 1/2
         s = fedsa_server(k=2, theta=0.6)
-        put(s.kb, [upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]])])
+        s.kb.put([upload(3, sfm=[[1.0, 0.0], [0.0, 0.0]])])
         deliveries = dict(
             receive_all(
                 s,
@@ -381,7 +357,7 @@ class TestServerStep:
         s = fedsa_server(k=1, theta=0.0)
         (_, msg), = server_receive(s, upload(1, params=const_params(1.0)))
         before = msg.params.vec.copy()
-        put(s.kb, [upload(1, params=const_params(9.0), tau=1)])
+        s.kb.put([upload(1, params=const_params(9.0), tau=1)])
         server_receive(s, upload(1, params=const_params(5.0), tau=1))
         npt.assert_array_equal(msg.params.vec, before)
         assert not np.shares_memory(msg.params.vec, s.kb.params)
@@ -401,116 +377,33 @@ def stats_pool(c=3):
 STATS_POOL = stats_pool()
 
 
-def real_upload(cid, seed, tau=0, cd=None):
-    """An upload with soft labels, some of them exact zeros."""
-    cd = cd or STATS_POOL[cid]
+def real_upload(cid, seed, tau=0):
+    """An upload of client cid in STATS_POOL, scored by the per-client oracles
+    under the default lam and k_steps on random soft labels, some of them
+    exact zeros."""
+    cd = STATS_POOL[cid]
     rng = np.random.default_rng(seed)
     soft = random_soft(rng, cd.graph.node_count, cd.graph.num_classes)
     soft[rng.random(soft.shape) < 0.2] = 0.0
     soft /= np.maximum(soft.sum(axis=1, keepdims=True), 1e-300)
-    return UploadMessage(random_params(rng, 3, 4, 3), tau, soft, cd, cid)
-
-
-def oracle_stats(msg, hyper):
-    """The upload's fingerprint and confidence from the per-client oracles."""
-    propagated = label_propagation_ref(msg.soft, msg.data, hyper.lam, hyper.k_steps)
-    lsc = LscValue.from_raw(compute_lsc_ref(propagated, msg.data))
-    return compute_sfm_ref(msg.soft, msg.data), lsc
-
-
-def assert_oracle_stats(uploads, sfms, lscs, hyper):
-    for msg, sfm, lsc in zip(uploads, sfms, lscs, strict=True):
-        want_sfm, want_lsc = oracle_stats(msg, hyper)
-        assert np.array_equal(sfm, want_sfm) and lsc == want_lsc
-
-
-def assert_kb_holds_oracle_stats(kb, uploads, hyper):
-    """Each upload's knowledge-base row holds its oracle fingerprint and
-    clamped confidence."""
-    for msg in uploads:
-        sfm, lsc = oracle_stats(msg, hyper)
-        row = msg.client_id
-        assert np.array_equal(kb.sfm[row], sfm.ravel()) and kb.lsc[row] == lsc.clamped
-
-
-def count_kernel_entries(monkeypatch):
-    """Count each batched kernel's calls and the clients they computed."""
-    calls, entries = {}, {}
-    for name in ("compute_sfm", "label_propagation", "compute_lsc"):
-        real = getattr(protocol, name)
-
-        def counted(rows, datas, *args, name=name, real=real):
-            calls[name] = calls.get(name, 0) + 1
-            entries[name] = entries.get(name, 0) + len(datas)
-            return real(rows, datas, *args)
-
-        monkeypatch.setattr(protocol, name, counted)
-    return calls, entries
+    hyper = FglHyper()
+    sfm, lsc = upload_stats_ref(soft, cd, hyper.lam, hyper.k_steps)
+    return UploadMessage(random_params(rng, 3, 4, 3), tau, sfm, lsc, cid)
 
 
 class TestFillStats:
-    """``upload_stats`` scores uploads in batched kernel calls, runs of
-    uploads under the BATCH_ROWS rule, and writes nothing into them; a round
-    scores each client's latest upload in its queue once; a lone ``sfm``
-    read is a batch of one."""
+    """A round fills the knowledge base's fingerprint and confidence rows of
+    each client's latest upload in its queue from the values that upload
+    carries, and writes nothing into it."""
 
-    def test_a_round_computes_its_queue_in_one_pass_per_kernel(self, monkeypatch):
-        calls, entries = count_kernel_entries(monkeypatch)
-        hyper = FglHyper()
-        s = FedSaGclServer(4, hyper, N_CLIENTS)
+    def test_a_round_puts_the_fingerprints_and_confidences_it_was_sent(self):
+        s = FedSaGclServer(4, FglHyper(), N_CLIENTS)
         ups = [real_upload(cid, cid) for cid in (3, 0, 5, 1)]
-        for msg in ups[:-1]:
-            assert server_receive(s, msg) == []
-        assert calls == {}
-        server_receive(s, ups[-1])
-        assert calls == {"compute_sfm": 1, "label_propagation": 1, "compute_lsc": 1}
-        assert entries == {name: 4 for name in calls}
-        assert_kb_holds_oracle_stats(s.kb, ups, hyper)
-
-    def test_a_value_read_before_the_round_is_kept(self, monkeypatch):
-        calls, entries = count_kernel_entries(monkeypatch)
-        hyper = FglHyper()
-        s = FedSaGclServer(3, hyper, N_CLIENTS)
-        ups = [real_upload(cid, 10 + cid) for cid in (2, 4, 6)]
-        early = ups[1].sfm  # a batch of one, computing no confidence
-        assert entries == {"compute_sfm": 1}
+        receive_all(s, ups)
         for msg in ups:
-            server_receive(s, msg)
-        # the round scores its whole queue and leaves the upload's own value
-        assert ups[1].sfm is early and np.array_equal(s.kb.sfm[4], early.ravel())
-        assert entries == {"compute_sfm": 4, "label_propagation": 3, "compute_lsc": 3}
-        assert_kb_holds_oracle_stats(s.kb, ups, hyper)
-
-    def test_runs_hold_at_most_batch_rows_padded_rows(self, monkeypatch):
-        calls, entries = count_kernel_entries(monkeypatch)
-        monkeypatch.setattr(protocol, "BATCH_ROWS", 17)
-        hyper = FglHyper()
-        ups = [real_upload(cid, 20 + cid) for cid in (0, 1, 2, 3, 4)]  # 4, 1, 3, 6, 8 rows
-        sfms, lscs = upload_stats(ups, hyper)  # 17 // 8 = 2 uploads a run
-        assert calls == {name: 3 for name in calls} and entries == {name: 5 for name in calls}
-        assert_oracle_stats(ups, sfms, lscs, hyper)
-        monkeypatch.setattr(protocol, "BATCH_ROWS", 7)  # fewer rows than one upload holds
-        upload_stats([real_upload(cid, 30 + cid) for cid in (4, 6)], hyper)
-        assert calls == {name: 5 for name in calls}
-
-    def test_two_uploads_of_one_client_are_two_entries(self, monkeypatch):
-        calls, entries = count_kernel_entries(monkeypatch)
-        hyper = FglHyper(k_steps=3)
-        ups = [real_upload(4, 1), real_upload(4, 2)]
-        sfms, lscs = upload_stats(ups, hyper)
-        assert entries == {"compute_sfm": 2, "label_propagation": 2, "compute_lsc": 2}
-        assert not np.array_equal(*sfms)
-        assert_oracle_stats(ups, sfms, lscs, hyper)
-
-    def test_lazy_reads_are_batches_of_one(self, monkeypatch):
-        calls, entries = count_kernel_entries(monkeypatch)
-        hyper = FglHyper(lam=0.0, k_steps=1)
-        msg = real_upload(5, 3)
-        sfm, lsc = oracle_stats(msg, hyper)
-        assert np.array_equal(msg.sfm, sfm) and entries == {"compute_sfm": 1}
-        assert msg.sfm is msg.sfm and calls == {"compute_sfm": 1}
-        assert_oracle_stats([msg], *upload_stats([msg], hyper), hyper)
-        assert calls == {"compute_sfm": 2, "label_propagation": 1, "compute_lsc": 1}
+            row = msg.client_id
+            assert np.array_equal(s.kb.sfm[row], msg.sfm.ravel())
+            assert s.kb.lsc[row] == msg.lsc.clamped
 
     def test_a_round_leaves_every_upload_as_it_was_sent(self):
         s = FedSaGclServer(3, FglHyper(theta=0.0), len(STATS_POOL))
@@ -525,22 +418,116 @@ class TestFillStats:
             assert all(vars(msg)[name] is value for name, value in fields.items())
 
     def test_a_client_uploading_twice_is_scored_once_for_its_later_upload(self, monkeypatch):
-        calls, entries = count_kernel_entries(monkeypatch)
-        hyper = FglHyper()
-        s = FedSaGclServer(3, hyper, N_CLIENTS)
+        s = FedSaGclServer(3, FglHyper(), N_CLIENTS)
         ups = [real_upload(3, 1), real_upload(5, 2), real_upload(3, 3)]
-        for msg in ups:
-            server_receive(s, msg)
-        assert entries == {"compute_sfm": 2, "label_propagation": 2, "compute_lsc": 2}
+        puts, real_put = [], s.kb.put
+        monkeypatch.setattr(s.kb, "put", lambda uploads: puts.append(uploads) or real_put(uploads))
+        receive_all(s, ups)
+        assert puts == [[ups[2], ups[1]]]
         npt.assert_array_equal(np.flatnonzero(s.kb.known), [3, 5])
-        assert s.kb.params[3].tobytes() == ups[2].params.vec.tobytes()
-        assert_kb_holds_oracle_stats(s.kb, ups[1:], hyper)
+        for msg in ups[1:]:
+            row = msg.client_id
+            assert s.kb.params[row].tobytes() == msg.params.vec.tobytes()
+            assert s.kb.sfm[row].tobytes() == msg.sfm.tobytes()
+            assert s.kb.lsc[row] == msg.lsc.clamped
 
 
-# A fedsa_gcl upload stream: (client id in STATS_POOL, round-stamp lag, read
-# the fingerprint before handing the upload over).
+def server_reads_of_client_data(path):
+    """Each ``Server`` class in the module at path (``Server`` and its
+    subclasses there) that reads a ``.data`` or ``.soft`` attribute or names
+    ``ClientData``, with what it reads."""
+    servers, found = {"Server"}, []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if node.name in servers or {getattr(b, "id", None) for b in node.bases} & servers:
+            servers.add(node.name)
+            found += [(node.name, n.attr) for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute) and n.attr in ("data", "soft")]
+            found += [(node.name, n.id) for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and n.id == "ClientData"]
+    return servers, found
+
+
+def test_no_server_class_reads_client_data():
+    servers, found = server_reads_of_client_data(Path(protocol.__file__))
+    assert {"Server", "FedSaGclServer", "FedAvgSyncServer", "FedBuffServer",
+            "FedAsyncServer"} <= servers
+    assert found == []
+
+
+def trip_batches():
+    """Batches across ``gcn._blocks``' cases, with the member counts of their
+    kernel calls: mixed sizes in one call, sizes straddling BATCH_ROWS,
+    1-node and edgeless members, and feature or hidden width 1."""
+    rng = np.random.default_rng(14)
+    straddling = (300, 280, 310, 200, 120, gcn.BATCH_ROWS + 50, 60)
+    return [
+        ([batch_client(rng, n, 0.3) for n in (3, 17, 40, 9, 2, 40, 25)], [7]),
+        ([batch_client(rng, n, 4.0 / n, f=4, c=2) for n in straddling], [3, 2, 1, 1]),
+        ([batch_client(rng, 9, 0.4), batch_client(rng, 12, 0.0, edges=[]),
+          batch_client(rng, 1, 0.0, edges=[]), batch_client(rng, 20, 0.2),
+          batch_client(rng, 1, 0.0, edges=[])], [2, 1, 1, 1]),
+        ([batch_client(rng, n, 0.3, f=1) for n in (6, 11, 4)], [1, 1, 1]),
+        ([batch_client(rng, n, 0.3, h=1) for n in (8, 5)], [1, 1]),
+    ]
+
+
+UPLOAD_KERNELS = ("compute_sfm", "label_propagation", "compute_lsc")
+
+
+class TestTripScores:
+    """A trip scores its upload in the kernel call that trains it, given the
+    server's hyper: one call of each stats kernel per kernel call, and each
+    member's values those of it alone."""
+
+    def trip(self, monkeypatch, members, hyper):
+        """One batch of trips of the members; returns the uploads, the member
+        count of each kernel call and the calls of each stats kernel."""
+        sizes, calls, real_block = [], dict.fromkeys(UPLOAD_KERNELS, 0), gcn._Block
+
+        def block(part):
+            sizes.append(len(part))
+            return real_block(part)
+
+        def counted(name, real):
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+            return count
+
+        monkeypatch.setattr(gcn, "_Block", block)
+        for name in UPLOAD_KERNELS:
+            monkeypatch.setattr(protocol, name, counted(name, getattr(protocol, name)))
+        states = [ClientState(k, cd, p) for k, (p, cd) in enumerate(members)]
+        batch = train_trips(states, {}, 0.3, hyper=hyper)
+        uploads = [client_trip(state, batch)[0] for state in states]
+        monkeypatch.undo()
+        return uploads, sizes, calls
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_each_member_is_scored_as_it_is_alone(self, monkeypatch, case):
+        members, want_sizes = trip_batches()[case]
+        hyper = FglHyper(lam=0.3, k_steps=3)
+        uploads, sizes, calls = self.trip(monkeypatch, members, hyper)
+        assert sizes == want_sizes
+        assert calls == dict.fromkeys(UPLOAD_KERNELS, len(sizes))
+        for (_, cd), msg in zip(members, uploads, strict=True):
+            want = upload_stats_ref(forward(msg.params, cd), cd, hyper.lam, hyper.k_steps)
+            assert np.array_equal(msg.sfm, want[0]) and msg.lsc == want[1]
+
+    def test_without_hyper_a_trip_scores_nothing(self, monkeypatch):
+        members, _ = trip_batches()[0]
+        uploads, sizes, calls = self.trip(monkeypatch, members, None)
+        assert sizes == [7] and calls == dict.fromkeys(UPLOAD_KERNELS, 0)
+        for msg in uploads:
+            assert msg.sfm is protocol.NO_SFM and msg.lsc is None
+        assert protocol.NO_SFM.nbytes == 0 and not protocol.NO_SFM.flags.writeable
+
+
+# A fedsa_gcl upload stream: (client id in STATS_POOL, round-stamp lag).
 ROUND_STREAMS = st.lists(
-    st.tuples(st.integers(0, len(STATS_POOL) - 1), st.integers(0, 3), st.booleans()),
+    st.tuples(st.integers(0, len(STATS_POOL) - 1), st.integers(0, 3)),
     min_size=1,
     max_size=40,
 )
@@ -556,22 +543,19 @@ ROUND_CONFIGS = [
 
 
 def run_against_reference(stream, config, alpha=0.7):
-    """Hand the stream to the server and to the reference round, which scores
-    each upload alone with the per-client oracles; require equal logs and
-    equal deliveries (recipient, round, confidences and kind), models equal
-    to summation rounding, that each broadcast carries the oracle's clamped
-    confidence of its recipient's latest upload, and that uploaders with
-    equal clusters share one model."""
+    """Hand the stream to the server and to the reference round; require
+    equal logs and equal deliveries (recipient, round, confidences and kind),
+    models equal to summation rounding, that each broadcast carries the
+    clamped confidence of its recipient's latest upload, and that uploaders
+    with equal clusters share one model."""
     k, theta, clustering, broadcast = config
     hyper = FglHyper(theta=theta, alpha=alpha)
     new = FedSaGclServer(k, hyper, len(STATS_POOL), clustering, broadcast)
     ref = FedSaGclServerRef(k, hyper, len(STATS_POOL), clustering, broadcast)
     shared, latest = 0, {}
-    for pos, (cid, lag, pre_read) in enumerate(stream):
+    for pos, (cid, lag) in enumerate(stream):
         msg = real_upload(cid, pos, tau=max(new.round - lag, 0))
         latest[cid] = msg
-        if pre_read:
-            msg.sfm
         got, want = server_receive(new, msg), server_receive(ref, msg)
         assert len(got) == len(want)
         # personal deliveries come first, one per log entry of the round
@@ -582,7 +566,7 @@ def run_against_reference(stream, config, alpha=0.7):
             assert (g_cid, g.round, g.cluster_lsc, g.local_lsc, g.kind) == (
                 w_cid, w.round, w.cluster_lsc, w.local_lsc, w.kind)
             if g.kind == "broadcast":
-                assert g.local_lsc == oracle_stats(latest[g_cid], hyper)[1].clamped
+                assert g.local_lsc == latest[g_cid].lsc.clamped
             _, _, members, weights = source[id(w.params)]
             assert_within_sum_error(g.params.vec, w.params.vec, weights,
                                     ref.kb.params[list(members)])
@@ -607,7 +591,7 @@ class TestRoundAgainstReference:
             run_against_reference(stream, config)
 
     def test_theta_zero_shares_one_model_per_round(self):
-        stream = [(cid % len(STATS_POOL), cid % 3, cid % 2 == 0) for cid in range(24)]
+        stream = [(cid % len(STATS_POOL), cid % 3) for cid in range(24)]
         assert run_against_reference(stream, (4, 0.0, True, True)) > 0
         s = FedSaGclServer(3, FglHyper(theta=0.0), len(STATS_POOL))
         for pos, cid in enumerate((0, 1, 2, 3, 4, 5)):
@@ -615,15 +599,11 @@ class TestRoundAgainstReference:
         assert len({id(d.params) for _, d in got}) == 1
         assert {d.cluster_lsc is None for _, d in got} == {True, False}
 
-    def test_a_client_uploading_twice_in_one_queue(self, monkeypatch):
-        calls, entries = count_kernel_entries(monkeypatch)
-        stream = [(3, 0, False), (5, 0, True), (3, 0, False)]
-        run_against_reference(stream, (3, 0.5, True, True))
-        assert entries["compute_lsc"] == 2 and calls["compute_lsc"] == 1
+    def test_a_client_uploading_twice_in_one_queue(self):
+        run_against_reference([(3, 0), (5, 0), (3, 0)], (3, 0.5, True, True))
 
     def test_every_broadcast_carries_its_recipients_own_confidence(self):
-        hyper = FglHyper(theta=0.0)
-        s = FedSaGclServer(2, hyper, len(STATS_POOL))
+        s = FedSaGclServer(2, FglHyper(theta=0.0), len(STATS_POOL))
         latest, broadcasts = {}, 0
         for pos, cid in enumerate((0, 1, 2, 3, 4, 5, 6, 2, 5, 0, 6, 3, 1, 4)):
             latest[cid] = real_upload(cid, 50 + pos, tau=s.round)
@@ -631,7 +611,7 @@ class TestRoundAgainstReference:
                 if msg.kind == "broadcast":
                     broadcasts += 1
                     assert type(msg.local_lsc) is float
-                    assert msg.local_lsc == oracle_stats(latest[r_cid], hyper)[1].clamped
+                    assert msg.local_lsc == latest[r_cid].lsc.clamped
                 else:
                     assert msg.local_lsc is None
         assert broadcasts >= 10
@@ -669,11 +649,10 @@ class TestClientTrip:
     ):
         state = self.setup_client()
         hyper = FglHyper()
-        first, _ = client_trip(state, train_trips([state], {}, 0.05))
-        uploaded = state.params
+        first, _ = client_trip(state, train_trips([state], {}, 0.05, hyper=hyper))
+        uploaded, lsc = state.params, first.lsc
         # the uploaded confidence, which the server holds, is the one a fresh
         # forward would give
-        (_,), (lsc,) = upload_stats([first], hyper)
         soft = forward(uploaded, state.data)
         propagated = label_propagation(soft, [state.data], hyper.lam, hyper.k_steps)
         assert [lsc] == compute_lsc(propagated, [state.data])
@@ -687,12 +666,12 @@ class TestClientTrip:
             return softmax_rows(z)
 
         monkeypatch.setattr(gcn, "softmax_rows", counting_softmax)
-        msg, _ = client_trip(state, train_trips([state], mailboxes, 0.05))
-        # the training step's forward and the trained model's: the blend adds none
+        msg, _ = client_trip(state, train_trips([state], mailboxes, 0.05, hyper=hyper))
+        # the training step's forward and the trained model's: neither the
+        # blend nor the scoring adds one
         assert forwards == [(1, 5, 2)] * 2
         monkeypatch.undo()
         npt.assert_array_equal(msg.params.vec, expected.vec)
-        npt.assert_array_equal(msg.soft, forward(msg.params, state.data))
         assert state.params is msg.params
 
     def test_blend_weights_formula(self):
@@ -709,11 +688,10 @@ class TestClientTrip:
 
     def test_upload_carries_post_training_stats(self):
         state = self.setup_client()
-        msg, _ = client_trip(state, train_trips([state], {}, 0.05))
+        msg, _ = client_trip(state, train_trips([state], {}, 0.05, hyper=FglHyper()))
         assert msg.sfm.shape == (2, 2)
         npt.assert_allclose(msg.sfm, msg.sfm.T)
-        (_,), (lsc,) = upload_stats([msg], FglHyper())
-        assert lsc.clamped >= 1e-6
+        assert msg.lsc.clamped >= 1e-6
 
 
 class TestBaselines:
@@ -843,16 +821,17 @@ class TestTrainTrips:
         batched, alone = self.clients(), self.clients()
         box, alone_box = ({1: DownloadMessage(init_params(3, 4, 2, seed=50), 6, None)}
                           for _ in range(2))
-        batch = train_trips(batched, box, 0.05)
+        hyper = FglHyper()
+        batch = train_trips(batched, box, 0.05, hyper=hyper)
         assert box == {}
         assert batched[1].tau == 6
         for b, a in zip(batched, alone):
             got, got_acc = client_trip(b, batch)
-            ref, ref_acc = client_trip(a, train_trips([a], alone_box, 0.05))
+            ref, ref_acc = client_trip(a, train_trips([a], alone_box, 0.05, hyper=hyper))
             assert got_acc == ref_acc
             assert b.params is got.params and got.tau == ref.tau
             assert np.array_equal(got.params.vec, ref.params.vec)
-            assert np.array_equal(got.soft, ref.soft)
+            assert np.array_equal(got.sfm, ref.sfm) and got.lsc == ref.lsc
 
     def test_trips_of_a_batch_finish_in_its_order(self):
         states = self.clients(3)

@@ -13,9 +13,9 @@ from scipy.sparse._compressed import _cs_matrix
 from fedgraphsim import gcn, kernels, protocol, sim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.gcn import evaluate
-from fedgraphsim.graphs import SbmConfig, split_masks
+from fedgraphsim.graphs import Graph, SbmConfig, split_masks
 from fedgraphsim.kernels import FglHyper
-from fedgraphsim.partition import TripPlan
+from fedgraphsim.partition import ClientData, TripPlan
 from fedgraphsim.protocol import Strategy
 from fedgraphsim.sim import (
     Event,
@@ -298,54 +298,91 @@ def test_baseline_trips_compute_no_fingerprint_or_confidence(monkeypatch, strate
 
 
 def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
+    """One call of each stats kernel per fedsa_gcl kernel call, over its
+    members, and none in ``server_receive``; each upload carries the values
+    of its client alone."""
     cfg = sbm_cfg(n_clients=4, k_buffer=4, max_trips=60, edge_fraction=0.25)
-    calls, uploads_computed = Counter(), Counter()
+    hyper = cfg.resolved_hyper()
+    calls, scored, kernel_calls, uploads = Counter(), Counter(), [], []
 
     def counted(name):
         real = getattr(protocol, name)
 
         def count(rows, datas, *args):
             calls[name] += 1
-            uploads_computed[name] += len(datas)  # a batch holds one client per upload
+            scored[name] += len(datas)
             return real(rows, datas, *args)
 
         return count
 
     for name in UPLOAD_KERNELS:
         monkeypatch.setattr(protocol, name, counted(name))
-    real_trip, real_stats, uploads, scored = sim.client_trip, protocol.upload_stats, [], []
+    real_gradients, real_trip = gcn._Block.gradients, sim.client_trip
+    real_receive = sim.server_receive
+
+    def gradients(block):  # one per training kernel call
+        kernel_calls.append(len(block.layout.datas))
+        return real_gradients(block)
 
     def trip(state, batch):
-        before = uploads_computed.copy()
         upload, acc = real_trip(state, batch)
-        uploads.append(upload)
-        assert uploads_computed == before  # the trip itself computes neither
+        uploads.append((upload, state.data))
         return upload, acc
 
-    def stats(batch, hyper):
-        scored.append(batch)
-        sfms, lscs = real_stats(batch, hyper)
-        for upload, sfm, lsc in zip(batch, sfms, lscs, strict=True):
-            alone = [upload.data]
-            propagated = kernels.label_propagation(upload.soft, alone, hyper.lam, hyper.k_steps)
-            assert np.array_equal(sfm, kernels.compute_sfm(upload.soft, alone)[0])
-            assert [lsc] == kernels.compute_lsc(propagated, alone)
-        return sfms, lscs
+    def receive(server, msg):
+        before = calls.copy()
+        deliveries = real_receive(server, msg)
+        assert calls == before  # the server scores nothing
+        return deliveries
 
+    monkeypatch.setattr(gcn._Block, "gradients", gradients)
     monkeypatch.setattr(sim, "client_trip", trip)
-    monkeypatch.setattr(protocol, "upload_stats", stats)
+    monkeypatch.setattr(sim, "server_receive", receive)
     log = run_simulation(cfg, seed=5)
+    monkeypatch.undo()
     assert any("kind=broadcast" in line for line in log.trace)
-    # each round, K uploads in arrival order, scores each client's latest
-    # upload in it once, in ascending ids; the last queued ones never
-    k = cfg.k_buffer
-    queues = [uploads[i : i + k] for i in range(0, len(uploads) - k + 1, k)]
-    latest = [{m.client_id: m for m in queue} for queue in queues]
-    want = [[by_id[c] for c in sorted(by_id)] for by_id in latest]
-    assert [list(map(id, b)) for b in scored] == [list(map(id, b)) for b in want]
-    assert any(len(b) < k for b in want)  # a client uploaded twice into one queue
-    assert uploads_computed == {name: sum(map(len, want)) for name in UPLOAD_KERNELS}
-    assert calls["compute_sfm"] < uploads_computed["compute_sfm"]  # rounds compute in batches
+    assert max(kernel_calls) > 1  # some calls score several uploads at once
+    assert calls == {name: len(kernel_calls) for name in UPLOAD_KERNELS}
+    assert scored == {name: len(log.records) for name in UPLOAD_KERNELS}
+    for upload, data in uploads:
+        soft, alone = gcn.forward(upload.params, data), [data]
+        propagated = kernels.label_propagation(soft, alone, hyper.lam, hyper.k_steps)
+        assert np.array_equal(upload.sfm, kernels.compute_sfm(soft, alone)[0])
+        assert [upload.lsc] == kernels.compute_lsc(propagated, alone)
+
+
+def held(value):
+    """value and everything it holds: its attributes, list and tuple items."""
+    yield value
+    if isinstance(value, (list, tuple)):
+        items = value
+    else:
+        items = vars(value).values() if hasattr(value, "__dict__") else ()
+    for item in items:
+        yield from held(item)
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_no_server_receives_client_data(monkeypatch, strategy):
+    """What crosses ``server_receive``, the upload in and the deliveries out,
+    holds no ClientData or Graph and no array with a node-count axis."""
+    cfg = sbm_cfg(strategy=strategy, n_clients=3, k_buffer=2, max_trips=30)
+    nodes = {cd.graph.node_count for cd in prepare_clients(cfg, 3)[0]}
+    real, seen = sim.server_receive, []
+
+    def receive(server, msg):
+        deliveries = real(server, msg)
+        seen.append((msg, deliveries))
+        return deliveries
+
+    monkeypatch.setattr(sim, "server_receive", receive)
+    run_simulation(cfg, seed=3)
+    assert len(seen) == cfg.max_trips
+    arrays = []
+    for value in held(seen):
+        assert not isinstance(value, (ClientData, Graph)), type(value)
+        arrays += [value] if isinstance(value, np.ndarray) else []
+    assert arrays and not any(nodes & set(a.shape) for a in arrays)
 
 
 @pytest.mark.parametrize("kind", ["edge_sparsity", "label_sparsity", None])
@@ -421,9 +458,9 @@ def test_batched_driver_equals_the_one_event_at_a_time_loop(monkeypatch, case):
     ref, snapshots = run_simulation_one_event_at_a_time(cfg, 4)
     batches, real = [], sim.train_trips
 
-    def recording(states, mailboxes, lr, layouts):
+    def recording(states, *args):
         batches.append([s.client_id for s in states])
-        return real(states, mailboxes, lr, layouts)
+        return real(states, *args)
 
     monkeypatch.setattr(sim, "train_trips", recording)
     log = run_simulation(cfg, 4)
@@ -479,9 +516,9 @@ def record_layouts(monkeypatch):
     events = []
     real_trips, real_block, real_layout = sim.train_trips, gcn._Block, gcn._Layout
 
-    def trips(states, mailboxes, lr, layouts):
+    def trips(states, *args):
         events.append(("batch", tuple(s.client_id for s in states)))
-        return real_trips(states, mailboxes, lr, layouts)
+        return real_trips(states, *args)
 
     def block(members):
         events.append(("call", tuple(cd.client_id for _, cd in members)))
