@@ -184,8 +184,8 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     node moved; comm is updated in place, each move strictly raising modularity.
 
     It skips each node whose stay is provable, so the result is ``_move`` on
-    every node. One product a_off @ P, scipy's ``csr_matmat`` kernel with P the
-    node -> community indicator (``_community_weights``), gives each node's
+    every node. The product a_off @ P, P the node -> community indicator, taken
+    one row block at a time (``_community_weights``), gives each node's
     pass-start slack: its stay gain, less its best other gain clamped at 0,
     less SLACK * (1 + k_v). Node v is skipped while 2 shift[v] + (2 k_v / m2)
     moved_k < slack[v], with moved_k the degree moved so far and shift[v] the
@@ -206,13 +206,19 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
         visits, k, comm_k = rng.permutation(n).tolist(), k.tolist(), comm_k.tolist()
         moved = [_move(v, nbrs, wts, k, m2, comm, comm_k, acc) for v in visits]
         return any(moved)
-    to = _community_weights(a_off, at)
-    rows = _rows(to)
-    own = to.indices == at[rows]
-    w_own = np.bincount(rows[own], weights=to.data[own], minlength=n)  # one entry at most
-    gain = to.data - k[rows] * comm_k[to.indices] / m2
-    best, filled = np.full(n, -np.inf), np.diff(to.indptr) > 0
-    best[filled] = np.maximum.reduceat(np.where(own, -np.inf, gain), to.indptr[:-1][filled])
+    w_own, best = np.zeros(n), np.full(n, -np.inf)
+    for s, block in _row_blocks(a_off):  # every quantity is per row
+        to = _community_weights(block, at)
+        rows = _rows(to)
+        own = to.indices == at[s:][rows]
+        w_own[s:][rows[own]] = to.data[own]  # one entry at most
+        gain = k[s:][rows]
+        gain *= comm_k[to.indices]
+        gain /= m2
+        np.subtract(to.data, gain, out=gain)
+        gain[own] = -np.inf
+        filled = np.flatnonzero(np.diff(to.indptr))
+        best[s + filled] = np.maximum.reduceat(gain, to.indptr[filled])
     slack = w_own - k * (comm_k[at] - k) / m2 - np.maximum(best, 0.0) - SLACK * (1.0 + k)
     sure = slack > 0  # never a node of degree 0
     budget = np.max(slack[sure] * m2 / (2.0 * k[sure]), initial=0.0)
@@ -233,26 +239,48 @@ def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
     return moved
 
 
+BLOCK_ROWS = 1024  # rows per block of Louvain's per-entry temporaries
+
+
+def _row_blocks(a: Csr):
+    """a's rows in blocks of BLOCK_ROWS: each block's first row and the block, a ``Csr``
+    of views of a's data and indices (a block's per-entry temporaries stay that size)."""
+    for s in range(0, a.shape[0], BLOCK_ROWS):
+        e = min(s + BLOCK_ROWS, a.shape[0])
+        lo, hi = a.indptr[s], a.indptr[e]
+        yield s, Csr(a.data[lo:hi], a.indices[lo:hi], a.indptr[s : e + 1] - lo, (e - s, a.shape[1]))
+
+
 def _rows(a: Csr) -> np.ndarray:
     """The row of each stored entry of a CSR."""
     return np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
 
 
 def _community_weights(a: Csr, comm: np.ndarray) -> Csr:
-    """a @ P, P the node -> community indicator: each row's total weight to each community
-    it touches, by scipy's ``csr_matmat`` with its column order (not sorted). P holds one
-    entry per row, so the product holds at most as many entries as a."""
-    n, index = a.shape[0], a.indices.dtype
+    """a @ P for any row block a of a level, P the level's node -> community indicator:
+    each row's total weight to each community it touches, by scipy's ``csr_matmat`` with
+    its column order (not sorted), which depends on that row alone. P holds one entry
+    per row, so the product holds at most as many entries as a."""
+    (rows, n), index = a.shape, a.indices.dtype
     indptr, indices, data = np.empty_like(a.indptr), np.empty_like(a.indices), np.empty_like(a.data)
-    csr_matmat(n, n, a.indptr, a.indices, a.data, np.arange(n + 1, dtype=index),
+    csr_matmat(rows, n, a.indptr, a.indices, a.data, np.arange(n + 1, dtype=index),
                comm.astype(index), np.ones(n), indptr, indices, data)
-    return Csr(data[: indptr[-1]], indices[: indptr[-1]], indptr, (n, n))
+    return Csr(data[: indptr[-1]], indices[: indptr[-1]], indptr, (rows, n))
 
 
 def _coarsen(a: Csr, mapping: np.ndarray) -> Csr:
-    """P.T @ a @ P, P the node -> community indicator of ``mapping``: each entry of a
-    added at its two ends' communities (duplicates summed, columns ascending)."""
-    return coo_to_csr(np.repeat(mapping, np.diff(a.indptr)), mapping[a.indices], a.data,
+    """P.T @ a @ P, P the node -> community indicator of ``mapping``: each row block's
+    a @ P entries (``_community_weights``), added at their rows' communities
+    (duplicates summed, columns ascending). A converged level's row touches one or two
+    communities, so those entries are far fewer than a's. Exact, as every weight is an
+    integer-valued float, so the order of the sums cannot matter."""
+    rows, cols, vals = [], [], []
+    for s, block in _row_blocks(a):
+        ap = _community_weights(block, mapping)
+        rows.append(np.repeat(mapping[s : s + block.shape[0]], np.diff(ap.indptr)))
+        cols.append(ap.indices.copy())  # not views, which keep the block's buffers
+        vals.append(ap.data.copy())
+    return coo_to_csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
                       int(mapping.max()) + 1)
 
 
@@ -266,17 +294,32 @@ def _adjacency(g: Graph) -> Csr:
 
 def _neighbour_lists(a: Csr):
     """Per-node neighbour and weight lists of a CSR level and the level, its diagonal left out.
-    The lists share one int per node and one float per distinct weight: per-row slices of
-    object arrays of those shared objects, with no flat list of one object per stored entry."""
+    The lists share one int per node and one float per distinct weight, and when every
+    weight is 1.0, as at level 0, the rows of one length share one list ``[1.0] * d``.
+    The other lists are cut row by row from an object array of one row block's shared
+    objects, so no temporary holds an object per stored entry of the whole level."""
     diag = a.indices == _rows(a)
     if diag.any():  # a coarse level: at most one diagonal entry per row
         cut = np.cumsum(np.bincount(a.indices[diag], minlength=a.shape[0]))
         indptr = (a.indptr - np.concatenate([[0], cut])).astype(a.indptr.dtype)
         a = Csr(a.data[~diag], a.indices[~diag], indptr, a.shape)
-    values, which = np.unique(a.data, return_inverse=True)
-    idx, w = np.arange(a.shape[0]).astype(object)[a.indices], values.astype(object)[which]
-    spans = list(zip(a.indptr.tolist(), a.indptr[1:].tolist()))
-    return [idx[i:j].tolist() for i, j in spans], [w[i:j].tolist() for i, j in spans], a
+
+    def lists(objects):  # per-row lists of objects(block), an object array per row block
+        out = []
+        for _, block in _row_blocks(a):
+            row_objects, ends = objects(block), block.indptr.tolist()
+            out += [row_objects[i:j].tolist() for i, j in zip(ends, ends[1:])]
+        return out
+
+    nodes = np.arange(a.shape[0]).astype(object)
+    nbrs = lists(lambda block: nodes[block.indices])
+    if np.all(a.data == 1.0):
+        lengths = np.diff(a.indptr).tolist()
+        ones = {d: [1.0] * d for d in set(lengths)}
+        return nbrs, [ones[d] for d in lengths], a
+    values = np.unique(a.data)
+    floats = values.astype(object)
+    return nbrs, lists(lambda block: floats[np.searchsorted(values, block.data)]), a
 
 
 def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
@@ -306,6 +349,7 @@ def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarr
                 break
         if len(set(comm)) == n_level:
             break
+        del nbrs, wts, a_off  # only the level is coarsened
         mapping = np.unique(comm, return_inverse=True)[1].astype(a.indices.dtype)
         a = _coarsen(a, mapping)
         membership = mapping[membership]
@@ -360,6 +404,12 @@ def louvain_partition(
     (_local_move shows why). When modularity_trace is given, the partition's
     modularity on the original graph is appended after every pass (monotone
     nondecreasing).
+
+    Working set: the level's CSR, the neighbour lists ``_move`` reads (one
+    shared weight list per row length at level 0) and temporaries of one row
+    block (``BLOCK_ROWS``) of the level, which the slack set-up, the lists and
+    coarsening each take in turn; a level's lists are freed before it is
+    coarsened. None of this changes a partition, as every quantity is per row.
     """
     if not 1 <= n_clients <= g.node_count:
         raise ValueError("n_clients must be in [1, node_count]")

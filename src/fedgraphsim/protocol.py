@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -89,9 +90,10 @@ class DownloadMessage:
 class KnowledgeBase:
     """The fedsa_gcl knowledge base as row arrays: row c holds client c's
     latest upload (``known`` flags the clients that have one), its flat
-    parameter vector in ``params``, its flattened fingerprint in ``sfm`` with
-    the row norm cached in ``sfm_norm``, and its ``tau`` and clamped
-    confidence ``lsc``. The first ``put`` fixes the row widths."""
+    parameter vector in ``params``, its flattened fingerprint in ``sfm`` (width
+    0 when no round compares them) with the row norm cached in ``sfm_norm``,
+    and its ``tau`` and clamped confidence ``lsc``. The first ``put`` fixes the
+    row widths."""
 
     def __init__(self, n_clients: int):
         self.known = np.zeros(n_clients, dtype=bool)
@@ -139,10 +141,12 @@ class Server:
     member tuple, weight tuple) per personalized aggregation (none under the
     baselines). ``waits_for_round``: a client starts its next trip only once
     the current round's delivery reaches it. ``hyper``: the ``FglHyper`` a trip
-    scores its upload with (``train_trips``), or None: no scores are read."""
+    scores its upload with (``train_trips``), or None: no scores are read.
+    ``reads_sfm``: the rounds compare fingerprints, so a trip scores one."""
 
     waits_for_round = False
     hyper: FglHyper | None = None
+    reads_sfm = False
 
     def __init__(self):
         self.round = 0
@@ -173,7 +177,7 @@ class FedSaGclServer(Server):
         use_broadcast: bool = True,
     ):
         super().__init__()
-        self.k, self.hyper = k, hyper
+        self.k, self.hyper, self.reads_sfm = k, hyper, use_clustering
         self.use_clustering, self.use_broadcast = use_clustering, use_broadcast
         self.queue: list[UploadMessage] = []
         self.kb = KnowledgeBase(n_clients)
@@ -332,7 +336,8 @@ def server_receive(server: Server, msg: UploadMessage) -> Deliveries:
 
 
 def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage], lr: float,
-                layouts: dict | None = None, hyper: FglHyper | None = None) -> Iterator:
+                layouts: dict | None = None, hyper: FglHyper | None = None,
+                sfm: bool = True) -> Iterator:
     """Take each client's message out of ``mailboxes``, then train all of them
     as one batch; return the batch, a lazy iterator of (state, (trained
     params, test accuracy, scores)) in ``states`` order for ``client_trip``.
@@ -346,7 +351,8 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
     ``client_trip`` of its first client, so a trip still holds its training.
     Given ``hyper``, a call scores each client's (fingerprint, confidence), its
     values alone, with one ``compute_sfm``, ``label_propagation`` and
-    ``compute_lsc`` (lam, k_steps) over the call's rows; else the scores are None.
+    ``compute_lsc`` (lam, k_steps) over the call's rows, or, without ``sfm``, the
+    confidence alone and ``NO_SFM``; without ``hyper`` the scores are None.
     ``layouts`` is the run's memo of batch layouts (``gcn._blocks``).
     Training on an empty train mask raises ValueError.
     """
@@ -360,7 +366,7 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
             state.params = blend_local(msg.params, state.params, msg.cluster_lsc, msg.local_lsc)
         state.tau = msg.round
     score = None if hyper is None else lambda soft, datas: zip(
-        compute_sfm(soft, datas),
+        compute_sfm(soft, datas) if sfm else repeat(NO_SFM),
         compute_lsc(label_propagation(soft, datas, hyper.lam, hyper.k_steps), datas))
     return zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts, score))
 

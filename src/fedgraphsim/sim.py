@@ -348,7 +348,8 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
             batch = []
             while heap and heap[0].completion_time == now and len(batch) < room:
                 batch.append(clients[heapq.heappop(heap).client_id])
-            trained = train_trips(batch, server.mailboxes, cfg.lr, layouts, server.hyper)
+            trained = train_trips(batch, server.mailboxes, cfg.lr, layouts, server.hyper,
+                                  server.reads_sfm)
             pending = {client.client_id for client in batch}
             for client in batch:
                 cid = client.client_id

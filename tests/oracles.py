@@ -357,7 +357,8 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int):
         ev = heapq.heappop(heap)
         now, cid = ev.completion_time, ev.client_id
         client = clients[cid]
-        trained = train_trips([client], server.mailboxes, cfg.lr, hyper=server.hyper)
+        trained = train_trips([client], server.mailboxes, cfg.lr, hyper=server.hyper,
+                              sfm=server.reads_sfm)
         upload, _ = client_trip(client, trained)
         trips += 1
         cached[cid] = evaluate(upload.params, client.data, "test")

@@ -15,6 +15,7 @@ import fedgraphsim
 from fedgraphsim import graphs, sim
 from fedgraphsim.config import ConfigError, DatasetSpec, ExperimentConfig
 from fedgraphsim.experiments import (
+    T975,
     aggregate_seeds,
     run_experiment,
     summarize_logs,
@@ -91,6 +92,22 @@ class TestAggregateSeeds:
     def test_single_sample(self):
         row = aggregate_seeds([1.0], "m")
         assert row.mean == 1.0 and row.ci95_half == 0.0
+
+    def test_t_quantiles_are_scipys_floats(self):
+        from scipy.special import stdtrit
+
+        assert len(T975) == 30
+        for df, t in enumerate(T975, start=1):
+            assert t == float(stdtrit(df, 0.975)), df
+
+    @pytest.mark.parametrize("n", [2, 5, 31, 32])
+    def test_t_interval_takes_scipys_quantile(self, n):
+        from scipy.special import stdtrit
+
+        values = [math.sin(i) for i in range(n)]
+        sd = float(np.std(values, ddof=1))
+        want = float(stdtrit(n - 1, 0.975) * sd / math.sqrt(n))
+        assert aggregate_seeds(values, "m").ci95_half == want
 
     def test_t_interval_hand_computed(self):
         row = aggregate_seeds([1, 2, 3, 4, 5], "m")
@@ -203,19 +220,22 @@ def run_child(code: str) -> str:
 
 def test_import_leaves_scipy_stats_and_csgraph_unloaded():
     """Neither ``scipy.sparse`` (with ``csgraph``) nor ``scipy.stats`` loads, not
-    for aggregate_seeds' t quantile and not for a run on either partitioner: the
-    set-up builds its CSR arrays with scipy's compiled kernels alone.
-    ``scipy.sparse``'s ``__init__`` alone costs about 15 MiB RSS."""
+    for a run on either partitioner, and nor does ``scipy.special`` for
+    aggregate_seeds' t quantile of 2-31 values: the set-up builds its CSR arrays
+    with scipy's compiled kernels alone. ``scipy.sparse``'s ``__init__`` alone
+    costs about 15 MiB RSS, and ``scipy.special`` about 18 MiB."""
     out = run_child("""
         import sys
         import fedgraphsim as fg
-        fg.aggregate_seeds([0.5, 0.7])
+        for n in range(2, 32):
+            fg.aggregate_seeds([0.5 + i / 8 for i in range(n)])
         sbm = fg.DatasetSpec("sbm", sbm=fg.SbmConfig((12, 12), 0.5, 0.05, 4, 0.3, 5))
         for partitioner in ("louvain", "balanced"):
             cfg = fg.ExperimentConfig(dataset=sbm, n_clients=2, partitioner=partitioner,
                                       hidden_dim=8, max_trips=15, mask_ratios=(0.5, 0.0, 0.5))
             assert len(fg.run_simulation(cfg, 0).records) == 15
-        print(sorted({"scipy.stats", "scipy.sparse", "scipy.sparse.csgraph"} & set(sys.modules)))
+        loaded = {"scipy.stats", "scipy.sparse", "scipy.sparse.csgraph", "scipy.special"}
+        print(sorted(loaded & set(sys.modules)))
         """)
     assert out.strip() == "[]"
 

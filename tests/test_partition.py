@@ -1,11 +1,13 @@
 import functools
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedgraphsim import partition
@@ -380,6 +382,44 @@ def test_level_0_lists_share_one_object_per_node_and_one_unit_weight():
     assert len({id(u) for row in nbrs for u in row}) <= g.node_count
     assert len({id(w) for row in wts for w in row}) == 1
     assert wts[0][0] == 1.0
+    # one weight list per row length, shared by every row of that length
+    assert [len(row) for row in wts] == [len(row) for row in nbrs]
+    assert len({id(row) for row in wts}) == len({len(row) for row in wts})
+
+
+BLOCK_CUTS = (1, 3, 2**31)  # rows per block: one, a few, and one block for all
+
+
+def at_each_block_cut(f):
+    """f() with ``partition.BLOCK_ROWS`` at each of BLOCK_CUTS."""
+    out = []
+    for rows in BLOCK_CUTS:
+        with mock.patch.object(partition, "BLOCK_ROWS", rows):
+            out.append(f())
+    return out
+
+
+def test_louvain_does_not_depend_on_the_block_cut():
+    g = server_bound_graph()
+    first, *others = at_each_block_cut(lambda: louvain_partition(g, 200, 0).client_of)
+    for other in others:
+        npt.assert_array_equal(other, first)
+
+
+def test_louvain_working_set_is_the_level_and_its_lists():
+    """louvain_partition's traced peak on perfbench's client_bound SBM (6,000
+    nodes, 206,940 stored entries) stays below 40 bytes per stored entry. The
+    level's CSR takes 12 of them, the neighbour lists 8 plus their per-node
+    objects, and the other temporaries are one row block's. One more array or
+    object list over every entry of the level breaks the bound."""
+    g = generate_sbm(SbmConfig((1500,) * 4, 0.02, 0.001, 16, 0.5, 0))
+    tracemalloc.start()
+    try:
+        louvain_partition(g, 8, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 * g.edge_count
 
 
 @st.composite
@@ -398,16 +438,29 @@ def weighted_levels(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(weighted_levels())
 def test_neighbour_lists_equal_plain_slices(a):
-    nbrs, wts, off = partition._neighbour_lists(a)
     want_nbrs, want_wts, want_off = plain_lists(a)
-    assert nbrs == want_nbrs and wts == want_wts
-    flat = [w for row in wts for w in row]
     want_flat = [w for row in want_wts for w in row]
-    npt.assert_array_equal(np.array(flat).view(np.int64), np.array(want_flat).view(np.int64))
-    assert all(type(u) is int for row in nbrs for u in row)
-    assert all(type(w) is float for w in flat)
-    for name in ("data", "indices", "indptr"):
-        npt.assert_array_equal(getattr(off, name), getattr(want_off, name))
+    for nbrs, wts, off in at_each_block_cut(lambda: partition._neighbour_lists(a)):
+        assert nbrs == want_nbrs and wts == want_wts
+        flat = [w for row in wts for w in row]
+        npt.assert_array_equal(np.array(flat).view(np.int64), np.array(want_flat).view(np.int64))
+        assert all(type(u) is int for row in nbrs for u in row)
+        assert all(type(w) is float for w in flat)
+        for name in ("data", "indices", "indptr"):
+            npt.assert_array_equal(getattr(off, name), getattr(want_off, name))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weighted_levels(), st.integers(0, 2**32 - 1))
+def test_coarsening_does_not_depend_on_the_block_cut(a, seed):
+    """Any weights, so the sums' order would show: each block's a @ P rows are
+    the whole product's, in the same order."""
+    rng = np.random.default_rng(seed)
+    comm = rng.integers(0, rng.integers(1, a.shape[0] + 1), a.shape[0])
+    mapping = np.unique(comm, return_inverse=True)[1].astype(a.indices.dtype)
+    first, *others = at_each_block_cut(lambda: partition._coarsen(a, mapping))
+    for other in others:
+        assert csr_mismatches(other, first) == []
 
 
 class TestMove:
@@ -652,6 +705,14 @@ def small_graphs(draw):
     return build(n, random_graph_edges(rng, n, draw(st.sampled_from([0.0, 0.03, 0.2, 1.0]))))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.integers(0, 2**32 - 1))
+def test_louvain_of_small_graphs_does_not_depend_on_the_block_cut(g, seed):
+    first, *others = at_each_block_cut(lambda: partition._louvain_communities(g, seed))
+    for other in others:
+        npt.assert_array_equal(other, first)
+
+
 class TestSetUpCsrs:
     """Each set-up CSR equals the one scipy's csr_matrix builds from the same
     entries (tests/oracles.py), array for array."""
@@ -682,12 +743,42 @@ class TestSetUpCsrs:
             mapping = np.unique(comm, return_inverse=True)[1].astype(a.indices.dtype)
             ref = coarsen_ref(a, mapping)
             ref.sort_indices()
-            a = partition._coarsen(a, mapping)
-            assert csr_mismatches(a, ref) == []
+            coarse = at_each_block_cut(lambda: partition._coarsen(a, mapping))
+            assert [csr_mismatches(c, ref) for c in coarse] == [[]] * len(BLOCK_CUTS)
+            a = coarse[0]
             a_off = partition._neighbour_lists(a)[2]
             at = rng.integers(0, a.shape[0], a.shape[0])
             got = partition._community_weights(a_off, at)
             assert csr_mismatches(got, community_weights_ref(a_off, at)) == []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(small_graphs(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_slack_set_up_does_not_depend_on_the_block_cut(self, g, coarse, seed):
+        """A pass from random communities (of a random coarsening, with its
+        diagonal and integer weights above 1, if ``coarse``) in a fixed order
+        evaluates the same nodes and ends in the same communities: the skips
+        read the slack, so a slack that changed with the cut would show."""
+        assume(g.edge_count > 0)
+        rng, a = np.random.default_rng(seed), partition._adjacency(g)
+        if coarse:
+            comm = rng.integers(0, rng.integers(1, a.shape[0] + 1), a.shape[0])
+            a = partition._coarsen(a, np.unique(comm, return_inverse=True)[1].astype(np.int32))
+        n = a.shape[0]
+        k = np.bincount(partition._rows(a), weights=a.data, minlength=n)
+        nbrs, wts, a_off = partition._neighbour_lists(a)
+        comm, order = rng.integers(0, rng.integers(1, n + 1), n).tolist(), rng.permutation(n)
+        move = partition._move
+
+        def one_pass():
+            got, evaluated = list(comm), []
+            with mock.patch.object(partition, "_move",
+                                   lambda v, *args: evaluated.append(v) or move(v, *args)):
+                moved = partition._local_move(nbrs, wts, a_off, k, float(k.sum()), got,
+                                              FixedOrder(order))
+            return got, moved, evaluated
+
+        first, *others = at_each_block_cut(one_pass)
+        assert all(other == first for other in others)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 12), st.integers(0, 60), st.booleans(), st.integers(0, 2**32 - 1))

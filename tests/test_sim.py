@@ -351,6 +351,40 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
         assert [upload.lsc] == kernels.compute_lsc(propagated, alone)
 
 
+def test_a_run_without_sfm_clustering_scores_no_fingerprint(monkeypatch):
+    """With ``disable_sfm_clustering`` no round compares fingerprints, so no
+    trip computes one: every upload carries ``NO_SFM`` and only its confidence.
+    The default run keeps its 27 fingerprint calls, one per kernel call."""
+    cfg = sbm_cfg(n_clients=4, k_buffer=2, max_trips=40, edge_fraction=0.25)
+    calls, sfms = Counter(), []
+
+    def counted(name):
+        real = getattr(protocol, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    def receive(server, msg):
+        sfms.append(msg.sfm)
+        return real_receive(server, msg)
+
+    real_receive = sim.server_receive
+    for name in UPLOAD_KERNELS:
+        monkeypatch.setattr(protocol, name, counted(name))
+    monkeypatch.setattr(sim, "server_receive", receive)
+    run_simulation(cfg, seed=3)
+    default, calls = dict(calls), Counter()
+    assert default == {name: 27 for name in UPLOAD_KERNELS}
+    assert all(sfm.shape == (2, 2) for sfm in sfms)
+    sfms.clear()
+    run_simulation(replace(cfg, disable_sfm_clustering=True), seed=3)
+    assert calls == {"label_propagation": 27, "compute_lsc": 27}
+    assert len(sfms) == 40 and all(sfm is protocol.NO_SFM for sfm in sfms)
+
+
 def held(value):
     """value and everything it holds: its attributes, list and tuple items."""
     yield value
