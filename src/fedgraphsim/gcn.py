@@ -28,11 +28,16 @@ OpenBLAS's SkylakeX kernel; at hidden >= 16 with 2, 3 or 10 classes a row of
 ``h @ w1`` can round by the call's padded row count (an xfail in the tests).
 Given a run's memo, a several-client layout is reused by the next batch's call
 of the same clients in the same order, and by no later one; a lone client's
-layout by every later call.
+layout by every later call. The memo's ``Workspace`` holds a call's hidden-width
+temporaries (z0, relu(z0), h W1, dZ0 and the ReLU mask) in buffers that grow to
+the run's largest call and are never freed within it, so a call after the
+first allocates none of them; nothing a call returns (soft labels, trained
+vectors and so the uploads) is a view of them.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -170,20 +175,49 @@ class _Layout:
             a.flags.writeable = False
 
 
+class Workspace:
+    """Grow-only buffers for the temporaries of kernel calls, one per name: each
+    grows to the largest call that has taken it and is never shrunk or freed."""
+
+    def __init__(self):
+        self.bufs = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A C-contiguous array of ``shape`` over the start of buffer ``name``."""
+        size = math.prod(shape)
+        buf = self.bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self.bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+class RunMemo(dict):
+    """A run's memo for its kernel calls: layouts by ClientData tuple (see
+    ``_blocks``) and ``work``, the one ``Workspace`` all of its calls use."""
+
+    def __init__(self):
+        super().__init__()
+        self.work = Workspace()
+
+
 class _Block:
-    """One kernel call: the members' parameter vectors, the rows of ``vecs``, on a ``_Layout``."""
+    """One kernel call: the members' parameter vectors, the rows of ``vecs``, on a
+    ``_Layout``, with its temporaries in ``work``."""
 
     def __init__(self, members: list):
         self.dims = members[0][0].dims
         self.vecs = np.array([p.vec for p, _ in members])
 
     def forward(self, w: tuple, adj):
-        """z0, relu(z0) and the soft labels of ``adj``'s rows under the fields ``w``."""
-        lay, c = self.layout, self.dims[2]
-        z0 = lay.ax @ w[0]
+        """z0, relu(z0) (views of the workspace) and the soft labels of ``adj``'s
+        rows under the fields ``w``."""
+        lay, work, c = self.layout, self.work, self.dims[2]
+        shape = lay.ax.shape[:-1] + (self.dims[1],)
+        z0 = np.matmul(lay.ax, w[0], out=work.take("z0", shape))
         z0 += w[1]
-        h = np.maximum(z0, 0.0)
-        z1 = spmm(adj, (h @ w[2]).reshape(-1, c)).reshape(h.shape[:-2] + (-1, c))
+        h = np.maximum(z0, 0.0, out=work.take("h", shape))
+        hw = np.matmul(h, w[2], out=work.take("hw", shape[:-1] + (c,)))
+        z1 = spmm(adj, hw.reshape(-1, c)).reshape(h.shape[:-2] + (-1, c))
         z1 += w[3]
         return z0, h, softmax_rows(z1)
 
@@ -205,8 +239,8 @@ class _Block:
         g_w0, g_b0, g_w1, g_b1 = _fields(grads, self.dims)
         np.matmul(np.swapaxes(h, -1, -2), g, out=g_w1)
         d_z1.sum(axis=-2, out=g_b1[..., 0, :])
-        d_z0 = g @ np.swapaxes(w[2], -1, -2)
-        d_z0 *= z0 > 0.0
+        d_z0 = np.matmul(g, np.swapaxes(w[2], -1, -2), out=self.work.take("d_z0", z0.shape))
+        d_z0 *= np.greater(z0, 0.0, out=self.work.take("relu", z0.shape, bool))
         np.matmul(np.swapaxes(lay.ax, -1, -2), d_z0, out=g_w0)
         d_z0.sum(axis=-2, out=g_b0[..., 0, :])
         return grads
@@ -232,7 +266,8 @@ def _blocks(members: list, layouts: dict | None = None):
     BLAS rounds apart from a padded matrix's rows, so it shares a call only with
     its like; at feature or hidden width 1 so are every member's: one per call.
     The memo ``layouts`` maps ClientData tuples to layouts: a lone client's
-    for the run, a several-member call's for the next batch to reuse."""
+    for the run, a several-member call's for the next batch to reuse. The calls
+    share a ``RunMemo``'s workspace, or else one of their own."""
     parts, rows = [], 0
     for p, cd in members:
         _check_shapes(p, cd, members[0][0].dims)
@@ -243,12 +278,14 @@ def _blocks(members: list, layouts: dict | None = None):
         parts[-1].append((p, cd))
         rows = max(rows, n)
     layouts = {} if layouts is None else layouts
+    work = layouts.work if isinstance(layouts, RunMemo) else Workspace()
     old = layouts.copy()
     for datas in [datas for datas in old if len(datas) > 1]:
         del layouts[datas]
     for part in parts:
         block, datas = _Block(part), tuple(cd for _, cd in part)
         block.layout = layouts[datas] = old.get(datas) or _Layout(datas)
+        block.work = work
         yield block
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, Key
-from .gcn import ModelParams, forward_batch, init_params
+from .gcn import ModelParams, RunMemo, forward_batch, init_params
 from .graphs import Graph, generate_sbm, load_graph, read_text
 from .partition import (
     CommunityAssignment,
@@ -332,7 +332,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
 
         server = make_server(cfg, clients_data, active, initial)
         clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
-        layouts = {}  # the previous batch's kernel layouts, and every lone client's
+        layouts = RunMemo()  # the last batch's kernel layouts, every lone client's, the workspace
         scored = forward_batch([(c.params, c.data) for c in clients], layouts)
         cached = np.array([acc for _, acc in scored])
         log = MetricsLog(records=[], seed=seed, config_hash=cfg.config_hash(),

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ from fedgraphsim.gcn import (
     BATCH_ROWS,
     PARAM_FIELDS,
     ModelParams,
+    RunMemo,
     accuracy,
     evaluate,
     forward,
@@ -22,7 +24,9 @@ from fedgraphsim.gcn import (
     train_epoch,
 )
 from fedgraphsim.graphs import Graph, NodeMasks
+from fedgraphsim.kernels import FglHyper
 from fedgraphsim.partition import ClientData, sparsify_edges, sparsify_labels
+from fedgraphsim.protocol import ClientState, client_trip, train_trips
 from oracles import (
     accuracy_ref,
     batch_client,
@@ -546,6 +550,71 @@ def test_a_reused_layout_reads_no_member_labels_or_masks():
     again = list(train_batch(members, 0.3, layouts, member_rows))
     for (q1, a1, s1), (q2, a2, s2) in zip(first, again, strict=True):
         assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
+
+
+# A run's workspace (gcn.Workspace in its RunMemo): the hidden-width
+# temporaries of every kernel call live in buffers that grow to the largest
+# call, and nothing a call returns is a view of them.
+
+HIDDEN = 64
+
+
+def workspace_members(rng, sizes):
+    return [batch_client(rng, n, 0.3, f=4, c=3, h=HIDDEN) for n in sizes]
+
+
+def test_a_second_call_allocates_no_hidden_width_array():
+    members = workspace_members(np.random.default_rng(21), (120, 110, 96))
+    memo = RunMemo()
+    first = list(train_batch(members, 0.3, memo, member_rows))
+    tracemalloc.start()
+    try:
+        again = list(train_batch(members, 0.3, memo, member_rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below one hidden-width array of the call (3 members x 120 padded rows x 64
+    # floats, 184,320 bytes); z0, relu(z0) and dZ0 fresh per call are three of
+    # them. What stays is numpy's ufunc buffer (8,192 elements) of the bias add
+    # and the mask product, the parameter rows and the class-width arrays.
+    assert peak < len(members) * 120 * HIDDEN * 8
+    for (q1, a1, s1), (q2, a2, s2) in zip(first, again, strict=True):
+        assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
+    alone = list(train_batch(members, 0.3, None, member_rows))  # a workspace of its own
+    for (q1, a1, s1), (q2, a2, s2) in zip(first, alone, strict=True):
+        assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
+
+
+def test_nothing_returned_shares_the_workspace():
+    rng = np.random.default_rng(22)
+    memo, members = RunMemo(), workspace_members(rng, (30, 41, 12))
+    trained = list(train_batch(members, 0.3, memo, member_rows))
+    scored = forward_batch(members, memo)
+    states = [ClientState(i, cd, p) for i, (p, cd) in enumerate(members)]
+    batch = train_trips(states, {}, 0.3, memo, FglHyper())
+    uploads = [client_trip(state, batch)[0] for state in states]
+    returned = [q.vec for q, _, _ in trained] + [soft for _, _, soft in trained]
+    returned += [soft for soft, _ in scored]
+    returned += [a for u in uploads for a in (u.params.vec, u.sfm)]
+    assert set(memo.work.bufs) == {"z0", "h", "hw", "d_z0", "relu"}
+    for buf in memo.work.bufs.values():
+        assert not any(np.shares_memory(a, buf) for a in returned)
+
+
+def test_the_workspace_grows_to_the_largest_call_only():
+    rng = np.random.default_rng(23)
+    calls = [(20, 30), (50, 10, 40), (9,), (25, 25, 25, 25), (70,)]  # one kernel call each
+    memo, largest = RunMemo(), {"hidden": 0, "classes": 0}
+    for sizes in calls:
+        list(train_batch(workspace_members(rng, sizes), 0.3, memo))
+        rows = len(sizes) * max(sizes)
+        largest = {"hidden": max(largest["hidden"], rows * HIDDEN),
+                   "classes": max(largest["classes"], rows * 3)}
+        bufs = memo.work.bufs
+        assert {name: buf.size for name, buf in bufs.items()} == {
+            "z0": largest["hidden"], "h": largest["hidden"], "d_z0": largest["hidden"],
+            "relu": largest["hidden"], "hw": largest["classes"]}
+        assert bufs["relu"].dtype == bool
 
 
 # The training step runs its output layer on the train rows only and takes
