@@ -5,6 +5,11 @@ with u < v, sorted lexicographically, with no duplicates and no self-loops.
 Node degrees used by the aggregation kernels are raw undirected degrees
 without self-loops; the +1 self-loop appears only inside the GCN-normalized
 adjacency.
+
+The synthetic graph is a stochastic block model drawn in O(n + m) time and
+memory: the edges are the hits of two geometric-skip streams, one over the
+node pairs within blocks and one over the pairs across them (Batagelj and
+Brandes, Phys. Rev. E 71, 036113, 2005), not one draw per node pair.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import logging
+import math
 import os
 import sys
 import types
@@ -262,7 +268,10 @@ def split_masks(g: Graph, ratios: tuple, seed: int, fallbacks: list | None = Non
 
 @dataclass
 class SbmConfig:
-    """Stochastic block model: block labels double as node classes.
+    """Stochastic block model: block labels double as node classes. Each pair of
+    nodes in one block is an edge with probability ``intra_prob``, each pair
+    across blocks with ``inter_prob``, all independently; ``generate_sbm`` draws
+    it in O(n + m).
 
     The allowed ranges are the ``[dataset]`` rows of ``config.SCHEMA``.
     """
@@ -275,46 +284,83 @@ class SbmConfig:
     seed: int
 
 
-# Node pairs per generate_sbm draw block, all drawn into one reused buffer of
-# 1 MiB (it fits a core's L2 cache), so memory is O(n + m + SBM_PAIR_BLOCK).
-SBM_PAIR_BLOCK = 1 << 17
+SBM_MIN_GAPS = 64  # fewest gaps one rng.geometric call of _skip_hits draws
+
+
+def _skip_hits(rng: np.random.Generator, p: float, slots: int) -> np.ndarray:
+    """The slots in [0, slots) that independent p-coins hit, ascending: the first
+    at gap - 1, each next one a gap later, each gap a ``rng.geometric(p)`` draw, up
+    to the first draw past the end (none when p or slots is 0). Gaps come in
+    chunks of SBM_MIN_GAPS or 4 standard deviations short of the hits left; the
+    chunk that passes the end is drawn again from its start state up to that gap,
+    so ``rng`` ends where a one-gap-at-a-time loop ends. Gaps are clipped to
+    slots + 1 before the cumulative sum: ``geometric`` returns INT64_MAX for p
+    below about 1e-19, which would wrap the sum negative."""
+    if p <= 0 or slots <= 0:
+        return np.zeros(0, np.int64)
+    parts, last = [], -1
+    while True:
+        mean = (slots - 1 - last) * p
+        state = rng.bit_generator.state
+        pos = rng.geometric(p, max(SBM_MIN_GAPS, int(mean - 4.0 * math.sqrt(mean))))
+        np.minimum(pos, slots + 1, out=pos)
+        np.cumsum(pos, out=pos)
+        pos += last
+        past = pos >= slots  # its first True comes before any wrap
+        if past.any():
+            end = int(past.argmax())
+            rng.bit_generator.state = state
+            rng.geometric(p, end + 1)
+            parts.append(pos[:end])
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts.append(pos)
+        last = int(pos[-1])
+
+
+def _sbm_edges(sizes: np.ndarray, probs: tuple, rng: np.random.Generator) -> np.ndarray:
+    """The canonical (m, 2) edges of ``generate_sbm``: the intra-block hits, then the
+    inter-block ones, each stream's slots numbered row by row."""
+    n = int(sizes.sum())
+    nodes, ends = np.arange(n), np.repeat(np.cumsum(sizes), sizes)
+    cols, counts = [], []
+    for p, first, stop in zip(probs, (nodes + 1, ends), (ends, n)):
+        start = np.zeros(n + 1, np.int64)  # each row's first slot, and the slot count
+        np.cumsum(stop - first, out=start[1:])
+        hits = _skip_hits(rng, p, int(start[-1]))
+        count = np.diff(np.searchsorted(hits, start))
+        hits += np.repeat(first - start[:-1], count)  # slot -> column
+        cols.append(hits)
+        counts.append(count)
+    edges = np.empty((cols[0].size + cols[1].size, 2), np.int64)
+    intra = np.repeat(np.tile([True, False], n), np.column_stack(counts).ravel())
+    edges[intra, 1] = cols[0]
+    edges[np.logical_not(intra, out=intra), 1] = cols[1]
+    del cols, hits, intra  # before the row column's temporary, which is one more int64 per edge
+    edges[:, 0] = np.repeat(nodes, counts[0] + counts[1])
+    return edges
 
 
 def generate_sbm(cfg: SbmConfig) -> Graph:
     """Seeded stochastic block model graph.
 
-    Draw procedure (fixed so equal configs give bit-identical graphs):
-    one uniform draw per unordered node pair (i, j), i < j, enumerated in
-    lexicographic order; the pair becomes an edge when the draw falls below
-    intra_prob (same block) or inter_prob (different blocks). Features are
-    then drawn: one-hot block indicator at column (block mod feature_dim)
-    plus Gaussian noise of the configured stddev. Labels are block ids.
+    Draw procedure (fixed so equal configs give bit-identical graphs), on one
+    ``default_rng(cfg.seed)`` stream. Row i's intra slots are the pairs (i, j)
+    with j after i in its block, its inter slots those with j past the block's
+    end, each kind numbered row by row. First the intra hits (intra_prob), then
+    the inter hits (inter_prob), each stream drawn by ``_skip_hits``; then the
+    features: one-hot block indicator at column (block mod feature_dim) plus
+    Gaussian noise of the configured stddev. Labels are block ids.
 
-    The draws come SBM_PAIR_BLOCK pairs per ``rng.random`` call, into one
-    reused buffer; the calls continue one stream, so they equal one draw. Only
-    candidates, pairs drawn below max(intra_prob, inter_prob), are mapped to
-    (i, j) and tested: the rest are below neither probability. So the edges,
-    and the stream the features come from, are those of the per-pair procedure.
+    Hits map back to (i, j) by one ``searchsorted`` of the rows' first slots and
+    are written into the canonical edge array by per-row counts (a row's intra
+    columns precede its inter ones), with no sort: O(n + m) time whatever the
+    block count. The working set is the graph's own arrays with the edges twice
+    (``Graph`` copies them), and a few int64 per node.
     """
-    n = sum(cfg.block_sizes)
-    block_of = np.repeat(np.arange(len(cfg.block_sizes)), cfg.block_sizes)
+    sizes = np.asarray(cfg.block_sizes, dtype=np.int64)
     rng = np.random.default_rng(cfg.seed)
-    # row i holds the pairs (i, j > i); row_start[i] is the index of its first
-    row_start = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
-    pairs = int(row_start[-1])
-    p_max = max(cfg.intra_prob, cfg.inter_prob)
-    kept, buf = [], np.empty(min(SBM_PAIR_BLOCK, pairs))
-    for lo in range(0, pairs, SBM_PAIR_BLOCK):
-        draws = rng.random(out=buf[: min(SBM_PAIR_BLOCK, pairs - lo)])
-        cand = np.flatnonzero(draws < p_max)
-        pair = cand + lo
-        rows = np.searchsorted(row_start, pair, side="right") - 1
-        cols = pair - row_start[rows] + rows + 1
-        probs = np.where(block_of[rows] == block_of[cols], cfg.intra_prob, cfg.inter_prob)
-        keep = draws[cand] < probs
-        kept.append(np.column_stack([rows[keep], cols[keep]]))
-    edges = np.concatenate(kept) if kept else np.zeros((0, 2), dtype=np.int64)
-    kept.clear()  # Graph copies the joined edges: no third copy alive meanwhile
+    edges = _sbm_edges(sizes, (cfg.intra_prob, cfg.inter_prob), rng)
+    n, block_of = int(sizes.sum()), np.repeat(np.arange(sizes.size), sizes)
     features = np.zeros((n, cfg.feature_dim))
     features[np.arange(n), block_of % cfg.feature_dim] = 1.0
     features += rng.normal(0.0, cfg.feature_noise, size=(n, cfg.feature_dim))

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from fedgraphsim import gcn, sim
 from fedgraphsim.config import ExperimentConfig
 from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, evaluate, softmax_rows
-from fedgraphsim.graphs import Graph, NodeMasks, degrees
+from fedgraphsim.graphs import Graph, NodeMasks, SbmConfig, degrees
 from fedgraphsim.kernels import ENTROPY_OFFSET, LscValue, cosine_block, staleness_factors
 from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
 from fedgraphsim.protocol import (
@@ -65,6 +65,40 @@ def make_client_data(
         train = ids
     masks = NodeMasks(np.asarray(train), np.zeros(0, int), ids)
     return ClientData(g, ids, masks, 0)
+
+
+def sbm_ref(cfg: SbmConfig) -> Graph:
+    """``generate_sbm``'s procedure with explicit loops: the same geometric gaps,
+    drawn one at a time in Python ints (so never clipped), first over the
+    intra-block slots and then over the inter-block ones, each numbered row by
+    row; a hit is placed by walking the rows; then the features, from the same
+    stream."""
+    block_of = [b for b, size in enumerate(cfg.block_sizes) for _ in range(size)]
+    n = len(block_of)
+    ends = [sum(cfg.block_sizes[: b + 1]) for b in block_of]
+    rng = np.random.default_rng(cfg.seed)
+    row_edges = [[] for _ in range(n)]
+    for p, first, stop in ((cfg.intra_prob, lambda i: i + 1, lambda i: ends[i]),
+                           (cfg.inter_prob, lambda i: ends[i], lambda i: n)):
+        slots = sum(stop(i) - first(i) for i in range(n))
+        if p == 0 or slots == 0:
+            continue
+        pos, row, row_start = -1, 0, 0
+        while True:
+            pos += int(rng.geometric(p))
+            if pos >= slots:
+                break
+            while pos >= row_start + stop(row) - first(row):
+                row_start += stop(row) - first(row)
+                row += 1
+            row_edges[row].append((row, first(row) + pos - row_start))
+    edges = [e for row in row_edges for e in row]
+    features = np.zeros((n, cfg.feature_dim))
+    for i, b in enumerate(block_of):
+        features[i, b % cfg.feature_dim] = 1.0
+    features += rng.normal(0.0, cfg.feature_noise, size=(n, cfg.feature_dim))
+    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), features,
+                 np.array(block_of), max(2, len(cfg.block_sizes)), cfg.feature_dim)
 
 
 def random_soft(rng, n, c) -> np.ndarray:

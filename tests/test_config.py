@@ -300,19 +300,19 @@ class TestCli:
         assert "trips_to_target" in out
 
     def test_summarize_matches_run_summary(self, tmp_path, capsys):
-        # at target 0.6, seed 1 starts above it, seed 0 reaches it and seed 2
+        # at target 0.7, seed 1 starts above it, seed 0 reaches it and seed 2
         # never does, so the budget rule decides the mean
         outdir = tmp_path / "out"
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
             MINIMAL_INI
             + "max_trips = 12\nhidden_dim = 8\nlr = 0.05\nseeds = 0, 1, 2\n"
-            + f"target_accuracy = 0.6\noutput_dir = {outdir}\n"
+            + f"target_accuracy = 0.7\noutput_dir = {outdir}\n"
             + "mask_train = 0.5\nmask_val = 0.0\nmask_test = 0.5\n"
         )
         assert main(["run", "--config", str(cfg)]) == 0
         out = tmp_path / "summary.csv"
-        argv = ["summarize", "--dir", str(outdir), "--target", "0.6", "--out", str(out)]
+        argv = ["summarize", "--dir", str(outdir), "--target", "0.7", "--out", str(out)]
         assert main(argv) == 0
         assert "NOT_REACHED" in capsys.readouterr().out
 

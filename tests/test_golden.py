@@ -15,6 +15,11 @@ one BLAS product instead of one row-by-row sum per cluster. That changed the
 move through the confidences by at most 5e-16); every metrics CSV, every
 trace, every member tuple and every other case stayed equal. The pins hold
 on one BLAS thread and on the default count (``test_one_blas_thread``).
+
+Every case was pinned anew when ``generate_sbm`` moved from one draw per
+node pair to geometric skips: a new graph for the same config, so a change
+of simulated behaviour, not of summation order. ``ROW_BY_ROW_LOGS`` holds
+what the row-by-row round gives on the new graph.
 """
 
 import hashlib
@@ -88,82 +93,82 @@ def digests(strategy, partitioner, ablation=None):
 
 GOLDEN = {
     ("fedsa_gcl", "louvain", None): (
-        "9ae97e468aeb57c6e7727ab42697c61f1e9fd484a347e0ecff5dd0a17caa48ec",
-        "bafb67d6e60b22eef4a9dd30a261308725206ef125ee5f45158ddd518098ff30",
-        "c45382095c31de27aeb23787691f70abf009e7cca6d0436fc9a73fa39f24e35e",
+        "bea7abaa5a7e76e2de9b7f2bb617fce9eb0e82acd4077fa79f344c7e79642123",
+        "895fea2ae9ab2498dd95e2079d0ecb146b1154241a3228ef5ade437eec11e5a7",
+        "94e7240709774cf22a5c371448183b4b9f7ad78af774694523ae11690f7314bf",
     ),
     ("fedsa_gcl", "balanced", None): (
-        "84c8f43ef5d7a9a95326112ca15a74db8ba3547adb82ca3db958b72abf414ab7",
-        "52dfde5b503fad0d1de2b5c9d958ac71693eabcd917d05b8158a01b688453a37",
+        "0f349dfedf348f6d4227694f864b304a1518d612698de2965c2156972d731ce3",
+        "a8bd95058e8a241d853bdcc014414c1c9ef6f096209ebf624717cb9bc4eec6bf",
         "da5bb11c64235e235bafc8d7b5884472de2cd5f72d489463fb9c07b4dba7adfc",
     ),
     ("fedavg_sync", "louvain", None): (
-        "4c35ed1b9744465be17fcad5efc26d01564415ee1207c8e5ac10c38692ed7faa",
+        "238aa3984f6702574ed57cd829dc3b2be49922cb818c90273ddc905f22cd2645",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "eaee46f8149df9da0cbf7d20ecb0021f4e505145f7a4608cccec8055c87c5dc4",
     ),
     ("fedavg_sync", "balanced", None): (
-        "ab6a486df251e2a514791cdb7bb145972ff444e4c179712f1b277cfb441b2113",
+        "b69d7321d0be098ef0b3043e225d546be96de4f9a9549ef2abc11699f950a0d6",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "eaee46f8149df9da0cbf7d20ecb0021f4e505145f7a4608cccec8055c87c5dc4",
     ),
     ("fedbuff", "louvain", None): (
-        "c2f1b9eedb67e428751be2603cec827aec7aa3364ff37f710c92cdebe70d98e0",
+        "4f3ccb3523043f0cce557ea8c90846583ade293a336a658e591834964e901806",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "71bb4df5eaf78670903e68e3966617d2dc7cd351e7e60428ea7ce2ed550a7823",
     ),
     ("fedbuff", "balanced", None): (
-        "65dc5fe6c1b0c0775d8487f66967584af14fc3333e4e19540e49b7312b732ffa",
+        "05f4aaf2804874ecba19b802f4bb6996712ea6339f3c9c00717b9927ff678014",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "71bb4df5eaf78670903e68e3966617d2dc7cd351e7e60428ea7ce2ed550a7823",
     ),
     ("fedasync", "louvain", None): (
-        "7b9c19753e9df0b2bfa74407ffcb240c16d9e0136686510e06da4a11cbad10e1",
+        "460f451c6e8e34f629c7d34ad5e61041b6039b2de9fc995edd9537bb164fd8f8",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "922458efdcd8291298fda43332d3f24219ddcd131584fd5ff5302454daba8816",
     ),
     ("fedasync", "balanced", None): (
-        "e36b0c3e680edf9141b5e3f9de41313ad849a7cef9c70836049e1fb3d7283684",
+        "388d7c7345fe8ddbeeab0713712237557724e6f682e8d9f672f881808f561447",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "922458efdcd8291298fda43332d3f24219ddcd131584fd5ff5302454daba8816",
     ),
     ("fedsa_gcl", "louvain", "disable_sfm_clustering"): (
-        "5ca04fffd7be2587426301547929d778a10f5e2eb08ab53975b6c776a9b744ca",
+        "01ef2e4b7be804eba9a6d9ecca6831200ffd38c7744693d72c91c915d6688a75",
         "d536eff1a60b77a1f1fa4b67d14d8449836b19b62898efe9393e8ef991e8e64a",
         "c5f30c8cbe8336053b9ae4c4a4ad8091d1d17e18e390f7d54e2f194d2fb78211",
     ),
     ("fedsa_gcl", "louvain", "disable_clustercast"): (
-        "bd838864f8ab8aedecb255f4dd0bda004473ac18e9fc801a2825333ef5b1d9b6",
-        "0d89194b2a2254cd973493998231aab255e4dca2d010f26bf2034b0a5ebeabfd",
+        "06643c87c910e3b9a92928d66ee85440afb311600baa23c354cb87181d05bb15",
+        "6f6b5512d14011806e1478e9010d9e5c00ac47f65c8108013799fdf0e3c16cc1",
         "c5f30c8cbe8336053b9ae4c4a4ad8091d1d17e18e390f7d54e2f194d2fb78211",
     ),
     ("fedsa_gcl", "louvain", "disable_staleness"): (
-        "32b2c842eb8ec33ec268b7d3dae1636eb3b3418c860cc20e0ab17e4db3783bfc",
-        "ec265e473eef52ea1f7482682f1e438651810e7f35c6096c69adbfdda998a6a1",
-        "c45382095c31de27aeb23787691f70abf009e7cca6d0436fc9a73fa39f24e35e",
+        "230314a98cdd18896dfb59c04234661b2603f4d20b930004ea4d3fc97cbe6a59",
+        "f574f44fa81489d5445d3cd5fc4c6fa47c1cdd282e5fc93372c998bab4f4189e",
+        "e3adeabd894896c5a1e0984f4f821d515c242ecda205694e197190406b1e4090",
     ),
     ("fedsa_gcl", "louvain", "edge_sparsity_lam0"): (
-        "d21de211142b0f98bb0bc016e28069a135720a001016e3f4cbfc29f26aa6d3b1",
-        "f2c5c92778b5e4a6ecc438b3ba8ac6d9bf463a3ba2f41ea639321cf730f06fa1",
-        "fa4935e15d3bbf9cf9d4c21dbac2b7a2cef8f4ca1dcff8a97ee75392b88071e1",
+        "dc73823ee365d024053c48166ecc4af3c7fff52698ee09eda28b51a97bffec50",
+        "9aec1dc3b963f0980cb0f909c63322b494c972d2748c36151fcb511089dd5d6e",
+        "c5ee12956993dc5cb620cf31c48659aee15e75dc3c55ca08e1656205e953357a",
     ),
     ("fedsa_gcl", "louvain", "label_sparsity"): (
-        "447c084e5d57fc2268ccf49ccae44696fa65244648ab8a5ca634099b73f11057",
-        "b1cec06cc453088c43cba4855401d2b2a6a26ca8f32d7d23a56535772998421e",
-        "e3590f1fcf315221e9b33ab6a88094436ba0dab3796497481e065467b4b5ce8c",
+        "514b2cece5bd28ff8bafc0ef1a28a074691d2b06b88dc76d3414b5a5019aea78",
+        "64338f18e8d0403058b9e7803796ba9658e5f8ebb02f23f39d0278542f00facb",
+        "1040484ba4d4a0beb6caa020630038498b4093cc291c296aceccbd9963c42d57",
     ),
     ("fedsa_gcl", "louvain", "k_steps0"): (
-        "bd526c9fbb795d4a0651984842c99b2451d81efe9ae665ca803066ee0716a199",
-        "7765bc03f394f7425aaaa2eee88651fc37b388294512689864ab6c545f3b2e6c",
-        "c45382095c31de27aeb23787691f70abf009e7cca6d0436fc9a73fa39f24e35e",
+        "7c3a48cf01a182c50d78b925b5911f1ccb0c5fa659bfd2f2f97e7eed81c0afdf",
+        "33b75796cc3fe20553dae93999ca68e99221e46549299b86be4696995b7754de",
+        "401c7fe904589071eb2d514abaa7e9347ef3b7572ae47e321039de98d3d72817",
     ),
     ("fedsa_gcl", "louvain", "k_buffer8"): (
-        "da0ebe3599b9717abff6ec31a57ed99e6659609baeb728b48e331353f4f6e137",
-        "5c6f4ad3163e5d1f1d101aecddb74c6de0cd5ad71f233724e3744e3c8386f9b1",
+        "e4b06582be10f9f52a13ba08e1b67cba8a0e728b6404226eef33cf7db8f78756",
+        "96fcf526691bcafa3f10b7ad956a045e231877767d1333fe2373a46807adf8fd",
         "d4977fff1f1454f2af2a887ec58fe506a83f3bdf996dd93d363e9abc82adfeb6",
     ),
     ("fedbuff", "louvain", "k_buffer7"): (
-        "227c2d89a6f445f75683576dc3cad4876957189702bb0d3ac17f30a448301477",
+        "bd1cfe6075b23163cba105aeb4fa3ca84e3150da1a67b710ba77a2ba9e981eb4",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "5f22ece78ea1795a92daea22cf60f146699e5994832b6a80926818212e7399f8",
     ),
@@ -245,21 +250,22 @@ def test_older_kernel_digests_in_a_child_process(kernel):
     _child_pytest(kernel, ("test_golden.py",), "test_golden_csv_and_trace_digests")
 
 
-# The aggregation_log digests of the re-pinned cases before the re-pin, which
-# the row-by-row reference round (tests/oracles.py) still gives.
+# The aggregation_log digests of the re-pinned cases before the re-pin to one
+# product per round, which the row-by-row reference round (tests/oracles.py)
+# still gives.
 ROW_BY_ROW_LOGS = {
     ("fedsa_gcl", "louvain", None):
-        "64c240b1e608325bb725b9d9d184e23cca5f27b70aa91fadb78ecd81109a6777",
+        "c41b90ae056fb5ce6f8b23c51982f0264f2dbd35daa1cb2c11dbd1bacd2bd4f0",
     ("fedsa_gcl", "louvain", "disable_clustercast"):
-        "a001095ff7cfa4c8c5339c3914f01f28d8a29ce0eaf4ecc61663de3c8c95413c",
+        "d232b40868f279a7229d25f60d6ee6218a57c5c18a1d47dc926a1a8f5edf99d2",
     ("fedsa_gcl", "louvain", "disable_staleness"):
-        "b519aa6006fd2e8343d1808ce458f7408d3079cced58ef09cf50c64475054c7a",
+        "ea34ac82d0ca117593f85e607aaf585c6510f48446869c5037bc67086af8dbe8",
     ("fedsa_gcl", "louvain", "edge_sparsity_lam0"):
-        "20b18ba6c270c5b937073d16d7325a5815ff005bcd4837f96b415af310dd10ef",
+        "9f0ff97776ca783f6b8ae402e4552e77d8f64272b0d9753341c38cf4bc352342",
     ("fedsa_gcl", "louvain", "label_sparsity"):
-        "b4a0dbf4fe00af7c087eda612303873276c6ad9999a95c041673ab718e1a1fb3",
+        "f7248dc973963b73f4ceba85c0d398dac1184897da67fb4551b640b3f6766ac9",
     ("fedsa_gcl", "louvain", "k_steps0"):
-        "607203d7983daddff495b7d349847dc3fa230c85bd4a7391829b3430ceb43362",
+        "a76781601a37b5a32ba3ee0e282228198ee6c05cb8ab86dbe1a2b576c3d5cff7",
 }
 
 

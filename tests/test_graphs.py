@@ -19,7 +19,7 @@ from fedgraphsim.graphs import (
     save_graph,
     split_masks,
 )
-from oracles import as_scipy
+from oracles import as_scipy, sbm_ref
 
 
 def tiny_graph(node_count, edges, num_classes=2, feature_dim=2, labels=None):
@@ -172,53 +172,78 @@ class TestSbm:
             pytest.param((35, 45), 0.2, 0.2, id="equal"),
             pytest.param((25, 20, 15), 0.0, 1.0, id="intra-0-inter-1"),
             pytest.param((25, 20, 15), 1.0, 0.0, id="intra-1-inter-0"),
+            # geometric() returns INT64_MAX here: one draw per stream, no hit
+            pytest.param((20, 30), 5e-324, 5e-324, id="smallest-probability"),
+            pytest.param((30, 20), 1.0, 5e-324, id="intra-1-inter-smallest"),
+            pytest.param((1,) * 40, 0.5, 0.2, id="one-node-blocks"),  # no intra slot
+            pytest.param((70,), 0.15, 0.5, id="single-block"),  # no inter slot
+            pytest.param((1, 3, 1, 7, 2), 0.6, 0.25, id="mixed-small-blocks"),
+            pytest.param((1,) * 4500 + (2,) * 500, 0.5, 0.0005, id="5000-blocks"),
         ],
     )
     def test_matches_independent_draw_loop(self, blocks, intra, inter):
+        # the same gaps drawn one at a time and placed by walking the rows
+        # (tests/oracles.py), then the features from the same stream
         cfg = SbmConfig(blocks, intra, inter, 8, 0.25, 123)
-        g = generate_sbm(cfg)
-        # same documented procedure, reimplemented with explicit loops: one
-        # draw per pair, every pair tested against its own probability
-        rng = np.random.default_rng(cfg.seed)
-        block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
-        n = len(block_of)
-        expected = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                p = cfg.intra_prob if block_of[i] == block_of[j] else cfg.inter_prob
-                if rng.random() < p:
-                    expected.append((i, j))
-        assert g.edge_count == len(expected)
-        assert list(map(tuple, g.edges)) == expected
-        # the features are drawn after the pairs, from the same stream
-        features = np.zeros((n, cfg.feature_dim))
-        features[np.arange(n), np.array(block_of) % cfg.feature_dim] = 1.0
-        features += rng.normal(0.0, cfg.feature_noise, size=(n, cfg.feature_dim))
-        npt.assert_array_equal(g.features, features)
+        g, ref = generate_sbm(cfg), sbm_ref(cfg)
+        assert g.edge_count == ref.edge_count
+        npt.assert_array_equal(g.edges, ref.edges)
+        npt.assert_array_equal(g.features, ref.features)
+        npt.assert_array_equal(g.labels, ref.labels)
 
     @pytest.mark.parametrize("block", [1, 97, 4949])
     def test_chunked_draws_match_one_draw(self, monkeypatch, block):
-        # 100 nodes give 4,950 pairs and rows of up to 99 pairs, so every
-        # block size here splits some row between two draws
+        # 555 expected intra hits and 62 inter ones: at 4,949 gaps a chunk every
+        # stream is one chunk drawn past its end and drawn again up to it; at
+        # 1 and 97 the last hits come in many chunks
         cfg = SbmConfig((50, 30, 20), 0.3, 0.02, 8, 0.25, 123)
-        assert graphs.SBM_PAIR_BLOCK >= 4950
+        assert graphs.SBM_MIN_GAPS < 97
         whole = generate_sbm(cfg)
-        monkeypatch.setattr(graphs, "SBM_PAIR_BLOCK", block)
+        monkeypatch.setattr(graphs, "SBM_MIN_GAPS", block)
         chunked = generate_sbm(cfg)
         npt.assert_array_equal(chunked.edges, whole.edges)
         npt.assert_array_equal(chunked.features, whole.features)
 
+    def test_edge_counts_per_block_pair_are_binomial(self):
+        # 400 seeds of one config: each block pair's edge count summed over the
+        # seeds within 4.5 standard deviations of its binomial mean, and the
+        # per-seed intra and inter counts with the binomial variance (a ratio
+        # within 0.7-1.3, about 4 standard errors of a variance from 400 draws)
+        blocks, intra, inter, seeds = (30, 20, 10), 0.45, 0.134, 400
+        block_of = np.repeat(np.arange(3), blocks)
+        totals = np.zeros((3, 3))
+        per_seed = []
+        for seed in range(seeds):
+            g = generate_sbm(SbmConfig(blocks, intra, inter, 2, 0.0, seed))
+            a, b = block_of[g.edges[:, 0]], block_of[g.edges[:, 1]]
+            np.add.at(totals, (a, b), 1)
+            per_seed.append((np.count_nonzero(a == b), np.count_nonzero(a != b)))
+        sizes = np.array(blocks)
+        pairs = np.triu(np.outer(sizes, sizes), 1) + np.diag(sizes * (sizes - 1) // 2)
+        probs = np.where(np.eye(3, dtype=bool), intra, inter)
+        mean, var = seeds * pairs * probs, seeds * pairs * probs * (1 - probs)
+        upper = np.triu(np.ones((3, 3), dtype=bool))
+        assert np.all(np.abs(totals - mean)[upper] <= 4.5 * np.sqrt(var[upper]))
+        assert not totals[~upper].any()  # every edge has u < v, so block(u) <= block(v)
+        diagonal = np.eye(3, dtype=bool)
+        slots = [pairs[diagonal].sum(), pairs[upper & ~diagonal].sum()]
+        for counts, n_slots, p in zip(zip(*per_seed), slots, (intra, inter)):
+            ratio = np.var(counts, ddof=1) / (n_slots * p * (1 - p))
+            assert 0.7 <= ratio <= 1.3, ratio
+
     @pytest.mark.parametrize(
         "cfg",
         [
-            # perfbench's server_bound graph: 12,497,500 pairs, so 95 full
-            # blocks and a last one of 45,660, all through the same buffer
+            # perfbench's server_bound and client_bound graphs
             pytest.param(SERVER_BOUND_SBM, id="server-bound"),
-            # 1,999,000 pairs and a graph of 50 KB: the buffer is the peak
+            pytest.param(SbmConfig((1500,) * 4, 0.02, 0.001, 16, 0.5, 0), id="client-bound"),
+            # 1,999,000 pairs and a graph of 50 KB
             pytest.param(SbmConfig((1000,) * 2, 0.001, 0.0001, 1, 0.5, 0), id="sparse"),
+            # an ogbn-arxiv-sized graph of about 1.26M edges: 1.4e10 pairs
+            pytest.param(SbmConfig((4240,) * 40, 0.0028, 0.000018, 1, 0.5, 0), id="large"),
         ],
     )
-    def test_draws_go_through_one_reused_buffer(self, cfg):
+    def test_working_set_is_the_graphs_own_arrays(self, cfg):
         generate_sbm(cfg)
         tracemalloc.start()
         try:
@@ -227,21 +252,19 @@ class TestSbm:
         finally:
             tracemalloc.stop()
         own = g.edges.nbytes + g.features.nbytes + g.labels.nbytes
-        # 10 bytes per pair of one block (the float64 buffer, its boolean mask
-        # and the candidates of a sparse graph) and two copies of the graph's
-        # own arrays (the joined edges as Graph copies them, the features and
-        # the noise added to them); a fresh buffer per block exceeds it on the
-        # sparse graph
-        assert peak <= 10 * graphs.SBM_PAIR_BLOCK + 2 * own
+        # two copies of the graph's own arrays (Graph copies the edges; before
+        # that the hits, the edge array and its write indices coexist) and
+        # eight int64 per node (each row's first slots, hit counts and column
+        # shifts); the pair sampler's draw buffer exceeded it on the first three
+        assert peak <= 2 * own + 64 * g.node_count
 
     def test_server_bound_graph_is_pinned(self):
-        assert divmod(5000 * 4999 // 2, graphs.SBM_PAIR_BLOCK) == (95, 45_660)
         g = generate_sbm(SERVER_BOUND_SBM)
-        assert g.edge_count == 48_750
+        assert g.edge_count == 48_661
         assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
-            "f3cafabc8e8aad460cc6d01509b9c6b1625864a26db6a45352fda0c92eac1d01")
+            "c75d5619925a521bd92b5d124ee29a49b1dfa65ea3099aa121e8cc954ce43f0f")
         assert hashlib.sha256(g.features.tobytes()).hexdigest() == (
-            "52a3c58d164ad7e8f5760fa79b182485adcc2a31dd1d4f2d20b65c07726050d8")
+            "0af063dedb7ea8274f3ab7f62a35e1837b7d662044859d3c9c69c8e2329a4c6e")
 
     def test_pure_function_of_config(self):
         cfg = SbmConfig((10, 15), 0.4, 0.05, 6, 0.5, 99)
