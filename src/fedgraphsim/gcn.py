@@ -20,12 +20,11 @@ A training step writes the four gradients into one buffer laid out as the
 parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this as kernel calls (``_Block``) of
-one client or several on one path: stacked parameter vectors on data zero-padded
-to one layout (``_Layout``), scored on the test masks with one argmax per call:
-the floats ``accuracy`` gives. Each client's numbers are bit for bit those of it
-alone at the widths the tests pin (feature <= 6, hidden <= 8, classes <= 4) on
-OpenBLAS's SkylakeX kernel; at hidden >= 16 with 2, 3 or 10 classes a row of
-``h @ w1`` can round by the call's padded row count (an xfail in the tests).
+one client or several on one path: stacked parameter vectors on the stacked data
+of members of one node count (``_Layout``), scored on the test masks with one
+argmax per call: the floats ``accuracy`` gives. So each member's products have
+the shapes of its call of one, and its numbers are bit for bit those of it alone
+at any width (the tests run four OpenBLAS kernels).
 Given a run's memo, a several-client layout is reused by the next batch's call
 of the same clients in the same order, and by no later one; a lone client's
 layout by every later call. The memo's ``Workspace`` holds a call's hidden-width
@@ -45,7 +44,7 @@ import numpy as np
 from .partition import ClientData, Csr, block_diag, spmm
 
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
-BATCH_ROWS = 1024  # padded rows a kernel call may hold, to train and to score its uploads
+BATCH_ROWS = 1024  # node rows a kernel call may hold, to train and to score its uploads
 
 
 class ModelParams:
@@ -130,16 +129,15 @@ def _fields(vecs: np.ndarray, dims: tuple) -> tuple:
 
 
 class _Layout:
-    """What a kernel call needs of its members' ClientData, copied out of
-    their trip plans and zero-padded to their largest node count ``rows``
-    (one client or several, the same way): ``ax`` is (clients, rows,
-    feature); ``adj`` is block-diagonal, client k's A_hat at row k * rows;
-    with the train rows, their labels and sizes, and the test rows, their
-    labels, each row's member (``owner``) and each member's test count
-    (``test_sizes``). A padded row is zero in ``ax`` and empty in ``adj``, so
-    it adds exact zeros to every sum over nodes and reaches no client's row.
+    """What a kernel call needs of its members' ClientData, all of one node
+    count, copied out of their trip plans (one client or several, the same
+    way): ``ax`` is (clients, nodes, feature), the plans' A_hat X stacked;
+    ``adj`` is block-diagonal, the plans' A_hat back to back; with the train
+    rows, their labels and sizes, and the test rows, their labels, each row's
+    member (``owner``) and each member's test count (``test_sizes``).
     ``adj_t`` holds ``adj``'s train rows (masks are sorted), client k's from
-    row k * the largest train count, at ``slots``; both are plain ``Csr``
+    row k * the largest train count, at ``slots``; the rows between are empty
+    and every use of ``adj_t`` reads it row by row. Both are plain ``Csr``
     arrays. Calls share layouts (``_blocks``), so every array is read-only."""
 
     def __init__(self, datas: tuple):
@@ -153,13 +151,9 @@ class _Layout:
             for masks in (trains, tests))
         self.owner = np.repeat(np.arange(len(datas)), self.test_sizes)
         self.sizes = counts.astype(np.float64)[:, None, None]
-        n = np.array([cd.graph.node_count for cd in datas])
-        rows, f = int(n.max()), datas[0].graph.feature_dim
-        starts = np.arange(0, n.size * rows, rows)
-        self.adj, real = block_diag([cd.plan.adj for cd in datas], rows)  # real: client rows
-        ax = np.zeros((n.size * rows, f))
-        ax[real] = np.concatenate([cd.plan.ax for cd in datas])
-        self.ax = ax.reshape(n.size, rows, f)
+        starts = np.arange(len(datas)) * datas[0].graph.node_count
+        self.adj = block_diag([cd.plan.adj for cd in datas])
+        self.ax = np.stack([cd.plan.ax for cd in datas])
         self.train = np.concatenate(trains) + np.repeat(starts, counts)
         self.test = np.concatenate(tests) + np.repeat(starts, self.test_sizes)
         shift = np.arange(counts.size) * counts.max() - np.cumsum(counts) + counts
@@ -255,44 +249,43 @@ class _Block:
         probs = self.forward(_fields(vecs, self.dims), lay.adj)[2]
         hit = np.argmax(probs.reshape(-1, c)[lay.test], axis=1) == lay.test_labels
         hits = np.bincount(lay.owner[hit], minlength=len(lay.datas)).tolist()
-        accs = [h / n if n else np.nan for h, n in zip(hits, lay.test_sizes)]
-        return [(p[: cd.graph.node_count], a) for p, cd, a in zip(probs, lay.datas, accs)]
+        return [(p, h / n if n else np.nan) for p, h, n in zip(probs, hits, lay.test_sizes)]
 
 
 def _blocks(members: list, layouts: dict | None = None):
-    """Each padded kernel call over (params, ClientData) members: consecutive
-    members while members x padded rows stays within BATCH_ROWS (a larger one
-    in a call of one). A 1-node member's products are matrix-vector ones, which
-    BLAS rounds apart from a padded matrix's rows, so it shares a call only with
-    its like; at feature or hidden width 1 so are every member's: one per call.
-    The memo ``layouts`` maps ClientData tuples to layouts: a lone client's
-    for the run, a several-member call's for the next batch to reuse. The calls
-    share a ``RunMemo``'s workspace, or else one of their own."""
-    parts, rows = [], 0
-    for p, cd in members:
+    """Each kernel call over (params, ClientData) members: those of one node count,
+    in member order, while members x nodes stays within BATCH_ROWS (a larger one
+    alone), in the order of their first members; a block's ``index`` lists its
+    members' positions. The memo ``layouts`` maps ClientData tuples to layouts:
+    a lone client's for the run, a several-member call's for the next batch to
+    reuse. The calls share a ``RunMemo``'s workspace, or else one of their own."""
+    parts, open_parts = [], {}
+    for i, (p, cd) in enumerate(members):
         _check_shapes(p, cd, members[0][0].dims)
-        n = cd.graph.node_count if min(p.dims[:2]) > 1 else BATCH_ROWS
-        if not parts or (len(parts[-1]) + 1) * max(rows, n) > BATCH_ROWS or (n == 1) != (rows == 1):
-            parts.append([])
-            rows = 0
-        parts[-1].append((p, cd))
-        rows = max(rows, n)
+        part = open_parts.get(n := cd.graph.node_count)
+        if part is None or (len(part) + 1) * n > BATCH_ROWS:
+            part = open_parts[n] = []
+            parts.append(part)
+        part.append(i)
     layouts = {} if layouts is None else layouts
     work = layouts.work if isinstance(layouts, RunMemo) else Workspace()
     old = layouts.copy()
     for datas in [datas for datas in old if len(datas) > 1]:
         del layouts[datas]
     for part in parts:
-        block, datas = _Block(part), tuple(cd for _, cd in part)
+        block, datas = _Block([members[i] for i in part]), tuple(members[i][1] for i in part)
         block.layout = layouts[datas] = old.get(datas) or _Layout(datas)
-        block.work = work
+        block.work, block.index = work, part
         yield block
 
 
 def forward_batch(members: list, layouts: dict | None = None) -> list[tuple]:
     """Soft labels (one probability row per local node) and test accuracy
-    (``_Block.scored``) of each (params, ClientData) member; ``layouts``: see ``_blocks``."""
-    return [out for block in _blocks(members, layouts) for out in block.scored(block.vecs)]
+    (``_Block.scored``) of each (params, ClientData) member, in member order;
+    ``layouts``: see ``_blocks``."""
+    out = dict(kv for block in _blocks(members, layouts)
+               for kv in zip(block.index, block.scored(block.vecs)))
+    return [out[i] for i in range(len(members))]
 
 
 def train_batch(members: list, lr: float, layouts: dict | None = None, score=None):
@@ -301,15 +294,21 @@ def train_batch(members: list, lr: float, layouts: dict | None = None, score=Non
     ``_Block.scored``) and ``score``'s value, yielded in member order: ``score``
     maps a kernel call's soft labels, rows back to back, and ClientData to one
     value per member (None without it); a call runs when its first member is
-    asked for. ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
-    for block in _blocks(members, layouts):
-        step = block.gradients()
-        step *= lr
-        np.subtract(block.vecs, step, out=step)
-        softs, accs = zip(*block.scored(step))
-        scores = score(np.concatenate(softs), block.layout.datas) if score else [None] * len(accs)
-        for v, acc, s in zip(step, accs, scores):
-            yield ModelParams.from_vector(v, block.dims), acc, s
+    asked for, and holds the results of its later members until they are.
+    ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
+    blocks, ready = _blocks(members, layouts), {}
+    for i in range(len(members)):
+        if i not in ready:  # the next call's first member
+            block = next(blocks)
+            step = block.gradients()
+            step *= lr
+            np.subtract(block.vecs, step, out=step)
+            softs, accs = zip(*block.scored(step))
+            datas = block.layout.datas
+            scores = score(np.concatenate(softs), datas) if score else [None] * len(accs)
+            trained = (ModelParams.from_vector(v, block.dims) for v in step)
+            ready.update(zip(block.index, zip(trained, accs, scores)))
+        yield ready.pop(i)
 
 
 def forward(p: ModelParams, cd: ClientData) -> np.ndarray:

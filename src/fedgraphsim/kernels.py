@@ -77,7 +77,7 @@ def compute_sfm(soft: np.ndarray, datas: list[ClientData]) -> list[np.ndarray]:
     exactly symmetric. An edgeless graph gives the zero matrix.
     """
     bounds = _bounds(soft, datas)
-    ws = spmm(block_diag([cd.plan.edge_w for cd in datas])[0], soft)
+    ws = spmm(block_diag([cd.plan.edge_w for cd in datas]), soft)
     one_way = np.empty((len(datas), soft.shape[1], soft.shape[1]))
     for out, s, e in zip(one_way, bounds, bounds[1:]):
         np.matmul(soft[s:e].T, ws[s:e], out=out)
@@ -134,7 +134,7 @@ def label_propagation(
     _bounds(soft, datas)
     if k_steps == 0:
         return soft.copy()
-    prop = block_diag([cd.plan.prop for cd in datas])[0]
+    prop = block_diag([cd.plan.prop for cd in datas])
     c = soft.shape[1]
     anchor = lam * soft
     current = soft

@@ -84,23 +84,20 @@ class TripPlan:
         ]
 
 
-def block_diag(mats: list[Csr], rows: int | None = None):
-    """Square CSR blocks on one diagonal, back to back (a lone block is itself) or block
-    k at k * ``rows`` (rows past a block's own are empty), each row's values in order.
-    Returns the joined ``Csr`` (int32 indices while they fit) and each block row's row."""
-    if len(mats) == 1 and rows is None:  # a lone client's kernel call scores its upload
-        return mats[0], np.arange(mats[0].shape[0])  # on its own operators, copying none
+def block_diag(mats: list[Csr]) -> Csr:
+    """Square CSR blocks on one diagonal, back to back (a lone block is itself), each
+    row's values in order, as one ``Csr`` with int32 indices while they fit."""
+    if len(mats) == 1:  # a lone client's kernel call runs on its own operators, copying none
+        return mats[0]
     n = np.array([m.shape[0] for m in mats])
-    span = n if rows is None else np.full(n.size, rows)
     nnz = np.cumsum([0] + [m.data.size for m in mats])
-    index = index_dtype(span.sum(), nnz[-1])
-    starts, nnz = (np.cumsum(span) - span).astype(index), nnz.astype(index)
-    real = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)  # the blocks' rows
-    indptr = np.append(np.repeat(nnz[1:], span), nnz[-1])  # a padded row is empty
-    indptr[real] = np.concatenate([m.indptr[:-1] for m in mats]) + np.repeat(nnz[:-1], n)
+    index = index_dtype(n.sum(), nnz[-1])
+    starts, nnz = (np.cumsum(n) - n).astype(index), nnz.astype(index)
+    indptr = np.concatenate([m.indptr[:-1] for m in mats] + [nnz[-1:]], dtype=index)
+    indptr[:-1] += np.repeat(nnz[:-1], n)
     indices = np.concatenate([m.indices for m in mats], dtype=index) + starts.repeat(np.diff(nnz))
     data = np.concatenate([m.data for m in mats])
-    return Csr(data, indices, indptr, (int(span.sum()),) * 2), real
+    return Csr(data, indices, indptr, (int(n.sum()),) * 2)
 
 
 def spmm(a: Csr, x: np.ndarray, transposed: bool = False) -> np.ndarray:

@@ -297,23 +297,24 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
     as many as trips are left and as the server takes uploads before one can
     deliver to a client other than its sender; they read their messages from
     the server's mailboxes and train as one batch (``train_trips``, scored
-    under the server's ``hyper``). A kernel call of several clients reuses
-    the padded layout of the previous batch's (first, the initial scoring's)
-    call of the same clients in the same order, if any, and a lone client its
-    first one. Then, trip by trip, finish the trip (``client_trip``: the
-    upload, and the client's test accuracy as its kernel call scored it) and
-    log that accuracy, hand the upload to the server, trace each delivery by
-    its kind, and schedule the client's next trip. So only a batch's last
-    upload can reach its other clients, and the run is the one-event-at-a-time
-    loop, bit for bit at the widths ``gcn`` names; a delivery to a batch
+    under the server's ``hyper``), in kernel calls of clients of one node
+    count. A call of several clients reuses the layout of the previous batch's
+    (first, the initial scoring's) call of the same clients in the same order,
+    if any, and a lone client its first one. Then, trip by trip, finish the
+    trip (``client_trip``: the upload, and the client's test accuracy as its
+    kernel call scored it) and log that accuracy, hand the upload to the
+    server, trace each delivery by its kind, and schedule the client's next
+    trip. So only a batch's last upload can reach its other clients, and the
+    run is the one-event-at-a-time loop bit for bit; a delivery to a batch
     client that has not uploaded yet raises RuntimeError. When the server
     waits for its round (fedavg_sync), the round's deliveries schedule the
     next trips of their recipients, all waiting; otherwise the client is
-    re-scheduled at once. Only clients with training nodes are ever
-    scheduled. A config that yields no such client, or a client without test
-    nodes, raises ConfigError; so does a run that diverges: numpy's overflow,
-    invalid and divide-by-zero raise, and become a ConfigError naming the
-    trips reached, ``[run] lr``, ``[dataset] feature_noise`` and graph files.
+    re-scheduled at once. Only clients with training nodes are ever scheduled.
+    A config that yields no such client, or a client without test nodes (the
+    first is named), raises ConfigError; so does a run that diverges: numpy's
+    overflow, invalid and divide-by-zero raise, and become a ConfigError
+    naming the trips reached, ``[run] lr``, ``[dataset] feature_noise`` and
+    graph files.
     Set-up splits ``graph``, a new ``build_graph(cfg)`` if None.
     """
     if seed is None:
@@ -327,8 +328,11 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
         if not any(active):
             raise ConfigError("no client has any training nodes (see mask_train, "
                               "n_clients and the label_sparsity rate)")
-        if any(cd.masks.test.size == 0 for cd in clients_data):
-            raise ConfigError("every client needs a nonempty test mask (see mask_test)")
+        empty = [cd for cd in clients_data if cd.masks.test.size == 0]
+        if empty:
+            raise ConfigError(f"every client needs a nonempty test mask (see mask_test): client "
+                              f"{empty[0].client_id} of {empty[0].graph.node_count} nodes, "
+                              f"split by the {cfg.partitioner} partitioner, has none")
 
         server = make_server(cfg, clients_data, active, initial)
         clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]

@@ -640,7 +640,8 @@ class TestCli:
             ("n_clients = 41", "more than the graph's 40 nodes"),
             ("n_clients = 40", "no client has any training nodes"),
             ("n_clients = 4\nmask_train = 0.0", "no client has any training nodes"),
-            ("n_clients = 4\nmask_test = 0.0", "nonempty test mask"),
+            ("n_clients = 4\nmask_test = 0.0", "nonempty test mask (see mask_test): client 0 "
+                                                "of 10 nodes, split by the louvain partitioner"),
             (
                 "n_clients = 4\n[perturbation]\nkind = label_sparsity\nrate = 1.0",
                 "no client has any training nodes",

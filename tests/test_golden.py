@@ -245,9 +245,10 @@ def test_haswell_kernel_in_a_child_process():
 @pytest.mark.parametrize("kernel", ["Sandybridge", "Prescott"])
 def test_older_kernel_digests_in_a_child_process(kernel):
     """One child pytest process on OpenBLAS's Sandybridge (AVX) or Prescott
-    (SSE) kernel checks the goldens' CSV and trace digests; the padded trip
-    kernel is not always the per-client loop bit for bit there, so no batch test runs."""
-    _child_pytest(kernel, ("test_golden.py",), "test_golden_csv_and_trace_digests")
+    (SSE) kernel runs the trip kernel's batch-against-loop and train-row
+    exactness tests and the goldens' CSV and trace digests."""
+    _child_pytest(kernel, ("test_gcn.py", "test_golden.py"),
+                  "batch or train_row or csv_and_trace")
 
 
 # The aggregation_log digests of the re-pinned cases before the re-pin to one

@@ -685,8 +685,7 @@ class TestTripPlan:
         if source == "sparsify_edges":
             clients = [sparsify_edges(cd, 0.5, 60 + cd.client_id) for cd in clients]
         plans = TripPlan.build_all([cd.graph for cd in clients]) + [cd.plan for cd in clients]
-        padded = max(cd.graph.node_count for cd in clients) + 3  # as a batch pads
-        for adj in [plan.adj for plan in plans] + [block_diag([p.adj for p in plans], padded)[0]]:
+        for adj in [plan.adj for plan in plans] + [block_diag([p.adj for p in plans])]:
             n = adj.shape[0]
             rows = np.repeat(np.arange(n), np.diff(adj.indptr))
             cols = adj.indices.astype(np.int64)
@@ -855,8 +854,8 @@ class TestSpmm:
 
 
 class TestBlockDiag:
-    """block_diag places square CSR blocks on one diagonal, back to back or
-    every ``rows`` rows, keeping each row's stored values in order."""
+    """block_diag places square CSR blocks on one diagonal, back to back,
+    keeping each row's stored values in order."""
 
     def blocks(self, sizes, seed=5):
         rng = np.random.default_rng(seed)
@@ -865,8 +864,7 @@ class TestBlockDiag:
     @pytest.mark.parametrize("sizes", [[1, 1], [4, 1, 7], [6, 6, 2, 9], [3, 5]])
     def test_back_to_back_equals_scipy(self, sizes):
         mats = self.blocks(sizes)
-        joined, real = block_diag(mats)
-        assert np.array_equal(real, np.arange(sum(sizes)))
+        joined = block_diag(mats)
         want = sp.block_diag(mats, format="csr")
         assert joined.shape == want.shape
         assert isinstance(joined, partition.Csr)
@@ -879,34 +877,18 @@ class TestBlockDiag:
         for m, s, e in zip(mats, starts[:-1], starts[1:]):
             assert np.array_equal(y[s:e], spmm(m, x[s:e]))
 
-    def test_padded_rows_are_empty(self):
-        mats = self.blocks([4, 1, 3])
-        joined, real = block_diag(mats, rows=5)
-        assert real.tolist() == [0, 1, 2, 3, 5, 10, 11, 12]
-        assert joined.shape == (15, 15)
-        dense = as_scipy(joined).toarray()
-        for k, m in enumerate(mats):
-            n = m.shape[0]
-            block = dense[5 * k : 5 * k + 5, 5 * k : 5 * k + 5]
-            assert np.array_equal(block[:n, :n], m.toarray())
-            assert not block[n:].any() and not block[:, n:].any()
-        assert np.count_nonzero(dense) == sum(m.nnz for m in mats)
-
-    @pytest.mark.parametrize("rows", [None, 9])
-    def test_indices_are_int32_while_they_fit(self, rows):
+    def test_indices_are_int32_while_they_fit(self):
         """Like scipy, block_diag picks int32 for the joined indices and
         indptr, whatever index dtype its blocks hold."""
         mats = [random_csr(np.random.default_rng(n), n, n, 0.4, np.int64) for n in (4, 7, 2)]
-        joined, real = block_diag(mats, rows)
+        joined = block_diag(mats)
         assert joined.indices.dtype == joined.indptr.dtype == np.int32
         x = np.random.default_rng(2).normal(size=(joined.shape[0], 3))
-        want = sp.block_diag(mats, format="csr") @ x[real]
-        assert np.array_equal(spmm(joined, x)[real], want)
+        assert np.array_equal(spmm(joined, x), sp.block_diag(mats, format="csr") @ x)
 
     def test_one_block_is_returned_as_it_is(self):
         (m,) = self.blocks([6])
-        assert block_diag([m])[0] is m
-        assert block_diag([m], rows=8)[0].shape == (8, 8)
+        assert block_diag([m]) is m
 
 
 class TestExtract:

@@ -458,18 +458,18 @@ def test_no_server_class_reads_client_data():
 
 def trip_batches():
     """Batches across ``gcn._blocks``' cases, with the member counts of their
-    kernel calls: mixed sizes in one call, sizes straddling BATCH_ROWS,
-    1-node and edgeless members, and feature or hidden width 1."""
+    kernel calls: mixed sizes, one call per node count, sizes straddling
+    BATCH_ROWS, 1-node and edgeless members, and feature or hidden width 1."""
     rng = np.random.default_rng(14)
-    straddling = (300, 280, 310, 200, 120, gcn.BATCH_ROWS + 50, 60)
+    straddling = (300, 300, 120, 300, 300, gcn.BATCH_ROWS + 50, 120, 60)
     return [
-        ([batch_client(rng, n, 0.3) for n in (3, 17, 40, 9, 2, 40, 25)], [7]),
-        ([batch_client(rng, n, 4.0 / n, f=4, c=2) for n in straddling], [3, 2, 1, 1]),
+        ([batch_client(rng, n, 0.3) for n in (3, 17, 40, 9, 2, 40, 25)], [1, 1, 2, 1, 1, 1]),
+        ([batch_client(rng, n, 4.0 / n, f=4, c=2) for n in straddling], [3, 2, 1, 1, 1]),
         ([batch_client(rng, 9, 0.4), batch_client(rng, 12, 0.0, edges=[]),
           batch_client(rng, 1, 0.0, edges=[]), batch_client(rng, 20, 0.2),
-          batch_client(rng, 1, 0.0, edges=[])], [2, 1, 1, 1]),
-        ([batch_client(rng, n, 0.3, f=1) for n in (6, 11, 4)], [1, 1, 1]),
-        ([batch_client(rng, n, 0.3, h=1) for n in (8, 5)], [1, 1]),
+          batch_client(rng, 1, 0.0, edges=[])], [1, 1, 2, 1]),
+        ([batch_client(rng, n, 0.3, f=1) for n in (6, 11, 6)], [2, 1]),
+        ([batch_client(rng, n, 0.3, h=1) for n in (8, 5, 8)], [2, 1]),
     ]
 
 
@@ -519,7 +519,7 @@ class TestTripScores:
     def test_without_hyper_a_trip_scores_nothing(self, monkeypatch):
         members, _ = trip_batches()[0]
         uploads, sizes, calls = self.trip(monkeypatch, members, None)
-        assert sizes == [7] and calls == dict.fromkeys(UPLOAD_KERNELS, 0)
+        assert sizes == [1, 1, 2, 1, 1, 1] and calls == dict.fromkeys(UPLOAD_KERNELS, 0)
         for msg in uploads:
             assert msg.sfm is protocol.NO_SFM and msg.lsc is None
         assert protocol.NO_SFM.nbytes == 0 and not protocol.NO_SFM.flags.writeable
@@ -851,11 +851,9 @@ class TestTrainTrips:
         monkeypatch.setattr(gcn, "_Block", block)
         batch = train_trips(states, {}, 0.05)
         assert calls == []
-        client_trip(states[0], batch)
-        assert calls == [3]
-        client_trip(states[1], batch)
-        client_trip(states[2], batch)
-        assert calls == [3]
+        for k in range(3):  # 5, 6 and 7 nodes: one call each
+            client_trip(states[k], batch)
+            assert calls == [1] * (k + 1)
 
     def test_a_broadcast_blends_with_the_confidences_it_carries(self):
         states = self.clients(2)
