@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -144,9 +145,6 @@ def modularity(g: Graph, comm_of: np.ndarray) -> float:
     return intra / m - float(np.sum((deg_per_comm / (2.0 * m)) ** 2))
 
 
-SLACK = 1e-9  # rounding allowance per unit of degree in _local_move's skip test
-
-
 def _move(v, nbrs, wts, k, m2, comm, comm_k, acc) -> bool:
     """Move v to the lowest-id neighbour community of largest gain, if strictly
     above its stay gain; updates comm and comm_k, True when v moved. acc, zeros
@@ -173,67 +171,29 @@ def _move(v, nbrs, wts, k, m2, comm, comm_k, acc) -> bool:
     return best_c != b
 
 
-def _local_move(nbrs, wts, a_off, k, m2, comm, rng):
-    """One pass of greedy modularity moves over all nodes in shuffled order.
+def _local_move(nbrs, wts, k, m2, rng) -> list:
+    """Fast local moving (Traag, Waltman and van Eck, arXiv 1810.08473) from every
+    node alone; returns the community id per node.
 
-    nbrs[v], wts[v] list v's neighbours (self excluded) and edge weights,
-    a_off holds them as CSR and k (an array) the degrees. Returns True when a
-    node moved; comm is updated in place, each move strictly raising modularity.
-
-    It skips each node whose stay is provable, so the result is ``_move`` on
-    every node. The product a_off @ P, P the node -> community indicator, taken
-    one row block at a time (``_community_weights``), gives each node's
-    pass-start slack: its stay gain, less its best other gain clamped at 0,
-    less SLACK * (1 + k_v). Node v is skipped while 2 shift[v] + (2 k_v / m2)
-    moved_k < slack[v], with moved_k the degree moved so far and shift[v] the
-    weight of v's moved neighbours. Exact, as every weight, degree and community total is an
-    integer-valued float: the moves so far shift v's acc[c] by at most
-    shift[v] and any comm_k[c] by at most moved_k, and one move can lower the
-    stay gain and raise another, hence twice each. A community first adjacent
-    mid-pass gains at most shift[v], which the clamp covers. Float gains are
-    within a few ulps of their real values (|gain| <= 2 k_v), far inside
-    SLACK; a stay leaves comm and comm_k bit-identical. Once moved_k reaches
-    every node's budget, the rest of the pass runs ``_move`` on each. A
-    level's first pass, every node alone, skips nothing and so sets up no
-    slack: w_own and each stay gain are 0, so every slack is below -SLACK.
+    nbrs[v], wts[v] list v's neighbours (self excluded) and edge weights, and k (an
+    array) the degrees. A FIFO queue starts with every node in one shuffled order;
+    ``_move`` takes the nodes off it in turn, and a node that moves appends each
+    neighbour outside its new community that is not queued, in nbrs[v] order. The
+    level ends when the queue is empty, each move having strictly raised modularity.
     """
-    n, at, acc = len(comm), np.array(comm), [0.0] * len(comm)
-    comm_k = np.bincount(at, weights=k, minlength=n)
-    if len(set(comm)) == n:
-        visits, k, comm_k = rng.permutation(n).tolist(), k.tolist(), comm_k.tolist()
-        moved = [_move(v, nbrs, wts, k, m2, comm, comm_k, acc) for v in visits]
-        return any(moved)
-    w_own, best = np.zeros(n), np.full(n, -np.inf)
-    for s, block in _row_blocks(a_off):  # every quantity is per row
-        to = _community_weights(block, at)
-        rows = _rows(to)
-        own = to.indices == at[s:][rows]
-        w_own[s:][rows[own]] = to.data[own]  # one entry at most
-        gain = k[s:][rows]
-        gain *= comm_k[to.indices]
-        gain /= m2
-        np.subtract(to.data, gain, out=gain)
-        gain[own] = -np.inf
-        filled = np.flatnonzero(np.diff(to.indptr))
-        best[s + filled] = np.maximum.reduceat(gain, to.indptr[filled])
-    slack = w_own - k * (comm_k[at] - k) / m2 - np.maximum(best, 0.0) - SLACK * (1.0 + k)
-    sure = slack > 0  # never a node of degree 0
-    budget = np.max(slack[sure] * m2 / (2.0 * k[sure]), initial=0.0)
-    scale, slack, k, comm_k = (2.0 * k / m2).tolist(), slack.tolist(), k.tolist(), comm_k.tolist()
-    shift, moved_k, moved = [0.0] * n, 0.0, False
-    visits = iter(rng.permutation(n).tolist())
-    for v in visits:
-        if 2.0 * shift[v] + scale[v] * moved_k < slack[v]:
-            continue
+    n, k = len(nbrs), k.tolist()
+    comm, comm_k, acc = list(range(n)), list(k), [0.0] * n
+    queue, queued = deque(rng.permutation(n).tolist()), [True] * n
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
         if _move(v, nbrs, wts, k, m2, comm, comm_k, acc):
-            moved, moved_k = True, moved_k + k[v]
-            if moved_k >= budget:
-                break
-            for u, w in zip(nbrs[v], wts[v]):
-                shift[u] += w
-    for v in visits:  # the nodes left once none can be skipped
-        _move(v, nbrs, wts, k, m2, comm, comm_k, acc)
-    return moved
+            c = comm[v]
+            for u in nbrs[v]:
+                if not queued[u] and comm[u] != c:
+                    queued[u] = True
+                    queue.append(u)
+    return comm
 
 
 BLOCK_ROWS = 1024  # rows per block of Louvain's per-entry temporaries
@@ -290,7 +250,7 @@ def _adjacency(g: Graph) -> Csr:
 
 
 def _neighbour_lists(a: Csr):
-    """Per-node neighbour and weight lists of a CSR level and the level, its diagonal left out.
+    """Per-node neighbour and weight lists of a CSR level, its diagonal left out.
     The lists share one int per node and one float per distinct weight, and when every
     weight is 1.0, as at level 0, the rows of one length share one list ``[1.0] * d``.
     The other lists are cut row by row from an object array of one row block's shared
@@ -313,10 +273,10 @@ def _neighbour_lists(a: Csr):
     if np.all(a.data == 1.0):
         lengths = np.diff(a.indptr).tolist()
         ones = {d: [1.0] * d for d in set(lengths)}
-        return nbrs, [ones[d] for d in lengths], a
+        return nbrs, [ones[d] for d in lengths]
     values = np.unique(a.data)
     floats = values.astype(object)
-    return nbrs, lists(lambda block: floats[np.searchsorted(values, block.data)]), a
+    return nbrs, lists(lambda block: floats[np.searchsorted(values, block.data)])
 
 
 def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
@@ -335,18 +295,13 @@ def _louvain_communities(g: Graph, seed: int, modularity_trace=None) -> np.ndarr
     while True:
         n_level = a.shape[0]
         k = np.bincount(_rows(a), weights=a.data, minlength=n_level)
-        m2 = float(k.sum())
-        nbrs, wts, a_off = _neighbour_lists(a)
-        comm = list(range(n_level))
-        while True:
-            moved = _local_move(nbrs, wts, a_off, k, m2, comm, rng)
-            if modularity_trace is not None:
-                modularity_trace.append(modularity(g, np.array(comm)[membership]))
-            if not moved:
-                break
+        nbrs, wts = _neighbour_lists(a)
+        comm = _local_move(nbrs, wts, k, float(k.sum()), rng)
+        del nbrs, wts  # only the level is coarsened
+        if modularity_trace is not None:
+            modularity_trace.append(modularity(g, np.array(comm)[membership]))
         if len(set(comm)) == n_level:
             break
-        del nbrs, wts, a_off  # only the level is coarsened
         mapping = np.unique(comm, return_inverse=True)[1].astype(a.indices.dtype)
         a = _coarsen(a, mapping)
         membership = mapping[membership]
@@ -391,22 +346,23 @@ def louvain_partition(
 ) -> CommunityAssignment:
     """Louvain communities coalesced into exactly n_clients clients.
 
-    Node visit order within each local-moving pass is shuffled by the seed
-    (one rng.permutation per pass); a node picks the lowest-id neighbour
-    community of largest gain and moves only if that beats its stay gain
-    strictly, so it stays on a tie. The result does not depend on summation
-    order: every edge weight, degree and 2m is an integer-valued float below
-    2**53, so each sum is exact, and each gain is w - (k_v * tot_c) / 2m in
-    float64. A pass skips the nodes it can prove stay, with the same result
-    (_local_move shows why). When modularity_trace is given, the partition's
-    modularity on the original graph is appended after every pass (monotone
-    nondecreasing).
+    Each level's local moving visits its nodes in one order shuffled by the
+    seed (one rng.permutation per level) and then by a FIFO queue: a node that
+    moves queues its neighbours outside its new community that are not queued,
+    and the level ends when the queue is empty (``_local_move``). A node picks
+    the lowest-id neighbour community of largest gain and moves only if that
+    beats its stay gain strictly, so it stays on a tie. The result does not
+    depend on summation order: every edge weight, degree and 2m is an
+    integer-valued float below 2**53, so each sum is exact, and each gain is
+    w - (k_v * tot_c) / 2m in float64. When modularity_trace is given, the
+    partition's modularity on the original graph is appended after every
+    level's local moving (monotone nondecreasing).
 
     Working set: the level's CSR, the neighbour lists ``_move`` reads (one
     shared weight list per row length at level 0) and temporaries of one row
-    block (``BLOCK_ROWS``) of the level, which the slack set-up, the lists and
-    coarsening each take in turn; a level's lists are freed before it is
-    coarsened. None of this changes a partition, as every quantity is per row.
+    block (``BLOCK_ROWS``) of the level, which the lists and coarsening each
+    take in turn; a level's lists are freed before it is coarsened. None of
+    this changes a partition, as every quantity is per row.
     """
     if not 1 <= n_clients <= g.node_count:
         raise ValueError("n_clients must be in [1, node_count]")

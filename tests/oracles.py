@@ -535,7 +535,7 @@ def upload_stats_ref(soft, cd: ClientData, lam, k_steps) -> tuple:
 
 # Scipy-built references: the set-up operators as scipy's csr_matrix built
 # them before the library built its own CSR arrays, copied as they were. The
-# library's must equal them array for array (the slack product entry for entry).
+# library's must equal them array for array (a @ P entry for entry).
 
 
 def normalized_adjacency_ref(g: Graph) -> sp.csr_matrix:
@@ -576,10 +576,11 @@ def coarsen_ref(a, mapping) -> sp.csr_matrix:
     return (p.T @ as_scipy(a) @ p).tocsr()
 
 
-def community_weights_ref(a_off, at) -> sp.csr_matrix:
-    """The pass-start slack product a_off @ P."""
+def community_weights_ref(a, at) -> sp.csr_matrix:
+    """a @ P, P the node -> community indicator of ``at``: the product each row
+    block of a Louvain level is coarsened through."""
     n = len(at)
-    return as_scipy(a_off) @ sp.csr_matrix((np.ones(n), at, np.arange(n + 1)), shape=(n, n))
+    return as_scipy(a) @ sp.csr_matrix((np.ones(n), at, np.arange(n + 1)), shape=(n, n))
 
 
 def trip_plan_ref(g: Graph) -> TripPlan:
@@ -650,12 +651,17 @@ def modularity_ref(node_count, edges, comm_of) -> float:
 
 
 def _louvain_local_move_ref(adj, k, m2, comm, rng):
-    """One shuffled pass of greedy moves over dict adjacency; True if any moved."""
+    """Fast local moving over dict adjacency: a FIFO queue of every node in one
+    shuffled order; a node that moves queues, in ascending id, each neighbour
+    outside its new community that is not queued. Stops when the queue is empty."""
     n = len(adj)
     comm_k = np.zeros(n)
     np.add.at(comm_k, comm, k)
-    moved = False
-    for v in rng.permutation(n):
+    queue = deque(rng.permutation(n).tolist())
+    queued = set(queue)
+    while queue:
+        v = queue.popleft()
+        queued.remove(v)
         b = comm[v]
         k_v = k[v]
         w_to = {}
@@ -674,8 +680,10 @@ def _louvain_local_move_ref(adj, k, m2, comm, rng):
         comm[v] = best_c
         comm_k[best_c] += k_v
         if best_c != b:
-            moved = True
-    return moved
+            for u in sorted(adj[v]):
+                if u not in queued and comm[u] != best_c:
+                    queue.append(u)
+                    queued.add(u)
 
 
 def _louvain_coarsen_ref(adj, loops, comm):
@@ -703,8 +711,9 @@ def _louvain_coarsen_ref(adj, loops, comm):
 def louvain_ref(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
     """Two-phase Louvain on dict-of-dict adjacency, self-loops kept apart.
 
-    The same seeded visit order, ascending candidate scan and strict-gain
-    rule as partition._louvain_communities, written with plain loops.
+    The same seeded visit order and queue, ascending candidate scan and
+    strict-gain rule as partition._louvain_communities, written with plain
+    loops; modularity_trace gets one value per level.
     """
     n = g.node_count
     membership = np.arange(n, dtype=np.int64)
@@ -721,12 +730,9 @@ def louvain_ref(g: Graph, seed: int, modularity_trace=None) -> np.ndarray:
         k = np.array([sum(d.values()) for d in adj]) + 2.0 * loops
         m2 = float(k.sum())
         comm = np.arange(n_level, dtype=np.int64)
-        while True:
-            moved = _louvain_local_move_ref(adj, k, m2, comm, rng)
-            if modularity_trace is not None:
-                modularity_trace.append(modularity(g, comm[membership]))
-            if not moved:
-                break
+        _louvain_local_move_ref(adj, k, m2, comm, rng)
+        if modularity_trace is not None:
+            modularity_trace.append(modularity(g, comm[membership]))
         if len(set(comm.tolist())) == n_level:
             break
         adj, loops, mapping = _louvain_coarsen_ref(adj, loops, comm)
