@@ -21,10 +21,11 @@ parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this as kernel calls (``_Block``) of
 one client or several on one path: stacked parameter vectors on the stacked data
-of members of one node count (``_Layout``), scored on the test masks with one
-argmax per call: the floats ``accuracy`` gives. So each member's products have
-the shapes of its call of one, and its numbers are bit for bit those of it alone
-at any width (the tests run four OpenBLAS kernels).
+(``_Layout``) of members of one node, train and test count, in member order,
+scored on the test masks with one argmax per call: the floats ``accuracy``
+gives. So every member of a call has the shapes of its call of one, nothing is
+padded, and its numbers are bit for bit those of it alone at any width (the
+tests run four OpenBLAS kernels).
 Given a run's memo, a several-client layout is reused by the next batch's call
 of the same clients in the same order, and by no later one; a lone client's
 layout by every later call. The memo's ``Workspace`` holds a call's hidden-width
@@ -44,7 +45,7 @@ import numpy as np
 from .partition import ClientData, Csr, block_diag, spmm
 
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
-BATCH_ROWS = 1024  # node rows a kernel call may hold, to train and to score its uploads
+BATCH_ROWS = 1024  # node rows a call of one node, train and test count may hold
 
 
 class ModelParams:
@@ -129,43 +130,34 @@ def _fields(vecs: np.ndarray, dims: tuple) -> tuple:
 
 
 class _Layout:
-    """What a kernel call needs of its members' ClientData, all of one node
-    count, copied out of their trip plans (one client or several, the same
-    way): ``ax`` is (clients, nodes, feature), the plans' A_hat X stacked;
-    ``adj`` is block-diagonal, the plans' A_hat back to back; with the train
-    rows, their labels and sizes, and the test rows, their labels, each row's
-    member (``owner``) and each member's test count (``test_sizes``).
-    ``adj_t`` holds ``adj``'s train rows (masks are sorted), client k's from
-    row k * the largest train count, at ``slots``; the rows between are empty
-    and every use of ``adj_t`` reads it row by row. Both are plain ``Csr``
-    arrays. Calls share layouts (``_blocks``), so every array is read-only."""
+    """What a kernel call needs of its members' ClientData, all of one node, train
+    and test count, copied out of their trip plans (one client or several, the
+    same way): ``ax`` is (clients, nodes, feature), the plans' A_hat X stacked;
+    ``adj`` is block-diagonal, the plans' A_hat back to back, and ``adj_t`` its
+    train rows back to back (masks are sorted), both plain ``Csr`` arrays; with
+    the train count ``train_size``, the train rows' labels, and the test rows and
+    their labels, each (clients, test count). Calls share layouts (``_blocks``),
+    so every array is read-only."""
 
     def __init__(self, datas: tuple):
         self.datas = datas
-        trains, tests = [cd.masks.train for cd in datas], [cd.masks.test for cd in datas]
-        self.trainable = all(t.size for t in trains)
-        self.test_sizes = [t.size for t in tests]
-        counts = np.array([t.size for t in trains])
-        self.labels, self.test_labels = (
-            np.concatenate([cd.graph.labels[m] for cd, m in zip(datas, masks)])
-            for masks in (trains, tests))
-        self.owner = np.repeat(np.arange(len(datas)), self.test_sizes)
-        self.sizes = counts.astype(np.float64)[:, None, None]
-        starts = np.arange(len(datas)) * datas[0].graph.node_count
+        starts = np.arange(len(datas))[:, None] * datas[0].graph.node_count
+        train, test = (np.stack([cd.masks.get(m) for cd in datas]) for m in ("train", "test"))
+        self.train_size = train.shape[1]
+        labels = np.stack([cd.graph.labels for cd in datas])
+        self.labels = np.take_along_axis(labels, train, 1).ravel()
+        self.test_labels = np.take_along_axis(labels, test, 1)
         self.adj = block_diag([cd.plan.adj for cd in datas])
         self.ax = np.stack([cd.plan.ax for cd in datas])
-        self.train = np.concatenate(trains) + np.repeat(starts, counts)
-        self.test = np.concatenate(tests) + np.repeat(starts, self.test_sizes)
-        shift = np.arange(counts.size) * counts.max() - np.cumsum(counts) + counts
-        self.slots = np.arange(counts.sum()) + np.repeat(shift, counts)
-        ptr, lens = self.adj.indptr, np.diff(self.adj.indptr)[self.train]  # adj_t: these rows
-        ends = np.cumsum(np.append(0, lens), dtype=ptr.dtype)
-        take = np.repeat(ptr[self.train] - ends[:-1], lens) + np.arange(ends[-1])
-        indptr = ends[np.searchsorted(self.slots, np.arange(counts.size * counts.max() + 1))]
+        self.test = test + starts
+        rows = (train + starts).ravel()
+        ptr, lens = self.adj.indptr, np.diff(self.adj.indptr)[rows]  # adj_t: these rows
+        indptr = np.cumsum(np.append(0, lens), dtype=ptr.dtype)
+        take = np.repeat(ptr[rows] - indptr[:-1], lens) + np.arange(indptr[-1])
         self.adj_t = Csr(self.adj.data[take], self.adj.indices[take], indptr,
-                         (indptr.size - 1, self.adj.shape[1]))
-        for a in (self.ax, self.train, self.labels, self.sizes, self.test, self.test_labels,
-                  self.owner, self.slots, *self.adj[:3], *self.adj_t[:3]):
+                         (rows.size, self.adj.shape[1]))
+        for a in (self.ax, self.labels, self.test, self.test_labels,
+                  *self.adj[:3], *self.adj_t[:3]):
             a.flags.writeable = False
 
 
@@ -219,15 +211,13 @@ class _Block:
         """Each client's gradients of its mean train-mask cross-entropy, in
         one fresh array laid out as ``vecs``, from the train rows' output layer."""
         lay = self.layout
-        if not lay.trainable:
+        if not lay.train_size:
             raise ValueError("cannot train with an empty train mask")
         w, c = _fields(self.vecs, self.dims), self.dims[2]
-        z0, h, probs = self.forward(w, lay.adj_t)
-        d_z1 = np.zeros_like(probs)
+        z0, h, d_z1 = self.forward(w, lay.adj_t)  # softmax's fresh output, turned into dZ1
         flat = d_z1.reshape(-1, c)
-        flat[lay.slots] = probs.reshape(-1, c)[lay.slots]
-        flat[lay.slots, lay.labels] -= 1.0
-        d_z1 /= lay.sizes
+        flat[np.arange(flat.shape[0]), lay.labels] -= 1.0
+        d_z1 /= lay.train_size
         g = spmm(lay.adj_t, flat, transposed=True).reshape(h.shape[:-1] + (c,))
         grads = np.empty_like(self.vecs)
         g_w0, g_b0, g_w1, g_b1 = _fields(grads, self.dims)
@@ -239,32 +229,34 @@ class _Block:
         d_z0.sum(axis=-2, out=g_b0[..., 0, :])
         return grads
 
-    def scored(self, vecs: np.ndarray) -> list[tuple]:
-        """Each client's soft labels under ``vecs`` (laid out as ``self.vecs``),
-        as a view of its rows of one array, and its test accuracy: one argmax
-        over the call's test rows (ties to the lowest class), then integer
-        hits over the client's test count, the float ``accuracy`` gives (NaN
-        for a client without test nodes)."""
+    def scored(self, vecs: np.ndarray) -> tuple:
+        """The call's soft labels under ``vecs`` (laid out as ``self.vecs``), one
+        (clients, nodes, classes) array, and each client's test accuracy: one
+        argmax over the call's test rows (ties to the lowest class), then integer
+        hits over the test count, the float ``accuracy`` gives (NaN for clients
+        without test nodes)."""
         lay, c = self.layout, self.dims[2]
         probs = self.forward(_fields(vecs, self.dims), lay.adj)[2]
-        hit = np.argmax(probs.reshape(-1, c)[lay.test], axis=1) == lay.test_labels
-        hits = np.bincount(lay.owner[hit], minlength=len(lay.datas)).tolist()
-        return [(p, h / n if n else np.nan) for p, h, n in zip(probs, hits, lay.test_sizes)]
+        hits = np.count_nonzero(np.argmax(probs.reshape(-1, c)[lay.test], axis=-1)
+                                == lay.test_labels, axis=-1).tolist()
+        n = lay.test.shape[1]
+        return probs, [h / n if n else np.nan for h in hits]
 
 
 def _blocks(members: list, layouts: dict | None = None):
-    """Each kernel call over (params, ClientData) members: those of one node count,
-    in member order, while members x nodes stays within BATCH_ROWS (a larger one
-    alone), in the order of their first members; a block's ``index`` lists its
-    members' positions. The memo ``layouts`` maps ClientData tuples to layouts:
-    a lone client's for the run, a several-member call's for the next batch to
-    reuse. The calls share a ``RunMemo``'s workspace, or else one of their own."""
+    """Each kernel call over (params, ClientData) members: those of one node, train
+    and test count, in member order, while members x nodes stays within BATCH_ROWS
+    (a larger one alone), in the order of their first members; a block's ``index``
+    lists its members' positions. The memo ``layouts`` maps ClientData tuples to
+    layouts: a lone client's for the run, a several-member call's for the next
+    batch to reuse. The calls share a ``RunMemo``'s workspace, or else their own."""
     parts, open_parts = [], {}
     for i, (p, cd) in enumerate(members):
         _check_shapes(p, cd, members[0][0].dims)
-        part = open_parts.get(n := cd.graph.node_count)
-        if part is None or (len(part) + 1) * n > BATCH_ROWS:
-            part = open_parts[n] = []
+        key = (cd.graph.node_count, cd.masks.train.size, cd.masks.test.size)
+        part = open_parts.get(key)
+        if part is None or (len(part) + 1) * key[0] > BATCH_ROWS:
+            part = open_parts[key] = []
             parts.append(part)
         part.append(i)
     layouts = {} if layouts is None else layouts
@@ -281,20 +273,23 @@ def _blocks(members: list, layouts: dict | None = None):
 
 def forward_batch(members: list, layouts: dict | None = None) -> list[tuple]:
     """Soft labels (one probability row per local node) and test accuracy
-    (``_Block.scored``) of each (params, ClientData) member, in member order;
+    (``_Block.scored``) of each (params, ClientData) member, in member order,
+    from kernel calls of members of one node, train and test count (``_blocks``);
     ``layouts``: see ``_blocks``."""
     out = dict(kv for block in _blocks(members, layouts)
-               for kv in zip(block.index, block.scored(block.vecs)))
+               for kv in zip(block.index, zip(*block.scored(block.vecs))))
     return [out[i] for i in range(len(members))]
 
 
 def train_batch(members: list, lr: float, layouts: dict | None = None, score=None):
     """One full-batch gradient step (p - lr * grad, in one fresh array) per
     (params, ClientData) member, with the trained params' test accuracy (see
-    ``_Block.scored``) and ``score``'s value, yielded in member order: ``score``
-    maps a kernel call's soft labels, rows back to back, and ClientData to one
-    value per member (None without it); a call runs when its first member is
-    asked for, and holds the results of its later members until they are.
+    ``_Block.scored``) and ``score``'s value, yielded in member order. A kernel
+    call holds members of one node, train and test count, in member order
+    (``_blocks``); ``score`` maps its soft labels, one (rows, classes) view, and
+    its ClientData to one value per member (None without it). A call runs when
+    its first member is asked for, and holds its later members' results until
+    they are.
     ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
     blocks, ready = _blocks(members, layouts), {}
     for i in range(len(members)):
@@ -303,9 +298,9 @@ def train_batch(members: list, lr: float, layouts: dict | None = None, score=Non
             step = block.gradients()
             step *= lr
             np.subtract(block.vecs, step, out=step)
-            softs, accs = zip(*block.scored(step))
-            datas = block.layout.datas
-            scores = score(np.concatenate(softs), datas) if score else [None] * len(accs)
+            soft, accs = block.scored(step)
+            rows = soft.reshape(-1, block.dims[2])
+            scores = score(rows, block.layout.datas) if score else [None] * len(accs)
             trained = (ModelParams.from_vector(v, block.dims) for v in step)
             ready.update(zip(block.index, zip(trained, accs, scores)))
         yield ready.pop(i)

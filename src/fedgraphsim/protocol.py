@@ -347,8 +347,9 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
     by the cluster and local confidences it carries; either updates tau to
     the message round. Then the clients' training epochs, each followed by
     the forward pass of the trained model and its scoring on the client's
-    test mask, run as ``gcn.train_batch``: calls of one node count, each inside
-    the ``client_trip`` of its first client, so a trip still holds its training.
+    test mask, run as ``gcn.train_batch``: calls of clients of one node, train
+    and test count, in ``states`` order, each inside the ``client_trip`` of its
+    first client, so a trip still holds its training.
     Given ``hyper``, a call scores each client's (fingerprint, confidence), its
     values alone, with one ``compute_sfm``, ``label_propagation`` and
     ``compute_lsc`` (lam, k_steps) over the call's rows, or, without ``sfm``, the

@@ -297,10 +297,11 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
     as many as trips are left and as the server takes uploads before one can
     deliver to a client other than its sender; they read their messages from
     the server's mailboxes and train as one batch (``train_trips``, scored
-    under the server's ``hyper``), in kernel calls of clients of one node
-    count. A call of several clients reuses the layout of the previous batch's
-    (first, the initial scoring's) call of the same clients in the same order,
-    if any, and a lone client its first one. Then, trip by trip, finish the
+    under the server's ``hyper``), in kernel calls of clients of one node,
+    train and test count, in client order. A call of several clients reuses
+    the layout of the previous batch's (first, the initial scoring's) call of
+    the same clients in the same order, if any, and a lone client its first
+    one. Then, trip by trip, finish the
     trip (``client_trip``: the upload, and the client's test accuracy as its
     kernel call scored it) and log that accuracy, hand the upload to the
     server, trace each delivery by its kind, and schedule the client's next

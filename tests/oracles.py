@@ -325,8 +325,9 @@ def train_epoch_per_client(p: ModelParams, cd: ClientData, lr: float) -> ModelPa
 
 
 # The kernel call's gradient step as it was before its output layer ran on
-# the train rows only, copied verbatim (a function of the call): softmax, dZ1
-# and g = A_hat dZ1 over every row of the call's layout. The train-row step
+# the train rows only, copied verbatim but for the train rows, their labels and
+# count, read from the members' ClientData (a function of the call): softmax,
+# dZ1 and g = A_hat dZ1 over every row of the call's layout. The train-row step
 # must equal it bit for bit on the same layout, whatever BLAS kernel runs.
 
 
@@ -344,9 +345,12 @@ def gradients_full_rows(block) -> np.ndarray:
     probs /= probs.sum(axis=-1, keepdims=True)
     d_z1 = np.zeros_like(probs)
     flat = d_z1.reshape(-1, c)
-    flat[lay.train] = probs.reshape(-1, c)[lay.train]
-    flat[lay.train, lay.labels] -= 1.0
-    d_z1 /= lay.sizes
+    n, t = lay.datas[0].graph.node_count, lay.datas[0].masks.train.size
+    train = np.concatenate([cd.masks.train + k * n for k, cd in enumerate(lay.datas)])
+    labels = np.concatenate([cd.graph.labels[cd.masks.train] for cd in lay.datas])
+    flat[train] = probs.reshape(-1, c)[train]
+    flat[train, labels] -= 1.0
+    d_z1 /= t
     g = spmm(lay.adj, flat).reshape(d_z1.shape)
     grads = np.empty_like(block.vecs)
     g_w0, g_b0, g_w1, g_b1 = gcn._fields(grads, block.dims)

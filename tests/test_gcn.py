@@ -476,6 +476,21 @@ def test_batch_of_mixed_sizes_is_one_call_per_node_count(monkeypatch, sizes, fir
     assert made == [sum(f <= i for f in firsts) for i in range(len(members))]
 
 
+def test_batch_of_one_node_count_splits_by_train_and_test_count(monkeypatch):
+    """Members of one node count share a call only if they share train and test
+    counts too, so a call's members all have the same shapes."""
+    rng = np.random.default_rng(15)
+    members = []
+    for train, test in (([1, 6], 8), ([0, 2, 5], 8), ([3, 4], 8), ([2, 7], 4)):
+        cd = make_client_data(8, random_graph_edges(rng, 8, 0.4), num_classes=3, rng=rng,
+                              feature_dim=6, train=train)
+        cd.masks.test = cd.masks.test[:test]
+        members.append((random_params(rng, 6, 5, 3), cd))
+    calls = kernel_calls(monkeypatch)
+    assert_batch_matches_loop(members)
+    assert calls == [2, 1, 1] * 2  # the 2-train members of 8 test nodes, then each other
+
+
 def test_batch_straddling_the_cap_splits_into_consecutive_calls(monkeypatch):
     rng = np.random.default_rng(6)
     sizes = (300, 300, 120, 300, 300, BATCH_ROWS + 50, 120, 60)
@@ -540,9 +555,9 @@ def test_a_shared_layout_is_read_only():
         rng, layouts = np.random.default_rng(12), {}
         list(train_batch([batch_client(rng, n, 0.5) for n in sizes], 0.3, layouts))
         (lay,) = layouts.values()
-        for array in (lay.ax, lay.train, lay.labels, lay.sizes, lay.test, lay.test_labels,
-                      lay.owner, lay.adj.data, lay.adj.indices, lay.adj.indptr, lay.slots,
-                      lay.adj_t.data, lay.adj_t.indices, lay.adj_t.indptr):
+        for array in (lay.ax, lay.labels, lay.test, lay.test_labels, lay.adj.data,
+                      lay.adj.indices, lay.adj.indptr, lay.adj_t.data, lay.adj_t.indices,
+                      lay.adj_t.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
@@ -556,7 +571,10 @@ def test_a_reused_layout_reads_no_member_labels_or_masks():
     first = list(train_batch(members, 0.3, layouts, member_rows))
     for (_, cd), (_, acc, soft) in zip(members, first):
         assert acc == accuracy(soft, cd, cd.masks.test)
-        cd.graph.labels, cd.masks = None, None
+        # grouping reads the mask sizes; any read of their ids fails or moves a result
+        cd.graph.labels = None
+        cd.masks = NodeMasks(*(np.full(m.size, -10**9) for m in (cd.masks.train, cd.masks.val,
+                                                                  cd.masks.test)))
     again = list(train_batch(members, 0.3, layouts, member_rows))
     for (q1, a1, s1), (q2, a2, s2) in zip(first, again, strict=True):
         assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
@@ -662,7 +680,8 @@ def step_members(draw):
 @given(step_members())
 def test_train_row_step_is_the_full_row_step_bit_for_bit(members):
     for block in gcn._blocks(members):
-        assert len({cd.graph.node_count for cd in block.layout.datas}) == 1
+        assert len({(cd.graph.node_count, cd.masks.train.size, cd.masks.test.size)
+                    for cd in block.layout.datas}) == 1
         grads = block.gradients()
         assert grads.tobytes() == gradients_full_rows(block).tobytes()
         if len(block.layout.datas) == 1:
