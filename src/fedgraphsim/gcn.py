@@ -20,19 +20,20 @@ A training step writes the four gradients into one buffer laid out as the
 parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this as kernel calls (``_Block``) of
-one client or several on one path: stacked parameter vectors on the stacked data
-(``_Layout``) of members of one node, train and test count, in member order,
-scored on the test masks with one argmax per call: the floats ``accuracy``
-gives. So every member of a call has the shapes of its call of one, nothing is
-padded, and its numbers are bit for bit those of it alone at any width (the
-tests run four OpenBLAS kernels).
+one client or several on one path: stacked parameter vectors on the operators
+(``_Layout``) gathered from the joined trip plan of members of one node, train
+and test count, in member order, scored on the test masks with one argmax per
+call: the floats ``accuracy`` gives. So every member of a call has the shapes
+of its call of one, nothing is padded, and its numbers are bit for bit those of
+it alone at any width (the tests run four OpenBLAS kernels).
 Given a run's memo, a several-client layout is reused by the next batch's call
 of the same clients in the same order, and by no later one; a lone client's
 layout by every later call. The memo's ``Workspace`` holds a call's hidden-width
 temporaries (z0, relu(z0), h W1, dZ0 and the ReLU mask) in buffers that grow to
 the run's largest call and are never freed within it, so a call after the
-first allocates none of them; nothing a call returns (soft labels, trained
-vectors and so the uploads) is a view of them.
+first allocates none of them (the broadcast bias and the mask product pass
+through them, not through a ufunc buffer); nothing a call returns (soft labels,
+trained vectors and so the uploads) is a view of them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import reduce
 
 import numpy as np
 
-from .partition import ClientData, Csr, block_diag, spmm
+from .partition import ClientData, TripPlan, spmm, take_rows
 
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
 BATCH_ROWS = 1024  # node rows a call of one node, train and test count may hold
@@ -130,34 +131,35 @@ def _fields(vecs: np.ndarray, dims: tuple) -> tuple:
 
 
 class _Layout:
-    """What a kernel call needs of its members' ClientData, all of one node, train
-    and test count, copied out of their trip plans (one client or several, the
-    same way): ``ax`` is (clients, nodes, feature), the plans' A_hat X stacked;
-    ``adj`` is block-diagonal, the plans' A_hat back to back, and ``adj_t`` its
-    train rows back to back (masks are sorted), both plain ``Csr`` arrays; with
-    the train count ``train_size``, the train rows' labels, and the test rows and
-    their labels, each (clients, test count). Calls share layouts (``_blocks``),
-    so every array is read-only."""
+    """What a kernel call needs of its members, all of one node, train and test
+    count, each gathered by one row gather from their plans' ``Join`` (from a join
+    of their own if built apart): ``plan``, their operators as one ``TripPlan``,
+    rows back to back (a lone member's own plan), ``ax`` its A_hat X as (clients,
+    nodes, feature) and ``adj_t`` its A_hat's train rows; the train count
+    ``train_size``, the train rows' labels, and the test rows and their labels,
+    each (clients, test count). Calls share layouts, so every array is read-only."""
 
     def __init__(self, datas: tuple):
-        self.datas = datas
-        starts = np.arange(len(datas))[:, None] * datas[0].graph.node_count
-        train, test = (np.stack([cd.masks.get(m) for cd in datas]) for m in ("train", "test"))
+        plans = [cd.plan for cd in datas]
+        if any(p.join is not plans[0].join for p in plans):
+            plans = TripPlan.build_all(datas)
+        join, at = plans[0].join, np.array([p.index for p in plans])
+        (n, _), k = plans[0].ax.shape, at.size
+        # each member's joined row id less its row id in the call
+        shift = (join.starts[at] - n * np.arange(k)).astype(join.plan.adj.indices.dtype)
+        train, test = (ids[ptr[at, None] + np.arange(ptr[at[0] + 1] - ptr[at[0]])]
+                       for ids, ptr in ((join.train, join.train_at), (join.test, join.test_at)))
         self.train_size = train.shape[1]
-        labels = np.stack([cd.graph.labels for cd in datas])
-        self.labels = np.take_along_axis(labels, train, 1).ravel()
-        self.test_labels = np.take_along_axis(labels, test, 1)
-        self.adj = block_diag([cd.plan.adj for cd in datas])
-        self.ax = np.stack([cd.plan.ax for cd in datas])
-        self.test = test + starts
-        rows = (train + starts).ravel()
-        ptr, lens = self.adj.indptr, np.diff(self.adj.indptr)[rows]  # adj_t: these rows
-        indptr = np.cumsum(np.append(0, lens), dtype=ptr.dtype)
-        take = np.repeat(ptr[rows] - indptr[:-1], lens) + np.arange(indptr[-1])
-        self.adj_t = Csr(self.adj.data[take], self.adj.indices[take], indptr,
-                         (rows.size, self.adj.shape[1]))
-        for a in (self.ax, self.labels, self.test, self.test_labels,
-                  *self.adj[:3], *self.adj_t[:3]):
+        self.labels = join.labels[train].ravel()
+        self.test_labels = join.labels[test]
+        self.test = test - shift[:, None]
+        rows = (join.starts[at, None] + np.arange(n)).ravel()
+        self.plan = plans[0] if k == 1 else join.plan.take(rows, shift.repeat(n), k * n)
+        self.ax = self.plan.ax.reshape(k, n, -1)
+        self.adj_t = take_rows(join.plan.adj, train.ravel(), shift.repeat(train.shape[1]), k * n)
+        plan = self.plan
+        for a in (self.ax, self.labels, self.test, self.test_labels, plan.ax, plan.deg,
+                  *plan.adj[:3], *plan.prop[:3], *plan.edge_w[:3], *self.adj_t[:3]):
             a.flags.writeable = False
 
 
@@ -200,8 +202,10 @@ class _Block:
         lay, work, c = self.layout, self.work, self.dims[2]
         shape = lay.ax.shape[:-1] + (self.dims[1],)
         z0 = np.matmul(lay.ax, w[0], out=work.take("z0", shape))
-        z0 += w[1]
-        h = np.maximum(z0, 0.0, out=work.take("h", shape))
+        h = work.take("h", shape)
+        np.copyto(h, w[1])  # b0 broadcast first: as an operand of += it takes a ufunc buffer
+        z0 += h
+        np.maximum(z0, 0.0, out=h)
         hw = np.matmul(h, w[2], out=work.take("hw", shape[:-1] + (c,)))
         z1 = spmm(adj, hw.reshape(-1, c)).reshape(h.shape[:-2] + (-1, c))
         z1 += w[3]
@@ -224,7 +228,9 @@ class _Block:
         np.matmul(np.swapaxes(h, -1, -2), g, out=g_w1)
         d_z1.sum(axis=-2, out=g_b1[..., 0, :])
         d_z0 = np.matmul(g, np.swapaxes(w[2], -1, -2), out=self.work.take("d_z0", z0.shape))
-        d_z0 *= np.greater(z0, 0.0, out=self.work.take("relu", z0.shape, bool))
+        # h is spent: it takes [z0 > 0] as floats (a bool factor takes a ufunc buffer)
+        np.copyto(h, np.greater(z0, 0.0, out=self.work.take("relu", z0.shape, bool)))
+        d_z0 *= h
         np.matmul(np.swapaxes(lay.ax, -1, -2), d_z0, out=g_w0)
         d_z0.sum(axis=-2, out=g_b0[..., 0, :])
         return grads
@@ -236,7 +242,7 @@ class _Block:
         hits over the test count, the float ``accuracy`` gives (NaN for clients
         without test nodes)."""
         lay, c = self.layout, self.dims[2]
-        probs = self.forward(_fields(vecs, self.dims), lay.adj)[2]
+        probs = self.forward(_fields(vecs, self.dims), lay.plan.adj)[2]
         hits = np.count_nonzero(np.argmax(probs.reshape(-1, c)[lay.test], axis=-1)
                                 == lay.test_labels, axis=-1).tolist()
         n = lay.test.shape[1]
@@ -286,10 +292,10 @@ def train_batch(members: list, lr: float, layouts: dict | None = None, score=Non
     (params, ClientData) member, with the trained params' test accuracy (see
     ``_Block.scored``) and ``score``'s value, yielded in member order. A kernel
     call holds members of one node, train and test count, in member order
-    (``_blocks``); ``score`` maps its soft labels, one (rows, classes) view, and
-    its ClientData to one value per member (None without it). A call runs when
-    its first member is asked for, and holds its later members' results until
-    they are.
+    (``_blocks``); ``score`` maps its soft labels, (members, nodes, classes), and
+    its layout's ``TripPlan`` to one value per member (None without it). A call
+    runs when its first member is asked for, and holds its later members'
+    results until they are.
     ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
     blocks, ready = _blocks(members, layouts), {}
     for i in range(len(members)):
@@ -299,8 +305,7 @@ def train_batch(members: list, lr: float, layouts: dict | None = None, score=Non
             step *= lr
             np.subtract(block.vecs, step, out=step)
             soft, accs = block.scored(step)
-            rows = soft.reshape(-1, block.dims[2])
-            scores = score(rows, block.layout.datas) if score else [None] * len(accs)
+            scores = score(soft, block.layout.plan) if score else [None] * len(accs)
             trained = (ModelParams.from_vector(v, block.dims) for v in step)
             ready.update(zip(block.index, zip(trained, accs, scores)))
         yield ready.pop(i)

@@ -354,8 +354,8 @@ def generate_sbm(cfg: SbmConfig) -> Graph:
     Hits map back to (i, j) by one ``searchsorted`` of the rows' first slots and
     are written into the canonical edge array by per-row counts (a row's intra
     columns precede its inter ones), with no sort: O(n + m) time whatever the
-    block count. The working set is the graph's own arrays with the edges twice
-    (``Graph`` copies them), and a few int64 per node.
+    block count. The working set peaks in ``_sbm_edges``, where the hits, the edge
+    array and its write indices coexist (about the edges twice), plus a few int64 per node.
     """
     sizes = np.asarray(cfg.block_sizes, dtype=np.int64)
     rng = np.random.default_rng(cfg.seed)

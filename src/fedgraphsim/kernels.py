@@ -4,9 +4,9 @@ label propagation, smoothness confidence, and staleness-aware weighting.
 Degrees here are always raw local degrees (no self-loops); isolated nodes
 contribute nothing to edge sums and degree-weighted sums.
 
-``compute_sfm``, ``label_propagation`` and ``compute_lsc`` take a batch of
-clients, rows back to back, with one block-diagonal ``partition.Csr`` per
-sparse product. All but the fingerprint's GEMM and the confidence's sum (per
+``compute_sfm``, ``label_propagation`` and ``compute_lsc`` take a kernel call's
+(clients, nodes, classes) soft labels and ``TripPlan``, its clients' rows back to
+back. All but the fingerprint's stacked GEMM and the confidence's row sums (per
 client) is row-wise, so each client's values are bit for bit those of it alone.
 
 Model aggregation is one BLAS product of weights and parameter rows
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
 
 from .gcn import ModelParams
-from .partition import ClientData, block_diag, spmm
+from .partition import TripPlan, spmm
 
 LSC_EPSILON = 1e-6
 ENTROPY_OFFSET = math.exp(-1.0)
@@ -59,28 +58,25 @@ class FglHyper:
     alpha: float = 0.5
 
 
-def _bounds(rows: np.ndarray, datas: list[ClientData]) -> list[int]:
-    """Each client's first row and the end, checking one row per local node."""
-    bounds = [0, *accumulate(cd.graph.node_count for cd in datas)]
-    if rows.shape[0] != bounds[-1]:
+def _shape(soft: np.ndarray, plan: TripPlan) -> tuple:
+    """The call's (clients, nodes, classes), checking one row per local node."""
+    if soft.ndim != 3 or soft.shape[0] * soft.shape[1] != plan.deg.size:
         raise ValueError("soft labels must have one row per local node")
-    return bounds
+    return soft.shape
 
 
-def compute_sfm(soft: np.ndarray, datas: list[ClientData]) -> list[np.ndarray]:
+def compute_sfm(soft: np.ndarray, plan: TripPlan) -> list[np.ndarray]:
     """Each client's degree-weighted sum of soft-label outer products over edges.
 
     For client k with soft rows S_k: one_way = S_k^T (W S)_k, where W S is one
-    product over the block-diagonal of the trip plans' upper-triangle
-    matrices (d_u * d_v at each edge (u, v)), then one_way + one_way^T: both
-    orientations of every undirected edge contribute, and the result is
-    exactly symmetric. An edgeless graph gives the zero matrix.
+    product with the plan's upper-triangle matrix (d_u * d_v at each edge
+    (u, v)), then one_way + one_way^T: both orientations of every undirected
+    edge contribute, and the result is exactly symmetric. An edgeless graph
+    gives the zero matrix.
     """
-    bounds = _bounds(soft, datas)
-    ws = spmm(block_diag([cd.plan.edge_w for cd in datas]), soft)
-    one_way = np.empty((len(datas), soft.shape[1], soft.shape[1]))
-    for out, s, e in zip(one_way, bounds, bounds[1:]):
-        np.matmul(soft[s:e].T, ws[s:e], out=out)
+    m, n, c = _shape(soft, plan)
+    ws = spmm(plan.edge_w, soft.reshape(-1, c)).reshape(m, n, c)
+    one_way = np.matmul(soft.transpose(0, 2, 1), ws)
     return list(one_way + one_way.transpose(0, 2, 1))
 
 
@@ -121,25 +117,23 @@ def cluster_set(i: int, sfms: Mapping[int, np.ndarray], theta: float) -> set[int
 
 
 def label_propagation(
-    soft: np.ndarray, datas: list[ClientData], lam: float, k_steps: int
+    soft: np.ndarray, plan: TripPlan, lam: float, k_steps: int
 ) -> np.ndarray:
     """k-step non-parametric propagation mixing each node with its neighbors,
-    on the clients' rows back to back (a new array in the same layout).
+    on a call's soft labels (a new array in the same layout).
 
     Each step computes lam * initial + (1 - lam) * sum_j prev_j / sqrt(d_i d_j)
     and renormalizes every row to sum 1 (rows summing to 0 reset to uniform).
     k_steps=0 returns a copy of the input. lam and k_steps meet the [hyper]
     rules of config.SCHEMA.
     """
-    _bounds(soft, datas)
+    c = _shape(soft, plan)[2]
     if k_steps == 0:
         return soft.copy()
-    prop = block_diag([cd.plan.prop for cd in datas])
-    c = soft.shape[1]
-    anchor = lam * soft
-    current = soft
+    anchor = lam * soft.reshape(-1, c)
+    current = soft.reshape(-1, c)
     for _ in range(k_steps):
-        mixed = spmm(prop, current)
+        mixed = spmm(plan.prop, current)
         mixed *= 1.0 - lam
         mixed += anchor
         sums = mixed.sum(axis=1, keepdims=True)
@@ -147,22 +141,22 @@ def label_propagation(
             mixed[sums[:, 0] == 0.0] = 1.0 / c
             sums = mixed.sum(axis=1, keepdims=True)
         current = np.divide(mixed, sums, out=mixed)
-    return current
+    return current.reshape(soft.shape)
 
 
-def compute_lsc(propagated: np.ndarray, datas: list[ClientData]) -> list[LscValue]:
+def compute_lsc(propagated: np.ndarray, plan: TripPlan) -> list[LscValue]:
     """Each client's degree-weighted sum of (1/e - entropy) over its propagated rows.
 
     Uses the convention 0 * ln 0 = 0; the raw value is clamped from below
     at LSC_EPSILON.
     """
-    bounds = _bounds(propagated, datas)
+    m, n, _ = _shape(propagated, plan)
     p = propagated
     pos = p > 0.0
     plogp = np.log(p, out=np.zeros_like(p), where=pos)
     np.multiply(plogp, p, out=plogp, where=pos)
-    terms = np.concatenate([cd.plan.deg for cd in datas]) * (ENTROPY_OFFSET + plogp.sum(axis=1))
-    return [LscValue.from_raw(terms[s:e].sum()) for s, e in zip(bounds, bounds[1:])]
+    terms = plan.deg.reshape(m, n) * (ENTROPY_OFFSET + plogp.sum(axis=2))
+    return [LscValue.from_raw(raw) for raw in terms.sum(axis=1).tolist()]
 
 
 def staleness_factors(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -47,24 +47,28 @@ class CommunityAssignment:
 
 @dataclass(frozen=True)
 class TripPlan:
-    """The operators every trip of one client reuses: ``adj`` (A_hat, the
-    GCN-normalized adjacency), ``ax`` (A_hat @ X), ``prop`` (label
-    propagation's P), ``deg`` (float raw degrees) and ``edge_w`` (upper
-    triangle, d_u * d_v at each edge (u, v)), the operators as plain ``Csr``."""
+    """The operators a client's trips, or a kernel call of several clients, reuse:
+    ``adj`` (A_hat, the GCN-normalized adjacency), ``ax`` (A_hat @ X), ``prop``
+    (label propagation's P), ``deg`` (float raw degrees) and ``edge_w`` (upper
+    triangle, d_u * d_v at each edge (u, v)), the operators as plain ``Csr``. A
+    client's plan from ``build_all`` is client ``index`` of ``join``."""
 
     adj: Csr
     ax: np.ndarray
     prop: Csr
     deg: np.ndarray
     edge_w: Csr
+    join: Join | None = field(default=None, repr=False, compare=False)
+    index: int = 0
 
     @classmethod
-    def build_all(cls, graphs: list[Graph]) -> list["TripPlan"]:
-        """Each graph's plan (all share one feature_dim) from one block-diagonal
+    def build_all(cls, clients: list[ClientData]) -> list["TripPlan"]:
+        """Each client's plan (all share one feature_dim) from one block-diagonal
         pass that cuts each graph's rows, as ``Csr`` views, out of the joined
-        operators (each one ``Csr`` of all graphs): bit for bit its plan alone, as
-        every stored value comes from its own nodes' degrees, no edge joins two
-        blocks and A_hat X is row by row."""
+        operators (each one ``Csr`` of all graphs), kept as their ``Join``: bit for
+        bit its plan alone, as every stored value comes from its own nodes'
+        degrees, no edge joins two blocks and A_hat X is row by row."""
+        graphs = [cd.graph for cd in clients]
         starts = np.cumsum([0] + [g.node_count for g in graphs])
         edges = np.concatenate([g.edges + s for g, s in zip(graphs, starts.tolist())])
         # canonical already (each graph's edges are, and the offsets grow), so
@@ -74,31 +78,49 @@ class TripPlan:
         w = coo_to_csr(u, v, deg[u] * deg[v], joined.node_count)
         ax = spmm(adj, np.concatenate([g.features for g in graphs]))
         prop = propagation_matrix(joined)
+        masks = [[cd.masks.get(m) + s for cd, s in zip(clients, starts.tolist())]
+                 for m in ("train", "test")]
+        join = Join(cls(adj, ax, prop, deg, w), starts, np.concatenate([g.labels for g in graphs]),
+                    *(a for r in masks for a in (np.concatenate(r), np.cumsum([0, *map(len, r)]))))
 
         def block(m: Csr, s: int, e: int) -> Csr:
             lo, hi = m.indptr[s], m.indptr[e]
             return Csr(m.data[lo:hi], m.indices[lo:hi] - s, m.indptr[s : e + 1] - lo, (e - s,) * 2)
 
         return [
-            cls(block(adj, s, e), ax[s:e], block(prop, s, e), deg[s:e], block(w, s, e))
-            for s, e in zip(starts[:-1].tolist(), starts[1:].tolist())
+            cls(block(adj, s, e), ax[s:e], block(prop, s, e), deg[s:e], block(w, s, e), join, i)
+            for i, (s, e) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist()))
         ]
 
+    def take(self, rows: np.ndarray, shift: np.ndarray, width: int) -> "TripPlan":
+        """The plan of the rows ``rows`` (see ``take_rows``)."""
+        ops = (self.adj, self.prop, self.edge_w)
+        adj, prop, w = (take_rows(a, rows, shift, width) for a in ops)
+        return TripPlan(adj, self.ax[rows], prop, self.deg[rows], w)
 
-def block_diag(mats: list[Csr]) -> Csr:
-    """Square CSR blocks on one diagonal, back to back (a lone block is itself), each
-    row's values in order, as one ``Csr`` with int32 indices while they fit."""
-    if len(mats) == 1:  # a lone client's kernel call runs on its own operators, copying none
-        return mats[0]
-    n = np.array([m.shape[0] for m in mats])
-    nnz = np.cumsum([0] + [m.data.size for m in mats])
-    index = index_dtype(n.sum(), nnz[-1])
-    starts, nnz = (np.cumsum(n) - n).astype(index), nnz.astype(index)
-    indptr = np.concatenate([m.indptr[:-1] for m in mats] + [nnz[-1:]], dtype=index)
-    indptr[:-1] += np.repeat(nnz[:-1], n)
-    indices = np.concatenate([m.indices for m in mats], dtype=index) + starts.repeat(np.diff(nnz))
-    data = np.concatenate([m.data for m in mats])
-    return Csr(data, indices, indptr, (int(n.sum()),) * 2)
+
+@dataclass(frozen=True, eq=False)
+class Join:
+    """Clients' plans as ``build_all`` joined them: ``plan`` has client c's rows from
+    ``starts[c]``, ``labels`` each row's label, ``train`` and ``test`` the clients'
+    mask rows (joined ids) back to back, c's from ``train_at[c]`` and ``test_at[c]``."""
+
+    plan: TripPlan
+    starts: np.ndarray
+    labels: np.ndarray
+    train: np.ndarray
+    train_at: np.ndarray
+    test: np.ndarray
+    test_at: np.ndarray
+
+
+def take_rows(m: Csr, rows: np.ndarray, shift: np.ndarray, width: int) -> Csr:
+    """The rows ``rows`` of m as a new ``Csr`` of ``width`` columns, each row's
+    values in order and its columns less its ``shift`` (m's index dtype)."""
+    lens = m.indptr[rows + 1] - m.indptr[rows]
+    indptr = np.cumsum(np.append(0, lens), dtype=m.indptr.dtype)
+    take = np.repeat(m.indptr[rows] - indptr[:-1], lens) + np.arange(indptr[-1])
+    return Csr(m.data[take], m.indices[take] - np.repeat(shift, lens), indptr, (rows.size, width))
 
 
 def spmm(a: Csr, x: np.ndarray, transposed: bool = False) -> np.ndarray:
@@ -130,7 +152,7 @@ class ClientData:
 
     @cached_property
     def plan(self) -> TripPlan:
-        return TripPlan.build_all([self.graph])[0]
+        return TripPlan.build_all([self])[0]
 
 
 def modularity(g: Graph, comm_of: np.ndarray) -> float:

@@ -352,8 +352,9 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
     first client, so a trip still holds its training.
     Given ``hyper``, a call scores each client's (fingerprint, confidence), its
     values alone, with one ``compute_sfm``, ``label_propagation`` and
-    ``compute_lsc`` (lam, k_steps) over the call's rows, or, without ``sfm``, the
-    confidence alone and ``NO_SFM``; without ``hyper`` the scores are None.
+    ``compute_lsc`` (lam, k_steps) on the call's soft labels and ``TripPlan``,
+    or, without ``sfm``, the confidence alone and ``NO_SFM``; without ``hyper``
+    the scores are None.
     ``layouts`` is the run's memo of batch layouts (``gcn._blocks``).
     Training on an empty train mask raises ValueError.
     """
@@ -366,9 +367,9 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
         else:
             state.params = blend_local(msg.params, state.params, msg.cluster_lsc, msg.local_lsc)
         state.tau = msg.round
-    score = None if hyper is None else lambda soft, datas: zip(
-        compute_sfm(soft, datas) if sfm else repeat(NO_SFM),
-        compute_lsc(label_propagation(soft, datas, hyper.lam, hyper.k_steps), datas))
+    score = None if hyper is None else lambda soft, plan: zip(
+        compute_sfm(soft, plan) if sfm else repeat(NO_SFM),
+        compute_lsc(label_propagation(soft, plan, hyper.lam, hyper.k_steps), plan))
     return zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts, score))
 
 

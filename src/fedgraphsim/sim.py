@@ -291,8 +291,9 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
                    graph: Graph | None = None) -> MetricsLog:
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
-    Every client's trip plan is built in one pass after set-up, and the
-    initial model is scored on all clients in one ``gcn.forward_batch``.
+    Every client's trip plan is cut out of one joined plan built after set-up
+    (``TripPlan.build_all``), from which each kernel call gathers its operators,
+    and the initial model is scored on all clients in one ``gcn.forward_batch``.
     Event loop: pop the events of the earliest time in client order, at most
     as many as trips are left and as the server takes uploads before one can
     deliver to a client other than its sender; they read their messages from
@@ -323,7 +324,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
     trips = 0
     try:
         clients_data, durations, initial = prepare_clients(cfg, seed, graph)
-        for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
+        for cd, plan in zip(clients_data, TripPlan.build_all(clients_data)):
             cd.plan = plan
         active = [cd.masks.train.size > 0 for cd in clients_data]
         if not any(active):

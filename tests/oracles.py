@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from fedgraphsim import gcn, sim
 from fedgraphsim.config import ExperimentConfig
 from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, evaluate, softmax_rows
-from fedgraphsim.graphs import Graph, NodeMasks, SbmConfig, degrees
+from fedgraphsim.graphs import Csr, Graph, NodeMasks, SbmConfig, degrees, index_dtype
 from fedgraphsim.kernels import ENTROPY_OFFSET, LscValue, cosine_block, staleness_factors
 from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
 from fedgraphsim.protocol import (
@@ -331,27 +331,28 @@ def train_epoch_per_client(p: ModelParams, cd: ClientData, lr: float) -> ModelPa
 # must equal it bit for bit on the same layout, whatever BLAS kernel runs.
 
 
-def gradients_full_rows(block) -> np.ndarray:
-    """Each member's gradients, in one fresh array laid out as ``block.vecs``."""
+def gradients_full_rows(block, datas) -> np.ndarray:
+    """Each member's gradients, in one fresh array laid out as ``block.vecs``;
+    ``datas`` holds the members' ClientData in order."""
     lay = block.layout
     w, c = gcn._fields(block.vecs, block.dims), block.dims[2]
     z0 = lay.ax @ w[0]
     z0 += w[1]
     h = np.maximum(z0, 0.0)
-    z1 = spmm(lay.adj, (h @ w[2]).reshape(-1, c)).reshape(h.shape[:-1] + (-1,))
+    z1 = spmm(lay.plan.adj, (h @ w[2]).reshape(-1, c)).reshape(h.shape[:-1] + (-1,))
     z1 += w[3]
     probs = z1 - z1.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     d_z1 = np.zeros_like(probs)
     flat = d_z1.reshape(-1, c)
-    n, t = lay.datas[0].graph.node_count, lay.datas[0].masks.train.size
-    train = np.concatenate([cd.masks.train + k * n for k, cd in enumerate(lay.datas)])
-    labels = np.concatenate([cd.graph.labels[cd.masks.train] for cd in lay.datas])
+    n, t = datas[0].graph.node_count, datas[0].masks.train.size
+    train = np.concatenate([cd.masks.train + k * n for k, cd in enumerate(datas)])
+    labels = np.concatenate([cd.graph.labels[cd.masks.train] for cd in datas])
     flat[train] = probs.reshape(-1, c)[train]
     flat[train, labels] -= 1.0
     d_z1 /= t
-    g = spmm(lay.adj, flat).reshape(d_z1.shape)
+    g = spmm(lay.plan.adj, flat).reshape(d_z1.shape)
     grads = np.empty_like(block.vecs)
     g_w0, g_b0, g_w1, g_b1 = gcn._fields(grads, block.dims)
     np.matmul(np.swapaxes(h, -1, -2), g, out=g_w1)
@@ -369,7 +370,7 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int):
     one) before the next event pops. Returns the log, whose records replay
     nothing, and every client's accuracy after each trip, copied eagerly."""
     clients_data, durations, initial = sim.prepare_clients(cfg, seed)
-    for cd, plan in zip(clients_data, TripPlan.build_all([cd.graph for cd in clients_data])):
+    for cd, plan in zip(clients_data, TripPlan.build_all(clients_data)):
         cd.plan = plan
     active = [cd.masks.train.size > 0 for cd in clients_data]
     server = sim.make_server(cfg, clients_data, active, initial)
@@ -607,14 +608,48 @@ def csr_mismatches(m, ref, name: str = "csr") -> list[str]:
 
 
 def plan_mismatches(plan: TripPlan, ref: TripPlan) -> list[str]:
-    """The parts in which two trip plans differ, compared bit for bit."""
+    """The parts in which two trip plans differ, compared bit for bit, dtypes
+    and shapes too."""
     bad = [b for name in ("adj", "prop", "edge_w")
            for b in csr_mismatches(getattr(plan, name), getattr(ref, name), name)]
     for name in ("ax", "deg"):
         x, y = getattr(plan, name), getattr(ref, name)
-        if x.shape != y.shape or not np.array_equal(x, y):
+        if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
             bad.append(name)
     return bad
+
+
+# The kernel calls' operators as they were joined before a call gathered them
+# from its run's joined plan: ``block_diag`` of the members' plans, copied
+# verbatim. A call's gathered operators must equal it array for array.
+
+
+def block_diag(mats: list[Csr]) -> Csr:
+    """Square CSR blocks on one diagonal, back to back (a lone block is itself), each
+    row's values in order, as one ``Csr`` with int32 indices while they fit."""
+    if len(mats) == 1:  # a lone client's kernel call runs on its own operators, copying none
+        return mats[0]
+    n = np.array([m.shape[0] for m in mats])
+    nnz = np.cumsum([0] + [m.data.size for m in mats])
+    index = index_dtype(n.sum(), nnz[-1])
+    starts, nnz = (np.cumsum(n) - n).astype(index), nnz.astype(index)
+    indptr = np.concatenate([m.indptr[:-1] for m in mats] + [nnz[-1:]], dtype=index)
+    indptr[:-1] += np.repeat(nnz[:-1], n)
+    indices = np.concatenate([m.indices for m in mats], dtype=index) + starts.repeat(np.diff(nnz))
+    data = np.concatenate([m.data for m in mats])
+    return Csr(data, indices, indptr, (int(n.sum()),) * 2)
+
+
+def call_plan_ref(datas) -> TripPlan:
+    """The members' plans joined as a kernel call's: each operator by
+    ``block_diag``, ``ax`` and ``deg`` back to back (a lone member's own)."""
+    plans = [cd.plan for cd in datas]
+    if len(plans) == 1:
+        return plans[0]
+    ops = {name: [getattr(p, name) for p in plans]
+           for name in ("adj", "ax", "prop", "deg", "edge_w")}
+    return TripPlan(block_diag(ops["adj"]), np.concatenate(ops["ax"]), block_diag(ops["prop"]),
+                    np.concatenate(ops["deg"]), block_diag(ops["edge_w"]))
 
 
 def staleness_ref(lscs_clamped, taus, t, alpha):

@@ -24,11 +24,14 @@ from fedgraphsim.gcn import (
 )
 from fedgraphsim.graphs import Graph, NodeMasks
 from fedgraphsim.kernels import FglHyper
-from fedgraphsim.partition import ClientData, sparsify_edges, sparsify_labels
+from fedgraphsim.partition import ClientData, TripPlan, sparsify_edges, sparsify_labels
 from fedgraphsim.protocol import ClientState, client_trip, train_trips
 from oracles import (
     accuracy_ref,
+    as_scipy,
     batch_client,
+    call_plan_ref,
+    csr_mismatches,
     forward_cached_ref,
     forward_per_client,
     gcn_forward_ref,
@@ -37,6 +40,7 @@ from oracles import (
     loss_and_grads,
     loss_and_grads_ref,
     make_client_data,
+    plan_mismatches,
     random_graph_edges,
     random_params,
     softmax_rows_ref,
@@ -351,9 +355,9 @@ def test_deterministic_forward_backward():
 # kernels as they were, in tests/oracles.py) bit for bit.
 
 
-def member_rows(soft, datas):
-    """A ``train_batch`` score: each member's soft labels, its rows of ``soft``."""
-    return np.split(soft, np.cumsum([cd.graph.node_count for cd in datas])[:-1])
+def member_rows(soft, plan):
+    """A ``train_batch`` score: each member's soft labels, its slice of ``soft``."""
+    return list(soft)
 
 
 def assert_batch_matches_loop(members, lr=0.3, layouts=None):
@@ -507,11 +511,51 @@ def test_a_batch_of_one_is_a_call_of_one():
     (block,) = gcn._blocks([(p, cd)])
     lay = block.layout
     assert block.vecs.shape == (1, p.vec.size) and lay.ax.shape == (1, 15, 6)
-    assert np.array_equal(lay.ax[0], cd.plan.ax) and not np.shares_memory(lay.ax, cd.plan.ax)
-    assert lay.adj is cd.plan.adj  # its own operator, as the upload kernels take it
+    assert np.array_equal(lay.ax[0], cd.plan.ax) and np.shares_memory(lay.ax, cd.plan.ax)
+    assert lay.plan is cd.plan  # its own operators, as the upload kernels take them
     assert_batch_matches_loop([(p, cd)])
     (q, _, _), = train_batch([(p, cd)], 0.1)
     assert not np.shares_memory(q.vec, p.vec)
+
+
+@st.composite
+def gathered_calls(draw):
+    """A kernel call's members, all of one node count (and so of one train and
+    test count): from one run's join among clients of other sizes, joined in
+    any order, or with plans built alone; now and then one member."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, q = draw(st.integers(1, 25)), draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+    members = [batch_client(rng, n, q)[1] for _ in range(draw(st.sampled_from([1, 2, 3, 6])))]
+    if draw(st.booleans()):  # one run's join; else each plan is built alone on first use
+        run = members + [batch_client(rng, int(rng.integers(1, 30)), q)[1]
+                         for _ in range(draw(st.integers(0, 4)))]
+        run = [run[i] for i in rng.permutation(len(run))]
+        for cd, plan in zip(run, TripPlan.build_all(run)):
+            cd.plan = plan
+    return members
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(gathered_calls())
+def test_a_batch_gathers_the_operators_block_diag_joined(datas):
+    """A call's layout gathers each operator from its members' joined plan (or
+    a join of their own): array for array, dtypes and shapes, what
+    ``block_diag`` of their plans gives, with the train rows of its A_hat and
+    the members' labels and test rows; a lone member's are views of its plan."""
+    lay = gcn._Layout(tuple(datas))
+    ref, (n, f), k = call_plan_ref(datas), datas[0].plan.ax.shape, len(datas)
+    assert plan_mismatches(lay.plan, ref) == []
+    assert lay.ax.shape == (k, n, f)
+    assert np.array_equal(lay.ax, np.stack([cd.plan.ax for cd in datas]))
+    rows = np.concatenate([cd.masks.train + i * n for i, cd in enumerate(datas)])
+    assert csr_mismatches(lay.adj_t, as_scipy(ref.adj)[rows], "adj_t") == []
+    labels = [cd.graph.labels for cd in datas]
+    train, test = ([cd.masks.get(m) for cd in datas] for m in ("train", "test"))
+    assert np.array_equal(lay.labels, np.concatenate([y[t] for y, t in zip(labels, train)]))
+    assert np.array_equal(lay.test, np.stack(test) + n * np.arange(k)[:, None])
+    assert np.array_equal(lay.test_labels, np.stack([y[t] for y, t in zip(labels, test)]))
+    if k == 1:
+        assert lay.plan is datas[0].plan and np.shares_memory(lay.ax, datas[0].plan.ax)
 
 
 # A run's memo of layouts (gcn._blocks): a kernel call of several members
@@ -555,9 +599,9 @@ def test_a_shared_layout_is_read_only():
         rng, layouts = np.random.default_rng(12), {}
         list(train_batch([batch_client(rng, n, 0.5) for n in sizes], 0.3, layouts))
         (lay,) = layouts.values()
-        for array in (lay.ax, lay.labels, lay.test, lay.test_labels, lay.adj.data,
-                      lay.adj.indices, lay.adj.indptr, lay.adj_t.data, lay.adj_t.indices,
-                      lay.adj_t.indptr):
+        plan = lay.plan
+        for array in (lay.ax, lay.labels, lay.test, lay.test_labels, plan.ax, plan.deg,
+                      *plan.adj[:3], *plan.prop[:3], *plan.edge_w[:3], *lay.adj_t[:3]):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
@@ -601,11 +645,13 @@ def test_a_second_call_allocates_no_hidden_width_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # below one hidden-width array of the call (3 members x 120 rows x 64
-    # floats, 184,320 bytes); z0, relu(z0) and dZ0 fresh per call are three of
-    # them. What stays is numpy's ufunc buffer (8,192 elements) of the bias add
-    # and the mask product, the parameter rows and the class-width arrays.
-    assert peak < len(members) * 120 * HIDDEN * 8
+    # below half of one hidden-width array of the call (3 members x 120 rows x
+    # 64 floats, 184,320 bytes); z0, relu(z0) and dZ0 fresh per call are three
+    # of them, and so is one numpy ufunc buffer (8,192 elements, 64 KiB), as
+    # the bias add and the mask product each took before both ran through the
+    # workspace. What stays (about 57 KiB) is the parameter rows and the
+    # class-width arrays.
+    assert peak < len(members) * 120 * HIDDEN * 8 // 2
     for (q1, a1, s1), (q2, a2, s2) in zip(first, again, strict=True):
         assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
     alone = list(train_batch(members, 0.3, None, member_rows))  # a workspace of its own
@@ -680,13 +726,13 @@ def step_members(draw):
 @given(step_members())
 def test_train_row_step_is_the_full_row_step_bit_for_bit(members):
     for block in gcn._blocks(members):
+        datas = [members[i][1] for i in block.index]
         assert len({(cd.graph.node_count, cd.masks.train.size, cd.masks.test.size)
-                    for cd in block.layout.datas}) == 1
+                    for cd in datas}) == 1
         grads = block.gradients()
-        assert grads.tobytes() == gradients_full_rows(block).tobytes()
-        if len(block.layout.datas) == 1:
-            (cd,) = block.layout.datas
-            p = next(p for p, d in members if d is cd)
+        assert grads.tobytes() == gradients_full_rows(block, datas).tobytes()
+        if len(block.index) == 1:
+            (p, cd), = (members[i] for i in block.index)
             assert grads.tobytes() == loss_and_grads_ref(p, cd)[1].vec.tobytes()
 
 

@@ -252,10 +252,11 @@ class TestSbm:
         finally:
             tracemalloc.stop()
         own = g.edges.nbytes + g.features.nbytes + g.labels.nbytes
-        # two copies of the graph's own arrays (Graph copies the edges; before
-        # that the hits, the edge array and its write indices coexist) and
-        # eight int64 per node (each row's first slots, hit counts and column
-        # shifts); the pair sampler's draw buffer exceeded it on the first three
+        # two copies of the graph's own arrays (the peak is inside _sbm_edges,
+        # where the hits, the edge array and its write indices coexist; Graph's
+        # later edge copy stays below it) and eight int64 per node (each row's
+        # first slots, hit counts and column shifts); the pair sampler's draw
+        # buffer exceeded it on the first three
         assert peak <= 2 * own + 64 * g.node_count
 
     def test_server_bound_graph_is_pinned(self):

@@ -26,7 +26,6 @@ from fedgraphsim.partition import (
     CommunityAssignment,
     TripPlan,
     balanced_partition,
-    block_diag,
     extract_subgraphs,
     louvain_partition,
     modularity,
@@ -40,6 +39,7 @@ from oracles import (
     all_set_partitions,
     as_scipy,
     balanced_ref,
+    block_diag,
     coalesce_ref,
     coarsen_ref,
     community_weights_ref,
@@ -540,15 +540,32 @@ def random_clients(g, rng, n_clients):
     return extract_subgraphs(g, CommunityAssignment(client_of, n_clients), RATIOS, 0)
 
 
+def clients_of(graphs):
+    """The graphs as clients, split by ``split_masks``, for ``TripPlan.build_all``."""
+    return [partition.ClientData(g, np.arange(g.node_count), split_masks(g, RATIOS, i, []), i)
+            for i, g in enumerate(graphs)]
+
+
 class TestTripPlan:
     """build_all cuts each graph's plan out of one block-diagonal build; it
     must equal the plan built from that graph alone, bit for bit."""
 
     def assert_matches_alone(self, graphs):
-        plans = TripPlan.build_all(graphs)
+        clients = clients_of(graphs)
+        plans = TripPlan.build_all(clients)
         assert len(plans) == len(graphs)
-        for i, (g, plan) in enumerate(zip(graphs, plans)):
-            assert plan_mismatches(plan, trip_plan_ref(g)) == [], f"graph {i} of {len(graphs)}"
+        join = plans[0].join
+        for i, (cd, plan) in enumerate(zip(clients, plans)):
+            assert plan_mismatches(plan, trip_plan_ref(cd.graph)) == [], f"graph {i}"
+            # the join holds the plan's rows from its start, its labels and its mask rows
+            assert plan.join is join and plan.index == i
+            s = join.starts[i]
+            assert plan_mismatches(plan, join.plan.take(s + np.arange(cd.graph.node_count),
+                                                        np.full(cd.graph.node_count, s, np.int32),
+                                                        cd.graph.node_count)) == []
+            npt.assert_array_equal(join.labels[s : join.starts[i + 1]], cd.graph.labels)
+            for m, at in (("train", join.train_at), ("test", join.test_at)):
+                npt.assert_array_equal(getattr(join, m)[at[i] : at[i + 1]], cd.masks.get(m) + s)
 
     def test_random_partitions(self):
         rng = np.random.default_rng(11)
@@ -602,7 +619,7 @@ class TestTripPlan:
         clients = extract_subgraphs(g, louvain_partition(g, 5, 0), RATIOS, 0)
         if source == "sparsify_edges":
             clients = [sparsify_edges(cd, 0.5, 60 + cd.client_id) for cd in clients]
-        plans = TripPlan.build_all([cd.graph for cd in clients]) + [cd.plan for cd in clients]
+        plans = TripPlan.build_all(clients) + [cd.plan for cd in clients]
         for adj in [plan.adj for plan in plans] + [block_diag([p.adj for p in plans])]:
             n = adj.shape[0]
             rows = np.repeat(np.arange(n), np.diff(adj.indptr))
@@ -642,7 +659,8 @@ class TestSetUpCsrs:
     def test_graph_operators_equal_scipys(self, g):
         assert csr_mismatches(normalized_adjacency(g), normalized_adjacency_ref(g)) == []
         assert csr_mismatches(propagation_matrix(g), propagation_matrix_ref(g)) == []
-        assert csr_mismatches(TripPlan.build_all([g])[0].edge_w, edge_weights_ref(g)) == []
+        (plan,) = TripPlan.build_all(clients_of([g]))
+        assert csr_mismatches(plan.edge_w, edge_weights_ref(g)) == []
         assert csr_mismatches(partition._adjacency(g), adjacency_ref(g)) == []
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -654,8 +654,9 @@ class TestClientTrip:
         # the uploaded confidence, which the server holds, is the one a fresh
         # forward would give
         soft = forward(uploaded, state.data)
-        propagated = label_propagation(soft, [state.data], hyper.lam, hyper.k_steps)
-        assert [lsc] == compute_lsc(propagated, [state.data])
+        plan = state.data.plan
+        propagated = label_propagation(soft[None], plan, hyper.lam, hyper.k_steps)
+        assert [lsc] == compute_lsc(propagated, plan)
         incoming = init_params(3, 4, 2, seed=123)
         mailboxes = {0: DownloadMessage(incoming, 4, 3.0, "broadcast", lsc.clamped)}
         expected = train_epoch(blend_local(incoming, uploaded, 3.0, lsc.clamped), state.data, 0.05)

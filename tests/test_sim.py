@@ -10,7 +10,7 @@ import pytest
 
 from scipy.sparse._compressed import _cs_matrix
 
-from fedgraphsim import gcn, kernels, protocol, sim
+from fedgraphsim import gcn, kernels, partition, protocol, sim
 from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.gcn import evaluate
 from fedgraphsim.graphs import Graph, SbmConfig, split_masks
@@ -308,10 +308,10 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
     def counted(name):
         real = getattr(protocol, name)
 
-        def count(rows, datas, *args):
+        def count(soft, plan, *args):
             calls[name] += 1
-            scored[name] += len(datas)
-            return real(rows, datas, *args)
+            scored[name] += len(soft)
+            return real(soft, plan, *args)
 
         return count
 
@@ -321,7 +321,7 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
     real_receive = sim.server_receive
 
     def gradients(block):  # one per training kernel call
-        kernel_calls.append(len(block.layout.datas))
+        kernel_calls.append(len(block.index))
         return real_gradients(block)
 
     def trip(state, batch):
@@ -345,7 +345,7 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
     assert calls == {name: len(kernel_calls) for name in UPLOAD_KERNELS}
     assert scored == {name: len(log.records) for name in UPLOAD_KERNELS}
     for upload, data in uploads:
-        soft, alone = gcn.forward(upload.params, data), [data]
+        soft, alone = gcn.forward(upload.params, data)[None], data.plan
         propagated = kernels.label_propagation(soft, alone, hyper.lam, hyper.k_steps)
         assert np.array_equal(upload.sfm, kernels.compute_sfm(soft, alone)[0])
         assert [upload.lsc] == kernels.compute_lsc(propagated, alone)
@@ -383,6 +383,57 @@ def test_a_run_without_sfm_clustering_scores_no_fingerprint(monkeypatch):
     run_simulation(replace(cfg, disable_sfm_clustering=True), seed=3)
     assert calls == {"label_propagation": 27, "compute_lsc": 27}
     assert len(sfms) == 40 and all(sfm is protocol.NO_SFM for sfm in sfms)
+
+
+def test_a_fedsa_gcl_run_joins_each_operator_once_per_layout_build(monkeypatch):
+    """A guard for the joins the kernel calls used to repeat: the run joins its
+    clients' plans once (``TripPlan.build_all``), each layout build of several
+    members gathers A_hat, P and the edge weights from that join once each (and
+    A_hat's train rows), a lone member's gathers only its train rows, and the
+    scoring kernels join nothing."""
+    where, builds, joined, takes = [None], [], [], []
+    real_layout, real_take = gcn._Layout, partition.take_rows
+    real_build = TripPlan.build_all.__func__
+
+    def layout(datas):
+        where[0], start = "layout", len(takes)
+        lay = real_layout(datas)
+        where[0] = None
+        join = datas[0].plan.join
+        names = {id(getattr(join.plan, name)): name for name in ("adj", "prop", "edge_w")}
+        builds.append((len(datas), Counter(names[id(m)] for m in takes[start:])))
+        return lay
+
+    def take(m, *args):
+        takes.append(m)
+        assert where[0] == "layout", "an operator was joined outside a layout build"
+        return real_take(m, *args)
+
+    def build_all(cls, clients):
+        joined.append(len(clients))
+        return real_build(cls, clients)
+
+    def kernel(real):
+        def scored(*args):
+            where[0], start = "kernel", (len(takes), len(joined))
+            out = real(*args)
+            where[0] = None
+            assert (len(takes), len(joined)) == start
+            return out
+        return scored
+
+    monkeypatch.setattr(gcn, "_Layout", layout)
+    monkeypatch.setattr(gcn, "take_rows", take)
+    monkeypatch.setattr(partition, "take_rows", take)
+    monkeypatch.setattr(TripPlan, "build_all", classmethod(build_all))
+    for name in UPLOAD_KERNELS:
+        monkeypatch.setattr(protocol, name, kernel(getattr(protocol, name)))
+    cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": "fedsa_gcl"})
+    run_simulation(cfg, 4)
+    assert joined == [cfg.n_clients]  # the run's one join
+    assert any(k > 1 for k, _ in builds) and any(k == 1 for k, _ in builds)
+    for k, counts in builds:
+        assert counts == (Counter(adj=2, prop=1, edge_w=1) if k > 1 else Counter(adj=1))
 
 
 def held(value):
