@@ -147,6 +147,7 @@ class _Layout:
         (n, _), k = plans[0].ax.shape, at.size
         # each member's joined row id less its row id in the call
         shift = (join.starts[at] - n * np.arange(k)).astype(join.plan.adj.indices.dtype)
+        # each member's train and test rows (joined ids), one (members, count) array each
         train, test = (ids[ptr[at, None] + np.arange(ptr[at[0] + 1] - ptr[at[0]])]
                        for ids, ptr in ((join.train, join.train_at), (join.test, join.test_at)))
         self.train_size = train.shape[1]

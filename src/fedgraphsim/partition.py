@@ -78,10 +78,12 @@ class TripPlan:
         w = coo_to_csr(u, v, deg[u] * deg[v], joined.node_count)
         ax = spmm(adj, np.concatenate([g.features for g in graphs]))
         prop = propagation_matrix(joined)
-        masks = [[cd.masks.get(m) + s for cd, s in zip(clients, starts.tolist())]
-                 for m in ("train", "test")]
-        join = Join(cls(adj, ax, prop, deg, w), starts, np.concatenate([g.labels for g in graphs]),
-                    *(a for r in masks for a in (np.concatenate(r), np.cumsum([0, *map(len, r)]))))
+        labels = np.concatenate([g.labels for g in graphs])
+        train, test = ([cd.masks.get(m) + s for cd, s in zip(clients, starts.tolist())]
+                       for m in ("train", "test"))  # each client's mask rows, joined ids
+        join = Join(cls(adj, ax, prop, deg, w), starts, labels,
+                    np.concatenate(train), np.cumsum([0, *map(len, train)]),
+                    np.concatenate(test), np.cumsum([0, *map(len, test)]))
 
         def block(m: Csr, s: int, e: int) -> Csr:
             lo, hi = m.indptr[s], m.indptr[e]
@@ -103,7 +105,8 @@ class TripPlan:
 class Join:
     """Clients' plans as ``build_all`` joined them: ``plan`` has client c's rows from
     ``starts[c]``, ``labels`` each row's label, ``train`` and ``test`` the clients'
-    mask rows (joined ids) back to back, c's from ``train_at[c]`` and ``test_at[c]``."""
+    mask rows (joined ids) back to back, c's from ``train_at[c]`` and ``test_at[c]``,
+    all as they were when it was built."""
 
     plan: TripPlan
     starts: np.ndarray
