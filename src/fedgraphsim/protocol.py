@@ -233,7 +233,7 @@ class FedSaGclServer(Server):
             row[members] = w
             rows = ids[members]
             logged.append((tuple(rows.tolist()), tuple(w.tolist())))
-            lsc_sums.append(sum(kb.lsc[rows].tolist()))
+            lsc_sums.append(float(np.cumsum(kb.lsc[rows])[-1]))  # left to right, as Python 3.11's sum
         models = [ModelParams.from_vector(v, kb.dims) for v in weights @ kb.params[ids]]
         deliveries = []
         for i, j in zip(u_ids.tolist(), of):

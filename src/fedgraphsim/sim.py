@@ -299,11 +299,10 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
     deliver to a client other than its sender; they read their messages from
     the server's mailboxes and train as one batch (``train_trips``, scored
     under the server's ``hyper``), in kernel calls of clients of one node,
-    train and test count, in client order. A call of several clients reuses
-    the layout of the previous batch's (first, the initial scoring's) call of
-    the same clients in the same order, if any, and a lone client its first
-    one. Then, trip by trip, finish the
-    trip (``client_trip``: the upload, and the client's test accuracy as its
+    train and test count, in client order. A call reuses the layout of any
+    earlier call of the run (the initial scoring's included) of the same
+    clients in the same order. Then, trip by trip, finish the trip
+    (``client_trip``: the upload, and the client's test accuracy as its
     kernel call scored it) and log that accuracy, hand the upload to the
     server, trace each delivery by its kind, and schedule the client's next
     trip. So only a batch's last upload can reach its other clients, and the
@@ -338,7 +337,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
 
         server = make_server(cfg, clients_data, active, initial)
         clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
-        layouts = RunMemo()  # the last batch's kernel layouts, every lone client's, the workspace
+        layouts = RunMemo()  # every kernel call's layout, kept for the run, and the workspace
         scored = forward_batch([(c.params, c.data) for c in clients], layouts)
         cached = np.array([acc for _, acc in scored])
         log = MetricsLog(records=[], seed=seed, config_hash=cfg.config_hash(),

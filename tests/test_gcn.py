@@ -558,9 +558,9 @@ def test_a_batch_gathers_the_operators_block_diag_joined(datas):
         assert lay.plan is datas[0].plan and np.shares_memory(lay.ax, datas[0].plan.ax)
 
 
-# A run's memo of layouts (gcn._blocks): a kernel call of several members
-# reuses the layout of the previous batch's call of the same ClientData in
-# the same order, and no other; a lone client's layout is kept for the run.
+# A run's memo of layouts (gcn._blocks): a kernel call, lone or of several
+# members, reuses the layout of any earlier call of the same ClientData in the
+# same order, and the memo keeps every layout it builds.
 
 
 def built_layouts(monkeypatch):
@@ -575,23 +575,25 @@ def built_layouts(monkeypatch):
     return built
 
 
-def test_a_batch_reuses_only_the_previous_batch_layouts(monkeypatch):
+def test_a_batch_reuses_every_earlier_layout_of_its_members(monkeypatch):
     rng = np.random.default_rng(11)
     a = [batch_client(rng, 7, 0.4) for _ in range(3)]  # one kernel call
     b = [batch_client(rng, 7, 0.4) for _ in range(3)]  # a's shapes and client ids, other data
     assert {cd.client_id for _, cd in a + b} == {0}
     built, layouts = built_layouts(monkeypatch), {}
     batches = {"a": a, "reversed": a[::-1], "b": b, "lone": a[:1]}
-    steps = [("a", True), ("a", False), ("reversed", True), ("b", True), ("a", True),
-             ("a", False), ("lone", True), ("a", True), ("b", True), ("lone", False)]
-    kept = []  # the lone layouts, in the memo from their first call on
+    # a after reversed and b, a after lone, and the second b reuse their first layouts
+    steps = [("a", True), ("a", False), ("reversed", True), ("b", True), ("a", False),
+             ("a", False), ("lone", True), ("a", False), ("b", False), ("lone", False)]
+    first = {}  # every layout built, in the memo from its first call on
     for name, builds in steps:
         before, datas = len(built), tuple(cd for _, cd in batches[name])
         assert_batch_matches_loop(batches[name], layouts=layouts)
         # the loop check's forward_batch builds one more layout, outside the memo
         assert built[before:-1] == ([datas] if builds else [])
-        kept += [datas] if name == "lone" and builds else []
-        assert list(layouts) == kept + ([] if name == "lone" else [datas])
+        first.setdefault(datas, layouts[datas])
+        assert list(layouts) == list(first)
+        assert all(layouts[key] is lay for key, lay in first.items())
 
 
 def test_a_shared_layout_is_read_only():

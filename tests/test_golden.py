@@ -196,7 +196,9 @@ def test_one_blas_thread():
     code = f"import json, test_golden; print(json.dumps(test_golden.digests(*{case!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert tuple(json.loads(out.splitlines()[-1])) == GOLDEN[case]
+    # this process's own digests, not GOLDEN's: the child runs this process's
+    # OpenBLAS kernel, and test_golden_digests pins the case on the default one
+    assert tuple(json.loads(out.splitlines()[-1])) == digests(*case)
 
 
 @pytest.mark.skipif("OPENBLAS_CORETYPE" not in os.environ,
@@ -237,13 +239,15 @@ def _child_pytest(kernel: str, files: tuple, select: str) -> None:
     assert " passed" in out.stdout and "skipped" not in out.stdout, out.stdout[-3000:]
 
 
+CHILD_FILES = ("test_gcn.py", "test_batch_fuzz.py", "test_golden.py")
+
+
 @needs_dynamic_arch
 def test_haswell_kernel_in_a_child_process():
     """One child pytest process on OpenBLAS's Haswell (AVX2) kernel runs the
-    trip kernel's batch-against-loop and train-row exactness tests and the
-    goldens' CSV and trace digests."""
-    _child_pytest("Haswell", ("test_gcn.py", "test_golden.py"),
-                  "batch or train_row or csv_and_trace")
+    trip kernel's batch-against-loop and train-row exactness tests, the
+    batched run's differential fuzz and the goldens' CSV and trace digests."""
+    _child_pytest("Haswell", CHILD_FILES, "batch or train_row or csv_and_trace")
 
 
 @needs_dynamic_arch
@@ -251,9 +255,9 @@ def test_haswell_kernel_in_a_child_process():
 def test_older_kernel_digests_in_a_child_process(kernel):
     """One child pytest process on OpenBLAS's Sandybridge (AVX) or Prescott
     (SSE) kernel runs the trip kernel's batch-against-loop and train-row
-    exactness tests and the goldens' CSV and trace digests."""
-    _child_pytest(kernel, ("test_gcn.py", "test_golden.py"),
-                  "batch or train_row or csv_and_trace")
+    exactness tests, the batched run's differential fuzz and the goldens' CSV
+    and trace digests."""
+    _child_pytest(kernel, CHILD_FILES, "batch or train_row or csv_and_trace")
 
 
 # The aggregation_log digests of the re-pinned cases before the re-pin to one

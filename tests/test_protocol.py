@@ -1,5 +1,7 @@
 import ast
+import functools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +297,20 @@ class TestServerStep:
         assert s.aggregation_log[-1][2] == (3, 5)
         assert deliveries[3].params is deliveries[2].params
         assert deliveries[3].cluster_lsc == 1.0 + 1.0
+
+    def test_a_cluster_confidence_is_the_left_fold_of_its_members(self):
+        """A broadcast's cluster confidence adds its members' clamped confidences
+        one by one in ascending ids from 0.0, as Python 3.11's built-in ``sum``
+        of floats does; a compensated sum (``math.fsum``, Python 3.12's ``sum``)
+        gives another float on these values."""
+        lscs = (10.0 ** np.random.default_rng(5).uniform(-6, 6, 40)).tolist()
+        fold = functools.reduce(operator.add, lscs, 0.0)
+        assert math.fsum(lscs) != fold
+        s = fedsa_server(k=1, theta=0.0)
+        s.kb.put([upload(cid, lsc=lsc) for cid, lsc in enumerate(lscs) if cid])
+        deliveries = dict(server_receive(s, upload(0, lsc=lscs[0])))
+        assert len(deliveries) == len(lscs)
+        assert {d.cluster_lsc for cid, d in deliveries.items() if cid} == {fold}
 
     def test_matches_per_client_kernels_with_sparse_ids(self):
         # ids 63, 60, ..., 3 (the last row included) arrive out of order over

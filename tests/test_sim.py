@@ -590,9 +590,8 @@ def test_client_trip_runs_once_per_trip_in_record_order(monkeypatch, strategy):
 
 
 # Layout reuse (gcn._blocks): run_simulation hands its memo to the initial
-# scoring and then to each batch, so a kernel call of several clients reuses
-# the layout of the previous batch's (first, the initial scoring's) call of
-# the same clients in the same order, and a lone client its first layout.
+# scoring and then to each batch, so a kernel call reuses the layout of any
+# earlier call of the run of the same clients in the same order.
 
 
 def record_layouts(monkeypatch):
@@ -662,11 +661,10 @@ def test_a_lone_client_builds_its_layout_once(monkeypatch):
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, strategy):
     """Stragglers join some steps, fedsa_gcl rounds cut steps into batches and
-    the trip budget cuts the last batch short: a kernel call of several clients
-    builds its layout exactly when the previous batch (for the first batch,
-    the initial scoring) had no call of the same clients, a lone client's call
-    only the first time it runs alone, and the run is the one-event-at-a-time
-    loop's."""
+    the trip budget cuts the last batch short: a kernel call builds its layout
+    exactly when no earlier call of the run (the initial scoring's included)
+    had the same clients in the same order, some call reuses a layout that the
+    batch before it did not call, and the run is the one-event-at-a-time loop's."""
     cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy, "max_trips": 149})
     ref, _ = run_simulation_one_event_at_a_time(cfg, 4)
     events = record_layouts(monkeypatch)
@@ -677,16 +675,16 @@ def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, str
     assert log.trace == ref.trace
     (_, scoring), *batches = batch_calls(events)
     assert all(built for _, built in scoring)
-    alone = {ids for ids, _ in scoring if len(ids) == 1}  # the initial scoring's layouts
-    previous, reused, rebuilt = {ids for ids, _ in scoring} - alone, 0, 0
+    called = {ids for ids, _ in scoring}
+    previous, new, returned = called.copy(), 0, 0
     for _, calls in batches:
         for ids, built in calls:
-            assert built == (ids not in (alone if len(ids) == 1 else previous))
-            alone |= {ids} if len(ids) == 1 else set()
-            reused += not built
-            rebuilt += built and len(ids) > 1 and bool(previous)
-        previous = {ids for ids, _ in calls if len(ids) > 1}
-    assert rebuilt and (reused or strategy != Strategy.FEDASYNC)
+            assert built == (ids not in called)
+            new += built
+            returned += not built and ids not in previous  # the batch before did not call it
+            called.add(ids)
+        previous = {ids for ids, _ in calls}
+    assert new and returned
     slow = {c for c, d in enumerate(log.durations) if d > 1}
     assert any(slow & set(ids) for ids, _ in batches)  # a straggler joins a step
     # a larger budget lets the last batch take more of the same step's clients
@@ -694,6 +692,19 @@ def test_a_changed_batch_builds_its_layout_and_matches_the_loop(monkeypatch, str
     run_simulation(replace(cfg, max_trips=cfg.max_trips + 10), 4)
     tail, uncut = batches[-1][0], batch_calls(events[seen:])[len(batches)][0]
     assert len(uncut) > len(tail) and uncut[: len(tail)] == tail
+
+
+@pytest.mark.parametrize("strategy", ["fedsa_gcl", "fedbuff"])
+def test_a_straggler_run_builds_each_member_tuple_once(monkeypatch, strategy):
+    """Rounds of K=3 cut each step of 6 normal clients into batches whose
+    kernel calls come back every few steps, not only in the next batch: the
+    run builds one layout per distinct member tuple, 8 for its 78 calls."""
+    events = record_layouts(monkeypatch)
+    run_simulation(sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy}), 4)
+    calls = [ids for kind, ids in events if kind == "call"]
+    builds = [ids for kind, ids in events if kind == "build"]
+    assert len(calls) == 78 and len(builds) == len(set(builds)) == 8
+    assert set(builds) == set(calls)
 
 
 def count_scipy_matrices(monkeypatch):
