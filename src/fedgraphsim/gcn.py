@@ -9,7 +9,7 @@ Every sparse product (``spmm``, plain CSR arrays) acts on ``classes`` columns. F
 z0 = (A_hat X) W0 + b0, h = relu(z0), z1 = A_hat (h W1) + b1. Backward:
 g = A_hat dZ1, dW1 = h^T g, dZ0 = (g W1^T) * [z0 > 0], dW0 = (A_hat X)^T dZ0.
 This holds because A_hat and X are fixed per client, so A_hat X is computed
-once (in the client's ``TripPlan``), and A_hat is symmetric:
+once (in the run's joined ``TripPlan``), and A_hat is symmetric:
 (A_hat h)^T dZ1 = h^T g and X^T (A_hat dZ0) = (A_hat X)^T dZ0.
 dZ1 is zero off the train rows, so a step runs z1, softmax and dZ1 on A_hat's
 train rows A_t alone and takes g = A_t^T dZ1_t: each row of g adds A_hat dZ1's
@@ -21,11 +21,12 @@ parameter vector and turns it into p - lr * grad in place (the same two
 roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this as kernel calls (``_Block``) of
 one client or several on one path: stacked parameter vectors on the operators
-(``_Layout``) gathered from the joined trip plan of members of one node, train
-and test count, in member order, scored on the test masks with one argmax per
-call: the floats ``accuracy`` gives. So every member of a call has the shapes
-of its call of one, nothing is padded, and its numbers are bit for bit those of
-it alone at any width (the tests run four OpenBLAS kernels).
+(``_Layout``) of members of one node, train and test count, in member order,
+each call's rows gathered from the run's ``Join`` (the scoring operators only
+when the call scores), scored on the test masks with one argmax per call: the
+floats ``accuracy`` gives. So every member of a call has the shapes of its call
+of one, nothing is padded, and its numbers are bit for bit those of it alone at
+any width (the tests run four OpenBLAS kernels).
 Given a run's memo, a call reuses the layout of any earlier call of the run
 with the same clients in the same order. The memo's ``Workspace`` holds a
 call's hidden-width temporaries (z0, relu(z0), h W1, dZ0 and the ReLU mask) in
@@ -38,11 +39,11 @@ product pass through them, not through a ufunc buffer); nothing a call returns
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .partition import ClientData, TripPlan, spmm, take_rows
+from .partition import ClientData, Join, TripPlan, spmm, take_rows
 
 PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
 BATCH_ROWS = 1024  # node rows a call of one node, train and test count may hold
@@ -131,19 +132,20 @@ def _fields(vecs: np.ndarray, dims: tuple) -> tuple:
 
 class _Layout:
     """What a kernel call needs of its members, all of one node, train and test
-    count, each gathered by one row gather from their plans' ``Join`` (from a join
-    of their own if built apart): ``plan``, their operators as one ``TripPlan``,
-    rows back to back (a lone member's own plan), ``ax`` its A_hat X as (clients,
-    nodes, feature) and ``adj_t`` its A_hat's train rows; the train count
-    ``train_size``, the train rows' labels, and the test rows and their labels,
-    each (clients, test count). Calls share layouts, so every array is read-only."""
+    count, lone or not, gathered row by row from the ``Join`` they carry (from a
+    join of their own if they carry none or different ones): ``adj``, their A_hat,
+    rows back to back, ``ax`` its A_hat X as (clients, nodes, feature) and ``adj_t``
+    its train rows; the train count ``train_size``, the train rows' labels, and the
+    test rows and their labels, each (clients, test count). ``plan``, the call's
+    operators as one ``TripPlan`` for the scoring kernels, gathers ``prop``,
+    ``deg`` and ``edge_w`` when first read. Calls share layouts, so every array is
+    read-only."""
 
     def __init__(self, datas: tuple):
-        plans = [cd.plan for cd in datas]
-        if any(p.join is not plans[0].join for p in plans):
-            plans = TripPlan.build_all(datas)
-        join, at = plans[0].join, np.array([p.index for p in plans])
-        (n, _), k = plans[0].ax.shape, at.size
+        join, at = datas[0].join, np.array([cd.index for cd in datas])
+        if join is None or any(cd.join is not join for cd in datas):
+            join, at = Join.build(datas), np.arange(len(datas))
+        n, k = datas[0].graph.node_count, at.size
         # each member's joined row id less its row id in the call
         shift = (join.starts[at] - n * np.arange(k)).astype(join.plan.adj.indices.dtype)
         # each member's train and test rows (joined ids), one (members, count) array each
@@ -153,14 +155,23 @@ class _Layout:
         self.labels = join.labels[train].ravel()
         self.test_labels = join.labels[test]
         self.test = test - shift[:, None]
-        rows = (join.starts[at, None] + np.arange(n)).ravel()
-        self.plan = plans[0] if k == 1 else join.plan.take(rows, shift.repeat(n), k * n)
-        self.ax = self.plan.ax.reshape(k, n, -1)
+        self.join, self.rows = join, ((join.starts[at, None] + np.arange(n)).ravel(),
+                                      shift.repeat(n), k * n)
+        self.adj = take_rows(join.plan.adj, *self.rows)
+        self.ax = join.plan.ax[self.rows[0]].reshape(k, n, -1)
         self.adj_t = take_rows(join.plan.adj, train.ravel(), shift.repeat(train.shape[1]), k * n)
-        plan = self.plan
-        for a in (self.ax, self.labels, self.test, self.test_labels, plan.ax, plan.deg,
-                  *plan.adj[:3], *plan.prop[:3], *plan.edge_w[:3], *self.adj_t[:3]):
+        for a in (self.ax, self.labels, self.test, self.test_labels, *self.rows[:2],
+                  *self.adj[:3], *self.adj_t[:3]):
             a.flags.writeable = False
+
+    @cached_property
+    def plan(self) -> TripPlan:
+        (rows, shift, width), ops = self.rows, self.join.plan
+        prop, edge_w = (take_rows(m, rows, shift, width) for m in (ops.prop, ops.edge_w))
+        plan = TripPlan(self.adj, self.ax.reshape(width, -1), prop, ops.deg[rows], edge_w)
+        for a in (plan.deg, *prop[:3], *edge_w[:3]):
+            a.flags.writeable = False
+        return plan
 
 
 class Workspace:
@@ -183,9 +194,10 @@ class RunMemo(dict):
     """A run's memo for its kernel calls: layouts by ClientData tuple (see
     ``_blocks``) and ``work``, the one ``Workspace`` all of its calls use.
     It keeps one layout per distinct member tuple the run has called until the
-    run ends, without a cap: 32-33 layouts, 3.7-3.8 MiB, at the end of a run of
-    perfbench's server_bound (200 clients, K = 100), and 224-236 layouts,
-    17.0-19.0 MiB, on that graph with K = 37 and 12,000 trips."""
+    run ends, without a cap; each owns its gathered rows. At the end of a run of
+    perfbench's server_bound (200 clients, K = 100) it holds 32-33 layouts, 3.8-3.9
+    MiB; of client_bound (8 clients of 750 nodes), 8 lone layouts, 3.8 MiB; on
+    server_bound's graph with K = 37 and 12,000 trips, 224-236 layouts, 17.9-20.0 MiB."""
 
     def __init__(self):
         super().__init__()
@@ -246,7 +258,7 @@ class _Block:
         hits over the test count, the float ``accuracy`` gives (NaN for clients
         without test nodes)."""
         lay, c = self.layout, self.dims[2]
-        probs = self.forward(_fields(vecs, self.dims), lay.plan.adj)[2]
+        probs = self.forward(_fields(vecs, self.dims), lay.adj)[2]
         hits = np.count_nonzero(np.argmax(probs.reshape(-1, c)[lay.test], axis=-1)
                                 == lay.test_labels, axis=-1).tolist()
         n = lay.test.shape[1]

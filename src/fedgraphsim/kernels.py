@@ -6,8 +6,10 @@ contribute nothing to edge sums and degree-weighted sums.
 
 ``compute_sfm``, ``label_propagation`` and ``compute_lsc`` take a kernel call's
 (clients, nodes, classes) soft labels and ``TripPlan``, its clients' rows back to
-back. All but the fingerprint's stacked GEMM and the confidence's row sums (per
-client) is row-wise, so each client's values are bit for bit those of it alone.
+back, which its layout, lone or not, gathers from the run's join when the call
+first scores. All but the fingerprint's stacked GEMM and the confidence's row
+sums (per client) is row-wise, so each client's values are bit for bit those of
+it alone.
 
 Model aggregation is one BLAS product of weights and parameter rows
 (``aggregate_models`` here, a whole fedsa_gcl round in ``protocol``); its

@@ -6,7 +6,6 @@ import heapq
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,24 +49,36 @@ class TripPlan:
     """The operators a client's trips, or a kernel call of several clients, reuse:
     ``adj`` (A_hat, the GCN-normalized adjacency), ``ax`` (A_hat @ X), ``prop``
     (label propagation's P), ``deg`` (float raw degrees) and ``edge_w`` (upper
-    triangle, d_u * d_v at each edge (u, v)), the operators as plain ``Csr``. A
-    client's plan from ``build_all`` is client ``index`` of ``join``."""
+    triangle, d_u * d_v at each edge (u, v)), the operators as plain ``Csr``."""
 
     adj: Csr
     ax: np.ndarray
     prop: Csr
     deg: np.ndarray
     edge_w: Csr
-    join: Join | None = field(default=None, repr=False, compare=False)
-    index: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class Join:
+    """Clients' plans joined as one: ``plan`` has client c's rows from ``starts[c]``,
+    ``labels`` each row's label, ``train`` and ``test`` the clients' mask rows
+    (joined ids) back to back, c's from ``train_at[c]`` and ``test_at[c]``, all as
+    they were when it was built. A kernel call gathers its members' rows from it."""
+
+    plan: TripPlan
+    starts: np.ndarray
+    labels: np.ndarray
+    train: np.ndarray
+    train_at: np.ndarray
+    test: np.ndarray
+    test_at: np.ndarray
 
     @classmethod
-    def build_all(cls, clients: list[ClientData]) -> list["TripPlan"]:
-        """Each client's plan (all share one feature_dim) from one block-diagonal
-        pass that cuts each graph's rows, as ``Csr`` views, out of the joined
-        operators (each one ``Csr`` of all graphs), kept as their ``Join``: bit for
-        bit its plan alone, as every stored value comes from its own nodes'
-        degrees, no edge joins two blocks and A_hat X is row by row."""
+    def build(cls, clients) -> "Join":
+        """The clients' (all of one feature_dim) plans from one block-diagonal
+        pass: client c's rows are bit for bit its plan alone, as every stored
+        value comes from its own nodes' degrees, no edge joins two blocks and
+        A_hat X is row by row."""
         graphs = [cd.graph for cd in clients]
         starts = np.cumsum([0] + [g.node_count for g in graphs])
         edges = np.concatenate([g.edges + s for g, s in zip(graphs, starts.tolist())])
@@ -81,40 +92,9 @@ class TripPlan:
         labels = np.concatenate([g.labels for g in graphs])
         train, test = ([cd.masks.get(m) + s for cd, s in zip(clients, starts.tolist())]
                        for m in ("train", "test"))  # each client's mask rows, joined ids
-        join = Join(cls(adj, ax, prop, deg, w), starts, labels,
-                    np.concatenate(train), np.cumsum([0, *map(len, train)]),
-                    np.concatenate(test), np.cumsum([0, *map(len, test)]))
-
-        def block(m: Csr, s: int, e: int) -> Csr:
-            lo, hi = m.indptr[s], m.indptr[e]
-            return Csr(m.data[lo:hi], m.indices[lo:hi] - s, m.indptr[s : e + 1] - lo, (e - s,) * 2)
-
-        return [
-            cls(block(adj, s, e), ax[s:e], block(prop, s, e), deg[s:e], block(w, s, e), join, i)
-            for i, (s, e) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist()))
-        ]
-
-    def take(self, rows: np.ndarray, shift: np.ndarray, width: int) -> "TripPlan":
-        """The plan of the rows ``rows`` (see ``take_rows``)."""
-        ops = (self.adj, self.prop, self.edge_w)
-        adj, prop, w = (take_rows(a, rows, shift, width) for a in ops)
-        return TripPlan(adj, self.ax[rows], prop, self.deg[rows], w)
-
-
-@dataclass(frozen=True, eq=False)
-class Join:
-    """Clients' plans as ``build_all`` joined them: ``plan`` has client c's rows from
-    ``starts[c]``, ``labels`` each row's label, ``train`` and ``test`` the clients'
-    mask rows (joined ids) back to back, c's from ``train_at[c]`` and ``test_at[c]``,
-    all as they were when it was built."""
-
-    plan: TripPlan
-    starts: np.ndarray
-    labels: np.ndarray
-    train: np.ndarray
-    train_at: np.ndarray
-    test: np.ndarray
-    test_at: np.ndarray
+        return cls(TripPlan(adj, ax, prop, deg, w), starts, labels,
+                   np.concatenate(train), np.cumsum([0, *map(len, train)]),
+                   np.concatenate(test), np.cumsum([0, *map(len, test)]))
 
 
 def take_rows(m: Csr, rows: np.ndarray, shift: np.ndarray, width: int) -> Csr:
@@ -145,17 +125,16 @@ def spmm(a: Csr, x: np.ndarray, transposed: bool = False) -> np.ndarray:
 
 @dataclass(eq=False)
 class ClientData:
-    """One client's induced subgraph with masks, the local -> global id map
-    and its trip plan, built on first use (a perturbation makes a new one)."""
+    """One client's induced subgraph with masks and the local -> global id map;
+    a run sets ``join``, its clients' ``Join``, and ``index``, the client's place
+    in it (a perturbation makes a new one, without)."""
 
     graph: Graph
     global_ids: np.ndarray
     masks: NodeMasks
     client_id: int
-
-    @cached_property
-    def plan(self) -> TripPlan:
-        return TripPlan.build_all([self])[0]
+    join: Join | None = field(default=None, repr=False)
+    index: int = 0
 
 
 def modularity(g: Graph, comm_of: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from .gcn import ModelParams, RunMemo, forward_batch, init_params
 from .graphs import Graph, generate_sbm, load_graph, read_text
 from .partition import (
     CommunityAssignment,
-    TripPlan,
+    Join,
     balanced_partition,
     extract_subgraphs,
     louvain_partition,
@@ -291,15 +291,18 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
                    graph: Graph | None = None) -> MetricsLog:
     """Run one seeded simulation to cfg.max_trips completed client trips.
 
-    Every client's trip plan is cut out of one joined plan built after set-up
-    (``TripPlan.build_all``), from which each kernel call gathers its operators,
-    and the initial model is scored on all clients in one ``gcn.forward_batch``.
+    A config that yields no client with training nodes, or a client without
+    test nodes (the first is named), raises ConfigError before any operator is
+    built. Then the clients' plans are joined once (``Join.build``), each client
+    carries that join, every kernel call, lone or not, gathers its operators'
+    rows from it, and the initial model is scored on all clients in one
+    ``gcn.forward_batch``.
     Event loop: pop the events of the earliest time in client order, at most
     as many as trips are left and as the server takes uploads before one can
     deliver to a client other than its sender; they read their messages from
     the server's mailboxes and train as one batch (``train_trips``, scored
-    under the server's ``hyper``), in kernel calls of clients of one node,
-    train and test count, in client order. A call reuses the layout of any
+    under the server's ``hyper``, which alone reads the scoring operators), in
+    kernel calls of clients of one node, train and test count, in client order. A call reuses the layout of any
     earlier call of the run (the initial scoring's included) of the same
     clients in the same order. Then, trip by trip, finish the trip
     (``client_trip``: the upload, and the client's test accuracy as its
@@ -311,11 +314,9 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
     waits for its round (fedavg_sync), the round's deliveries schedule the
     next trips of their recipients, all waiting; otherwise the client is
     re-scheduled at once. Only clients with training nodes are ever scheduled.
-    A config that yields no such client, or a client without test nodes (the
-    first is named), raises ConfigError; so does a run that diverges: numpy's
-    overflow, invalid and divide-by-zero raise, and become a ConfigError
-    naming the trips reached, ``[run] lr``, ``[dataset] feature_noise`` and
-    graph files.
+    A run that diverges raises ConfigError too: numpy's overflow, invalid and
+    divide-by-zero raise, and become a ConfigError naming the trips reached,
+    ``[run] lr``, ``[dataset] feature_noise`` and graph files.
     Set-up splits ``graph``, a new ``build_graph(cfg)`` if None.
     """
     if seed is None:
@@ -323,8 +324,6 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
     trips = 0
     try:
         clients_data, durations, initial = prepare_clients(cfg, seed, graph)
-        for cd, plan in zip(clients_data, TripPlan.build_all(clients_data)):
-            cd.plan = plan
         active = [cd.masks.train.size > 0 for cd in clients_data]
         if not any(active):
             raise ConfigError("no client has any training nodes (see mask_train, "
@@ -334,6 +333,9 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
             raise ConfigError(f"every client needs a nonempty test mask (see mask_test): client "
                               f"{empty[0].client_id} of {empty[0].graph.node_count} nodes, "
                               f"split by the {cfg.partitioner} partitioner, has none")
+        join = Join.build(clients_data)
+        for i, cd in enumerate(clients_data):
+            cd.join, cd.index = join, i
 
         server = make_server(cfg, clients_data, active, initial)
         clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]

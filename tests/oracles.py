@@ -21,7 +21,7 @@ from fedgraphsim.config import ExperimentConfig
 from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, evaluate, softmax_rows
 from fedgraphsim.graphs import Csr, Graph, NodeMasks, SbmConfig, degrees, index_dtype
 from fedgraphsim.kernels import ENTROPY_OFFSET, LscValue, cosine_block, staleness_factors
-from fedgraphsim.partition import ClientData, TripPlan, modularity, spmm
+from fedgraphsim.partition import ClientData, Join, TripPlan, modularity, spmm
 from fedgraphsim.protocol import (
     ClientState,
     DownloadMessage,
@@ -228,9 +228,9 @@ def softmax_rows_ref(z: np.ndarray) -> np.ndarray:
 
 
 def forward_cached_ref(p: ModelParams, cd: ClientData):
-    z0 = cd.plan.ax @ p.w0 + p.b0
+    z0 = plan_alone(cd).ax @ p.w0 + p.b0
     h = np.maximum(z0, 0.0)
-    z1 = as_scipy(cd.plan.adj).dot(h @ p.w1) + p.b1
+    z1 = as_scipy(plan_alone(cd).adj).dot(h @ p.w1) + p.b1
     return z0, h, softmax_rows_ref(z1)
 
 
@@ -245,11 +245,11 @@ def loss_and_grads_ref(p: ModelParams, cd: ClientData):
     d_z1[train] = probs[train]
     d_z1[train, y[train]] -= 1.0
     d_z1 /= train.size
-    g = as_scipy(cd.plan.adj).dot(d_z1)
+    g = as_scipy(plan_alone(cd).adj).dot(d_z1)
     d_w1 = h.T @ g
     d_b1 = d_z1.sum(axis=0)
     d_z0 = (g @ p.w1.T) * (z0 > 0.0)
-    d_w0 = cd.plan.ax.T @ d_z0
+    d_w0 = plan_alone(cd).ax.T @ d_z0
     d_b0 = d_z0.sum(axis=0)
     return loss, ModelParams(d_w0, d_b0, d_w1, d_b1)
 
@@ -281,9 +281,9 @@ def _check_shapes_per_client(p: ModelParams, cd: ClientData):
 
 def _forward_cached_per_client(p: ModelParams, cd: ClientData):
     """Forward pass keeping the intermediates needed by backprop."""
-    z0 = cd.plan.ax @ p.w0 + p.b0
+    z0 = plan_alone(cd).ax @ p.w0 + p.b0
     h = np.maximum(z0, 0.0)
-    z1 = spmm(cd.plan.adj, h @ p.w1)
+    z1 = spmm(plan_alone(cd).adj, h @ p.w1)
     z1 += p.b1
     return z0, h, _softmax_rows_per_client(z1)
 
@@ -304,13 +304,13 @@ def _gradients_per_client(p: ModelParams, cd: ClientData, z0, h, probs) -> Model
     d_z1[train] = probs[train]
     d_z1[train, y[train]] -= 1.0
     d_z1 /= train.size
-    g = spmm(cd.plan.adj, d_z1)
+    g = spmm(plan_alone(cd).adj, d_z1)
     grads = ModelParams.from_vector(np.empty_like(p.vec), p.dims)
     np.matmul(h.T, g, out=grads.w1)
     d_z1.sum(axis=0, out=grads.b1)
     d_z0 = g @ p.w1.T
     d_z0 *= z0 > 0.0
-    np.matmul(cd.plan.ax.T, d_z0, out=grads.w0)
+    np.matmul(plan_alone(cd).ax.T, d_z0, out=grads.w0)
     d_z0.sum(axis=0, out=grads.b0)
     return grads
 
@@ -339,7 +339,7 @@ def gradients_full_rows(block, datas) -> np.ndarray:
     z0 = lay.ax @ w[0]
     z0 += w[1]
     h = np.maximum(z0, 0.0)
-    z1 = spmm(lay.plan.adj, (h @ w[2]).reshape(-1, c)).reshape(h.shape[:-1] + (-1,))
+    z1 = spmm(lay.adj, (h @ w[2]).reshape(-1, c)).reshape(h.shape[:-1] + (-1,))
     z1 += w[3]
     probs = z1 - z1.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
@@ -352,7 +352,7 @@ def gradients_full_rows(block, datas) -> np.ndarray:
     flat[train] = probs.reshape(-1, c)[train]
     flat[train, labels] -= 1.0
     d_z1 /= t
-    g = spmm(lay.plan.adj, flat).reshape(d_z1.shape)
+    g = spmm(lay.adj, flat).reshape(d_z1.shape)
     grads = np.empty_like(block.vecs)
     g_w0, g_b0, g_w1, g_b1 = gcn._fields(grads, block.dims)
     np.matmul(np.swapaxes(h, -1, -2), g, out=g_w1)
@@ -370,8 +370,9 @@ def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int):
     one) before the next event pops. Returns the log, whose records replay
     nothing, and every client's accuracy after each trip, copied eagerly."""
     clients_data, durations, initial = sim.prepare_clients(cfg, seed)
-    for cd, plan in zip(clients_data, TripPlan.build_all(clients_data)):
-        cd.plan = plan
+    join = Join.build(clients_data)
+    for i, cd in enumerate(clients_data):
+        cd.join, cd.index = join, i
     active = [cd.masks.train.size > 0 for cd in clients_data]
     server = sim.make_server(cfg, clients_data, active, initial)
     clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
@@ -506,7 +507,7 @@ def accuracy_ref(probs, cd: ClientData, mask) -> float:
 def label_propagation_ref(soft, cd: ClientData, lam, k_steps) -> np.ndarray:
     if k_steps == 0:
         return soft.copy()
-    prop = as_scipy(cd.plan.prop)
+    prop = as_scipy(plan_alone(cd).prop)
     c = soft.shape[1]
     current = soft
     for _ in range(k_steps):
@@ -521,14 +522,14 @@ def label_propagation_ref(soft, cd: ClientData, lam, k_steps) -> np.ndarray:
 
 
 def compute_lsc_ref(propagated, cd: ClientData) -> float:
-    d = cd.plan.deg
+    d = plan_alone(cd).deg
     p = propagated
     plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     return float(np.sum(d * (ENTROPY_OFFSET + plogp.sum(axis=1))))
 
 
 def compute_sfm_ref(soft, cd: ClientData) -> np.ndarray:
-    one_way = soft.T @ as_scipy(cd.plan.edge_w).dot(soft)
+    one_way = soft.T @ as_scipy(plan_alone(cd).edge_w).dot(soft)
     return one_way + one_way.T
 
 
@@ -588,9 +589,14 @@ def community_weights_ref(a, at) -> sp.csr_matrix:
     return as_scipy(a) @ sp.csr_matrix((np.ones(n), at, np.arange(n + 1)), shape=(n, n))
 
 
+def plan_alone(cd: ClientData) -> TripPlan:
+    """The client's plan joined alone: a join of one is its plan bit for bit."""
+    return Join.build([cd]).plan
+
+
 def trip_plan_ref(g: Graph) -> TripPlan:
-    """One graph's trip plan built on its own by scipy, which TripPlan.build_all
-    must equal bit for bit."""
+    """One graph's trip plan built on its own by scipy, which each client's rows
+    of ``Join.build`` must equal bit for bit."""
     adj = normalized_adjacency_ref(g)
     return TripPlan(adj, adj.dot(g.features), propagation_matrix_ref(g),
                     degrees(g).astype(np.float64), edge_weights_ref(g))
@@ -621,14 +627,13 @@ def plan_mismatches(plan: TripPlan, ref: TripPlan) -> list[str]:
 
 # The kernel calls' operators as they were joined before a call gathered them
 # from its run's joined plan: ``block_diag`` of the members' plans, copied
-# verbatim. A call's gathered operators must equal it array for array.
+# verbatim less its lone branch (a lone call gathers its rows too). A call's
+# gathered operators must equal it array for array.
 
 
 def block_diag(mats: list[Csr]) -> Csr:
-    """Square CSR blocks on one diagonal, back to back (a lone block is itself), each
-    row's values in order, as one ``Csr`` with int32 indices while they fit."""
-    if len(mats) == 1:  # a lone client's kernel call runs on its own operators, copying none
-        return mats[0]
+    """Square CSR blocks on one diagonal, back to back, each row's values in
+    order, as one ``Csr`` with int32 indices while they fit."""
     n = np.array([m.shape[0] for m in mats])
     nnz = np.cumsum([0] + [m.data.size for m in mats])
     index = index_dtype(n.sum(), nnz[-1])
@@ -642,10 +647,8 @@ def block_diag(mats: list[Csr]) -> Csr:
 
 def call_plan_ref(datas) -> TripPlan:
     """The members' plans joined as a kernel call's: each operator by
-    ``block_diag``, ``ax`` and ``deg`` back to back (a lone member's own)."""
-    plans = [cd.plan for cd in datas]
-    if len(plans) == 1:
-        return plans[0]
+    ``block_diag``, ``ax`` and ``deg`` back to back."""
+    plans = [plan_alone(cd) for cd in datas]
     ops = {name: [getattr(p, name) for p in plans]
            for name in ("adj", "ax", "prop", "deg", "edge_w")}
     return TripPlan(block_diag(ops["adj"]), np.concatenate(ops["ax"]), block_diag(ops["prop"]),

@@ -15,6 +15,7 @@ from fedgraphsim.config import (
 )
 from fedgraphsim.graphs import SbmConfig
 from fedgraphsim.kernels import FglHyper
+from fedgraphsim.partition import Join
 from fedgraphsim.sim import CSV_HEADER
 from test_golden import golden_cfg
 
@@ -648,7 +649,16 @@ class TestCli:
             ),
         ],
     )
-    def test_unrunnable_config_exit_code(self, tmp_path, capsys, run_lines, problem):
+    def test_unrunnable_config_exit_code(self, tmp_path, capsys, monkeypatch, run_lines,
+                                         problem):
+        """A refused config builds no operators: its clients are never joined."""
+        joined, real = [], Join.build.__func__
+
+        def build(cls, clients):
+            joined.append(len(clients))
+            return real(cls, clients)
+
+        monkeypatch.setattr(Join, "build", classmethod(build))
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
             MINIMAL_INI.replace("n_clients = 4\n", "")
@@ -656,6 +666,7 @@ class TestCli:
         )
         assert main(["run", "--config", str(cfg)]) == 2
         assert problem in capsys.readouterr().err
+        assert joined == []
 
     def test_run_and_partition_refuse_too_many_clients_alike(self, tmp_path, capsys):
         graph = tmp_path / "toy.graph"

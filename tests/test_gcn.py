@@ -24,7 +24,7 @@ from fedgraphsim.gcn import (
 )
 from fedgraphsim.graphs import Graph, NodeMasks
 from fedgraphsim.kernels import FglHyper
-from fedgraphsim.partition import ClientData, TripPlan, sparsify_edges, sparsify_labels
+from fedgraphsim.partition import ClientData, Join, sparsify_edges, sparsify_labels
 from fedgraphsim.protocol import ClientState, client_trip, train_trips
 from oracles import (
     accuracy_ref,
@@ -40,6 +40,7 @@ from oracles import (
     loss_and_grads,
     loss_and_grads_ref,
     make_client_data,
+    plan_alone,
     plan_mismatches,
     random_graph_edges,
     random_params,
@@ -511,8 +512,8 @@ def test_a_batch_of_one_is_a_call_of_one():
     (block,) = gcn._blocks([(p, cd)])
     lay = block.layout
     assert block.vecs.shape == (1, p.vec.size) and lay.ax.shape == (1, 15, 6)
-    assert np.array_equal(lay.ax[0], cd.plan.ax) and np.shares_memory(lay.ax, cd.plan.ax)
-    assert lay.plan is cd.plan  # its own operators, as the upload kernels take them
+    # its rows gathered like any call's: the plan alone, bit for bit
+    assert plan_mismatches(lay.plan, plan_alone(cd)) == []
     assert_batch_matches_loop([(p, cd)])
     (q, _, _), = train_batch([(p, cd)], 0.1)
     assert not np.shares_memory(q.vec, p.vec)
@@ -522,16 +523,21 @@ def test_a_batch_of_one_is_a_call_of_one():
 def gathered_calls(draw):
     """A kernel call's members, all of one node count (and so of one train and
     test count): from one run's join among clients of other sizes, joined in
-    any order, or with plans built alone; now and then one member."""
+    any order, with no join, or with the last member's join not the others';
+    now and then one member."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, q = draw(st.integers(1, 25)), draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
     members = [batch_client(rng, n, q)[1] for _ in range(draw(st.sampled_from([1, 2, 3, 6])))]
-    if draw(st.booleans()):  # one run's join; else each plan is built alone on first use
+    joins = draw(st.sampled_from(["run", "none", "apart"]))
+    if joins != "none":  # one run's join; else the layout joins the members itself
         run = members + [batch_client(rng, int(rng.integers(1, 30)), q)[1]
                          for _ in range(draw(st.integers(0, 4)))]
         run = [run[i] for i in rng.permutation(len(run))]
-        for cd, plan in zip(run, TripPlan.build_all(run)):
-            cd.plan = plan
+        join = Join.build(run)
+        for i, cd in enumerate(run):
+            cd.join, cd.index = join, i
+    if joins == "apart":
+        members[-1].join, members[-1].index = Join.build([members[-1]]), 0
     return members
 
 
@@ -541,12 +547,16 @@ def test_a_batch_gathers_the_operators_block_diag_joined(datas):
     """A call's layout gathers each operator from its members' joined plan (or
     a join of their own): array for array, dtypes and shapes, what
     ``block_diag`` of their plans gives, with the train rows of its A_hat and
-    the members' labels and test rows; a lone member's are views of its plan."""
+    the members' labels and test rows; a lone member's are its plan alone."""
     lay = gcn._Layout(tuple(datas))
-    ref, (n, f), k = call_plan_ref(datas), datas[0].plan.ax.shape, len(datas)
-    assert plan_mismatches(lay.plan, ref) == []
+    ref, k = call_plan_ref(datas), len(datas)
+    (n, f), join = datas[0].graph.features.shape, datas[0].join
+    assert plan_mismatches(lay.plan, ref) == [] and lay.plan.adj is lay.adj
+    # the members' join if they all carry one, else one of their own
+    shared = join is not None and all(cd.join is join for cd in datas)
+    assert (lay.join is join) == shared
     assert lay.ax.shape == (k, n, f)
-    assert np.array_equal(lay.ax, np.stack([cd.plan.ax for cd in datas]))
+    assert np.array_equal(lay.ax, np.stack([plan_alone(cd).ax for cd in datas]))
     rows = np.concatenate([cd.masks.train + i * n for i, cd in enumerate(datas)])
     assert csr_mismatches(lay.adj_t, as_scipy(ref.adj)[rows], "adj_t") == []
     labels = [cd.graph.labels for cd in datas]
@@ -555,7 +565,7 @@ def test_a_batch_gathers_the_operators_block_diag_joined(datas):
     assert np.array_equal(lay.test, np.stack(test) + n * np.arange(k)[:, None])
     assert np.array_equal(lay.test_labels, np.stack([y[t] for y, t in zip(labels, test)]))
     if k == 1:
-        assert lay.plan is datas[0].plan and np.shares_memory(lay.ax, datas[0].plan.ax)
+        assert plan_mismatches(lay.plan, plan_alone(datas[0])) == []
 
 
 # A run's memo of layouts (gcn._blocks): a kernel call, lone or of several
@@ -601,7 +611,7 @@ def test_a_shared_layout_is_read_only():
         rng, layouts = np.random.default_rng(12), {}
         list(train_batch([batch_client(rng, n, 0.5) for n in sizes], 0.3, layouts))
         (lay,) = layouts.values()
-        plan = lay.plan
+        plan = lay.plan  # unscored so far: this read gathers prop, deg and edge_w
         for array in (lay.ax, lay.labels, lay.test, lay.test_labels, plan.ax, plan.deg,
                       *plan.adj[:3], *plan.prop[:3], *plan.edge_w[:3], *lay.adj_t[:3]):
             with pytest.raises(ValueError, match="read-only"):

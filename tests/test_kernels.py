@@ -29,6 +29,7 @@ from oracles import (
     label_propagation_ref,
     lsc_loop_ref,
     make_client_data,
+    plan_alone,
     random_graph_edges,
     random_params,
     random_soft,
@@ -40,25 +41,25 @@ class TestSfm:
     def test_edgeless_graph_zero(self):
         cd = make_client_data(3, [], num_classes=2)
         soft = random_soft(np.random.default_rng(0), 3, 2)
-        npt.assert_array_equal(compute_sfm(soft[None], cd.plan)[0], np.zeros((2, 2)))
+        npt.assert_array_equal(compute_sfm(soft[None], plan_alone(cd))[0], np.zeros((2, 2)))
 
     def test_two_node_hand_example(self):
         cd = make_client_data(2, [(0, 1)], num_classes=2)
         soft = np.array([[1.0, 0.0], [0.0, 1.0]])
-        npt.assert_allclose(compute_sfm(soft[None], cd.plan)[0], [[0, 1], [1, 0]])
+        npt.assert_allclose(compute_sfm(soft[None], plan_alone(cd))[0], [[0, 1], [1, 0]])
 
     def test_triangle_uniform(self):
         cd = make_client_data(3, [(0, 1), (0, 2), (1, 2)], num_classes=2)
         soft = np.full((3, 2), 0.5)
-        npt.assert_allclose(compute_sfm(soft[None], cd.plan)[0], np.full((2, 2), 6.0))
+        npt.assert_allclose(compute_sfm(soft[None], plan_alone(cd))[0], np.full((2, 2), 6.0))
 
     def test_symmetric_and_quadratic_scaling(self):
         rng = np.random.default_rng(4)
         cd = make_client_data(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], num_classes=3)
         soft = random_soft(rng, 5, 3)
-        s1 = compute_sfm(soft[None], cd.plan)[0]
+        s1 = compute_sfm(soft[None], plan_alone(cd))[0]
         npt.assert_allclose(s1, s1.T, rtol=1e-12)
-        s2 = compute_sfm(2.5 * soft[None], cd.plan)[0]
+        s2 = compute_sfm(2.5 * soft[None], plan_alone(cd))[0]
         npt.assert_allclose(s2, 2.5**2 * s1, rtol=1e-12)
 
     @pytest.mark.parametrize("n, q", [(1, 0.0), (6, 0.0), (7, 0.2), (12, 0.4), (20, 0.8)])
@@ -67,7 +68,7 @@ class TestSfm:
         edges = random_graph_edges(rng, n, q)
         cd = make_client_data(n, edges, num_classes=4, rng=rng)
         soft = random_soft(rng, n, 4)
-        m = compute_sfm(soft[None], cd.plan)[0]
+        m = compute_sfm(soft[None], plan_alone(cd))[0]
         npt.assert_allclose(m, sfm_ref(soft, edges, degrees_ref(n, edges)), rtol=1e-12)
         assert np.array_equal(m, m.T)
         if not edges:
@@ -76,7 +77,7 @@ class TestSfm:
     def test_row_count_checked(self):
         cd = make_client_data(3, [(0, 1)], num_classes=2)
         with pytest.raises(ValueError):
-            compute_sfm(np.ones((2, 2))[None], cd.plan)[0]
+            compute_sfm(np.ones((2, 2))[None], plan_alone(cd))[0]
 
 
 class TestCosine:
@@ -157,35 +158,35 @@ class TestLabelPropagation:
         cd = make_client_data(4, [(0, 1), (1, 2), (2, 3)], num_classes=2)
         soft = random_soft(np.random.default_rng(0), 4, 2)
         for k in (1, 3):
-            npt.assert_allclose(label_propagation(soft[None], cd.plan, 1.0, k)[0], soft)
+            npt.assert_allclose(label_propagation(soft[None], plan_alone(cd), 1.0, k)[0], soft)
 
     def test_two_node_path(self):
         cd = make_client_data(2, [(0, 1)], num_classes=2)
         soft = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = label_propagation(soft[None], cd.plan, 0.5, 1)[0]
+        out = label_propagation(soft[None], plan_alone(cd), 0.5, 1)[0]
         npt.assert_allclose(out, np.full((2, 2), 0.5))
 
     def test_isolated_node_renormalizes(self):
         cd = make_client_data(1, [], num_classes=2)
         soft = np.array([[0.3, 0.7]])
-        out = label_propagation(soft[None], cd.plan, 0.5, 1)[0]
+        out = label_propagation(soft[None], plan_alone(cd), 0.5, 1)[0]
         npt.assert_allclose(out, [[0.3, 0.7]], rtol=1e-12)
 
     def test_isolated_node_zero_lambda_uniform(self):
         cd = make_client_data(1, [], num_classes=4)
-        out = label_propagation(np.array([[0.1, 0.2, 0.3, 0.4]])[None], cd.plan, 0.0, 2)[0]
+        out = label_propagation(np.array([[0.1, 0.2, 0.3, 0.4]])[None], plan_alone(cd), 0.0, 2)[0]
         npt.assert_allclose(out, [[0.25, 0.25, 0.25, 0.25]])
 
     def test_zero_steps_returns_input(self):
         cd = make_client_data(3, [(0, 1)], num_classes=2)
         soft = random_soft(np.random.default_rng(2), 3, 2)
-        npt.assert_array_equal(label_propagation(soft[None], cd.plan, 0.3, 0)[0], soft)
+        npt.assert_array_equal(label_propagation(soft[None], plan_alone(cd), 0.3, 0)[0], soft)
 
     def test_rows_always_sum_to_one(self):
         rng = np.random.default_rng(5)
         cd = make_client_data(6, [(0, 1), (1, 2), (3, 4)], num_classes=3)
         for lam in (0.0, 0.3, 0.7, 1.0):
-            out = label_propagation(random_soft(rng, 6, 3)[None], cd.plan, lam, 3)[0]
+            out = label_propagation(random_soft(rng, 6, 3)[None], plan_alone(cd), lam, 3)[0]
             npt.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-9)
 
 
@@ -195,27 +196,27 @@ class TestLsc:
         soft = np.zeros((4, 2))
         soft[:, 0] = 1.0
         want = math.exp(-1) * (1 + 2 + 2 + 1)
-        got = compute_lsc(soft[None], cd.plan)[0]
+        got = compute_lsc(soft[None], plan_alone(cd))[0]
         assert got.raw == pytest.approx(want, rel=1e-12)
         assert got.clamped == got.raw
 
     def test_two_node_uniform(self):
         cd = make_client_data(2, [(0, 1)], num_classes=2)
-        got = compute_lsc(np.full((2, 2), 0.5)[None], cd.plan)[0]
+        got = compute_lsc(np.full((2, 2), 0.5)[None], plan_alone(cd))[0]
         assert got.raw == pytest.approx(2 * (math.exp(-1) - math.log(2)), rel=1e-9)
         assert got.raw == pytest.approx(-0.65054, abs=1e-5)
         assert got.clamped == 1e-6
 
     def test_all_isolated(self):
         cd = make_client_data(3, [], num_classes=2)
-        got = compute_lsc(np.full((3, 2), 0.5)[None], cd.plan)[0]
+        got = compute_lsc(np.full((3, 2), 0.5)[None], plan_alone(cd))[0]
         assert got.raw == 0.0
         assert got.clamped == 1e-6
 
     def test_zero_prob_convention(self):
         cd = make_client_data(2, [(0, 1)], num_classes=3)
         soft = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
-        got = compute_lsc(soft[None], cd.plan)[0]
+        got = compute_lsc(soft[None], plan_alone(cd))[0]
         assert np.isfinite(got.raw)
 
 
@@ -242,7 +243,7 @@ class TestBitExact:
     @pytest.mark.parametrize("k_steps", [0, 1, 2, 3])
     def test_label_propagation(self, n, q, lam, k_steps):
         cd, soft = exact_case(n, q)
-        got = label_propagation(soft[None], cd.plan, lam, k_steps)[0]
+        got = label_propagation(soft[None], plan_alone(cd), lam, k_steps)[0]
         assert np.array_equal(got, label_propagation_ref(soft, cd, lam, k_steps))
         degs = degrees_ref(n, cd.graph.edges.tolist())
         loop = label_propagation_loop_ref(soft, cd.graph.edges.tolist(), degs, lam, k_steps)
@@ -253,7 +254,7 @@ class TestBitExact:
         cd, soft = exact_case(30, 0.05)
         isolated = np.asarray(degrees_ref(30, cd.graph.edges.tolist())) == 0
         assert isolated.any() and not isolated.all()
-        got = label_propagation(soft[None], cd.plan, 0.0, 2)[0]
+        got = label_propagation(soft[None], plan_alone(cd), 0.0, 2)[0]
         assert np.array_equal(got, label_propagation_ref(soft, cd, 0.0, 2))
         assert np.array_equal(got[isolated], np.full((isolated.sum(), 3), 1 / 3))
 
@@ -261,22 +262,22 @@ class TestBitExact:
     def test_lsc_and_sfm(self, n, q):
         cd, soft = exact_case(n, q)
         assert (soft == 0.0).any()
-        got = compute_lsc(soft[None], cd.plan)[0]
+        got = compute_lsc(soft[None], plan_alone(cd))[0]
         assert got.raw == compute_lsc_ref(soft, cd)
         degs = degrees_ref(n, cd.graph.edges.tolist())
         assert got.raw == pytest.approx(lsc_loop_ref(soft, degs), rel=1e-12, abs=1e-15)
-        assert np.array_equal(compute_sfm(soft[None], cd.plan)[0], compute_sfm_ref(soft, cd))
+        assert np.array_equal(compute_sfm(soft[None], plan_alone(cd))[0], compute_sfm_ref(soft, cd))
 
     def test_lsc_ignores_non_positive_and_nan_entries(self):
         cd, soft = exact_case(16, 0.3)
         soft[1, 0], soft[2, 1], soft[3, 2] = np.nan, -0.0, -0.25
-        assert compute_lsc(soft[None], cd.plan)[0].raw == compute_lsc_ref(soft, cd)
+        assert compute_lsc(soft[None], plan_alone(cd))[0].raw == compute_lsc_ref(soft, cd)
 
     @pytest.mark.parametrize("k_steps", [0, 1, 2])
     def test_propagation_leaves_input(self, k_steps):
         cd, soft = exact_case(16, 0.3)
         keep = soft.copy()
-        out = label_propagation(soft[None], cd.plan, 0.4, k_steps)[0]
+        out = label_propagation(soft[None], plan_alone(cd), 0.4, k_steps)[0]
         assert np.array_equal(soft, keep)
         assert out is not soft and not np.shares_memory(out, soft)
 
@@ -342,7 +343,7 @@ class TestBatchedStats:
         # an edgeless member, one with isolated nodes and a dense one
         datas, softs = stats_case(12, [(0.0, 1), (0.1, 3), (0.8, 4)])
         softs[0][0] = 0.0  # an edgeless node's zero row sums to 0 at any lam
-        isolated = np.stack([cd.plan.deg for cd in datas]) == 0.0
+        isolated = np.stack([plan_alone(cd).deg for cd in datas]) == 0.0
         assert isolated[0].all() and isolated[1].any() and not isolated[1].all()
         propagated = assert_batch_equals_each_alone(datas, softs, lam, k_steps)
         if k_steps:  # the zero-sum rows reset to uniform

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fedgraphsim import partition
+from fedgraphsim import gcn, partition
 from fedgraphsim.graphs import (
     Graph,
     SbmConfig,
@@ -24,7 +24,7 @@ from fedgraphsim.graphs import (
 )
 from fedgraphsim.partition import (
     CommunityAssignment,
-    TripPlan,
+    Join,
     balanced_partition,
     extract_subgraphs,
     louvain_partition,
@@ -49,6 +49,7 @@ from oracles import (
     modularity_ref,
     move_ref,
     normalized_adjacency_ref,
+    plan_alone,
     plan_mismatches,
     propagation_matrix_ref,
     random_graph_edges,
@@ -541,28 +542,34 @@ def random_clients(g, rng, n_clients):
 
 
 def clients_of(graphs):
-    """The graphs as clients, split by ``split_masks``, for ``TripPlan.build_all``."""
+    """The graphs as clients, split by ``split_masks``, for ``Join.build``."""
     return [partition.ClientData(g, np.arange(g.node_count), split_masks(g, RATIOS, i, []), i)
             for i, g in enumerate(graphs)]
 
 
+def join_clients(clients):
+    """The clients' ``Join``, each client carrying it at its index, as in a run."""
+    join = Join.build(clients)
+    for i, cd in enumerate(clients):
+        cd.join, cd.index = join, i
+    return join
+
+
 class TestTripPlan:
-    """build_all cuts each graph's plan out of one block-diagonal build; it
-    must equal the plan built from that graph alone, bit for bit."""
+    """Join.build joins every graph's plan in one block-diagonal build; each
+    client's rows gathered from it, as its lone kernel call gathers them, must
+    equal the plan built from that graph alone, bit for bit."""
 
     def assert_matches_alone(self, graphs):
         clients = clients_of(graphs)
-        plans = TripPlan.build_all(clients)
-        assert len(plans) == len(graphs)
-        join = plans[0].join
-        for i, (cd, plan) in enumerate(zip(clients, plans)):
-            assert plan_mismatches(plan, trip_plan_ref(cd.graph)) == [], f"graph {i}"
-            # the join holds the plan's rows from its start, its labels and its mask rows
-            assert plan.join is join and plan.index == i
+        join = join_clients(clients)
+        assert join.starts.tolist() == np.cumsum([0] + [g.node_count for g in graphs]).tolist()
+        for i, cd in enumerate(clients):
+            lay = gcn._Layout((cd,))
+            assert lay.join is join
+            assert plan_mismatches(lay.plan, trip_plan_ref(cd.graph)) == [], f"graph {i}"
+            # the join holds the client's labels and mask rows from its start
             s = join.starts[i]
-            assert plan_mismatches(plan, join.plan.take(s + np.arange(cd.graph.node_count),
-                                                        np.full(cd.graph.node_count, s, np.int32),
-                                                        cd.graph.node_count)) == []
             npt.assert_array_equal(join.labels[s : join.starts[i + 1]], cd.graph.labels)
             for m, at in (("train", join.train_at), ("test", join.test_at)):
                 npt.assert_array_equal(getattr(join, m)[at[i] : at[i + 1]], cd.masks.get(m) + s)
@@ -603,10 +610,10 @@ class TestTripPlan:
             self.assert_matches_alone([cd.graph for cd in thinned])
         assert dropped > 0
 
-    def test_lazy_plan_of_a_lone_client_matches_alone(self):
+    def test_a_join_of_one_is_the_plan_alone(self):
         for g in random_graphs()[:4] + [build(1, []), two_triangles()]:
             cd = partition.ClientData(g, np.arange(g.node_count), split_masks(g, RATIOS, 0), 0)
-            assert plan_mismatches(cd.plan, trip_plan_ref(g)) == []
+            assert plan_mismatches(plan_alone(cd), trip_plan_ref(g)) == []
 
     @pytest.mark.parametrize("source", ["generate_sbm", "load_graph", "sparsify_edges"])
     def test_adjacency_equals_its_transpose_bit_for_bit(self, tmp_path, source):
@@ -619,8 +626,9 @@ class TestTripPlan:
         clients = extract_subgraphs(g, louvain_partition(g, 5, 0), RATIOS, 0)
         if source == "sparsify_edges":
             clients = [sparsify_edges(cd, 0.5, 60 + cd.client_id) for cd in clients]
-        plans = TripPlan.build_all(clients) + [cd.plan for cd in clients]
-        for adj in [plan.adj for plan in plans] + [block_diag([p.adj for p in plans])]:
+        adjs = [join_clients(clients).plan.adj] + [gcn._Layout((cd,)).adj for cd in clients]
+        adjs += [plan_alone(cd).adj for cd in clients]
+        for adj in adjs + [block_diag(adjs[1:])]:
             n = adj.shape[0]
             rows = np.repeat(np.arange(n), np.diff(adj.indptr))
             cols = adj.indices.astype(np.int64)
@@ -659,7 +667,7 @@ class TestSetUpCsrs:
     def test_graph_operators_equal_scipys(self, g):
         assert csr_mismatches(normalized_adjacency(g), normalized_adjacency_ref(g)) == []
         assert csr_mismatches(propagation_matrix(g), propagation_matrix_ref(g)) == []
-        (plan,) = TripPlan.build_all(clients_of([g]))
+        plan = Join.build(clients_of([g])).plan
         assert csr_mismatches(plan.edge_w, edge_weights_ref(g)) == []
         assert csr_mismatches(partition._adjacency(g), adjacency_ref(g)) == []
 
@@ -792,9 +800,10 @@ class TestBlockDiag:
         x = np.random.default_rng(2).normal(size=(joined.shape[0], 3))
         assert np.array_equal(spmm(joined, x), sp.block_diag(mats, format="csr") @ x)
 
-    def test_one_block_is_returned_as_it_is(self):
+    def test_one_block_is_copied_as_it_is(self):
         (m,) = self.blocks([6])
-        assert block_diag([m]) is m
+        one = block_diag([m])
+        assert csr_mismatches(one, m) == [] and not np.shares_memory(one.data, m.data)
 
 
 class TestExtract:

@@ -42,6 +42,7 @@ from oracles import (
     batch_client,
     cosine_ref,
     make_client_data,
+    plan_alone,
     random_graph_edges,
     random_params,
     random_soft,
@@ -670,7 +671,7 @@ class TestClientTrip:
         # the uploaded confidence, which the server holds, is the one a fresh
         # forward would give
         soft = forward(uploaded, state.data)
-        plan = state.data.plan
+        plan = plan_alone(state.data)
         propagated = label_propagation(soft[None], plan, hyper.lam, hyper.k_steps)
         assert [lsc] == compute_lsc(propagated, plan)
         incoming = init_params(3, 4, 2, seed=123)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import logging
 import weakref
@@ -15,7 +16,7 @@ from fedgraphsim.config import DatasetSpec, ExperimentConfig, Perturbation
 from fedgraphsim.gcn import evaluate
 from fedgraphsim.graphs import Graph, SbmConfig, split_masks
 from fedgraphsim.kernels import FglHyper
-from fedgraphsim.partition import ClientData, TripPlan
+from fedgraphsim.partition import ClientData, Join
 from fedgraphsim.protocol import Strategy
 from fedgraphsim.sim import (
     Event,
@@ -24,7 +25,12 @@ from fedgraphsim.sim import (
     prepare_clients,
     run_simulation,
 )
-from oracles import plan_mismatches, run_simulation_one_event_at_a_time, trip_plan_ref
+from oracles import (
+    plan_alone,
+    plan_mismatches,
+    run_simulation_one_event_at_a_time,
+    trip_plan_ref,
+)
 
 
 def sbm_cfg(**kw):
@@ -345,7 +351,7 @@ def test_fedsa_gcl_uploads_compute_fingerprint_and_confidence_once(monkeypatch):
     assert calls == {name: len(kernel_calls) for name in UPLOAD_KERNELS}
     assert scored == {name: len(log.records) for name in UPLOAD_KERNELS}
     for upload, data in uploads:
-        soft, alone = gcn.forward(upload.params, data)[None], data.plan
+        soft, alone = gcn.forward(upload.params, data)[None], plan_alone(data)
         propagated = kernels.label_propagation(soft, alone, hyper.lam, hyper.k_steps)
         assert np.array_equal(upload.sfm, kernels.compute_sfm(soft, alone)[0])
         assert [upload.lsc] == kernels.compute_lsc(propagated, alone)
@@ -385,55 +391,75 @@ def test_a_run_without_sfm_clustering_scores_no_fingerprint(monkeypatch):
     assert len(sfms) == 40 and all(sfm is protocol.NO_SFM for sfm in sfms)
 
 
-def test_a_fedsa_gcl_run_joins_each_operator_once_per_layout_build(monkeypatch):
-    """A guard for the joins the kernel calls used to repeat: the run joins its
-    clients' plans once (``TripPlan.build_all``), each layout build of several
-    members gathers A_hat, P and the edge weights from that join once each (and
-    A_hat's train rows), a lone member's gathers only its train rows, and the
-    scoring kernels join nothing."""
-    where, builds, joined, takes = [None], [], [], []
-    real_layout, real_take = gcn._Layout, partition.take_rows
-    real_build = TripPlan.build_all.__func__
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_a_run_gathers_each_operator_once_per_layout_build(monkeypatch, strategy):
+    """A guard for the gathers the kernel calls used to repeat or waste: the run
+    joins its clients' plans once (``Join.build``); each layout build, lone or
+    of several members, gathers A_hat and its train rows from that join once
+    each; a fedsa_gcl layout gathers P and the edge weights once, when its call
+    first scores, right before the scoring kernels read them, and a baseline's
+    layouts never do; no operator is gathered anywhere else."""
+    events, where, joins = [], [None], []
+    real_take, real_build = partition.take_rows, Join.build.__func__
+    real_plan = gcn._Layout.plan.func
 
-    def layout(datas):
-        where[0], start = "layout", len(takes)
-        lay = real_layout(datas)
-        where[0] = None
-        join = datas[0].plan.join
-        names = {id(getattr(join.plan, name)): name for name in ("adj", "prop", "edge_w")}
-        builds.append((len(datas), Counter(names[id(m)] for m in takes[start:])))
-        return lay
+    class Layout(gcn._Layout):
+        def __init__(self, datas):
+            where[0] = self
+            super().__init__(datas)
+            where[0] = None
+            events.append(("build", self, len(datas)))
+
+        @functools.cached_property
+        def plan(self):
+            where[0] = self
+            plan = real_plan(self)
+            where[0] = None
+            events.append(("plan", self, plan))
+            return plan
 
     def take(m, *args):
-        takes.append(m)
-        assert where[0] == "layout", "an operator was joined outside a layout build"
+        assert where[0] is not None, "an operator was gathered outside a layout"
+        ops = joins[0].plan
+        name = next(name for name in ("adj", "prop", "edge_w") if getattr(ops, name) is m)
+        events.append(("take", where[0], name))
         return real_take(m, *args)
 
-    def build_all(cls, clients):
-        joined.append(len(clients))
-        return real_build(cls, clients)
+    def build(cls, clients):
+        joins.append(real_build(cls, clients))
+        return joins[-1]
 
     def kernel(real):
-        def scored(*args):
-            where[0], start = "kernel", (len(takes), len(joined))
-            out = real(*args)
-            where[0] = None
-            assert (len(takes), len(joined)) == start
-            return out
+        def scored(soft, plan, *args):
+            events.append(("kernel", None, plan))
+            return real(soft, plan, *args)
         return scored
 
-    monkeypatch.setattr(gcn, "_Layout", layout)
+    monkeypatch.setattr(gcn, "_Layout", Layout)
     monkeypatch.setattr(gcn, "take_rows", take)
-    monkeypatch.setattr(partition, "take_rows", take)
-    monkeypatch.setattr(TripPlan, "build_all", classmethod(build_all))
+    monkeypatch.setattr(Join, "build", classmethod(build))
     for name in UPLOAD_KERNELS:
         monkeypatch.setattr(protocol, name, kernel(getattr(protocol, name)))
-    cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": "fedsa_gcl"})
+    cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy})
     run_simulation(cfg, 4)
-    assert joined == [cfg.n_clients]  # the run's one join
-    assert any(k > 1 for k, _ in builds) and any(k == 1 for k, _ in builds)
-    for k, counts in builds:
-        assert counts == (Counter(adj=2, prop=1, edge_w=1) if k > 1 else Counter(adj=1))
+    assert len(joins) == 1  # the run's one join, every layout's
+    builds = [(lay, k) for kind, lay, k in events if kind == "build"]
+    assert any(k > 1 for _, k in builds) and any(k == 1 for _, k in builds)
+    gathered = Counter((lay, name) for kind, lay, name in events if kind == "take")
+    plans = {lay: plan for kind, lay, plan in events if kind == "plan"}
+    for lay, _ in builds:
+        assert lay.join is joins[0]
+        scored = int(lay in plans)  # at most once: the layout keeps its plan
+        assert [gathered[lay, name] for name in ("adj", "prop", "edge_w")] == [2, scored, scored]
+    if strategy != Strategy.FEDSA_GCL:
+        assert not plans and not any(kind == "kernel" for kind, _, _ in events)
+        return
+    assert plans
+    for i, (kind, lay, plan) in enumerate(events):
+        if kind == "plan":  # the first score: the scoring kernels read it next
+            assert events[i + 1] == ("kernel", None, plan)
+        if kind == "kernel":
+            assert any(plan is p for p in plans.values())
 
 
 def held(value):
@@ -489,9 +515,10 @@ def test_run_builds_every_plan_as_alone_after_perturbation(monkeypatch, kind):
         assert [cd.graph.edge_count for cd in prepared] != [
             cd.graph.edge_count for cd in unperturbed
         ]
-    for cd in prepared:
-        assert "plan" in vars(cd)  # built by the run, not on a later read
-        assert plan_mismatches(cd.plan, trip_plan_ref(cd.graph)) == []
+    join = prepared[0].join
+    for i, cd in enumerate(prepared):
+        assert join is not None and cd.join is join and cd.index == i  # the run's one join
+        assert plan_mismatches(gcn._Layout((cd,)).plan, trip_plan_ref(cd.graph)) == []
 
 
 SERVER_TYPES = {
@@ -709,28 +736,28 @@ def test_a_straggler_run_builds_each_member_tuple_once(monkeypatch, strategy):
 
 def count_scipy_matrices(monkeypatch):
     """Count the scipy compressed sparse matrices built (any CSR or CSC), and
-    the count each time ``TripPlan.build_all`` returns."""
+    the count each time ``Join.build`` returns."""
     seen = {"built": 0, "at_plans": []}
-    real_init, real_build = _cs_matrix.__init__, TripPlan.build_all.__func__
+    real_init, real_build = _cs_matrix.__init__, Join.build.__func__
 
     def init(self, *args, **kwargs):
         seen["built"] += 1
         real_init(self, *args, **kwargs)
 
-    def build_all(cls, graphs):
-        plans = real_build(cls, graphs)
+    def build(cls, clients):
+        join = real_build(cls, clients)
         seen["at_plans"].append(seen["built"])
-        return plans
+        return join
 
     monkeypatch.setattr(_cs_matrix, "__init__", init)
-    monkeypatch.setattr(TripPlan, "build_all", classmethod(build_all))
+    monkeypatch.setattr(Join, "build", classmethod(build))
     return seen
 
 
 @pytest.mark.parametrize("strategy", ["fedsa_gcl", "fedasync"])
 def test_a_run_builds_no_scipy_matrix_after_its_trip_plans(monkeypatch, strategy):
     """Set-up, trip and round paths all read plain CSR arrays (graphs.Csr): a
-    run builds no scipy sparse matrix, neither before TripPlan.build_all
+    run builds no scipy sparse matrix, neither before Join.build
     returns nor after, at any trip budget."""
     seen, totals = count_scipy_matrices(monkeypatch), []
     for max_trips in (20, 80):
