@@ -22,18 +22,20 @@ roundings); it never computes the loss.
 ``train_batch`` and ``forward_batch`` run this as kernel calls (``_Block``) of
 one client or several on one path: stacked parameter vectors on the operators
 (``_Layout``) of members of one node, train and test count, in member order,
-each call's rows gathered from the run's ``Join`` (the scoring operators only
-when the call scores), scored on the test masks with one argmax per call: the
-floats ``accuracy`` gives. So every member of a call has the shapes of its call
-of one, nothing is padded, and its numbers are bit for bit those of it alone at
-any width (the tests run four OpenBLAS kernels).
-Given a run's memo, a call reuses the layout of any earlier call of the run
-with the same clients in the same order. The memo's ``Workspace`` holds a
-call's hidden-width temporaries (z0, relu(z0), h W1, dZ0 and the ReLU mask) in
-buffers that grow to the run's largest call and are never freed within it, so a
-call after the first allocates none of them (the broadcast bias and the mask
-product pass through them, not through a ufunc buffer); nothing a call returns
-(soft labels, trained vectors and so the uploads) is a view of them.
+each call's rows gathered from the ``Join`` of its ``RunMemo`` (the scoring
+operators only when the call scores), scored on the test masks with one argmax
+per call: the floats ``accuracy`` gives. So every member of a call has the
+shapes of its call of one, nothing is padded, and its numbers are bit for bit
+those of it alone at any width (the tests run four OpenBLAS kernels).
+A run builds one ``RunMemo`` of its clients and hands it to every call; calls
+given none share one of their own members. A call reuses the layout of any
+earlier call of its memo with the same clients in the same order. The memo's
+``Workspace`` holds a call's hidden-width temporaries (z0, relu(z0), h W1, dZ0
+and the ReLU mask) in buffers that grow to the run's largest call and are never
+freed within it, so a call after the first allocates none of them (the
+broadcast bias and the mask product pass through them, not through a ufunc
+buffer); nothing a call returns (soft labels, trained vectors and so the
+uploads) is a view of them.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import numpy as np
 
 from .partition import ClientData, Join, TripPlan, spmm, take_rows
 
-PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # the field views, in vector order
 BATCH_ROWS = 1024  # node rows a call of one node, train and test count may hold
 
 
@@ -132,25 +133,24 @@ def _fields(vecs: np.ndarray, dims: tuple) -> tuple:
 
 class _Layout:
     """What a kernel call needs of its members, all of one node, train and test
-    count, lone or not, gathered row by row from the ``Join`` they carry (from a
-    join of their own if they carry none or different ones): ``adj``, their A_hat,
-    rows back to back, ``ax`` its A_hat X as (clients, nodes, feature) and ``adj_t``
-    its train rows; the train count ``train_size``, the train rows' labels, and the
-    test rows and their labels, each (clients, test count). ``plan``, the call's
-    operators as one ``TripPlan`` for the scoring kernels, gathers ``prop``,
-    ``deg`` and ``edge_w`` when first read. Calls share layouts, so every array is
-    read-only."""
+    count, lone or not, gathered row by row from its memo's ``Join``: ``adj``,
+    their A_hat, rows back to back, ``ax`` its A_hat X as (clients, nodes,
+    feature) and ``adj_t`` its train rows; the train count ``train_size``, the
+    train rows' labels, and the test rows and their labels, each (clients, test
+    count), the rows read from each member's ``masks`` when it is built.
+    ``plan``, the call's operators as one ``TripPlan`` for the scoring kernels,
+    gathers ``prop``, ``deg`` and ``edge_w`` when first read. Calls share
+    layouts, so every array is read-only."""
 
-    def __init__(self, datas: tuple):
-        join, at = datas[0].join, np.array([cd.index for cd in datas])
-        if join is None or any(cd.join is not join for cd in datas):
-            join, at = Join.build(datas), np.arange(len(datas))
+    def __init__(self, datas: tuple, memo: RunMemo):
+        join, at = memo.join, np.array([memo.at[cd] for cd in datas])
         n, k = datas[0].graph.node_count, at.size
         # each member's joined row id less its row id in the call
         shift = (join.starts[at] - n * np.arange(k)).astype(join.plan.adj.indices.dtype)
         # each member's train and test rows (joined ids), one (members, count) array each
-        train, test = (ids[ptr[at, None] + np.arange(ptr[at[0] + 1] - ptr[at[0]])]
-                       for ids, ptr in ((join.train, join.train_at), (join.test, join.test_at)))
+        train, test = (np.array([cd.masks.get(m) for cd in datas]) for m in ("train", "test"))
+        for ids in (train, test):  # in place: a freed temporary here raised RSS across runs
+            ids += join.starts[at, None]
         self.train_size = train.shape[1]
         self.labels = join.labels[train].ravel()
         self.test_labels = join.labels[test]
@@ -191,16 +191,19 @@ class Workspace:
 
 
 class RunMemo(dict):
-    """A run's memo for its kernel calls: layouts by ClientData tuple (see
-    ``_blocks``) and ``work``, the one ``Workspace`` all of its calls use.
-    It keeps one layout per distinct member tuple the run has called until the
-    run ends, without a cap; each owns its gathered rows. At the end of a run of
+    """A run's memo for the kernel calls of its clients: ``join``, their ``Join``;
+    ``at``, each client's position in it (``ClientData`` is keyed by identity); layouts
+    by ClientData tuple (see ``_blocks``); and ``work``, the one ``Workspace`` all of
+    its calls use. It keeps one layout per distinct member tuple called until the run
+    ends, without a cap; each owns its gathered rows. At the end of a run of
     perfbench's server_bound (200 clients, K = 100) it holds 32-33 layouts, 3.8-3.9
     MiB; of client_bound (8 clients of 750 nodes), 8 lone layouts, 3.8 MiB; on
-    server_bound's graph with K = 37 and 12,000 trips, 224-236 layouts, 17.9-20.0 MiB."""
+    server_bound's graph with K = 37 and 12,000 trips, 224-236 layouts, 17.9-20.0
+    MiB."""
 
-    def __init__(self):
+    def __init__(self, clients: list):
         super().__init__()
+        self.join, self.at = Join.build(clients), {cd: i for i, cd in enumerate(clients)}
         self.work = Workspace()
 
 
@@ -265,13 +268,14 @@ class _Block:
         return probs, [h / n if n else np.nan for h in hits]
 
 
-def _blocks(members: list, layouts: dict | None = None):
+def _blocks(members: list, memo: RunMemo | None = None):
     """Each kernel call over (params, ClientData) members: those of one node, train
     and test count, in member order, while members x nodes stays within BATCH_ROWS
     (a larger one alone), in the order of their first members; a block's ``index``
-    lists its members' positions. The memo ``layouts`` maps ClientData tuples to
-    layouts: a call reuses the layout of any earlier call with the same members in
-    the same order. The calls share a ``RunMemo``'s workspace, or else their own."""
+    lists its members' positions. Every call gathers from ``memo``'s join, reuses
+    the memo's layout of any earlier call with the same members in the same
+    order, keeps the layout it builds there and takes its temporaries from the
+    memo's workspace. Without a memo the calls share a ``RunMemo`` of the members."""
     parts, open_parts = [], {}
     for i, (p, cd) in enumerate(members):
         _check_shapes(p, cd, members[0][0].dims)
@@ -281,36 +285,35 @@ def _blocks(members: list, layouts: dict | None = None):
             part = open_parts[key] = []
             parts.append(part)
         part.append(i)
-    layouts = {} if layouts is None else layouts
-    work = layouts.work if isinstance(layouts, RunMemo) else Workspace()
+    memo = RunMemo([cd for _, cd in members]) if memo is None else memo
     for part in parts:
         block, datas = _Block([members[i] for i in part]), tuple(members[i][1] for i in part)
-        block.layout = layouts[datas] = layouts.get(datas) or _Layout(datas)
-        block.work, block.index = work, part
+        block.layout = memo[datas] = memo.get(datas) or _Layout(datas, memo)
+        block.work, block.index = memo.work, part
         yield block
 
 
-def forward_batch(members: list, layouts: dict | None = None) -> list[tuple]:
+def forward_batch(members: list, memo: RunMemo | None = None) -> list[tuple]:
     """Soft labels (one probability row per local node) and test accuracy
     (``_Block.scored``) of each (params, ClientData) member, in member order,
-    from kernel calls of members of one node, train and test count (``_blocks``);
-    ``layouts``: see ``_blocks``."""
-    out = dict(kv for block in _blocks(members, layouts)
+    from kernel calls of members of one node, train and test count; ``memo``,
+    the run's (one of the members' own if None): see ``_blocks``."""
+    out = dict(kv for block in _blocks(members, memo)
                for kv in zip(block.index, zip(*block.scored(block.vecs))))
     return [out[i] for i in range(len(members))]
 
 
-def train_batch(members: list, lr: float, layouts: dict | None = None, score=None):
+def train_batch(members: list, lr: float, memo: RunMemo | None = None, score=None):
     """One full-batch gradient step (p - lr * grad, in one fresh array) per
     (params, ClientData) member, with the trained params' test accuracy (see
     ``_Block.scored``) and ``score``'s value, yielded in member order. A kernel
     call holds members of one node, train and test count, in member order
-    (``_blocks``); ``score`` maps its soft labels, (members, nodes, classes), and
-    its layout's ``TripPlan`` to one value per member (None without it). A call
-    runs when its first member is asked for, and holds its later members'
-    results until they are.
-    ``layouts`` is a run's memo of batch layouts (see ``_blocks``)."""
-    blocks, ready = _blocks(members, layouts), {}
+    (``_blocks``, on ``memo``, the run's, or one of the members' own if None);
+    ``score`` maps its soft labels, (members, nodes, classes), and its layout's
+    ``TripPlan`` to one value per member (None without it). A call runs when
+    its first member is asked for, and holds its later members' results until
+    they are."""
+    blocks, ready = _blocks(members, memo), {}
     for i in range(len(members)):
         if i not in ready:  # the next call's first member
             block = next(blocks)

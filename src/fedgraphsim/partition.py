@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,18 +60,13 @@ class TripPlan:
 
 @dataclass(frozen=True, eq=False)
 class Join:
-    """Clients' plans joined as one: ``plan`` has client c's rows from ``starts[c]``,
-    ``labels`` each row's label, ``train`` and ``test`` the clients' mask rows
-    (joined ids) back to back, c's from ``train_at[c]`` and ``test_at[c]``, all as
-    they were when it was built. A kernel call gathers its members' rows from it."""
+    """Clients' plans joined as one: ``plan`` has client c's rows from ``starts[c]``
+    and ``labels`` each row's label. A run's ``gcn.RunMemo`` builds one for its
+    clients, and each kernel call gathers its members' rows from it."""
 
     plan: TripPlan
     starts: np.ndarray
     labels: np.ndarray
-    train: np.ndarray
-    train_at: np.ndarray
-    test: np.ndarray
-    test_at: np.ndarray
 
     @classmethod
     def build(cls, clients) -> "Join":
@@ -89,12 +84,8 @@ class Join:
         w = coo_to_csr(u, v, deg[u] * deg[v], joined.node_count)
         ax = spmm(adj, np.concatenate([g.features for g in graphs]))
         prop = propagation_matrix(joined)
-        labels = np.concatenate([g.labels for g in graphs])
-        train, test = ([cd.masks.get(m) + s for cd, s in zip(clients, starts.tolist())]
-                       for m in ("train", "test"))  # each client's mask rows, joined ids
-        return cls(TripPlan(adj, ax, prop, deg, w), starts, labels,
-                   np.concatenate(train), np.cumsum([0, *map(len, train)]),
-                   np.concatenate(test), np.cumsum([0, *map(len, test)]))
+        return cls(TripPlan(adj, ax, prop, deg, w), starts,
+                   np.concatenate([g.labels for g in graphs]))
 
 
 def take_rows(m: Csr, rows: np.ndarray, shift: np.ndarray, width: int) -> Csr:
@@ -125,16 +116,14 @@ def spmm(a: Csr, x: np.ndarray, transposed: bool = False) -> np.ndarray:
 
 @dataclass(eq=False)
 class ClientData:
-    """One client's induced subgraph with masks and the local -> global id map;
-    a run sets ``join``, its clients' ``Join``, and ``index``, the client's place
-    in it (a perturbation makes a new one, without)."""
+    """One client's induced subgraph with masks and the local -> global id map.
+    Equal only to itself, so a run's memo can key it by identity; a run reads it
+    and writes nothing into it (a perturbation makes a new one)."""
 
     graph: Graph
     global_ids: np.ndarray
     masks: NodeMasks
     client_id: int
-    join: Join | None = field(default=None, repr=False)
-    index: int = 0
 
 
 def modularity(g: Graph, comm_of: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gcn import ModelParams, train_batch
+from .gcn import ModelParams, RunMemo, train_batch
 from .kernels import (
     FglHyper,
     LscValue,
@@ -336,7 +336,7 @@ def server_receive(server: Server, msg: UploadMessage) -> Deliveries:
 
 
 def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage], lr: float,
-                layouts: dict | None = None, hyper: FglHyper | None = None,
+                memo: RunMemo | None = None, hyper: FglHyper | None = None,
                 sfm: bool = True) -> Iterator:
     """Take each client's message out of ``mailboxes``, then train all of them
     as one batch; return the batch, a lazy iterator of (state, (trained
@@ -355,7 +355,9 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
     ``compute_lsc`` (lam, k_steps) on the call's soft labels and ``TripPlan``,
     or, without ``sfm``, the confidence alone and ``NO_SFM``; without ``hyper``
     the scores are None.
-    ``layouts`` is the run's memo of batch layouts (``gcn._blocks``).
+    ``memo`` is the run's ``gcn.RunMemo``: its join, which every call gathers
+    from, and its layouts (``gcn._blocks``); without one the batch joins its
+    own clients' plans.
     Training on an empty train mask raises ValueError.
     """
     for state in states:
@@ -370,7 +372,7 @@ def train_trips(states: list[ClientState], mailboxes: dict[int, DownloadMessage]
     score = None if hyper is None else lambda soft, plan: zip(
         compute_sfm(soft, plan) if sfm else repeat(NO_SFM),
         compute_lsc(label_propagation(soft, plan, hyper.lam, hyper.k_steps), plan))
-    return zip(states, train_batch([(s.params, s.data) for s in states], lr, layouts, score))
+    return zip(states, train_batch([(s.params, s.data) for s in states], lr, memo, score))
 
 
 def client_trip(state: ClientState, batch: Iterator) -> tuple[UploadMessage, float]:

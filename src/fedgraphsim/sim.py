@@ -23,7 +23,6 @@ from .gcn import ModelParams, RunMemo, forward_batch, init_params
 from .graphs import Graph, generate_sbm, load_graph, read_text
 from .partition import (
     CommunityAssignment,
-    Join,
     balanced_partition,
     extract_subgraphs,
     louvain_partition,
@@ -165,16 +164,19 @@ class MetricsLog:
     @classmethod
     def read(cls, csv_path) -> "MetricsLog":
         """A log as ``write`` stored it: the CSV and the ``.json`` sidecar beside
-        it (snapshots, initial per-client accuracies and trace come back empty).
+        it (the initial per-client accuracies, trace and aggregation_log come back
+        empty, and its records replay nothing).
         A sidecar that is not a JSON object with the SIDECAR_FIELDS, each of its
         type, or a CSV other than CSV_HEADER and the sidecar's ``trips`` rows of
         five numbers, raises ConfigError naming the file (and the line or field)."""
         sidecar_path = Path(csv_path).with_suffix(".json")
         try:
             with open(sidecar_path, "r", encoding="utf-8") as f:
-                meta = dict(json.load(f))
-        except (TypeError, ValueError) as exc:
+                meta = json.load(f)
+        except ValueError as exc:
             raise ConfigError(f"{sidecar_path}: not a JSON object: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{sidecar_path}: not a JSON object")
         names = [row.name for row in SIDECAR_FIELDS]
         if missing := [name for name in names if name not in meta]:
             raise ConfigError(f"{sidecar_path}: no {', '.join(missing)} in the sidecar")
@@ -293,27 +295,29 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
 
     A config that yields no client with training nodes, or a client without
     test nodes (the first is named), raises ConfigError before any operator is
-    built. Then the clients' plans are joined once (``Join.build``), each client
-    carries that join, every kernel call, lone or not, gathers its operators'
-    rows from it, and the initial model is scored on all clients in one
-    ``gcn.forward_batch``.
-    Event loop: pop the events of the earliest time in client order, at most
-    as many as trips are left and as the server takes uploads before one can
+    built. Then the run's ``gcn.RunMemo`` joins the clients' plans once
+    (``Join.build``); every kernel call of the run, lone or not, gathers its
+    operators' rows from that join, and the initial model is scored on all
+    clients in one ``gcn.forward_batch``. The run writes nothing into its
+    ``ClientData``, so prepared clients can serve several runs.
+    Event loop: pop the events of the earliest time in client order, at most as
+    many as trips are left and as the server takes uploads before one can
     deliver to a client other than its sender; they read their messages from
     the server's mailboxes and train as one batch (``train_trips``, scored
     under the server's ``hyper``, which alone reads the scoring operators), in
-    kernel calls of clients of one node, train and test count, in client order. A call reuses the layout of any
-    earlier call of the run (the initial scoring's included) of the same
-    clients in the same order. Then, trip by trip, finish the trip
-    (``client_trip``: the upload, and the client's test accuracy as its
-    kernel call scored it) and log that accuracy, hand the upload to the
-    server, trace each delivery by its kind, and schedule the client's next
-    trip. So only a batch's last upload can reach its other clients, and the
-    run is the one-event-at-a-time loop bit for bit; a delivery to a batch
-    client that has not uploaded yet raises RuntimeError. When the server
-    waits for its round (fedavg_sync), the round's deliveries schedule the
-    next trips of their recipients, all waiting; otherwise the client is
-    re-scheduled at once. Only clients with training nodes are ever scheduled.
+    kernel calls of clients of one node, train and test count, in client order.
+    A call reuses the layout of any earlier call of the run (the initial
+    scoring's included) of the same clients in the same order. Then, trip by
+    trip, finish the trip (``client_trip``: the upload, and the client's test
+    accuracy as its kernel call scored it) and log that accuracy, hand the
+    upload to the server, trace each delivery by its kind, and schedule the
+    client's next trip. So only a batch's last upload can reach its other
+    clients, and the run is the one-event-at-a-time loop bit for bit; a
+    delivery to a batch client that has not uploaded yet raises RuntimeError.
+    When the server waits for its round (fedavg_sync), the round's deliveries
+    schedule the next trips of their recipients, all waiting; otherwise the
+    client is re-scheduled at once. Only clients with training nodes are ever
+    scheduled.
     A run that diverges raises ConfigError too: numpy's overflow, invalid and
     divide-by-zero raise, and become a ConfigError naming the trips reached,
     ``[run] lr``, ``[dataset] feature_noise`` and graph files.
@@ -333,14 +337,10 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
             raise ConfigError(f"every client needs a nonempty test mask (see mask_test): client "
                               f"{empty[0].client_id} of {empty[0].graph.node_count} nodes, "
                               f"split by the {cfg.partitioner} partitioner, has none")
-        join = Join.build(clients_data)
-        for i, cd in enumerate(clients_data):
-            cd.join, cd.index = join, i
-
+        memo = RunMemo(clients_data)  # the run's join, every kernel call's layout, the workspace
         server = make_server(cfg, clients_data, active, initial)
         clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]
-        layouts = RunMemo()  # every kernel call's layout, kept for the run, and the workspace
-        scored = forward_batch([(c.params, c.data) for c in clients], layouts)
+        scored = forward_batch([(c.params, c.data) for c in clients], memo)
         cached = np.array([acc for _, acc in scored])
         log = MetricsLog(records=[], seed=seed, config_hash=cfg.config_hash(),
                          strategy=cfg.strategy.value, initial_accs=tuple(cached.tolist()),
@@ -355,7 +355,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int | None = None,
             batch = []
             while heap and heap[0].completion_time == now and len(batch) < room:
                 batch.append(clients[heapq.heappop(heap).client_id])
-            trained = train_trips(batch, server.mailboxes, cfg.lr, layouts, server.hyper,
+            trained = train_trips(batch, server.mailboxes, cfg.lr, memo, server.hyper,
                                   server.reads_sfm)
             pending = {client.client_id for client in batch}
             for client in batch:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from fedgraphsim import gcn, sim
 from fedgraphsim.config import ExperimentConfig
-from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, evaluate, softmax_rows
+from fedgraphsim.gcn import ModelParams, evaluate, softmax_rows
 from fedgraphsim.graphs import Csr, Graph, NodeMasks, SbmConfig, degrees, index_dtype
 from fedgraphsim.kernels import ENTROPY_OFFSET, LscValue, cosine_block, staleness_factors
 from fedgraphsim.partition import ClientData, Join, TripPlan, modularity, spmm
@@ -36,6 +36,7 @@ from fedgraphsim.protocol import (
 
 
 LOG_CLAMP = 1e-12
+PARAM_FIELDS = ("w0", "b0", "w1", "b1")  # ModelParams' field views, in vector order
 # Gradients share the parameter container (same shapes, entrywise layout).
 Gradients = ModelParams
 
@@ -367,12 +368,11 @@ def gradients_full_rows(block, datas) -> np.ndarray:
 def run_simulation_one_event_at_a_time(cfg: ExperimentConfig, seed: int):
     """The event loop as it was before same-time trips trained in batches:
     each popped event opens its mailbox and runs its whole trip (a batch of
-    one) before the next event pops. Returns the log, whose records replay
-    nothing, and every client's accuracy after each trip, copied eagerly."""
+    one) before the next event pops. Its trips pass no memo, so each gathers
+    from a join of its one client (the plan alone), apart from any run's memo.
+    Returns the log, whose records replay nothing, and every client's accuracy
+    after each trip, copied eagerly."""
     clients_data, durations, initial = sim.prepare_clients(cfg, seed)
-    join = Join.build(clients_data)
-    for i, cd in enumerate(clients_data):
-        cd.join, cd.index = join, i
     active = [cd.masks.train.size > 0 for cd in clients_data]
     server = sim.make_server(cfg, clients_data, active, initial)
     clients = [ClientState(cd.client_id, cd, initial.copy()) for cd in clients_data]

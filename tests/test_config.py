@@ -354,6 +354,8 @@ class TestCli:
              "metrics_seed0.json: no config_hash"),
             ("2,1,1,0.7,0.6", STORED_SIDECAR[:20], "metrics_seed0.json: not a JSON object"),
             ("2,1,1,0.7,0.6", "7", "metrics_seed0.json: not a JSON object"),
+            ("2,1,1,0.7,0.6", json.dumps(list(json.loads(STORED_SIDECAR).items())),
+             "metrics_seed0.json: not a JSON object"),
             ("2,1,1,0.7,0.6", STORED_SIDECAR.replace("[1, 1]", "5"),
              "metrics_seed0.json: [sidecar] durations = 5 is not a non-empty list of integers"),
             ("2,1,1,0.7,0.6", STORED_SIDECAR.replace("0.1", '"high"'),

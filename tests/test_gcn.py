@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fedgraphsim import gcn
 from fedgraphsim.gcn import (
     BATCH_ROWS,
-    PARAM_FIELDS,
     ModelParams,
     RunMemo,
     accuracy,
@@ -24,9 +23,10 @@ from fedgraphsim.gcn import (
 )
 from fedgraphsim.graphs import Graph, NodeMasks
 from fedgraphsim.kernels import FglHyper
-from fedgraphsim.partition import ClientData, Join, sparsify_edges, sparsify_labels
+from fedgraphsim.partition import ClientData, sparsify_edges, sparsify_labels
 from fedgraphsim.protocol import ClientState, client_trip, train_trips
 from oracles import (
+    PARAM_FIELDS,
     accuracy_ref,
     as_scipy,
     batch_client,
@@ -361,11 +361,12 @@ def member_rows(soft, plan):
     return list(soft)
 
 
-def assert_batch_matches_loop(members, lr=0.3, layouts=None):
-    """Train and forward the batch; every member's params and soft labels are
-    the per-client loop's, and its test accuracy is ``accuracy``'s float of
-    those soft labels (NaN for a member without test nodes)."""
-    trained = list(train_batch(members, lr, layouts, member_rows))
+def assert_batch_matches_loop(members, lr=0.3, memo=None):
+    """Train (on ``memo``, if given) and forward the batch; every member's
+    params and soft labels are the per-client loop's, and its test accuracy is
+    ``accuracy``'s float of those soft labels (NaN for a member without test
+    nodes)."""
+    trained = list(train_batch(members, lr, memo, member_rows))
     assert len(trained) == len(members)
     scored = []
     for (p, cd), (q, acc, soft) in zip(members, trained):
@@ -522,39 +523,32 @@ def test_a_batch_of_one_is_a_call_of_one():
 @st.composite
 def gathered_calls(draw):
     """A kernel call's members, all of one node count (and so of one train and
-    test count): from one run's join among clients of other sizes, joined in
-    any order, with no join, or with the last member's join not the others';
-    now and then one member."""
+    test count), and the memo it gathers from: a run's, among clients of other
+    sizes joined in any order, or the members' own; now and then one member."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, q = draw(st.integers(1, 25)), draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
     members = [batch_client(rng, n, q)[1] for _ in range(draw(st.sampled_from([1, 2, 3, 6])))]
-    joins = draw(st.sampled_from(["run", "none", "apart"]))
-    if joins != "none":  # one run's join; else the layout joins the members itself
+    run = members
+    if draw(st.booleans()):  # a run's memo; else the members' own
         run = members + [batch_client(rng, int(rng.integers(1, 30)), q)[1]
                          for _ in range(draw(st.integers(0, 4)))]
         run = [run[i] for i in rng.permutation(len(run))]
-        join = Join.build(run)
-        for i, cd in enumerate(run):
-            cd.join, cd.index = join, i
-    if joins == "apart":
-        members[-1].join, members[-1].index = Join.build([members[-1]]), 0
-    return members
+    return members, RunMemo(run)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(gathered_calls())
-def test_a_batch_gathers_the_operators_block_diag_joined(datas):
-    """A call's layout gathers each operator from its members' joined plan (or
-    a join of their own): array for array, dtypes and shapes, what
-    ``block_diag`` of their plans gives, with the train rows of its A_hat and
-    the members' labels and test rows; a lone member's are its plan alone."""
-    lay = gcn._Layout(tuple(datas))
+def test_a_batch_gathers_the_operators_block_diag_joined(call):
+    """A call's layout gathers each operator from its memo's joined plan: array
+    for array, dtypes and shapes, what ``block_diag`` of their plans gives, with
+    the train rows of its A_hat and the members' labels and test rows; a lone
+    member's are its plan alone."""
+    datas, memo = call
+    lay = gcn._Layout(tuple(datas), memo)
     ref, k = call_plan_ref(datas), len(datas)
-    (n, f), join = datas[0].graph.features.shape, datas[0].join
+    n, f = datas[0].graph.features.shape
     assert plan_mismatches(lay.plan, ref) == [] and lay.plan.adj is lay.adj
-    # the members' join if they all carry one, else one of their own
-    shared = join is not None and all(cd.join is join for cd in datas)
-    assert (lay.join is join) == shared
+    assert lay.join is memo.join
     assert lay.ax.shape == (k, n, f)
     assert np.array_equal(lay.ax, np.stack([plan_alone(cd).ax for cd in datas]))
     rows = np.concatenate([cd.masks.train + i * n for i, cd in enumerate(datas)])
@@ -577,9 +571,9 @@ def built_layouts(monkeypatch):
     """Record the members of every layout built."""
     built, real = [], gcn._Layout
 
-    def layout(datas):
+    def layout(datas, memo):
         built.append(datas)
-        return real(datas)
+        return real(datas, memo)
 
     monkeypatch.setattr(gcn, "_Layout", layout)
     return built
@@ -590,7 +584,7 @@ def test_a_batch_reuses_every_earlier_layout_of_its_members(monkeypatch):
     a = [batch_client(rng, 7, 0.4) for _ in range(3)]  # one kernel call
     b = [batch_client(rng, 7, 0.4) for _ in range(3)]  # a's shapes and client ids, other data
     assert {cd.client_id for _, cd in a + b} == {0}
-    built, layouts = built_layouts(monkeypatch), {}
+    built, memo = built_layouts(monkeypatch), RunMemo([cd for _, cd in a + b])
     batches = {"a": a, "reversed": a[::-1], "b": b, "lone": a[:1]}
     # a after reversed and b, a after lone, and the second b reuse their first layouts
     steps = [("a", True), ("a", False), ("reversed", True), ("b", True), ("a", False),
@@ -598,19 +592,21 @@ def test_a_batch_reuses_every_earlier_layout_of_its_members(monkeypatch):
     first = {}  # every layout built, in the memo from its first call on
     for name, builds in steps:
         before, datas = len(built), tuple(cd for _, cd in batches[name])
-        assert_batch_matches_loop(batches[name], layouts=layouts)
+        assert_batch_matches_loop(batches[name], memo=memo)
         # the loop check's forward_batch builds one more layout, outside the memo
         assert built[before:-1] == ([datas] if builds else [])
-        first.setdefault(datas, layouts[datas])
-        assert list(layouts) == list(first)
-        assert all(layouts[key] is lay for key, lay in first.items())
+        first.setdefault(datas, memo[datas])
+        assert list(memo) == list(first)
+        assert all(memo[key] is lay for key, lay in first.items())
 
 
 def test_a_shared_layout_is_read_only():
     for sizes in ((9,), (6, 6)):  # a lone client's layout, then a several-member one
-        rng, layouts = np.random.default_rng(12), {}
-        list(train_batch([batch_client(rng, n, 0.5) for n in sizes], 0.3, layouts))
-        (lay,) = layouts.values()
+        rng = np.random.default_rng(12)
+        members = [batch_client(rng, n, 0.5) for n in sizes]
+        memo = RunMemo([cd for _, cd in members])
+        list(train_batch(members, 0.3, memo))
+        (lay,) = memo.values()
         plan = lay.plan  # unscored so far: this read gathers prop, deg and edge_w
         for array in (lay.ax, lay.labels, lay.test, lay.test_labels, plan.ax, plan.deg,
                       *plan.adj[:3], *plan.prop[:3], *plan.edge_w[:3], *lay.adj_t[:3]):
@@ -621,17 +617,17 @@ def test_a_shared_layout_is_read_only():
 def test_a_reused_layout_reads_no_member_labels_or_masks():
     rng = np.random.default_rng(13)
     members = [batch_client(rng, 8, 0.4) for _ in range(3)]  # one kernel call
-    layouts = {}
+    memo = RunMemo([cd for _, cd in members])
     for _, cd in members:  # a test subset, so each member's accuracy is its own
         cd.masks.test = np.sort(rng.choice(cd.graph.node_count, size=4, replace=False))
-    first = list(train_batch(members, 0.3, layouts, member_rows))
+    first = list(train_batch(members, 0.3, memo, member_rows))
     for (_, cd), (_, acc, soft) in zip(members, first):
         assert acc == accuracy(soft, cd, cd.masks.test)
         # grouping reads the mask sizes; any read of their ids fails or moves a result
         cd.graph.labels = None
         cd.masks = NodeMasks(*(np.full(m.size, -10**9) for m in (cd.masks.train, cd.masks.val,
                                                                   cd.masks.test)))
-    again = list(train_batch(members, 0.3, layouts, member_rows))
+    again = list(train_batch(members, 0.3, memo, member_rows))
     for (q1, a1, s1), (q2, a2, s2) in zip(first, again, strict=True):
         assert np.array_equal(q1.vec, q2.vec) and np.array_equal(s1, s2) and a1 == a2
 
@@ -649,7 +645,7 @@ def workspace_members(rng, sizes):
 
 def test_a_second_call_allocates_no_hidden_width_array():
     members = workspace_members(np.random.default_rng(21), (120, 120, 120))
-    memo = RunMemo()
+    memo = RunMemo([cd for _, cd in members])
     first = list(train_batch(members, 0.3, memo, member_rows))
     tracemalloc.start()
     try:
@@ -673,7 +669,8 @@ def test_a_second_call_allocates_no_hidden_width_array():
 
 def test_nothing_returned_shares_the_workspace():
     rng = np.random.default_rng(22)
-    memo, members = RunMemo(), workspace_members(rng, (30, 41, 12))
+    members = workspace_members(rng, (30, 41, 12))
+    memo = RunMemo([cd for _, cd in members])
     trained = list(train_batch(members, 0.3, memo, member_rows))
     scored = forward_batch(members, memo)
     states = [ClientState(i, cd, p) for i, (p, cd) in enumerate(members)]
@@ -690,9 +687,10 @@ def test_nothing_returned_shares_the_workspace():
 def test_the_workspace_grows_to_the_largest_call_only():
     rng = np.random.default_rng(23)
     calls = [(20, 20), (50, 50, 50), (9,), (25, 25, 25, 25), (70,)]  # one kernel call each
-    memo, largest = RunMemo(), {"hidden": 0, "classes": 0}
-    for sizes in calls:
-        list(train_batch(workspace_members(rng, sizes), 0.3, memo))
+    groups = [workspace_members(rng, sizes) for sizes in calls]
+    memo, largest = RunMemo([cd for g in groups for _, cd in g]), {"hidden": 0, "classes": 0}
+    for sizes, members in zip(calls, groups):
+        list(train_batch(members, 0.3, memo))
         rows = sum(sizes)
         largest = {"hidden": max(largest["hidden"], rows * HIDDEN),
                    "classes": max(largest["classes"], rows * 3)}

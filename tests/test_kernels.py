@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgraphsim import gcn
-from fedgraphsim.gcn import PARAM_FIELDS
 from fedgraphsim.kernels import (
     FglHyper,
     LscValue,
@@ -21,6 +20,7 @@ from fedgraphsim.kernels import (
     staleness_weights,
 )
 from oracles import (
+    PARAM_FIELDS,
     compute_lsc_ref,
     compute_sfm_ref,
     cosine_ref,
@@ -308,7 +308,7 @@ def stats_case(n, members, c=4):
 def call_plan(datas):
     """The ``TripPlan`` a kernel call of ``datas`` (one node, train and test
     count) scores on: its layout's, gathered from the members' joined plans."""
-    return gcn._Layout(tuple(datas)).plan
+    return gcn._Layout(tuple(datas), gcn.RunMemo(datas)).plan
 
 
 def assert_batch_equals_each_alone(datas, softs, lam, k_steps):

@@ -542,17 +542,9 @@ def random_clients(g, rng, n_clients):
 
 
 def clients_of(graphs):
-    """The graphs as clients, split by ``split_masks``, for ``Join.build``."""
+    """The graphs as clients, split by ``split_masks``, for a ``gcn.RunMemo``."""
     return [partition.ClientData(g, np.arange(g.node_count), split_masks(g, RATIOS, i, []), i)
             for i, g in enumerate(graphs)]
-
-
-def join_clients(clients):
-    """The clients' ``Join``, each client carrying it at its index, as in a run."""
-    join = Join.build(clients)
-    for i, cd in enumerate(clients):
-        cd.join, cd.index = join, i
-    return join
 
 
 class TestTripPlan:
@@ -562,17 +554,21 @@ class TestTripPlan:
 
     def assert_matches_alone(self, graphs):
         clients = clients_of(graphs)
-        join = join_clients(clients)
+        memo = gcn.RunMemo(clients)  # a run's: its clients' one join
+        join = memo.join
         assert join.starts.tolist() == np.cumsum([0] + [g.node_count for g in graphs]).tolist()
         for i, cd in enumerate(clients):
-            lay = gcn._Layout((cd,))
-            assert lay.join is join
+            lay = gcn._Layout((cd,), memo)
+            assert memo.at[cd] == i and lay.join is join
             assert plan_mismatches(lay.plan, trip_plan_ref(cd.graph)) == [], f"graph {i}"
-            # the join holds the client's labels and mask rows from its start
+            # the join holds the client's labels from its start; the layout takes
+            # its train and test rows from the client's masks
             s = join.starts[i]
             npt.assert_array_equal(join.labels[s : join.starts[i + 1]], cd.graph.labels)
-            for m, at in (("train", join.train_at), ("test", join.test_at)):
-                npt.assert_array_equal(getattr(join, m)[at[i] : at[i + 1]], cd.masks.get(m) + s)
+            train, test = cd.masks.train, cd.masks.test
+            npt.assert_array_equal(lay.labels, cd.graph.labels[train])
+            npt.assert_array_equal(lay.test, test[None])
+            npt.assert_array_equal(lay.test_labels, cd.graph.labels[test][None])
 
     def test_random_partitions(self):
         rng = np.random.default_rng(11)
@@ -626,7 +622,8 @@ class TestTripPlan:
         clients = extract_subgraphs(g, louvain_partition(g, 5, 0), RATIOS, 0)
         if source == "sparsify_edges":
             clients = [sparsify_edges(cd, 0.5, 60 + cd.client_id) for cd in clients]
-        adjs = [join_clients(clients).plan.adj] + [gcn._Layout((cd,)).adj for cd in clients]
+        memo = gcn.RunMemo(clients)
+        adjs = [memo.join.plan.adj] + [gcn._Layout((cd,), memo).adj for cd in clients]
         adjs += [plan_alone(cd).adj for cd in clients]
         for adj in adjs + [block_diag(adjs[1:])]:
             n = adj.shape[0]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgraphsim.gcn import PARAM_FIELDS, ModelParams, init_params, train_epoch
+from fedgraphsim.gcn import ModelParams, init_params, train_epoch
 from fedgraphsim.kernels import (
     FglHyper,
     LscValue,
@@ -37,6 +37,7 @@ from fedgraphsim.protocol import (
     train_trips,
 )
 from oracles import (
+    PARAM_FIELDS,
     FedSaGclServerRef,
     assert_within_sum_error,
     batch_client,

@@ -393,21 +393,23 @@ def test_a_run_without_sfm_clustering_scores_no_fingerprint(monkeypatch):
 
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_a_run_gathers_each_operator_once_per_layout_build(monkeypatch, strategy):
-    """A guard for the gathers the kernel calls used to repeat or waste: the run
-    joins its clients' plans once (``Join.build``); each layout build, lone or
-    of several members, gathers A_hat and its train rows from that join once
-    each; a fedsa_gcl layout gathers P and the edge weights once, when its call
-    first scores, right before the scoring kernels read them, and a baseline's
-    layouts never do; no operator is gathered anywhere else."""
-    events, where, joins = [], [None], []
+    """A guard for the gathers the kernel calls used to repeat or waste: the
+    run's one memo joins its clients' plans once (``Join.build``); each layout
+    build, lone or of several members, gathers A_hat and its train rows from
+    that join once each; a fedsa_gcl layout gathers P and the edge weights
+    once, when its call first scores, right before the scoring kernels read
+    them, and a baseline's layouts never do; no operator is gathered anywhere
+    else."""
+    events, where, joins, memos = [], [None], [], []
     real_take, real_build = partition.take_rows, Join.build.__func__
     real_plan = gcn._Layout.plan.func
 
     class Layout(gcn._Layout):
-        def __init__(self, datas):
+        def __init__(self, datas, memo):
             where[0] = self
-            super().__init__(datas)
+            super().__init__(datas, memo)
             where[0] = None
+            memos.append(memo)
             events.append(("build", self, len(datas)))
 
         @functools.cached_property
@@ -442,13 +444,15 @@ def test_a_run_gathers_each_operator_once_per_layout_build(monkeypatch, strategy
         monkeypatch.setattr(protocol, name, kernel(getattr(protocol, name)))
     cfg = sbm_cfg(**{**STRAGGLER_RUN, "strategy": strategy})
     run_simulation(cfg, 4)
-    assert len(joins) == 1  # the run's one join, every layout's
+    memo = memos[0]
+    assert all(m is memo for m in memos)  # the run's one memo, every layout's
+    assert joins == [memo.join]  # and its one join
     builds = [(lay, k) for kind, lay, k in events if kind == "build"]
     assert any(k > 1 for _, k in builds) and any(k == 1 for _, k in builds)
     gathered = Counter((lay, name) for kind, lay, name in events if kind == "take")
     plans = {lay: plan for kind, lay, plan in events if kind == "plan"}
     for lay, _ in builds:
-        assert lay.join is joins[0]
+        assert lay.join is memo.join
         scored = int(lay in plans)  # at most once: the layout keeps its plan
         assert [gathered[lay, name] for name in ("adj", "prop", "edge_w")] == [2, scored, scored]
     if strategy != Strategy.FEDSA_GCL:
@@ -500,14 +504,20 @@ def test_no_server_receives_client_data(monkeypatch, strategy):
 def test_run_builds_every_plan_as_alone_after_perturbation(monkeypatch, kind):
     pert = Perturbation(kind, 0.5) if kind else None
     cfg = sbm_cfg(n_clients=5, partitioner="louvain", perturbation=pert, max_trips=10)
-    real_prepare, prepared = sim.prepare_clients, []
+    real_prepare, prepared, memos = sim.prepare_clients, [], []
 
     def prepare(cfg, seed, graph=None):
         out = real_prepare(cfg, seed, graph)
         prepared.extend(out[0])
         return out
 
+    class Memo(gcn.RunMemo):
+        def __init__(self, clients):
+            super().__init__(clients)
+            memos.append(self)
+
     monkeypatch.setattr(sim, "prepare_clients", prepare)
+    monkeypatch.setattr(sim, "RunMemo", Memo)
     run_simulation(cfg, seed=2)
     assert len(prepared) == 5
     if kind == "edge_sparsity":
@@ -515,10 +525,10 @@ def test_run_builds_every_plan_as_alone_after_perturbation(monkeypatch, kind):
         assert [cd.graph.edge_count for cd in prepared] != [
             cd.graph.edge_count for cd in unperturbed
         ]
-    join = prepared[0].join
-    for i, cd in enumerate(prepared):
-        assert join is not None and cd.join is join and cd.index == i  # the run's one join
-        assert plan_mismatches(gcn._Layout((cd,)).plan, trip_plan_ref(cd.graph)) == []
+    (memo,) = memos  # the run's one memo: its one join, each client at its position
+    assert memo.at == {cd: i for i, cd in enumerate(prepared)}
+    for cd in prepared:
+        assert plan_mismatches(gcn._Layout((cd,), memo).plan, trip_plan_ref(cd.graph)) == []
 
 
 SERVER_TYPES = {
@@ -635,9 +645,9 @@ def record_layouts(monkeypatch):
         events.append(("call", tuple(cd.client_id for _, cd in members)))
         return real_block(members)
 
-    def layout(datas):
+    def layout(datas, memo):
         events.append(("build", tuple(cd.client_id for cd in datas)))
-        return real_layout(datas)
+        return real_layout(datas, memo)
 
     monkeypatch.setattr(sim, "train_trips", trips)
     monkeypatch.setattr(gcn, "_Block", block)
@@ -781,6 +791,25 @@ def test_a_run_keeps_no_client_data_alive(monkeypatch):
     gc.collect()
     assert len(log.records) == 40 and len(refs) == 4
     assert all(ref() is None for ref in refs)
+
+
+def test_a_run_writes_nothing_into_its_client_data(monkeypatch):
+    """Two runs on one set of prepared clients: each client's attributes are
+    the same objects before and after both, and each run's CSV, aggregation_log
+    and trace are those of a run on fresh clients."""
+    cfg = sbm_cfg(**STRAGGLER_RUN)
+    fresh = run_simulation(cfg, 4)
+    prepared = prepare_clients(cfg, 4)
+    before = [dict(vars(cd)) for cd in prepared[0]]
+    monkeypatch.setattr(sim, "prepare_clients", lambda cfg, seed, graph=None: prepared)
+    for _ in range(2):
+        log = run_simulation(cfg, 4)
+        assert log.to_csv_text() == fresh.to_csv_text()
+        assert repr(log.aggregation_log) == repr(fresh.aggregation_log)
+        assert log.trace == fresh.trace
+    for cd, attrs in zip(prepared[0], before, strict=True):
+        assert vars(cd).keys() == attrs.keys()
+        assert all(vars(cd)[name] is value for name, value in attrs.items())
 
 
 def test_a_set_up_warns_once_for_its_mask_fallbacks(caplog):
